@@ -1,25 +1,13 @@
 """Fair-share engine perf harness — the repo's bench trajectory.
 
 Runs fixed, seeded workloads (scale-stress Wordcount, a TeraSort shuffle
-storm, a chaos fault-injection run) twice:
-
-* **incremental** — the shipped connected-component engine;
-* **legacy** — an in-process emulation of the pre-incremental hot paths:
-  whole-graph reference fill, all-flows min-horizon scan, no timer
-  cancellation, unmemoised ``stable_hash`` partitioning, linear-scan range
-  partitioning, ``setdefault``-based grouping, uncached network routes —
-  all installed by monkeypatching for the duration of the run.
-
-Both engines must produce the *identical* simulated elapsed time — the
-determinism invariant — which the harness asserts hard.  It then writes
+storm, a chaos fault-injection run) once each and writes
 ``BENCH_fairshare.json`` with wall-clock, kernel events processed, max
-heap size, rebalance counts and flow-visit counts, so every future PR has
-a perf trajectory to compare against.
+heap size, rebalance counts and flow-visit counts.
 
 Usage:
     PYTHONPATH=src python benchmarks/perf/perf_bench.py [--quick]
-        [--no-legacy] [--out BENCH_fairshare.json]
-        [--baseline-tree /path/to/seed/checkout]
+        [--out BENCH_fairshare.json]
         [--check benchmarks/perf/baselines.json | --write-baselines ...]
 
 ``--observatory`` switches the harness to the observability overhead
@@ -36,13 +24,6 @@ off and on, interleaved repeats, bit-identical sim outputs and engine
 counters asserted, store digest pinned across repeats, and the CPU cost
 of keeping history recorded in ``BENCH_timeseries.json`` (<5% target,
 warn-only).
-
-``--baseline-tree`` additionally runs every workload in a subprocess
-against a *real* pre-PR checkout (e.g. ``git worktree add /tmp/seed
-<seed-commit>``), records its wall clock as ``baseline.wall_s``, and
-asserts the simulated elapsed time is bit-identical — the strongest form
-of the determinism claim, measured against actual history rather than an
-emulation.
 
 ``--check`` compares the run's deterministic counters (simulated elapsed,
 kernel events, rebalances, flow visits, completions, chaos digest) against
@@ -64,45 +45,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 from repro import constants as C
 from repro.chaos import ChaosInjector
-from repro.config import PlatformConfig
+from repro.config import PlatformConfig, TopologySpec
 from repro.datasets.text import generate_corpus
 from repro.experiments import chaos_faults
-from repro.mapreduce import api as mr_api
-from repro.mapreduce import runner as mr_runner
-from repro.mapreduce.api import stable_hash
-from repro.net.topology import NetworkFabric
-from repro.platform import VHadoopPlatform
-
-try:
-    from repro.config import TopologySpec
-    from repro.platform import ClusterSpec
-except ImportError:  # pragma: no cover - pre-rack --baseline-tree probe
-    # A --baseline-tree probe runs this harness against a checkout that
-    # predates the ClusterSpec API; map the one spec the probed workloads
-    # use onto the legacy helper (scale mode never probes baselines).
-    from repro.platform import balanced_placement
-
-    TopologySpec = None
-
-    class ClusterSpec:  # type: ignore[no-redef]
-        @staticmethod
-        def spread(n_vms, hosts=None):
-            return balanced_placement(n_vms, n_hosts=hosts)
-try:
-    from repro.parallel import run_sharded
-except ImportError:  # pragma: no cover - pre-parallel --baseline-tree probe
-    run_sharded = None  # probes only run WORKLOADS, never the ladder
-from repro.sim.fairshare import _EPS, _MIN_DT, FairShareSystem
-from repro.workloads import wordcount as wc_mod
+from repro.parallel import run_sharded
+from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.workloads.terasort import run_terasort
 from repro.workloads.wordcount import (lines_as_records, scaled_line_sizeof,
                                        wordcount_job)
@@ -112,182 +66,21 @@ CHECKED_KEYS = ("events_processed", "rebalance_count", "flow_visits",
                 "completed_flows")
 
 
-# -- legacy engine emulation -------------------------------------------------
-
-def _counting_maxmin_rates(fss, flows):
-    """The pre-incremental global progressive fill, with visit counting.
-
-    Arithmetic is copied verbatim from the reference oracle
-    (``repro.sim.fairshare._maxmin_rates``); the counters mirror the flow
-    inspections that implementation performs: every filling round re-counts
-    each resource's unfrozen flows, re-scans all caps, and re-scans
-    saturated resources' flow sets.
-    """
-    unfrozen = set(flows)
-    rates = {f: 0.0 for f in unfrozen}
-    if not unfrozen:
-        return rates
-    frozen_load = {}
-    for flow in unfrozen:
-        for res in flow.path:
-            frozen_load.setdefault(res, 0.0)
-    level = 0.0
-    while unfrozen:
-        sat_levels = {}
-        for res, loaded in frozen_load.items():
-            fss.flow_visits += len(res._flows)
-            n = sum(1 for f in res._flows if f in unfrozen)
-            if n:
-                sat_levels[res] = (res.capacity - loaded) / n
-        fss.flow_visits += len(unfrozen)  # the min-cap scan
-        res_level = min(sat_levels.values(), default=math.inf)
-        min_cap = min((f.cap for f in unfrozen), default=math.inf)
-        next_level = min(res_level, min_cap)
-        level = max(level, next_level)
-        newly_frozen = set()
-        if min_cap <= next_level + _EPS:
-            fss.flow_visits += len(unfrozen)
-            newly_frozen.update(f for f in unfrozen if f.cap <= level + _EPS)
-        for res, sat in sat_levels.items():
-            if sat <= next_level + _EPS:
-                fss.flow_visits += len(res._flows)
-                newly_frozen.update(f for f in res._flows if f in unfrozen)
-        if not newly_frozen:  # pragma: no cover - numerical safety net
-            newly_frozen = set(unfrozen)
-        for flow in newly_frozen:
-            rates[flow] = min(level, flow.cap)
-            unfrozen.discard(flow)
-            for res in flow.path:
-                frozen_load[res] += rates[flow]
-    return rates
-
-
-def _legacy_rebalance(self, seed_resources):
-    """Seed-equivalent global rebalance + all-flows min-horizon scan."""
-    now = self.sim.now
-    self.rebalance_count += 1
-    rates = _counting_maxmin_rates(self, self._flows)
-    resources = set()
-    for flow in self._flows:
-        flow.rate = rates[flow]
-        resources.update(flow.path)
-    for res in resources:
-        res._set_load(sum(f.rate for f in res._flows), now)
-    self._timer_version += 1
-    version = self._timer_version
-    horizon = math.inf
-    for flow in self._flows:
-        if flow.rate > _EPS and math.isfinite(flow.remaining):
-            horizon = min(horizon, flow.remaining / flow.rate)
-    if not math.isfinite(horizon):
-        return
-    timer = self.sim.timeout(max(horizon, _MIN_DT))
-    timer.callbacks.append(lambda _ev: self._on_timer(version))
-
-
-def _legacy_hash_partition(self, key, n_partitions):
-    """Pre-memoisation HashPartitioner: one crc32 per record."""
-    return stable_hash(key) % n_partitions
-
-
-def _legacy_range_partition(self, key, n_partitions):
-    """Pre-bisect RangePartitioner: linear boundary walk, same tie rule."""
-    index = 0
-    for boundary in self.boundaries[:n_partitions - 1]:
-        if key >= boundary:
-            index += 1
-        else:
-            break
-    return index
-
-
-def _legacy_group_by_key(pairs):
-    """Pre-optimisation sort-and-group (``setdefault`` per pair)."""
-    groups = {}
-    for key, value in pairs:
-        groups.setdefault(key, []).append(value)
-
-    def order(item):
-        key = item[0]
-        return (type(key).__name__, repr(key)) if not isinstance(
-            key, (int, float, str, bytes, tuple)) else (type(key).__name__,
-                                                        key)
-    return sorted(groups.items(), key=order)
-
-
-def _legacy_wordcount_map(self, key, value, context):
-    """Pre-hoist WordCount mapper (attribute lookup per emit)."""
-    for word in str(value).split():
-        context.emit(word, 1)
-
-
-_cached_path = NetworkFabric.path
-
-
-def _legacy_path(self, src, dst):
-    """Route resolution without the cache: recompute on every transfer."""
-    self._path_cache.clear()
-    return _cached_path(self, src, dst)
-
-
-class _engine:
-    """Context manager selecting the engine + hot-path implementations.
-
-    ``legacy=True`` swaps in value-identical but pre-optimisation
-    implementations of everything this PR touched that is patchable from
-    outside: the fair-share rebalance, both partitioners, the reduce-side
-    grouping, the WordCount mapper inner loop, and the route cache.
-    (The map-side spill fusion is inline in the runner and cannot be
-    toggled, so the emulation still *under*states the true pre-PR cost —
-    use ``--baseline-tree`` for the measurement against real history.)
-    """
-
-    def __init__(self, legacy: bool):
-        self.legacy = legacy
-        self._patches = (
-            (FairShareSystem, "_rebalance", _legacy_rebalance),
-            (mr_api.HashPartitioner, "partition", _legacy_hash_partition),
-            (mr_api.RangePartitioner, "partition", _legacy_range_partition),
-            (mr_api, "group_by_key", _legacy_group_by_key),
-            (mr_runner, "group_by_key", _legacy_group_by_key),
-            (wc_mod.WordCountMapper, "map", _legacy_wordcount_map),
-            (NetworkFabric, "path", _legacy_path),
-        )
-
-    def __enter__(self):
-        if self.legacy:
-            self._saved = [(obj, name, obj.__dict__[name])
-                           for obj, name, _ in self._patches]
-            for obj, name, impl in self._patches:
-                setattr(obj, name, impl)
-        return self
-
-    def __exit__(self, *exc):
-        if self.legacy:
-            for obj, name, impl in self._saved:
-                setattr(obj, name, impl)
-        return False
-
-
 # -- workloads ---------------------------------------------------------------
 
 def _counters(platform, wall_s):
-    # getattr with defaults: under --baseline-tree the probe subprocess
-    # runs this against a pre-PR checkout whose classes lack the counters.
     sim = platform.sim
     fss = platform.datacenter.fss
     return {
         "wall_s": round(wall_s, 3),
-        "events_processed": getattr(sim, "events_processed", None),
-        "max_heap_size": getattr(sim, "max_heap_size", None),
-        "cancelled_pruned": getattr(sim, "cancelled_pruned", None),
-        "rebalance_count": getattr(fss, "rebalance_count", None),
-        "flow_visits": getattr(fss, "flow_visits", None),
-        "flow_visits_global_model": getattr(fss, "flow_visits_global", None),
-        "timer_cancellations": getattr(fss, "timer_cancellations", None),
-        "max_component_flows": getattr(fss, "max_component_flows", None),
-        "completed_flows": getattr(fss, "completed_count", None),
-        "rack_splits": getattr(fss, "rack_splits", None),
+        "events_processed": sim.events_processed,
+        "max_heap_size": sim.max_heap_size,
+        "cancelled_pruned": sim.cancelled_pruned,
+        "rebalance_count": fss.rebalance_count,
+        "flow_visits": fss.flow_visits,
+        "timer_cancellations": fss.timer_cancellations,
+        "max_component_flows": fss.max_component_flows,
+        "completed_flows": fss.completed_count,
     }
 
 
@@ -820,91 +613,20 @@ def run_timeseries_suite(quick: bool) -> dict:
 
 # -- harness -----------------------------------------------------------------
 
-def run_suite(quick: bool, with_legacy: bool) -> dict:
+def run_suite(quick: bool) -> dict:
     out = {"generated_by": "benchmarks/perf/perf_bench.py",
            "mode": "quick" if quick else "full",
            "workloads": {}}
     for name, fn in WORKLOADS:
-        entry = {}
-        with _engine(legacy=False):
-            elapsed, counters, extra = fn(quick)
-        entry["sim_elapsed"] = elapsed
-        entry["incremental"] = counters
-        entry.update(extra)
-        print(f"[{name}] incremental: wall {counters['wall_s']}s, "
+        elapsed, counters, extra = fn(quick)
+        # "incremental" is the key benchmarks/perf/baselines.json uses.
+        out["workloads"][name] = {"sim_elapsed": elapsed,
+                                  "incremental": counters, **extra}
+        print(f"[{name}] wall {counters['wall_s']}s, "
               f"{counters['events_processed']} events, "
               f"{counters['rebalance_count']} rebalances, "
               f"{counters['flow_visits']} flow visits")
-        if with_legacy:
-            with _engine(legacy=True):
-                legacy_elapsed, legacy, legacy_extra = fn(quick)
-            if legacy_elapsed != elapsed:
-                raise SystemExit(
-                    f"{name}: determinism invariant broken — legacy engine "
-                    f"simulated {legacy_elapsed}, incremental {elapsed}")
-            if legacy_extra != extra:
-                raise SystemExit(f"{name}: legacy engine changed workload "
-                                 f"outputs: {legacy_extra} != {extra}")
-            entry["legacy"] = legacy
-            entry["wall_speedup"] = round(
-                legacy["wall_s"] / max(counters["wall_s"], 1e-9), 2)
-            inc_vpr = counters["flow_visits"] / max(
-                counters["rebalance_count"], 1)
-            leg_vpr = legacy["flow_visits"] / max(
-                legacy["rebalance_count"], 1)
-            entry["visits_per_rebalance"] = {
-                "incremental": round(inc_vpr, 1), "legacy": round(leg_vpr, 1)}
-            entry["visit_reduction"] = round(leg_vpr / max(inc_vpr, 1e-9), 1)
-            print(f"[{name}] legacy:      wall {legacy['wall_s']}s -> "
-                  f"speedup {entry['wall_speedup']}x, visit reduction "
-                  f"{entry['visit_reduction']}x (sim elapsed identical)")
-        out["workloads"][name] = entry
     return out
-
-
-def baseline_probe(quick: bool, out_path: Path) -> None:
-    """Subprocess entry: run the suite against whatever tree PYTHONPATH
-    points at (typically a pre-PR worktree) and dump wall + sim elapsed."""
-    probe = {}
-    for name, fn in WORKLOADS:
-        elapsed, counters, extra = fn(quick)
-        probe[name] = {"sim_elapsed": elapsed,
-                       "wall_s": counters["wall_s"], **extra}
-        print(f"[baseline:{name}] wall {counters['wall_s']}s",
-              file=sys.stderr)
-    out_path.write_text(json.dumps(probe, indent=2) + "\n", encoding="utf-8")
-
-
-def run_baseline_tree(tree: Path, quick: bool, results: dict) -> None:
-    """Measure the identical workloads on a real pre-PR checkout and fold
-    the walls + bit-exactness verdict into ``results``."""
-    src = tree / "src"
-    if not (src / "repro").is_dir():
-        raise SystemExit(f"--baseline-tree: {src}/repro not found")
-    probe_file = Path(f"{results['out_stem']}.baseline-probe.json")
-    cmd = [sys.executable, os.path.abspath(__file__),
-           "--baseline-probe", str(probe_file)]
-    if quick:
-        cmd.append("--quick")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run(cmd, check=True, env=env)
-    probe = json.loads(probe_file.read_text(encoding="utf-8"))
-    probe_file.unlink()
-    for name, entry in results["workloads"].items():
-        base = probe[name]
-        if base["sim_elapsed"] != entry["sim_elapsed"]:
-            raise SystemExit(
-                f"{name}: pre-PR tree simulated {base['sim_elapsed']}, "
-                f"this tree {entry['sim_elapsed']} — not bit-identical")
-        if "digest" in entry and base.get("digest") != entry["digest"]:
-            raise SystemExit(f"{name}: chaos digest changed vs pre-PR tree")
-        entry["baseline"] = {"wall_s": base["wall_s"],
-                             "sim_elapsed_identical": True}
-        entry["wall_speedup_vs_baseline"] = round(
-            base["wall_s"] / max(entry["incremental"]["wall_s"], 1e-9), 2)
-        print(f"[{name}] pre-PR tree: wall {base['wall_s']}s -> "
-              f"{entry['wall_speedup_vs_baseline']}x speedup, "
-              "sim outputs bit-identical")
 
 
 def check(results: dict, baseline_path: Path) -> int:
@@ -960,8 +682,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="small workloads (CI perf-smoke)")
-    parser.add_argument("--no-legacy", action="store_true",
-                        help="skip the legacy-engine comparison runs")
     parser.add_argument("--observatory", action="store_true",
                         help="measure observatory overhead instead "
                              "(detectors off vs on; writes "
@@ -988,20 +708,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="result file (default: BENCH_fairshare.json, "
                              "or BENCH_observatory.json with --observatory)")
-    parser.add_argument("--baseline-tree", metavar="DIR",
-                        help="pre-PR checkout to measure the real speedup "
-                             "against (e.g. a git worktree of the seed)")
-    parser.add_argument("--baseline-probe", metavar="FILE",
-                        help=argparse.SUPPRESS)  # internal subprocess entry
     parser.add_argument("--check", metavar="FILE",
                         help="compare deterministic counters against FILE")
     parser.add_argument("--write-baselines", metavar="FILE",
                         help="write the run's deterministic counters to FILE")
     args = parser.parse_args(argv)
-
-    if args.baseline_probe:
-        baseline_probe(args.quick, Path(args.baseline_probe))
-        return 0
 
     if args.scale_rung:
         entry = scale_rung(_rung_by_name(args.scale_rung))
@@ -1049,11 +760,7 @@ def main(argv=None) -> int:
         return 0
 
     out = args.out or "BENCH_fairshare.json"
-    results = run_suite(quick=args.quick, with_legacy=not args.no_legacy)
-    if args.baseline_tree:
-        results["out_stem"] = out
-        run_baseline_tree(Path(args.baseline_tree), args.quick, results)
-        del results["out_stem"]
+    results = run_suite(quick=args.quick)
     Path(out).write_text(json.dumps(results, indent=2) + "\n",
                          encoding="utf-8")
     print(f"wrote {out}")

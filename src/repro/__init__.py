@@ -25,8 +25,7 @@ from repro._version import __version__
 from repro.config import (HadoopConfig, HostConfig, PlatformConfig,
                           TopologySpec, VMConfig)
 from repro.platform import (ClusterSpec, HadoopVirtualCluster,
-                            VHadoopPlatform, balanced_placement,
-                            cross_domain_placement, normal_placement)
+                            VHadoopPlatform)
 from repro.virt import Datacenter, VirtLM
 
 __all__ = [
@@ -41,7 +40,4 @@ __all__ = [
     "VMConfig",
     "VirtLM",
     "__version__",
-    "balanced_placement",
-    "cross_domain_placement",
-    "normal_placement",
 ]

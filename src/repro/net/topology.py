@@ -63,8 +63,6 @@ class RackNet:
         self.tor: Optional[SharedResource] = (
             SharedResource(f"{name}.tor", tor_bandwidth)
             if tor_bandwidth else None)
-        if self.tor is not None:
-            self.tor.rack = name
         self.hosts: list["HostNet"] = []
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -87,12 +85,6 @@ class HostNet:
         self.rack = rack
         if rack is not None:
             rack.hosts.append(self)
-            # Locality tags feed the fair-share engine's per-rack
-            # component split; flat topologies stay untagged (the split
-            # never fires, keeping the seed bit-identical).
-            self.nic.rack = rack.name
-            self.bridge.rack = rack.name
-            self.netback.rack = rack.name
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<HostNet {self.name}>"
@@ -111,8 +103,6 @@ class NetNode:
         self.host = host
         self.privileged = privileged
         self.vnic = SharedResource(f"{name}.vnic", vnic_bandwidth)
-        if host.rack is not None:
-            self.vnic.rack = host.rack.name
         #: Cumulative bytes sent/received (for the monitor).
         self.tx_bytes = 0.0
         self.rx_bytes = 0.0
@@ -189,8 +179,6 @@ class NetworkFabric:
     def move(self, node: NetNode, new_host: HostNet) -> None:
         """Re-home an endpoint after live migration."""
         node.host = new_host
-        node.vnic.rack = (new_host.rack.name
-                          if new_host.rack is not None else None)
         self._path_cache.clear()
 
     # -- paths --------------------------------------------------------------

@@ -1,8 +1,7 @@
 """The vHadoop platform: provisioning, clusters, and the Fig. 1 facade."""
 
 from repro.platform.cluster import HadoopVirtualCluster
-from repro.platform.provisioning import (Placement, cross_domain_placement,
-                                         normal_placement, balanced_placement)
+from repro.platform.provisioning import Placement
 from repro.platform.spec import ClusterSpec
 from repro.platform.vhadoop import VHadoopPlatform
 
@@ -11,7 +10,4 @@ __all__ = [
     "HadoopVirtualCluster",
     "Placement",
     "VHadoopPlatform",
-    "balanced_placement",
-    "cross_domain_placement",
-    "normal_placement",
 ]

@@ -2,10 +2,7 @@
 
 :class:`Placement` is the *resolved* VM→host assignment consumed by the
 datacenter.  Callers should not build placements by hand any more: the
-declarative :class:`~repro.platform.spec.ClusterSpec` resolves to one.
-The legacy helpers (``normal_placement``, ``cross_domain_placement``,
-``balanced_placement``) remain as deprecated shims over the equivalent
-specs:
+declarative :class:`~repro.platform.spec.ClusterSpec` resolves to one:
 
 * **normal** — all 16 VMs on one physical machine (intra-host bridge
   carries all Hadoop traffic) → ``ClusterSpec.single_host``;
@@ -22,7 +19,6 @@ workers (boot, join, attach to the scheduler) and to shrink it again
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Collection, Optional, Sequence
 
@@ -47,48 +43,6 @@ class Placement:
 
     def hosts_used(self) -> set[int]:
         return set(self.assignment)
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(f"{old} is deprecated; build clusters with "
-                  f"repro.platform.ClusterSpec.{new} instead",
-                  DeprecationWarning, stacklevel=3)
-
-
-def normal_placement(n_vms: int, host_index: int = 0) -> Placement:
-    """Deprecated shim: all VMs on a single host (the paper's 'normal'
-    case).  Use :meth:`ClusterSpec.single_host`."""
-    from repro.platform.spec import ClusterSpec
-    _deprecated("normal_placement", "single_host")
-    if n_vms < 1:
-        raise PlacementError("need at least one VM")
-    return ClusterSpec.single_host(n_vms, host=host_index) \
-        .placement(host_index + 1)
-
-
-def cross_domain_placement(n_vms: int, n_hosts: int = 2) -> Placement:
-    """Deprecated shim: VMs distributed equally across ``n_hosts``
-    physical machines in contiguous groups (paper: 8 VMs per host for
-    the 16-VM cluster).  Use :meth:`ClusterSpec.packed`."""
-    from repro.platform.spec import ClusterSpec
-    _deprecated("cross_domain_placement", "packed")
-    if n_vms < 1:
-        raise PlacementError("need at least one VM")
-    if n_hosts < 2:
-        raise PlacementError("cross-domain needs at least two hosts")
-    return ClusterSpec.packed(n_vms, hosts=n_hosts).placement(n_hosts)
-
-
-def balanced_placement(n_vms: int, n_hosts: int) -> Placement:
-    """Deprecated shim: round-robin across hosts (interleaved, unlike
-    cross-domain's contiguous split).  Use :meth:`ClusterSpec.spread`."""
-    from repro.platform.spec import ClusterSpec
-    _deprecated("balanced_placement", "spread")
-    if n_vms < 1:
-        raise PlacementError("need at least one VM")
-    if n_hosts < 1:
-        raise PlacementError("need at least one host")
-    return ClusterSpec.spread(n_vms, hosts=n_hosts).placement(n_hosts)
 
 
 def validate_placement(placement: Placement,

@@ -4,9 +4,7 @@
 say *what* cluster they want — how many VMs, over which topology, packed
 or spread — and :meth:`VHadoopPlatform.provision_cluster
 <repro.platform.vhadoop.VHadoopPlatform.provision_cluster>` resolves it
-against the datacenter it runs on.  The legacy helpers
-(``normal_placement`` & co.) survive as deprecated shims over the
-equivalent specs.
+against the datacenter it runs on.
 
 Layouts
 -------

@@ -36,8 +36,11 @@ adjacency on first touch.  A union may transiently cover several true
 components; the fill over a union decomposes exactly into per-component
 fills, so scoping never changes a computed rate.  Disjoint components keep
 their rates — recomputing them would reproduce the same values bit for
-bit, which is the engine's determinism invariant (see ``tests/sim/
-test_fairshare_incremental.py`` and DESIGN.md §Performance).
+bit.  There is one way to compute rates (``_scope`` → the incidence-indexed
+:func:`_maxmin_rates_scoped`) and one oracle (:func:`_maxmin_rates`, the
+plain whole-graph progressive fill): ``tests/sim/
+test_fairshare_incremental.py`` asserts that every active flow's rate
+equals the oracle's after every rebalance (DESIGN.md §Performance).
 
 Two things deliberately stay global so that simulated timestamps are
 *bit-identical* to a full recomputation:
@@ -74,15 +77,12 @@ _VEC_MIN_FLOWS = 64
 _EPS = 1e-12
 #: Smallest scheduling horizon (seconds); see FairShareSystem._advance.
 _MIN_DT = 1e-9
-#: A multi-rack union smaller than this is cheaper to fill whole than to
-#: split and re-union on the next cross-rack (NFS) flow.
-_RACK_MIN_FLOWS = 16
 
 
 class SharedResource:
     """A capacity shared max-min fairly among the flows crossing it."""
 
-    __slots__ = ("name", "capacity", "nominal", "rack", "_flows",
+    __slots__ = ("name", "capacity", "nominal", "_flows",
                  "current_load", "_busy_integral", "_moved_integral",
                  "_last_change", "_comp")
 
@@ -92,12 +92,6 @@ class SharedResource:
                                 f"got {capacity}")
         self.name = name
         self.capacity = float(capacity)
-        #: Locality tag (rack name) set by the topology layer; ``None``
-        #: for untagged or inherently cross-rack resources (aggregation
-        #: links).  Purely an engine hint — see the per-rack split in
-        #: :meth:`FairShareSystem._rack_split`; a stale tag can cost
-        #: sharding opportunity but never correctness.
-        self.rack: Optional[str] = None
         #: Design capacity.  ``set_capacity`` (fault injection) moves only
         #: ``capacity``; rate caps derived from device speed must use the
         #: nominal value so a transient degradation is never frozen into a
@@ -138,8 +132,8 @@ class SharedResource:
     def _set_load(self, load: float, now: float) -> None:
         # Accrue only when the value actually changes: busy_time then
         # depends solely on the load *trajectory*, not on how often the
-        # engine happened to re-assert an unchanged load (which differs
-        # between incremental and whole-graph rebalancing).
+        # engine happened to re-assert an unchanged load (which depends
+        # on how wide a rebalance's scope happened to be).
         if load != self.current_load:
             self._accrue(now)
             self.current_load = load
@@ -169,7 +163,7 @@ class FluidFlow:
 
     __slots__ = ("name", "path", "size", "remaining", "rate", "cap",
                  "done", "start_time", "end_time", "meta", "_moved",
-                 "_seq", "_horizon", "_upath", "_comp", "_rack")
+                 "_seq", "_horizon", "_upath", "_comp")
 
     def __init__(self, name: str, path: Sequence[SharedResource], size: float,
                  cap: Optional[float], done: Event, start_time: float,
@@ -202,17 +196,6 @@ class FluidFlow:
             self._upath = path if path[0] is not path[1] else path[:1]
         else:
             self._upath = tuple(dict.fromkeys(path))
-        #: Rack key, frozen at open time: the common rack tag of every
-        #: resource on the path, or ``None`` when the path is cross-rack
-        #: or touches an untagged resource.  Consumed by the per-rack
-        #: component split.
-        rack = self._upath[0].rack
-        if rack is not None:
-            for res in self._upath[1:]:
-                if res.rack != rack:
-                    rack = None
-                    break
-        self._rack = rack
 
     @property
     def transferred(self) -> float:
@@ -237,13 +220,11 @@ class _Component:
     live adjacency (amortized O(1) per flow removal).  A component may
     therefore transiently cover *several* true connected components; the
     progressive fill over such a union decomposes exactly into the
-    per-component fills (``global_rebalance`` is the degenerate case of
-    one all-covering union), so the lazy split cannot change any computed
+    per-component fills, so the lazy split cannot change any computed
     rate, only how much work a rebalance does.
     """
 
-    __slots__ = ("flows", "resources", "peak", "racks", "checked",
-                 "nlive", "capped")
+    __slots__ = ("flows", "resources", "peak", "nlive", "capped")
 
     def __init__(self) -> None:
         self.flows: set[FluidFlow] = set()
@@ -251,15 +232,6 @@ class _Component:
         #: Largest live flow count seen since the last (re)derivation;
         #: the lazy-split trigger compares against it.
         self.peak = 0
-        #: Live flow count per rack key (``None`` = cross-rack/untagged).
-        #: Racks not glued together by a live ``None`` flow can split off
-        #: without a BFS — see :meth:`FairShareSystem._rack_split`.
-        self.racks: dict[Optional[str], int] = {}
-        #: Flow count at the last *failed* rack-split attempt (0 = never
-        #: attempted).  Re-attempts wait until the count drifts ≥25% from
-        #: it, so an unsplittable union doesn't pay the O(incidence)
-        #: attempt on every rebalance.
-        self.checked = 0
         #: Live flow count per resource (``flow._upath`` incidence),
         #: maintained at attach/detach so a progressive fill seeds its
         #: unfrozen counters with one dict copy instead of re-scanning
@@ -277,30 +249,15 @@ class FairShareSystem:
     .MetricsRegistry`; when given, engine cost counters (rebalances, flow
     visits, timer cancellations, component sizes) are mirrored into it so
     the tuner and traces can see what the fair-share engine is doing.
-
-    ``global_rebalance=True`` forces every rebalance to recompute the whole
-    flow graph (the pre-incremental behaviour).  It exists as a reference
-    mode for the determinism tests: simulated results must be bit-identical
-    with it on or off.
-
-    ``rack_sharding=False`` disables the per-rack component split (the
-    eager, BFS-free decomposition of a multi-rack union once its last
-    cross-rack flow drains).  Another reference mode: rates and
-    timestamps must be bit-identical with it on or off, only
-    ``flow_visits`` moves.
     """
 
-    def __init__(self, sim: Simulator, metrics=None,
-                 global_rebalance: bool = False,
-                 rack_sharding: bool = True):
+    def __init__(self, sim: Simulator, metrics=None):
         self.sim = sim
         self._flows: set[FluidFlow] = set()
         self._last_update = 0.0
         self._timer_version = 0
         self._timer = None
         self.completed_count = 0
-        self.global_rebalance = global_rebalance
-        self.rack_sharding = rack_sharding
         #: Lazy-deletion heap of (horizon, flow seq, flow); an entry is
         #: valid while the flow is active and its cached horizon matches.
         self._horizon_heap: list = []
@@ -309,21 +266,8 @@ class FairShareSystem:
         self.rebalance_count = 0
         #: Flow inspections performed by the scoped progressive fills.
         self.flow_visits = 0
-        #: Conservative model of the flow inspections the pre-incremental
-        #: engine would have performed: that engine re-counted every
-        #: resource's unfrozen flows and re-scanned all flow caps in every
-        #: filling round, i.e. at least ``rounds * (incidence + flows)``
-        #: visits per rebalance.  Scoped rounds lower-bound global rounds,
-        #: so the ratio ``flow_visits_global / flow_visits`` understates
-        #: the true saving.
-        self.flow_visits_global = 0
-        #: Sum of ``len(flow._upath)`` over active flows, maintained O(1).
-        self._incidence = 0
         self.timer_cancellations = 0
         self.max_component_flows = 0
-        #: Multi-rack unions decomposed along rack lines (no BFS); the
-        #: conflict-fallback exact splits are *not* counted here.
-        self.rack_splits = 0
         #: Optional flow-completion sink (anything with ``append``); every
         #: flow that leaves the system — completed, closed, interrupted —
         #: is handed over exactly once, after its rate/end_time are final.
@@ -379,7 +323,6 @@ class FairShareSystem:
         self._flows.add(flow)
         for res in flow.path:
             res._flows.add(flow)
-        self._incidence += len(flow._upath)
         self._attach_component(flow)
         seeds = list(flow.path)
         for f in completed:
@@ -432,39 +375,12 @@ class FairShareSystem:
     def flows_through(self, resource: SharedResource) -> frozenset[FluidFlow]:
         return frozenset(resource._flows)
 
-    def component_of(self, *seeds) -> tuple[frozenset, frozenset]:
-        """The live connected component reachable from resources/flows.
-
-        Returns ``(flows, resources)``; diagnostic/teaching helper used by
-        the tests and the perf harness.
-        """
-        resources: list[SharedResource] = []
-        for seed in seeds:
-            if isinstance(seed, SharedResource):
-                resources.append(seed)
-            else:
-                resources.extend(seed.path)
-        flows, res_seen = self._component(resources)
-        return frozenset(flows), frozenset(res_seen)
-
     # -- internals ---------------------------------------------------------
     def _detach(self, flow: FluidFlow) -> None:
-        if flow in self._flows:
-            self._incidence -= len(flow._upath)
         comp = flow._comp
         if comp is not None:
             comp.flows.discard(flow)
             comp.capped.discard(flow)
-            n = comp.racks.get(flow._rack, 0) - 1
-            if n > 0:
-                comp.racks[flow._rack] = n
-            else:
-                comp.racks.pop(flow._rack, None)
-                # A rack key vanishing changes shearability outright (the
-                # canonical case: the last cross-rack flow closes and the
-                # union falls apart along rack lines) — re-arm the shear
-                # gate instead of waiting for 25% composition drift.
-                comp.checked = 0
             nlive = comp.nlive
             for res in flow._upath:
                 n = nlive.get(res, 0) - 1
@@ -636,12 +552,6 @@ class FairShareSystem:
             for f in other.flows:
                 f._comp = comp
             comp.flows.update(other.flows)
-            racks = comp.racks
-            for rk, n in other.racks.items():
-                prev = racks.get(rk, 0)
-                if prev == 0:
-                    comp.checked = 0  # new rack key: shearability changed
-                racks[rk] = prev + n
             # Components are resource-disjoint, so the incidence dicts
             # merge without collisions.
             comp.nlive.update(other.nlive)
@@ -649,10 +559,6 @@ class FairShareSystem:
         if comp is None:
             comp = _Component()
         comp.flows.add(flow)
-        prev = comp.racks.get(flow._rack, 0)
-        comp.racks[flow._rack] = prev + 1
-        if prev == 0:
-            comp.checked = 0  # new rack key: shearability changed
         flow._comp = comp
         nlive = comp.nlive
         for res in flow._upath:
@@ -699,112 +605,13 @@ class FairShareSystem:
                             pending.discard(nxt)
                             stack.append(nxt)
             part.peak = len(part.flows)
-            racks: dict[Optional[str], int] = {}
-            nlive: dict[SharedResource, int] = {}
+            nlive = part.nlive
             capped = part.capped
             for f in part.flows:
-                racks[f._rack] = racks.get(f._rack, 0) + 1
                 for r in f._upath:
                     nlive[r] = nlive.get(r, 0) + 1
                 if math.isfinite(f.cap):
                     capped.add(f)
-            part.racks = racks
-            part.nlive = nlive
-            part.checked = 0
-
-    def _rack_split(self, comp: _Component) -> None:
-        """Shear unglued racks off a multi-rack union, without a BFS.
-
-        Two flows are connected only through a shared resource, and a
-        rack-pure flow only crosses resources of its own rack — so a rack
-        whose resources are touched by *no* live cross-rack (``None``
-        rack key) flow shares nothing with the rest of the union: its
-        flows split into their own part.  Racks that a ``None`` flow does
-        touch stay **glued** to the remaining blob (the NFS appliance's
-        star and the aggregation uplink genuinely couple them), which is
-        exactly the true connectivity quotient the engine's scoping
-        contract allows — every part is a union of true components, so no
-        computed rate can change, only how much work a fill does.
-
-        Rack keys are frozen at flow-open time while resource tags can be
-        retagged by VM migration, so a resource *can* be claimed by pure
-        flows of two different racks.  A single O(incidence) pre-pass
-        detects any such conflict and falls back to the exact BFS split —
-        correctness never depends on tag hygiene, only the shortcut does.
-
-        An attempt that finds nothing to shear records the union's size
-        in ``comp.checked``; the caller's gate skips re-attempts until
-        the composition drifts, bounding the cost of unsplittable blobs.
-        """
-        claim: dict[SharedResource, str] = {}
-        blob_flows: list[FluidFlow] = []
-        for flow in comp.flows:
-            rk = flow._rack
-            if rk is None:
-                blob_flows.append(flow)
-                continue
-            for res in flow._upath:
-                prev = claim.setdefault(res, rk)
-                if prev != rk:
-                    # Conflicting tags: fall back to the exact split, and
-                    # gate the parts — re-attempting the shortcut would
-                    # hit the same conflict until the composition drifts.
-                    survivors = list(comp.flows)
-                    self._split_component(comp)
-                    for f in survivors:
-                        part = f._comp
-                        if part is not None and part.checked == 0:
-                            part.checked = len(part.flows)
-                    return
-        glued: set[str] = set()
-        for flow in blob_flows:
-            for res in flow._upath:
-                rk = claim.get(res)
-                if rk is not None:
-                    glued.add(rk)
-        cells = [rk for rk in comp.racks
-                 if rk is not None and rk not in glued]
-        n_parts = len(cells) + (1 if blob_flows else 0)
-        if n_parts < 2:
-            comp.checked = len(comp.flows)  # nothing shearable right now
-            return
-        self.rack_splits += 1
-        for res in comp.resources:
-            if res._comp is comp:
-                res._comp = None  # stale entries drop out; live ones are
-                # re-homed below
-        parts: dict[str, _Component] = {rk: _Component() for rk in cells}
-        blob = _Component() if blob_flows else None
-        for flow in comp.flows:
-            rk = flow._rack
-            part = parts.get(rk) if rk is not None else None
-            if part is None:
-                part = blob  # cross-rack flows and glued racks
-            part.flows.add(flow)
-            flow._comp = part
-            part.racks[rk] = part.racks.get(rk, 0) + 1
-            nlive = part.nlive
-            for res in flow._upath:
-                nlive[res] = nlive.get(res, 0) + 1
-            if math.isfinite(flow.cap):
-                part.capped.add(flow)
-        for res, rk in claim.items():
-            part = parts.get(rk, blob)
-            if res._comp is not part:
-                res._comp = part
-                part.resources.add(res)
-        if blob is not None:
-            for flow in blob_flows:
-                for res in flow._upath:
-                    if res._comp is None:
-                        res._comp = blob
-                        blob.resources.add(res)
-            blob.peak = len(blob.flows)
-            # The blob was just derived as unshearable-minus-cells;
-            # gate its next attempt on composition drift.
-            blob.checked = len(blob.flows)
-        for part in parts.values():
-            part.peak = len(part.flows)
 
     def _scope(self, seed_resources: Iterable[SharedResource]
                ) -> tuple[set[FluidFlow], set[SharedResource],
@@ -812,9 +619,7 @@ class FairShareSystem:
         """Resolve a rebalance scope from the component partition.
 
         Touched unions that lost half their flows since their peak are
-        split exactly first; touched unions that span several racks with
-        no live cross-rack flow are decomposed along rack lines (the
-        cheap split).  Then the scope is the union of the surviving
+        split exactly first.  Then the scope is the union of the touched
         components' flows, resources, per-resource live-flow counts and
         capped flows (plus any seed resources outside the partition,
         which carry no live flows).  The single-component case — the
@@ -822,12 +627,8 @@ class FairShareSystem:
         instead of copying; callers only read them.
         """
         seeds = list(seed_resources)
-        comps: list[_Component] = []
-        # The last pass only re-derives: a split on the final splitting
-        # pass must never leak its (drained) input component into the
-        # scope, so the loop always ends on a fresh derivation.
-        for _attempt in (0, 1, 2):
-            comps = []
+        while True:
+            comps: list[_Component] = []
             seen: set[int] = set()
             bare: list[SharedResource] = []
             for res in seeds:
@@ -837,22 +638,13 @@ class FairShareSystem:
                 elif id(comp) not in seen:
                     seen.add(id(comp))
                     comps.append(comp)
-            if _attempt == 2:
-                break
             stale = [c for c in comps if 2 * len(c.flows) < c.peak]
-            rackable = ([c for c in comps
-                         if len(c.racks) > 1
-                         and len(c.flows) >= _RACK_MIN_FLOWS
-                         and 2 * len(c.flows) >= c.peak
-                         and 4 * abs(len(c.flows) - c.checked)
-                         >= c.checked]
-                        if self.rack_sharding else [])
-            if not stale and not rackable:
+            if not stale:
                 break
+            # A split drains its input, so re-derive; fresh parts sit at
+            # their peak and the second pass always breaks.
             for comp in stale:
                 self._split_component(comp)
-            for comp in rackable:
-                self._rack_split(comp)
         if len(comps) == 1 and not bare:
             comp = comps[0]
             return comp.flows, comp.resources, comp.nlive, comp.capped
@@ -867,52 +659,23 @@ class FairShareSystem:
             capped |= comp.capped
         return flows, resources, nlive, capped
 
-    def _component(self, seed_resources: Iterable[SharedResource]
-                   ) -> tuple[set[FluidFlow], set[SharedResource]]:
-        """Breadth-first walk of the live flow/resource adjacency."""
-        res_seen: set[SharedResource] = set()
-        flows: set[FluidFlow] = set()
-        stack = list(seed_resources)
-        while stack:
-            res = stack.pop()
-            if res in res_seen:
-                continue
-            res_seen.add(res)
-            for flow in res._flows:
-                if flow not in flows:
-                    flows.add(flow)
-                    for r in flow.path:
-                        if r not in res_seen:
-                            stack.append(r)
-        return flows, res_seen
-
     def _rebalance(self, seed_resources: Iterable[SharedResource]) -> None:
         """Recompute fair rates for the touched component(s) and reschedule.
 
         ``seed_resources`` are the resources whose flow set (or capacity)
         just changed; the rebalance covers their full connected components.
         Rates outside the scope are untouched — recomputing them would
-        yield the same values, which the reference mode and the tests
-        assert.
+        yield the same values, which the tests assert against the oracle.
         """
         now = self.sim.now
         self.rebalance_count += 1
-        if self.global_rebalance:
-            flows, resources = self._component(
-                {res for f in self._flows for res in f.path}
-                | set(seed_resources))
-            nlive = capped = None
-        else:
-            flows, resources, nlive, capped = self._scope(seed_resources)
+        flows, resources, nlive, capped = self._scope(seed_resources)
         if flows:
             n_flows = len(flows)
             if n_flows > self.max_component_flows:
                 self.max_component_flows = n_flows
-            rates, visits, rounds = _maxmin_rates_scoped(flows, nlive,
-                                                         capped)
+            rates, visits = _maxmin_rates_scoped(flows, nlive, capped)
             self.flow_visits += visits
-            self.flow_visits_global += rounds * (self._incidence
-                                                 + len(self._flows))
             heap = self._horizon_heap
             for flow in flows:
                 rate = rates[flow]
@@ -1008,9 +771,9 @@ def _maxmin_rates(flows: Iterable[FluidFlow]) -> dict[FluidFlow, float]:
 
 
 def _maxmin_rates_scoped(flows: set[FluidFlow],
-                         nlive: Optional[dict[SharedResource, int]] = None,
-                         capped: Optional[set[FluidFlow]] = None,
-                         ) -> tuple[dict[FluidFlow, float], int, int]:
+                         nlive: dict[SharedResource, int],
+                         capped: set[FluidFlow],
+                         ) -> tuple[dict[FluidFlow, float], int]:
     """Progressive filling over one (set of) connected component(s).
 
     Identical arithmetic to :func:`_maxmin_rates` — every saturation level
@@ -1025,50 +788,26 @@ def _maxmin_rates_scoped(flows: set[FluidFlow],
     * the minimum flow cap comes from a lazy-deletion heap rather than a
       scan of all unfrozen flows.
 
-    When the caller supplies the component's maintained incidence counts
-    (``nlive``) and capped-flow set, the fill's own init is one dict copy
-    — no per-flow scan at all, which at the 1,000-VM rung was ~40% of all
-    flow inspections.  Without them (the ``global_rebalance`` reference
-    mode and direct test calls) the indices are derived by scanning the
-    flows, reproducing the maintained counts exactly.
+    ``nlive`` and ``capped`` are the scope's maintained incidence counts
+    and capped-flow set (:class:`_Component`), so the fill's own init is
+    one dict copy — no per-flow scan at all, which at the 1,000-VM rung
+    was ~40% of all flow inspections.
 
-    Returns ``(rates, flow_visits, rounds)`` where ``flow_visits`` counts
-    flow inspections (the engine's cost metric) and ``rounds`` the number
-    of filling iterations.
+    Returns ``(rates, flow_visits)`` where ``flow_visits`` counts flow
+    inspections (the engine's cost metric).
     """
     unfrozen = set(flows)
     rates: dict[FluidFlow, float] = {}
     visits = 0
-    rounds = 0
-    if not unfrozen:
-        return rates, visits, rounds
-    frozen_load: dict[SharedResource, float] = {}
-    cap_heap: list[tuple[float, int, FluidFlow]] = []
-    if nlive is None:
-        n_unfrozen: dict[SharedResource, int] = {}
-        n_get = n_unfrozen.get
-        for flow in unfrozen:
-            for res in flow._upath:
-                n = n_get(res)
-                if n is None:
-                    n_unfrozen[res] = 1
-                    frozen_load[res] = 0.0
-                else:
-                    n_unfrozen[res] = n + 1
-            if math.isfinite(flow.cap):
-                cap_heap.append((flow.cap, flow._seq, flow))
-        visits += len(unfrozen)
-    else:
-        n_unfrozen = dict(nlive)
-        frozen_load = {res: 0.0 for res in n_unfrozen}
-        cap_heap = [(f.cap, f._seq, f) for f in capped]
+    n_unfrozen = dict(nlive)
+    frozen_load = {res: 0.0 for res in n_unfrozen}
+    cap_heap = [(f.cap, f._seq, f) for f in capped]
     heapq.heapify(cap_heap)
     sat_levels: dict[SharedResource, float] = {
         res: (res.capacity - frozen_load[res]) / n
         for res, n in n_unfrozen.items()}
     level = 0.0
     while unfrozen:
-        rounds += 1
         while cap_heap and cap_heap[0][2] not in unfrozen:
             heapq.heappop(cap_heap)
         res_level = min(sat_levels.values(), default=math.inf)
@@ -1111,4 +850,4 @@ def _maxmin_rates_scoped(flows: set[FluidFlow],
                 sat_levels[res] = (res.capacity - frozen_load[res]) / n
             else:
                 del sat_levels[res]
-    return rates, visits, rounds
+    return rates, visits

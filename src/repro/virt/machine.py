@@ -36,9 +36,6 @@ class PhysicalMachine:
         self.config = config
         self.cpu = SharedResource(f"{name}.cpu", float(config.cores))
         self.disk = SharedResource(f"{name}.disk", config.disk_bandwidth)
-        if rack is not None:
-            self.cpu.rack = rack.name
-            self.disk.rack = rack.name
         self.net: HostNet = fabric.add_host(
             name, nic_bandwidth=config.nic_bandwidth,
             bridge_bandwidth=config.bridge_bandwidth,

@@ -117,7 +117,6 @@ class VirtualMachine:
         self._require(VMState.DEFINED)
         host.admit(self)
         self.host = host
-        self.vcpu.rack = host.rack_name
         self.node = self.fabric.attach(self.name, host.net)
 
     def mark_running(self) -> None:
@@ -171,7 +170,6 @@ class VirtualMachine:
         assert target is not None and self.node is not None
         target.admit(self)
         self.host = target
-        self.vcpu.rack = target.rack_name
         self.fabric.move(self.node, target.net)
         self.state = VMState.RUNNING
         self.disk_slowdown = 1.0
@@ -187,7 +185,6 @@ class VirtualMachine:
         self.host.evict(self)
         new_host.admit(self)
         self.host = new_host
-        self.vcpu.rack = new_host.rack_name
         self.fabric.move(self.node, new_host.net)
 
     # -- work ------------------------------------------------------------------

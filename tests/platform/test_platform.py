@@ -4,8 +4,7 @@ import pytest
 
 from repro.config import HadoopConfig, PlatformConfig, TopologySpec, VMConfig
 from repro.errors import ConfigError, PlacementError
-from repro.platform import (ClusterSpec, VHadoopPlatform, balanced_placement,
-                            cross_domain_placement, normal_placement)
+from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.platform.provisioning import validate_placement
 from repro.virt import VMState
 from repro.workloads.wordcount import lines_as_records, wordcount_job
@@ -80,37 +79,6 @@ def test_validate_placement_against_machines():
     bad = ClusterSpec.single_host(4, host=7).placement(8)
     with pytest.raises(PlacementError):
         validate_placement(bad, platform.datacenter.machines)
-
-
-# --- deprecated placement-helper shims --------------------------------------
-# The only sanctioned callers of the legacy helpers; everything else in the
-# repo builds clusters from ClusterSpec.
-
-def test_deprecated_helpers_match_specs():
-    with pytest.warns(DeprecationWarning):
-        old = normal_placement(16)
-    assert old == ClusterSpec.single_host(16).placement(1)
-    with pytest.warns(DeprecationWarning):
-        old = cross_domain_placement(16, n_hosts=2)
-    assert old == ClusterSpec.packed(16, hosts=2).placement(2)
-    with pytest.warns(DeprecationWarning):
-        old = balanced_placement(6, 2)
-    assert old == ClusterSpec.spread(6, hosts=2).placement(2)
-
-
-def test_deprecated_helpers_keep_validation():
-    with pytest.raises(PlacementError):
-        normal_placement(0)
-    with pytest.raises(PlacementError):
-        cross_domain_placement(4, n_hosts=1)
-    with pytest.raises(PlacementError):
-        balanced_placement(3, 0)
-
-
-def test_deprecated_helper_accepts_host_index():
-    with pytest.warns(DeprecationWarning):
-        p = normal_placement(4, host_index=1)
-    assert p.hosts_used() == {1}
 
 
 # --- provisioning -----------------------------------------------------------

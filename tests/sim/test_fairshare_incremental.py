@@ -1,15 +1,20 @@
 """Properties of the incremental connected-component fair-share engine.
 
-Two invariants protect the optimization:
+Three invariants protect the optimization:
 
-* **allocation exactness** — after any open/close/set_capacity/advance
-  sequence, every active flow's rate equals what the reference global
-  progressive fill (:func:`repro.sim.fairshare._maxmin_rates`, the
-  pre-incremental oracle) computes over the whole flow graph;
-* **determinism** — a full run produces bit-identical completion
-  timestamps, ``transferred`` amounts, and ``busy_time`` integrals whether
-  rebalances are component-scoped (the default) or whole-graph
-  (``global_rebalance=True``, the reference mode).
+* **allocation exactness** — after *every* rebalance of any
+  open/close/set_capacity/advance sequence, the timer-driven ones inside
+  ``sim.run`` included, every active flow's rate equals what the
+  reference global progressive fill
+  (:func:`repro.sim.fairshare._maxmin_rates`, the oracle) computes over
+  the whole flow graph.  Progress advancement is shared and global, so
+  equal rates at every rebalance imply equal completion timestamps;
+* **maintained incidence is exact** — every component's ``nlive``
+  (per-resource live-flow counts over deduped paths) and ``capped`` set
+  always equal a from-scratch recount, through opens, closes, merges and
+  splits;
+* **indexed fills change nothing** — :func:`_maxmin_rates_scoped` fed the
+  maintained indices returns the oracle's rates bit for bit.
 
 Capacities, sizes, and caps are drawn from discrete pools on purpose: the
 exactness claim excludes adversarial *sub-epsilon* cross-component ties
@@ -24,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.sim import FairShareSystem, SharedResource, Simulator
-from repro.sim.fairshare import _maxmin_rates
+from repro.sim.fairshare import _maxmin_rates, _maxmin_rates_scoped
 from repro.telemetry.metrics import MetricsRegistry
 
 _SLOW = dict(deadline=None,
@@ -43,10 +48,21 @@ _ops = st.lists(
     min_size=1, max_size=30)
 
 
-def _build(n_res, cap_picks, global_rebalance=False, metrics=None):
+class _OracleCheckedSystem(FairShareSystem):
+    """Asserts the whole-graph oracle's rates after every rebalance."""
+
+    def _rebalance(self, seed_resources):
+        super()._rebalance(seed_resources)
+        oracle = _maxmin_rates(self._flows)
+        for flow in self._flows:
+            assert flow.rate == oracle[flow], (
+                f"{flow.name}: engine {flow.rate!r} != oracle "
+                f"{oracle[flow]!r} at t={self.sim.now}")
+
+
+def _build(n_res, cap_picks):
     sim = Simulator()
-    fss = FairShareSystem(sim, metrics=metrics,
-                          global_rebalance=global_rebalance)
+    fss = _OracleCheckedSystem(sim)
     resources = [
         SharedResource(f"r{i}", _CAPACITIES[cap_picks[i % len(cap_picks)]
                                             % len(_CAPACITIES)])
@@ -84,43 +100,54 @@ def _apply(sim, fss, resources, ops):
         yield flows
 
 
-@given(n_res=st.integers(2, 6),
-       cap_picks=st.lists(st.integers(0, 3), min_size=6, max_size=6),
-       ops=_ops)
+def _components(fss):
+    return list({id(f._comp): f._comp for f in fss._flows}.values())
+
+
+_graphs = given(n_res=st.integers(2, 6),
+                cap_picks=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+                ops=_ops)
+
+
+@_graphs
 @settings(max_examples=60, **_SLOW)
 def test_incremental_rates_match_global_oracle(n_res, cap_picks, ops):
-    """After every mutation, scoped rates == whole-graph oracle rates."""
+    """Scoped rates == whole-graph oracle rates at every rebalance,
+    mutation- or timer-driven, through to the drain of all finite flows."""
     sim, fss, resources = _build(n_res, cap_picks)
     for _flows in _apply(sim, fss, resources, ops):
-        oracle = _maxmin_rates(fss._flows)
-        for flow in fss._flows:
-            assert flow.rate == oracle[flow], (
-                f"{flow.name}: engine {flow.rate!r} != oracle "
-                f"{oracle[flow]!r} at t={sim.now}")
+        pass
+    sim.run(until=sim.now + 120.0)  # drain: timer-driven rebalances only
 
 
-@given(n_res=st.integers(2, 6),
-       cap_picks=st.lists(st.integers(0, 3), min_size=6, max_size=6),
-       ops=_ops)
-@settings(max_examples=60, **_SLOW)
-def test_incremental_run_is_bit_identical_to_global(n_res, cap_picks, ops):
-    """Timestamps, transferred, and busy_time are independent of scoping."""
-    results = []
-    for global_rebalance in (False, True):
-        sim, fss, resources = _build(n_res, cap_picks,
-                                     global_rebalance=global_rebalance)
-        flows = []
-        for flows in _apply(sim, fss, resources, ops):
-            pass
-        sim.run(until=sim.now + 120.0)  # drain finite flows
-        results.append((
-            [(f.name, f.end_time, f.transferred, f.remaining)
-             for f in flows],
-            [res.busy_time(sim.now) for res in resources],
-            fss.completed_count,
-            sim.now,
-        ))
-    assert results[0] == results[1]
+@_graphs
+@settings(max_examples=50, **_SLOW)
+def test_maintained_incidence_matches_recount(n_res, cap_picks, ops):
+    """``nlive``/``capped`` survive attach, detach, merge and split."""
+    sim, fss, resources = _build(n_res, cap_picks)
+    for _flows in _apply(sim, fss, resources, ops):
+        for comp in _components(fss):
+            nlive = {}
+            capped = set()
+            for f in comp.flows:
+                for res in f._upath:
+                    nlive[res] = nlive.get(res, 0) + 1
+                if math.isfinite(f.cap):
+                    capped.add(f)
+            assert comp.nlive == nlive
+            assert comp.capped == capped
+
+
+@_graphs
+@settings(max_examples=50, **_SLOW)
+def test_indexed_fill_matches_oracle(n_res, cap_picks, ops):
+    """Per component, the indexed fill returns the oracle's rates."""
+    sim, fss, resources = _build(n_res, cap_picks)
+    for _flows in _apply(sim, fss, resources, ops):
+        for comp in _components(fss):
+            indexed, _visits = _maxmin_rates_scoped(comp.flows, comp.nlive,
+                                                    comp.capped)
+            assert indexed == _maxmin_rates(comp.flows)
 
 
 def test_busy_time_history_survives_capacity_change():
@@ -188,19 +215,3 @@ def test_engine_metrics_flow_into_registry():
             == fss.timer_cancellations)
     hist = metrics.get("fairshare.component.flows")
     assert hist.count >= 3 and hist.max <= fss.max_component_flows
-
-
-def test_component_of_partitions_disjoint_graphs():
-    sim = Simulator()
-    fss = FairShareSystem(sim)
-    a, b, c = (SharedResource(n, 100.0) for n in "abc")
-    f_ab = fss.open([a, b], size=math.inf)
-    f_c = fss.open([c], size=math.inf)
-    flows, resources = fss.component_of(a)
-    assert flows == {f_ab} and resources == {a, b}
-    flows, resources = fss.component_of(c)
-    assert flows == {f_c} and resources == {c}
-    # A bridging flow merges the components.
-    f_bc = fss.open([b, c], size=math.inf)
-    flows, resources = fss.component_of(a)
-    assert flows == {f_ab, f_bc, f_c} and resources == {a, b, c}

@@ -3,9 +3,14 @@
 import pytest
 
 from repro import constants as C
-from repro.config import PlatformConfig, VMConfig
+from repro.config import PlatformConfig, TopologySpec, VMConfig
+from repro.datasets.text import generate_corpus
 from repro.errors import ConfigError, MigrationError
+from repro.mapreduce.runner import JobReport, TaskAttempt
+from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.virt import Datacenter, DirtyMemoryModel, VMState
+from repro.workloads.wordcount import (lines_as_records, scaled_line_sizeof,
+                                       wordcount_job)
 
 
 @pytest.fixture()
@@ -218,3 +223,76 @@ def test_busy_cluster_downtime_varies_more_than_idle(dc):
     busy_report = ev.value
     assert busy_report.downtime_spread() > idle_report.downtime_spread()
     assert busy_report.overall_downtime_s > 3.0 * idle_report.overall_downtime_s
+
+
+# --- cross-rack migration under a running job ---------------------------------
+
+def test_cross_rack_migration_mid_job_report_is_pinned():
+    """Wordcount on a racked ``2x2x2`` cluster with a worker VM migrated to
+    the other rack mid-job.  The fair-share engine once kept a rack tag on
+    every resource and re-tagged vCPU and vNIC here; no resource carries
+    one now, and the job's report is the one that engine produced."""
+    topo = TopologySpec.parse("2x2x2")
+    platform = VHadoopPlatform(PlatformConfig(topology=topo, seed=5))
+    cluster = platform.provision_cluster("mig", ClusterSpec.racked(topo))
+    dc = platform.datacenter
+    scale = 400
+    lines = generate_corpus(256 * C.MB // scale, rng=dc.rng.fresh("corpus"))
+    platform.upload(cluster, "/in", lines_as_records(lines),
+                    sizeof=scaled_line_sizeof(scale), timed=False)
+    finished_flows = []
+    dc.fss.flow_log = finished_flows
+    done = platform.runner(cluster).submit(
+        wordcount_job("/in", "/out", n_reduces=4, volume_scale=scale))
+    platform.sim.run(until=5.0)
+    assert not done.triggered
+    vm = cluster.vms[-1]
+    assert (vm.name, vm.host.name, vm.host.rack_name) == (
+        "mig-vm07", "pm3", "rack1")
+    moved = dc.migrator.migrate(vm, dc.machine(0))
+    platform.sim.run_until(done)
+    assert moved.triggered and vm.host.rack_name == "rack0"
+
+    fabric = dc.fabric
+    resources = {res for flow in finished_flows for res in flow.path}
+    resources.add(fabric.agg)
+    resources.update(rack.tor for rack in fabric.racks.values())
+    for machine in dc.machines:
+        resources.update((machine.cpu, machine.disk, machine.net.nic,
+                          machine.net.bridge, machine.net.netback,
+                          machine.dom0.vnic))
+    for guest in cluster.vms:
+        resources.update((guest.vcpu, guest.node.vnic))
+    assert len(resources) >= 30
+    assert not [res.name for res in resources if hasattr(res, "rack")]
+
+    report = done.value
+    assert report.counters.as_dict() == {"job": {
+        "map_input_records": 7965, "map_output_records": 95580,
+        "reduce_input_records": 95580, "reduce_output_records": 6341}}
+    assert report == JobReport(
+        job_name="wordcount", submitted_at=0.0,
+        finished_at=32.69342521630148, map_phase_end=16.605267580736246,
+        n_maps=4, n_reduces=4, input_bytes=256001600.0,
+        shuffle_bytes=447161600.0, output_bytes=76520.0,
+        output_paths=[f"/out/part-r-0000{i}" for i in range(4)],
+        counters=report.counters, first_task_at=4.101835286159715,
+        slot_seconds=85.62111930268411,
+        tasks=[
+            TaskAttempt("m-00002", "map", "mig-vm04", 5.501835286159714,
+                        12.292668411040246, 67089600.0, 117225600.0, "node"),
+            TaskAttempt("m-00001", "map", "mig-vm01", 5.644989151549689,
+                        12.73607362386152, 67081600.0, 117193600.0, "node"),
+            TaskAttempt("m-00003", "map", "mig-vm06", 5.738657878491612,
+                        15.874335064913199, 54738400.0, 95514400.0, "rack"),
+            TaskAttempt("m-00000", "map", "mig-vm06", 5.6453913559983615,
+                        16.605267580736246, 67092000.0, 117228000.0, "node"),
+            TaskAttempt("r-00000", "reduce", "mig-vm04", 18.016132696844863,
+                        25.466348649631794, 78272000.0, 18600.0, "-"),
+            TaskAttempt("r-00001", "reduce", "mig-vm02", 18.115997483479774,
+                        27.350567716400597, 99545600.0, 19278.0, "-"),
+            TaskAttempt("r-00002", "reduce", "mig-vm07", 18.16537663134072,
+                        27.97715599836221, 108657600.0, 19268.0, "-"),
+            TaskAttempt("r-00003", "reduce", "mig-vm06", 18.246342474698448,
+                        31.193425216301478, 160686400.0, 19374.0, "-"),
+        ])

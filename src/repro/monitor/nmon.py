@@ -167,6 +167,9 @@ class NmonMonitor:
 
     def sample_now(self, now: float) -> None:
         """Take one sample of every VM (also usable without start())."""
+        # Flows opened earlier in this instant have no rate until the
+        # engine's end-of-instant flush; sample the settled loads.
+        self.vms[0].fss.settle()
         for vm in self.vms:
             node = vm.node
             tx = node.tx_bytes if node else 0.0

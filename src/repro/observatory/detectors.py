@@ -352,7 +352,7 @@ class DiskHealthDetector(Detector):
         """vm → worst fair-share shortfall ratio over its live disk flows."""
         fss = self.obs.telemetry.datacenter.fss
         worst: dict[str, float] = {}
-        for flow in fss.active_flows:
+        for flow in fss.active_flows:  # settles: flow.rate is post-fill
             vm = flow.name.split(":", 1)[0]
             if vm not in self._vm_names:
                 continue

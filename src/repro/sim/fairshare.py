@@ -18,9 +18,23 @@ computed by progressive filling:
    level;
 3. the constrained flows freeze at that level; repeat with the rest.
 
-Whenever the flow set changes, all flows' progress is advanced to *now*,
-rates are recomputed, and the next completion is scheduled.  The result is
-an event-driven fluid simulation whose cost is independent of transfer sizes.
+Every change to the flow set or a capacity (``open``/``close``/
+``set_capacity``/a completion) advances all flows' progress to *now*,
+attaches or detaches the flow and triggers ``done`` on the spot — but only
+*records* which resources it touched.  Rates are recomputed, and the next
+completion scheduled, once per simulated instant: the kernel calls
+:meth:`FairShareSystem.settle` when nothing further is due at ``now``
+(:meth:`repro.sim.kernel.Simulator.at_instant_end`).  A completion that
+wakes N tasks which each open a flow therefore costs one fill, not N+1.
+The skipped intermediate rates would have existed for zero simulated
+seconds: they multiply ``dt == 0`` in every integral and the clock cannot
+reach a horizon computed from them, so no timestamp, byte count or
+busy-time can tell the difference.  What *can* is a reader that looks at
+``flow.rate`` or ``resource.utilization`` from inside such an instant;
+readers call ``settle()`` first (``active_flows``/``flows_through`` do it
+for them), and ``_advance`` refuses to integrate if the clock ever moved
+past unsettled rates.  The result is an event-driven fluid simulation
+whose cost is independent of transfer sizes.
 
 Incremental engine
 ------------------
@@ -36,11 +50,12 @@ adjacency on first touch.  A union may transiently cover several true
 components; the fill over a union decomposes exactly into per-component
 fills, so scoping never changes a computed rate.  Disjoint components keep
 their rates — recomputing them would reproduce the same values bit for
-bit.  There is one way to compute rates (``_scope`` → the incidence-indexed
-:func:`_maxmin_rates_scoped`) and one oracle (:func:`_maxmin_rates`, the
-plain whole-graph progressive fill): ``tests/sim/
-test_fairshare_incremental.py`` asserts that every active flow's rate
-equals the oracle's after every rebalance (DESIGN.md §Performance).
+bit.  There is one way to compute rates (``settle`` → ``_scope`` → the
+incidence-indexed :func:`_maxmin_rates_scoped`) and one oracle
+(:func:`_maxmin_rates`, the plain whole-graph progressive fill):
+``tests/sim/test_fairshare_incremental.py`` asserts that every active
+flow's rate equals the oracle's after every flush, and that flushing after
+every single op instead changes no outcome (DESIGN.md §Performance).
 
 Two things deliberately stay global so that simulated timestamps are
 *bit-identical* to a full recomputation:
@@ -262,6 +277,9 @@ class FairShareSystem:
         #: valid while the flow is active and its cached horizon matches.
         self._horizon_heap: list = []
         self._flow_seq = 0
+        #: Resources touched since the last flush, or ``None`` when rates
+        #: are settled; see :meth:`_touch` / :meth:`settle`.
+        self._seeds: Optional[list[SharedResource]] = None
         # -- engine statistics (perf harness + telemetry) ----------------
         self.rebalance_count = 0
         #: Flow inspections performed by the scoped progressive fills.
@@ -309,25 +327,19 @@ class FairShareSystem:
                          self.sim.now, meta=meta)
         self._flow_seq += 1
         flow._seq = self._flow_seq
-        completed = self._advance()
+        self._advance()
         if size <= _EPS and math.isfinite(size):
             # Zero-size fast path: the flow set is unchanged, so no rates
-            # move — succeed the event and skip the rebalance entirely
-            # (unless the advance itself completed flows).
+            # move — succeed the event and touch nothing.
             flow.remaining = 0.0
             flow.end_time = self.sim.now
             flow.done.succeed(flow)
-            if completed:
-                self._rebalance([r for f in completed for r in f.path])
             return flow
         self._flows.add(flow)
         for res in flow.path:
             res._flows.add(flow)
         self._attach_component(flow)
-        seeds = list(flow.path)
-        for f in completed:
-            seeds.extend(f.path)
-        self._rebalance(seeds)
+        self._touch(flow.path)
         return flow
 
     def close(self, flow: FluidFlow) -> float:
@@ -338,44 +350,65 @@ class FairShareSystem:
         """
         if flow not in self._flows:
             raise ResourceError(f"flow {flow.name!r} is not active")
-        completed = self._advance()
+        self._advance()
         self._detach(flow)
         flow.done.succeed(flow)
-        seeds = list(flow.path)
-        for f in completed:
-            seeds.extend(f.path)
-        self._rebalance(seeds)
+        self._touch(flow.path)
         return flow.transferred
 
     def set_capacity(self, resource: SharedResource, capacity: float) -> None:
         """Change a resource's capacity mid-simulation (fault injection).
 
-        All in-flight progress is advanced to *now* at the old rates first,
-        then rates are recomputed under the new capacity — so a network
-        degradation only affects bytes still to be moved.  The busy-time
-        integral is flushed at the old capacity first, so utilization
-        history is not rescaled.
+        All in-flight progress is advanced to *now* at the old rates first;
+        this instant's flush recomputes rates under the new capacity — so a
+        network degradation only affects bytes still to be moved.  The
+        busy-time integral is flushed at the old capacity first, so
+        utilization history is not rescaled.
         """
         if capacity <= 0:
             raise ResourceError(
                 f"resource {resource.name!r} needs capacity > 0, "
                 f"got {capacity}")
-        completed = self._advance()
+        self._advance()
         resource._accrue(self.sim.now)
         resource.capacity = float(capacity)
-        seeds = [resource]
-        for f in completed:
-            seeds.extend(f.path)
-        self._rebalance(seeds)
+        self._touch((resource,))
+
+    def settle(self) -> None:
+        """Bring every rate, horizon and load up to date (idempotent).
+
+        The kernel calls this at the end of each instant in which the flow
+        set or a capacity changed; anything that *reads* ``flow.rate``,
+        ``current_load`` or ``utilization`` from inside such an instant
+        calls it first.  ``busy_time``/``moved_through``/``transferred``
+        need no settle: the pre-flush load is their integrand up to ``now``.
+        """
+        seeds = self._seeds
+        if seeds is not None:
+            self._seeds = None
+            self._rebalance(seeds)
 
     @property
     def active_flows(self) -> frozenset[FluidFlow]:
+        """The live flows, with settled rates."""
+        self.settle()
         return frozenset(self._flows)
 
     def flows_through(self, resource: SharedResource) -> frozenset[FluidFlow]:
+        self.settle()
         return frozenset(resource._flows)
 
     # -- internals ---------------------------------------------------------
+    def _touch(self, resources: Iterable[SharedResource] = ()) -> None:
+        """Record resources whose flow set or capacity just changed; the
+        first touch of an instant books its one :meth:`settle` with the
+        kernel (module docstring: why the intermediates are unobservable).
+        """
+        if self._seeds is None:
+            self._seeds = []
+            self.sim.at_instant_end(self.settle)
+        self._seeds.extend(resources)
+
     def _detach(self, flow: FluidFlow) -> None:
         comp = flow._comp
         if comp is not None:
@@ -400,23 +433,26 @@ class FairShareSystem:
         if self.flow_log is not None:
             self.flow_log.append(flow)
 
-    def _advance(self) -> list[FluidFlow]:
+    def _advance(self) -> None:
         """Progress every active flow from the last update time to now.
 
-        Returns the flows that completed (already detached, ``done``
-        triggered) so the caller can fold their components into the
-        rebalance scope.  Advancement is deliberately global: partial
-        (per-component) advancement would change the floating-point
-        stepping of ``remaining`` and therefore completion timestamps.
-        When no simulated time has passed — the overwhelmingly common
-        cascade case — this is O(1).
+        Flows that complete are detached, their ``done`` triggered and
+        their paths touched for this instant's flush.  Advancement is
+        deliberately global: partial (per-component) advancement would
+        change the floating-point stepping of ``remaining`` and therefore
+        completion timestamps.  When no simulated time has passed — the
+        overwhelmingly common cascade case — this is O(1).
         """
         now = self.sim.now
         dt = now - self._last_update
         if dt < 0:  # pragma: no cover - defensive
             raise SimulationError("fair-share clock went backwards")
-        finished: list[FluidFlow] = []
         if dt > 0:
+            if self._seeds is not None:
+                raise SimulationError(
+                    f"the clock moved to t={now} but the fair-share rates "
+                    f"touched at t={self._last_update} were never settled")
+            finished: list[FluidFlow] = []
             # Time moved, so every surviving horizon shifted; the fresh
             # horizons are computed in the same pass that steps progress
             # (what the old code spent on its every-event min scan, paid
@@ -431,10 +467,10 @@ class FairShareSystem:
                 self._detach(flow)
                 self.completed_count += 1
                 flow.done.succeed(flow)
+                self._touch(flow.path)
             heapq.heapify(entries)
             self._horizon_heap = entries
         self._last_update = now
-        return finished
 
     def _advance_scalar(self, dt: float,
                         finished: list[FluidFlow]) -> list:
@@ -613,29 +649,25 @@ class FairShareSystem:
                 if math.isfinite(f.cap):
                     capped.add(f)
 
-    def _scope(self, seed_resources: Iterable[SharedResource]
-               ) -> tuple[set[FluidFlow], set[SharedResource],
-                          dict[SharedResource, int], set[FluidFlow]]:
+    def _scope(self, seeds: list[SharedResource]
+               ) -> tuple[set[FluidFlow], dict[SharedResource, int],
+                          set[FluidFlow]]:
         """Resolve a rebalance scope from the component partition.
 
         Touched unions that lost half their flows since their peak are
         split exactly first.  Then the scope is the union of the touched
-        components' flows, resources, per-resource live-flow counts and
-        capped flows (plus any seed resources outside the partition,
-        which carry no live flows).  The single-component case — the
-        overwhelmingly common one — aliases the component's own sets
-        instead of copying; callers only read them.
+        components' flows, per-resource live-flow counts and capped flows
+        (seeds outside the partition carry no live flows).  The
+        single-component case — the overwhelmingly common one — aliases
+        the component's own sets instead of copying; callers only read
+        them.
         """
-        seeds = list(seed_resources)
         while True:
             comps: list[_Component] = []
             seen: set[int] = set()
-            bare: list[SharedResource] = []
             for res in seeds:
                 comp = res._comp
-                if comp is None:
-                    bare.append(res)
-                elif id(comp) not in seen:
+                if comp is not None and id(comp) not in seen:
                     seen.add(id(comp))
                     comps.append(comp)
             stale = [c for c in comps if 2 * len(c.flows) < c.peak]
@@ -645,31 +677,34 @@ class FairShareSystem:
             # their peak and the second pass always breaks.
             for comp in stale:
                 self._split_component(comp)
-        if len(comps) == 1 and not bare:
+        if len(comps) == 1:
             comp = comps[0]
-            return comp.flows, comp.resources, comp.nlive, comp.capped
+            return comp.flows, comp.nlive, comp.capped
         flows: set[FluidFlow] = set()
-        resources: set[SharedResource] = set(bare)
         nlive: dict[SharedResource, int] = {}
         capped: set[FluidFlow] = set()
         for comp in comps:
             flows |= comp.flows
-            resources |= comp.resources
             nlive.update(comp.nlive)
             capped |= comp.capped
-        return flows, resources, nlive, capped
+        return flows, nlive, capped
 
-    def _rebalance(self, seed_resources: Iterable[SharedResource]) -> None:
+    def _rebalance(self, seeds: list[SharedResource]) -> None:
         """Recompute fair rates for the touched component(s) and reschedule.
 
-        ``seed_resources`` are the resources whose flow set (or capacity)
-        just changed; the rebalance covers their full connected components.
+        ``seeds`` are the resources whose flow set (or capacity) changed
+        this instant; the fill covers their full connected components.
         Rates outside the scope are untouched — recomputing them would
         yield the same values, which the tests assert against the oracle.
+        Only what changed is written back: a flow whose rate the fill
+        reproduced keeps its horizon-heap entry (``remaining`` only moves
+        in ``_advance``, which rebuilds the heap), and a load is re-summed
+        only for seeds and for resources on a changed flow's path — any
+        other sum would reproduce ``current_load`` bit for bit.
         """
         now = self.sim.now
         self.rebalance_count += 1
-        flows, resources, nlive, capped = self._scope(seed_resources)
+        flows, nlive, capped = self._scope(seeds)
         if flows:
             n_flows = len(flows)
             if n_flows > self.max_component_flows:
@@ -677,16 +712,20 @@ class FairShareSystem:
             rates, visits = _maxmin_rates_scoped(flows, nlive, capped)
             self.flow_visits += visits
             heap = self._horizon_heap
+            reload = set(seeds)
             for flow in flows:
                 rate = rates[flow]
+                if rate == flow.rate:
+                    continue
                 flow.rate = rate
+                reload.update(flow._upath)
                 if rate > _EPS and math.isfinite(flow.remaining):
                     horizon = flow.remaining / rate
                     flow._horizon = horizon
                     heapq.heappush(heap, (horizon, flow._seq, flow))
                 else:
                     flow._horizon = math.inf
-            for res in resources:
+            for res in reload:
                 res._set_load(sum(f.rate for f in res._flows), now)
             if self._metrics is not None:
                 self._m_component.observe(float(n_flows))
@@ -721,8 +760,8 @@ class FairShareSystem:
     def _on_timer(self, version: int) -> None:
         if version != self._timer_version:
             return  # superseded by a later rebalance
-        completed = self._advance()
-        self._rebalance([r for f in completed for r in f.path])
+        self._advance()
+        self._touch()  # even with nothing completed, re-arm the timer
 
 
 def _maxmin_rates(flows: Iterable[FluidFlow]) -> dict[FluidFlow, float]:

@@ -398,6 +398,8 @@ class Simulator:
         #: allocations it saved (perf-harness counter).
         self._wake_pool: list[_Wake] = []
         self.wake_events_reused = 0
+        #: One-shot end-of-instant callbacks (:meth:`at_instant_end`).
+        self._instant_hooks: list[Callable[[], None]] = []
 
     # -- factories -----------------------------------------------------------
     def event(self) -> Event:
@@ -451,14 +453,40 @@ class Simulator:
             heapq.heappop(heap)
             self.cancelled_pruned += 1
 
+    def at_instant_end(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, when no further live event is due at
+        the current instant — after everything enqueued later in this
+        instant, before the clock moves (:meth:`step`, :meth:`peek`,
+        ``run(until=...)``).  If a callback enqueues work at ``now`` the
+        remaining callbacks wait until that work has run too.  This is how
+        a subsystem batches same-instant changes into one recomputation
+        (:meth:`repro.sim.fairshare.FairShareSystem.settle`).
+        """
+        self._instant_hooks.append(callback)
+
+    def _end_instant(self) -> None:
+        """Run pending end-of-instant callbacks while nothing live is due
+        at ``now``; expects (and leaves) a pruned heap.  A callback is
+        removed before it runs, so one that raises propagates to the
+        caller with the rest still pending."""
+        hooks = self._instant_hooks
+        heap = self._heap
+        while hooks and not (heap and heap[0][0] <= self.now):
+            hooks.pop(0)()
+            self._prune_cancelled()
+
     def peek(self) -> float:
         """Time of the next live event, or ``inf`` if the queue is empty."""
         self._prune_cancelled()
+        if self._instant_hooks:
+            self._end_instant()
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
         self._prune_cancelled()
+        if self._instant_hooks:
+            self._end_instant()
         if not self._heap:
             raise SimulationError("step() on an empty event queue")
         time, _seq, event = heapq.heappop(self._heap)

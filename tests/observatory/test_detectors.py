@@ -7,7 +7,8 @@ node liveness) whose signals are easy to fabricate precisely."""
 import pytest
 
 from repro.config import PlatformConfig
-from repro.observatory.detectors import (NodeLivenessDetector, SkewDetector,
+from repro.observatory.detectors import (DiskHealthDetector,
+                                         NodeLivenessDetector, SkewDetector,
                                          StragglerDetector)
 from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.sim.trace import TraceEvent
@@ -170,3 +171,45 @@ class TestNodeLiveness:
             det.on_event(TraceEvent(10.0 + i * gap, EV.VM_FAILED, vm))
         assert obs.alerts("host-down") == []
         assert len(obs.active_alerts("node-down")) == len(residents)
+
+
+def test_readers_see_settled_rates_from_inside_a_burst(obs):
+    """The engine recomputes rates once per instant, so a reader that runs
+    *between* two same-instant opens must settle first: the nmon sampler
+    and the disk-health detector report the fill over the flows opened so
+    far (what an eager engine showed them), never pre-flush leftovers."""
+    telemetry = obs.telemetry
+    dc = telemetry.datacenter
+    sim, fss = dc.sim, dc.fss
+    vm = telemetry.vms[0]
+    disk_path = (vm.host.net.nic, vm.nfs_backend)
+    bottleneck = min(r.capacity for r in disk_path)
+    old = fss.open(disk_path, size=float("inf"), name=f"{vm.name}:io")
+    sim.run(until=2.0)  # older than DiskHealthDetector.MIN_LIVE_S
+    assert old.rate == bottleneck
+    seen = {}
+
+    def opener(tag):
+        fss.open(disk_path, size=float("inf"), name=f"{vm.name}:{tag}")
+        fss.open((vm.vcpu, vm.host.cpu), size=float("inf"), cap=1.0,
+                 name=f"{vm.name}:{tag}-cpu")
+        yield sim.timeout(0.0)
+
+    def reader():
+        telemetry.monitor.sample_now(sim.now)
+        seen["cpu"] = telemetry.monitor.node(vm.name).samples[-1].cpu_util
+        seen["ratio"] = detector(obs, DiskHealthDetector)._shortfalls(sim.now)
+        seen["rate"] = old.rate
+        yield sim.timeout(0.0)
+
+    sim.process(opener("first"))
+    sim.process(reader())
+    sim.process(opener("second"))
+    sim.run(until=2.0)
+    # Mid-burst: two disk flows share the bottleneck, one task on the VCPUs.
+    assert seen["rate"] == bottleneck / 2
+    assert seen["ratio"] == {vm.name: 1.0}
+    assert seen["cpu"] == 1.0 / vm.vcpu.capacity
+    # End of instant: the second opener's flows are in as well.
+    assert old.rate == bottleneck / 3
+    assert vm.vcpu.utilization == min(1.0, 2.0 / vm.vcpu.capacity)

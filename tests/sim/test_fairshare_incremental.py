@@ -1,14 +1,18 @@
 """Properties of the incremental connected-component fair-share engine.
 
-Three invariants protect the optimization:
+Four invariants protect the optimization:
 
-* **allocation exactness** — after *every* rebalance of any
+* **allocation exactness** — after *every* flush of any
   open/close/set_capacity/advance sequence, the timer-driven ones inside
   ``sim.run`` included, every active flow's rate equals what the
   reference global progressive fill
   (:func:`repro.sim.fairshare._maxmin_rates`, the oracle) computes over
   the whole flow graph.  Progress advancement is shared and global, so
-  equal rates at every rebalance imply equal completion timestamps;
+  equal rates at every flush imply equal completion timestamps;
+* **coalescing is unobservable** — the engine recomputes rates once per
+  simulated instant; the same op sequence with ``settle()`` forced after
+  every op (the old eager engine, which survives only here) yields the
+  same timestamps, transfers and integrals, from no fewer rebalances;
 * **maintained incidence is exact** — every component's ``nlive``
   (per-resource live-flow counts over deduped paths) and ``capped`` set
   always equal a from-scratch recount, through opens, closes, merges and
@@ -28,6 +32,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.errors import SimulationError
 from repro.sim import FairShareSystem, SharedResource, Simulator
 from repro.sim.fairshare import _maxmin_rates, _maxmin_rates_scoped
 from repro.telemetry.metrics import MetricsRegistry
@@ -41,7 +46,9 @@ _CAPS = (None, 25.0, 60.0)
 _DTS = (0.25, 0.5, 1.0, 2.0)
 
 #: (op, selector a, selector b) — interpreted against the live state, so
-#: every generated sequence is valid by construction.
+#: every generated sequence is valid by construction.  Consecutive
+#: non-"advance" ops share one simulated instant: a burst the engine
+#: coalesces into one flush.
 _ops = st.lists(
     st.tuples(st.sampled_from(["open", "close", "setcap", "advance"]),
               st.integers(0, 2 ** 30), st.integers(0, 2 ** 30)),
@@ -49,10 +56,10 @@ _ops = st.lists(
 
 
 class _OracleCheckedSystem(FairShareSystem):
-    """Asserts the whole-graph oracle's rates after every rebalance."""
+    """Asserts the whole-graph oracle's rates after every flush."""
 
-    def _rebalance(self, seed_resources):
-        super()._rebalance(seed_resources)
+    def _rebalance(self, seeds):
+        super()._rebalance(seeds)
         oracle = _maxmin_rates(self._flows)
         for flow in self._flows:
             assert flow.rate == oracle[flow], (
@@ -70,8 +77,13 @@ def _build(n_res, cap_picks):
     return sim, fss, resources
 
 
-def _apply(sim, fss, resources, ops):
-    """Interpret an op sequence; returns every flow ever opened."""
+def _apply(sim, fss, resources, ops, eager=False):
+    """Interpret an op sequence, yielding every flow opened so far.
+
+    ``eager`` settles after every op, i.e. one rebalance per op as before
+    the engine coalesced; otherwise a same-instant burst is flushed by the
+    kernel when the next "advance" moves the clock.
+    """
     flows = []
     n_res = len(resources)
     for op, a, b in ops:
@@ -97,6 +109,8 @@ def _apply(sim, fss, resources, ops):
                              _CAPACITIES[b % len(_CAPACITIES)])
         else:  # advance simulated time, letting completions fire
             sim.run(until=sim.now + _DTS[a % len(_DTS)])
+        if eager:
+            fss.settle()
         yield flows
 
 
@@ -104,28 +118,61 @@ def _components(fss):
     return list({id(f._comp): f._comp for f in fss._flows}.values())
 
 
-_graphs = given(n_res=st.integers(2, 6),
-                cap_picks=st.lists(st.integers(0, 3), min_size=6, max_size=6),
-                ops=_ops)
+_GRAPH = dict(n_res=st.integers(2, 6),
+              cap_picks=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+              ops=_ops)
+_graphs = given(**_GRAPH)
+_graphs_both_modes = given(**_GRAPH, eager=st.booleans())
 
 
-@_graphs
-@settings(max_examples=60, **_SLOW)
-def test_incremental_rates_match_global_oracle(n_res, cap_picks, ops):
-    """Scoped rates == whole-graph oracle rates at every rebalance,
-    mutation- or timer-driven, through to the drain of all finite flows."""
+@_graphs_both_modes
+@settings(max_examples=80, **_SLOW)
+def test_incremental_rates_match_global_oracle(n_res, cap_picks, ops, eager):
+    """Scoped rates == whole-graph oracle rates at every flush, burst- or
+    timer-driven, through to the drain of all finite flows."""
     sim, fss, resources = _build(n_res, cap_picks)
-    for _flows in _apply(sim, fss, resources, ops):
+    for _flows in _apply(sim, fss, resources, ops, eager):
         pass
-    sim.run(until=sim.now + 120.0)  # drain: timer-driven rebalances only
+    sim.run(until=sim.now + 120.0)  # drain: timer-driven flushes only
+
+
+def _outcome(n_res, cap_picks, ops, eager):
+    sim, fss, resources = _build(n_res, cap_picks)
+    flows = []
+    for flows in _apply(sim, fss, resources, ops, eager):
+        pass
+    sim.run(until=sim.now + 120.0)
+    now = sim.now
+    return ([(f.end_time, f.transferred) for f in flows],
+            [r.busy_time(now) for r in resources]
+            + [r.moved_through(now) for r in resources],
+            fss.rebalance_count)
 
 
 @_graphs
+@settings(max_examples=80, **_SLOW)
+def test_coalesced_flush_equals_settle_after_every_op(n_res, cap_picks, ops):
+    """Differential: one flush per instant vs a rebalance per op.  The
+    intermediate rates of a burst last zero simulated seconds, so they
+    may not move a completion timestamp, a byte count (both exact) or an
+    integral.  The integrals get one part in 1e12: a load is a float sum
+    over an id-hashed set, so two separately built systems can disagree
+    in its last bit whatever the mode, and a burst whose net load change
+    is zero makes the eager side accrue one interval as two partial sums.
+    A load the flush failed to refresh would be off by whole rates."""
+    flows, integrals, rebalances = _outcome(n_res, cap_picks, ops, False)
+    e_flows, e_integrals, e_rebalances = _outcome(n_res, cap_picks, ops, True)
+    assert flows == e_flows
+    assert integrals == pytest.approx(e_integrals, rel=1e-12, abs=1e-12)
+    assert rebalances <= e_rebalances
+
+
+@_graphs_both_modes
 @settings(max_examples=50, **_SLOW)
-def test_maintained_incidence_matches_recount(n_res, cap_picks, ops):
+def test_maintained_incidence_matches_recount(n_res, cap_picks, ops, eager):
     """``nlive``/``capped`` survive attach, detach, merge and split."""
     sim, fss, resources = _build(n_res, cap_picks)
-    for _flows in _apply(sim, fss, resources, ops):
+    for _flows in _apply(sim, fss, resources, ops, eager):
         for comp in _components(fss):
             nlive = {}
             capped = set()
@@ -175,30 +222,76 @@ def test_zero_size_open_completes_without_rebalance():
     fss = FairShareSystem(sim)
     link = SharedResource("link", 100.0)
     background = fss.open([link], size=math.inf)
+    fss.settle()
     rebalances = fss.rebalance_count
     rate = background.rate
     flow = fss.open([link], size=0.0)
     assert flow.done.triggered and flow.end_time == sim.now
     assert flow.remaining == 0.0
+    fss.settle()
     assert fss.rebalance_count == rebalances  # flow set never changed
-    assert background.rate == rate
+    assert background.rate == rate == 100.0
     sim.run(until=1.0)
     assert flow.done.processed and flow.done.value is flow
 
 
+def _live_timers(sim):
+    return [ev for _t, _seq, ev in sim._heap if not ev.cancelled]
+
+
 def test_superseded_timers_are_cancelled_not_leaked():
-    """Every rebalance re-derives the completion timer; the superseded one
-    must leave the kernel heap via cancel(), not linger until its time."""
+    """A same-instant burst arms one completion timer, and a flush that
+    supersedes an armed timer withdraws it via cancel() — the kernel heap
+    never holds more than one live fair-share timer."""
     sim = Simulator()
     fss = FairShareSystem(sim)
     link = SharedResource("link", 100.0)
-    for i in range(20):
-        fss.open([link], size=1000.0, name=f"f{i}")
-    assert fss.timer_cancellations >= 19
+    for i in range(20):  # distinct sizes: completions never coincide
+        fss.open([link], size=1000.0 + i, name=f"f{i}")
+    fss.settle()
+    assert fss.rebalance_count == 1 and fss.timer_cancellations == 0
+    assert len(_live_timers(sim)) == 1
+    for i in range(20):  # one burst per instant, each supersedes a timer
+        sim.run(until=sim.now + 1.0)
+        fss.open([link], size=2000.0 + i, name=f"g{i}")
+        fss.settle()
+        assert len(_live_timers(sim)) == 1
+    assert fss.timer_cancellations == 20
     sim.run()
-    assert fss.completed_count == 20
-    # The kernel actually dropped the dead entries instead of firing them.
-    assert sim.cancelled_pruned >= 19
+    assert fss.completed_count == 40
+    # The kernel actually dropped the dead entries instead of firing them,
+    # and they never piled up: at most the live timer, one superseded
+    # timer awaiting its prune, and one flow's ``done`` were ever queued.
+    assert sim.cancelled_pruned == 20
+    assert sim.max_heap_size <= 3
+
+
+def test_time_passing_with_unsettled_rates_is_an_error():
+    """Stale rates are impossible, not merely untested: if the clock moves
+    without the kernel's end-of-instant hooks having run, the next
+    advance refuses to integrate over the unflushed interval."""
+    sim = Simulator()
+    fss = FairShareSystem(sim)
+    link = SharedResource("link", 100.0)
+    fss.open([link], size=1000.0)
+    sim.now = 1.0  # what a broken kernel (or a test poking the clock) does
+    with pytest.raises(SimulationError, match="never settled"):
+        fss.open([link], size=1000.0)
+
+
+def test_settle_is_idempotent_and_on_demand():
+    sim = Simulator()
+    fss = FairShareSystem(sim)
+    link = SharedResource("link", 100.0)
+    a = fss.open([link], size=1000.0)
+    b = fss.open([link], size=1000.0)
+    assert (a.rate, b.rate, link.current_load) == (0.0, 0.0, 0.0)
+    assert fss.active_flows == {a, b}  # a reader: settles first
+    assert (a.rate, b.rate, link.current_load) == (50.0, 50.0, 100.0)
+    assert fss.rebalance_count == 1
+    fss.settle()
+    sim.run(until=1.0)  # the kernel's own flush finds nothing to do
+    assert fss.rebalance_count == 1
 
 
 def test_engine_metrics_flow_into_registry():
@@ -207,11 +300,12 @@ def test_engine_metrics_flow_into_registry():
     fss = FairShareSystem(sim, metrics=metrics)
     link = SharedResource("link", 100.0)
     for i in range(3):
-        fss.open([link], size=100.0, name=f"f{i}")
+        sim.run(until=float(i))
+        fss.open([link], size=1000.0, name=f"f{i}")
     sim.run()
     assert metrics.get("fairshare.rebalances").value == fss.rebalance_count
     assert metrics.get("fairshare.flow.visits").value == fss.flow_visits
     assert (metrics.get("fairshare.timer.cancellations").value
-            == fss.timer_cancellations)
+            == fss.timer_cancellations >= 2)
     hist = metrics.get("fairshare.component.flows")
-    assert hist.count >= 3 and hist.max <= fss.max_component_flows
+    assert hist.count >= 3 and hist.max <= fss.max_component_flows == 3

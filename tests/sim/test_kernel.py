@@ -413,3 +413,113 @@ def test_second_interrupt_after_body_finished_is_dropped():
     sim.run()
     assert log == ["interrupted"]
     assert not proc.is_alive
+
+
+# -- end-of-instant hooks ------------------------------------------------------
+
+def test_instant_hook_runs_after_events_enqueued_later_in_the_instant():
+    sim = Simulator()
+    log = []
+
+    def first():
+        yield sim.timeout(1.0)
+        sim.at_instant_end(lambda: log.append(("hook", sim.now)))
+        log.append("first")
+        # Enqueued *after* the hook was registered, still at t=1.
+        sim.process(second())
+
+    def second():
+        log.append("second")
+        yield sim.timeout(0.0)
+        log.append("second again")
+
+    sim.process(first())
+    sim.timeout(2.0).callbacks.append(lambda _ev: log.append("t=2"))
+    sim.run()
+    assert log == ["first", "second", "second again", ("hook", 1.0), "t=2"]
+
+
+def test_instant_hook_runs_before_run_until_parks_the_clock():
+    sim = Simulator()
+    seen = []
+    sim.timeout(10.0)
+    sim.at_instant_end(lambda: seen.append(sim.now))
+    sim.run(until=4.0)
+    assert seen == [0.0] and sim.now == 4.0
+    # ... also when the queue is empty and run() only has the clock to move
+    sim.run()
+    sim.at_instant_end(lambda: seen.append(sim.now))
+    sim.run(until=20.0)
+    assert seen == [0.0, 10.0] and sim.now == 20.0
+
+
+def test_instant_hook_runs_before_peek_reports_a_later_time():
+    sim = Simulator()
+    seen = []
+    sim.timeout(3.0)
+    # The hook may itself schedule the next event; peek() must see it.
+    sim.at_instant_end(lambda: seen.append(sim.timeout(1.0)))
+    assert sim.peek() == 1.0
+    assert len(seen) == 1
+    assert sim.peek() == 1.0 and len(seen) == 1  # exactly once
+
+
+def test_instant_hook_waits_while_an_equal_time_event_is_pending():
+    sim = Simulator()
+    log = []
+    sim.timeout(0.0).callbacks.append(lambda _ev: log.append("event"))
+    sim.at_instant_end(lambda: log.append("hook"))
+    assert sim.peek() == 0.0
+    assert log == []          # an event is still due at now: not yet
+    sim.step()
+    assert log == ["event"]   # step() ran the event, not the hook
+    assert sim.peek() == float("inf")
+    assert log == ["event", "hook"]
+
+
+def test_instant_hook_that_enqueues_work_at_now_defers_the_rest():
+    sim = Simulator()
+    log = []
+
+    def noisy():
+        log.append("noisy")
+        sim.timeout(0.0).callbacks.append(lambda _ev: log.append("work"))
+
+    sim.at_instant_end(noisy)
+    sim.at_instant_end(lambda: log.append("quiet"))
+    sim.timeout(1.0)
+    sim.run()
+    assert log == ["noisy", "work", "quiet"]
+
+
+def test_run_until_may_return_with_a_hook_pending():
+    sim = Simulator()
+    log = []
+
+    def body():
+        yield sim.timeout(1.0)
+        sim.at_instant_end(lambda: log.append(sim.now))
+
+    proc = sim.process(body())
+    sim.timeout(5.0)
+    sim.run_until(proc)
+    assert log == [] and sim.now == 1.0
+    sim.step()  # honours the hook before moving the clock to t=5
+    assert log == [1.0] and sim.now == 5.0
+
+
+def test_raising_instant_hook_propagates_and_keeps_the_rest():
+    sim = Simulator()
+    log = []
+
+    def bad():
+        raise RuntimeError("hook failed")
+
+    sim.at_instant_end(bad)
+    sim.at_instant_end(lambda: log.append("next"))
+    sim.timeout(1.0)
+    with pytest.raises(RuntimeError, match="hook failed"):
+        sim.run()
+    assert log == [] and sim.now == 0.0
+    sim.run()  # the failed hook is gone, the other still owed
+    assert log == ["next"] and sim.now == 1.0

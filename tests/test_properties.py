@@ -52,8 +52,9 @@ def test_fairshare_caps_never_exceeded(flows_spec):
     fss = FairShareSystem(sim)
     link = SharedResource("link", 100.0)
     flows = [fss.open([link], size=s, cap=c) for s, c in flows_spec]
+    fss.settle()
     # After the initial rebalance, every rate respects its cap and the link.
-    assert sum(f.rate for f in flows) <= 100.0 + 1e-6
+    assert 0.0 < sum(f.rate for f in flows) <= 100.0 + 1e-6
     for flow, (_s, cap) in zip(flows, flows_spec):
         assert flow.rate <= cap + 1e-9
     sim.run()

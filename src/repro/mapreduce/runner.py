@@ -1,11 +1,27 @@
-"""MapReduceRunner: the timed, cluster-bound job engine.
+"""MapReduceRunner: the timed, cluster-bound task-attempt engine.
 
-Execution model (hadoop-0.20, as the paper ran it):
+One ``_Phase``, one attempt, one job lifecycle, two staffing strategies:
 
-* One slot-worker process per (TaskTracker, slot).  Workers pull tasks from
-  the job's pending queue; map assignment is **locality-aware** (node-local
-  replica > host-local replica > remote), which is Hadoop's scheduler
-  behaviour and one of DESIGN.md's ablation points.
+* A :class:`_Phase` carries everything that is live about one phase (map
+  or reduce) of one job run: the task queue, what is running / finished /
+  backed up, failed-attempt counts, retries still waiting out their
+  backoff, the reduce commit table and the ``done`` event.
+* :meth:`MapReduceRunner._execute` is the only task-attempt body (attempt
+  span -> the task generator raced against tracker death or a kill ->
+  failure/retry or bookkeeping -> ``done``) and
+  :meth:`MapReduceRunner._job_proc` the only job lifecycle (JOB_SUBMIT ->
+  localize -> map phase -> reduce phase or map-only output -> JOB_DONE).
+* *Who runs the attempts* is the one thing callers differ in.
+  :meth:`MapReduceRunner.submit` staffs each phase with ephemeral workers,
+  one per (TaskTracker, slot), that leave when the queue drains;
+  :class:`~repro.scheduler.JobScheduler` offers the phase to its perpetual
+  slot pool, where a policy arbitrates between concurrent jobs.
+
+The cost model is hadoop-0.20, as the paper ran it:
+
+* Map assignment is **locality-aware** (node-local replica > host-local
+  replica > remote), which is Hadoop's scheduler behaviour and one of
+  DESIGN.md's ablation points.
 * Every assignment pays a heartbeat latency (tasks are handed out on
   TaskTracker heartbeats) drawn uniformly from ``[0, heartbeat_s)``, plus a
   fixed startup cost (the JVM launch).  These two constants produce the
@@ -47,15 +63,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import HadoopVirtualCluster, TaskTracker
 
 
-def _cancel_wait(event: Event, cause: str = "aborted") -> None:
+def _cancel_wait(event: Event) -> None:
     """Interrupt the live process(es) behind an abandoned wait."""
     if isinstance(event, Process):
         if event.is_alive:
-            event.interrupt(cause)
+            event.interrupt("aborted")
     elif isinstance(event, (AllOf, AnyOf)):
         for child in event.events:
             if isinstance(child, Process) and child.is_alive:
-                child.interrupt(cause)
+                child.interrupt("aborted")
 
 
 def _drive_racing(sim, gen, stop: Event, abortable=None):
@@ -165,6 +181,11 @@ class JobReport:
     preempted_tasks: int = 0
     speculated_maps: int = 0
     speculated_reduces: int = 0
+    #: Engine bookkeeping, scoped to this *run*: task failures charged to
+    #: each tracker (by name).  A tracker at the blacklist limit sits the
+    #: rest of the run out; a later run of a same-named job starts clean.
+    _tracker_failures: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def elapsed(self) -> float:
@@ -196,6 +217,65 @@ class JobReport:
         return out
 
 
+#: Per phase kind: (attempt span, task-done event, speculate event).
+_TASK_EVENTS = {
+    "map": (EV.TASK_MAP, EV.TASK_MAP_DONE, EV.TASK_MAP_SPECULATE),
+    "reduce": (EV.TASK_REDUCE, EV.TASK_REDUCE_DONE,
+               EV.TASK_REDUCE_SPECULATE),
+}
+
+
+class _Phase:
+    """Live state of one phase (map or reduce) of one job run.
+
+    The only carrier of phase state: whoever staffs the phase — the
+    runner's own workers or the scheduler's slot pool — and every attempt
+    it runs read and mutate this one object.  Map items are
+    :class:`_MapSpec`, reduce items are partition numbers.
+    """
+
+    def __init__(self, sim, job: Job, report: JobReport, kind: str,
+                 items, outputs: list[_MapOutput], span: Optional[Span]):
+        self.job = job
+        self.report = report
+        self.kind = kind                   # "map" | "reduce"
+        self.pending = list(items)         # the task queue
+        self.running: dict = {}            # index -> (start, item)
+        self.finished: set[int] = set()
+        self.duplicated: set[int] = set()  # index with a backup launched
+        self.durations: list[float] = []   # of completed tasks
+        #: index -> attempt token: racing reduce attempts never write the
+        #: same ``part-r-NNNNN`` file twice (maps never commit).
+        self.committing: dict[int, object] = {}
+        self.attempts: dict[int, int] = {}  # index -> failed attempts
+        #: Failed attempts waiting out their backoff; holds the phase open
+        #: so idle workers don't conclude the queue is drained.
+        self.retrying = 0
+        #: The phase ends when every *task* has finished — idle trackers
+        #: still napping between heartbeats must not hold the job open.
+        self.remaining = len(self.pending)
+        self.done: Event = sim.event()     # fails when the job must fail
+        if not self.pending:
+            self.done.succeed(None)
+        #: The job's map outputs: the map phase fills the list, the reduce
+        #: phase shuffles from it.
+        self.outputs = outputs
+        self.span = span                   # parent of task-attempt spans
+        #: Set by the staffing strategy: called when a retried task is
+        #: back in ``pending`` (restaff / wake the slot pool).
+        self.on_requeue = lambda: None
+
+    def index(self, item) -> int:
+        return item.index if self.kind == "map" else item
+
+    def task_id(self, item) -> str:
+        return item.task_id if self.kind == "map" else f"r-{item:05d}"
+
+
+def _slots(tracker: "TaskTracker", kind: str) -> Resource:
+    return tracker.map_slots if kind == "map" else tracker.reduce_slots
+
+
 class MapReduceRunner:
     """Job engine bound to one :class:`HadoopVirtualCluster`."""
 
@@ -211,10 +291,6 @@ class MapReduceRunner:
         self.metrics = cluster.telemetry.metrics
         self._rng = cluster.datacenter.rng.stream(
             f"mapreduce/heartbeat/{cluster.name}")
-        #: (job name, tracker name) -> task failures charged to the tracker.
-        self._tracker_failures: dict[tuple[str, str], int] = {}
-        #: Per-job blacklist: trackers that failed too many of its tasks.
-        self._blacklist: set[tuple[str, str]] = set()
 
     # -- public ------------------------------------------------------------
     def submit(self, job: Job) -> Event:
@@ -237,15 +313,23 @@ class MapReduceRunner:
             out.extend(self.cluster.dfs.peek_records(path))
         return out
 
-    # -- job orchestration -------------------------------------------------
-    def _job_proc(self, job: Job):
+    # -- job lifecycle -----------------------------------------------------
+    def _job_proc(self, job: Job, report: Optional[JobReport] = None,
+                  staff=None, **span_attrs):
+        """The one job lifecycle.  ``staff(phase)`` is a generator that
+        gets the phase's tasks executed and returns once ``phase.done``
+        fired — the only thing the solo runner and the scheduler differ in.
+        """
         config = self.cluster.config
-        report = JobReport(job_name=job.name, submitted_at=self.sim.now,
-                           n_reduces=job.n_reduces)
+        staff = staff or self._staff
+        if report is None:
+            report = JobReport(job_name=job.name, submitted_at=self.sim.now,
+                               n_reduces=job.n_reduces)
         self.tracer.emit(self.sim.now, EV.JOB_SUBMIT, job.name,
                          n_reduces=job.n_reduces)
         job_span = self.tracer.begin_span(self.sim.now, EV.JOB_RUN, job.name,
-                                          n_reduces=job.n_reduces)
+                                          n_reduces=job.n_reduces,
+                                          **span_attrs)
         yield self.sim.timeout(config.job_overhead_s / 2)
         yield from self._localize(job)
 
@@ -256,23 +340,23 @@ class MapReduceRunner:
         map_span = self.tracer.begin_span(self.sim.now, EV.PHASE_MAP,
                                           job.name, parent=job_span,
                                           n_maps=len(specs))
-        map_outputs: list[_MapOutput] = yield self.sim.process(
-            self._map_phase(job, specs, report, map_span),
-            name=f"{job.name}:maps")
+        maps = _Phase(self.sim, job, report, "map", specs, [], map_span)
+        yield from staff(maps)
+        maps.outputs.sort(key=lambda o: o.spec.index)
         report.map_phase_end = self.sim.now
         self.tracer.end_span(map_span, self.sim.now)
         self.tracer.emit(self.sim.now, EV.JOB_MAPS_DONE, job.name,
                          n_maps=len(specs))
 
         if job.map_only:
-            yield from self._write_map_only_output(job, map_outputs, report)
+            yield from self._write_map_only_output(job, maps.outputs, report)
         else:
             reduce_span = self.tracer.begin_span(
                 self.sim.now, EV.PHASE_REDUCE, job.name, parent=job_span,
                 n_reduces=job.n_reduces)
-            yield self.sim.process(
-                self._reduce_phase(job, map_outputs, report, reduce_span),
-                name=f"{job.name}:reduces")
+            yield from staff(_Phase(self.sim, job, report, "reduce",
+                                    range(job.n_reduces), maps.outputs,
+                                    reduce_span))
             self.tracer.end_span(reduce_span, self.sim.now)
 
         yield self.sim.timeout(config.job_overhead_s / 2)
@@ -305,17 +389,18 @@ class MapReduceRunner:
     def _live_trackers(self) -> list:
         return [t for t in self.cluster.trackers if self._vm_live(t.vm)]
 
-    def _is_blacklisted(self, job: Job, tracker: "TaskTracker") -> bool:
-        return (job.name, tracker.name) in self._blacklist
+    def _is_blacklisted(self, phase: _Phase,
+                        tracker: "TaskTracker") -> bool:
+        """Has ``tracker`` failed too many tasks of this job run?"""
+        return (phase.report._tracker_failures.get(tracker.name, 0)
+                >= self.cluster.config.tracker_blacklist_failures)
 
-    def _record_tracker_failure(self, job: Job,
+    def _record_tracker_failure(self, phase: _Phase,
                                 tracker: "TaskTracker") -> None:
-        key = (job.name, tracker.name)
-        n = self._tracker_failures.get(key, 0) + 1
-        self._tracker_failures[key] = n
-        limit = self.cluster.config.tracker_blacklist_failures
-        if n >= limit and key not in self._blacklist:
-            self._blacklist.add(key)
+        failures = phase.report._tracker_failures
+        n = failures[tracker.name] = failures.get(tracker.name, 0) + 1
+        if n == self.cluster.config.tracker_blacklist_failures:
+            job = phase.job
             self.tracer.emit(self.sim.now, EV.RECOVERY_TRACKER_BLACKLISTED,
                              tracker.name, job=job.name, failures=n)
             self.metrics.counter(
@@ -329,90 +414,84 @@ class MapReduceRunner:
         return min(config.retry_backoff_s * (2 ** max(0, attempts - 1)),
                    config.retry_backoff_cap_s)
 
-    def _handle_task_failure(self, job: Job, kind: str, state: dict, item,
-                             task_id: str, speculative: bool,
-                             tracker: "TaskTracker", report: "JobReport",
-                             remaining: dict, all_done: Event, cause,
-                             on_requeue=None) -> None:
+    def _handle_task_failure(self, phase: _Phase, item, speculative: bool,
+                             tracker: "TaskTracker", cause) -> None:
         """Account one failed/aborted task attempt and requeue it.
 
         The task re-enters the pending queue after a capped exponential
-        backoff; ``state["retrying"]`` holds the phase open meanwhile so
-        idle workers don't conclude the job is drained.  When the attempt
-        budget (``max_task_retries``) is exhausted — or no live tracker
-        remains — the phase's ``all_done`` event *fails*, failing the job.
+        backoff; ``phase.retrying`` holds the phase open meanwhile.  When
+        the attempt budget (``max_task_retries``) is exhausted — or no live
+        tracker remains — the phase's ``done`` event *fails*, failing the
+        job.
         """
-        self._record_tracker_failure(job, tracker)
-        index = item.index if kind == "map" else item
+        self._record_tracker_failure(phase, tracker)
+        index, task_id = phase.index(item), phase.task_id(item)
         if speculative:
             # The original attempt is still running; just allow a fresh
             # backup to launch later.
-            state["duplicated"].discard(index)
+            phase.duplicated.discard(index)
             return
-        if index in state["finished"]:
+        if index in phase.finished:
             return
-        state["running"].pop(index, None)
-        attempts = state["attempts"].get(index, 0) + 1
-        state["attempts"][index] = attempts
-        config = self.cluster.config
-        if attempts > config.max_task_retries:
-            if not all_done.triggered:
-                all_done.fail(TaskFailure(task_id, cause))
+        phase.running.pop(index, None)
+        attempts = phase.attempts[index] = phase.attempts.get(index, 0) + 1
+        if attempts > self.cluster.config.max_task_retries:
+            if not phase.done.triggered:
+                phase.done.fail(TaskFailure(task_id, cause))
             return
         delay = self._retry_backoff(attempts)
+        job = phase.job
         self.tracer.emit(self.sim.now, EV.RECOVERY_TASK_RETRY, task_id,
                          job=job.name, attempt=attempts,
                          tracker=tracker.name, backoff_s=delay,
                          cause=str(cause))
         self.metrics.counter("recovery.task.retries",
                              "task attempts requeued after a failure",
-                             {"phase": kind, "job": job.name}).inc()
-        state["retrying"]["n"] += 1
-        self.sim.process(
-            self._requeue_proc(job, kind, state, item, delay, all_done,
-                               on_requeue),
-            name=f"{job.name}:retry:{task_id}")
+                             {"phase": phase.kind, "job": job.name}).inc()
+        phase.retrying += 1
+        self.sim.process(self._requeue_proc(phase, item, delay),
+                         name=f"{job.name}:retry:{task_id}")
 
-    def _requeue_proc(self, job: Job, kind: str, state: dict, item,
-                      delay: float, all_done: Event, on_requeue,
+    def _requeue_proc(self, phase: _Phase, item, delay: float,
                       parked: int = 0):
         if delay > 0:
             yield self.sim.timeout(delay)
-        state["retrying"]["n"] -= 1
-        if all_done.triggered:
+        phase.retrying -= 1
+        if phase.done.triggered:
             return
         live = self._live_trackers()
         usable = [t for t in live
-                  if not self._is_blacklisted(job, t)] or live
+                  if not self._is_blacklisted(phase, t)] or live
         if not usable:
-            task_id = item.task_id if kind == "map" else f"r-{item:05d}"
+            task_id = phase.task_id(item)
             if parked >= self.MAX_TRACKER_WAITS:
-                all_done.fail(TaskFailure(task_id, "no live trackers left"))
+                phase.done.fail(TaskFailure(task_id, "no live trackers left"))
                 return
             # A transient total tracker outage (say, the lone worker host
             # crashed with a rejoin already scheduled) must not kill the
             # job: park for a heartbeat and look again.  The wait is
             # bounded so a cluster that never recovers still terminates.
-            state["retrying"]["n"] += 1
+            phase.retrying += 1
             self.sim.process(
-                self._requeue_proc(job, kind, state, item,
+                self._requeue_proc(phase, item,
                                    self.cluster.config.heartbeat_s,
-                                   all_done, on_requeue, parked + 1),
-                name=f"{job.name}:park:{task_id}")
+                                   parked + 1),
+                name=f"{phase.job.name}:park:{task_id}")
             return
-        if kind == "map":
-            # Refresh the replica holders: a retried attempt must not try
-            # to read its split from a datanode that died meanwhile.
-            live_holders = tuple(
-                dn for dn in item.holders
-                if dn in self.cluster.namenode.datanodes
-                and self._vm_live(dn.vm))
-            state["pending"].insert(0, _MapSpec(item.index, item.records,
-                                                item.nbytes, live_holders))
-        else:
-            state["pending"].insert(0, item)
-        if on_requeue is not None:
-            on_requeue()
+        if phase.kind == "map":
+            # A retried attempt must not try to read its split from a
+            # datanode that died meanwhile.
+            item = self._with_live_holders(item)
+        phase.pending.insert(0, item)
+        phase.on_requeue()
+
+    def _with_live_holders(self, spec: _MapSpec) -> _MapSpec:
+        """``spec`` with its replica holders refreshed to the live ones."""
+        live_holders = tuple(
+            dn for dn in spec.holders
+            if dn in self.cluster.namenode.datanodes
+            and self._vm_live(dn.vm))
+        return _MapSpec(spec.index, spec.records, spec.nbytes, live_holders)
 
     def _localize(self, job: Job):
         """Job localization: every TaskTracker pulls job.jar + config from
@@ -492,99 +571,116 @@ class MapReduceRunner:
             specs.append(_MapSpec(i, group, nbytes, holders))
         return specs
 
-    # -- map phase --------------------------------------------------------------
-    def _map_phase(self, job: Job, specs: list[_MapSpec], report: JobReport,
-                   phase_span: Optional[Span] = None):
-        # Shared phase state: the task queue plus what speculation needs —
-        # which tasks are running (and since when), which have finished,
-        # which already have a backup attempt, and completed durations.
-        state = {
-            "pending": list(specs),
-            "running": {},        # spec.index -> (start_time, spec)
-            "finished": set(),    # spec.index
-            "duplicated": set(),  # spec.index with a backup launched
-            "durations": [],      # completed map durations
-            "span": phase_span,   # parent for task-attempt spans
-            "retrying": {"n": 0},  # failed attempts awaiting their backoff
-            "attempts": {},       # spec.index -> failed attempt count
-        }
-        outputs: list[_MapOutput] = []
-        # The phase ends when every *task* has finished — idle trackers
-        # still napping between heartbeats must not hold the job open.
-        all_done = self.sim.event()
-        remaining = {"n": len(specs)}
-        if remaining["n"] == 0:
-            all_done.succeed(None)
+    # -- solo staffing: ephemeral per-phase workers --------------------------
+    def _staff(self, phase: _Phase):
+        # The phase runs as its own process (not inline in the job's) so a
+        # solo job's kernel event sequence is what baselines*.json pin.
+        yield self.sim.process(self._run_phase(phase),
+                               name=f"{phase.job.name}:{phase.kind}s")
 
+    def _run_phase(self, phase: _Phase):
         def spawn(trackers):
             for tracker in trackers:
-                for slot in range(tracker.map_slots.capacity):
+                for slot in range(_slots(tracker, phase.kind).capacity):
                     self.sim.process(
-                        self._map_worker(job, tracker, state, outputs,
-                                         report, remaining, all_done,
-                                         on_requeue=respawn),
-                        name=f"{job.name}:mapworker:{tracker.name}:{slot}")
+                        self._worker(phase, tracker),
+                        name=f"{phase.job.name}:{phase.kind}worker:"
+                             f"{tracker.name}:{slot}")
 
-        def respawn():
-            # A requeued task may find every original worker exited (they
-            # leave when the queue drains); restaff the live trackers.
-            spawn(t for t in self._live_trackers()
-                  if not self._is_blacklisted(job, t))
-
+        # A requeued task may find every original worker exited (they
+        # leave when the queue drains); restaff the live trackers.
+        phase.on_requeue = lambda: spawn(
+            t for t in self._live_trackers()
+            if not self._is_blacklisted(phase, t))
         spawn(self.cluster.trackers)
-        yield all_done
-        outputs.sort(key=lambda o: o.spec.index)
-        return outputs
+        yield phase.done
 
-    def _pick_speculative(self, state: dict, report: JobReport,
-                          kind: str = "map"):
-        """The longest-running straggler eligible for a backup attempt.
-
-        Works for both phases: map ``state["running"]`` holds
-        ``index -> (start, _MapSpec)``, reduce holds
-        ``partition -> (start, partition)``.
-        """
+    def _worker(self, phase: _Phase, tracker: "TaskTracker"):
         config = self.cluster.config
-        if not config.speculative_execution or not state["durations"]:
+        report = phase.report
+        slots = _slots(tracker, phase.kind)
+        while (phase.pending or phase.retrying > 0
+               or (config.speculative_execution and phase.remaining > 0)):
+            if tracker.vm.state in (VMState.FAILED, VMState.STOPPED):
+                break  # dead trackers take no more tasks (migration is
+                       # transparent: MIGRATING VMs keep working)
+            if self._is_blacklisted(phase, tracker):
+                break  # too many failures: this tracker sits the job out
+            # Tasks are handed out on tracker heartbeats: whichever tracker
+            # heartbeats next gets the work, so assignment order is random
+            # across trackers (and the queue may drain while we wait).
+            yield self.sim.timeout(
+                float(self._rng.uniform(0.0, config.heartbeat_s)))
+            picked = self._pick(phase, tracker)
+            if picked is None:
+                if phase.remaining > 0 and (config.speculative_execution
+                                            or phase.retrying > 0):
+                    continue  # keep heartbeating; stragglers or
+                              # requeued retries may appear
+                break
+            yield slots.acquire()
+            # A running task keeps the whole VM busy (JVM heap, buffers)
+            # for its entire duration, not only during CPU bursts — this
+            # drives the dirty-page rate seen by live migration.
+            tracker.vm.activity += 1
+            claimed = self.sim.now
+            if report.first_task_at is None:
+                report.first_task_at = claimed
+            try:
+                yield self.sim.timeout(config.task_startup_s)
+                yield from self._execute(phase, tracker, *picked)
+            finally:
+                report.slot_seconds += self.sim.now - claimed
+                tracker.vm.activity -= 1
+                slots.release()
+
+    # -- task selection ------------------------------------------------------
+    def _pick(self, phase: _Phase, tracker: "TaskTracker"):
+        """``(item, locality, speculative)`` for ``tracker``'s next attempt:
+        a queued task, else a backup of a straggler, else None."""
+        if phase.kind == "map":
+            item, locality = self._pick_map_task(tracker, phase.pending)
+        else:
+            item = phase.pending.pop(0) if phase.pending else None
+            locality = "-"
+        if item is not None:
+            return item, locality, False
+        item = self._pick_speculative(phase)
+        if item is None:
             return None
-        mean = sum(state["durations"]) / len(state["durations"])
+        if phase.kind == "map":
+            locality = self._locality_of(tracker, item)
+        return item, locality, True
+
+    def _pick_speculative(self, phase: _Phase):
+        """The longest-running straggler eligible for a backup attempt."""
+        config = self.cluster.config
+        if not config.speculative_execution or not phase.durations:
+            return None
+        mean = sum(phase.durations) / len(phase.durations)
         threshold = config.speculative_slowdown * mean
         now = self.sim.now
         candidates = [
             (now - start, index, item)
-            for index, (start, item) in state["running"].items()
-            if index not in state["finished"]
-            and index not in state["duplicated"]
+            for index, (start, item) in phase.running.items()
+            if index not in phase.finished
+            and index not in phase.duplicated
             and (now - start) > threshold]
         if not candidates:
             return None
         _age, index, item = max(candidates, key=lambda trip: trip[0])
-        state["duplicated"].add(index)
-        if kind == "map":
-            task_id = item.task_id
-            report.speculated_maps += 1
-            speculate_kind = EV.TASK_MAP_SPECULATE
+        phase.duplicated.add(index)
+        if phase.kind == "map":
+            phase.report.speculated_maps += 1
         else:
-            task_id = f"r-{index:05d}"
-            report.speculated_reduces += 1
-            speculate_kind = EV.TASK_REDUCE_SPECULATE
-        self.tracer.emit(now, speculate_kind, task_id)
+            phase.report.speculated_reduces += 1
+        _, _, speculate_kind = _TASK_EVENTS[phase.kind]
+        self.tracer.emit(now, speculate_kind, phase.task_id(item))
         self.metrics.counter(
             "mapreduce.tasks.speculated",
             "backup attempts launched for straggler tasks",
-            {"phase": kind, "job": report.job_name}).inc()
+            {"phase": phase.kind, "job": phase.job.name}).inc()
         return item
-
-    def _count_speculation_win(self, job: Job, kind: str,
-                               speculative: bool) -> None:
-        """Count a backup attempt that beat the original to the finish —
-        the payoff side of the straggler counters."""
-        if not speculative:
-            return
-        self.metrics.counter(
-            "mapreduce.speculation.wins",
-            "speculative attempts that finished before the original",
-            {"phase": kind, "job": job.name}).inc()
 
     def _pick_map_task(self, tracker: "TaskTracker",
                        pending: list[_MapSpec]) -> tuple[Optional[_MapSpec], str]:
@@ -632,101 +728,103 @@ class MapReduceRunner:
             return "rack"
         return "remote"
 
-    def _map_worker(self, job: Job, tracker: "TaskTracker", state: dict,
-                    outputs: list[_MapOutput], report: JobReport,
-                    remaining: dict, all_done: Event, on_requeue=None):
-        config = self.cluster.config
-        pending = state["pending"]
-        retrying = state["retrying"]
-        while (pending or retrying["n"] > 0
-               or (config.speculative_execution and remaining["n"] > 0)):
-            if tracker.vm.state in (VMState.FAILED, VMState.STOPPED):
-                break  # dead trackers take no more tasks (migration is
-                       # transparent: MIGRATING VMs keep working)
-            if self._is_blacklisted(job, tracker):
-                break  # too many failures: this tracker sits the job out
-            # Tasks are handed out on tracker heartbeats: whichever tracker
-            # heartbeats next gets the work, so assignment order is random
-            # across trackers (and the queue may drain while we wait).
-            yield self.sim.timeout(
-                float(self._rng.uniform(0.0, config.heartbeat_s)))
-            spec, locality = self._pick_map_task(tracker, pending)
-            speculative = False
-            if spec is None:
-                spec = self._pick_speculative(state, report, "map")
-                if spec is None:
-                    if remaining["n"] > 0 and (config.speculative_execution
-                                               or retrying["n"] > 0):
-                        continue  # keep heartbeating; stragglers or
-                                  # requeued retries may appear
-                    break
-                speculative = True
-                locality = self._locality_of(tracker, spec)
-            yield tracker.map_slots.acquire()
-            # A running task keeps the whole VM busy (JVM heap, buffers)
-            # for its entire duration, not only during CPU bursts — this
-            # drives the dirty-page rate seen by live migration.
-            tracker.vm.activity += 1
-            claimed = self.sim.now
-            if report.first_task_at is None:
-                report.first_task_at = claimed
-            try:
-                yield self.sim.timeout(config.task_startup_s)
-                start = self.sim.now
-                if not speculative:
-                    state["running"][spec.index] = (start, spec)
-                attempt_span = self.tracer.begin_span(
-                    start, EV.TASK_MAP, spec.task_id, parent=state["span"],
-                    tracker=tracker.name, locality=locality,
-                    speculative=speculative, job=job.name)
-                gen = self._run_map_task(job, tracker, spec, locality,
-                                         report)
-                failure = None
-                try:
-                    output, died = yield from _drive_racing(
-                        self.sim, gen, tracker.vm.failure_event())
-                    if died:
-                        failure = VMStateError(
-                            f"{tracker.name}: tracker died mid-attempt")
-                except (VMStateError, TaskFailure) as exc:
-                    output, failure = None, exc
-                if failure is not None:
-                    self.tracer.end_span(attempt_span, self.sim.now,
-                                         failed=True)
-                    self._handle_task_failure(
-                        job, "map", state, spec, spec.task_id, speculative,
-                        tracker, report, remaining, all_done, failure,
-                        on_requeue=on_requeue)
-                    continue
-                self.tracer.end_span(attempt_span, self.sim.now,
-                                     won=spec.index not in state["finished"])
-                self.metrics.histogram(
-                    "mapreduce.task.duration", "task attempt duration",
-                    {"phase": "map", "job": job.name}).observe(
-                        self.sim.now - start)
-                if spec.index in state["finished"]:
-                    continue  # the other attempt won the race
-                self._count_speculation_win(job, "map", speculative)
-                state["finished"].add(spec.index)
-                state["running"].pop(spec.index, None)
-                state["durations"].append(self.sim.now - start)
-                outputs.append(output)
-                spilled = sum(output.partition_bytes.values())
-                report.tasks.append(TaskAttempt(
-                    task_id=spec.task_id, kind="map", tracker=tracker.name,
-                    start=start, end=self.sim.now, input_bytes=spec.nbytes,
-                    output_bytes=spilled, locality=locality))
-                self.tracer.emit(self.sim.now, EV.TASK_MAP_DONE,
-                                 spec.task_id, tracker=tracker.name,
-                                 locality=locality, speculative=speculative)
-                remaining["n"] -= 1
-                if remaining["n"] == 0 and not all_done.triggered:
-                    all_done.succeed(None)
-            finally:
-                report.slot_seconds += self.sim.now - claimed
-                tracker.vm.activity -= 1
-                tracker.map_slots.release()
-        return None
+    # -- the task attempt ----------------------------------------------------
+    def _execute(self, phase: _Phase, tracker: "TaskTracker", item,
+                 locality: str, speculative: bool,
+                 killed: Optional[Event] = None):
+        """Run one attempt of ``item`` on ``tracker`` whose JVM is up.
+
+        The caller holds the slot and has paid ``task_startup_s``.  The
+        attempt races its tracker dying (a failure: retried with backoff)
+        and, when given, the ``killed`` event (a preemption: the task goes
+        back where it was found, nothing is charged to the tracker).
+        Returns True when the attempt was preempted.
+        """
+        job, report, kind = phase.job, phase.report, phase.kind
+        index, task_id = phase.index(item), phase.task_id(item)
+        attempt_kind, done_kind, _ = _TASK_EVENTS[kind]
+        # Only map events carry a locality (attribute order is pinned).
+        attrs = {"tracker": tracker.name}
+        if kind == "map":
+            attrs["locality"] = locality
+        attrs["speculative"] = speculative
+        start = self.sim.now
+        if not speculative:
+            phase.running[index] = (start, item)
+        token = object()
+        attempt_span = self.tracer.begin_span(
+            start, attempt_kind, task_id, parent=phase.span, **attrs,
+            job=job.name)
+        if kind == "map":
+            gen = self._run_map_task(job, tracker, item, locality, report)
+        else:
+            gen = self._run_reduce_task(phase, tracker, item, token,
+                                        attempt_span)
+        stop = tracker.vm.failure_event()
+        if killed is not None:
+            stop = self.sim.any_of([killed, stop])
+        failure = None
+        try:
+            # An attempt that already holds the commit token has
+            # (partially) written the output file; it must finish even if
+            # its tracker dies — single-writer commit.
+            result, stopped = yield from _drive_racing(
+                self.sim, gen, stop,
+                abortable=lambda: phase.committing.get(index) is not token)
+            if stopped and (killed is None or not killed.triggered):
+                failure = VMStateError(
+                    f"{tracker.name}: tracker died mid-attempt")
+        except (VMStateError, TaskFailure) as exc:
+            result, stopped, failure = None, False, exc
+        if failure is not None:
+            if phase.committing.get(index) is token:
+                del phase.committing[index]
+            self.tracer.end_span(attempt_span, self.sim.now, failed=True)
+            self._handle_task_failure(phase, item, speculative, tracker,
+                                      failure)
+            return False
+        # ``won``: this attempt's result is the one the job keeps.  A
+        # reduce that lost the commit race returns no result.
+        won = (not stopped and result is not None
+               and index not in phase.finished)
+        self.tracer.end_span(attempt_span, self.sim.now, won=won,
+                             **({"preempted": True} if stopped else {}))
+        self.metrics.histogram(
+            "mapreduce.task.duration", "task attempt duration",
+            {"phase": kind, "job": job.name}).observe(self.sim.now - start)
+        if stopped:
+            if speculative:
+                phase.duplicated.discard(index)
+            elif index not in phase.finished:
+                phase.running.pop(index, None)
+                phase.pending.insert(0, item)
+            return True
+        if not won:
+            return False  # the other attempt won the race
+        if speculative:
+            # The payoff side of the straggler counters.
+            self.metrics.counter(
+                "mapreduce.speculation.wins",
+                "speculative attempts that finished before the original",
+                {"phase": kind, "job": job.name}).inc()
+        phase.finished.add(index)
+        phase.running.pop(index, None)
+        phase.durations.append(self.sim.now - start)
+        if kind == "map":
+            phase.outputs.append(result)
+            nbytes_in = item.nbytes
+            nbytes_out = sum(result.partition_bytes.values())
+        else:
+            nbytes_in, nbytes_out = result
+        report.tasks.append(TaskAttempt(
+            task_id=task_id, kind=kind, tracker=tracker.name, start=start,
+            end=self.sim.now, input_bytes=nbytes_in, output_bytes=nbytes_out,
+            locality=locality))
+        self.tracer.emit(self.sim.now, done_kind, task_id, **attrs)
+        phase.remaining -= 1
+        if phase.remaining == 0 and not phase.done.triggered:
+            phase.done.succeed(None)
+        return False
 
     def _run_map_task(self, job: Job, tracker: "TaskTracker", spec: _MapSpec,
                       locality: str, report: JobReport, count: bool = True):
@@ -791,153 +889,10 @@ class MapReduceRunner:
         return _MapOutput(spec, tracker, partitions, partition_bytes,
                           job=job, report=report)
 
-    # -- reduce phase --------------------------------------------------------
-    def _reduce_phase(self, job: Job, map_outputs: list[_MapOutput],
-                      report: JobReport,
-                      phase_span: Optional[Span] = None):
-        state = self._make_reduce_state(job)
-        state["span"] = phase_span
-        all_done = self.sim.event()
-        remaining = {"n": job.n_reduces}
-        if remaining["n"] == 0:
-            all_done.succeed(None)
-
-        def spawn(trackers):
-            for tracker in trackers:
-                for slot in range(tracker.reduce_slots.capacity):
-                    self.sim.process(
-                        self._reduce_worker(job, tracker, state, map_outputs,
-                                            report, remaining, all_done,
-                                            on_requeue=respawn),
-                        name=f"{job.name}:reduceworker:"
-                             f"{tracker.name}:{slot}")
-
-        def respawn():
-            spawn(t for t in self._live_trackers()
-                  if not self._is_blacklisted(job, t))
-
-        spawn(self.cluster.trackers)
-        yield all_done
-        return None
-
-    @staticmethod
-    def _make_reduce_state(job: Job) -> dict:
-        """Shared reduce-phase state, mirroring the map phase plus a
-        commit table (``committing``) so racing speculative attempts
-        never write the same ``part-r-NNNNN`` file twice."""
-        return {
-            "pending": list(range(job.n_reduces)),
-            "running": {},        # partition -> (start_time, partition)
-            "finished": set(),    # partition
-            "duplicated": set(),  # partition with a backup launched
-            "durations": [],      # completed reduce durations
-            "committing": {},     # partition -> attempt token
-            "retrying": {"n": 0},  # failed attempts awaiting their backoff
-            "attempts": {},       # partition -> failed attempt count
-        }
-
-    def _reduce_worker(self, job: Job, tracker: "TaskTracker", state: dict,
-                       map_outputs: list[_MapOutput], report: JobReport,
-                       remaining: dict, all_done: Event, on_requeue=None):
-        config = self.cluster.config
-        pending = state["pending"]
-        retrying = state["retrying"]
-        while (pending or retrying["n"] > 0
-               or (config.speculative_execution and remaining["n"] > 0)):
-            if tracker.vm.state in (VMState.FAILED, VMState.STOPPED):
-                break
-            if self._is_blacklisted(job, tracker):
-                break  # too many failures: this tracker sits the job out
-            yield self.sim.timeout(
-                float(self._rng.uniform(0.0, config.heartbeat_s)))
-            speculative = False
-            if pending:
-                partition = pending.pop(0)
-            else:
-                partition = self._pick_speculative(state, report, "reduce")
-                if partition is None:
-                    if remaining["n"] > 0 and (config.speculative_execution
-                                               or retrying["n"] > 0):
-                        continue  # keep heartbeating; stragglers or
-                                  # requeued retries may appear
-                    break
-                speculative = True
-            yield tracker.reduce_slots.acquire()
-            tracker.vm.activity += 1
-            claimed = self.sim.now
-            if report.first_task_at is None:
-                report.first_task_at = claimed
-            try:
-                yield self.sim.timeout(config.task_startup_s)
-                start = self.sim.now
-                if not speculative:
-                    state["running"][partition] = (start, partition)
-                token = object()
-                attempt_span = self.tracer.begin_span(
-                    start, EV.TASK_REDUCE, f"r-{partition:05d}",
-                    parent=state["span"], tracker=tracker.name,
-                    speculative=speculative, job=job.name)
-                gen = self._run_reduce_task(
-                    job, tracker, partition, map_outputs, report, state,
-                    token, attempt_span)
-                failure = None
-                try:
-                    # An attempt that already holds the commit token has
-                    # (partially) written the output file; it must finish
-                    # even if its tracker dies — single-writer commit.
-                    result, died = yield from _drive_racing(
-                        self.sim, gen, tracker.vm.failure_event(),
-                        abortable=lambda:
-                            state["committing"].get(partition) is not token)
-                    if died:
-                        failure = VMStateError(
-                            f"{tracker.name}: tracker died mid-attempt")
-                except (VMStateError, TaskFailure) as exc:
-                    result, failure = None, exc
-                if failure is not None:
-                    if state["committing"].get(partition) is token:
-                        del state["committing"][partition]
-                    self.tracer.end_span(attempt_span, self.sim.now,
-                                         failed=True)
-                    self._handle_task_failure(
-                        job, "reduce", state, partition,
-                        f"r-{partition:05d}", speculative, tracker, report,
-                        remaining, all_done, failure, on_requeue=on_requeue)
-                    continue
-                self.tracer.end_span(attempt_span, self.sim.now,
-                                     won=result is not None)
-                self.metrics.histogram(
-                    "mapreduce.task.duration", "task attempt duration",
-                    {"phase": "reduce", "job": job.name}).observe(
-                        self.sim.now - start)
-                if result is None or partition in state["finished"]:
-                    continue  # the other attempt won the race
-                self._count_speculation_win(job, "reduce", speculative)
-                state["finished"].add(partition)
-                state["running"].pop(partition, None)
-                state["durations"].append(self.sim.now - start)
-                nbytes_in, nbytes_out = result
-                report.tasks.append(TaskAttempt(
-                    task_id=f"r-{partition:05d}", kind="reduce",
-                    tracker=tracker.name, start=start, end=self.sim.now,
-                    input_bytes=nbytes_in, output_bytes=nbytes_out,
-                    locality="-"))
-                self.tracer.emit(self.sim.now, EV.TASK_REDUCE_DONE,
-                                 f"r-{partition:05d}", tracker=tracker.name,
-                                 speculative=speculative)
-                remaining["n"] -= 1
-                if remaining["n"] == 0 and not all_done.triggered:
-                    all_done.succeed(None)
-            finally:
-                report.slot_seconds += self.sim.now - claimed
-                tracker.vm.activity -= 1
-                tracker.reduce_slots.release()
-        return None
-
-    def _run_reduce_task(self, job: Job, tracker: "TaskTracker",
-                         partition: int, map_outputs: list[_MapOutput],
-                         report: JobReport, state: dict, token: object,
+    def _run_reduce_task(self, phase: _Phase, tracker: "TaskTracker",
+                         partition: int, token: object,
                          attempt_span: Optional[Span] = None):
+        job, report, map_outputs = phase.job, phase.report, phase.outputs
         vm = tracker.vm
         config = self.cluster.config
         # 1. shuffle: fetch this partition from every map's VM.
@@ -978,10 +933,9 @@ class MapReduceRunner:
         # Commit protocol: only one attempt per partition may write the
         # output file (and merge its counters); a racing speculative
         # attempt that arrives second discards its work.
-        if (partition in state["finished"]
-                or partition in state["committing"]):
+        if partition in phase.finished or partition in phase.committing:
             return None
-        state["committing"][partition] = token
+        phase.committing[partition] = token
         report.counters.merge(ctx.counters)
         report.counters.incr("job", "reduce_input_records", n)
         report.counters.incr("job", "reduce_output_records", len(out_pairs))
@@ -1079,12 +1033,7 @@ class MapReduceRunner:
         self.tracer.emit(self.sim.now, EV.TASK_MAP_RECOVER, spec.task_id,
                          on=to_vm.name, lost_with=output.tracker.vm.name)
         yield self.sim.timeout(self.cluster.config.task_startup_s)
-        live_holders = tuple(
-            dn for dn in spec.holders
-            if dn in self.cluster.namenode.datanodes
-            and self._vm_live(dn.vm))
-        fresh_spec = _MapSpec(spec.index, spec.records, spec.nbytes,
-                              live_holders)
+        fresh_spec = self._with_live_holders(spec)
         locality = self._locality_of(tracker, fresh_spec)
         job = output.job
         recovered = yield from self._run_map_task(job, tracker, fresh_spec,

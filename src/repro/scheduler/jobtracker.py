@@ -2,14 +2,20 @@
 
 Execution model
 ---------------
-The scheduler owns one pool of slot workers per cluster — one perpetual
-process per (TaskTracker, kind, slot), exactly Hadoop's slot model.  Each
-worker loops: park while no job has dispatchable work of its kind, pay a
-heartbeat latency, ask the policy which job gets the slot, pick a task
-(locality-aware for maps, via the runner's own selection code) and run it.
-Per-job task execution is delegated to :class:`MapReduceRunner` internals,
-so the functional output of every job is bit-identical to a solo
-:class:`~repro.mapreduce.local.LocalJobRunner` run.
+The scheduler is the *staffing strategy* for concurrent jobs; everything
+beneath it — the job lifecycle, task selection, the task attempt, retries
+and blacklisting — is :class:`MapReduceRunner`'s one engine over its
+``_Phase`` objects, so the functional output of every job is bit-identical
+to a solo :class:`~repro.mapreduce.local.LocalJobRunner` run.
+
+Each submitted job runs the runner's job lifecycle, which *offers* each
+phase to the scheduler (:meth:`JobScheduler._offer`).  The scheduler owns
+one pool of slot workers per cluster — one perpetual process per
+(TaskTracker, kind, slot), exactly Hadoop's slot model.  Each worker loops:
+park while no job offers dispatchable work of its kind, pay a heartbeat
+latency, ask the policy which job gets the slot, and run one attempt of
+that job's offered phase, wrapped in the scheduler's own accounting
+(time-weighted slot occupancy, per-pool shares, the kill registry).
 
 Determinism: workers draw heartbeat latencies from their *own* named RNG
 stream (``scheduler/heartbeat/<cluster>``), so single-job runs through the
@@ -28,19 +34,16 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.errors import SimulationError, TaskFailure, VMStateError
+from repro.errors import SimulationError
 from repro.mapreduce.job import Job
-from repro.mapreduce.runner import (JobReport, MapReduceRunner, TaskAttempt,
-                                    _MapOutput, _MapSpec, _cancel_wait,
-                                    _drive_racing)
+from repro.mapreduce.runner import (JobReport, MapReduceRunner, _Phase,
+                                    _slots)
 from repro.scheduler.policies import (FifoScheduler, SchedulingPolicy,
                                       _pool_demand, _pool_running)
 from repro.scheduler.report import JobStats, SchedulerReport
 from repro.sim.kernel import Event
-from repro.sim.trace import Span
 from repro.telemetry import events as EV
-
-_STAGE_OF = {"map": "maps", "reduce": "reduces"}
+from repro.virt.vm import VMState
 
 
 class JobExecution:
@@ -51,36 +54,23 @@ class JobExecution:
         self.pool = pool
         self.seq = seq
         self.report = report
-        self.stage = "init"        # init -> maps -> reduces/writing -> done
-        self.map_state: Optional[dict] = None
-        self.map_outputs: list[_MapOutput] = []
-        self.map_remaining = {"n": 0}
-        self.reduce_state: Optional[dict] = None
-        self.reduce_remaining = {"n": 0}
-        self.maps_done: Optional[Event] = None
-        self.reduces_done: Optional[Event] = None
+        #: The phase currently offered to the slot pool (None before the
+        #: maps, between phases, while map-only output is written, after).
+        self.phase: Optional[_Phase] = None
+        #: The job's live map-output list (the phases' ``outputs``).
+        self.map_outputs: list = []
         self.running = {"map": 0, "reduce": 0}
         self.done: Optional[Event] = None
-        self.job_span: Optional[Span] = None
-        self.map_span: Optional[Span] = None
-        self.reduce_span: Optional[Span] = None
-
-    def stage_accepts(self, kind: str) -> bool:
-        return self.stage == _STAGE_OF[kind]
 
     def pending_count(self, kind: str) -> int:
-        if not self.stage_accepts(kind):
+        phase = self.phase
+        if phase is None or phase.kind != kind:
             return 0
-        state = self.map_state if kind == "map" else self.reduce_state
-        return len(state["pending"]) if state else 0
-
-    def remaining(self, kind: str) -> int:
-        return (self.map_remaining if kind == "map"
-                else self.reduce_remaining)["n"]
+        return len(phase.pending)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<JobExecution {self.job.name} pool={self.pool} "
-                f"stage={self.stage}>")
+                f"phase={self.phase and self.phase.kind}>")
 
 
 class _RunningTask:
@@ -163,16 +153,13 @@ class JobScheduler:
 
     # -- live metrics (tuner hooks) ---------------------------------------
     def total_slots(self, kind: str) -> int:
-        from repro.virt.vm import VMState
         total = 0
         for tracker in self.cluster.trackers:
             if tracker.vm.state in (VMState.FAILED, VMState.STOPPED):
                 continue
             if tracker.draining:
                 continue  # scale-in: no longer part of the schedulable pool
-            slots = (tracker.map_slots if kind == "map"
-                     else tracker.reduce_slots)
-            total += slots.capacity
+            total += _slots(tracker, kind).capacity
         return total
 
     def backlog(self, kind: str) -> int:
@@ -191,17 +178,9 @@ class JobScheduler:
         """
         if not self._workers_started:
             return
-        arm = getattr(self.cluster, "watch_tracker", None)
-        if arm is not None and self.cluster.recovery is not None:
-            arm(tracker)
-        for slot in range(tracker.map_slots.capacity):
-            self.sim.process(
-                self._slot_worker(tracker, "map"),
-                name=f"sched:mapslot:{tracker.name}:{slot}")
-        for slot in range(tracker.reduce_slots.capacity):
-            self.sim.process(
-                self._slot_worker(tracker, "reduce"),
-                name=f"sched:reduceslot:{tracker.name}:{slot}")
+        if self.cluster.recovery is not None:
+            self.cluster.watch_tracker(tracker)
+        self._start_workers(tracker)
 
     def tracker_quiescent(self, tracker) -> bool:
         """True when the tracker can be retired without disturbing any
@@ -217,79 +196,25 @@ class JobScheduler:
 
     # -- job lifecycle -----------------------------------------------------
     def _job_driver(self, ex: JobExecution):
-        config = self.cluster.config
-        job, report = ex.job, ex.report
-        self.tracer.emit(self.sim.now, EV.JOB_SUBMIT, job.name,
-                         n_reduces=job.n_reduces)
-        ex.job_span = self.tracer.begin_span(
-            self.sim.now, EV.JOB_RUN, job.name, n_reduces=job.n_reduces,
+        report = yield from self.runner._job_proc(
+            ex.job, ex.report, lambda phase: self._offer(ex, phase),
             pool=ex.pool, policy=self.policy.name)
-        yield self.sim.timeout(config.job_overhead_s / 2)
-        yield from self.runner._localize(job)
-
-        specs = self.runner._make_map_specs(job)
-        report.n_maps = len(specs)
-        report.input_bytes = sum(s.nbytes for s in specs)
-        ex.map_span = self.tracer.begin_span(
-            self.sim.now, EV.PHASE_MAP, job.name, parent=ex.job_span,
-            n_maps=len(specs))
-        ex.map_state = {
-            "pending": list(specs),
-            "running": {},
-            "finished": set(),
-            "duplicated": set(),
-            "durations": [],
-            "span": ex.map_span,
-            "retrying": {"n": 0},
-            "attempts": {},
-        }
-        ex.map_remaining = {"n": len(specs)}
-        ex.maps_done = self.sim.event()
-        if not specs:
-            ex.maps_done.succeed(None)
         self._accrue()
-        ex.stage = "maps"
-        self._signal("map")
-        yield ex.maps_done
-        ex.map_outputs.sort(key=lambda o: o.spec.index)
-        report.map_phase_end = self.sim.now
-        self.tracer.end_span(ex.map_span, self.sim.now)
-        self.tracer.emit(self.sim.now, EV.JOB_MAPS_DONE, job.name,
-                         n_maps=len(specs))
-
-        if job.map_only:
-            self._accrue()
-            ex.stage = "writing"
-            yield from self.runner._write_map_only_output(
-                job, ex.map_outputs, report)
-        else:
-            ex.reduce_state = MapReduceRunner._make_reduce_state(job)
-            ex.reduce_span = self.tracer.begin_span(
-                self.sim.now, EV.PHASE_REDUCE, job.name, parent=ex.job_span,
-                n_reduces=job.n_reduces)
-            ex.reduce_state["span"] = ex.reduce_span
-            ex.reduce_remaining = {"n": job.n_reduces}
-            ex.reduces_done = self.sim.event()
-            if job.n_reduces == 0:
-                ex.reduces_done.succeed(None)
-            self._accrue()
-            ex.stage = "reduces"
-            self._signal("reduce")
-            yield ex.reduces_done
-            self.tracer.end_span(ex.reduce_span, self.sim.now)
-
-        yield self.sim.timeout(config.job_overhead_s / 2)
-        self._accrue()
-        ex.stage = "done"
-        report.finished_at = self.sim.now
         self._active.remove(ex)
         self._record(ex)
-        self.tracer.end_span(ex.job_span, self.sim.now,
-                             elapsed=report.elapsed)
-        self.tracer.emit(self.sim.now, EV.JOB_DONE, job.name,
-                         elapsed=report.elapsed)
-        self.runner._record_job_metrics(job, report)
         return report
+
+    def _offer(self, ex: JobExecution, phase: _Phase):
+        """Staff ``phase`` from the slot pool: expose it to the workers,
+        wake them (now, and whenever a retried task is requeued), and wait
+        for its last task."""
+        phase.on_requeue = lambda: self._signal(phase.kind)
+        self._accrue()
+        ex.phase, ex.map_outputs = phase, phase.outputs
+        self._signal(phase.kind)
+        yield phase.done
+        self._accrue()
+        ex.phase = None
 
     def _record(self, ex: JobExecution) -> None:
         r = ex.report
@@ -313,18 +238,16 @@ class JobScheduler:
         self._workers_started = True
         # Heartbeat-based failure detection: dead trackers are reaped and
         # their datanodes' blocks re-replicated in the background.
-        arm = getattr(self.cluster, "arm_recovery", None)
-        if arm is not None:
-            arm()
+        self.cluster.arm_recovery()
         for tracker in self.cluster.trackers:
-            for slot in range(tracker.map_slots.capacity):
+            self._start_workers(tracker)
+
+    def _start_workers(self, tracker) -> None:
+        for kind in ("map", "reduce"):
+            for slot in range(_slots(tracker, kind).capacity):
                 self.sim.process(
-                    self._slot_worker(tracker, "map"),
-                    name=f"sched:mapslot:{tracker.name}:{slot}")
-            for slot in range(tracker.reduce_slots.capacity):
-                self.sim.process(
-                    self._slot_worker(tracker, "reduce"),
-                    name=f"sched:reduceslot:{tracker.name}:{slot}")
+                    self._slot_worker(tracker, kind),
+                    name=f"sched:{kind}slot:{tracker.name}:{slot}")
 
     def _signal(self, kind: str) -> None:
         wake = self._wake[kind]
@@ -337,16 +260,16 @@ class JobScheduler:
         config = self.cluster.config
         pending, spec_only = [], []
         for ex in self._active:
-            if not ex.stage_accepts(kind):
+            phase = ex.phase
+            if phase is None or phase.kind != kind:
                 continue
-            if ex.pending_count(kind) > 0:
+            if phase.pending:
                 pending.append(ex)
-            elif config.speculative_execution and ex.remaining(kind) > 0:
+            elif config.speculative_execution and phase.remaining > 0:
                 spec_only.append(ex)
         return pending, spec_only
 
     def _slot_worker(self, tracker, kind: str):
-        from repro.virt.vm import VMState
         config = self.cluster.config
         while True:
             if tracker.vm.state in (VMState.FAILED, VMState.STOPPED):
@@ -383,231 +306,57 @@ class JobScheduler:
                     break
 
     def _run_slot(self, ex: JobExecution, tracker, kind: str):
-        if kind == "map":
-            ran = yield from self._run_map_slot(ex, tracker)
-        else:
-            ran = yield from self._run_reduce_slot(ex, tracker)
-        return ran
-
-    # -- map slot ----------------------------------------------------------
-    def _run_map_slot(self, ex: JobExecution, tracker):
-        config = self.cluster.config
-        state = ex.map_state
+        """Run one attempt of ``ex``'s offered phase in this slot; False
+        when the job had nothing for this tracker."""
+        phase = ex.phase
         self._accrue()
-        if self.runner._is_blacklisted(ex.job, tracker):
+        if self.runner._is_blacklisted(phase, tracker):
             return False  # too many failures: sit this job out
-        spec, locality = self.runner._pick_map_task(tracker, state["pending"])
-        speculative = False
-        if spec is None:
-            spec = self.runner._pick_speculative(state, ex.report, "map")
-            if spec is None:
-                return False
-            speculative = True
-            locality = self.runner._locality_of(tracker, spec)
-        yield tracker.map_slots.acquire()
+        picked = self.runner._pick(phase, tracker)
+        if picked is None:
+            return False
+        item, _locality, speculative = picked
+        slots = _slots(tracker, kind)
+        yield slots.acquire()
         self._accrue()
-        ex.running["map"] += 1
+        ex.running[kind] += 1
         tracker.vm.activity += 1
-        claimed = self.sim.now
         if ex.report.first_task_at is None:
-            ex.report.first_task_at = claimed
+            ex.report.first_task_at = self.sim.now
         record = None
         try:
-            yield self.sim.timeout(config.task_startup_s)
-            start = self.sim.now
-            if not speculative:
-                state["running"][spec.index] = (start, spec)
-            kill = self.sim.event()
-            record = _RunningTask(ex, spec.task_id, start, kill, speculative)
-            self._running_maps.append(record)
-            attempt_span = self.tracer.begin_span(
-                start, EV.TASK_MAP, spec.task_id, parent=ex.map_span,
-                tracker=tracker.name, locality=locality,
-                speculative=speculative, job=ex.job.name)
-            gen = self.runner._run_map_task(ex.job, tracker, spec, locality,
-                                            ex.report)
-            # The attempt stops early on a preemption kill *or* its own
-            # tracker dying; which one fired decides revert vs retry.
-            stop = self.sim.any_of([kill, tracker.vm.failure_event()])
-            failure = None
-            try:
-                output, stopped = yield from self._drive(gen, stop)
-                if stopped and not kill.triggered:
-                    failure = VMStateError(
-                        f"{tracker.name}: tracker died mid-attempt")
-            except (VMStateError, TaskFailure) as exc:
-                output, stopped, failure = None, False, exc
-            if failure is not None:
-                self.tracer.end_span(attempt_span, self.sim.now,
-                                     failed=True)
-                self.runner._handle_task_failure(
-                    ex.job, "map", state, spec, spec.task_id, speculative,
-                    tracker, ex.report, ex.map_remaining, ex.maps_done,
-                    failure, on_requeue=lambda: self._signal("map"))
-                return True
-            self.tracer.end_span(attempt_span, self.sim.now,
-                                 preempted=stopped)
-            self.runner.metrics.histogram(
-                "mapreduce.task.duration", "task attempt duration",
-                {"phase": "map", "job": ex.job.name}).observe(
-                    self.sim.now - start)
-            if stopped:
-                self._revert_map(ex, spec, speculative)
-                return True
-            if spec.index in state["finished"]:
-                return True  # the other attempt won the race
-            self.runner._count_speculation_win(ex.job, "map", speculative)
-            state["finished"].add(spec.index)
-            state["running"].pop(spec.index, None)
-            state["durations"].append(self.sim.now - start)
-            ex.map_outputs.append(output)
-            spilled = sum(output.partition_bytes.values())
-            ex.report.tasks.append(TaskAttempt(
-                task_id=spec.task_id, kind="map", tracker=tracker.name,
-                start=start, end=self.sim.now, input_bytes=spec.nbytes,
-                output_bytes=spilled, locality=locality))
-            self.tracer.emit(self.sim.now, EV.TASK_MAP_DONE, spec.task_id,
-                             tracker=tracker.name, locality=locality,
-                             speculative=speculative)
-            ex.map_remaining["n"] -= 1
-            if ex.map_remaining["n"] == 0 and not ex.maps_done.triggered:
-                ex.maps_done.succeed(None)
+            yield self.sim.timeout(self.cluster.config.task_startup_s)
+            if kind == "map":
+                # Preemptible from here on: an attempt still booting its
+                # JVM is not in the kill registry.
+                record = _RunningTask(ex, item.task_id, self.sim.now,
+                                      self.sim.event(), speculative)
+                self._running_maps.append(record)
+            preempted = yield from self.runner._execute(
+                phase, tracker, *picked, killed=record and record.kill)
+            if preempted:
+                self._count_preemption(ex, item.task_id)
             return True
         finally:
-            if record is not None and record in self._running_maps:
+            if record is not None:
                 self._running_maps.remove(record)
             self._accrue()
-            ex.running["map"] -= 1
+            ex.running[kind] -= 1
             tracker.vm.activity -= 1
-            tracker.map_slots.release()
+            slots.release()
 
-    def _revert_map(self, ex: JobExecution, spec: _MapSpec,
-                    speculative: bool) -> None:
-        """Put a killed map attempt back where the scheduler found it."""
-        state = ex.map_state
-        if speculative:
-            state["duplicated"].discard(spec.index)
-        elif spec.index not in state["finished"]:
-            state["running"].pop(spec.index, None)
-            state["pending"].insert(0, spec)
+    def _count_preemption(self, ex: JobExecution, task_id: str) -> None:
+        """Account a killed map attempt (the engine already put the task
+        back where the scheduler found it) and re-offer the slot."""
         ex.report.preempted_tasks += 1
         self.report.preemptions += 1
         self.report.pool(ex.pool).preemptions_suffered += 1
         self.runner.metrics.counter(
             "scheduler.preemptions", "map attempts killed by preemption",
             {"pool": ex.pool}).inc()
-        self.tracer.emit(self.sim.now, EV.TASK_MAP_PREEMPTED, spec.task_id,
+        self.tracer.emit(self.sim.now, EV.TASK_MAP_PREEMPTED, task_id,
                          job=ex.job.name, pool=ex.pool)
         self._signal("map")
-
-    # -- reduce slot -------------------------------------------------------
-    def _run_reduce_slot(self, ex: JobExecution, tracker):
-        config = self.cluster.config
-        state = ex.reduce_state
-        self._accrue()
-        if self.runner._is_blacklisted(ex.job, tracker):
-            return False  # too many failures: sit this job out
-        speculative = False
-        if state["pending"]:
-            partition = state["pending"].pop(0)
-        else:
-            partition = self.runner._pick_speculative(state, ex.report,
-                                                      "reduce")
-            if partition is None:
-                return False
-            speculative = True
-        yield tracker.reduce_slots.acquire()
-        self._accrue()
-        ex.running["reduce"] += 1
-        tracker.vm.activity += 1
-        claimed = self.sim.now
-        if ex.report.first_task_at is None:
-            ex.report.first_task_at = claimed
-        try:
-            yield self.sim.timeout(config.task_startup_s)
-            start = self.sim.now
-            if not speculative:
-                state["running"][partition] = (start, partition)
-            token = object()
-            attempt_span = self.tracer.begin_span(
-                start, EV.TASK_REDUCE, f"r-{partition:05d}",
-                parent=ex.reduce_span, tracker=tracker.name,
-                speculative=speculative, job=ex.job.name)
-            gen = self.runner._run_reduce_task(
-                ex.job, tracker, partition, ex.map_outputs, ex.report,
-                state, token, attempt_span)
-            failure = None
-            try:
-                # An attempt holding the commit token has (partially)
-                # written its output file; it must run to completion even
-                # if its tracker dies — single-writer commit.
-                result, died = yield from _drive_racing(
-                    self.sim, gen, tracker.vm.failure_event(),
-                    abortable=lambda:
-                        state["committing"].get(partition) is not token)
-                if died:
-                    failure = VMStateError(
-                        f"{tracker.name}: tracker died mid-attempt")
-            except (VMStateError, TaskFailure) as exc:
-                result, failure = None, exc
-            if failure is not None:
-                if state["committing"].get(partition) is token:
-                    del state["committing"][partition]
-                self.tracer.end_span(attempt_span, self.sim.now,
-                                     failed=True)
-                self.runner._handle_task_failure(
-                    ex.job, "reduce", state, partition,
-                    f"r-{partition:05d}", speculative, tracker, ex.report,
-                    ex.reduce_remaining, ex.reduces_done, failure,
-                    on_requeue=lambda: self._signal("reduce"))
-                return True
-            self.tracer.end_span(attempt_span, self.sim.now,
-                                 won=result is not None)
-            self.runner.metrics.histogram(
-                "mapreduce.task.duration", "task attempt duration",
-                {"phase": "reduce", "job": ex.job.name}).observe(
-                    self.sim.now - start)
-            if result is None or partition in state["finished"]:
-                return True  # the other attempt won the race
-            self.runner._count_speculation_win(ex.job, "reduce", speculative)
-            state["finished"].add(partition)
-            state["running"].pop(partition, None)
-            state["durations"].append(self.sim.now - start)
-            nbytes_in, nbytes_out = result
-            ex.report.tasks.append(TaskAttempt(
-                task_id=f"r-{partition:05d}", kind="reduce",
-                tracker=tracker.name, start=start, end=self.sim.now,
-                input_bytes=nbytes_in, output_bytes=nbytes_out,
-                locality="-"))
-            self.tracer.emit(self.sim.now, EV.TASK_REDUCE_DONE,
-                             f"r-{partition:05d}", tracker=tracker.name,
-                             speculative=speculative)
-            ex.reduce_remaining["n"] -= 1
-            if (ex.reduce_remaining["n"] == 0
-                    and not ex.reduces_done.triggered):
-                ex.reduces_done.succeed(None)
-            return True
-        finally:
-            self._accrue()
-            ex.running["reduce"] -= 1
-            tracker.vm.activity -= 1
-            tracker.reduce_slots.release()
-
-    # -- preemptible task driving -----------------------------------------
-    def _drive(self, gen, kill: Event):
-        """Run task generator ``gen``, racing every wait against ``kill``.
-
-        Returns ``(result, stopped)``.  Thin wrapper over the runner's
-        :func:`~repro.mapreduce.runner._drive_racing`, kept as the
-        scheduler's historical entry point.
-        """
-        result, stopped = yield from _drive_racing(self.sim, gen, kill)
-        return result, stopped
-
-    @staticmethod
-    def _cancel(event: Event) -> None:
-        """Interrupt the live process(es) behind an abandoned wait."""
-        _cancel_wait(event, "preempted")
 
     # -- preemption monitor ------------------------------------------------
     def _ensure_monitor(self) -> None:

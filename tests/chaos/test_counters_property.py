@@ -17,6 +17,7 @@ from repro.mapreduce import LocalJobRunner
 from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.workloads.wordcount import (line_record_sizeof, lines_as_records,
                                        wordcount_job)
+from tests.chaos.test_recovery import ENGINES, run_job
 
 LINES = ["alef bet gimel dalet he vav", "bet gimel dalet",
          "alef zayin het tet vav vav"] * 40
@@ -70,18 +71,16 @@ def test_baseline_counters_match_local_runner():
 
 @settings(max_examples=6, **_SLOW)
 @given(seed=st.integers(0, 2**16), fraction=st.floats(0.05, 0.95),
-       speculation=st.booleans())
-def test_counters_exact_under_chaos(seed, fraction, speculation):
+       speculation=st.booleans(), engine=st.sampled_from(ENGINES))
+def test_counters_exact_under_chaos(seed, fraction, speculation, engine):
     elapsed, expected = _baseline()
     platform, cluster = _make(seed, speculation)
-    runner = platform.runner(cluster)
     victim = cluster.workers[seed % len(cluster.workers)]
     plan = FaultPlan(name="prop").add(
         Fault(at=fraction * elapsed, kind="vm.crash", target=victim.name))
-    done = runner.submit(_job())
     ChaosInjector(cluster, plan).start()
-    platform.sim.run_until(done)
-    assert dict(done.value.counters.as_dict()["job"]) == expected
+    report = run_job(platform, cluster, _job(), engine)
+    assert dict(report.counters.as_dict()["job"]) == expected
 
 
 @settings(max_examples=4, **_SLOW)

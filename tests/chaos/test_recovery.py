@@ -26,33 +26,43 @@ RECORDS = lines_as_records(LINES)
 EXPECTED = dict(collections.Counter(" ".join(LINES).split()))
 
 
-def make(n=8, seed=11, replication=2):
+def make(n=8, seed=11, replication=2, **hadoop):
     platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=seed,
                                               trace=True))
     cluster = platform.provision_cluster(
         "rec", ClusterSpec.packed(n, hosts=2),
-        hadoop_config=HadoopConfig(dfs_replication=replication))
+        hadoop_config=HadoopConfig(dfs_replication=replication, **hadoop))
     platform.upload(cluster, "/in", RECORDS, sizeof=line_record_sizeof,
                     timed=False)
     return platform, cluster
 
 
+#: The two staffing strategies over the one task-attempt engine.  Tests
+#: loop over them in the body (not via parametrize) so test ids stay put.
+ENGINES = ["solo", "scheduler"]
+
+
+def run_job(platform, cluster, job, engine="solo"):
+    """Run ``job`` through the plain runner or a FIFO JobScheduler."""
+    if engine == "solo":
+        return platform.run_job(cluster, job)
+    (report,), _sched = platform.submit_jobs(cluster, [job])
+    return report
+
+
 def run_clean(seed=11):
     platform, cluster = make(seed=seed)
-    report = platform.run_job(cluster,
-                              wordcount_job("/in", "/out", n_reduces=2))
-    runner = platform.runners[cluster.name]
-    return report.elapsed, sorted(runner.read_output(report))
+    report = run_job(platform, cluster,
+                     wordcount_job("/in", "/out", n_reduces=2))
+    return report.elapsed, sorted(platform.collect(cluster, report))
 
 
-def run_with_plan(plan_builder, seed=11):
+def run_with_plan(plan_builder, seed=11, engine="solo"):
     platform, cluster = make(seed=seed)
-    runner = platform.runner(cluster)
-    injector = ChaosInjector(cluster, plan_builder(cluster))
-    done = runner.submit(wordcount_job("/in", "/out", n_reduces=2))
-    injector.start()
-    platform.sim.run_until(done)
-    return platform, cluster, sorted(runner.read_output(done.value))
+    ChaosInjector(cluster, plan_builder(cluster)).start()
+    report = run_job(platform, cluster,
+                     wordcount_job("/in", "/out", n_reduces=2), engine)
+    return platform, cluster, sorted(platform.collect(cluster, report))
 
 
 # --- satellite: kill a worker at several points of the job ----------------
@@ -67,9 +77,10 @@ def test_worker_crash_mid_job_output_identical(fraction):
             Fault(at=fraction * elapsed, kind="vm.crash",
                   target=victim.name))
 
-    platform, _cluster, chaos = run_with_plan(plan)
-    assert chaos == clean
-    assert dict(chaos) == EXPECTED
+    for engine in ENGINES:
+        _platform, _cluster, chaos = run_with_plan(plan, engine=engine)
+        assert chaos == clean, engine
+        assert dict(chaos) == EXPECTED, engine
 
 
 def test_whole_host_crash_mid_job_output_identical():
@@ -99,8 +110,9 @@ def test_crash_with_rejoin_mid_job_output_identical():
             Fault(at=0.3 * elapsed, kind="vm.crash", target=victim.name,
                   duration=0.3 * elapsed))
 
-    _platform, _cluster, chaos = run_with_plan(plan)
-    assert chaos == clean
+    for engine in ENGINES:
+        _platform, _cluster, chaos = run_with_plan(plan, engine=engine)
+        assert chaos == clean, engine
 
 
 # --- satellite regression: double failure during shuffle recovery --------
@@ -130,6 +142,40 @@ def test_shuffle_recovery_survives_second_failure():
     platform.sim.run_until(done)
     assert dict(runner.read_output(done.value)) == EXPECTED
     assert platform.tracer.count("task.map.recover") >= 1
+
+
+# --- blacklist lifetime ------------------------------------------------------
+
+def test_blacklist_is_scoped_to_one_job_run():
+    """A tracker blacklisted during one run of a job must work again in
+    the next run of a same-named job (every k-means iteration, every
+    MRBench rep reuses its job name)."""
+    platform, cluster = make(tracker_blacklist_failures=1)
+    victim = cluster.workers[2]
+
+    def job(out):
+        j = wordcount_job("/in", out, n_reduces=2)
+        j.force_num_maps = 16          # a wave for every map slot
+        j.map_cpu_per_record = 0.5     # long enough to die mid-attempt
+        return j
+
+    done = platform.runner(cluster).submit(job("/out"))
+    # Crash the victim the instant its first map attempt closes: the
+    # attempt in its other slot dies mid-flight and is charged to it.
+    while not any(s.kind == "task.map.attempt"
+                  and s.attrs["tracker"] == victim.name
+                  for s in platform.tracer.spans):
+        platform.sim.step()
+    crash_worker(cluster, victim)
+    platform.sim.run_until(done)
+    assert [e.source for e in platform.tracer.select(
+        "recovery.tracker.blacklisted")] == [victim.name]
+
+    rejoin_worker(cluster, victim)
+    rerun = platform.run_job(cluster, job("/out2"))
+    assert rerun.job_name == done.value.job_name
+    assert victim.name in {t.tracker for t in rerun.tasks}
+    assert dict(platform.collect(cluster, rerun)) == EXPECTED
 
 
 # --- crash/rejoin primitives ----------------------------------------------

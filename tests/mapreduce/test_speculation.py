@@ -9,13 +9,15 @@ from repro.errors import ConfigError
 from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.workloads.wordcount import (lines_as_records, line_record_sizeof,
                                        wordcount_job)
+from tests.chaos.test_recovery import run_job
 
 LINES = ["one two three four five"] * 400
 RECORDS = lines_as_records(LINES)
 EXPECTED = dict(collections.Counter(" ".join(LINES).split()))
 
 
-def run_with(speculation: bool, straggler: bool = True, seed=31):
+def run_with(speculation: bool, straggler: bool = True, seed=31,
+             engine: str = "solo"):
     platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=seed))
     cluster = platform.provision_cluster(
         "spec", ClusterSpec.single_host(8),
@@ -33,8 +35,7 @@ def run_with(speculation: bool, straggler: bool = True, seed=31):
         # any map landing there becomes a straggler.
         cluster.workers[0].compute(3000.0)
         cluster.workers[0].compute(3000.0)
-    report = platform.run_job(cluster, job)
-    return platform, cluster, report
+    return platform, cluster, run_job(platform, cluster, job, engine)
 
 
 def test_speculation_config_validation():

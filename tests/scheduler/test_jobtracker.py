@@ -12,6 +12,7 @@ from repro.scheduler import (CapacityScheduler, FairScheduler, FifoScheduler,
                              JobScheduler, PoolConfig, QueueConfig)
 from repro.workloads.wordcount import (lines_as_records, line_record_sizeof,
                                        wordcount_job)
+from tests.chaos.test_recovery import run_job
 
 LINES = ["alpha beta gamma delta", "beta gamma delta", "gamma delta",
          "delta epsilon"] * 8
@@ -161,3 +162,30 @@ def test_scheduler_emits_trace_events():
     assert submit is not None
     assert submit["policy"] == "fifo"
     assert platform.tracer.count("task.map.done") >= 1
+
+
+def test_solo_runner_and_fifo_scheduler_share_one_engine():
+    """The same fault-free job through both staffing paths: identical
+    output, counters, task set and task-attempt span shape."""
+    def run(engine):
+        platform, cluster = make_cluster()
+        job = wc("/out", "parity")
+        job.force_num_maps = 8
+        report = run_job(platform, cluster, job, engine)
+        attempt_keys = {
+            (s.kind, s.name): tuple(s.attrs)
+            for s in platform.tracer.spans
+            if s.kind in ("task.map.attempt", "task.reduce.attempt")}
+        return (platform.collect(cluster, report),
+                report.counters.as_dict(),
+                {(t.task_id, t.kind) for t in report.tasks}, attempt_keys)
+
+    solo, scheduled = run("solo"), run("scheduler")
+    assert solo == scheduled
+    output, _counters, tasks, attempt_keys = solo
+    assert dict(output) == EXPECTED
+    assert len(tasks) == len(attempt_keys) == 8 + 2
+    assert attempt_keys["task.map.attempt", "m-00000"] == (
+        "tracker", "locality", "speculative", "job", "won")
+    assert attempt_keys["task.reduce.attempt", "r-00000"] == (
+        "tracker", "speculative", "job", "won")

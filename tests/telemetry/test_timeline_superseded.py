@@ -13,6 +13,8 @@ from repro.experiments import chaos_faults
 from repro.sim.trace import Tracer
 from repro.telemetry import build_timeline, events as EV
 from repro.telemetry.timeline import _superseded_ids
+from tests.mapreduce.test_speculation import run_with
+from tests.scheduler.test_preemption import run_contended
 
 
 def synthetic(mark_loser):
@@ -84,3 +86,34 @@ def test_chaos_killed_task_does_not_double_count():
     # The path still tiles the (fault-lengthened) makespan exactly.
     assert path.makespan == pytest.approx(report.elapsed, rel=0.01)
     assert path.work_s + path.wait_s == pytest.approx(path.makespan)
+
+
+def _assert_superseded_and_off_path(platform, job_name, losers):
+    assert losers
+    superseded = _superseded_ids(platform.tracer.spans)
+    on_path = {seg.span.span_id for seg in
+               platform.telemetry.critical_path(job_name).span_segments()}
+    for span in losers:
+        assert span.span_id in superseded, span
+        assert span.span_id not in on_path, span
+
+
+def test_scheduler_preempted_map_attempts_are_superseded():
+    """A map attempt killed by preemption is redone by a later attempt;
+    the killed span must close as a loser on the scheduler path too."""
+    platform, _scheduler, report, _batch, _events = run_contended()
+    killed = [s for s in platform.tracer.spans
+              if s.kind == EV.TASK_MAP and s.attrs.get("preempted")]
+    assert len(killed) == report.preemptions
+    assert all(s.attrs["won"] is False for s in killed)
+    _assert_superseded_and_off_path(platform, "hog", killed)
+
+
+def test_scheduler_speculation_losers_are_superseded():
+    platform, _cluster, report = run_with(True, engine="scheduler")
+    assert report.speculated_maps >= 1
+    losers = [s for s in platform.tracer.spans
+              if s.kind == EV.TASK_MAP and s.attrs.get("won") is False]
+    _assert_superseded_and_off_path(platform, "wordcount", losers)
+    # Only the scheduler's kills are ``preempted``; a lost race is not.
+    assert not any("preempted" in s.attrs for s in platform.tracer.spans)

@@ -6,13 +6,23 @@ into zero or more ``(key, value)`` pairs through ``context.emit``; a
 Reducer run on map-side output.  Instances are created fresh per task by
 the factories a :class:`~repro.mapreduce.job.Job` carries, so mapper state
 (e.g. cluster centers) is task-local exactly as in Hadoop.
+
+The second half of the module is the intermediate data path both runners
+are built from.  :class:`~repro.mapreduce.local.LocalJobRunner` moves plain
+pairs (:func:`group_by_key`); the cluster runner never builds a pair: a
+:class:`Context` collects two columns, :meth:`Context.drain_grouped` groups
+them by key once, :func:`partition_groups` leaves each reduce partition as
+a :class:`KeyRun` and :func:`merge_runs` merges the runs of all maps at the
+reduce (DESIGN.md §5 item 8 has the measurement behind this).
 """
 
 from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
-from typing import Any, Callable, Iterable, Optional
+from itertools import chain, repeat
+from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from repro.mapreduce.counters import Counters
 
@@ -32,31 +42,69 @@ def stable_hash(obj: Any) -> int:
     return zlib.crc32(data) & 0x7FFFFFFF
 
 
-class Context:
-    """Collects a task's emitted pairs and exposes counters/config."""
+def _group(pairs: Iterable[tuple[Any, Any]]) -> dict[Any, list]:
+    """``key -> [values]``: keys in first-seen order, values in input order."""
+    groups: dict[Any, list] = {}
+    get = groups.get
+    for key, value in pairs:
+        bucket = get(key)
+        if bucket is None:
+            groups[key] = [value]
+        else:
+            bucket.append(value)
+    return groups
 
-    __slots__ = ("_out", "counters", "task_id", "config")
+
+class Context:
+    """Collects a task's emitted pairs and exposes counters/config.
+
+    Emitted keys and values are kept in two parallel columns, not as one
+    tuple per pair: a map task emits millions of pairs, and that many
+    short-lived tuples cost more in allocation and cyclic-GC passes than
+    the user's map function itself.
+    """
+
+    __slots__ = ("_keys", "_values", "counters", "task_id", "config")
 
     def __init__(self, task_id: str = "task", counters: Optional[Counters] = None,
                  config: Optional[dict] = None):
-        self._out: list[tuple[Any, Any]] = []
+        self._keys: list = []
+        self._values: list = []
         self.counters = counters if counters is not None else Counters()
         self.task_id = task_id
         self.config = config or {}
 
     def emit(self, key: Any, value: Any) -> None:
-        self._out.append((key, value))
+        self._keys.append(key)
+        self._values.append(value)
 
     # Hadoop spelling.
     write = emit
 
+    def emit_many(self, keys: Sequence[Any], value: Any) -> None:
+        """Emit ``(key, value)`` for every key of ``keys``, in order — one
+        call per record where a loop over :meth:`emit` makes one per pair."""
+        n = len(keys)   # taken first: ``keys`` without a length skews nothing
+        self._keys.extend(keys)
+        self._values.extend(repeat(value, n))
+
+    def _take(self) -> Iterator[tuple[Any, Any]]:
+        keys, values = self._keys, self._values
+        self._keys, self._values = [], []
+        return zip(keys, values)
+
     def drain(self) -> list[tuple[Any, Any]]:
-        out, self._out = self._out, []
-        return out
+        """Hand over (and forget) the emitted pairs, in emission order."""
+        return list(self._take())
+
+    def drain_grouped(self) -> dict[Any, list]:
+        """Hand over (and forget) the emitted pairs as ``key -> [values]``:
+        keys in first-emission order, a key's values in emission order."""
+        return _group(self._take())
 
     @property
     def output(self) -> list[tuple[Any, Any]]:
-        return self._out
+        return list(zip(self._keys, self._values))
 
 
 class Mapper:
@@ -93,7 +141,13 @@ Combiner = Reducer
 
 
 class Partitioner:
-    """Maps a key to one of ``n`` reduce partitions."""
+    """Maps a key to one of ``n`` reduce partitions.
+
+    ``partition`` must be a pure function of ``(key, n_partitions)``, as
+    Hadoop requires (every map task has to send a key to the same reduce).
+    The cluster runner relies on it: it asks once per *distinct* key of a
+    map task, not once per emitted pair, and never for a map-only job.
+    """
 
     def partition(self, key: Any, n_partitions: int) -> int:
         raise NotImplementedError
@@ -152,44 +206,48 @@ class RangePartitioner(Partitioner):
 
 
 def run_mapper(mapper: Mapper, records: Iterable[tuple[Any, Any]],
-               context: Context) -> list[tuple[Any, Any]]:
-    """Execute one mapper over ``(key, value)`` records; returns the pairs."""
+               context: Context,
+               drain: Callable[[Context], Any] = Context.drain) -> Any:
+    """Execute one mapper over ``(key, value)`` records; returns what
+    ``drain`` hands over — the emitted pairs unless told otherwise."""
     mapper.setup(context)
     for key, value in records:
         mapper.map(key, value, context)
     mapper.cleanup(context)
-    return context.drain()
+    return drain(context)
 
 
-def group_by_key(pairs: Iterable[tuple[Any, Any]]) -> list[tuple[Any, list]]:
-    """Sort-and-group, as the reduce-side merge does.
+def _key_order(item: tuple[Any, Any]):
+    key = item[0]
+    return (type(key).__name__, repr(key)) if not isinstance(
+        key, (int, float, str, bytes, tuple)) else (type(key).__name__, key)
+
+
+def sort_groups(groups: dict[Any, list]) -> list[tuple[Any, list]]:
+    """``groups`` as ``(key, values)`` items in reduce order.
 
     Keys are ordered by ``(type name, value)`` so heterogeneous keys never
     raise ``TypeError`` and the order is deterministic.
     """
-    groups: dict[Any, list] = {}
-    get = groups.get
-    for key, value in pairs:
-        bucket = get(key)
-        if bucket is None:
-            groups[key] = [value]
-        else:
-            bucket.append(value)
-    def order(item):
-        key = item[0]
-        return (type(key).__name__, repr(key)) if not isinstance(
-            key, (int, float, str, bytes, tuple)) else (type(key).__name__, key)
-    return sorted(groups.items(), key=order)
+    return sorted(groups.items(), key=_key_order)
+
+
+def group_by_key(pairs: Iterable[tuple[Any, Any]]) -> list[tuple[Any, list]]:
+    """Sort-and-group, as the reduce-side merge does (:func:`sort_groups`
+    order; a key's values keep the order of ``pairs``)."""
+    return sort_groups(_group(pairs))
 
 
 def run_reducer(reducer: Reducer, grouped: Iterable[tuple[Any, list]],
-                context: Context) -> list[tuple[Any, Any]]:
-    """Execute one reducer over grouped pairs; returns the output pairs."""
+                context: Context,
+                drain: Callable[[Context], Any] = Context.drain) -> Any:
+    """Execute one reducer over grouped pairs; returns what ``drain`` hands
+    over — the output pairs unless told otherwise."""
     reducer.setup(context)
     for key, values in grouped:
         reducer.reduce(key, values, context)
     reducer.cleanup(context)
-    return context.drain()
+    return drain(context)
 
 
 def combine(combiner_factory: Optional[Callable[[], Reducer]],
@@ -199,3 +257,57 @@ def combine(combiner_factory: Optional[Callable[[], Reducer]],
     if combiner_factory is None or not pairs:
         return pairs
     return run_reducer(combiner_factory(), group_by_key(pairs), context)
+
+
+class KeyRun(NamedTuple):
+    """One reduce partition of one map task's output, grouped by key.
+
+    Three lists however many keys there are (not one list per key): the
+    cluster keeps every run of a job alive until its last reduce is done.
+    """
+
+    keys: list      #: distinct keys, in first-emission order
+    counts: list    #: ``counts[i]`` consecutive ``values`` belong to ``keys[i]``
+    values: list    #: key-major; one key's values in emission order
+
+    def pairs(self) -> Iterator[tuple[Any, Any]]:
+        """The run's ``(key, value)`` pairs, for per-pair sizing (``zip``
+        recycles its tuple when the consumer keeps no reference)."""
+        return zip(chain.from_iterable(map(repeat, self.keys, self.counts)),
+                   self.values)
+
+
+def partition_groups(groups: dict[Any, list], partitioner: Partitioner,
+                     n_partitions: int) -> list[KeyRun]:
+    """Split one map task's grouped output into a run per reduce partition
+    (one partitioner call per distinct key)."""
+    runs = [KeyRun([], [], []) for _ in range(n_partitions)]
+    partition = partitioner.partition
+    for key, bucket in groups.items():
+        keys, counts, values = runs[partition(key, n_partitions)]
+        keys.append(key)
+        counts.append(len(bucket))
+        values += bucket
+    return runs
+
+
+def merge_runs(runs: Iterable[KeyRun]) -> Iterator[tuple[Any, list]]:
+    """Reduce-side merge of one partition's runs, one per map task.
+
+    Yields what :func:`group_by_key` yields for the runs' pairs laid end to
+    end: keys in :func:`sort_groups` order, a key's values in run order and
+    then emission order, in a fresh list per key.  A generator, so the
+    merge happens when the reducer asks for its first key.
+    """
+    merged: dict[Any, list] = {}
+    get = merged.get
+    for keys, counts, values in runs:
+        end = 0
+        for key, count in zip(keys, counts):
+            start, end = end, end + count
+            bucket = get(key)
+            if bucket is None:
+                merged[key] = values[start:end]
+            else:
+                bucket += values[start:end]
+    yield from sort_groups(merged)

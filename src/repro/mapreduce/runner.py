@@ -34,6 +34,12 @@ The cost model is hadoop-0.20, as the paper ran it:
   VM (at most ``shuffle_parallel_copies`` concurrent fetches), charge the
   sort/merge cost, run the *real* reducer, and write replicated output to
   HDFS.
+* Intermediate pairs never exist as tuples: the mapper's ``Context``
+  collects two columns, the map task groups them by key once and leaves
+  each reduce partition as a key-grouped run, and the reduce merges the
+  runs of all maps (:mod:`repro.mapreduce.api`; sizes, counters and the
+  reducer's input are those of the flat-pair path, which
+  ``LocalJobRunner`` still is).
 
 The report records per-task attempts and per-phase spans; the functional
 output is bit-identical to :class:`~repro.mapreduce.local.LocalJobRunner`
@@ -49,8 +55,9 @@ from typing import Any, Optional, TYPE_CHECKING
 from repro import constants as C
 from repro.errors import JobConfigError, TaskFailure, VMStateError
 from repro.hdfs.datanode import DataNode
-from repro.mapreduce.api import (Context, Reducer, combine, group_by_key,
-                                 run_mapper, run_reducer)
+from repro.mapreduce.api import (Context, Reducer, combine, merge_runs,
+                                 partition_groups, run_mapper, run_reducer,
+                                 sort_groups)
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Job
 from repro.sim import Resource
@@ -133,7 +140,10 @@ class _MapOutput:
 
     spec: _MapSpec
     tracker: "TaskTracker"
-    partitions: dict[int, list]          # partition -> [(k, v)]
+    #: One :class:`~repro.mapreduce.api.KeyRun` per reduce partition; a
+    #: map-only job has the one "partition" HDFS gets as it is: the
+    #: emitted ``(k, v)`` pairs in emission order.
+    partitions: list
     partition_bytes: dict[int, float]
     #: Back-references used by shuffle-time map recovery.
     job: "Job" = None
@@ -341,25 +351,36 @@ class MapReduceRunner:
                                           job.name, parent=job_span,
                                           n_maps=len(specs))
         maps = _Phase(self.sim, job, report, "map", specs, [], map_span)
-        yield from staff(maps)
-        maps.outputs.sort(key=lambda o: o.spec.index)
-        report.map_phase_end = self.sim.now
-        self.tracer.end_span(map_span, self.sim.now)
-        self.tracer.emit(self.sim.now, EV.JOB_MAPS_DONE, job.name,
-                         n_maps=len(specs))
+        phases = [maps]
+        try:
+            yield from staff(maps)
+            maps.outputs.sort(key=lambda o: o.spec.index)
+            report.map_phase_end = self.sim.now
+            self.tracer.end_span(map_span, self.sim.now)
+            self.tracer.emit(self.sim.now, EV.JOB_MAPS_DONE, job.name,
+                             n_maps=len(specs))
 
-        if job.map_only:
-            yield from self._write_map_only_output(job, maps.outputs, report)
-        else:
-            reduce_span = self.tracer.begin_span(
-                self.sim.now, EV.PHASE_REDUCE, job.name, parent=job_span,
-                n_reduces=job.n_reduces)
-            yield from staff(_Phase(self.sim, job, report, "reduce",
-                                    range(job.n_reduces), maps.outputs,
-                                    reduce_span))
-            self.tracer.end_span(reduce_span, self.sim.now)
+            if job.map_only:
+                yield from self._write_map_only_output(job, maps.outputs,
+                                                       report)
+            else:
+                reduce_span = self.tracer.begin_span(
+                    self.sim.now, EV.PHASE_REDUCE, job.name, parent=job_span,
+                    n_reduces=job.n_reduces)
+                phases.append(_Phase(self.sim, job, report, "reduce",
+                                     range(job.n_reduces), maps.outputs,
+                                     reduce_span))
+                yield from staff(phases[-1])
+                self.tracer.end_span(reduce_span, self.sim.now)
 
-        yield self.sim.timeout(config.job_overhead_s / 2)
+            yield self.sim.timeout(config.job_overhead_s / 2)
+        finally:
+            # A phase sits in a reference cycle (its ``on_requeue`` closure),
+            # so without this the job's whole intermediate data set would
+            # wait for a cycle collection.  Rebound, not cleared: a
+            # speculative attempt still in flight keeps the list it took.
+            for phase in phases:
+                phase.outputs = []
         report.finished_at = self.sim.now
         self.tracer.end_span(job_span, self.sim.now, elapsed=report.elapsed)
         self.tracer.emit(self.sim.now, EV.JOB_DONE, job.name,
@@ -854,26 +875,33 @@ class MapReduceRunner:
                 + job.map_cpu_per_record * len(spec.records))
         if work > 0:
             yield vm.compute(work, name=f"map:{spec.task_id}")
-        # 3. real map + combine (functional; cost already charged).
+        # 3. real map + combine (functional; cost already charged), then
+        # 4. partition.  Intermediate pairs exist only as columns and
+        # key-grouped runs; a map-only job's pairs *are* its output.
         ctx = Context(task_id=spec.task_id, config=job.params)
         try:
-            pairs = run_mapper(job.mapper(), spec.records, ctx)
+            mapped = run_mapper(
+                job.mapper(), spec.records, ctx,
+                Context.drain if job.map_only else Context.drain_grouped)
         except Exception as exc:
             raise TaskFailure(spec.task_id, exc) from exc
-        n_mapped = len(pairs)
-        if self.cluster.config.use_combiner:
-            pairs = combine(job.combiner, pairs, ctx)
-        # 4. partition + spill.
-        n_parts = max(1, job.n_reduces)
-        part = job.partitioner.partition
-        buckets: list[list] = [[] for _ in range(n_parts)]
-        for kv in pairs:
-            buckets[part(kv[0], n_parts)].append(kv)
-        partitions: dict[int, list] = dict(enumerate(buckets))
+        combiner = job.combiner if self.cluster.config.use_combiner else None
         sizeof = job.intermediate_sizeof
-        partition_bytes = {
-            p: float(sum(map(sizeof, rows)))
-            for p, rows in partitions.items()}
+        if job.map_only:
+            n_mapped = len(mapped)
+            pairs = combine(combiner, mapped, ctx)
+            partitions = [pairs]
+            partition_bytes = {0: float(sum(map(sizeof, pairs)))}
+        else:
+            n_mapped = sum(map(len, mapped.values()))
+            if combiner is not None and mapped:
+                mapped = run_reducer(combiner(), sort_groups(mapped), ctx,
+                                     Context.drain_grouped)
+            partitions = partition_groups(mapped, job.partitioner,
+                                          job.n_reduces)
+            partition_bytes = {p: float(sum(map(sizeof, run.pairs())))
+                               for p, run in enumerate(partitions)}
+        # 5. spill.
         spill = sum(partition_bytes.values())
         if spill > 0 and not job.map_only:
             yield vm.disk_io(spill, name=f"spill:{spec.task_id}")
@@ -906,9 +934,7 @@ class MapReduceRunner:
             if output.partition_bytes.get(partition, 0.0) > 0]
         if fetches:
             yield self.sim.all_of(fetches)
-        rows: list = []
-        for output in map_outputs:
-            rows.extend(output.partitions.get(partition, ()))
+        runs = [output.partitions[partition] for output in map_outputs]
         nbytes_in = sum(output.partition_bytes.get(partition, 0.0)
                         for output in map_outputs)
         report.shuffle_bytes += nbytes_in
@@ -917,24 +943,27 @@ class MapReduceRunner:
             "shuffle bytes fetched per reduce partition",
             {"job": job.name}).observe(nbytes_in)
         # 2. merge-sort + reduce CPU.
-        n = len(rows)
+        n = sum(len(run.values) for run in runs)
         work = (job.reduce_cpu_per_byte * nbytes_in
                 + job.reduce_cpu_per_record * n
                 + C.SORT_CPU_PER_RECORD * n * math.log2(n + 2))
         if work > 0:
             yield vm.compute(work, name=f"reduce:r{partition}")
-        # 3. real reduce.
+        # Commit protocol: only one attempt per partition may write the
+        # output file (and merge its counters).  A racing speculative
+        # attempt that arrives second stops here — before the user's
+        # reducer runs, so a loser can neither burn host CPU nor fail a
+        # partition that is already committed.  Nothing yields between
+        # this check and taking the token.
+        if partition in phase.finished or partition in phase.committing:
+            return None
+        # 3. real reduce, fed by the merge of every map's run.
         ctx = Context(task_id=f"r-{partition:05d}", config=job.params)
         try:
             reducer = (job.reducer or Reducer)()
-            out_pairs = run_reducer(reducer, group_by_key(rows), ctx)
+            out_pairs = run_reducer(reducer, merge_runs(runs), ctx)
         except Exception as exc:
             raise TaskFailure(f"r-{partition:05d}", exc) from exc
-        # Commit protocol: only one attempt per partition may write the
-        # output file (and merge its counters); a racing speculative
-        # attempt that arrives second discards its work.
-        if partition in phase.finished or partition in phase.committing:
-            return None
         phase.committing[partition] = token
         report.counters.merge(ctx.counters)
         report.counters.incr("job", "reduce_input_records", n)
@@ -1047,7 +1076,7 @@ class MapReduceRunner:
     def _write_map_only_output(self, job: Job, map_outputs: list[_MapOutput],
                                report: JobReport):
         for output in map_outputs:
-            rows = output.partitions.get(0, [])
+            rows = output.partitions[0]
             path = f"{job.output_path}/part-m-{output.spec.index:05d}"
             f = yield self.cluster.dfs.write_file(
                 output.tracker.vm, path, rows, sizeof=job.output_sizeof,

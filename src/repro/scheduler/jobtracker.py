@@ -201,6 +201,9 @@ class JobScheduler:
             pool=ex.pool, policy=self.policy.name)
         self._accrue()
         self._active.remove(ex)
+        # Slot workers keep their last ``ex`` in a frame: let go of the
+        # job's intermediate data now, as ``_job_proc`` did on its side.
+        ex.map_outputs = []
         self._record(ex)
         return report
 

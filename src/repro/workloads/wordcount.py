@@ -22,9 +22,7 @@ class WordCountMapper(Mapper):
     """line -> (word, 1) for every whitespace-separated word."""
 
     def map(self, key, value, context: Context) -> None:
-        emit = context.emit
-        for word in str(value).split():
-            emit(word, 1)
+        context.emit_many(str(value).split(), 1)
 
 
 class WordCountReducer(Reducer):

@@ -14,8 +14,10 @@ from repro.chaos import ChaosInjector, Fault, FaultPlan
 from repro.config import HadoopConfig, PlatformConfig
 from repro.errors import VMStateError
 from repro.hdfs.replication import under_replicated
+from repro.mapreduce.runner import MapReduceRunner
 from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.platform.faults import crash_worker, rejoin_worker
+from repro.scheduler import JobScheduler
 from repro.virt import VMState
 from repro.workloads.wordcount import (line_record_sizeof, lines_as_records,
                                        wordcount_job)
@@ -142,6 +144,43 @@ def test_shuffle_recovery_survives_second_failure():
     platform.sim.run_until(done)
     assert dict(runner.read_output(done.value)) == EXPECTED
     assert platform.tracer.count("task.map.recover") >= 1
+
+
+def test_shuffle_recovery_replaces_the_lost_runs_output_identical(
+        monkeypatch):
+    """A mapper VM dies between the phases: every reduce that fetches from
+    it re-runs the map and swaps the recomputed key-grouped runs in for
+    the lost ones.  The runs are equal, so the output cannot change."""
+    recover = MapReduceRunner._recover_map_output
+    swaps = []
+
+    def spying_recover(self, output, to_vm):
+        lost = output.partitions
+        yield from recover(self, output, to_vm)
+        swaps.append((lost, output.partitions, output.tracker.vm))
+
+    monkeypatch.setattr(MapReduceRunner, "_recover_map_output",
+                        spying_recover)
+    _elapsed, clean = run_clean()
+    for engine in ENGINES:
+        swaps.clear()
+        platform, cluster = make()
+        cluster.arm_recovery()
+        runner = platform.runner(cluster)
+        submit = (runner.submit if engine == "solo"
+                  else JobScheduler(cluster, runner=runner).submit)
+        done = submit(wordcount_job("/in", "/out", n_reduces=2))
+        while not platform.tracer.count("job.maps.done"):
+            platform.sim.step()
+        mapper_name = next(platform.tracer.select("task.map.done"))["tracker"]
+        crash_worker(cluster, next(tr.vm for tr in cluster.trackers
+                                   if tr.name == mapper_name))
+        platform.sim.run_until(done)
+        assert swaps, engine
+        for lost, recomputed, vm in swaps:
+            assert recomputed is not lost and recomputed == lost, engine
+            assert vm.state is VMState.RUNNING, engine
+        assert sorted(runner.read_output(done.value)) == clean, engine
 
 
 # --- blacklist lifetime ------------------------------------------------------

@@ -1,10 +1,10 @@
 """Unit tests for the MapReduce programming API."""
 
 
-from repro.mapreduce.api import (Context, HashPartitioner, Mapper,
+from repro.mapreduce.api import (Context, HashPartitioner, KeyRun, Mapper,
                                  RangePartitioner, Reducer, combine,
-                                 group_by_key, run_mapper, run_reducer,
-                                 stable_hash)
+                                 group_by_key, merge_runs, partition_groups,
+                                 run_mapper, run_reducer, stable_hash)
 from repro.mapreduce.counters import Counters
 
 
@@ -36,6 +36,28 @@ def test_context_emit_and_drain():
     assert ctx.output == [("k", 1), ("k", 2)]
     assert ctx.drain() == [("k", 1), ("k", 2)]
     assert ctx.output == []
+
+
+def test_context_emit_many_interleaves_with_emit_in_order():
+    ctx = Context()
+    ctx.emit("a", 0)
+    ctx.emit_many(["b", "a", "c"], 1)
+    ctx.emit_many([], 9)
+    ctx.write("b", 2)
+    pairs = [("a", 0), ("b", 1), ("a", 1), ("c", 1), ("b", 2)]
+    assert ctx.output == pairs
+    assert ctx.output == pairs          # a snapshot: reading drains nothing
+    assert ctx.drain() == pairs
+    assert ctx.drain() == []
+
+
+def test_context_drain_grouped_first_emission_order_and_forgets():
+    ctx = Context()
+    ctx.emit_many(["b", "a", "b"], 1)
+    ctx.emit("a", 2)
+    groups = ctx.drain_grouped()
+    assert list(groups.items()) == [("b", [1, 1]), ("a", [1, 2])]
+    assert ctx.output == [] and ctx.drain_grouped() == {}
 
 
 def test_context_counters_shared():
@@ -95,6 +117,47 @@ def test_group_by_key_sorted_and_stable():
 def test_group_by_key_heterogeneous_keys_no_typeerror():
     grouped = group_by_key([(1, "x"), ("a", "y"), ((2, 3), "z")])
     assert len(grouped) == 3
+
+
+def test_run_mapper_and_reducer_hand_over_what_drain_says():
+    groups = run_mapper(DoublingMapper(), [("a", 1), ("b", 2), ("a", 3)],
+                        Context(), Context.drain_grouped)
+    assert groups == {"a": [2, 6], "b": [4]}
+    out = run_reducer(SummingReducer(), groups.items(), Context(),
+                      Context.drain_grouped)
+    assert out == {"a": [8], "b": [4]}
+
+
+# --- key-grouped runs ----------------------------------------------------------
+
+class FirstCharPartitioner(HashPartitioner):
+    def partition(self, key, n_partitions):
+        return ord(key[0]) % n_partitions
+
+
+def test_partition_groups_builds_one_run_per_partition():
+    groups = {"b1": [1, 2], "a1": [3], "b2": [4], "a2": [5, 6, 7]}
+    runs = partition_groups(groups, FirstCharPartitioner(), 2)
+    assert runs == [KeyRun(["b1", "b2"], [2, 1], [1, 2, 4]),
+                    KeyRun(["a1", "a2"], [1, 3], [3, 5, 6, 7])]
+    assert list(runs[1].pairs()) == [("a1", 3), ("a2", 5), ("a2", 6),
+                                     ("a2", 7)]
+    assert partition_groups({}, FirstCharPartitioner(), 3) == [
+        KeyRun([], [], [])] * 3
+
+
+def test_merge_runs_equals_group_by_key_of_the_runs_laid_end_to_end():
+    runs = [KeyRun(["b", "a"], [2, 1], [1, 2, 3]),
+            KeyRun([], [], []),
+            KeyRun([7, "a", "b"], [1, 2, 1], ["x", 4, 5, 6])]
+    pairs = [pair for run in runs for pair in run.pairs()]
+    merged = list(merge_runs(runs))
+    assert merged == group_by_key(pairs)
+    assert merged == [(7, ["x"]), ("a", [3, 4, 5]), ("b", [1, 2, 6])]
+    # Fresh lists: a reducer that mutates its values cannot corrupt a run
+    # another (retried or speculative) attempt will merge again.
+    merged[1][1].clear()
+    assert runs[0].values == [1, 2, 3]
 
 
 def test_combine_applies_combiner():

@@ -7,7 +7,8 @@ import pytest
 from repro.config import HadoopConfig, PlatformConfig
 from repro.errors import ConfigError
 from repro.platform import ClusterSpec, VHadoopPlatform
-from repro.workloads.wordcount import (lines_as_records, line_record_sizeof,
+from repro.workloads.wordcount import (WordCountReducer, lines_as_records,
+                                       line_record_sizeof,
                                        wordcount_job)
 from tests.chaos.test_recovery import run_job
 
@@ -79,7 +80,8 @@ REDUCE_RECORDS = lines_as_records(REDUCE_LINES)
 REDUCE_EXPECTED = dict(collections.Counter(" ".join(REDUCE_LINES).split()))
 
 
-def run_reduces_with(speculation: bool, straggler: bool = True, seed=37):
+def run_reduces_with(speculation: bool, straggler: bool = True, seed=37,
+                     reducer=None):
     platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=seed))
     cluster = platform.provision_cluster(
         "rspec", ClusterSpec.single_host(8),
@@ -93,6 +95,8 @@ def run_reduces_with(speculation: bool, straggler: bool = True, seed=37):
                  * len(cluster.workers))
     job = wordcount_job("/rin", "/rout", n_reduces=n_reduces)
     job.reduce_cpu_per_record = 0.08
+    if reducer is not None:
+        job.reducer = reducer
     if straggler:
         cluster.workers[0].compute(3000.0)
         cluster.workers[0].compute(3000.0)
@@ -124,3 +128,31 @@ def test_reduce_speculation_helps_under_contention():
     _p1, _c1, without = run_reduces_with(False)
     _p2, _c2, with_spec = run_reduces_with(True)
     assert with_spec.elapsed < without.elapsed
+
+
+class CountingReducer(WordCountReducer):
+    """Counts every ``reduce`` call, and fails any second call for a key."""
+
+    calls = collections.Counter()
+
+    def reduce(self, key, values, context):
+        self.calls[key] += 1
+        if self.calls[key] > 1:
+            raise RuntimeError(f"{key!r} reduced twice")
+        super().reduce(key, values, context)
+
+
+def test_speculation_loser_never_runs_the_reducer():
+    """The attempt that lost the commit race stops at the commit check: it
+    runs no user code, so it can neither burn host CPU nor fail."""
+    CountingReducer.calls.clear()
+    platform, cluster, report = run_reduces_with(True,
+                                                 reducer=CountingReducer)
+    platform.sim.run()   # let the losing attempts run to their end
+    assert report.speculated_reduces >= 1
+    attempts = list(platform.tracer.select_spans("task.reduce"))
+    losers = [s for s in attempts if s.attrs.get("won") is False]
+    assert losers and not any(s.attrs.get("failed") for s in attempts)
+    assert set(CountingReducer.calls.values()) == {1}
+    assert dict(platform.runners[cluster.name].read_output(report)) \
+        == REDUCE_EXPECTED

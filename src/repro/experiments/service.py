@@ -25,17 +25,16 @@ Six arrival mixes, each a fresh same-seed universe:
   no later than the threshold path's, to within one short burn window
   (the resolution at which a windowed mean can date the onset).
 
-Writes ``BENCH_service.json`` (``BENCH_service.quick.json`` under
-``--quick``) with per-mix latency/goodput/rejection curves, tenant
-stats, autoscaler action logs and timelines, and prints a combined
-``service digest`` note that the CI ``service-smoke`` job pins across
-two fresh processes.
+Prints a combined ``service digest`` note that the CI ``service-smoke``
+job pins across two fresh processes.  Nothing is written to disk; the
+per-mix latency/goodput/rejection curves, tenant stats, autoscaler
+action logs and timelines are available on demand from
+:meth:`~repro.cloud.ServiceReport.to_json`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from typing import Optional
 
@@ -213,9 +212,8 @@ def burn_timelines(seed: int = 0) -> tuple[
     return series, digests
 
 
-def run(seed: int = 0, quick: bool = False,
-        out_path: Optional[str] = None) -> ExperimentResult:
-    """Calibrate, run all four arrival mixes, assert, write the bench."""
+def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
+    """Calibrate, run all six arrival mixes and assert the ablations."""
     sizes = _scenario_sizes(quick)
     cost = calibrate_cost_model(seed, quick)
 
@@ -343,44 +341,4 @@ def run(seed: int = 0, quick: bool = False,
     result.note(f"burn store digest {burn.burn_digest}")
     result.note(f"service digest {digest} "
                 f"({len(reports)} mixes, deterministic)")
-
-    if out_path is None:
-        out_path = "BENCH_service.quick.json" if quick \
-            else "BENCH_service.json"
-    stride = 1 if quick else 10
-    payload = {
-        "experiment": "service",
-        "seed": seed,
-        "quick": quick,
-        "cost_model": {"base_s": round(cost.base_s, 3),
-                       "per_mb_s": round(cost.per_mb_s, 6)},
-        "digest": digest,
-        "total_submitted": total_submitted,
-        "scenarios": {name: report.as_dict(timeline_stride=stride)
-                      for name, report in reports.items()},
-        "burn_ablation": {
-            "first_alert_burn_s": (round(first_burn, 3)
-                                   if math.isfinite(first_burn) else None),
-            "first_alert_threshold_s": (
-                round(first_threshold, 3)
-                if math.isfinite(first_threshold) else None),
-            "steady_false_positives": steady_burn.counters()["alerts"],
-            "burn_digest": burn.burn_digest,
-            "p99_burn_s": round(burn.latency.p99, 3),
-        },
-        "ablation": {
-            "trace_digest": on.trace_digest,
-            "p99_off_s": round(off.latency.p99, 3),
-            "p99_on_s": round(on.latency.p99, 3),
-            "p50_off_s": round(off.latency.p50, 3),
-            "p50_on_s": round(on.latency.p50, 3),
-            "improvement_pct": round(
-                100.0 * (1 - on.latency.p99 / off.latency.p99), 2)
-            if off.latency.p99 else 0.0,
-        },
-    }
-    with open(out_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    result.note(f"wrote {out_path}")
     return result

@@ -16,7 +16,6 @@ is correctly interleaved with the workload.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -62,20 +61,12 @@ _TASK_MEMORY_FRACTION = 0.18
 class NmonMonitor:
     """Samples a group of VMs on a fixed interval.
 
-    .. deprecated::
-        Constructing a monitor directly is deprecated — use the cluster's
-        telemetry facade instead (``cluster.telemetry.monitor`` /
-        ``cluster.telemetry.start_monitor()``), which owns the monitor and
-        mirrors its samples into the metrics registry.
+    The cluster's telemetry facade (``cluster.telemetry.monitor`` /
+    ``cluster.telemetry.start_monitor()``) owns one and mirrors its
+    samples into the metrics registry; that is the documented route.
     """
 
-    def __init__(self, vms: Sequence[VirtualMachine], interval: float = 5.0,
-                 _owner: Optional[object] = None):
-        if _owner is None:
-            warnings.warn(
-                "constructing NmonMonitor directly is deprecated; use "
-                "cluster.telemetry.monitor (or .start_monitor()) instead",
-                DeprecationWarning, stacklevel=2)
+    def __init__(self, vms: Sequence[VirtualMachine], interval: float = 5.0):
         if not vms:
             raise MonitorError("monitor needs at least one VM")
         if interval <= 0:
@@ -84,43 +75,14 @@ class NmonMonitor:
         self.interval = float(interval)
         self.series: dict[str, NodeSeries] = {
             vm.name: NodeSeries(vm.name) for vm in self.vms}
-        self._on_sample: Optional[Callable[[NmonSample], None]] = None
-        #: Additional per-sample listeners (rolling windows, detectors);
-        #: these chain *after* the primary ``on_sample`` hook.
-        self._listeners: list[Callable[[NmonSample], None]] = []
+        #: Per-sample hook (the telemetry facade's metrics mirror).
+        self.on_sample: Optional[Callable[[NmonSample], None]] = None
         self._last_disk: dict[str, float] = {}
         self._last_tx: dict[str, float] = {}
         self._last_rx: dict[str, float] = {}
         self._running = False
         self._proc: Optional[Process] = None
         self._pending: Optional[Event] = None
-
-    # -- sample hooks --------------------------------------------------------
-    @property
-    def on_sample(self) -> Optional[Callable[[NmonSample], None]]:
-        """Primary per-sample hook (the telemetry facade's metrics mirror).
-
-        Assigning replaces the previous primary hook; use
-        :meth:`add_listener` to *chain* additional consumers instead of
-        stealing this slot.
-        """
-        return self._on_sample
-
-    @on_sample.setter
-    def on_sample(self, callback: Optional[Callable[[NmonSample], None]]
-                  ) -> None:
-        self._on_sample = callback
-
-    def add_listener(self, callback: Callable[[NmonSample], None]) -> None:
-        """Chain an additional per-sample listener (kept in add order)."""
-        self._listeners.append(callback)
-
-    def remove_listener(self, callback: Callable[[NmonSample], None]) -> None:
-        """Remove a previously added listener (no-op when absent)."""
-        try:
-            self._listeners.remove(callback)
-        except ValueError:
-            pass
 
     # -- control -------------------------------------------------------------
     @property
@@ -191,10 +153,8 @@ class NmonMonitor:
             self._last_disk[vm.name] = vm.disk_bytes
             self._last_tx[vm.name] = tx
             self._last_rx[vm.name] = rx
-            if self._on_sample is not None:
-                self._on_sample(sample)
-            for listener in self._listeners:
-                listener(sample)
+            if self.on_sample is not None:
+                self.on_sample(sample)
 
     # -- access -----------------------------------------------------------------
     def node(self, vm_name: str) -> NodeSeries:

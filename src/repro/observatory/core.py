@@ -9,14 +9,13 @@ every detector a ``tick``.  While running it:
   :class:`~repro.observatory.slo.AlertBook` (also emitted as
   ``observatory.alert.*`` trace events);
 * keeps the flow log enabled so per-job bottleneck attribution
-  (:func:`~repro.observatory.attribution.attribute`) has data;
-* maintains the incremental nmon rolling window the report renders.
+  (:func:`~repro.observatory.attribution.attribute`) has data.
 
 The observatory is strictly read-only with respect to the simulation: it
 opens no flows, consumes no randomness, and only adds its own timeout
 events — so a detectors-on run leaves simulated outputs and the engine's
 deterministic counters bit-identical (checked by
-``benchmarks/perf/perf_bench.py --observatory``).
+``tests/observatory/test_observatory_runs.py::test_detectors_on_run_is_bit_identical``).
 
 Stop it (:meth:`Observatory.stop`) once the workload is done: like the
 nmon monitor, its parked tick timeout is withdrawn so it neither keeps
@@ -33,7 +32,6 @@ from repro.observatory.slo import DEFAULT_SLOS, Alert, AlertBook, SloSpec
 from repro.sim.kernel import Event, Interrupt, Process
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.monitor.window import RollingWindow
     from repro.observatory.attribution import JobBottleneckReport
     from repro.observatory.report import ObservatoryReport
     from repro.telemetry.facade import Telemetry
@@ -59,7 +57,6 @@ class Observatory:
         #: Shared fair-share resources the load/link detectors watch.
         self.resources = telemetry.shared_resources()
         self.detectors: list[Detector] = [cls(self) for cls in detectors]
-        self.nmon_window: Optional["RollingWindow"] = None
         self.ticks = 0
         self._running = False
         self._proc: Optional[Process] = None
@@ -78,7 +75,6 @@ class Observatory:
             if not monitor.running:
                 self.telemetry.start_monitor()
                 self._started_monitor = True
-            self.nmon_window = self.telemetry.rolling_window(self.window_s)
         for detector in self.detectors:
             for prefix in detector.prefixes:
                 self.telemetry.tracer.subscribe(detector.on_event, prefix)
@@ -119,8 +115,6 @@ class Observatory:
         """Run one detector evaluation pass at the current sim time."""
         now = self.sim.now
         self.ticks += 1
-        if self.nmon_window is not None:
-            self.nmon_window.advance(now)
         for detector in self.detectors:
             detector.tick(now)
 

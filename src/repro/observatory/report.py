@@ -14,6 +14,7 @@ results directory offline.  It shows three sections:
 from __future__ import annotations
 
 import html as _html
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -24,9 +25,55 @@ from repro.observatory.htmlkit import (CLASS_COLOURS as _CLASS_COLOURS,
 from repro.observatory.slo import Alert
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.monitor.window import WindowSummary
+    from repro.monitor.nmon import NmonMonitor
     from repro.observatory.core import Observatory
     from repro.telemetry.timeline import CriticalPath, JobTimeline
+
+
+@dataclass(frozen=True)
+class WindowSummary:
+    """Aggregates of one VM's nmon samples over the trailing window."""
+
+    vm: str
+    n_samples: int
+    span_s: float            # window span actually covered by samples
+    cpu_mean: float
+    disk_bytes: float
+    net_bytes: float
+    activity_mean: float
+
+    @property
+    def disk_rate(self) -> float:
+        """Bytes/s of virtual-disk I/O over the window."""
+        return self.disk_bytes / self.span_s if self.span_s > 0 else 0.0
+
+    @property
+    def net_rate(self) -> float:
+        return self.net_bytes / self.span_s if self.span_s > 0 else 0.0
+
+
+def window_summaries(monitor: "NmonMonitor", now: float,
+                     window_s: float) -> list[WindowSummary]:
+    """Per-VM aggregates of the samples taken in ``[now - window_s, now]``."""
+    cutoff = now - window_s
+    out = []
+    for vm in sorted(monitor.series):
+        samples = monitor.series[vm].samples
+        tail = samples[bisect_left(samples, cutoff, key=lambda s: s.time):]
+        n = len(tail)
+        if not n:
+            out.append(WindowSummary(vm, 0, 0.0, 0.0, 0.0, 0.0, 0.0))
+            continue
+        # A sample's deltas cover the interval before it, so even a single
+        # sample spans one monitor interval.
+        span = min(window_s, max(now - tail[0].time, monitor.interval))
+        out.append(WindowSummary(
+            vm=vm, n_samples=n, span_s=span,
+            cpu_mean=sum(s.cpu_util for s in tail) / n,
+            disk_bytes=sum(s.disk_bytes_delta for s in tail),
+            net_bytes=sum(s.net_tx_delta + s.net_rx_delta for s in tail),
+            activity_mean=sum(s.activity for s in tail) / n))
+    return out
 
 
 @dataclass
@@ -36,7 +83,7 @@ class ObservatoryReport:
     generated_at: float
     digest: str
     alerts: list[Alert]
-    window: list["WindowSummary"] = field(default_factory=list)
+    window: list[WindowSummary] = field(default_factory=list)
     job: Optional[str] = None
     timeline: Optional["JobTimeline"] = None
     path: Optional["CriticalPath"] = None
@@ -179,8 +226,9 @@ def build_report(obs: "Observatory", job: Optional[str] = None
         path = timeline.critical_path()
         if obs.telemetry.flow_log is not None:
             attribution = obs.telemetry.attribution(job)
-    window = (obs.nmon_window.summaries()
-              if obs.nmon_window is not None else [])
+    window = (window_summaries(obs.telemetry.monitor, obs.sim.now,
+                               obs.window_s)
+              if obs.telemetry.vms else [])
     return ObservatoryReport(
         generated_at=obs.sim.now, digest=obs.digest(),
         alerts=obs.alerts(), window=window, job=job,

@@ -63,7 +63,9 @@ Two things deliberately stay global so that simulated timestamps are
 * progress advancement (``_advance``) walks every active flow whenever
   simulated time has passed — partial advancement would change the
   floating-point stepping of ``remaining`` and with it completion
-  timestamps.  Same-timestamp cascades (the common case) cost O(1).
+  timestamps.  Same-timestamp cascades (the common case) cost O(1).  It
+  is one plain loop: a NumPy twin measured no faster on any workload
+  (DESIGN.md §7) and was deleted.
 * the completion horizon of an *untouched* flow is a pure function of its
   unchanged ``remaining``/``rate``, so cached horizons in a lazy-deletion
   heap are exact; the heap replaces the old all-flows min scan.
@@ -80,14 +82,6 @@ from typing import Any, Iterable, Optional, Sequence
 
 from repro.errors import ResourceError, SimulationError
 from repro.sim.kernel import Event, Simulator
-
-try:  # vectorized _advance; the kernel still works without NumPy
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: Flow count from which the vectorized advance pays for its setup.
-_VEC_MIN_FLOWS = 64
 
 _EPS = 1e-12
 #: Smallest scheduling horizon (seconds); see FairShareSystem._advance.
@@ -459,10 +453,35 @@ class FairShareSystem:
             # here only when time advances).  Heap layout depends on entry
             # order, but pops follow the (horizon, seq) total order, so the
             # layout is not observable.
-            if _np is not None and len(self._flows) >= _VEC_MIN_FLOWS:
-                entries = self._advance_vec(dt, finished)
-            else:
-                entries = self._advance_scalar(dt, finished)
+            entries: list = []
+            push = entries.append
+            inf = math.inf
+            for flow in self._flows:
+                rate = flow.rate
+                if rate > 0:
+                    flow._moved += rate * dt
+                    if math.isfinite(flow.remaining):
+                        flow.remaining = max(0.0, flow.remaining - rate * dt)
+                        # A flow is done when the residue is negligible
+                        # relative to its size *or* would take less than a
+                        # nanosecond to drain — the latter absorbs float
+                        # subtraction residues that are above the size
+                        # epsilon but below the clock's resolution.
+                        if (flow.remaining <= _EPS * max(1.0, flow.size)
+                                or flow.remaining <= rate * _MIN_DT):
+                            flow.remaining = 0.0
+                            flow._moved = flow.size
+                            finished.append(flow)
+                        elif rate > _EPS:
+                            horizon = flow.remaining / rate
+                            flow._horizon = horizon
+                            push((horizon, flow._seq, flow))
+                        else:
+                            flow._horizon = inf
+                    else:
+                        flow._horizon = inf
+                else:
+                    flow._horizon = inf
             for flow in finished:
                 self._detach(flow)
                 self.completed_count += 1
@@ -471,99 +490,6 @@ class FairShareSystem:
             heapq.heapify(entries)
             self._horizon_heap = entries
         self._last_update = now
-
-    def _advance_scalar(self, dt: float,
-                        finished: list[FluidFlow]) -> list:
-        entries: list = []
-        push = entries.append
-        inf = math.inf
-        for flow in self._flows:
-            rate = flow.rate
-            if rate > 0:
-                flow._moved += rate * dt
-                if math.isfinite(flow.remaining):
-                    flow.remaining = max(0.0, flow.remaining - rate * dt)
-                    # A flow is done when the residue is negligible
-                    # relative to its size *or* would take less than a
-                    # nanosecond to drain — the latter absorbs float
-                    # subtraction residues that are above the size
-                    # epsilon but below the clock's resolution.
-                    if (flow.remaining <= _EPS * max(1.0, flow.size)
-                            or flow.remaining <= rate * _MIN_DT):
-                        flow.remaining = 0.0
-                        flow._moved = flow.size
-                        finished.append(flow)
-                    elif rate > _EPS:
-                        horizon = flow.remaining / rate
-                        flow._horizon = horizon
-                        push((horizon, flow._seq, flow))
-                    else:
-                        flow._horizon = inf
-                else:
-                    flow._horizon = inf
-            else:
-                flow._horizon = inf
-        return entries
-
-    def _advance_vec(self, dt: float, finished: list[FluidFlow]) -> list:
-        """Vectorized :meth:`_advance_scalar`, bit-identical by design.
-
-        Elementwise float64 multiply/subtract/divide/compare in NumPy are
-        the same IEEE-754 operations CPython performs on scalars, so the
-        stepped ``remaining``, the completion decisions and the new
-        horizons are exactly the scalar path's values; iteration order
-        (and with it the ``finished`` order and heap entry order) follows
-        the same ``self._flows`` traversal.  Only the loop overhead is
-        vectorized away — worthwhile from ~tens of concurrent flows,
-        which is exactly the 1,000-VM regime where ``_advance`` is the
-        kernel's hottest loop.
-        """
-        flows = list(self._flows)
-        n = len(flows)
-        rate = _np.fromiter((f.rate for f in flows), _np.float64, count=n)
-        rem = _np.fromiter((f.remaining for f in flows), _np.float64,
-                           count=n)
-        size = _np.fromiter((f.size for f in flows), _np.float64, count=n)
-        step = rate * dt
-        active = rate > 0.0
-        updated = active & _np.isfinite(rem)
-        new_rem = _np.maximum(0.0, rem - step)
-        done = updated & ((new_rem <= _EPS * _np.maximum(1.0, size))
-                          | (new_rem <= rate * _MIN_DT))
-        live = updated & ~done & (rate > _EPS)
-        with _np.errstate(divide="ignore", invalid="ignore"):
-            horizon = _np.where(live, new_rem / rate, math.inf)
-        entries: list = []
-        push = entries.append
-        inf = math.inf
-        # Write-back loop: plain Python, but all float arithmetic and all
-        # branch decisions come from the arrays above.
-        step_l = step.tolist()
-        rem_l = new_rem.tolist()
-        hor_l = horizon.tolist()
-        active_l = active.tolist()
-        updated_l = updated.tolist()
-        done_l = done.tolist()
-        live_l = live.tolist()
-        for i, flow in enumerate(flows):
-            if done_l[i]:
-                flow._moved = flow.size
-                flow.remaining = 0.0
-                finished.append(flow)
-            elif updated_l[i]:
-                flow._moved += step_l[i]
-                flow.remaining = rem_l[i]
-                if live_l[i]:
-                    flow._horizon = hor_l[i]
-                    push((hor_l[i], flow._seq, flow))
-                else:
-                    flow._horizon = inf
-            elif active_l[i]:  # infinite flow: progress, no horizon
-                flow._moved += step_l[i]
-                flow._horizon = inf
-            else:
-                flow._horizon = inf
-        return entries
 
     def _attach_component(self, flow: FluidFlow) -> None:
         """Union the components the new flow's path bridges (small-to-large).

@@ -11,9 +11,9 @@ Everything observable about a running platform hangs off this object:
 * ``telemetry.job_timeline()`` / ``critical_path()`` — span analysis;
 * ``telemetry.export_chrome_trace()`` / ``prometheus_text()`` / CSV.
 
-Constructing :class:`~repro.monitor.nmon.NmonMonitor` directly, or walking
-``cluster.datacenter`` to reach resources the analyser needs, is deprecated
-in favour of this facade.
+Go through this facade rather than constructing
+:class:`~repro.monitor.nmon.NmonMonitor` directly or walking
+``cluster.datacenter`` to reach resources the analyser needs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.telemetry.timeline import CriticalPath, JobTimeline, build_timeline
 if TYPE_CHECKING:  # pragma: no cover
     from repro.monitor.analyser import NmonAnalyser
     from repro.monitor.nmon import NmonMonitor
-    from repro.monitor.window import RollingWindow
     from repro.observatory.attribution import FlowLog, JobBottleneckReport
     from repro.observatory.core import Observatory
     from repro.telemetry.timeseries import TimeSeriesStore
@@ -56,7 +55,6 @@ class Telemetry:
         #: overhead at 64 VMs).
         self._sample_instruments: dict[str, list] = {}
         self._analyser: Optional["NmonAnalyser"] = None
-        self._windows: dict[float, "RollingWindow"] = {}
         self._flow_log: Optional["FlowLog"] = None
         self._timeseries: Optional["TimeSeriesStore"] = None
 
@@ -90,8 +88,7 @@ class Telemetry:
             if not vms:
                 raise MonitorError(
                     "telemetry scope has no VMs to monitor yet")
-            self._monitor = NmonMonitor(vms, interval=self.monitor_interval,
-                                        _owner=self)
+            self._monitor = NmonMonitor(vms, interval=self.monitor_interval)
             self._monitor.on_sample = self._record_sample
         return self._monitor
 
@@ -101,15 +98,6 @@ class Telemetry:
             from repro.monitor.analyser import NmonAnalyser
             self._analyser = NmonAnalyser(self.monitor)
         return self._analyser
-
-    def adopt_analyser(self, analyser: "NmonAnalyser") -> None:
-        """Adopt an externally-built analyser (legacy migration path): the
-        facade takes over its monitor and mirrors future samples into the
-        metrics registry."""
-        self._analyser = analyser
-        self._monitor = analyser.monitor
-        if self._monitor.on_sample is None:
-            self._monitor.on_sample = self._record_sample
 
     def start_monitor(self, interval: Optional[float] = None
                       ) -> "NmonMonitor":
@@ -157,22 +145,6 @@ class Telemetry:
                 inst[5] = self.metrics.counter(
                     "vm.net.bytes", "VM network I/O", inst[0])
             inst[5].inc(net)
-
-    def rolling_window(self, seconds: float = 30.0) -> "RollingWindow":
-        """A bounded, incrementally maintained view of recent nmon samples.
-
-        One window per distinct span is kept and reused — repeated calls
-        with the same ``seconds`` return the same object, so detectors
-        polling every tick share a single O(1)-per-sample accumulator
-        instead of each re-aggregating the monitor's full history.
-        """
-        key = float(seconds)
-        window = self._windows.get(key)
-        if window is None:
-            from repro.monitor.window import RollingWindow
-            window = RollingWindow(self.monitor, key)
-            self._windows[key] = window
-        return window
 
     # -- time-series store -------------------------------------------------
     @property

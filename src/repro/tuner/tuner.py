@@ -7,9 +7,8 @@ of live migrations through the platform's :class:`LiveMigrator`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, TYPE_CHECKING, Union
+from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import TunerError
 from repro.monitor.analyser import NmonAnalyser
@@ -32,33 +31,22 @@ class MapReduceTuner:
     """Rule-driven tuner bound to one cluster's :class:`Telemetry` handle.
 
     Pass nothing for ``telemetry`` to use ``cluster.telemetry`` (the normal
-    case).  Passing a bare :class:`NmonAnalyser` is deprecated: the facade
-    adopts it, and the tuner reads every metric through the facade.
-    Callers who were constructing an analyser just to drive detection
-    should instead attach an :class:`~repro.observatory.core.Observatory`
-    and use the alert-driven rules
+    case); the tuner reads every metric through the facade.  To drive
+    detection, attach an :class:`~repro.observatory.core.Observatory` and
+    use the alert-driven rules
     (:class:`~repro.tuner.rules.SpeculateOnStragglersRule`,
     :class:`~repro.tuner.rules.MigrateOffHotHostRule`) — the observatory
     does the anomaly detection online and the rules consume its alerts.
     """
 
     def __init__(self, cluster: "HadoopVirtualCluster",
-                 telemetry: Union["Telemetry", NmonAnalyser, None] = None,
+                 telemetry: Optional["Telemetry"] = None,
                  rules: Sequence[TuningRule] = DEFAULT_RULES):
         if not rules:
             raise TunerError("tuner needs at least one rule")
         self.cluster = cluster
-        if telemetry is None:
-            self.telemetry = cluster.telemetry
-        elif isinstance(telemetry, NmonAnalyser):
-            warnings.warn(
-                "passing an NmonAnalyser to MapReduceTuner is deprecated; "
-                "pass a Telemetry handle (or nothing to use "
-                "cluster.telemetry)", DeprecationWarning, stacklevel=2)
-            self.telemetry = cluster.telemetry
-            self.telemetry.adopt_analyser(telemetry)
-        else:
-            self.telemetry = telemetry
+        self.telemetry = (telemetry if telemetry is not None
+                          else cluster.telemetry)
         self.rules = list(rules)
         self.log: list[TuningLogEntry] = []
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import PlatformConfig
 from repro.errors import TunerError
-from repro.monitor import NmonAnalyser, NmonMonitor
 from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.tuner import (ConsolidateCrossDomainRule, MapReduceTuner,
                          Recommendation, IncreaseSlotsWhenBacklogRule,
@@ -18,22 +17,22 @@ def make(layout="normal", n=6, seed=2):
     placement = (ClusterSpec.single_host(n) if layout == "normal"
                  else ClusterSpec.packed(n, hosts=2))
     cluster = platform.provision_cluster("tn", placement)
-    monitor = NmonMonitor(cluster.vms, interval=1.0)
-    analyser = NmonAnalyser(monitor)
-    return platform, cluster, monitor, analyser
+    telemetry = cluster.telemetry
+    telemetry.monitor_interval = 1.0
+    return platform, cluster, telemetry.monitor, telemetry.analyser
 
 
 def test_tuner_requires_rules():
     platform, cluster, _monitor, analyser = make()
     with pytest.raises(TunerError):
-        MapReduceTuner(cluster, analyser, rules=[])
+        MapReduceTuner(cluster, rules=[])
 
 
 def test_increase_slots_when_idle():
     platform, cluster, monitor, analyser = make()
     for _ in range(3):
         monitor.sample_now(platform.sim.now)  # all-idle samples
-    tuner = MapReduceTuner(cluster, analyser,
+    tuner = MapReduceTuner(cluster,
                            rules=[IncreaseSlotsWhenCpuIdleRule()])
     before = cluster.config.map_tasks_maximum
     recommendation = tuner.step()
@@ -52,7 +51,7 @@ def test_reduce_slots_when_saturated():
     platform.sim.run(until=5.0)
     for _ in range(3):
         monitor.sample_now(platform.sim.now)
-    tuner = MapReduceTuner(cluster, analyser,
+    tuner = MapReduceTuner(cluster,
                            rules=[ReduceSlotsWhenSaturatedRule()])
     before = cluster.config.map_tasks_maximum
     recommendation = tuner.step()
@@ -79,7 +78,7 @@ def test_increase_slots_on_deep_backlog_with_idle_cpu():
     for _ in range(3):
         monitor.sample_now(platform.sim.now)  # all-idle samples
     rule = IncreaseSlotsWhenBacklogRule(_StubScheduler(slots=8, backlog=40))
-    tuner = MapReduceTuner(cluster, analyser, rules=[rule])
+    tuner = MapReduceTuner(cluster, rules=[rule])
     before = cluster.config.map_tasks_maximum
     recommendation = tuner.step()
     assert recommendation is not None
@@ -117,7 +116,7 @@ def test_consolidation_migrates_cross_domain_cluster():
     dc.fabric.transfer(a.node, b.node, 2e9)
     platform.sim.run(until=20.0)
     monitor.sample_now(platform.sim.now)
-    tuner = MapReduceTuner(cluster, analyser,
+    tuner = MapReduceTuner(cluster,
                            rules=[ConsolidateCrossDomainRule(
                                net_busy_threshold=0.3)])
     recommendation = tuner.recommend()
@@ -138,7 +137,7 @@ def test_consolidation_noop_on_normal_cluster():
 def test_apply_unknown_kind_raises():
     platform, cluster, monitor, analyser = make()
     monitor.sample_now(platform.sim.now)
-    tuner = MapReduceTuner(cluster, analyser)
+    tuner = MapReduceTuner(cluster)
     with pytest.raises(TunerError):
         tuner.apply(Recommendation(rule="x", kind="teleport", reason="?"))
 
@@ -155,15 +154,13 @@ def test_tuner_closed_loop_improves_underprovisioned_cluster():
         lines = ["omega psi chi " * 30] * 1500
         platform.upload(cluster, "/in", lines_as_records(lines),
                         sizeof=lambda r: (len(r[1]) + 1) * 60, timed=False)
-        monitor = NmonMonitor(cluster.vms, interval=1.0)
-        analyser = NmonAnalyser(monitor)
         job = wordcount_job("/in", "/warm", n_reduces=2, volume_scale=60)
-        monitor.start()
+        cluster.telemetry.start_monitor(interval=1.0)
         platform.run_job(cluster, job)
-        monitor.stop()
+        cluster.telemetry.stop_monitor()
         if tune:
             tuner = MapReduceTuner(
-                cluster, analyser,
+                cluster,
                 rules=[IncreaseSlotsWhenCpuIdleRule(max_slots=4)])
             tuner.step()
         job2 = wordcount_job("/in", "/cold", n_reduces=2, volume_scale=60)

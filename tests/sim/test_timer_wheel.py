@@ -1,9 +1,8 @@
-"""Kernel flattening: TimerWheel coalescing, wake slab, vec advancement."""
+"""Kernel flattening: TimerWheel coalescing, wake slab."""
 
 import pytest
 
-from repro.sim import FairShareSystem, SharedResource, Simulator
-from repro.sim import fairshare as fairshare_mod
+from repro.sim import Simulator
 
 
 @pytest.fixture()
@@ -105,30 +104,3 @@ def test_wake_events_recycled_through_slab(sim):
     # Bootstraps after the first recycle their wake events off the slab.
     assert sim.wake_events_reused > 0
     assert len(sim._wake_pool) <= sim._WAKE_POOL_MAX
-
-
-# -- vectorized advancement --------------------------------------------------
-
-def _run_staggered_transfers(sim, n_flows=80):
-    """Many same-link flows of staggered sizes: every completion forces a
-    real dt>0 advancement over the surviving flows."""
-    fss = FairShareSystem(sim)
-    link = SharedResource("link", 1e6)
-    flows = [fss.open([link], size=1000.0 * (i + 1)) for i in range(n_flows)]
-    sim.run()
-    return fss, flows
-
-
-def test_vec_and_scalar_advancement_are_bit_identical(monkeypatch):
-    if fairshare_mod._np is None:
-        pytest.skip("NumPy not available")
-    monkeypatch.setattr(fairshare_mod, "_VEC_MIN_FLOWS", 1)
-    fss_vec, vec_flows = _run_staggered_transfers(Simulator())
-    monkeypatch.setattr(fairshare_mod, "_np", None)
-    fss_sca, sca_flows = _run_staggered_transfers(Simulator())
-
-    assert [repr(f.end_time) for f in vec_flows] \
-        == [repr(f.end_time) for f in sca_flows]
-    assert fss_vec.rebalance_count == fss_sca.rebalance_count
-    assert fss_vec.flow_visits == fss_sca.flow_visits
-    assert fss_vec.completed_count == fss_sca.completed_count == 80

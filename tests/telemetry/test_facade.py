@@ -1,12 +1,9 @@
 """Facade tests: ownership, deprecations, and the tuner's telemetry path."""
 
-import warnings
-
 import pytest
 
 from repro.config import PlatformConfig
 from repro.errors import MonitorError, TunerError
-from repro.monitor import NmonAnalyser, NmonMonitor
 from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.telemetry import Telemetry
 from repro.tuner import IncreaseSlotsWhenCpuIdleRule, MapReduceTuner
@@ -29,18 +26,10 @@ def test_cluster_and_platform_expose_one_telemetry_handle():
 
 def test_facade_owns_monitor_and_analyser():
     _platform, cluster = make()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        monitor = cluster.telemetry.monitor      # no deprecation warning
-        assert cluster.telemetry.monitor is monitor
-        analyser = cluster.telemetry.analyser
-        assert analyser.monitor is monitor
-
-
-def test_direct_monitor_construction_warns():
-    _platform, cluster = make()
-    with pytest.warns(DeprecationWarning, match="cluster.telemetry"):
-        NmonMonitor(cluster.vms)
+    monitor = cluster.telemetry.monitor
+    assert cluster.telemetry.monitor is monitor
+    analyser = cluster.telemetry.analyser
+    assert analyser.monitor is monitor
 
 
 def test_empty_scope_raises_on_monitor_access():
@@ -71,23 +60,6 @@ def test_tuner_defaults_to_cluster_telemetry():
         cluster.telemetry.monitor.sample_now(platform.sim.now)
     recommendation = tuner.step()
     assert recommendation is not None and recommendation.kind == "reconfigure"
-
-
-def test_tuner_with_legacy_analyser_warns_and_adopts():
-    platform, cluster = make()
-    with pytest.warns(DeprecationWarning):
-        monitor = NmonMonitor(cluster.vms, interval=1.0)
-    analyser = NmonAnalyser(monitor)
-    with pytest.warns(DeprecationWarning, match="Telemetry"):
-        tuner = MapReduceTuner(cluster, analyser,
-                               rules=[IncreaseSlotsWhenCpuIdleRule()])
-    # The facade adopted the legacy monitor: one sampling loop, one truth.
-    assert cluster.telemetry.monitor is monitor
-    assert tuner.analyser is analyser
-    monitor.sample_now(platform.sim.now)
-    # Adopted samples now feed the metrics registry too.
-    assert cluster.telemetry.metrics.get(
-        "vm.cpu.utilization", {"vm": cluster.vms[0].name}) is not None
 
 
 def test_tuner_still_requires_rules():

@@ -455,8 +455,10 @@ class ServiceController:
         backend.on_done = self._on_done
         self._trace_hash = hashlib.sha256()
         self._offer_done = False
-        # Rolling per-tick windows for the SLO signals.
+        # Rolling per-tick windows for the SLO signals, and their running
+        # histogram sum (only what a quantile reads of it is meaningful).
         self._window: deque = deque(maxlen=rolling_ticks)
+        self._rolling_hist = LatencyHistogram()
         self._tick_hist = LatencyHistogram()
         self._tick_submitted = 0
         self._tick_rejected = 0
@@ -556,14 +558,22 @@ class ServiceController:
                 break
         done.succeed(None)
 
-    def _rolling(self) -> tuple[float, float]:
-        """(rolling p99, rolling rejection rate) over the window."""
-        merged = LatencyHistogram()
-        submitted = rejected = 0
-        for hist, sub, rej in self._window:
-            merged.merge(hist)
-            submitted += sub
-            rejected += rej
+    def _rolling(self, closing: tuple) -> tuple[float, float]:
+        """Close one tick into the window; (rolling p99, rolling
+        rejection rate) over it.  The window histogram is kept, not
+        rebuilt: integer bin counts are added and subtracted exactly, so
+        it reads the same p99 as merging the window from scratch."""
+        window, merged = self._window, self._rolling_hist
+        if len(window) == window.maxlen:
+            evicted = window[0][0]
+            for index, count in enumerate(evicted.counts):
+                merged.counts[index] -= count
+            merged.n -= evicted.n
+        window.append(closing)
+        merged.merge(closing[0])
+        merged.max_seen = max(hist.max_seen for hist, _, _ in window)
+        submitted = sum(sub for _, sub, _ in window)
+        rejected = sum(rej for _, _, rej in window)
         rate = rejected / submitted if submitted else 0.0
         return merged.p99, rate
 
@@ -583,13 +593,11 @@ class ServiceController:
                 rejection_frac=(self._tick_rejected / self._tick_submitted
                                 if self._tick_submitted else 0.0),
                 backlog_per_slot=backlog_per_slot)
-        self._window.append((self._tick_hist, self._tick_submitted,
-                             self._tick_rejected))
+        p99, rejection_rate = self._rolling(
+            (self._tick_hist, self._tick_submitted, self._tick_rejected))
         self._tick_hist = LatencyHistogram()
         self._tick_submitted = 0
         self._tick_rejected = 0
-
-        p99, rejection_rate = self._rolling()
         if self.burn_engine is not None:
             self.burn_engine.evaluate(now)
         else:

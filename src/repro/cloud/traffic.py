@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from repro.cloud.tenants import TenantRegistry
@@ -35,6 +37,14 @@ JOB_CLASSES: tuple[tuple[str, float, float, float], ...] = (
     ("medium", 128.0, 1024.0, 0.30),
     ("large", 1024.0, 8192.0, 0.10),
 )
+
+
+#: JOB_CLASSES as the sampler reads it:
+#: (class name, min MB, log(max/min), cumulative probability).
+_CLASS_BANDS = tuple(
+    (name, lo_mb, math.log(hi_mb / lo_mb), acc)
+    for (name, lo_mb, hi_mb, _), acc
+    in zip(JOB_CLASSES, accumulate(prob for *_, prob in JOB_CLASSES)))
 
 
 def mean_job_size_mb() -> float:
@@ -84,6 +94,11 @@ class ArrivalProcess:
         self.name = name
         self.tenants = tenants
         self.rng = rng
+        # ``a + (b - a) * random()`` and ``scale * standard_exponential()``
+        # are the doubles ``uniform(a, b)`` / ``exponential(scale)`` return,
+        # minus NumPy's per-call argument parsing (pinned by the tests).
+        self._random = rng.random
+        self._exponential = rng.standard_exponential
         self._seq = 0
         # Cumulative tenant weights for O(log n) weighted choice.
         self._names = tenants.names
@@ -96,27 +111,20 @@ class ArrivalProcess:
 
     # -- decoration --------------------------------------------------------
     def _pick_tenant(self) -> str:
-        draw = float(self.rng.uniform(0.0, self._total_weight))
-        lo, hi = 0, len(self._cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cum[mid] <= draw:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self._names[lo]
+        draw = self._total_weight * self._random()
+        # First tenant whose cumulative weight exceeds the draw; the
+        # search stops short of the last so rounding can never overrun.
+        return self._names[bisect_right(self._cum, draw, 0,
+                                        len(self._cum) - 1)]
 
     def _pick_class(self) -> tuple[str, float]:
-        draw = float(self.rng.uniform(0.0, 1.0))
-        acc = 0.0
-        for name, lo_mb, hi_mb, prob in JOB_CLASSES:
-            acc += prob
-            if draw < acc or name == JOB_CLASSES[-1][0]:
-                # Log-uniform size inside the class band.
-                u = float(self.rng.uniform(0.0, 1.0))
-                size = lo_mb * math.exp(u * math.log(hi_mb / lo_mb))
-                return name, size
-        raise AssertionError("unreachable")  # pragma: no cover
+        draw = self._random()
+        for name, lo_mb, log_span, acc in _CLASS_BANDS:
+            if draw < acc:
+                break
+        # (no break: the last class takes the rounding remainder)
+        # Log-uniform size inside the class band.
+        return name, lo_mb * math.exp(self._random() * log_span)
 
     def _decorate(self, at: float) -> Arrival:
         tenant = self._pick_tenant()
@@ -154,8 +162,9 @@ class PoissonTraffic(ArrivalProcess):
 
     def _times(self, horizon_s: float) -> Iterator[float]:
         t = self.start_s
+        draw, scale = self._exponential, 1.0 / self.rate_per_s
         while True:
-            t += float(self.rng.exponential(1.0 / self.rate_per_s))
+            t += scale * draw()
             if t >= horizon_s:
                 return
             yield t
@@ -177,12 +186,14 @@ class _ThinnedProcess(ArrivalProcess):
 
     def _times(self, horizon_s: float) -> Iterator[float]:
         t = 0.0
+        exponential, random = self._exponential, self._random
+        peak_rate, rate_at = self.peak_rate, self.rate_at
+        scale = 1.0 / peak_rate
         while True:
-            t += float(self.rng.exponential(1.0 / self.peak_rate))
+            t += scale * exponential()
             if t >= horizon_s:
                 return
-            if float(self.rng.uniform(0.0, 1.0)) < (self.rate_at(t)
-                                                    / self.peak_rate):
+            if random() < rate_at(t) / peak_rate:
                 yield t
 
 

@@ -252,8 +252,9 @@ def timeseries_json(store) -> dict:
     for (name, labelset), series in store.histogram_items():
         buckets = []
         width = series.step
-        for index, hist in series._buckets(0):
-            buckets.append({"t": round(index * width, 6), "n": hist.n,
+        for bucket in series.tiers[0].buckets():
+            hist = bucket.hist
+            buckets.append({"t": round(bucket.index * width, 6), "n": hist.n,
                             "mean": hist.mean, "p50": hist.p50,
                             "p99": hist.p99, "max": hist.max_seen})
         hist_out.append({
@@ -294,10 +295,10 @@ def timeseries_prometheus(store, at: Optional[float] = None) -> str:
         lines.append(f"{metric}_sum{labels} {bucket.total}")
         lines.append(f"{metric}_count{labels} {bucket.count}")
     for (name, labelset), series in store.histogram_items():
-        buckets = series._buckets(0)
-        if not buckets:
+        newest = series.tiers[0].newest
+        if newest is None:
             continue
-        _, hist = buckets[-1]
+        hist = newest.hist
         metric = _prom_name(name)
         labels = _prom_labels(labelset)
         lines.append(f"# TYPE {metric} summary")

@@ -18,7 +18,11 @@ sim-time buckets**:
 Memory is bounded by construction: ``capacity`` buckets per tier per
 series, old buckets overwritten as sim-time advances.  Retention grows
 with coarseness — at the default ``step=5 s, capacity=360`` the raw tier
-remembers 30 sim-minutes, the ×100 tier 50 sim-hours.
+remembers 30 sim-minutes, the ×100 tier 50 sim-hours.  A bucket is
+*live* while its index is within ``capacity`` of the tier's newest;
+reads walk the live indices a window covers (O(buckets in range), O(1)
+for the newest), and a sample older than a tier retains is refused by
+that tier and counted in :attr:`TimeSeries.late_samples`.
 
 Everything is deterministic: samples only arrive from the
 single-threaded simulation, floats are fixed-formatted into
@@ -95,29 +99,62 @@ class Bucket:
 
 
 class _Tier:
-    """One resolution: a ring of ``capacity`` buckets of width ``width``."""
+    """One resolution: a ring of ``capacity`` buckets of width ``width``.
 
-    __slots__ = ("width", "capacity", "slots")
+    A bucket is **live** iff its index lies within ``capacity`` of the
+    newest index the tier has seen; bucket ``i`` can only sit in slot
+    ``i % capacity``, so every read is an index walk, never a scan.
+    ``make(index)`` builds the bucket payload (anything with ``.index``).
+    """
 
-    def __init__(self, width: float, capacity: int):
+    __slots__ = ("width", "capacity", "slots", "newest", "make")
+
+    def __init__(self, width: float, capacity: int, make=Bucket):
         self.width = width
         self.capacity = capacity
-        self.slots: list[Optional[Bucket]] = [None] * capacity
+        self.slots: list = [None] * capacity
+        #: The highest-index bucket ever created (None while empty).
+        self.newest = None
+        self.make = make
 
-    def bucket_for(self, at: float) -> Bucket:
+    def bucket_for(self, at: float):
+        """The live bucket covering ``at``, created on demand; ``None``
+        when ``at`` is older than the tier retains (a late sample must
+        not evict the newer bucket that owns its slot)."""
         index = int(at // self.width)
+        newest = self.newest
+        if newest is not None and index <= newest.index - self.capacity:
+            return None
         slot = index % self.capacity
         bucket = self.slots[slot]
         if bucket is None or bucket.index != index:
-            bucket = Bucket(index)
-            self.slots[slot] = bucket
+            bucket = self.slots[slot] = self.make(index)
+            if newest is None or index > newest.index:
+                self.newest = bucket
         return bucket
 
-    def buckets(self) -> list[Bucket]:
-        """Live buckets in time order (ring walked by bucket index)."""
-        live = [b for b in self.slots if b is not None]
-        live.sort(key=lambda b: b.index)
-        return live
+    def buckets(self, t0: float = -math.inf, t1: float = math.inf) -> list:
+        """Live buckets whose interval intersects ``[t0, t1)`` in time
+        order (ring walked by bucket index): O(buckets in range)."""
+        if self.newest is None:
+            return []
+        width, capacity, slots = self.width, self.capacity, self.slots
+        # Candidate indices: the window's, one generous on each side,
+        # clamped (in floats, so infinite ends are fine) to the retained
+        # interval.  The float interval test below decides.
+        last = self.newest.index
+        first = last - capacity + 1
+        first_s, end_s = first * width, (last + 1) * width
+        lo = int(min(max(t0, first_s), end_s) // width) - 1
+        hi = int(max(min(t1, end_s), first_s) // width) + 1
+        out = []
+        for index in range(max(lo, first), min(hi, last) + 1):
+            bucket = slots[index % capacity]
+            start = index * width
+            if (bucket is not None and bucket.index == index
+                    and not (start + width <= t0 or start >= t1)):
+                out.append(bucket)
+        return out
 
     def retention_s(self) -> float:
         return self.width * self.capacity
@@ -126,7 +163,7 @@ class _Tier:
 class TimeSeries:
     """One named series: the same samples at three resolutions."""
 
-    __slots__ = ("name", "labels", "step", "tiers")
+    __slots__ = ("name", "labels", "step", "tiers", "_late")
 
     def __init__(self, name: str, labels: LabelSet = (),
                  step: float = 5.0, capacity: int = 360):
@@ -139,13 +176,27 @@ class TimeSeries:
         self.step = float(step)
         self.tiers = tuple(_Tier(self.step * mult, capacity)
                            for mult in TIER_MULTIPLIERS)
+        self._late = 0
+
+    @property
+    def late_samples(self) -> int:
+        """Samples at least one tier refused as older than it retains."""
+        return self._late
 
     # -- write -----------------------------------------------------------
     def observe(self, at: float, value: float) -> None:
-        """Record one sample at sim-time ``at`` into every tier."""
+        """Record one sample at sim-time ``at`` into every tier that
+        still retains that instant."""
         value = float(value)
+        late = False
         for tier in self.tiers:
-            tier.bucket_for(at).observe(at, value)
+            bucket = tier.bucket_for(at)
+            if bucket is None:
+                late = True
+            else:
+                bucket.observe(at, value)
+        if late:
+            self._late += 1
 
     # -- read ------------------------------------------------------------
     def _pick_tier(self, t0: float, now: float) -> int:
@@ -160,24 +211,24 @@ class TimeSeries:
         """Buckets whose interval intersects ``[t0, t1)`` in time order.
 
         ``tier=None`` auto-selects the finest tier that still retains
-        ``t0`` (judged against the newest sample seen).
+        ``t0`` (judged against the newest sample seen).  Costs
+        O(buckets in range), whatever the capacity.
         """
         if tier is None:
-            newest = self.latest(1)
-            now = newest[0].last_at if newest else t1
+            newest = self.tiers[0].newest
+            now = newest.last_at if newest is not None else t1
             tier = self._pick_tier(t0, now)
         chosen = self.tiers[tier]
-        out = []
-        for bucket in chosen.buckets():
-            start = bucket.index * chosen.width
-            if start + chosen.width <= t0 or start >= t1:
-                continue
-            out.append((start, bucket))
-        return out
+        return [(bucket.index * chosen.width, bucket)
+                for bucket in chosen.buckets(t0, t1)]
 
     def latest(self, n: int = 1, tier: int = 0) -> list[Bucket]:
-        """The ``n`` most recent live buckets of a tier, oldest first."""
-        return self.tiers[tier].buckets()[-n:]
+        """The ``n`` most recent live buckets of a tier, oldest first
+        (O(1) for the newest alone)."""
+        chosen = self.tiers[tier]
+        if n == 1:
+            return [chosen.newest] if chosen.newest is not None else []
+        return chosen.buckets()[-n:]
 
     def mean_over(self, t0: float, t1: float,
                   tier: Optional[int] = None) -> float:
@@ -229,18 +280,35 @@ class TimeSeries:
                 f"step={self.step} buckets={live}>")
 
 
+def _fresh_hist() -> "LatencyHistogram":
+    # Imported late: the repro.cloud package imports telemetry.
+    from repro.cloud.tenants import LatencyHistogram
+    return LatencyHistogram()
+
+
+class _HistBucket:
+    """One interval's merged latency histogram."""
+
+    __slots__ = ("index", "hist")
+
+    def __init__(self, index: int):
+        self.index = index
+        self.hist = _fresh_hist()
+
+
 class HistogramSeries:
     """Latency-histogram-valued series: one mergeable histogram per bucket.
 
     Buckets hold :class:`~repro.cloud.tenants.LatencyHistogram` deltas
     (what was observed *during* that interval), so
     :meth:`quantile_over_time` is an exact merge of the covered
-    intervals.  Only the raw and ×10 tiers are kept — a histogram bucket
-    is ~256 ints, two tiers bound memory at the same order as a scalar
-    series' three.
+    intervals.  The rings are the scalar series' (same liveness rule,
+    same index walk); only the raw and ×10 tiers are kept — a histogram
+    bucket is ~256 ints, two tiers bound memory at the same order as a
+    scalar series' three.
     """
 
-    __slots__ = ("name", "labels", "step", "capacity", "_tiers")
+    __slots__ = ("name", "labels", "step", "tiers")
 
     TIERS = (1, 10)
 
@@ -251,42 +319,25 @@ class HistogramSeries:
         self.name = name
         self.labels = labels
         self.step = float(step)
-        self.capacity = capacity
-        #: tier -> {slot: (index, LatencyHistogram)}
-        self._tiers: list[dict[int, tuple[int, "LatencyHistogram"]]] = [
-            {} for _ in self.TIERS]
-
-    def _fresh_hist(self) -> "LatencyHistogram":
-        from repro.cloud.tenants import LatencyHistogram
-        return LatencyHistogram()
+        self.tiers = tuple(_Tier(self.step * mult, capacity, _HistBucket)
+                           for mult in self.TIERS)
 
     def observe(self, at: float, hist: "LatencyHistogram") -> None:
-        """Merge one interval's histogram delta into every tier."""
+        """Merge one interval's histogram delta into every tier that
+        still retains ``at``."""
         if hist.n == 0:
             return
-        for ti, mult in enumerate(self.TIERS):
-            width = self.step * mult
-            index = int(at // width)
-            slot = index % self.capacity
-            held = self._tiers[ti].get(slot)
-            if held is None or held[0] != index:
-                held = (index, self._fresh_hist())
-                self._tiers[ti][slot] = held
-            held[1].merge(hist)
-
-    def _buckets(self, tier: int) -> list[tuple[int, "LatencyHistogram"]]:
-        return sorted(self._tiers[tier].values(), key=lambda iv: iv[0])
+        for tier in self.tiers:
+            bucket = tier.bucket_for(at)
+            if bucket is not None:
+                bucket.hist.merge(hist)
 
     def merged_over(self, t0: float, t1: float,
                     tier: int = 0) -> "LatencyHistogram":
         """One histogram covering every bucket intersecting ``[t0, t1)``."""
-        width = self.step * self.TIERS[tier]
-        merged = self._fresh_hist()
-        for index, hist in self._buckets(tier):
-            start = index * width
-            if start + width <= t0 or start >= t1:
-                continue
-            merged.merge(hist)
+        merged = _fresh_hist()
+        for bucket in self.tiers[tier].buckets(t0, t1):
+            merged.merge(bucket.hist)
         return merged
 
     def quantile_over_time(self, q: float, t0: float, t1: float,
@@ -303,12 +354,13 @@ class HistogramSeries:
         labels = ",".join(f"{k}={v}" for k, v in self.labels)
         h.update(f"hseries|{self.name}|{labels}|{_fmt(self.step)}\n"
                  .encode("utf-8"))
-        for ti in range(len(self.TIERS)):
-            for index, hist in self._buckets(ti):
+        for ti, tier in enumerate(self.tiers):
+            for bucket in tier.buckets():
+                hist = bucket.hist
                 counts = ",".join(str(c) for c in hist.counts if c) or "0"
-                h.update((f"t{ti}|{index}|{hist.n}|{_fmt(hist.total)}|"
-                          f"{_fmt(hist.max_seen)}|{counts}\n")
-                         .encode("utf-8"))
+                h.update((f"t{ti}|{bucket.index}|{hist.n}|"
+                          f"{_fmt(hist.total)}|{_fmt(hist.max_seen)}|"
+                          f"{counts}\n").encode("utf-8"))
 
 
 class TimeSeriesStore:

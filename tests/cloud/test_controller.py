@@ -7,8 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cloud import (AdmissionController, BurstTraffic, CostModel,
-                         ElasticAutoscaler, PoissonTraffic,
+                         ElasticAutoscaler, LatencyHistogram, PoissonTraffic,
                          ServiceController, SharedClusterBackend,
                          SharedVHadoopService, SlotModelBackend,
                          TenantRegistry)
@@ -85,6 +88,39 @@ def test_autoscaler_improves_the_burst_and_acts_on_alerts():
     assert on.goodput >= off.goodput
     peak_on = max(p.workers for p in on.timeline)
     assert peak_on > 80
+
+
+@given(rolling_ticks=st.sampled_from([1, 2, 24]),
+       ticks=st.lists(st.tuples(
+           st.lists(st.floats(0.0, 2e5, allow_nan=False), max_size=8),
+           st.integers(0, 40), st.integers(0, 40)),
+           min_size=1, max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_rolling_window_equals_merging_it_from_scratch(rolling_ticks, ticks):
+    """The incremental window (add the closing tick, subtract the
+    evicted one) reads the same p99 / rejection rate as re-merging the
+    last ``rolling_ticks`` ticks, empty ticks included."""
+    sim = Simulator()
+    tenants = TenantRegistry.synthetic(2, RngRegistry(0).stream("fleet"))
+    controller = ServiceController(
+        sim, SlotModelBackend(sim, CostModel(base_s=1.0, per_mb_s=0.0),
+                              slots=1),
+        tenants, PoissonTraffic("p", tenants, RngRegistry(0).stream("t"),
+                                1.0),
+        rolling_ticks=rolling_ticks)
+    closed = []
+    for latencies, submitted, rejected in ticks:
+        hist = LatencyHistogram()
+        for latency in latencies:
+            hist.observe(latency)
+        closed.append((hist, submitted, min(rejected, submitted)))
+        merged = LatencyHistogram()
+        for part, _, _ in closed[-rolling_ticks:]:
+            merged.merge(part)
+        offered = sum(sub for _, sub, _ in closed[-rolling_ticks:])
+        shed = sum(rej for _, _, rej in closed[-rolling_ticks:])
+        assert controller._rolling(closed[-1]) == (
+            merged.p99, shed / offered if offered else 0.0)
 
 
 def test_report_serialization_roundtrip():

@@ -21,6 +21,39 @@ def test_same_seed_same_trace_digest():
     assert trace_digest(ta) == trace_digest(tb)
 
 
+@pytest.mark.parametrize("make, n_arrivals, digest", [
+    (lambda t, r: PoissonTraffic("p", t, r, rate_per_s=2.0),
+     4062, "2d82178ed5a44bf2"),
+    (lambda t, r: DiurnalTraffic("d", t, r, base_rate_per_s=2.0,
+                                 period_s=600.0),
+     4123, "c1bb9ec34aa73272"),
+    (lambda t, r: BurstTraffic("b", t, r, base_rate_per_s=2.0,
+                               burst_every_s=500.0, burst_duration_s=100.0),
+     5803, "d65c5347ef57dc68"),
+], ids=["poisson", "diurnal", "burst"])
+def test_arrival_streams_are_pinned(make, n_arrivals, digest):
+    """Pinned before the draws moved off ``uniform`` / ``exponential``:
+    every arrival time, tenant, class and size is the same double."""
+    rngs = RngRegistry(7)
+    tenants = TenantRegistry.synthetic(16, rngs.stream("fleet"))
+    arrivals = make(tenants, rngs.stream("traffic")).materialize(2000.0)
+    assert (len(arrivals), trace_digest(arrivals)) == (n_arrivals, digest)
+
+
+def test_argument_free_draws_are_the_uniform_and_exponential_doubles():
+    """The identity the generators rest on; a NumPy release that draws
+    ``uniform`` / ``exponential`` differently must fail here, loudly."""
+    old = RngRegistry(5).fresh("draws")
+    new = RngRegistry(5).fresh("draws")
+    for i in range(4000):
+        a, b, scale = -3.0 + i, 0.125 * (i % 97) + i, 1.0 / (1 + i % 13)
+        assert a + (b - a) * new.random() == float(old.uniform(a, b))
+        assert scale * new.standard_exponential() == \
+            float(old.exponential(scale))
+        assert 37.5 * new.random() == float(old.uniform(0.0, 37.5))
+        assert new.random() == float(old.uniform(0.0, 1.0))
+
+
 def test_different_seed_different_trace():
     a = PoissonTraffic("p", fleet(), RngRegistry(7).stream("t"), 2.0)
     b = PoissonTraffic("p", fleet(), RngRegistry(8).stream("t"), 2.0)

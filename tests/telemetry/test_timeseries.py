@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.tenants import LatencyHistogram
 from repro.errors import ConfigError
@@ -193,3 +195,102 @@ def test_tier_multipliers_shape():
     series = TimeSeries("s", step=2.0)
     assert [t.width for t in series.tiers] == [2.0, 20.0, 200.0]
     assert math.isclose(series.tiers[0].retention_s(), 720.0)
+
+
+# -- liveness, late samples and the index walk --------------------------------
+
+def test_late_sample_does_not_evict_a_newer_bucket():
+    series = TimeSeries("x", step=5, capacity=4)
+    series.observe(100.0, 1.0)
+    series.observe(0.0, 9.0)            # same raw slot as t=100 (20 % 4 == 0)
+    assert series.latest(1)[0].last_at == 100.0
+    assert [(s, b.last) for s, b in series.range(95.0, 105.0)] == [(100.0, 1.0)]
+    assert series.late_samples == 1
+    # The x100 tier still retains t=0 and records the sample.
+    assert series.tiers[2].buckets()[0].count == 2
+    assert series.tiers[0].buckets() == series.latest(1)
+
+
+def test_late_histogram_delta_is_skipped_not_merged_over_newer():
+    series = HistogramSeries("lat", step=5.0, capacity=4)
+    series.observe(100.0, delta(1.0))
+    series.observe(0.0, delta(50.0, 50.0))
+    assert series.merged_over(95.0, 105.0, tier=0).n == 1
+    assert series.merged_over(0.0, 5.0, tier=0).n == 0
+    assert series.merged_over(0.0, 50.0, tier=1).n == 2   # x10 retains t=0
+
+
+def model(samples, step, capacity):
+    """Reference store: per tier ``(width, {index: [count, total, last,
+    last_at]})`` of the live set, newest index tracked the slow way."""
+    tiers = []
+    for mult in TIER_MULTIPLIERS:
+        width, held, top = step * mult, {}, -math.inf
+        for at, value in samples:
+            index = int(at // width)
+            if index > top - capacity:          # else: late, refused
+                top = max(top, index)
+                agg = held.setdefault(index, [0, 0.0, 0.0, 0.0])
+                agg[:] = agg[0] + 1, agg[1] + value, value, at
+        tiers.append((width, {i: a for i, a in held.items()
+                              if i > top - capacity}))
+    return tiers
+
+
+def model_range(tiers, capacity, t0, t1, tier):
+    if tier is None:
+        raw = tiers[0][1]
+        now = raw[max(raw)][3] if raw else t1
+        tier = next((i for i, (width, _) in enumerate(tiers)
+                     if now - t0 <= width * capacity), len(tiers) - 1)
+    width, live = tiers[tier]
+    return [(i * width, live[i]) for i in sorted(live)
+            if not (i * width + width <= t0 or i * width >= t1)]
+
+
+@given(step=st.sampled_from([1.0, 5.0, 0.1]),
+       capacity=st.integers(2, 6),
+       moves=st.lists(st.tuples(
+           st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 7.0, 40.0, 900.0,
+                            -1.0, -3.0, -30.0, -2000.0]),
+           st.floats(-5.0, 5.0, allow_nan=False)), max_size=60),
+       windows=st.lists(st.tuples(
+           st.sampled_from([-math.inf, -1e9, -3.5, 0.0, 1.0, 2.0, 7.25]),
+           st.sampled_from([0.0, 0.5, 1.0, 3.0, 12.0, 250.0, math.inf]),
+           st.sampled_from([None, 0, 1, 2])), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_queries_match_filter_and_sort_reference(step, capacity, moves,
+                                                 windows):
+    """Dense, sparse (gaps beyond retention) and late samples; windows
+    on bucket edges, infinite ends, every tier and ``tier=None``."""
+    series = TimeSeries("p", step=step, capacity=capacity)
+    samples, at = [], 0.0
+    for gap, value in moves:
+        at += gap * step
+        samples.append((at, value))
+        series.observe(at, value)
+    tiers = model(samples, step, capacity)
+    for ti, (_, live) in enumerate(tiers):
+        ordered = [live[i] for i in sorted(live)]
+        for n in (1, 2, capacity + 1):
+            assert [[b.count, b.total, b.last, b.last_at]
+                    for b in series.latest(n, tier=ti)] == ordered[-n:]
+    for back, span, tier in windows:
+        t0 = at + back * step
+        t1 = t0 + span * step if back != -math.inf else span * step
+        want = model_range(tiers, capacity, t0, t1, tier)
+        got = series.range(t0, t1, tier)
+        assert [(s, [b.count, b.total, b.last, b.last_at])
+                for s, b in got] == want
+        count = sum(agg[0] for _, agg in want)
+        total = 0.0
+        for _, agg in want:
+            total += agg[1]
+        assert series.mean_over(t0, t1, tier) == (total / count
+                                                  if count else 0.0)
+        rate = 0.0
+        if len(want) >= 2 and want[-1][1][3] - want[0][1][3] > 0:
+            rate = ((want[-1][1][2] - want[0][1][2])
+                    / (want[-1][1][3] - want[0][1][3]))
+        assert series.rate(t0, t1, tier) == rate

@@ -25,10 +25,7 @@ CANOPY_T1, CANOPY_T2 = 80.0, 55.0
 MEANSHIFT_T1, MEANSHIFT_T2 = 70.0, 35.0
 
 
-def _drivers(max_iterations: int, n_workers: int):
-    # Reduces scale with the cluster (real deployments set
-    # mapred.reduce.tasks proportional to nodes), feeding the paper's
-    # "larger cluster => more communication" effect.
+def _drivers(max_iterations: int):
     return {
         "canopy": CanopyDriver(t1=CANOPY_T1, t2=CANOPY_T2),
         "dirichlet": DirichletDriver(n_models=10,
@@ -53,7 +50,7 @@ def run(scales: Sequence[int] = CLUSTER_SCALES, n_per_class: int = 100,
         cluster = scaled_cluster(platform, n_nodes)
         stage_points(platform, cluster, "/control/input", points)
         executor = ClusterExecutor(platform.runner(cluster), cluster)
-        drivers = _drivers(max_iterations, len(cluster.workers))
+        drivers = _drivers(max_iterations)
         times = {}
         for name, driver in drivers.items():
             outcome = driver.run(executor, "/control/input",

@@ -35,19 +35,23 @@ def canopy_pass(points: np.ndarray, t1: float, t2: float,
     Centroids are running means of the points within ``T1`` of the canopy's
     founding point.
     """
-    canopies: list[list] = []  # [founder, sum, count]
+    points = np.asarray(points, dtype=float)
+    # Canopies 0..k-1 live in preallocated rows, so one to_centers call
+    # measures a point against every founder.
+    founders = np.empty_like(points)
+    sums = np.empty_like(points)
+    counts = np.zeros(len(points), dtype=int)
+    k = 0
     for point in points:
-        absorbed = False
-        for canopy in canopies:
-            dist = measure.distance(point, canopy[0])
-            if dist < t1:
-                canopy[1] = canopy[1] + point
-                canopy[2] += 1
-            if dist < t2:
-                absorbed = True
-        if not absorbed:
-            canopies.append([point.copy(), point.copy(), 1])
-    return [(c[1] / c[2], c[2]) for c in canopies]
+        dist = measure.to_centers(point[None], founders[:k])[0]
+        within_t1 = np.flatnonzero(dist < t1)
+        sums[within_t1] += point
+        counts[within_t1] += 1
+        if not (dist < t2).any():
+            founders[k] = sums[k] = point
+            counts[k] = 1
+            k += 1
+    return list(zip(sums[:k] / counts[:k, None], counts[:k].tolist()))
 
 
 class CanopyMapper(Mapper):
@@ -78,13 +82,9 @@ class CanopyReducer(Reducer):
         self.measure = measure
 
     def reduce(self, key, values, context: Context) -> None:
-        centroids = []
-        weights = []
-        for centroid, count in values:
-            centroids.append(np.asarray(centroid, dtype=float))
-            weights.append(count)
-        finals = canopy_pass(np.asarray(centroids), self.t1, self.t2,
-                             self.measure)
+        centroids = [centroid for centroid, _count in values]
+        finals = canopy_pass(np.asarray(centroids, dtype=float),
+                             self.t1, self.t2, self.measure)
         for cid, (centroid, _n) in enumerate(finals):
             context.emit(cid, (tuple(centroid), float(_n)))
 

@@ -21,6 +21,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+import zlib
 from typing import Sequence
 
 import numpy as np
@@ -42,10 +43,11 @@ class NormalModel:
         self.sigma = max(float(sigma), 1e-6)
         self.weight = float(weight)
 
-    def log_pdf(self, x: np.ndarray) -> float:
+    def log_pdf(self, x: np.ndarray) -> float | np.ndarray:
+        """Log density at one point ``(d,)`` or at every row of ``(n, d)``."""
         d = len(self.mean)
         diff = x - self.mean
-        return (-0.5 * float(diff @ diff) / (self.sigma ** 2)
+        return (-0.5 * (diff * diff).sum(axis=-1) / (self.sigma ** 2)
                 - d * math.log(self.sigma)
                 - 0.5 * d * math.log(2.0 * math.pi))
 
@@ -53,29 +55,48 @@ class NormalModel:
         return (tuple(self.mean), self.sigma, self.weight)
 
 
+def sample_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
+    """One categorical draw per row of ``probs`` from one ``rng.random(n)``.
+
+    Consumes the stream and does the arithmetic of ``rng.choice(K, p=row)``
+    called row by row: normalised cdf, ``searchsorted(u, side="right")``
+    (for a sorted cdf, the number of entries ``<= u``).
+    """
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= rng.random(len(probs))[:, None]).sum(axis=1)
+
+
 class DirichletMapper(Mapper):
-    """Sample a model assignment for each point."""
+    """Sample a model assignment for each point of the split."""
 
     def __init__(self, models: Sequence[tuple], seed: int):
         self.models = [NormalModel(*m) for m in models]
         self.seed = seed
+        self._points: list = []
 
     def setup(self, context: Context) -> None:
         # Deterministic per-task stream: seed + task id.
-        import zlib
         entropy = zlib.crc32(context.task_id.encode()) & 0xFFFFFFFF
         self._rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, entropy]))
 
     def map(self, key, value, context: Context) -> None:
-        x = np.asarray(value, dtype=float)
-        logs = np.asarray([math.log(max(m.weight, 1e-12)) + m.log_pdf(x)
-                           for m in self.models])
-        logs -= logs.max()
+        self._points.append(value)
+
+    def cleanup(self, context: Context) -> None:
+        if not self._points:
+            return
+        x = np.asarray(self._points, dtype=float)
+        self._points.clear()
+        logs = np.stack([math.log(max(m.weight, 1e-12)) + m.log_pdf(x)
+                         for m in self.models], axis=1)
+        logs -= logs.max(axis=1, keepdims=True)
         probs = np.exp(logs)
-        probs /= probs.sum()
-        z = int(self._rng.choice(len(self.models), p=probs))
-        context.emit(z, (tuple(x), tuple(x * x), 1))
+        probs /= probs.sum(axis=1, keepdims=True)
+        for z, vec, vec_sq in zip(sample_rows(self._rng, probs).tolist(),
+                                  x.tolist(), (x * x).tolist()):
+            context.emit(z, (tuple(vec), tuple(vec_sq), 1))
 
 
 class DirichletDriver:
@@ -87,6 +108,8 @@ class DirichletDriver:
             raise ClusteringError("n_models must be >= 1")
         if alpha0 <= 0:
             raise ClusteringError("alpha0 must be > 0")
+        if max_iterations < 1:
+            raise ClusteringError("max_iterations must be >= 1")
         self.n_models = n_models
         self.alpha0 = float(alpha0)
         self.max_iterations = max_iterations

@@ -36,28 +36,31 @@ def shift_and_merge(canopies: list[tuple[np.ndarray, float]], t1: float,
     if not canopies:
         return [], True
     centers = np.vstack([c for c, _w in canopies])
-    weights = np.asarray([w for _c, w in canopies])
+    weights = np.asarray([w for _c, w in canopies], dtype=float)
     distances = measure.to_centers(centers, centers)
-    all_converged = True
-    shifted: list[tuple[np.ndarray, float]] = []
+    # Per-row masked sums: a matmul here would change the means' bits.
+    means = np.empty_like(centers)
     for i in range(len(canopies)):
         mask = distances[i] < t1
         total_w = weights[mask].sum()
-        mean = (centers[mask] * weights[mask, None]).sum(axis=0) / total_w
-        if measure.distance(mean, centers[i]) > delta:
-            all_converged = False
-        shifted.append((mean, float(weights[i])))
-    # Merge canopies within T2 (earlier canopy absorbs the later one).
-    merged: list[tuple[np.ndarray, float]] = []
-    for center, weight in shifted:
-        for j, (mc, mw) in enumerate(merged):
-            if measure.distance(center, mc) < t2:
-                new_w = mw + weight
-                merged[j] = ((mc * mw + center * weight) / new_w, new_w)
-                break
+        means[i] = (centers[mask] * weights[mask, None]).sum(axis=0) / total_w
+    all_converged = not (measure.paired(means, centers) > delta).any()
+    # Merge canopies within T2 (the earliest such canopy absorbs the later
+    # one); merged canopies 0..m-1 live in preallocated rows.
+    merged = np.empty_like(centers)
+    merged_w: list[float] = []
+    for center, weight in zip(means, weights.tolist()):
+        m = len(merged_w)
+        near = measure.to_centers(center[None], merged[:m])[0] < t2
+        if near.any():
+            j = int(near.argmax())
+            new_w = merged_w[j] + weight
+            merged[j] = (merged[j] * merged_w[j] + center * weight) / new_w
+            merged_w[j] = new_w
         else:
-            merged.append((center, weight))
-    return merged, all_converged
+            merged[m] = center
+            merged_w.append(weight)
+    return list(zip(merged[:len(merged_w)], merged_w)), all_converged
 
 
 class MeanShiftMapper(Mapper):
@@ -106,6 +109,8 @@ class MeanShiftDriver:
                  convergence_delta: float = 0.5, max_iterations: int = 10):
         if not t1 > t2 > 0:
             raise ClusteringError(f"need T1 > T2 > 0, got T1={t1}, T2={t2}")
+        if max_iterations < 1:
+            raise ClusteringError("max_iterations must be >= 1")
         self.t1, self.t2 = float(t1), float(t2)
         self.measure = measure or EuclideanDistance()
         self.convergence_delta = convergence_delta

@@ -193,6 +193,8 @@ def test_meanshift_weight_conserved(blobs):
 def test_meanshift_validation():
     with pytest.raises(ClusteringError):
         MeanShiftDriver(t1=1.0, t2=1.5)
+    with pytest.raises(ClusteringError):
+        MeanShiftDriver(t1=2.0, t2=1.0, max_iterations=0)
 
 
 # --- dirichlet -------------------------------------------------------------------
@@ -220,6 +222,8 @@ def test_dirichlet_validation():
         DirichletDriver(n_models=0)
     with pytest.raises(ClusteringError):
         DirichletDriver(alpha0=0.0)
+    with pytest.raises(ClusteringError):
+        DirichletDriver(max_iterations=0)
 
 
 # --- minhash -------------------------------------------------------------------

@@ -63,6 +63,16 @@ def test_to_centers_matches_scalar():
                     measure.distance(points[i], centers[j]), abs=1e-9)
 
 
+def test_paired_matches_scalar():
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
+    for measure in ALL:
+        paired = measure.paired(a, b)
+        assert paired.shape == (7,)
+        for i in range(7):
+            assert paired[i] == pytest.approx(measure.distance(a[i], b[i]))
+
+
 def test_measure_by_name():
     for name in MEASURES:
         assert measure_by_name(name).name == name

@@ -28,19 +28,21 @@ def migrate(condition: str) -> None:
         platform.upload(cluster, "/wc/in", lines_as_records(lines),
                         sizeof=scaled_line_sizeof(scale), timed=False)
         runner = platform.runners[cluster.name]
+        wordcount = wordcount_job("/wc/in", "/wc/out", n_reduces=8,
+                                  volume_scale=scale)
 
-        def load(sim, stream):
+        def load(stream):
             # Keep Wordcount running for the entire migration window by
-            # resubmitting as each job finishes.
+            # resubmitting as each job finishes (every run is charged in
+            # full; the user code runs once per split).
             index = 0
             while not stop_load["flag"]:
-                yield runner.submit(wordcount_job(
-                    "/wc/in", f"/wc/out-{stream}-{index}", n_reduces=8,
-                    volume_scale=scale))
+                yield runner.submit(wordcount.resubmit_to(
+                    f"/wc/out-{stream}-{index}"))
                 index += 1
 
         for stream in range(3):
-            dc.sim.process(load(dc.sim, stream), name=f"load-{stream}")
+            dc.sim.process(load(stream), name=f"load-{stream}")
         dc.run(until=dc.now + 15.0)  # let the jobs reach steady state
 
     event = dc.virtlm.migrate_cluster(cluster.vms, dc.machine(1),

@@ -4,12 +4,14 @@ A :class:`Job` bundles everything the engine needs: input/output paths,
 factories for the mapper/combiner/reducer (fresh instance per task, as in
 Hadoop), the partitioner, the reduce count, serialized-size estimators, and
 the per-job CPU cost coefficients that calibrate how expensive this job's
-user code is per byte/record.
+user code is per byte/record.  :meth:`Job.resubmit_to` makes copies that
+run their user code once per split between them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import is_
 from typing import Any, Callable, Optional, Sequence
 
 from repro import constants as C
@@ -50,6 +52,9 @@ class Job:
     output_replication: Optional[int] = None
     #: Free-form parameters surfaced through ``context.config``.
     params: dict = field(default_factory=dict)
+    #: Functional results shared with :meth:`resubmit_to` copies, else None.
+    _memo: Optional[dict] = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -72,3 +77,36 @@ class Job:
     @property
     def map_only(self) -> bool:
         return self.n_reduces == 0
+
+    def resubmit_to(self, output_path: str) -> "Job":
+        """This job definition again, writing to ``output_path``.
+
+        This job and its copies share one memo of functional results: a
+        task fed the very objects an earlier one computed from reuses its
+        output and still pays every simulated cost (DESIGN.md §5 item 8).
+        Swap a functional field on a copy and it silently stops hitting.
+        """
+        if self._memo is None:
+            self._memo = {}
+        copy = replace(self, output_path=output_path)
+        copy._memo = self._memo
+        return copy
+
+    def _definition(self) -> tuple:
+        return (self.mapper, self.combiner, self.reducer, self.partitioner,
+                self.n_reduces, self.intermediate_sizeof, self.params)
+
+    def _recall(self, key, *inputs):
+        """What ``key`` memoises if made from these very objects, else None."""
+        if self._memo is not None:
+            held, result = self._memo.get(key, ((), None))
+            inputs += self._definition()
+            if len(held) == len(inputs) and all(map(is_, held, inputs)):
+                return result
+        return None
+
+    def _remember(self, key, result, *inputs):
+        """Memoise (and return) ``result``, holding on to ``inputs``."""
+        if self._memo is not None:
+            self._memo[key] = (inputs + self._definition(), result)
+        return result

@@ -43,7 +43,8 @@ The cost model is hadoop-0.20, as the paper ran it:
 
 The report records per-task attempts and per-phase spans; the functional
 output is bit-identical to :class:`~repro.mapreduce.local.LocalJobRunner`
-(tested property).
+(tested property); :meth:`Job.resubmit_to` copies run each task's user
+code once between them, and every charge above is still made per task.
 """
 
 from __future__ import annotations
@@ -875,9 +876,35 @@ class MapReduceRunner:
                 + job.map_cpu_per_record * len(spec.records))
         if work > 0:
             yield vm.compute(work, name=f"map:{spec.task_id}")
-        # 3. real map + combine (functional; cost already charged), then
-        # 4. partition.  Intermediate pairs exist only as columns and
-        # key-grouped runs; a map-only job's pairs *are* its output.
+        # 3. real map + combine, 4. partition: cost already charged.
+        partitions, partition_bytes, n_mapped, counters = self._map_result(
+            job, spec)
+        # 5. spill.
+        spill = sum(partition_bytes.values())
+        if spill > 0 and not job.map_only:
+            yield vm.disk_io(spill, name=f"spill:{spec.task_id}")
+        # Counters land only when the attempt completes: a preempted or
+        # superseded attempt must contribute nothing to the job totals.
+        # ``count=False`` is the shuffle-recovery re-run, whose original
+        # attempt already counted — it must not double-count either.
+        if count:
+            report.counters.merge(counters)
+            report.counters.incr("job", "map_input_records",
+                                 len(spec.records))
+            report.counters.incr("job", "map_output_records", n_mapped)
+        return _MapOutput(spec, tracker, partitions, partition_bytes,
+                          job=job, report=report)
+
+    def _map_result(self, job: Job, spec: _MapSpec):
+        """The functional half of a map attempt.  Intermediate pairs exist
+        only as columns and key-grouped runs; a map-only job's pairs *are*
+        its output.  :meth:`Job.resubmit_to` copies run it once per split
+        payload object and combiner state; a failure is never memoised."""
+        combiner = job.combiner if self.cluster.config.use_combiner else None
+        key = (spec.index, combiner is not None)
+        hit = job._recall(key, spec.records)
+        if hit is not None:
+            return hit
         ctx = Context(task_id=spec.task_id, config=job.params)
         try:
             mapped = run_mapper(
@@ -885,7 +912,6 @@ class MapReduceRunner:
                 Context.drain if job.map_only else Context.drain_grouped)
         except Exception as exc:
             raise TaskFailure(spec.task_id, exc) from exc
-        combiner = job.combiner if self.cluster.config.use_combiner else None
         sizeof = job.intermediate_sizeof
         if job.map_only:
             n_mapped = len(mapped)
@@ -901,21 +927,8 @@ class MapReduceRunner:
                                           job.n_reduces)
             partition_bytes = {p: float(sum(map(sizeof, run.pairs())))
                                for p, run in enumerate(partitions)}
-        # 5. spill.
-        spill = sum(partition_bytes.values())
-        if spill > 0 and not job.map_only:
-            yield vm.disk_io(spill, name=f"spill:{spec.task_id}")
-        # Counters land only when the attempt completes: a preempted or
-        # superseded attempt must contribute nothing to the job totals.
-        # ``count=False`` is the shuffle-recovery re-run, whose original
-        # attempt already counted — it must not double-count either.
-        if count:
-            report.counters.merge(ctx.counters)
-            report.counters.incr("job", "map_input_records",
-                                 len(spec.records))
-            report.counters.incr("job", "map_output_records", n_mapped)
-        return _MapOutput(spec, tracker, partitions, partition_bytes,
-                          job=job, report=report)
+        return job._remember(key, (partitions, partition_bytes, n_mapped,
+                                   ctx.counters), spec.records)
 
     def _run_reduce_task(self, phase: _Phase, tracker: "TaskTracker",
                          partition: int, token: object,
@@ -958,14 +971,9 @@ class MapReduceRunner:
         if partition in phase.finished or partition in phase.committing:
             return None
         # 3. real reduce, fed by the merge of every map's run.
-        ctx = Context(task_id=f"r-{partition:05d}", config=job.params)
-        try:
-            reducer = (job.reducer or Reducer)()
-            out_pairs = run_reducer(reducer, merge_runs(runs), ctx)
-        except Exception as exc:
-            raise TaskFailure(f"r-{partition:05d}", exc) from exc
+        out_pairs, counters = self._reduce_result(job, partition, runs)
         phase.committing[partition] = token
-        report.counters.merge(ctx.counters)
+        report.counters.merge(counters)
         report.counters.incr("job", "reduce_input_records", n)
         report.counters.incr("job", "reduce_output_records", len(out_pairs))
         # 4. replicated output write.
@@ -976,6 +984,20 @@ class MapReduceRunner:
         report.output_paths.append(path)
         report.output_bytes += f.size
         return nbytes_in, float(f.size)
+
+    def _reduce_result(self, job: Job, partition: int, runs: list):
+        """The functional half of a reduce attempt; a :meth:`Job.resubmit_to`
+        copy runs it once per identical sequence of input runs."""
+        hit = job._recall(partition, *runs)
+        if hit is not None:
+            return hit
+        ctx = Context(task_id=f"r-{partition:05d}", config=job.params)
+        try:
+            reducer = (job.reducer or Reducer)()
+            out_pairs = run_reducer(reducer, merge_runs(runs), ctx)
+        except Exception as exc:
+            raise TaskFailure(f"r-{partition:05d}", exc) from exc
+        return job._remember(partition, (out_pairs, ctx.counters), *runs)
 
     def _fetch(self, output: _MapOutput, partition: int, to_vm, sem: Resource,
                parent_span: Optional[Span] = None, job_name: str = ""):

@@ -98,6 +98,8 @@ def migration_reports():
             "idle", 512 * 1024 * 1024, seed=0),
         "wc.1024": fig5_migration.migrate_cluster_under(
             "wordcount", 1024 * 1024 * 1024, seed=0),
+        "wc.512": fig5_migration.migrate_cluster_under(
+            "wordcount", 512 * 1024 * 1024, seed=0),
     }
 
 
@@ -117,6 +119,16 @@ def test_table2_wordcount_overheads(migration_reports):
     assert busy.overall_downtime_s > 5.0 * idle.overall_downtime_s
     # Per-node downtime varies widely only under load (observation iii).
     assert busy.downtime_spread() > 3.0 * idle.downtime_spread()
+
+
+def test_table2_seed0_migration_times_are_the_recorded_ones(
+        migration_reports):
+    # Recorded on d78020d, where every load job re-ran its user code: the
+    # resubmitted Wordcount (Job.resubmit_to) must not move a timestamp.
+    assert {cell: report.overall_migration_time_s
+            for cell, report in migration_reports.items()} == {
+        "idle.1024": 156.09047918577798, "idle.512": 85.19398466947244,
+        "wc.1024": 537.9453103701896, "wc.512": 328.9996096323793}
 
 
 def test_fig5_all_vms_arrive(migration_reports):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from repro.cloud.tenants import TenantSpec, TenantStats
+from repro.cloud.tenants import PRIORITIES, TenantSpec, TenantStats
 from repro.errors import ConfigError
 
 # -- decisions ---------------------------------------------------------------
@@ -60,6 +60,10 @@ class AdmissionDecision:
                                  REJECT_IMPOSSIBLE)
 
 
+#: Admissions carry no reason, so every one is this one frozen decision.
+_ADMITTED = AdmissionDecision(ADMIT)
+
+
 class AdmissionController:
     """Quota + graded-priority load shedding for the always-on service.
 
@@ -75,14 +79,16 @@ class AdmissionController:
             raise ConfigError("need 0 < shed_start < shed_hard")
         self.shed_start = float(shed_start)
         self.shed_hard = float(shed_hard)
+        # rank 0 (interactive) sheds at shed_hard, the last rank (batch)
+        # at shed_start, the ranks between evenly spaced.
+        last = len(PRIORITIES) - 1
+        step = (self.shed_hard - self.shed_start) / last
+        self._shed_at = {priority: self.shed_start + step * (last - rank)
+                         for rank, priority in enumerate(PRIORITIES)}
 
     def shed_threshold(self, spec: TenantSpec) -> float:
         """Overload level at which this tenant's class starts shedding."""
-        n_ranks = 3  # interactive / standard / batch
-        step = (self.shed_hard - self.shed_start) / (n_ranks - 1)
-        # rank 0 (interactive) sheds at shed_hard, rank 2 (batch) at
-        # shed_start.
-        return self.shed_start + step * (n_ranks - 1 - spec.priority_rank)
+        return self._shed_at[spec.priority]
 
     def decide(self, spec: TenantSpec, stats: TenantStats,
                overload: float) -> AdmissionDecision:
@@ -90,13 +96,13 @@ class AdmissionController:
             return AdmissionDecision(
                 REJECT_QUOTA,
                 f"inflight={stats.inflight} >= quota={spec.quota_inflight}")
-        threshold = self.shed_threshold(spec)
+        threshold = self._shed_at[spec.priority]
         if overload >= threshold:
             return AdmissionDecision(
                 REJECT_OVERLOAD,
                 f"overload={overload:.3f} >= {threshold:.3f} "
                 f"({spec.priority})")
-        return AdmissionDecision(ADMIT)
+        return _ADMITTED
 
 
 class AgingFifoGate:

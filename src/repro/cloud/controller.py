@@ -1,13 +1,13 @@
 """The always-on service controller: traffic → admission → backend → SLOs.
 
-:class:`ServiceController` runs as a pair of sim processes over one
-arrival stream:
+:class:`ServiceController` runs as two ``Simulator.call_in`` callback
+chains over one arrival stream (the controller starts no sim process):
 
-* the **offer** process replays the open-loop traffic, asks the
-  :class:`~repro.cloud.admission.AdmissionController` for a verdict per
-  arrival (quota, then graded load shedding) and hands admitted work to
-  the backend;
-* the **control** process ticks every ``tick_s``: it evaluates the
+* the **offer** chain replays the open-loop traffic one callback per
+  arrival: it asks the :class:`~repro.cloud.admission.AdmissionController`
+  for a verdict (quota, then graded load shedding), hands admitted work
+  to the backend and re-arms itself for the next arrival;
+* the **control** chain ticks every ``tick_s``: it evaluates the
   :data:`~repro.observatory.slo.SERVICE_SLOS` against rolling service
   state (backlog per slot, rolling p99 vs target, rejection rate) into an
   :class:`~repro.observatory.slo.AlertBook` with hysteresis, lets the
@@ -22,10 +22,10 @@ Two backends provide two fidelities of the same contract:
   cluster (full task/shuffle/HDFS simulation).  Use for demos, tests and
   for *calibrating* the surrogate.
 * :class:`SlotModelBackend` — a job-granularity queueing surrogate: an
-  elastic pool of service slots where a job's service time comes from a
-  :class:`CostModel` fitted against real scheduler runs.  ~2 kernel
-  events per job, which is what makes million-submission experiments
-  tractable.
+  elastic pool of service slots (counters, not processes) where a job's
+  service time comes from a :class:`CostModel` fitted against real
+  scheduler runs.  Two kernel events per job — its arrival and its
+  finish — which is what makes million-submission experiments tractable.
 
 Determinism: arrivals, decisions and completions are pure functions of
 the seed; :meth:`ServiceReport.digest` pins the whole run (trace digest,
@@ -110,20 +110,19 @@ class _SurrogatePool:
             if self.size >= self.max_size:
                 break
             self.booting += 1
-            self.backend.sim.process(self._bring_up(),
-                                     name="svc-surrogate:boot")
+            self.backend.sim.call_in(self.boot_s, self._bring_up)
             started += 1
         return started
 
-    def _bring_up(self):
-        yield self.backend.sim.timeout(self.boot_s)
+    def _bring_up(self) -> None:
         self.booting -= 1
         self.backend.add_slot()
 
     def shrink(self, n: int = 1) -> int:
         stopped = 0
         for _ in range(n):
-            if self.size <= self.min_size:
+            # Not ``size``: a retiring slot stays in it until it has left.
+            if self.backend.total_slots() + self.booting <= self.min_size:
                 break
             if not self.backend.remove_slot():
                 break
@@ -135,9 +134,10 @@ class _SurrogatePool:
 class SlotModelBackend:
     """Job-granularity queueing surrogate over an elastic slot pool.
 
-    Admitted jobs queue FIFO; each of ``slots`` perpetual worker
-    processes takes the head, holds it for ``cost.service_time(size_mb)``
-    and reports completion.  No tasks, no shuffle, no HDFS — the
+    Admitted jobs queue FIFO; a free slot takes the head, holds it for
+    ``cost.service_time(size_mb)`` and reports completion.  A slot is a
+    count, not a process: the only kernel event a job costs here is the
+    ``call_in`` that finishes it.  No tasks, no shuffle, no HDFS — the
     :class:`CostModel` stands in for all of it, calibrated against the
     full simulation.
     """
@@ -153,10 +153,12 @@ class SlotModelBackend:
         #: Set by the controller: ``on_done(tenant, submitted_at, wait_s)``.
         self.on_done: Optional[Callable] = None
         self._queue: deque = deque()   # (tenant, size_mb, enqueued_at)
-        #: One park event per idle worker — a submission wakes exactly one
-        #: worker, not the whole pool (no thundering herd at 1M arrivals).
-        self._parked: deque = deque()
-        self._retiring = 0
+        self._idle = 0
+        #: Idle slots leaving ``slots`` in a pending zero-delay hop, and
+        #: busy slots that leave when their job finishes.  Two counts: a
+        #: finish landing before the hop must not take the idle slot's exit.
+        self._idle_retiring = 0
+        self._busy_retiring = 0
         self.busy = 0
         self.pool = _SurrogatePool(
             self, min_size=slots if elastic_min is None else elastic_min,
@@ -166,19 +168,29 @@ class SlotModelBackend:
 
     # -- capacity ----------------------------------------------------------
     def add_slot(self) -> None:
+        """Count one more slot now; it is free one zero-delay hop later, so
+        a control tick at this very instant still sees it without a job."""
         self.slots += 1
-        self.sim.process(self._worker(), name="svc-surrogate:slot")
+        self.sim.call_in(0.0, self._slot_free)
 
     def remove_slot(self) -> bool:
         """Gracefully retire one slot (takes effect between jobs)."""
-        if self.slots - self._retiring <= 0:
+        if self.total_slots() <= 0:
             return False
-        self._retiring += 1
-        self._signal()  # a parked worker can exit immediately
+        if self._idle:
+            self._idle -= 1
+            self._idle_retiring += 1
+            self.sim.call_in(0.0, self._retire_idle)
+        else:
+            self._busy_retiring += 1
         return True
 
+    def _retire_idle(self) -> None:
+        self._idle_retiring -= 1
+        self.slots -= 1
+
     def total_slots(self) -> int:
-        return self.slots - self._retiring
+        return self.slots - self._idle_retiring - self._busy_retiring
 
     def backlog(self) -> int:
         return len(self._queue)
@@ -189,31 +201,34 @@ class SlotModelBackend:
 
     # -- the service loop --------------------------------------------------
     def submit(self, arrival: Arrival, spec) -> None:
-        self._queue.append((arrival.tenant, arrival.size_mb, self.sim.now))
-        self._signal()
+        job = (arrival.tenant, arrival.size_mb, self.sim.now)
+        if self._idle:
+            self._idle -= 1
+            self._start(*job)
+        else:
+            self._queue.append(job)
 
-    def _signal(self) -> None:
-        if self._parked:
-            self._parked.popleft().succeed(None)
+    def _start(self, tenant: str, size_mb: float, enqueued_at: float) -> None:
+        self.busy += 1
+        self.sim.call_in(self.cost.service_time(size_mb), self._finish,
+                         tenant, enqueued_at, self.sim.now - enqueued_at)
 
-    def _worker(self):
-        while True:
-            if self._retiring > 0:
-                self._retiring -= 1
-                self.slots -= 1
-                return
-            if not self._queue:
-                park = self.sim.event()
-                self._parked.append(park)
-                yield park
-                continue
-            tenant, size_mb, enqueued_at = self._queue.popleft()
-            wait_s = self.sim.now - enqueued_at
-            self.busy += 1
-            yield self.sim.timeout(self.cost.service_time(size_mb))
-            self.busy -= 1
-            if self.on_done is not None:
-                self.on_done(tenant, enqueued_at, wait_s, True)
+    def _finish(self, tenant: str, enqueued_at: float, wait_s: float) -> None:
+        self.busy -= 1
+        if self.on_done is not None:
+            self.on_done(tenant, enqueued_at, wait_s, True)
+        self._slot_free()
+
+    def _slot_free(self) -> None:
+        """A slot has no job: retire it if a busy retirement is owed, else
+        give it the queue head, else it idles."""
+        if self._busy_retiring:
+            self._busy_retiring -= 1
+            self.slots -= 1
+        elif self._queue:
+            self._start(*self._queue.popleft())
+        else:
+            self._idle += 1
 
 
 class SharedClusterBackend:
@@ -330,6 +345,8 @@ class ServiceReport:
         self.burn_digest = ""
         self.horizon_s = 0.0
         self.finished_at = 0.0
+        #: Kernel events the run cost (a cost counter: not in the digest).
+        self.kernel_events = 0
 
     @property
     def rejected(self) -> int:
@@ -380,6 +397,7 @@ class ServiceReport:
             "service": self.name,
             "horizon_s": self.horizon_s,
             "finished_at": round(self.finished_at, 3),
+            "kernel_events": self.kernel_events,
             "counters": self.counters(),
             "rejection_rate": round(self.rejection_rate, 6),
             "goodput": round(self.goodput, 6),
@@ -470,11 +488,11 @@ class ServiceController:
             raise ConfigError("horizon_s must be positive")
         self.report.horizon_s = horizon_s
         done = self.sim.event()
-        self.sim.process(self._offer(horizon_s),
-                         name=f"svc-ctl:offer:{self.name}")
-        self.sim.process(self._control(done),
-                         name=f"svc-ctl:tick:{self.name}")
+        before = self.sim.events_processed
+        self._offer(self.traffic.stream(horizon_s))
+        self.sim.call_in(self.tick_s, self._control, done)
         self.sim.run_until(done)
+        self.report.kernel_events = self.sim.events_processed - before
         self.report.finished_at = self.sim.now
         self.report.trace_digest = self._trace_hash.hexdigest()[:16]
         if self.burn_engine is not None:
@@ -484,17 +502,22 @@ class ServiceController:
         return self.report
 
     # -- offer path --------------------------------------------------------
-    def _offer(self, horizon_s: float):
-        for arrival in self.traffic.stream(horizon_s):
+    def _offer(self, stream, arrival: Optional[Arrival] = None) -> None:
+        """One link of the offer chain: handle the due ``arrival`` (none
+        on the first call) and whatever ``stream`` yields that is already
+        due, then re-arm for the first arrival that is not."""
+        if arrival is not None:
+            self._handle(arrival)
+        for arrival in stream:
             delay = arrival.at - self.sim.now
             if delay > 0:
-                yield self.sim.timeout(delay)
+                self.sim.call_in(delay, self._offer, stream, arrival)
+                return
             self._handle(arrival)
         self._offer_done = True
 
     def _handle(self, arrival: Arrival) -> None:
-        self._trace_hash.update(arrival.line().encode("utf-8"))
-        self._trace_hash.update(b"\n")
+        self._trace_hash.update((arrival.line() + "\n").encode())
         spec = self.tenants.spec(arrival.tenant)
         stats = self.tenants.stats(arrival.tenant)
         stats.submitted += 1
@@ -535,12 +558,10 @@ class ServiceController:
         if ok:
             stats.completed += 1
             self.report.completed += 1
-            stats.latency.observe(latency)
-            stats.queue_wait.observe(wait_s)
+            stats.latency.observe(latency, self.report.latency,
+                                  self._tick_hist)
+            stats.queue_wait.observe(wait_s, self.report.queue_wait)
             stats.busy_slot_seconds += latency - wait_s
-            self.report.latency.observe(latency)
-            self.report.queue_wait.observe(wait_s)
-            self._tick_hist.observe(latency)
         else:
             stats.failed += 1
             self.report.failed += 1
@@ -549,14 +570,13 @@ class ServiceController:
                              latency=latency, wait=wait_s, ok=ok)
 
     # -- control path ------------------------------------------------------
-    def _control(self, done):
-        while True:
-            yield self.sim.timeout(self.tick_s)
-            self._tick()
-            if (self._offer_done and self.inflight == 0
-                    and self.backend.backlog() == 0):
-                break
-        done.succeed(None)
+    def _control(self, done) -> None:
+        self._tick()
+        if (self._offer_done and self.inflight == 0
+                and self.backend.backlog() == 0):
+            done.succeed(None)
+        else:
+            self.sim.call_in(self.tick_s, self._control, done)
 
     def _rolling(self, closing: tuple) -> tuple[float, float]:
         """Close one tick into the window; (rolling p99, rolling

@@ -21,6 +21,8 @@ from repro.errors import ConfigError
 #: bottom of this ladder upward (batch first, interactive last).
 PRIORITIES = ("interactive", "standard", "batch")
 
+_INF = math.inf
+
 
 class LatencyHistogram:
     """Fixed log-spaced latency histogram with deterministic quantiles.
@@ -49,19 +51,30 @@ class LatencyHistogram:
     def _edge(self, index: int) -> float:
         return math.exp(self._log_lo + (index + 1) / self._scale)
 
-    def observe(self, value: float) -> None:
-        if value < 0:
-            raise ConfigError(f"negative latency {value!r}")
-        self.n += 1
-        self.total += value
-        if value > self.max_seen:
-            self.max_seen = value
+    def observe(self, value: float, *also: "LatencyHistogram") -> None:
+        """Record ``value`` here and in every histogram of ``also`` (same
+        bin layout as this one): the bin is computed once for all of them.
+        Nothing is touched unless the whole call is valid."""
+        if not 0 <= value < _INF:  # negative, NaN or infinite
+            raise ConfigError(f"latency must be finite and >= 0, "
+                              f"got {value!r}")
+        for hist in also:
+            if (hist._scale != self._scale or hist.n_bins != self.n_bins
+                    or hist._log_lo != self._log_lo):
+                raise ConfigError("cannot observe into histograms with "
+                                  "different bins")
         if value <= self.lo:
             index = 0
         else:
-            index = min(self.n_bins - 1,
-                        int((math.log(value) - self._log_lo) * self._scale))
-        self.counts[index] += 1
+            index = int((math.log(value) - self._log_lo) * self._scale)
+            if index >= self.n_bins:
+                index = self.n_bins - 1
+        for hist in (self, *also) if also else (self,):
+            hist.n += 1
+            hist.total += value
+            if value > hist.max_seen:
+                hist.max_seen = value
+            hist.counts[index] += 1
 
     @property
     def mean(self) -> float:

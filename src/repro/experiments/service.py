@@ -333,6 +333,9 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
                 f"per_mb={cost.per_mb_s:.4f}s (calibrated on real jobs)")
     result.note(f"total submissions {total_submitted} across "
                 f"{sizes['n_tenants']} tenants")
+    kernel_events = sum(r.kernel_events for r in reports.values())
+    result.note(f"kernel events {kernel_events} "
+                f"({kernel_events / total_submitted:.2f} per submission)")
     result.note(f"burst p99 {off.latency.p99:.1f}s -> "
                 f"{on.latency.p99:.1f}s with autoscaler "
                 f"({len(on.actions)} actions)")

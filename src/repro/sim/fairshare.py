@@ -264,7 +264,7 @@ class FairShareSystem:
         self.sim = sim
         self._flows: set[FluidFlow] = set()
         self._last_update = 0.0
-        self._timer_version = 0
+        #: The armed completion timer (a ``call_in`` handle), None once fired.
         self._timer = None
         self.completed_count = 0
         #: Lazy-deletion heap of (horizon, flow seq, flow); an entry is
@@ -661,16 +661,13 @@ class FairShareSystem:
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        self._timer_version += 1
-        version = self._timer_version
         timer = self._timer
-        if timer is not None:
+        if timer is not None:  # armed and not yet fired: supersede it
             self._timer = None
-            if not timer._processed and not timer._cancelled:
-                timer.cancel()
-                self.timer_cancellations += 1
-                if self._metrics is not None:
-                    self._m_cancel.inc()
+            timer.cancel()
+            self.timer_cancellations += 1
+            if self._metrics is not None:
+                self._m_cancel.inc()
         heap = self._horizon_heap
         while heap:
             horizon, _seq, flow = heap[0]
@@ -679,13 +676,11 @@ class FairShareSystem:
             heapq.heappop(heap)
         if not heap:
             return
-        timer = self.sim.timeout(max(heap[0][0], _MIN_DT))
-        timer.callbacks.append(lambda _ev: self._on_timer(version))
-        self._timer = timer
+        self._timer = self.sim.call_in(max(heap[0][0], _MIN_DT),
+                                       self._on_timer)
 
-    def _on_timer(self, version: int) -> None:
-        if version != self._timer_version:
-            return  # superseded by a later rebalance
+    def _on_timer(self) -> None:
+        self._timer = None
         self._advance()
         self._touch()  # even with nothing completed, re-arm the timer
 

@@ -3,7 +3,9 @@
 A :class:`Simulator` owns a virtual clock and a priority queue of pending
 events.  *Processes* are plain Python generators that ``yield`` events; when
 a yielded event triggers, the kernel resumes the generator with the event's
-value (or throws the event's exception into it).
+value (or throws the event's exception into it).  Work nothing waits on —
+a timer, a self-re-arming callback chain — needs neither:
+:meth:`Simulator.call_in` schedules a plain callback as one queue entry.
 
 The kernel is deliberately small — just enough for the vHadoop models — but
 it enforces its invariants strictly: no scheduling in the past, no double
@@ -28,6 +30,8 @@ import inspect
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
+
+_INF = float("inf")
 
 #: Type of a simulation process body.
 ProcessGenerator = Generator["Event", Any, Any]
@@ -154,6 +158,29 @@ class Timeout(Event):
 
     def _pre_trigger(self) -> None:
         raise SimulationError("a Timeout fires by itself; do not trigger it")
+
+
+class ScheduledCall:
+    """Handle for one :meth:`Simulator.call_in` callback.
+
+    Not an :class:`Event`: nothing can wait on it or yield it.  All a
+    holder can do is :meth:`cancel` it before it fires.
+    """
+
+    __slots__ = ("fn", "args", "_cancelled")
+
+    def __init__(self, fn: Callable[..., None], args: tuple):
+        self.fn = fn
+        self.args = args
+        self._cancelled = False
+
+    @property
+    def cancelled(self) -> bool:
+        return self._cancelled
+
+    def cancel(self) -> None:
+        """Withdraw the call; its queue entry is pruned, not fired."""
+        self._cancelled = True
 
 
 class TimerWheel:
@@ -386,7 +413,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Event | ScheduledCall]] = []
         self._seq = 0
         #: Events processed by :meth:`step` (perf-harness counter).
         self.events_processed = 0
@@ -409,6 +436,16 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` seconds from now."""
         return Timeout(self, delay, value)
+
+    def call_in(self, delay: float, fn: Callable[..., None],
+                *args: Any) -> ScheduledCall:
+        """Call ``fn(*args)`` ``delay`` seconds from now: one queue entry,
+        no :class:`Event`, no generator.  Use it for a timer or a callback
+        chain nothing waits on; an exception in ``fn`` propagates out of
+        :meth:`step`."""
+        call = ScheduledCall(fn, args)
+        self._enqueue(call, delay)
+        return call
 
     def process(self, generator: ProcessGenerator,
                 name: Optional[str] = None) -> Process:
@@ -477,23 +514,29 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next live event, or ``inf`` if the queue is empty."""
-        self._prune_cancelled()
+        heap = self._heap
+        if heap and heap[0][2]._cancelled:
+            self._prune_cancelled()
         if self._instant_hooks:
             self._end_instant()
-        return self._heap[0][0] if self._heap else float("inf")
+        return heap[0][0] if heap else _INF
 
     def step(self) -> None:
         """Process exactly one event."""
-        self._prune_cancelled()
-        if self._instant_hooks:
-            self._end_instant()
-        if not self._heap:
+        heap = self._heap
+        # :meth:`run` and :meth:`run_until` have just peeked; only a direct
+        # caller can arrive with cancelled entries or hooks outstanding.
+        if ((not heap or heap[0][2]._cancelled or self._instant_hooks)
+                and self.peek() == _INF):
             raise SimulationError("step() on an empty event queue")
-        time, _seq, event = heapq.heappop(self._heap)
+        time, _seq, event = heapq.heappop(heap)
         if time < self.now:  # pragma: no cover - defensive
             raise SimulationError("event queue went backwards")
         self.now = time
         self.events_processed += 1
+        if type(event) is ScheduledCall:
+            event.fn(*event.args)
+            return
         callbacks, event.callbacks = event.callbacks, []
         event._triggered = True  # Timeouts trigger when they fire.
         event._processed = True
@@ -518,7 +561,7 @@ class Simulator:
         processes (monitors, heartbeats) keep the queue non-empty.
         """
         while not event._processed:
-            if self.peek() == float("inf"):
+            if self.peek() == _INF:
                 raise SimulationError(
                     "event queue drained before the awaited event triggered")
             self.step()
@@ -531,10 +574,8 @@ class Simulator:
         """
         if until is not None and until < self.now:
             raise SimulationError(f"until={until} is in the past (now={self.now})")
-        while self.peek() != float("inf"):
-            if until is not None and self.peek() > until:
-                self.now = until
-                return
+        bound = _INF if until is None else until
+        while self.peek() <= bound and self._heap:  # inf <= inf: drained
             self.step()
         if until is not None and until > self.now:
             self.now = until

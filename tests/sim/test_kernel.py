@@ -523,3 +523,110 @@ def test_raising_instant_hook_propagates_and_keeps_the_rest():
     assert log == [] and sim.now == 0.0
     sim.run()  # the failed hook is gone, the other still owed
     assert log == ["next"] and sim.now == 1.0
+
+
+# -- call_in: plain scheduled callbacks ---------------------------------------
+
+def test_call_in_fires_at_now_plus_delay_with_its_args():
+    sim = Simulator()
+    sim.run(until=2.0)
+    log = []
+    sim.call_in(1.5, lambda *args: log.append((sim.now, args)), "a", 7)
+    sim.run()
+    assert log == [(3.5, ("a", 7))]
+    assert sim.events_processed == 1
+
+
+def test_call_in_is_fifo_with_events_armed_at_the_same_instant():
+    sim = Simulator()
+    log = []
+    sim.timeout(1.0).callbacks.append(lambda _ev: log.append("timeout"))
+    sim.call_in(1.0, log.append, "call")
+    sim.event().succeed(None, delay=1.0).callbacks.append(
+        lambda _ev: log.append("event"))
+    sim.call_in(1.0, log.append, "call again")
+    sim.run()
+    assert log == ["timeout", "call", "event", "call again"]
+
+
+def test_cancelled_call_is_pruned_without_moving_the_clock():
+    sim = Simulator()
+    log = []
+    call = sim.call_in(5.0, log.append, "never")
+    assert not call.cancelled
+    call.cancel()
+    assert call.cancelled
+    sim.run()
+    assert log == [] and sim.now == 0.0
+    assert sim.cancelled_pruned == 1 and sim.events_processed == 0
+
+
+def test_call_in_rejects_a_negative_delay():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.call_in(-1.0, print)
+    assert sim.peek() == float("inf")
+
+
+def test_raising_call_propagates_out_of_run():
+    sim = Simulator()
+
+    def bad():
+        raise RuntimeError("callback failed")
+
+    sim.call_in(1.0, bad)
+    sim.call_in(2.0, bad)
+    with pytest.raises(RuntimeError, match="callback failed"):
+        sim.run()
+    assert sim.now == 1.0 and sim.peek() == 2.0  # the rest is still queued
+
+
+def test_instant_hook_runs_after_a_zero_delay_call_armed_in_the_instant():
+    sim = Simulator()
+    log = []
+
+    def first():
+        sim.at_instant_end(lambda: log.append(("hook", sim.now)))
+        sim.call_in(0.0, log.append, "hop")
+        log.append("first")
+
+    sim.call_in(1.0, first)
+    sim.call_in(2.0, log.append, "t=2")
+    sim.run()
+    assert log == ["first", "hop", ("hook", 1.0), "t=2"]
+
+
+@pytest.mark.parametrize("arm", [
+    lambda sim: sim.call_in(3.0, print),
+    lambda sim: sim.timeout(3.0),
+], ids=["call_in", "timeout"])
+def test_run_and_run_until_on_an_all_cancelled_heap(arm):
+    sim = Simulator()
+    arm(sim).cancel()
+    sim.run(until=1.0)
+    assert sim.now == 1.0 and sim.cancelled_pruned == 1
+    arm(sim).cancel()
+    sim.run()  # drains without firing or moving the clock
+    assert sim.now == 1.0 and sim.cancelled_pruned == 2
+    arm(sim).cancel()
+    with pytest.raises(SimulationError, match="drained"):
+        sim.run_until(sim.event())
+    with pytest.raises(SimulationError, match="empty"):
+        sim.step()
+    assert sim.events_processed == 0
+
+
+def test_run_with_a_pending_hook_and_nothing_else_runs_the_hook():
+    sim = Simulator()
+    log = []
+    sim.at_instant_end(lambda: sim.timeout(1.0).callbacks.append(
+        lambda _ev: log.append("armed by hook")))
+    sim.run(until=0.5)   # the hook runs; what it armed is past ``until``
+    assert log == [] and sim.now == 0.5
+    sim.run()
+    assert log == ["armed by hook"] and sim.now == 1.0
+    # run_until: a hook that arms the awaited event is honoured, too.
+    done = sim.event()
+    sim.at_instant_end(lambda: done.succeed("late", delay=2.0))
+    sim.run_until(done)
+    assert done.value == "late" and sim.now == 3.0

@@ -4,17 +4,21 @@ A warm 6-node shared vHadoop cluster serves open-loop wordcount traffic
 from a 12-tenant fleet.  Mid-run a 6x flash crowd hits; watch the
 closed loop do its job:
 
-1. the service controller's rolling SLO evaluation sees the backlog
-   per slot blow past threshold and **fires** ``service-backlog`` into
-   the alert book;
+1. completions start missing the latency target; the service
+   controller's burn-rate engine sees the error budget burning in both
+   its long and short window and **fires** ``service-p99`` into the
+   alert book;
 2. the :class:`ElasticAutoscaler` consumes the fire through its
    one-shot alert cursor and **grows** an
    :class:`ElasticWorkerPool` — real VMs are placed on the freest
    host, booted, joined as compute-only TaskTrackers and attached to
-   the scheduler's slot-worker pool;
-3. the backlog drains, rolling p99 **recovers**, alerts resolve;
-4. sustained low utilisation lets the pool **drain and retire** the
-   extra workers without killing in-flight tasks.
+   the scheduler's slot-worker pool — and re-grows after each cooldown
+   while the alert stays active;
+3. the backlog drains and rolling p99 **recovers**;
+4. the alert resolves once the slow 1800 s burn window has calmed too
+   (past this demo's horizon); sustained low utilisation then lets the
+   pool **drain and retire** the extra workers without killing
+   in-flight tasks.
 
 Run:  python examples/service_autoscale.py
 """

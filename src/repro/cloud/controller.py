@@ -7,13 +7,15 @@ chains over one arrival stream (the controller starts no sim process):
   arrival: it asks the :class:`~repro.cloud.admission.AdmissionController`
   for a verdict (quota, then graded load shedding), hands admitted work
   to the backend and re-arms itself for the next arrival;
-* the **control** chain ticks every ``tick_s``: it evaluates the
-  :data:`~repro.observatory.slo.SERVICE_SLOS` against rolling service
-  state (backlog per slot, rolling p99 vs target, rejection rate) into an
-  :class:`~repro.observatory.slo.AlertBook` with hysteresis, lets the
+* the **control** chain ticks every ``tick_s``: it records the tick's
+  error fractions (completions over the latency target, arrivals
+  rejected, backlog per slot over its objective) into the
+  :class:`~repro.observatory.burnrate.BurnRateEngine`, which fires and
+  resolves the :data:`~repro.observatory.slo.SERVICE_SLOS` in the
+  :class:`~repro.observatory.slo.AlertBook`; then lets the
   :class:`~repro.cloud.autoscaler.ElasticAutoscaler` act on the book, and
   samples the public timeline (workers / backlog / in-flight /
-  utilisation / p99).
+  utilisation / rolling p99).
 
 Two backends provide two fidelities of the same contract:
 
@@ -29,8 +31,8 @@ Two backends provide two fidelities of the same contract:
 
 Determinism: arrivals, decisions and completions are pure functions of
 the seed; :meth:`ServiceReport.digest` pins the whole run (trace digest,
-counters, autoscaler actions, alert history) and CI compares it across
-two fresh processes.
+counters, autoscaler actions, alert history, burn-rate store) and CI
+compares it across two fresh processes.
 """
 
 from __future__ import annotations
@@ -46,8 +48,10 @@ from repro.cloud.admission import (ADMIT, REJECT_OVERLOAD, REJECT_QUOTA,
 from repro.cloud.tenants import LatencyHistogram, TenantRegistry
 from repro.cloud.traffic import Arrival, ArrivalProcess
 from repro.errors import ConfigError
+from repro.observatory.burnrate import BurnRateEngine
 from repro.observatory.slo import SERVICE_SLOS, AlertBook
 from repro.telemetry import events as EV
+from repro.telemetry.timeseries import TimeSeriesStore
 
 
 # -- the surrogate cost model ------------------------------------------------
@@ -341,7 +345,7 @@ class ServiceReport:
         self.timeline: list[TimelinePoint] = []
         self.actions: list = []          # autoscaler ScalingActions
         self.trace_digest = ""
-        #: Time-series store digest when burn-rate SLOs were on ("" off).
+        #: Digest of the burn-rate engine's time-series store.
         self.burn_digest = ""
         self.horizon_s = 0.0
         self.finished_at = 0.0
@@ -386,8 +390,7 @@ class ServiceReport:
             h.update(b"\n")
         h.update(self.book.digest().encode())
         h.update(self.trace_digest.encode())
-        if self.burn_digest:
-            h.update(self.burn_digest.encode())
+        h.update(self.burn_digest.encode())
         return h.hexdigest()[:16]
 
     def as_dict(self, timeline_stride: int = 1) -> dict:
@@ -424,7 +427,8 @@ class ServiceReport:
 # -- the controller ----------------------------------------------------------
 class ServiceController:
     """Runs one always-on service: open-loop traffic through admission
-    into a backend, with SLO evaluation and (optionally) autoscaling."""
+    into a backend, with burn-rate SLO alerting and (optionally)
+    autoscaling."""
 
     def __init__(self, sim, backend, tenants: TenantRegistry,
                  traffic: ArrivalProcess,
@@ -453,13 +457,17 @@ class ServiceController:
             if spec.name not in self.book.slos:
                 self.book.register(spec)
         self.autoscaler = autoscaler
-        #: Optional :class:`~repro.observatory.burnrate.BurnRateEngine`.
-        #: When set, the per-tick SLO evaluation is error-budget math
-        #: over the engine's time-series store instead of instantaneous
-        #: thresholds; the engine fires the same SLO names into the same
-        #: book, so the autoscaler is unaffected by the swap.
-        self.burn_engine = burn_engine
         self.name = name
+        if burn_engine is None:
+            burn_engine = BurnRateEngine(TimeSeriesStore(sim, step=tick_s),
+                                         self.book, target=name)
+        elif burn_engine.book is not self.book:
+            raise ConfigError("burn_engine fires into a different alert "
+                              "book than the controller's")
+        #: The :class:`~repro.observatory.burnrate.BurnRateEngine` that
+        #: fires the service SLOs into ``book``, where the autoscaler
+        #: looks (built here unless the caller passed its own).
+        self.burn_engine = burn_engine
         self.tick_s = tick_s
         self.latency_target_s = latency_target_s
         self.tracer = tracer
@@ -473,8 +481,8 @@ class ServiceController:
         backend.on_done = self._on_done
         self._trace_hash = hashlib.sha256()
         self._offer_done = False
-        # Rolling per-tick windows for the SLO signals, and their running
-        # histogram sum (only what a quantile reads of it is meaningful).
+        # The last ``rolling_ticks`` per-tick latency histograms and their
+        # running sum: the timeline's rolling p99.
         self._window: deque = deque(maxlen=rolling_ticks)
         self._rolling_hist = LatencyHistogram()
         self._tick_hist = LatencyHistogram()
@@ -495,8 +503,7 @@ class ServiceController:
         self.report.kernel_events = self.sim.events_processed - before
         self.report.finished_at = self.sim.now
         self.report.trace_digest = self._trace_hash.hexdigest()[:16]
-        if self.burn_engine is not None:
-            self.report.burn_digest = self.burn_engine.digest()
+        self.report.burn_digest = self.burn_engine.digest()
         if self.autoscaler is not None:
             self.report.actions = list(self.autoscaler.actions)
         return self.report
@@ -578,50 +585,38 @@ class ServiceController:
         else:
             self.sim.call_in(self.tick_s, self._control, done)
 
-    def _rolling(self, closing: tuple) -> tuple[float, float]:
-        """Close one tick into the window; (rolling p99, rolling
-        rejection rate) over it.  The window histogram is kept, not
-        rebuilt: integer bin counts are added and subtracted exactly, so
-        it reads the same p99 as merging the window from scratch."""
+    def _rolling(self, closing: LatencyHistogram) -> float:
+        """Close one tick's histogram into the window; the rolling p99
+        over it.  The window histogram is kept, not rebuilt: integer bin
+        counts are added and subtracted exactly, so it reads the same
+        p99 as merging the window from scratch."""
         window, merged = self._window, self._rolling_hist
         if len(window) == window.maxlen:
-            evicted = window[0][0]
-            for index, count in enumerate(evicted.counts):
-                merged.counts[index] -= count
-            merged.n -= evicted.n
+            merged.subtract(window[0])
         window.append(closing)
-        merged.merge(closing[0])
-        merged.max_seen = max(hist.max_seen for hist, _, _ in window)
-        submitted = sum(sub for _, sub, _ in window)
-        rejected = sum(rej for _, _, rej in window)
-        rate = rejected / submitted if submitted else 0.0
-        return merged.p99, rate
+        merged.merge(closing)
+        merged.max_seen = max(hist.max_seen for hist in window)
+        return merged.p99
 
     def _tick(self) -> None:
         now = self.sim.now
         slots = self.backend.total_slots()
         backlog = self.backend.backlog()
         utilization = self.backend.utilization()
-        backlog_per_slot = backlog / max(1, slots)
-        if self.burn_engine is not None:
-            # Error fractions of *this* tick, recorded before the
-            # accumulators reset: the engine's windows do the rolling.
-            self.burn_engine.observe_service_tick(
-                now,
-                latency_error=self._tick_hist.fraction_above(
-                    self.latency_target_s),
-                rejection_frac=(self._tick_rejected / self._tick_submitted
-                                if self._tick_submitted else 0.0),
-                backlog_per_slot=backlog_per_slot)
-        p99, rejection_rate = self._rolling(
-            (self._tick_hist, self._tick_submitted, self._tick_rejected))
+        # Error fractions of *this* tick, recorded before the
+        # accumulators reset: the engine's windows do the rolling.
+        self.burn_engine.observe_service_tick(
+            now,
+            latency_error=self._tick_hist.fraction_above(
+                self.latency_target_s),
+            rejection_frac=(self._tick_rejected / self._tick_submitted
+                            if self._tick_submitted else 0.0),
+            backlog_per_slot=backlog / max(1, slots))
+        p99 = self._rolling(self._tick_hist)
         self._tick_hist = LatencyHistogram()
         self._tick_submitted = 0
         self._tick_rejected = 0
-        if self.burn_engine is not None:
-            self.burn_engine.evaluate(now)
-        else:
-            self._evaluate_slos(backlog_per_slot, p99, rejection_rate)
+        self.burn_engine.evaluate(now)
         if self.autoscaler is not None:
             self.autoscaler.tick(now, utilization)
         self.report.timeline.append(TimelinePoint(
@@ -637,22 +632,3 @@ class ServiceController:
                                "slots", labels).set(slots)
             self.metrics.gauge("service.utilization", "busy slot "
                                "fraction", labels).set(utilization)
-
-    def _evaluate_slos(self, backlog_per_slot: float, p99: float,
-                       rejection_rate: float) -> None:
-        """Fire/resolve the service SLOs with 0.5x-threshold hysteresis."""
-        signals = {
-            "service-backlog": (backlog_per_slot, "capacity"),
-            "service-p99": (p99 / self.latency_target_s
-                            if self.latency_target_s > 0 else 0.0,
-                            "capacity"),
-            "service-rejection": (rejection_rate, "admission"),
-        }
-        for slo, (value, attribution) in signals.items():
-            spec = self.book.spec(slo)
-            if spec.violated_by(value):
-                self.book.fire(slo, self.name, value, attribution,
-                               detail=f"{spec.signal}={value:.3f}")
-            elif (self.book.is_active(slo, self.name)
-                    and value < spec.threshold * 0.5):
-                self.book.resolve(slo, self.name)

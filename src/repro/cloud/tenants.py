@@ -4,9 +4,7 @@ A :class:`TenantSpec` declares who a tenant is (priority class, in-flight
 quota, latency target); the :class:`TenantRegistry` owns the fleet and can
 mint deterministic synthetic fleets for experiments.  Per-tenant outcomes
 accumulate in :class:`TenantStats`, whose latency percentiles come from a
-:class:`LatencyHistogram` — log-spaced bins with O(1) memory, so a million
-completions cost nothing to rank and two same-seed runs quantise
-identically (bin edges are pure functions of the constructor arguments).
+:class:`~repro.telemetry.metrics.LatencyHistogram`.
 """
 
 from __future__ import annotations
@@ -16,119 +14,11 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.errors import ConfigError
+from repro.telemetry.metrics import LatencyHistogram
 
 #: Priority classes, most important first.  Admission sheds load from the
 #: bottom of this ladder upward (batch first, interactive last).
 PRIORITIES = ("interactive", "standard", "batch")
-
-_INF = math.inf
-
-
-class LatencyHistogram:
-    """Fixed log-spaced latency histogram with deterministic quantiles.
-
-    ``quantile(q)`` returns the *upper edge* of the bin holding the q-th
-    sample — a deterministic over-estimate with bounded relative error
-    (``growth - 1``), independent of arrival order.  Exact values are
-    deliberately not kept: at ~1M samples a sorted list dominates memory
-    and wall time, while 256 bin counters do not.
-    """
-
-    def __init__(self, lo: float = 0.1, hi: float = 1e5,
-                 n_bins: int = 256):
-        if not (lo > 0 and hi > lo and n_bins >= 2):
-            raise ConfigError("need 0 < lo < hi and n_bins >= 2")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.n_bins = int(n_bins)
-        self._log_lo = math.log(lo)
-        self._scale = (n_bins - 1) / (math.log(hi) - self._log_lo)
-        self.counts = [0] * n_bins
-        self.n = 0
-        self.total = 0.0
-        self.max_seen = 0.0
-
-    def _edge(self, index: int) -> float:
-        return math.exp(self._log_lo + (index + 1) / self._scale)
-
-    def observe(self, value: float, *also: "LatencyHistogram") -> None:
-        """Record ``value`` here and in every histogram of ``also`` (same
-        bin layout as this one): the bin is computed once for all of them.
-        Nothing is touched unless the whole call is valid."""
-        if not 0 <= value < _INF:  # negative, NaN or infinite
-            raise ConfigError(f"latency must be finite and >= 0, "
-                              f"got {value!r}")
-        for hist in also:
-            if (hist._scale != self._scale or hist.n_bins != self.n_bins
-                    or hist._log_lo != self._log_lo):
-                raise ConfigError("cannot observe into histograms with "
-                                  "different bins")
-        if value <= self.lo:
-            index = 0
-        else:
-            index = int((math.log(value) - self._log_lo) * self._scale)
-            if index >= self.n_bins:
-                index = self.n_bins - 1
-        for hist in (self, *also) if also else (self,):
-            hist.n += 1
-            hist.total += value
-            if value > hist.max_seen:
-                hist.max_seen = value
-            hist.counts[index] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.n if self.n else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Upper edge of the bin containing the q-th sample (0 if empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise ConfigError(f"q must be in [0, 1], got {q}")
-        if self.n == 0:
-            return 0.0
-        rank = max(1, math.ceil(q * self.n))
-        seen = 0
-        for index, count in enumerate(self.counts):
-            seen += count
-            if seen >= rank:
-                if index == self.n_bins - 1:
-                    return self.max_seen  # overflow bin: exact max
-                return min(self._edge(index), self.max_seen)
-        return self.max_seen
-
-    @property
-    def p50(self) -> float:
-        return self.quantile(0.50)
-
-    @property
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
-    def fraction_above(self, threshold: float) -> float:
-        """Fraction of samples whose *bin* lies above ``threshold``.
-
-        A sample counts as "bad" when the upper edge of its bin exceeds
-        the threshold — consistent with :meth:`quantile`, which also
-        answers in upper edges, so ``fraction_above(quantile(q)) <= 1-q``
-        deterministically.  Returns 0.0 when empty.
-        """
-        if self.n == 0:
-            return 0.0
-        bad = 0
-        for index, count in enumerate(self.counts):
-            if count and self._edge(index) > threshold:
-                bad += count
-        return bad / self.n
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        if (other.lo, other.hi, other.n_bins) != (self.lo, self.hi,
-                                                  self.n_bins):
-            raise ConfigError("cannot merge histograms with different bins")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.n += other.n
-        self.total += other.total
-        self.max_seen = max(self.max_seen, other.max_seen)
 
 
 @dataclass(frozen=True)

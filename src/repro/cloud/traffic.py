@@ -75,7 +75,7 @@ def trace_digest(arrivals: Iterable[Arrival]) -> str:
 
     Mirrors :meth:`~repro.observatory.slo.AlertBook.digest`: same-seed
     runs must agree byte-for-byte, asserted by tests and the CI
-    ``service-smoke`` job.
+    ``determinism`` job.
     """
     h = hashlib.sha256()
     for arrival in arrivals:

@@ -24,7 +24,7 @@ Seeds are independent, so the campaign rides the
 :mod:`repro.parallel` fabric: ``--jobs N`` shards the seed range over N
 worker processes and the merge is order-independent — both digests are
 byte-identical for ``--jobs 1``, ``--jobs 8``, and any interleaving
-(the parallel-smoke CI job pins exactly that).  ``--journal PATH``
+(the CI ``campaign`` job pins exactly that).  ``--journal PATH``
 checkpoints resolved seeds so an interrupted campaign resumes instead
 of restarting.
 """
@@ -175,7 +175,7 @@ def run(seeds: tuple[int, int] = DEFAULT_SEEDS, jobs: int = 1,
                    f"corpus digest {corpus_digest(scenarios)}",
                    f"{failing} failing seeds, {fabric_failures} "
                    f"fabric failures",
-                   "burn-rate timelines from the quick burst-burn "
+                   "burn-rate timelines from the quick burst-on "
                    "service universe (sim-time, deterministic)"],
             series=burn_series)
         if sharded.workers:

@@ -8,7 +8,9 @@ real wordcount jobs** on a shared vHadoop cluster — so the million-job
 surrogate inherits the full simulator's cost structure without paying
 its per-task event price.
 
-Six arrival mixes, each a fresh same-seed universe:
+Four arrival mixes, each a fresh same-seed universe, all alerting
+through the controller's
+:class:`~repro.observatory.burnrate.BurnRateEngine`:
 
 * ``steady``   — homogeneous Poisson at ~80% utilisation.  The clean
   run: the experiment *asserts* zero SLO alerts and zero scaling
@@ -17,16 +19,10 @@ Six arrival mixes, each a fresh same-seed universe:
 * ``burst-off`` — periodic 4x flash crowds, fixed capacity.
 * ``burst-on``  — the *same arrival trace* (asserted by digest) with
   the alert-driven autoscaler enabled.  The experiment asserts the
-  p99 latency improves — the ablation the ISSUE calls for.
-* ``steady-burn`` / ``burst-burn`` — the same steady/burst universes
-  with :class:`~repro.observatory.burnrate.BurnRateEngine` error-budget
-  alerting instead of instantaneous thresholds.  Asserted: zero
-  clean-run false positives, identical burst trace, and a first alert
-  no later than the threshold path's, to within one short burn window
-  (the resolution at which a windowed mean can date the onset).
+  p99 latency improves.
 
-Prints a combined ``service digest`` note that the CI ``service-smoke``
-job pins across two fresh processes.  Nothing is written to disk; the
+Prints a combined ``service digest`` note that the CI ``determinism``
+job compares across two fresh processes.  Nothing is written to disk; the
 per-mix latency/goodput/rejection curves, tenant stats, autoscaler
 action logs and timelines are available on demand from
 :meth:`~repro.cloud.ServiceReport.to_json`.
@@ -36,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Optional
 
 from repro.cloud import (AdmissionController, Arrival, BurstTraffic,
                          CostModel, DiurnalTraffic, ElasticAutoscaler,
@@ -46,8 +41,6 @@ from repro.cloud import (AdmissionController, Arrival, BurstTraffic,
 from repro.cloud.traffic import JOB_CLASSES, mean_job_size_mb
 from repro.experiments.common import (ExperimentResult, make_platform,
                                       scaled_cluster)
-from repro.observatory.burnrate import (SERVICE_BURN_POLICIES,
-                                        BurnRateEngine)
 from repro.observatory.slo import AlertBook
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
@@ -123,18 +116,36 @@ def _scenario_sizes(quick: bool) -> dict:
     }
 
 
+def _mixes(sizes: dict) -> dict:
+    """``name -> (parameters, make_traffic, autoscale)`` per arrival mix,
+    in run order; the two burst arms share one traffic definition."""
+    st, di, bu = sizes["steady"], sizes["diurnal"], sizes["burst"]
+
+    def burst(tenants, rng):
+        return BurstTraffic(
+            "burst", tenants, rng, base_rate_per_s=bu["rate"],
+            burst_factor=bu["factor"], burst_every_s=bu["every"],
+            burst_duration_s=bu["duration"])
+    return {
+        "steady": (st, lambda tenants, rng: PoissonTraffic(
+            "steady", tenants, rng, rate_per_s=st["rate"]), True),
+        "diurnal": (di, lambda tenants, rng: DiurnalTraffic(
+            "diurnal", tenants, rng, base_rate_per_s=di["rate"],
+            amplitude=di["amplitude"], period_s=di["period"]), True),
+        "burst-off": (bu, burst, False),
+        "burst-on": (bu, burst, True),
+    }
+
+
 def _run_scenario(name: str, seed: int, cost: CostModel, sizes: dict,
                   rate: float, make_traffic, horizon_s: float,
-                  autoscale: bool, slo_mode: str = "threshold",
-                  store_out: Optional[list] = None) -> ServiceReport:
-    """One arrival mix in a fresh simulator universe.
+                  autoscale: bool) -> ServiceController:
+    """One arrival mix run to completion in a fresh simulator universe;
+    returns its controller (``.report``, ``.burn_engine.store``).
 
     Capacity, quotas and the latency target all derive from the
     *calibrated* cost model and the offered rate, so the scenario stays
-    balanced whatever the calibration produced.  ``slo_mode`` picks the
-    alerting path: ``"threshold"`` (instantaneous, PR 6) or
-    ``"burnrate"`` (error-budget windows over a time-series store); both
-    feed the same book/autoscaler contract.
+    balanced whatever the calibration produced.
     """
     sim = Simulator()
     rngs = RngRegistry(seed)
@@ -158,27 +169,18 @@ def _run_scenario(name: str, seed: int, cost: CostModel, sizes: dict,
             backend.pool, book, service=name, cooldown_s=30.0,
             grow_step=max(2, slots // 8), scale_in_util=0.3,
             scale_in_ticks=24)
-    burn_engine = None
-    if slo_mode == "burnrate":
-        from repro.telemetry.timeseries import TimeSeriesStore
-        store = TimeSeriesStore(sim, step=sizes["tick_s"])
-        burn_engine = BurnRateEngine(store, book, target=name)
-        if store_out is not None:
-            store_out.append(store)
-    elif slo_mode != "threshold":
-        raise ValueError(f"unknown slo_mode {slo_mode!r}")
     controller = ServiceController(
         sim, backend, tenants, traffic,
         admission=AdmissionController(shed_start=12.0, shed_hard=24.0),
         book=book, autoscaler=autoscaler, name=name,
-        tick_s=sizes["tick_s"], latency_target_s=latency_target_s,
-        burn_engine=burn_engine)
-    return controller.run(horizon_s)
+        tick_s=sizes["tick_s"], latency_target_s=latency_target_s)
+    controller.run(horizon_s)
+    return controller
 
 
 def burn_timelines(seed: int = 0) -> tuple[
         dict[str, list[tuple[float, float]]], list[str]]:
-    """Quick burst-burn universe → sim-time SLO error timelines.
+    """Quick ``burst-on`` universe → sim-time SLO error timelines.
 
     Returns ``(series, digests)`` where ``series`` maps each
     ``slo.error.*`` series to ``[(t, mean), ...]`` points from the 10×
@@ -188,18 +190,11 @@ def burn_timelines(seed: int = 0) -> tuple[
     chart the timelines and fold the digests into the digest CI pins.
     """
     sizes = _scenario_sizes(True)
-    cost = calibrate_cost_model(seed, True)
-    bu = sizes["burst"]
-    holder: list = []
-    _run_scenario(
-        "burst-burn", seed, cost, sizes, bu["rate"],
-        lambda tenants, rng: BurstTraffic(
-            "burst", tenants, rng, base_rate_per_s=bu["rate"],
-            burst_factor=bu["factor"], burst_every_s=bu["every"],
-            burst_duration_s=bu["duration"]),
-        bu["horizon"], autoscale=True, slo_mode="burnrate",
-        store_out=holder)
-    store = holder[0]
+    params, make_traffic, autoscale = _mixes(sizes)["burst-on"]
+    store = _run_scenario(
+        "burst-on", seed, calibrate_cost_model(seed, True), sizes,
+        params["rate"], make_traffic, params["horizon"],
+        autoscale).burn_engine.store
     series: dict[str, list[tuple[float, float]]] = {}
     digests: list[str] = []
     for (name, _labels), ts in store.items():
@@ -213,49 +208,16 @@ def burn_timelines(seed: int = 0) -> tuple[
 
 
 def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
-    """Calibrate, run all six arrival mixes and assert the ablations."""
+    """Calibrate, run the four arrival mixes and assert their promises."""
     sizes = _scenario_sizes(quick)
     cost = calibrate_cost_model(seed, quick)
 
-    reports: dict[str, ServiceReport] = {}
-
-    st = sizes["steady"]
-    reports["steady"] = _run_scenario(
-        "steady", seed, cost, sizes, st["rate"],
-        lambda tenants, rng: PoissonTraffic(
-            "steady", tenants, rng, rate_per_s=st["rate"]),
-        st["horizon"], autoscale=True)
-
-    di = sizes["diurnal"]
-    reports["diurnal"] = _run_scenario(
-        "diurnal", seed, cost, sizes, di["rate"],
-        lambda tenants, rng: DiurnalTraffic(
-            "diurnal", tenants, rng, base_rate_per_s=di["rate"],
-            amplitude=di["amplitude"], period_s=di["period"]),
-        di["horizon"], autoscale=True)
-
-    bu = sizes["burst"]
-    def burst_traffic(tenants, rng):
-        return BurstTraffic(
-            "burst", tenants, rng, base_rate_per_s=bu["rate"],
-            burst_factor=bu["factor"], burst_every_s=bu["every"],
-            burst_duration_s=bu["duration"])
-    reports["burst-off"] = _run_scenario(
-        "burst-off", seed, cost, sizes, bu["rate"], burst_traffic,
-        bu["horizon"], autoscale=False)
-    reports["burst-on"] = _run_scenario(
-        "burst-on", seed, cost, sizes, bu["rate"], burst_traffic,
-        bu["horizon"], autoscale=True)
-
-    # Burn-rate arms: same traffic universes, error-budget alerting.
-    reports["steady-burn"] = _run_scenario(
-        "steady-burn", seed, cost, sizes, st["rate"],
-        lambda tenants, rng: PoissonTraffic(
-            "steady", tenants, rng, rate_per_s=st["rate"]),
-        st["horizon"], autoscale=True, slo_mode="burnrate")
-    reports["burst-burn"] = _run_scenario(
-        "burst-burn", seed, cost, sizes, bu["rate"], burst_traffic,
-        bu["horizon"], autoscale=True, slo_mode="burnrate")
+    reports: dict[str, ServiceReport] = {
+        name: _run_scenario(name, seed, cost, sizes, params["rate"],
+                            make_traffic, params["horizon"],
+                            autoscale).report
+        for name, (params, make_traffic, autoscale)
+        in _mixes(sizes).items()}
 
     # -- the promises this mode makes, asserted ---------------------------
     steady = reports["steady"]
@@ -276,35 +238,6 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
             f"autoscaler did not improve burst p99: "
             f"on={on.latency.p99:.1f}s vs off={off.latency.p99:.1f}s")
 
-    # -- burn-rate ablation: budget math vs instantaneous thresholds ------
-    steady_burn, burn = reports["steady-burn"], reports["burst-burn"]
-    if steady_burn.counters()["alerts"]:
-        raise AssertionError(
-            f"clean steady run fired {steady_burn.counters()['alerts']} "
-            f"burn-rate alerts: "
-            f"{[a.slo for a in steady_burn.book.alerts]}")
-    if burn.trace_digest != off.trace_digest:
-        raise AssertionError(
-            f"burn arm saw different traffic: "
-            f"{burn.trace_digest} != {off.trace_digest}")
-    first_burn = min((a.fired_at for a in burn.book.alerts),
-                     default=math.inf)
-    first_threshold = min((a.fired_at for a in on.book.alerts),
-                          default=math.inf)
-    if not burn.book.alerts:
-        raise AssertionError("burn arm fired no alerts on burst traffic")
-    # A policy pages only once its short-window mean crosses the burn
-    # line, so against an instantaneous threshold "no later" resolves to
-    # one short window (never finer than a control tick), not to zero.
-    resolution_s = max(sizes["tick_s"],
-                       min(window.short_s for policy in SERVICE_BURN_POLICIES
-                           for window in policy.windows))
-    if first_burn > first_threshold + resolution_s:
-        raise AssertionError(
-            f"burn-rate alerting was slower than thresholds: first alert "
-            f"{first_burn:.0f}s vs {first_threshold:.0f}s "
-            f"(resolution {resolution_s:.0f}s)")
-
     result = ExperimentResult(
         experiment_id="service",
         title=f"Always-on service mode: {len(reports)} arrival mixes, "
@@ -316,11 +249,10 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
     for name, report in reports.items():
         counters = report.counters()
         total_submitted += counters["submitted"]
-        rejected = (counters["rejected_quota"]
-                    + counters["rejected_overload"])
         peak = max((p.workers for p in report.timeline), default=0)
         result.add(name, "off" if name == "burst-off" else "on",
-                   counters["submitted"], counters["completed"], rejected,
+                   counters["submitted"], counters["completed"],
+                   report.rejected,
                    round(report.goodput, 4), round(report.latency.p50, 1),
                    round(report.latency.p99, 1), peak,
                    counters["alerts"], counters["scaling_actions"])
@@ -339,9 +271,9 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
     result.note(f"burst p99 {off.latency.p99:.1f}s -> "
                 f"{on.latency.p99:.1f}s with autoscaler "
                 f"({len(on.actions)} actions)")
-    result.note(f"burn-rate first alert {first_burn:.0f}s vs threshold "
-                f"{first_threshold:.0f}s (0 clean-run false positives)")
-    result.note(f"burn store digest {burn.burn_digest}")
+    result.note("steady mix: 0 alerts, 0 scaling actions "
+                "(0 clean-run false positives)")
+    result.note(f"burn store digest {on.burn_digest}")
     result.note(f"service digest {digest} "
                 f"({len(reports)} mixes, deterministic)")
     return result

@@ -10,8 +10,9 @@ A :class:`NmonMonitor` attaches to a set of VMs and samples, every
 * **net** — bytes sent/received since the previous sample.
 
 Samples are plain records; the analyser (:mod:`repro.monitor.analyser`)
-aggregates them.  The monitor is itself a simulation process, so sampling
-is correctly interleaved with the workload.
+aggregates them.  The monitor samples from a self-re-arming
+``Simulator.call_in`` timer, so sampling is correctly interleaved with
+the workload.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.errors import MonitorError
-from repro.sim.kernel import Event, Interrupt, Process
 from repro.virt.vm import VirtualMachine
 
 
@@ -81,8 +81,7 @@ class NmonMonitor:
         self._last_tx: dict[str, float] = {}
         self._last_rx: dict[str, float] = {}
         self._running = False
-        self._proc: Optional[Process] = None
-        self._pending: Optional[Event] = None
+        self._timer = None
 
     # -- control -------------------------------------------------------------
     @property
@@ -94,38 +93,27 @@ class NmonMonitor:
         if self._running:
             return
         self._running = True
-        sim = self.vms[0].sim
-        self._proc = sim.process(self._sampler(sim), name="nmon")
+        self._timer = self.vms[0].sim.call_in(0.0, self._tick)
 
     def stop(self) -> None:
-        """Stop sampling and withdraw the pending wakeup.
+        """Stop sampling and cancel the armed timer (idempotent).
 
-        A stopped monitor emits no further samples, and its parked sampling
-        timeout is cancelled so it neither keeps the simulation alive nor
-        drags the clock to the next interval boundary.
+        A stopped monitor emits no further samples, and neither keeps the
+        simulation alive nor drags the clock to the next interval boundary.
         """
-        if not self._running:
-            return
         self._running = False
-        if self._pending is not None and not self._pending.processed:
-            self._pending.cancel()
-        self._pending = None
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("monitor stopped")
-        self._proc = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     # -- sampling -----------------------------------------------------------
-    def _sampler(self, sim):
-        while self._running:
-            self.sample_now(sim.now)
-            self._pending = sim.timeout(self.interval)
-            try:
-                yield self._pending
-            except Interrupt:
-                return None
-            finally:
-                self._pending = None
-        return None
+    def _tick(self) -> None:
+        self._timer = None
+        sim = self.vms[0].sim
+        self.sample_now(sim.now)
+        # An on_sample hook may have stopped (or restarted) the monitor.
+        if self._running and self._timer is None:
+            self._timer = sim.call_in(self.interval, self._tick)
 
     def sample_now(self, now: float) -> None:
         """Take one sample of every VM (also usable without start())."""

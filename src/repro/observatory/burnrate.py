@@ -1,9 +1,9 @@
 """Multi-window multi-burn-rate SLO evaluation over the time-series store.
 
-Threshold alerting (PR 6's service mode) pages the instant a rolling
-signal crosses a line — which flaps under diurnal/burst traffic and says
-nothing about *how much* of the service's promise has been spent.  This
-module replaces it with error-budget math in the Google SRE style:
+The one way a service SLO fires.  Paging the instant a rolling signal
+crosses a line flaps under diurnal/burst traffic and says nothing about
+*how much* of the service's promise has been spent; this module does
+error-budget math in the Google SRE style instead:
 
 * each :class:`BurnPolicy` names an **error-fraction series** in a
   :class:`~repro.telemetry.timeseries.TimeSeriesStore` (one sample per
@@ -21,14 +21,13 @@ module replaces it with error-budget math in the Google SRE style:
   paging; the short window makes the alert resolve promptly once the
   burn stops.
 
-The engine fires into the existing
-:class:`~repro.observatory.slo.AlertBook` under the *same SLO names* the
-threshold path uses (``service-backlog`` / ``service-p99`` /
-``service-rejection``), so the
-:class:`~repro.cloud.autoscaler.ElasticAutoscaler`'s alert-cursor
-contract picks burn alerts up unchanged.  ``experiments/service.py``
-validates the swap with an on/off ablation on identical arrival traces:
-zero clean-run false positives, earlier-or-equal first alert on bursts.
+The engine fires into an :class:`~repro.observatory.slo.AlertBook`
+under the :data:`~repro.observatory.slo.SERVICE_SLOS` names
+(``service-backlog`` / ``service-p99`` / ``service-rejection``), which is
+where the :class:`~repro.cloud.autoscaler.ElasticAutoscaler`'s alert
+cursor picks them up.  :class:`~repro.cloud.controller.ServiceController`
+builds one per service and drives it every control tick;
+``experiments/service.py`` asserts a clean steady run fires nothing.
 
 Window lengths and budgets are expressed in **sim-time seconds** and
 scaled to the experiments' horizons (minutes, not the SRE book's
@@ -148,10 +147,9 @@ class BurnRateEngine:
         self.target = target
         self.policies = tuple(policies)
         self.labels = dict(labels) if labels else None
-        #: Backlog per slot counted as budget burn.  Deliberately a
-        #: *third* of the threshold path's paging line (3.0): budget
-        #: math needs an objective that trips early and pages only when
-        #: the burn is sustained.
+        #: Backlog per slot counted as budget burn.  Deliberately low:
+        #: budget math needs an objective that trips early and pages
+        #: only when the burn is sustained.
         self.backlog_objective = backlog_objective
         self.evaluations = 0
         self.last_states: list[BurnState] = []

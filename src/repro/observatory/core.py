@@ -2,8 +2,9 @@
 
 An observatory attaches to a telemetry facade (and optionally its
 cluster, for namenode access), registers the SLO catalogue, subscribes
-its detectors to the tracer, and runs a periodic sim process that gives
-every detector a ``tick``.  While running it:
+its detectors to the tracer, and arms a self-re-arming
+``Simulator.call_in`` timer that gives every detector a ``tick``.  While
+running it:
 
 * fires/resolves :class:`~repro.observatory.slo.Alert`\\ s through one
   :class:`~repro.observatory.slo.AlertBook` (also emitted as
@@ -12,14 +13,14 @@ every detector a ``tick``.  While running it:
   (:func:`~repro.observatory.attribution.attribute`) has data.
 
 The observatory is strictly read-only with respect to the simulation: it
-opens no flows, consumes no randomness, and only adds its own timeout
+opens no flows, consumes no randomness, and only adds its own timer
 events — so a detectors-on run leaves simulated outputs and the engine's
 deterministic counters bit-identical (checked by
 ``tests/observatory/test_observatory_runs.py::test_detectors_on_run_is_bit_identical``).
 
-Stop it (:meth:`Observatory.stop`) once the workload is done: like the
-nmon monitor, its parked tick timeout is withdrawn so it neither keeps
-the simulation alive nor drags the clock.
+Stop it (:meth:`Observatory.stop`) once the workload is done: its armed
+timer is cancelled, so it neither keeps the simulation alive nor drags
+the clock.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.errors import MonitorError
 from repro.observatory.detectors import DEFAULT_DETECTORS, Detector
 from repro.observatory.slo import DEFAULT_SLOS, Alert, AlertBook, SloSpec
-from repro.sim.kernel import Event, Interrupt, Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.observatory.attribution import JobBottleneckReport
@@ -59,8 +59,7 @@ class Observatory:
         self.detectors: list[Detector] = [cls(self) for cls in detectors]
         self.ticks = 0
         self._running = False
-        self._proc: Optional[Process] = None
-        self._pending: Optional[Event] = None
+        self._timer = None
         self._started_monitor = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -78,38 +77,30 @@ class Observatory:
         for detector in self.detectors:
             for prefix in detector.prefixes:
                 self.telemetry.tracer.subscribe(detector.on_event, prefix)
-        self._proc = self.sim.process(self._ticker(), name="observatory")
+        self._timer = self.sim.call_in(0.0, self._tick)
         return self
 
     def stop(self) -> None:
-        """Stop ticking and withdraw the parked wakeup (idempotent)."""
+        """Stop ticking and cancel the armed timer (idempotent)."""
         if not self._running:
             return
         self._running = False
         for detector in self.detectors:
             if detector.prefixes:
                 self.telemetry.tracer.unsubscribe(detector.on_event)
-        if self._pending is not None and not self._pending.processed:
-            self._pending.cancel()
-        self._pending = None
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("observatory stopped")
-        self._proc = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         if self._started_monitor:
             self.telemetry.stop_monitor()
             self._started_monitor = False
 
-    def _ticker(self):
-        while self._running:
-            self.tick_now()
-            self._pending = self.sim.timeout(self.interval)
-            try:
-                yield self._pending
-            except Interrupt:
-                return None
-            finally:
-                self._pending = None
-        return None
+    def _tick(self) -> None:
+        self._timer = None
+        self.tick_now()
+        # A detector may have stopped (or restarted) the observatory.
+        if self._running and self._timer is None:
+            self._timer = self.sim.call_in(self.interval, self._tick)
 
     def tick_now(self) -> None:
         """Run one detector evaluation pass at the current sim time."""

@@ -124,12 +124,15 @@ DEFAULT_SLOS: tuple[SloSpec, ...] = (
 )
 
 
-#: Service-mode SLOs (:mod:`repro.cloud.controller` evaluates these each
-#: control tick; the autoscaler keys on them).  Targets are the service
-#: name, so one alert per service per condition.  Thresholds are relative
-#: (backlog per slot, p99-vs-target ratio, rejection fraction) so a
-#: provisioned-for-its-load service fires nothing — the experiments assert
-#: zero alerts on the clean steady run.
+#: Service-mode SLOs: the names, severities and signal units under which
+#: :class:`~repro.observatory.burnrate.BurnRateEngine` fires into the book
+#: each control tick (the autoscaler keys on the names).  Targets are the
+#: service name, so one alert per service per condition.  *When* one fires
+#: is decided by its :data:`~repro.observatory.burnrate.SERVICE_BURN_POLICIES`
+#: entry (error budget over window pairs), not by ``threshold``, which only
+#: documents the signal level a healthy service stays under — a
+#: provisioned-for-its-load service fires nothing, and the experiments
+#: assert zero alerts on the clean steady run.
 SERVICE_SLOS: tuple[SloSpec, ...] = (
     SloSpec("service-backlog", "service.backlog.per_slot", 3.0, "warning",
             description="queued jobs per schedulable slot — sustained "
@@ -231,7 +234,7 @@ class AlertBook:
 
         Floats are fixed-formatted so the digest is byte-stable; two
         same-seed runs must agree (asserted by tests and the CI
-        ``observatory-smoke`` job).
+        ``determinism`` job).
         """
         h = hashlib.sha256()
         for a in sorted(self.alerts,

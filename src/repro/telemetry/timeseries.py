@@ -27,11 +27,10 @@ that tier and counted in :attr:`TimeSeries.late_samples`.
 Everything is deterministic: samples only arrive from the
 single-threaded simulation, floats are fixed-formatted into
 :meth:`digest`, and two same-seed runs must produce byte-identical
-series digests (asserted by tests and the CI ``controlroom-smoke``
-job).
+series digests (asserted by tests and the CI ``campaign`` job).
 
 Histogram-valued series (:class:`HistogramSeries`) hold one mergeable
-:class:`~repro.cloud.tenants.LatencyHistogram` per bucket, giving
+:class:`~repro.telemetry.metrics.LatencyHistogram` per bucket, giving
 ``quantile_over_time`` with bounded relative error at bounded memory.
 
 Exporters live in :mod:`repro.telemetry.export`
@@ -48,10 +47,10 @@ import math
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from repro.errors import ConfigError
-from repro.telemetry.metrics import Counter, Gauge, LabelSet, _labelset
+from repro.telemetry.metrics import (Counter, Gauge, LabelSet,
+                                     LatencyHistogram, _labelset)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cloud.tenants import LatencyHistogram
     from repro.telemetry.metrics import MetricsRegistry
 
 #: Tier multipliers: raw, 10x, 100x downsampling.
@@ -280,12 +279,6 @@ class TimeSeries:
                 f"step={self.step} buckets={live}>")
 
 
-def _fresh_hist() -> "LatencyHistogram":
-    # Imported late: the repro.cloud package imports telemetry.
-    from repro.cloud.tenants import LatencyHistogram
-    return LatencyHistogram()
-
-
 class _HistBucket:
     """One interval's merged latency histogram."""
 
@@ -293,13 +286,13 @@ class _HistBucket:
 
     def __init__(self, index: int):
         self.index = index
-        self.hist = _fresh_hist()
+        self.hist = LatencyHistogram()
 
 
 class HistogramSeries:
     """Latency-histogram-valued series: one mergeable histogram per bucket.
 
-    Buckets hold :class:`~repro.cloud.tenants.LatencyHistogram` deltas
+    Buckets hold :class:`~repro.telemetry.metrics.LatencyHistogram` deltas
     (what was observed *during* that interval), so
     :meth:`quantile_over_time` is an exact merge of the covered
     intervals.  The rings are the scalar series' (same liveness rule,
@@ -322,7 +315,7 @@ class HistogramSeries:
         self.tiers = tuple(_Tier(self.step * mult, capacity, _HistBucket)
                            for mult in self.TIERS)
 
-    def observe(self, at: float, hist: "LatencyHistogram") -> None:
+    def observe(self, at: float, hist: LatencyHistogram) -> None:
         """Merge one interval's histogram delta into every tier that
         still retains ``at``."""
         if hist.n == 0:
@@ -333,9 +326,9 @@ class HistogramSeries:
                 bucket.hist.merge(hist)
 
     def merged_over(self, t0: float, t1: float,
-                    tier: int = 0) -> "LatencyHistogram":
+                    tier: int = 0) -> LatencyHistogram:
         """One histogram covering every bucket intersecting ``[t0, t1)``."""
-        merged = _fresh_hist()
+        merged = LatencyHistogram()
         for bucket in self.tiers[tier].buckets(t0, t1):
             merged.merge(bucket.hist)
         return merged
@@ -367,12 +360,11 @@ class TimeSeriesStore:
     """All time series of one scope, plus the optional registry sampler.
 
     Construction is cheap and passive.  With ``sim`` and ``registry``
-    wired (the facade does both), :meth:`start` launches a periodic sim
-    process that snapshots every counter and gauge in the registry into
-    same-named series — the historical view of the live metrics.  Like
-    the nmon monitor and the observatory ticker, the sampler's parked
-    timeout is withdrawn on :meth:`stop` so it never keeps the
-    simulation alive.
+    wired (the facade does both), :meth:`start` arms a self-re-arming
+    ``Simulator.call_in`` timer that snapshots every counter and gauge
+    in the registry into same-named series every ``step`` — the
+    historical view of the live metrics.  :meth:`stop` cancels the
+    timer, so a stopped store never keeps the simulation alive.
     """
 
     def __init__(self, sim=None, registry: Optional["MetricsRegistry"] = None,
@@ -389,8 +381,7 @@ class TimeSeriesStore:
         self._hist_series: dict[tuple[str, LabelSet], HistogramSeries] = {}
         self.samples_taken = 0
         self._running = False
-        self._proc = None
-        self._pending = None
+        self._timer = None
 
     # -- series access ---------------------------------------------------
     def series(self, name: str,
@@ -437,7 +428,7 @@ class TimeSeriesStore:
             at = self.sim.now if self.sim is not None else 0.0
         self.series(name, labels).observe(at, value)
 
-    def record_histogram(self, name: str, hist: "LatencyHistogram",
+    def record_histogram(self, name: str, hist: LatencyHistogram,
                          labels: Optional[Mapping[str, str]] = None,
                          at: Optional[float] = None) -> None:
         """Merge one interval's latency-histogram delta into a series."""
@@ -494,7 +485,7 @@ class TimeSeriesStore:
         self.samples_taken += n
         return n
 
-    # -- the sampler process ---------------------------------------------
+    # -- the sampler timer -----------------------------------------------
     @property
     def running(self) -> bool:
         return self._running
@@ -508,33 +499,22 @@ class TimeSeriesStore:
         if self.registry is None:
             raise ConfigError("store has no metrics registry to sample")
         self._running = True
-        self._proc = self.sim.process(self._ticker(), name="timeseries")
+        self._timer = self.sim.call_in(0.0, self._tick)
         return self
 
     def stop(self) -> None:
-        """Stop sampling and withdraw the parked wakeup (idempotent)."""
-        if not self._running:
-            return
+        """Stop sampling and cancel the armed timer (idempotent)."""
         self._running = False
-        if self._pending is not None and not self._pending.processed:
-            self._pending.cancel()
-        self._pending = None
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("timeseries sampler stopped")
-        self._proc = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
-    def _ticker(self):
-        from repro.sim.kernel import Interrupt
-        while self._running:
-            self.sample_registry(self.sim.now)
-            self._pending = self.sim.timeout(self.step)
-            try:
-                yield self._pending
-            except Interrupt:
-                return None
-            finally:
-                self._pending = None
-        return None
+    def _tick(self) -> None:
+        self._timer = None
+        self.sample_registry(self.sim.now)
+        # A sample hook may have stopped (or restarted) the store.
+        if self._running and self._timer is None:
+            self._timer = self.sim.call_in(self.step, self._tick)
 
     # -- determinism -----------------------------------------------------
     def digest(self) -> str:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,12 +17,15 @@ from repro.cloud import (AdmissionController, BurstTraffic, CostModel,
                          SharedVHadoopService, SlotModelBackend,
                          TenantRegistry)
 from repro.config import PlatformConfig
+from repro.errors import ConfigError
+from repro.observatory.burnrate import BurnRateEngine
 from repro.observatory.slo import AlertBook
 from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.platform.provisioning import ElasticWorkerPool
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.telemetry import events as EV
+from repro.telemetry.timeseries import TimeSeriesStore
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -91,15 +95,14 @@ def test_autoscaler_improves_the_burst_and_acts_on_alerts():
 
 
 @given(rolling_ticks=st.sampled_from([1, 2, 24]),
-       ticks=st.lists(st.tuples(
+       ticks=st.lists(
            st.lists(st.floats(0.0, 2e5, allow_nan=False), max_size=8),
-           st.integers(0, 40), st.integers(0, 40)),
            min_size=1, max_size=60))
 @settings(max_examples=60, deadline=None)
 def test_rolling_window_equals_merging_it_from_scratch(rolling_ticks, ticks):
-    """The incremental window (add the closing tick, subtract the
-    evicted one) reads the same p99 / rejection rate as re-merging the
-    last ``rolling_ticks`` ticks, empty ticks included."""
+    """The incremental window (merge the closing tick, subtract the
+    evicted one) reads the same p99 as re-merging the last
+    ``rolling_ticks`` ticks, empty ticks included."""
     sim = Simulator()
     tenants = TenantRegistry.synthetic(2, RngRegistry(0).stream("fleet"))
     controller = ServiceController(
@@ -109,18 +112,56 @@ def test_rolling_window_equals_merging_it_from_scratch(rolling_ticks, ticks):
                                 1.0),
         rolling_ticks=rolling_ticks)
     closed = []
-    for latencies, submitted, rejected in ticks:
+    for latencies in ticks:
         hist = LatencyHistogram()
         for latency in latencies:
             hist.observe(latency)
-        closed.append((hist, submitted, min(rejected, submitted)))
+        closed.append(hist)
         merged = LatencyHistogram()
-        for part, _, _ in closed[-rolling_ticks:]:
+        for part in closed[-rolling_ticks:]:
             merged.merge(part)
-        offered = sum(sub for _, sub, _ in closed[-rolling_ticks:])
-        shed = sum(rej for _, _, rej in closed[-rolling_ticks:])
-        assert controller._rolling(closed[-1]) == (
-            merged.p99, shed / offered if offered else 0.0)
+        assert controller._rolling(hist) == merged.p99
+
+
+def burst_controller(**kwargs):
+    """An 8-slot surrogate under a 6x flash crowd at t=100..250."""
+    sim = Simulator()
+    rngs = RngRegistry(5)
+    tenants = TenantRegistry.synthetic(8, rngs.stream("fleet"),
+                                       quota_scale=500.0)
+    traffic = BurstTraffic("b", tenants, rngs.stream("traffic"),
+                           base_rate_per_s=0.2, burst_factor=6.0,
+                           burst_every_s=5000.0, burst_duration_s=150.0,
+                           first_burst_at_s=100.0)
+    backend = SlotModelBackend(sim, CostModel(base_s=20.0, per_mb_s=0.0),
+                               slots=8)
+    return ServiceController(sim, backend, tenants, traffic, tick_s=5.0,
+                             latency_target_s=60.0, **kwargs)
+
+
+def test_controller_builds_its_own_burn_engine():
+    """No engine passed: the controller's own fires a capacity SLO on the
+    burst and resolves it afterwards, evaluating once per tick.  The run
+    outlasts the slow pair's 1800 s window, which must calm to resolve."""
+    controller = burst_controller(name="own")
+    engine = controller.burn_engine
+    assert engine.book is controller.book and engine.target == "own"
+    assert engine.store.step == controller.tick_s
+    report = controller.run(3000.0)
+    assert engine.evaluations == len(report.timeline)
+    capacity = [a for a in report.book.alerts
+                if a.slo in ("service-p99", "service-backlog")]
+    assert capacity and all(a.target == "own" for a in capacity)
+    assert all(a.resolved_at is not None for a in capacity)
+    assert report.burn_digest == engine.digest()
+
+
+def test_burn_engine_on_another_book_is_refused():
+    sim = Simulator()
+    stray = BurnRateEngine(TimeSeriesStore(sim), AlertBook(sim=sim),
+                           target="service")
+    with pytest.raises(ConfigError, match="different alert book"):
+        burst_controller(burn_engine=stray)
 
 
 def test_report_serialization_roundtrip():

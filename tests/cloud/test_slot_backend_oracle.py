@@ -1,6 +1,7 @@
 """The counter-based :class:`SlotModelBackend` against its generator-worker
 predecessor, kept here verbatim as a test oracle only, and the
-multi-histogram ``observe`` against N single ones."""
+multi-histogram ``observe`` against N single ones, ``subtract`` against
+``merge``."""
 
 from collections import deque
 from typing import Callable, Optional
@@ -220,8 +221,10 @@ def _state(hist):
     return (list(hist.counts), hist.n, hist.total, hist.max_seen)
 
 
-@given(values=st.lists(st.floats(0.0, 2e5, allow_nan=False), max_size=40),
-       n_also=st.integers(0, 3))
+_LATENCIES = st.lists(st.floats(0.0, 2e5, allow_nan=False), max_size=40)
+
+
+@given(values=_LATENCIES, n_also=st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
 def test_multi_histogram_observe_equals_single_observes(values, n_also):
     """``a.observe(v, b, c)`` leaves a, b and c exactly as ``a.observe(v);
@@ -236,6 +239,28 @@ def test_multi_histogram_observe_equals_single_observes(values, n_also):
         for hist in apart:
             hist.observe(value)
     assert [_state(h) for h in together] == [_state(h) for h in apart]
+
+
+@given(kept=_LATENCIES, other=_LATENCIES)
+@settings(max_examples=100, deadline=None)
+def test_subtract_undoes_merge(kept, other):
+    """``merge`` then ``subtract`` of the same histogram restores the bin
+    counts and ``n`` exactly and ``total`` to rounding; ``max_seen`` is
+    the one field a subtraction cannot restore and does not touch."""
+    hist, part = LatencyHistogram(), LatencyHistogram()
+    for value in kept:
+        hist.observe(value)
+    for value in other:
+        part.observe(value)
+    counts, n, total, _ = _state(hist)
+    hist.merge(part)
+    merged_max = hist.max_seen
+    hist.subtract(part)
+    assert (hist.counts, hist.n) == (counts, n)
+    assert hist.total == pytest.approx(total, abs=1e-6 * (1 + part.total))
+    assert hist.max_seen == merged_max
+    with pytest.raises(ConfigError):
+        hist.subtract(LatencyHistogram(n_bins=16))
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"),

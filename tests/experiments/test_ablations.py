@@ -1,4 +1,4 @@
-"""Ablation benches for the design decisions DESIGN.md §5 calls out.
+"""Ablations of the design decisions DESIGN.md §5 calls out.
 
 Each ablation switches one mechanism off (or to a degenerate setting) and
 shows the measured consequence — evidence that the mechanism, not a
@@ -35,17 +35,12 @@ def _run_wordcount(layout="normal", hadoop_config=None, host_config=None,
     return platform.run_job(cluster, job)
 
 
-def test_ablation_locality_scheduling(one_shot):
+def test_ablation_locality_scheduling():
     """Decision 4: locality-aware map scheduling cuts remote split reads."""
-
-    def run():
-        with_loc = _run_wordcount(
-            hadoop_config=HadoopConfig(locality_aware=True))
-        without = _run_wordcount(
-            hadoop_config=HadoopConfig(locality_aware=False))
-        return with_loc, without
-
-    with_loc, without = one_shot(run)
+    with_loc = _run_wordcount(
+        hadoop_config=HadoopConfig(locality_aware=True))
+    without = _run_wordcount(
+        hadoop_config=HadoopConfig(locality_aware=False))
     frac_with = with_loc.locality_fractions()
     frac_without = without.locality_fractions()
     print(f"\nlocality on : {frac_with}  elapsed={with_loc.elapsed:.1f}s")
@@ -53,16 +48,11 @@ def test_ablation_locality_scheduling(one_shot):
     assert frac_with.get("node", 0) >= frac_without.get("node", 0)
 
 
-def test_ablation_combiner(one_shot):
+def test_ablation_combiner():
     """Combiners collapse the shuffle (the paper's Wordcount has none —
     which is what makes it network-sensitive)."""
-
-    def run():
-        plain = _run_wordcount(use_combiner=False)
-        combined = _run_wordcount(use_combiner=True)
-        return plain, combined
-
-    plain, combined = one_shot(run)
+    plain = _run_wordcount(use_combiner=False)
+    combined = _run_wordcount(use_combiner=True)
     print(f"\nno combiner : shuffle={plain.shuffle_bytes / 1e6:7.1f} MB "
           f"elapsed={plain.elapsed:.1f}s")
     print(f"with combiner: shuffle={combined.shuffle_bytes / 1e6:7.1f} MB "
@@ -70,10 +60,9 @@ def test_ablation_combiner(one_shot):
     assert combined.shuffle_bytes < 0.5 * plain.shuffle_bytes
 
 
-def test_ablation_task_startup_overhead(one_shot):
+def test_ablation_task_startup_overhead():
     """Decision 5: per-task startup produces the MRBench shape; without it
     tiny jobs barely notice extra tasks."""
-
     def run_pair(startup):
         config = HadoopConfig(task_startup_s=startup)
         platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=0))
@@ -86,10 +75,7 @@ def test_ablation_task_startup_overhead(one_shot):
                             run_index=1).elapsed
         return large - small
 
-    def run():
-        return run_pair(C.TASK_STARTUP_S), run_pair(0.0)
-
-    growth_with, growth_without = one_shot(run)
+    growth_with, growth_without = run_pair(C.TASK_STARTUP_S), run_pair(0.0)
     print(f"\nmap-scaling growth with startup cost:    "
           f"{growth_with:+.2f} s")
     print(f"map-scaling growth without startup cost: "
@@ -97,26 +83,21 @@ def test_ablation_task_startup_overhead(one_shot):
     assert growth_with > growth_without
 
 
-def test_ablation_netback_bottleneck(one_shot):
+def test_ablation_netback_bottleneck():
     """Decision 2/3: the Xen netback ceiling is what separates cross-domain
     from normal; with wire-speed netback the gap largely closes."""
-
-    def run():
-        slow = HostConfig()  # default: 40 MB/s netback
-        fast = HostConfig(netback_bandwidth=C.GBIT_ETHERNET_BPS)
-        gap_slow = (_run_wordcount("cross-domain", host_config=slow).elapsed
-                    - _run_wordcount("normal", host_config=slow).elapsed)
-        gap_fast = (_run_wordcount("cross-domain", host_config=fast).elapsed
-                    - _run_wordcount("normal", host_config=fast).elapsed)
-        return gap_slow, gap_fast
-
-    gap_slow, gap_fast = one_shot(run)
+    slow = HostConfig()  # default: 40 MB/s netback
+    fast = HostConfig(netback_bandwidth=C.GBIT_ETHERNET_BPS)
+    gap_slow = (_run_wordcount("cross-domain", host_config=slow).elapsed
+                - _run_wordcount("normal", host_config=slow).elapsed)
+    gap_fast = (_run_wordcount("cross-domain", host_config=fast).elapsed
+                - _run_wordcount("normal", host_config=fast).elapsed)
     print(f"\ncross-domain gap with Xen netback ceiling: {gap_slow:+.1f} s")
     print(f"cross-domain gap at wire-speed netback:    {gap_fast:+.1f} s")
     assert gap_slow > gap_fast
 
 
-def test_ablation_migration_sequential_vs_concurrent(one_shot):
+def test_ablation_migration_sequential_vs_concurrent():
     """Gang migration shares the NIC: wall-clock shrinks, per-VM times
     stretch (Virt-LM's two modes)."""
     from repro.config import VMConfig
@@ -131,10 +112,7 @@ def test_ablation_migration_sequential_vs_concurrent(one_shot):
         dc.sim.run_until(event)
         return event.value
 
-    def run():
-        return run_mode(False), run_mode(True)
-
-    sequential, gang = one_shot(run)
+    sequential, gang = run_mode(False), run_mode(True)
     print(f"\nsequential: overall={sequential.overall_migration_time_s:.1f}s"
           f" mean-per-vm={sum(sequential.migration_times) / 8:.1f}s")
     print(f"gang:       overall={gang.overall_migration_time_s:.1f}s"

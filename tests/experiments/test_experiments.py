@@ -9,7 +9,8 @@ from repro.experiments import (fig2_wordcount, fig3_mrbench,
                                fig4_terasort_dfsio, fig5_migration,
                                fig6_synthetic_control,
                                fig7_display_clustering, fig8_cluster_visuals,
-                               table1_benchmarks, telemetry_demo)
+                               sched_policies, table1_benchmarks,
+                               telemetry_demo)
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -137,6 +138,18 @@ def test_fig5_all_vms_arrive(migration_reports):
         assert all(r.destination == "pm1" for r in report.records)
 
 
+def test_fig5_per_node_downtime_spread():
+    result = fig5_migration.run_per_node(seed=0)
+    by_condition = {}
+    for condition, _node, _mig, downtime in result.rows:
+        by_condition.setdefault(condition, []).append(downtime)
+    idle = by_condition["idle.1024MB"]
+    busy = by_condition["wordcount.1024MB"]
+    assert len(idle) == len(busy) == 16
+    # Downtime varies widely only under load (paper observation iii).
+    assert (max(busy) / min(busy)) > 3.0 * (max(idle) / min(idle))
+
+
 # --- fig 6 / fig 7 ----------------------------------------------------------------
 
 def test_fig6_runtime_grows_with_cluster_scale():
@@ -166,6 +179,27 @@ def test_fig8_panels_rendered():
     sample = result.artifacts["sample-data"]
     assert "." in sample
     assert "A" in result.artifacts["kmeans"]
+
+
+# --- scheduler policies -----------------------------------------------------------
+
+def test_policy_comparison():
+    result = sched_policies.run(seed=0, quick=True)
+    rows = {row[0]: row for row in result.rows}
+    wait = {name: rows[name][result.columns.index("small_mean_wait_s")]
+            for name in rows}
+    # Fair sharing serves the interactive pool while the batch job runs.
+    assert wait["fair"] < wait["fifo"]
+    # Capacity guarantees help too, though without preemption.
+    assert wait["capacity"] < wait["fifo"]
+    # Only the fair scheduler (preemption configured) ever kills a task.
+    preempt = {name: rows[name][result.columns.index("preemptions")]
+               for name in rows}
+    assert preempt["fair"] > 0
+    assert preempt["fifo"] == preempt["capacity"] == 0
+    # Jobs overlapped under every policy.
+    assert all(c > 0 for c in result.column("concurrent_s"))
+    assert all(m > 0 for m in result.column("makespan_s"))
 
 
 # --- telemetry --------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Scale stress: the simulator well beyond the paper's testbed.
 
-The paper's 16-VM / 2-host platform is small; this bench provisions a
+The paper's 16-VM / 2-host platform is small; this test provisions a
 64-node hadoop virtual cluster over 4 physical machines and pushes a 2 GB
 Wordcount through it — demonstrating that the reproduction scales as a
 *tool* (datacenters larger than the original testbed) and that the
@@ -17,20 +17,16 @@ from repro.workloads.wordcount import (lines_as_records, scaled_line_sizeof,
 SCALE = 400
 
 
-def test_64_node_cluster_2gb_wordcount(one_shot):
-    def run():
-        platform = VHadoopPlatform(PlatformConfig(n_hosts=4, seed=0))
-        cluster = platform.provision_cluster(
-            "big", ClusterSpec.spread(64, hosts=4))
-        lines = generate_corpus(2 * C.GB // SCALE,
-                                rng=platform.datacenter.rng.fresh("corpus"))
-        platform.upload(cluster, "/in", lines_as_records(lines),
-                        sizeof=scaled_line_sizeof(SCALE), timed=False)
-        job = wordcount_job("/in", "/out", n_reduces=16, volume_scale=SCALE)
-        report = platform.run_job(cluster, job)
-        return platform, cluster, report
-
-    platform, cluster, report = one_shot(run)
+def test_64_node_cluster_2gb_wordcount():
+    platform = VHadoopPlatform(PlatformConfig(n_hosts=4, seed=0))
+    cluster = platform.provision_cluster(
+        "big", ClusterSpec.spread(64, hosts=4))
+    lines = generate_corpus(2 * C.GB // SCALE,
+                            rng=platform.datacenter.rng.fresh("corpus"))
+    platform.upload(cluster, "/in", lines_as_records(lines),
+                    sizeof=scaled_line_sizeof(SCALE), timed=False)
+    job = wordcount_job("/in", "/out", n_reduces=16, volume_scale=SCALE)
+    report = platform.run_job(cluster, job)
     print(f"\n64-node / 4-host cluster, 2 GB input:")
     print(f"  elapsed          {report.elapsed:8.1f} simulated s")
     print(f"  maps/reduces     {report.n_maps} / {report.n_reduces}")

@@ -10,13 +10,12 @@ def test_quick_service_run_pins_digests_and_writes_nothing(tmp_path,
     monkeypatch.chdir(tmp_path)
     result = service.run(quick=True, seed=7)
     notes = "\n".join(result.notes)
-    assert "service digest 93e5d40584977eac" in notes
+    assert "service digest 083a00edf45841dd" in notes
     assert "burn store digest 2414e0a2549221d6" in notes
     assert "0 clean-run false positives" in notes
     # A cost counter, pinned beside the digests but not inside them: two
     # kernel events per job (arrival, finish) plus the control ticks.
-    assert "kernel events 41888 (2.21 per submission)" in notes
+    assert "kernel events 28315 (2.23 per submission)" in notes
     assert [row[0] for row in result.rows] == [
-        "steady", "diurnal", "burst-off", "burst-on", "steady-burn",
-        "burst-burn"]
+        "steady", "diurnal", "burst-off", "burst-on"]
     assert os.listdir(tmp_path) == []

@@ -1,7 +1,15 @@
-"""stop() semantics: a stopped monitor leaves nothing parked in the sim."""
+"""stop() semantics: a stopped monitor, time-series sampler or observatory
+leaves nothing armed in the sim."""
+
+import pytest
 
 from repro.config import PlatformConfig
+from repro.monitor import NmonMonitor
+from repro.observatory.detectors import Detector
 from repro.platform import ClusterSpec, VHadoopPlatform
+from repro.sim.kernel import Simulator
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.timeseries import TimeSeriesStore
 
 
 def make_cluster(seed=7):
@@ -58,3 +66,53 @@ def test_samples_mirror_into_metrics_gauges():
                                  {"vm": name}) is not None
     value = telemetry.metrics.value("vm.cpu.utilization", {"vm": name})
     assert 0.0 <= value <= 1.0
+
+
+# -- stopping a watcher from inside its own tick ------------------------------
+
+def _self_stopping_monitor():
+    platform, cluster = make_cluster()
+    monitor = NmonMonitor(cluster.vms, interval=5.0)
+    monitor.on_sample = lambda s: monitor.stop() if s.time >= 10.0 else None
+    return platform.sim, monitor, lambda: len(monitor.series[
+        cluster.vms[0].name])
+
+
+def _self_stopping_store():
+    sim = Simulator()
+    registry = MetricsRegistry()
+    registry.gauge("util", "u").set(0.5)
+    store = TimeSeriesStore(sim, registry, step=5.0)
+    sample = store.sample_registry
+
+    def sample_then_stop(at=None):
+        sample(at)
+        if sim.now >= 10.0:
+            store.stop()
+    store.sample_registry = sample_then_stop
+    return sim, store, lambda: store.samples_taken
+
+
+def _self_stopping_observatory():
+    platform, cluster = make_cluster()
+
+    class StopAtTen(Detector):
+        def tick(self, now):
+            if now >= 10.0:
+                self.obs.stop()
+    obs = cluster.observatory(interval=5.0, detectors=(StopAtTen,))
+    return platform.sim, obs, lambda: obs.ticks
+
+
+@pytest.mark.parametrize("build", [_self_stopping_monitor,
+                                   _self_stopping_store,
+                                   _self_stopping_observatory])
+def test_watcher_stopped_from_its_own_tick_leaves_no_timer(build):
+    # Ticks at t=0, 5, 10; the third stops the watcher, so nothing may be
+    # armed for t=15 and a drain run() ends where the stop happened.
+    sim, watcher, ticks = build()
+    watcher.start()
+    sim.run()
+    assert not watcher.running
+    assert sim.now == 10.0
+    assert ticks() == 3

@@ -9,7 +9,7 @@ clocks, or which worker ran what.  CI pins ``--jobs 1`` against
 All pooled tests use the ``fork`` start method: these workers live in a
 test module, and fork inherits them without the import-by-reference
 dance a spawned interpreter needs (the spawn path is exercised end to
-end by the fuzz campaign CLI and the CI parallel-smoke job).
+end by the fuzz campaign CLI and the CI campaign job).
 """
 
 import json

@@ -69,9 +69,8 @@ class AdversarySpec:
 
 # -- payload builders (fuzz runner side) ------------------------------------
 
-def hot_key_lines(rng, n_lines: int, intensity: int = 1,
-                  hot_word: str = "hotspot") -> list[str]:
-    """A wordcount corpus where ``hot_word`` dominates.
+def hot_key_lines(rng, n_lines: int, intensity: int = 1) -> list[str]:
+    """A wordcount corpus where the word ``hotspot`` dominates.
 
     Intensity 1/2/3 makes ~50/70/90% of all tokens the hot word, so the
     reducer that owns it sees a single giant value list while its peers
@@ -84,7 +83,7 @@ def hot_key_lines(rng, n_lines: int, intensity: int = 1,
         tokens = []
         for _ in range(words_per_line):
             if float(rng.uniform(0.0, 1.0)) < fraction:
-                tokens.append(hot_word)
+                tokens.append("hotspot")
             else:
                 tokens.append(f"w{int(rng.integers(0, 512)):03d}")
         lines.append(" ".join(tokens))
@@ -144,27 +143,27 @@ class HotKeyFloodTraffic(_PinnedTenantProcess):
     ``burst_rate``), starving admission windows for everyone else.
     """
 
+    #: One ``BURST_LEN_S`` burst every ``BURST_EVERY_S`` seconds.
+    BURST_EVERY_S, BURST_LEN_S = 120.0, 10.0
+
     def __init__(self, name: str, tenants, rng, tenant: str,
-                 burst_every_s: float = 120.0, burst_len_s: float = 10.0,
                  burst_rate: float = 2.0):
         super().__init__(name, tenants, rng, tenant)
-        if burst_every_s <= 0 or burst_len_s <= 0 or burst_rate <= 0:
-            raise ConfigError("burst parameters must be positive")
-        self.burst_every_s = burst_every_s
-        self.burst_len_s = burst_len_s
+        if burst_rate <= 0:
+            raise ConfigError("burst_rate must be positive")
         self.burst_rate = burst_rate
 
     def _times(self, horizon_s: float) -> Iterator[float]:
         t = 0.0
         while t < horizon_s:
             burst_start = t
-            burst_end = min(burst_start + self.burst_len_s, horizon_s)
+            burst_end = min(burst_start + self.BURST_LEN_S, horizon_s)
             at = burst_start
             while at < burst_end:
                 at += float(self.rng.exponential(1.0 / self.burst_rate))
                 if at < burst_end:
                     yield at
-            t = burst_start + self.burst_every_s
+            t = burst_start + self.BURST_EVERY_S
 
 
 class StragglerSkewTraffic(_PinnedTenantProcess):
@@ -202,16 +201,15 @@ class BatchSpamTraffic(_PinnedTenantProcess):
     """Noisy neighbor: a dense Poisson train of tiny batch jobs."""
 
     def __init__(self, name: str, tenants, rng, tenant: str,
-                 rate_per_s: float = 0.5, size_mb: float = 16.0):
+                 rate_per_s: float = 0.5):
         super().__init__(name, tenants, rng, tenant)
-        if rate_per_s <= 0 or size_mb <= 0:
-            raise ConfigError("rate_per_s and size_mb must be positive")
+        if rate_per_s <= 0:
+            raise ConfigError("rate_per_s must be positive")
         self.rate_per_s = rate_per_s
-        self.size_mb = size_mb
 
     def _pick_class(self) -> tuple[str, float]:
         self.rng.uniform(0.0, 1.0)
-        return "small", self.size_mb
+        return "small", 16.0
 
     def _times(self, horizon_s: float) -> Iterator[float]:
         t = 0.0

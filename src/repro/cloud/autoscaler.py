@@ -82,7 +82,7 @@ class ElasticAutoscaler:
     def __init__(self, pool, book: AlertBook, service: str = "service",
                  cooldown_s: float = 120.0, grow_step: int = 2,
                  scale_in_util: float = 0.3, scale_in_ticks: int = 6,
-                 tracer=None, metrics=None):
+                 tracer=None):
         if cooldown_s < 0:
             raise ConfigError("cooldown_s must be >= 0")
         if grow_step < 1:
@@ -99,7 +99,6 @@ class ElasticAutoscaler:
         self.scale_in_util = scale_in_util
         self.scale_in_ticks = scale_in_ticks
         self.tracer = tracer
-        self.metrics = metrics
         self.actions: list[ScalingAction] = []
         self._out_cursors = [AlertCursor(book, slo)
                              for slo in self.SCALE_OUT_SLOS]
@@ -158,11 +157,6 @@ class ElasticAutoscaler:
                         detail=f"util={utilization:.3f}"))
         else:
             self._low_ticks = 0
-
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "service.workers.elastic", "elastic pool size",
-                {"service": self.service}).set(self.pool.size)
         return taken
 
     def avoid_hosts(self) -> set[str]:

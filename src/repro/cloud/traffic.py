@@ -153,15 +153,14 @@ class PoissonTraffic(ArrivalProcess):
     """Homogeneous Poisson arrivals at ``rate_per_s``."""
 
     def __init__(self, name: str, tenants: TenantRegistry, rng,
-                 rate_per_s: float, start_s: float = 0.0):
+                 rate_per_s: float):
         super().__init__(name, tenants, rng)
         if rate_per_s <= 0:
             raise ConfigError("rate_per_s must be positive")
         self.rate_per_s = float(rate_per_s)
-        self.start_s = float(start_s)
 
     def _times(self, horizon_s: float) -> Iterator[float]:
-        t = self.start_s
+        t = 0.0
         draw, scale = self._exponential, 1.0 / self.rate_per_s
         while True:
             t += scale * draw()

@@ -15,6 +15,9 @@ import numpy as np
 
 _CONSONANTS = "bcdfghjklmnpqrstvwz"
 _VOWELS = "aeiou"
+_VOCABULARY_SIZE = 8000
+_WORDS_PER_LINE = 12
+_ZIPF_S = 1.1
 
 
 def _make_vocabulary(size: int, rng: np.random.Generator) -> list[str]:
@@ -33,8 +36,7 @@ def _make_vocabulary(size: int, rng: np.random.Generator) -> list[str]:
     return vocab
 
 
-def generate_corpus(nbytes: int, vocabulary_size: int = 8000,
-                    words_per_line: int = 12, zipf_s: float = 1.1,
+def generate_corpus(nbytes: int,
                     rng: Optional[np.random.Generator] = None) -> list[str]:
     """Lines of Zipfian text totalling roughly ``nbytes`` UTF-8 bytes.
 
@@ -44,22 +46,22 @@ def generate_corpus(nbytes: int, vocabulary_size: int = 8000,
     if nbytes <= 0:
         raise ValueError("nbytes must be positive")
     rng = rng or np.random.default_rng(0)
-    vocab = _make_vocabulary(vocabulary_size, rng)
+    vocab = _make_vocabulary(_VOCABULARY_SIZE, rng)
     # Zipf ranks: probability ~ 1/rank^s over the vocabulary.
-    ranks = np.arange(1, vocabulary_size + 1, dtype=float)
-    probs = ranks ** (-zipf_s)
+    ranks = np.arange(1, _VOCABULARY_SIZE + 1, dtype=float)
+    probs = ranks ** (-_ZIPF_S)
     probs /= probs.sum()
     lines: list[str] = []
     produced = 0
     # Draw in batches for speed.
-    batch = max(64, words_per_line * 64)
+    batch = _WORDS_PER_LINE * 64
     buffer: list[str] = []
     while produced < nbytes:
-        idx = rng.choice(vocabulary_size, size=batch, p=probs)
+        idx = rng.choice(_VOCABULARY_SIZE, size=batch, p=probs)
         buffer.extend(vocab[i] for i in idx)
-        while len(buffer) >= words_per_line and produced < nbytes:
-            line = " ".join(buffer[:words_per_line])
-            del buffer[:words_per_line]
+        while len(buffer) >= _WORDS_PER_LINE and produced < nbytes:
+            line = " ".join(buffer[:_WORDS_PER_LINE])
+            del buffer[:_WORDS_PER_LINE]
             lines.append(line)
             produced += len(line) + 1
     return lines

@@ -132,21 +132,15 @@ def scaled_cluster(platform: VHadoopPlatform, n_nodes: int,
         hadoop_config=hadoop_config)
 
 
-def racked_cluster(platform: VHadoopPlatform,
-                   n_vms: Optional[int] = None, layout: str = "packed",
-                   name: Optional[str] = None,
-                   hadoop_config: Optional[HadoopConfig] = None
+def racked_cluster(platform: VHadoopPlatform, layout: str = "packed"
                    ) -> HadoopVirtualCluster:
-    """A cluster spanning the platform's declared rack topology.
+    """A cluster filling the platform's declared rack topology.
 
-    Requires a platform built with ``make_platform(topology=...)``;
-    defaults to filling the whole datacenter.
+    Requires a platform built with ``make_platform(topology=...)``.
     """
     topo = platform.config.topology
     if topo is None:
         raise ValueError("racked_cluster needs a platform built with a "
                          "topology (make_platform(topology='RxHxV'))")
-    spec = ClusterSpec.racked(topo, n_vms=n_vms, layout=layout,
-                              hadoop=hadoop_config)
     return platform.provision_cluster(
-        name or f"hvc-{topo.spec_str()}", spec)
+        f"hvc-{topo.spec_str()}", ClusterSpec.racked(topo, layout=layout))

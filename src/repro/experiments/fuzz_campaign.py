@@ -82,7 +82,6 @@ def _run_seed(seed: int) -> dict:
 
 def run(seeds: tuple[int, int] = DEFAULT_SEEDS, jobs: int = 1,
         journal: Optional[str] = None, console: Optional[str] = None,
-        console_html: Optional[str] = None,
         live: bool = False) -> ExperimentResult:
     """Run the campaign over ``[lo, hi)`` and tabulate any violations.
 
@@ -91,12 +90,11 @@ def run(seeds: tuple[int, int] = DEFAULT_SEEDS, jobs: int = 1,
 
     ``console`` names a sidecar JSONL stream: workers and the parent
     append progress/RSS records to it, and after the run a control-room
-    HTML report lands at ``console_html`` (default: the stream path with
-    ``.html`` appended).  ``live`` additionally renders a ``\\r`` status
-    line to stderr while the campaign runs.  The control-room digest in
-    the notes hashes only sim-time content, so it is byte-identical
-    across processes and ``--jobs`` levels even though the stream itself
-    is wall-clock data.
+    HTML report lands at the stream path with ``.html`` appended.
+    ``live`` additionally renders a ``\\r`` status line to stderr while
+    the campaign runs.  The control-room digest in the notes hashes only
+    sim-time content, so it is byte-identical across processes and
+    ``--jobs`` levels even though the stream itself is wall-clock data.
     """
     lo, hi = seeds
     result = ExperimentResult(
@@ -166,7 +164,7 @@ def run(seeds: tuple[int, int] = DEFAULT_SEEDS, jobs: int = 1,
         digest = control_room_digest(sharded.digest(),
                                      campaign.hexdigest()[:16],
                                      burn_digests)
-        html_path = console_html or console + ".html"
+        html_path = console + ".html"
         write_control_room(
             html_path, tailer,
             title=f"fuzz seeds {lo}:{hi} x{jobs} jobs",

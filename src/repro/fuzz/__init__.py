@@ -13,10 +13,10 @@ replayable repro files that the regression corpus under
 ``tests/fuzz/regressions/`` pins forever.
 """
 
-from repro.fuzz.execute import (DEFAULT_LIVENESS_S, DEFAULT_SETTLE_S,
-                                FuzzRunResult, MaterializedJob,
-                                expected_failed_workers, materialize_jobs,
-                                resolve_faults, run_scenario)
+from repro.fuzz.execute import (LIVENESS_S, SETTLE_S, FuzzRunResult,
+                                MaterializedJob, expected_failed_workers,
+                                materialize_jobs, resolve_faults,
+                                run_scenario)
 from repro.fuzz.invariants import (InvariantSuite, JobOutcome, RunContext,
                                    Violation, summarize)
 from repro.fuzz.scenario import (FORMAT_VERSION, JOB_KINDS, LAYOUTS,
@@ -27,12 +27,11 @@ from repro.fuzz.shrinker import (ShrinkResult, Shrinker, load_repro,
                                  replay_repro, repro_dict, write_repro)
 
 __all__ = [
-    "DEFAULT_LIVENESS_S", "DEFAULT_SETTLE_S", "FORMAT_VERSION",
-    "FuzzFault", "FuzzJob", "FuzzRunResult", "InvariantSuite", "JOB_KINDS",
-    "JobOutcome", "KnobSample", "LAYOUTS", "MaterializedJob", "POLICIES",
-    "RunContext", "Scenario", "ScenarioGenerator", "ShrinkResult",
-    "Shrinker", "Violation", "corpus_digest", "expected_failed_workers",
-    "generate_scenario", "generate_scenarios", "load_repro",
-    "materialize_jobs", "replay_repro", "repro_dict", "resolve_faults",
-    "run_scenario", "summarize", "write_repro",
+    "FORMAT_VERSION", "FuzzFault", "FuzzJob", "FuzzRunResult",
+    "InvariantSuite", "JOB_KINDS", "JobOutcome", "KnobSample", "LAYOUTS",
+    "LIVENESS_S", "MaterializedJob", "POLICIES", "RunContext", "SETTLE_S",
+    "Scenario", "ScenarioGenerator", "ShrinkResult", "Shrinker", "Violation",
+    "corpus_digest", "expected_failed_workers", "generate_scenario",
+    "generate_scenarios", "load_repro", "materialize_jobs", "replay_repro",
+    "repro_dict", "resolve_faults", "run_scenario", "summarize", "write_repro",
 ]

@@ -55,10 +55,10 @@ from repro.workloads.wordcount import (lines_as_records, scaled_line_sizeof,
                                        wordcount_job)
 
 #: Simulated-seconds budget before a run is declared hung ("liveness").
-DEFAULT_LIVENESS_S = 4 * 3600.0
+LIVENESS_S = 4 * 3600.0
 #: Post-completion settle window: heartbeat reaping, re-replication,
 #: pending heals all finish inside it.
-DEFAULT_SETTLE_S = 300.0
+SETTLE_S = 300.0
 
 #: Volume scales: materialize 1/scale of the records, charge full bytes.
 _WC_SCALE = 64
@@ -271,14 +271,12 @@ def _make_policy(name: str, pools: list[str]):
 
 # -- execution ----------------------------------------------------------------
 
-def run_scenario(scenario: Scenario,
-                 liveness_s: float = DEFAULT_LIVENESS_S,
-                 settle_s: float = DEFAULT_SETTLE_S) -> FuzzRunResult:
+def run_scenario(scenario: Scenario) -> FuzzRunResult:
     """Run one scenario end to end and check every invariant."""
     scenario.validate()
     ctx = RunContext(scenario=scenario)
     try:
-        _execute(scenario, ctx, liveness_s, settle_s)
+        _execute(scenario, ctx)
     except Exception as exc:  # noqa: BLE001 — every escape is a finding
         ctx.crash = f"{type(exc).__name__}: {exc}"
     violations = InvariantSuite().check(ctx)
@@ -286,8 +284,7 @@ def run_scenario(scenario: Scenario,
                          context=ctx, run_digest=_run_digest(ctx))
 
 
-def _execute(scenario: Scenario, ctx: RunContext,
-             liveness_s: float, settle_s: float) -> None:
+def _execute(scenario: Scenario, ctx: RunContext) -> None:
     topo = TopologySpec(racks=scenario.racks,
                         hosts_per_rack=scenario.hosts_per_rack,
                         vms_per_host=scenario.vms_per_host)
@@ -324,7 +321,7 @@ def _execute(scenario: Scenario, ctx: RunContext,
 
     sim = platform.sim
     gate = sim.all_of(events)
-    deadline = sim.timeout(liveness_s)
+    deadline = sim.timeout(LIVENESS_S)
     try:
         sim.run_until(sim.any_of([gate, deadline]))
         if not gate.triggered:
@@ -340,7 +337,7 @@ def _execute(scenario: Scenario, ctx: RunContext,
         ctx.sched_report = scheduler.finalize()
         # Quiescence: let heartbeat reaping, re-replication and pending
         # heals drain before judging recovery convergence.
-        sim.run(until=max(sim.now, plan.horizon) + settle_s)
+        sim.run(until=max(sim.now, plan.horizon) + SETTLE_S)
     finally:
         if observatory.running:
             observatory.stop()

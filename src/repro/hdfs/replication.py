@@ -233,10 +233,6 @@ class ReplicationMonitor:
                                             tracer=self.tracer)
         self.reports: list[RepairReport] = []
         self._watched: set[str] = set()
-        #: Correlated failures (host/rack kills) arm many identical
-        #: repair-delay timers at one instant; the wheel folds them into
-        #: one queue entry without changing the simulated timeline.
-        self._wheel = sim.timer_wheel()
         self._sweeping = False
         self._resweep = False
 
@@ -258,7 +254,7 @@ class ReplicationMonitor:
         self._watched.discard(vm.name)
         delay = self.config.replication_repair_delay_s
         if delay > 0:
-            yield self._wheel.sleep(delay)
+            yield self.sim.timeout(delay)
         if vm.state is not VMState.FAILED:
             return  # rejoined before the expiry window elapsed
         if datanode not in self.namenode.datanodes:

@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -174,14 +174,60 @@ class LocalExecutor(Executor):
 
 # -- shared helpers -----------------------------------------------------------
 
-def summarize_members(center: np.ndarray, members: np.ndarray
-                      ) -> tuple[float, float]:
-    """(weight, radius) of a member matrix around a center."""
-    if members.size == 0:
-        return 0.0, 0.0
-    diffs = members - center[None, :]
-    rms = float(np.sqrt(np.mean(np.sum(diffs * diffs, axis=1))))
-    return float(len(members)), rms
+def run_centroid_loop(driver, algorithm: str, executor: Executor,
+                      input_path: str,
+                      iteration_job: Callable[[int, list[tuple]], Job]
+                      ) -> tuple[ClusteringResult, list[tuple]]:
+    """The driver loop k-Means and Fuzzy k-Means share.
+
+    Seeds ``driver.k`` centers — ``driver.initial_centers``, else random
+    distinct input points (Mahout's RandomSeedGenerator) from the stream
+    ``ml/<algorithm>/seed`` — then runs ``iteration_job(iteration,
+    centers)``, whose output is ``(cluster_id, (center, weight, radius))``
+    pairs, until no center moves more than ``driver.convergence_delta``
+    under ``driver.measure`` or ``driver.max_iterations`` is reached; a
+    cluster absent from an iteration's output keeps its center.  Returns
+    the result (models, history and timings filled in) and the final
+    centers.
+    """
+    if driver.initial_centers is not None:
+        centers = [tuple(c) for c in driver.initial_centers]
+    else:
+        records = executor.input_records(input_path)
+        if len(records) < driver.k:
+            raise ClusteringError(
+                f"k={driver.k} exceeds the {len(records)} input points")
+        rng = executor.rng(f"ml/{algorithm}/seed")
+        chosen = rng.choice(len(records), size=driver.k, replace=False)
+        centers = [tuple(records[int(i)][1]) for i in chosen]
+    result = ClusteringResult(algorithm=algorithm, models=[])
+    stats: dict[int, tuple] = {}
+    for iteration in range(driver.max_iterations):
+        output, elapsed = executor.run_job(iteration_job(iteration, centers))
+        result.per_iteration_s.append(elapsed)
+        result.runtime_s += elapsed
+        result.iterations += 1
+
+        new_centers = list(centers)
+        stats = {}
+        for cid, (center, weight, radius) in output:
+            new_centers[cid] = tuple(center)
+            stats[cid] = (weight, radius)
+        result.history.append([
+            ClusterModel(cid, tuple(c), *stats.get(cid, (0.0, 0.0)))
+            for cid, c in enumerate(new_centers)])
+        shift = max(
+            driver.measure.distance(np.asarray(old), np.asarray(new))
+            for old, new in zip(centers, new_centers))
+        centers = new_centers
+        if shift <= driver.convergence_delta:
+            result.converged = True
+            break
+
+    result.models = [
+        ClusterModel(cid, tuple(c), *stats.get(cid, (0.0, 0.0)))
+        for cid, c in enumerate(centers)]
+    return result, centers
 
 
 def stage_points(platform, cluster, path: str, points: np.ndarray,

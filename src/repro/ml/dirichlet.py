@@ -103,7 +103,7 @@ class DirichletDriver:
     """Truncated-DP Gaussian mixture driver."""
 
     def __init__(self, n_models: int = 10, alpha0: float = 1.0,
-                 max_iterations: int = 10, initial_sigma: float = 1.0):
+                 max_iterations: int = 10):
         if n_models < 1:
             raise ClusteringError("n_models must be >= 1")
         if alpha0 <= 0:
@@ -113,7 +113,6 @@ class DirichletDriver:
         self.n_models = n_models
         self.alpha0 = float(alpha0)
         self.max_iterations = max_iterations
-        self.initial_sigma = float(initial_sigma)
 
     def _prior_models(self, executor: Executor, input_path: str
                       ) -> list[NormalModel]:
@@ -125,7 +124,7 @@ class DirichletDriver:
         models = []
         for _ in range(self.n_models):
             center = mean + rng.normal(scale=std, size=points.shape[1])
-            models.append(NormalModel(center, max(std, self.initial_sigma),
+            models.append(NormalModel(center, max(std, 1.0),
                                       1.0 / self.n_models))
         return models
 

@@ -97,15 +97,15 @@ def render_clusters(points: np.ndarray, models: Sequence[ClusterModel],
 
 
 def render_history(points: np.ndarray, result: ClusteringResult,
-                   width: int = 72, height: int = 28,
-                   max_rings: int = 5) -> str:
-    """Fig. 8(b)-(f): superimpose the iterations — earlier rings faint
-    (``'``), the final clusters bold (``+`` rings, letter centers)."""
+                   width: int = 72, height: int = 28) -> str:
+    """Fig. 8(b)-(f): superimpose the iterations — the last five earlier
+    rings faint (``'``), the final clusters bold (``+`` rings, letter
+    centers)."""
     pts = np.asarray(points)
     canvas = AsciiCanvas(pts, width, height)
     for x, y in pts[:, :2]:
         canvas.plot(x, y, ".", overwrite=False)
-    for models in result.history[-(max_rings + 1):-1]:
+    for models in result.history[-6:-1]:
         for model in models:
             if model.radius > 0:
                 canvas.circle(model.center[0], model.center[1],

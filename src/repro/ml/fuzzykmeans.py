@@ -22,7 +22,7 @@ import numpy as np
 from repro.errors import ClusteringError
 from repro.mapreduce.api import Context, Mapper
 from repro.mapreduce.job import Job
-from repro.ml.base import ClusterModel, ClusteringResult, Executor
+from repro.ml.base import ClusteringResult, Executor, run_centroid_loop
 from repro.ml.kmeans import (CentroidReducer, PartialSumCombiner,
                              _map_record_cost, _stats_sizeof)
 from repro.ml.vectors import DistanceMeasure, EuclideanDistance
@@ -76,27 +76,14 @@ class FuzzyKMeansDriver:
         self.max_iterations = max_iterations
         self.n_reduces = n_reduces
 
-    def seed_centers(self, executor: Executor, input_path: str) -> list[tuple]:
-        if self.initial_centers is not None:
-            return [tuple(c) for c in self.initial_centers]
-        records = executor.input_records(input_path)
-        if len(records) < self.k:
-            raise ClusteringError(
-                f"k={self.k} exceeds the {len(records)} input points")
-        rng = executor.rng("ml/fuzzykmeans/seed")
-        chosen = rng.choice(len(records), size=self.k, replace=False)
-        return [tuple(records[int(i)][1]) for i in chosen]
-
     def run(self, executor: Executor, input_path: str,
             work_prefix: str = "/fuzzyk") -> ClusteringResult:
-        centers = self.seed_centers(executor, input_path)
-        d = len(centers[0])
         measure, m = self.measure, self.m
-        result = ClusteringResult(algorithm="fuzzykmeans", models=[])
-        stats: dict[int, tuple] = {}
-        for iteration in range(self.max_iterations):
+
+        def iteration_job(iteration: int, centers: list[tuple]) -> Job:
             snapshot = [tuple(c) for c in centers]
-            job = Job(
+            d = len(snapshot[0])
+            return Job(
                 name="fuzzykmeans-iter",
                 input_paths=[input_path],
                 output_path=f"{work_prefix}/clusters-{iteration}",
@@ -111,30 +98,9 @@ class FuzzyKMeansDriver:
                 * len(snapshot),
                 reduce_cpu_per_record=1.0e-5,
             )
-            output, elapsed = executor.run_job(job)
-            result.per_iteration_s.append(elapsed)
-            result.runtime_s += elapsed
-            result.iterations += 1
 
-            new_centers = list(centers)
-            stats = {}
-            for cid, (center, weight, radius) in output:
-                new_centers[cid] = tuple(center)
-                stats[cid] = (weight, radius)
-            result.history.append([
-                ClusterModel(cid, tuple(c), *stats.get(cid, (0.0, 0.0)))
-                for cid, c in enumerate(new_centers)])
-            shift = max(measure.distance(np.asarray(a), np.asarray(b))
-                        for a, b in zip(centers, new_centers))
-            centers = new_centers
-            if shift <= self.convergence_delta:
-                result.converged = True
-                break
-
-        result.models = [
-            ClusterModel(cid, tuple(c), *stats.get(cid, (0.0, 0.0)))
-            for cid, c in enumerate(centers)]
-        return result
+        return run_centroid_loop(self, "fuzzykmeans", executor, input_path,
+                                 iteration_job)[0]
 
     def soft_assignments(self, points: np.ndarray,
                          result: ClusteringResult) -> np.ndarray:

@@ -23,8 +23,7 @@ import numpy as np
 from repro.errors import ClusteringError
 from repro.mapreduce.api import Context, Mapper, Reducer
 from repro.mapreduce.job import Job
-from repro.ml.base import (ClusterModel, ClusteringResult, Executor,
-                           vector_sizeof)
+from repro.ml.base import ClusteringResult, Executor, run_centroid_loop
 from repro.ml.vectors import DistanceMeasure, EuclideanDistance
 
 #: Per-record CPU cost of one distance evaluation row (k centers, d dims):
@@ -114,20 +113,6 @@ class KMeansDriver:
         self.max_iterations = max_iterations
         self.n_reduces = n_reduces
 
-    # -- seeding -------------------------------------------------------------
-    def seed_centers(self, executor: Executor, input_path: str
-                     ) -> list[tuple]:
-        """Random distinct input points (Mahout's RandomSeedGenerator)."""
-        if self.initial_centers is not None:
-            return [tuple(c) for c in self.initial_centers]
-        records = executor.input_records(input_path)
-        if len(records) < self.k:
-            raise ClusteringError(
-                f"k={self.k} exceeds the {len(records)} input points")
-        rng = executor.rng("ml/kmeans/seed")
-        chosen = rng.choice(len(records), size=self.k, replace=False)
-        return [tuple(records[int(i)][1]) for i in chosen]
-
     # -- jobs --------------------------------------------------------------
     def _iteration_job(self, input_path: str, output_path: str,
                        centers: list[tuple], d: int) -> Job:
@@ -165,42 +150,14 @@ class KMeansDriver:
     def run(self, executor: Executor, input_path: str,
             work_prefix: str = "/kmeans", assign: bool = True
             ) -> ClusteringResult:
-        centers = self.seed_centers(executor, input_path)
-        d = len(centers[0])
-        result = ClusteringResult(algorithm="kmeans", models=[])
-        stats_by_cluster: dict[int, tuple] = {}
-        for iteration in range(self.max_iterations):
-            job = self._iteration_job(
-                input_path, f"{work_prefix}/clusters-{iteration}", centers, d)
-            output, elapsed = executor.run_job(job)
-            result.per_iteration_s.append(elapsed)
-            result.runtime_s += elapsed
-            result.iterations += 1
-
-            new_centers = list(centers)
-            stats_by_cluster = {}
-            for cid, (center, weight, radius) in output:
-                new_centers[cid] = tuple(center)
-                stats_by_cluster[cid] = (weight, radius)
-            result.history.append([
-                ClusterModel(cid, tuple(c),
-                             *stats_by_cluster.get(cid, (0.0, 0.0)))
-                for cid, c in enumerate(new_centers)])
-
-            shift = max(
-                self.measure.distance(np.asarray(old), np.asarray(new))
-                for old, new in zip(centers, new_centers))
-            centers = new_centers
-            if shift <= self.convergence_delta:
-                result.converged = True
-                break
-
-        result.models = [
-            ClusterModel(cid, tuple(c), *stats_by_cluster.get(cid, (0.0, 0.0)))
-            for cid, c in enumerate(centers)]
+        result, centers = run_centroid_loop(
+            self, "kmeans", executor, input_path,
+            lambda iteration, centers: self._iteration_job(
+                input_path, f"{work_prefix}/clusters-{iteration}", centers,
+                len(centers[0])))
         if assign:
             job = self._assign_job(input_path, f"{work_prefix}/points",
-                                   centers, d)
+                                   centers, len(centers[0]))
             output, elapsed = executor.run_job(job)
             result.runtime_s += elapsed
             result.assignments = {int(pid): int(cid) for pid, cid in output}

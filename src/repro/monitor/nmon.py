@@ -10,9 +10,9 @@ A :class:`NmonMonitor` attaches to a set of VMs and samples, every
 * **net** — bytes sent/received since the previous sample.
 
 Samples are plain records; the analyser (:mod:`repro.monitor.analyser`)
-aggregates them.  The monitor samples from a self-re-arming
-``Simulator.call_in`` timer, so sampling is correctly interleaved with
-the workload.
+aggregates them.  The monitor samples from a
+:class:`~repro.sim.kernel.PeriodicCall`, so sampling is correctly
+interleaved with the workload.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.errors import MonitorError
+from repro.sim.kernel import PeriodicCall
 from repro.virt.vm import VirtualMachine
 
 
@@ -80,40 +81,25 @@ class NmonMonitor:
         self._last_disk: dict[str, float] = {}
         self._last_tx: dict[str, float] = {}
         self._last_rx: dict[str, float] = {}
-        self._running = False
-        self._timer = None
+        self._loop = PeriodicCall(self.vms[0].sim, self._tick)
 
     # -- control -------------------------------------------------------------
     @property
     def running(self) -> bool:
-        return self._running
+        return self._loop.running
 
     def start(self) -> None:
         """Begin sampling (idempotent)."""
-        if self._running:
-            return
-        self._running = True
-        self._timer = self.vms[0].sim.call_in(0.0, self._tick)
+        self._loop.start()
 
     def stop(self) -> None:
-        """Stop sampling and cancel the armed timer (idempotent).
-
-        A stopped monitor emits no further samples, and neither keeps the
-        simulation alive nor drags the clock to the next interval boundary.
-        """
-        self._running = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        """Stop sampling (idempotent): no further samples, nothing armed."""
+        self._loop.stop()
 
     # -- sampling -----------------------------------------------------------
-    def _tick(self) -> None:
-        self._timer = None
-        sim = self.vms[0].sim
-        self.sample_now(sim.now)
-        # An on_sample hook may have stopped (or restarted) the monitor.
-        if self._running and self._timer is None:
-            self._timer = sim.call_in(self.interval, self._tick)
+    def _tick(self) -> float:
+        self.sample_now(self.vms[0].sim.now)
+        return self.interval
 
     def sample_now(self, now: float) -> None:
         """Take one sample of every VM (also usable without start())."""

@@ -294,16 +294,15 @@ class NetworkFabric:
                          elapsed=elapsed)
         return elapsed
 
-    def open_stream(self, src: NetNode, dst: NetNode,
-                    name: str = "stream",
-                    cap: Optional[float] = None) -> Optional[FluidFlow]:
+    def open_stream(self, src: NetNode, dst: NetNode
+                    ) -> Optional[FluidFlow]:
         """Open an open-ended background flow (e.g. a migration stream's
         contention placeholder); ``None`` for loopback.  Close with
         :meth:`close_stream`."""
         path, _latency = self.path(src, dst)
         if not path:
             return None
-        return self.fss.open(path, size=math.inf, cap=cap, name=name)
+        return self.fss.open(path, size=math.inf, name="stream")
 
     def close_stream(self, flow: Optional[FluidFlow]) -> float:
         """Close a background flow; returns bytes moved (0 for loopback)."""

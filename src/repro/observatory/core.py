@@ -2,9 +2,9 @@
 
 An observatory attaches to a telemetry facade (and optionally its
 cluster, for namenode access), registers the SLO catalogue, subscribes
-its detectors to the tracer, and arms a self-re-arming
-``Simulator.call_in`` timer that gives every detector a ``tick``.  While
-running it:
+its detectors to the tracer, and starts a
+:class:`~repro.sim.kernel.PeriodicCall` that gives every detector a
+``tick``.  While running it:
 
 * fires/resolves :class:`~repro.observatory.slo.Alert`\\ s through one
   :class:`~repro.observatory.slo.AlertBook` (also emitted as
@@ -18,9 +18,9 @@ events — so a detectors-on run leaves simulated outputs and the engine's
 deterministic counters bit-identical (checked by
 ``tests/observatory/test_observatory_runs.py::test_detectors_on_run_is_bit_identical``).
 
-Stop it (:meth:`Observatory.stop`) once the workload is done: its armed
-timer is cancelled, so it neither keeps the simulation alive nor drags
-the clock.
+Stop it (:meth:`Observatory.stop`) once the workload is done: nothing of
+it stays queued, so it neither keeps the simulation alive nor drags the
+clock.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import MonitorError
 from repro.observatory.detectors import DEFAULT_DETECTORS, Detector
-from repro.observatory.slo import DEFAULT_SLOS, Alert, AlertBook, SloSpec
+from repro.observatory.slo import DEFAULT_SLOS, Alert, AlertBook
+from repro.sim.kernel import PeriodicCall
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.observatory.attribution import JobBottleneckReport
@@ -41,7 +42,6 @@ class Observatory:
     """Online anomaly detection + SLO alerting for one cluster scope."""
 
     def __init__(self, telemetry: "Telemetry", cluster=None,
-                 slos: Sequence[SloSpec] = DEFAULT_SLOS,
                  interval: float = 5.0, window: float = 30.0,
                  detectors: Sequence[type] = DEFAULT_DETECTORS):
         if interval <= 0:
@@ -52,22 +52,20 @@ class Observatory:
         self.interval = float(interval)
         self.window_s = float(window)
         self.book = AlertBook(self.sim, telemetry.tracer)
-        for spec in slos:
+        for spec in DEFAULT_SLOS:
             self.book.register(spec)
         #: Shared fair-share resources the load/link detectors watch.
         self.resources = telemetry.shared_resources()
         self.detectors: list[Detector] = [cls(self) for cls in detectors]
         self.ticks = 0
-        self._running = False
-        self._timer = None
+        self._loop = PeriodicCall(self.sim, self._tick)
         self._started_monitor = False
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "Observatory":
         """Begin watching (idempotent); returns self for chaining."""
-        if self._running:
+        if self._loop.running:
             return self
-        self._running = True
         self.telemetry.enable_flow_log()
         if self.telemetry.vms:
             monitor = self.telemetry.monitor
@@ -77,30 +75,24 @@ class Observatory:
         for detector in self.detectors:
             for prefix in detector.prefixes:
                 self.telemetry.tracer.subscribe(detector.on_event, prefix)
-        self._timer = self.sim.call_in(0.0, self._tick)
+        self._loop.start()
         return self
 
     def stop(self) -> None:
-        """Stop ticking and cancel the armed timer (idempotent)."""
-        if not self._running:
+        """Stop ticking (idempotent): nothing stays armed."""
+        if not self._loop.running:
             return
-        self._running = False
+        self._loop.stop()
         for detector in self.detectors:
             if detector.prefixes:
                 self.telemetry.tracer.unsubscribe(detector.on_event)
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         if self._started_monitor:
             self.telemetry.stop_monitor()
             self._started_monitor = False
 
-    def _tick(self) -> None:
-        self._timer = None
+    def _tick(self) -> float:
         self.tick_now()
-        # A detector may have stopped (or restarted) the observatory.
-        if self._running and self._timer is None:
-            self._timer = self.sim.call_in(self.interval, self._tick)
+        return self.interval
 
     def tick_now(self) -> None:
         """Run one detector evaluation pass at the current sim time."""
@@ -112,7 +104,7 @@ class Observatory:
     # -- queries -----------------------------------------------------------
     @property
     def running(self) -> bool:
-        return self._running
+        return self._loop.running
 
     def alerts(self, slo: Optional[str] = None) -> list[Alert]:
         """Full alert history (optionally one SLO's)."""
@@ -135,6 +127,6 @@ class Observatory:
         return build_report(self, job=job)
 
     def __repr__(self) -> str:  # pragma: no cover
-        state = "running" if self._running else "stopped"
+        state = "running" if self.running else "stopped"
         return (f"<Observatory {state} detectors={len(self.detectors)} "
                 f"alerts={len(self.book.alerts)}>")

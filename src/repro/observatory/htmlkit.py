@@ -76,12 +76,11 @@ def timeline_bar(t0: float, t1: float, start: float, total: float,
 
 
 def column_chart(label: str, values: Sequence[float], colour: str,
-                 ceiling: Optional[float] = None,
-                 over_colour: str = "#d62f2f") -> str:
+                 ceiling: Optional[float] = None) -> str:
     """A labelled pure-div column chart (heights scaled to the max).
 
-    With ``ceiling`` set, columns exceeding it render in
-    ``over_colour`` — the RSS-vs-ceiling view.
+    With ``ceiling`` set, columns exceeding it render in red — the
+    RSS-vs-ceiling view.
     """
     peak = max([v for v in values if v is not None] + [1e-9])
     if ceiling is not None:
@@ -92,8 +91,7 @@ def column_chart(label: str, values: Sequence[float], colour: str,
             cols.append('<span class="col" style="height:0"></span>')
             continue
         h = max(1.0, 100.0 * v / peak)
-        c = (over_colour if ceiling is not None and v > ceiling
-             else colour)
+        c = "#d62f2f" if ceiling is not None and v > ceiling else colour
         cols.append(f'<span class="col" style="height:{h:.1f}%;'
                     f'background:{c}"></span>')
     return (f'<div class="row"><span class="lbl">'

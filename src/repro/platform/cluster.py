@@ -79,9 +79,6 @@ class HadoopVirtualCluster:
         #: both arm it; standalone runner tests stay untouched).
         self.recovery: Optional[ReplicationMonitor] = None
         self._watched_trackers: set[str] = set()
-        #: Correlated failures arm many identical heartbeat-expiry grace
-        #: timers at one instant; the wheel batches them into one event.
-        self._expiry_wheel = self.sim.timer_wheel()
 
     # -- convenience -----------------------------------------------------
     @property
@@ -209,7 +206,7 @@ class HadoopVirtualCluster:
         # The JobTracker only notices after several silent heartbeats.
         grace = self.config.missed_heartbeats_dead * self.config.heartbeat_s
         if grace > 0:
-            yield self._expiry_wheel.sleep(grace)
+            yield self.sim.timeout(grace)
         if vm.state is not VMState.FAILED:
             return  # rejoined within the grace window
         if tracker not in self.trackers:

@@ -61,8 +61,8 @@ def crash_worker(cluster: "HadoopVirtualCluster", vm: VirtualMachine) -> None:
                         cluster.name, vm=vm.name)
 
 
-def rejoin_worker(cluster: "HadoopVirtualCluster", vm: VirtualMachine,
-                  host=None) -> None:
+def rejoin_worker(cluster: "HadoopVirtualCluster",
+                  vm: VirtualMachine) -> None:
     """Bring a crashed worker back into the cluster (delayed recovery).
 
     The VM reboots with a cold, empty disk: its old replicas are scrubbed
@@ -74,7 +74,7 @@ def rejoin_worker(cluster: "HadoopVirtualCluster", vm: VirtualMachine,
     """
     if vm not in cluster.workers:
         raise VMStateError(f"{vm.name} is not a worker of {cluster.name}")
-    vm.recover(host)
+    vm.recover()
     old = cluster.namenode.datanode_of(vm.name)
     if old is not None:
         # Never reaped (rejoin beat the expiry window): scrub its stale

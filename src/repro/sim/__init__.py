@@ -9,7 +9,7 @@ On top of the kernel:
 
 * :mod:`repro.sim.fairshare` — fluid-flow max-min fair sharing of capacitated
   resources, the single mechanism used for CPU, NIC, disk and NFS contention;
-* :mod:`repro.sim.resources` — counting semaphores and FIFO stores;
+* :mod:`repro.sim.resources` — counting semaphores (task slots);
 * :mod:`repro.sim.rng` — named deterministic random streams;
 * :mod:`repro.sim.trace` — structured event tracing.
 """
@@ -19,13 +19,13 @@ from repro.sim.kernel import (
     AnyOf,
     Event,
     Interrupt,
+    PeriodicCall,
     Process,
     Simulator,
     Timeout,
-    TimerWheel,
 )
 from repro.sim.fairshare import FairShareSystem, FluidFlow, SharedResource
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Span, TraceEvent, Tracer
 
@@ -36,15 +36,14 @@ __all__ = [
     "FairShareSystem",
     "FluidFlow",
     "Interrupt",
+    "PeriodicCall",
     "Process",
     "Resource",
     "RngRegistry",
     "SharedResource",
     "Simulator",
     "Span",
-    "Store",
     "Timeout",
-    "TimerWheel",
     "TraceEvent",
     "Tracer",
 ]

@@ -63,22 +63,24 @@ Two things deliberately stay global so that simulated timestamps are
 * progress advancement (``_advance``) walks every active flow whenever
   simulated time has passed — partial advancement would change the
   floating-point stepping of ``remaining`` and with it completion
-  timestamps.  Same-timestamp cascades (the common case) cost O(1).  It
-  is one plain loop: a NumPy twin measured no faster on any workload
-  (DESIGN.md §7) and was deleted.
+  timestamps.  Same-timestamp cascades (the common case) cost O(1).
 * the completion horizon of an *untouched* flow is a pure function of its
   unchanged ``remaining``/``rate``, so cached horizons in a lazy-deletion
-  heap are exact; the heap replaces the old all-flows min scan.
+  heap are exact.
 
 Resources keep a time-integrated load *fraction* so monitors can report
 utilization; capacity changes do not rescale already-integrated history.
+The engine's cost counters (``rebalance_count``, ``flow_visits``,
+``timer_cancellations``, ``max_component_flows``, ``completed_count``)
+are plain attributes of :class:`FairShareSystem`; the benchmark census
+and ``tests/platform/test_engine_counters.py`` read them there.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import ResourceError, SimulationError
 from repro.sim.kernel import Event, Simulator
@@ -171,12 +173,11 @@ class FluidFlow:
     """A demand of ``size`` units crossing a path of shared resources."""
 
     __slots__ = ("name", "path", "size", "remaining", "rate", "cap",
-                 "done", "start_time", "end_time", "meta", "_moved",
+                 "done", "start_time", "end_time", "_moved",
                  "_seq", "_horizon", "_upath", "_comp")
 
     def __init__(self, name: str, path: Sequence[SharedResource], size: float,
-                 cap: Optional[float], done: Event, start_time: float,
-                 meta: Any = None):
+                 cap: Optional[float], done: Event, start_time: float):
         self.name = name
         self.path = tuple(path)
         self.size = float(size)
@@ -186,7 +187,6 @@ class FluidFlow:
         self.done = done
         self.start_time = start_time
         self.end_time: Optional[float] = None
-        self.meta = meta
         self._moved = 0.0
         #: Monotone id: deterministic tie-break in the horizon heap.
         self._seq = 0
@@ -252,15 +252,9 @@ class _Component:
 
 
 class FairShareSystem:
-    """Manages all fluid flows of one simulation and their fair rates.
+    """Manages all fluid flows of one simulation and their fair rates."""
 
-    ``metrics`` (optional) is a :class:`~repro.telemetry.metrics
-    .MetricsRegistry`; when given, engine cost counters (rebalances, flow
-    visits, timer cancellations, component sizes) are mirrored into it so
-    the tuner and traces can see what the fair-share engine is doing.
-    """
-
-    def __init__(self, sim: Simulator, metrics=None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
         self._flows: set[FluidFlow] = set()
         self._last_update = 0.0
@@ -274,7 +268,7 @@ class FairShareSystem:
         #: Resources touched since the last flush, or ``None`` when rates
         #: are settled; see :meth:`_touch` / :meth:`settle`.
         self._seeds: Optional[list[SharedResource]] = None
-        # -- engine statistics (perf harness + telemetry) ----------------
+        # -- engine cost counters (benchmark census, test_engine_counters) --
         self.rebalance_count = 0
         #: Flow inspections performed by the scoped progressive fills.
         self.flow_visits = 0
@@ -287,25 +281,10 @@ class FairShareSystem:
         #: :class:`repro.observatory.attribution.FlowLog` here via the
         #: telemetry facade; the engine itself stays telemetry-agnostic.
         self.flow_log = None
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_rebalances = metrics.counter(
-                "fairshare.rebalances", "component-scoped rate recomputations")
-            self._m_visits = metrics.counter(
-                "fairshare.flow.visits", "flow visits in progressive fills")
-            self._m_cancel = metrics.counter(
-                "fairshare.timer.cancellations",
-                "superseded completion timers withdrawn from the kernel heap")
-            self._m_component = metrics.histogram(
-                "fairshare.component.flows",
-                "flows per rebalanced connected component",
-                buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
-                         256.0, 512.0, 1024.0))
 
     # -- public API ------------------------------------------------------
     def open(self, path: Sequence[SharedResource], size: float,
-             cap: Optional[float] = None, name: str = "flow",
-             meta: Any = None) -> FluidFlow:
+             cap: Optional[float] = None, name: str = "flow") -> FluidFlow:
         """Start a flow; ``flow.done`` triggers with the flow on completion.
 
         ``size`` may be ``math.inf`` for an open-ended background load that
@@ -318,7 +297,7 @@ class FairShareSystem:
         if cap is not None and cap <= 0:
             raise ResourceError(f"flow cap must be > 0, got {cap}")
         flow = FluidFlow(name, path, size, cap, self.sim.event(),
-                         self.sim.now, meta=meta)
+                         self.sim.now)
         self._flow_seq += 1
         flow._seq = self._flow_seq
         self._advance()
@@ -448,11 +427,9 @@ class FairShareSystem:
                     f"touched at t={self._last_update} were never settled")
             finished: list[FluidFlow] = []
             # Time moved, so every surviving horizon shifted; the fresh
-            # horizons are computed in the same pass that steps progress
-            # (what the old code spent on its every-event min scan, paid
-            # here only when time advances).  Heap layout depends on entry
-            # order, but pops follow the (horizon, seq) total order, so the
-            # layout is not observable.
+            # horizons are computed in the same pass that steps progress.
+            # Heap layout depends on entry order, but pops follow the
+            # (horizon, seq) total order, so the layout is not observable.
             entries: list = []
             push = entries.append
             inf = math.inf
@@ -537,8 +514,7 @@ class FairShareSystem:
     def _split_component(self, comp: _Component) -> None:
         """Re-derive true components from a shrunken union (lazy split).
 
-        One breadth-first walk over the union's live adjacency, the same
-        walk the pre-partition engine paid on *every* rebalance.  Isolated
+        One breadth-first walk over the union's live adjacency.  Isolated
         resources (no live flows left) drop out of the partition entirely.
         """
         for res in comp.resources:
@@ -653,11 +629,6 @@ class FairShareSystem:
                     flow._horizon = math.inf
             for res in reload:
                 res._set_load(sum(f.rate for f in res._flows), now)
-            if self._metrics is not None:
-                self._m_component.observe(float(n_flows))
-                self._m_visits.inc(visits)
-        if self._metrics is not None:
-            self._m_rebalances.inc()
         self._schedule_next()
 
     def _schedule_next(self) -> None:
@@ -666,8 +637,6 @@ class FairShareSystem:
             self._timer = None
             timer.cancel()
             self.timer_cancellations += 1
-            if self._metrics is not None:
-                self._m_cancel.inc()
         heap = self._horizon_heap
         while heap:
             horizon, _seq, flow = heap[0]

@@ -3,9 +3,11 @@
 A :class:`Simulator` owns a virtual clock and a priority queue of pending
 events.  *Processes* are plain Python generators that ``yield`` events; when
 a yielded event triggers, the kernel resumes the generator with the event's
-value (or throws the event's exception into it).  Work nothing waits on —
-a timer, a self-re-arming callback chain — needs neither:
-:meth:`Simulator.call_in` schedules a plain callback as one queue entry.
+value (or throws the event's exception into it).  Work nothing waits on
+needs neither: :meth:`Simulator.call_in` schedules a plain callback as one
+queue entry — the one way to wait for a time outside a process, and its
+:class:`ScheduledCall` handle the one thing that can be cancelled — and
+:class:`PeriodicCall` is the ``call_in`` chain that re-arms itself.
 
 The kernel is deliberately small — just enough for the vHadoop models — but
 it enforces its invariants strictly: no scheduling in the past, no double
@@ -47,7 +49,11 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered",
-                 "_processed", "_cancelled")
+                 "_processed")
+
+    #: Only a :class:`ScheduledCall` can be withdrawn from the queue; the
+    #: class-level constant keeps the kernel's prune test one attribute read.
+    _cancelled = False
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -56,7 +62,6 @@ class Event:
         self._ok: bool = True
         self._triggered = False
         self._processed = False
-        self._cancelled = False
 
     # -- state ---------------------------------------------------------------
     @property
@@ -75,22 +80,6 @@ class Event:
         return self._ok
 
     @property
-    def cancelled(self) -> bool:
-        """True once the event has been withdrawn via :meth:`cancel`."""
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Withdraw a scheduled-but-untriggered event from the queue.
-
-        The queue entry is skipped without advancing the clock, so a
-        cancelled periodic wakeup (a monitor's sampling timeout, say) no
-        longer keeps the simulation alive or drags the clock forward.
-        """
-        if self._processed:
-            raise SimulationError(f"cannot cancel processed {self!r}")
-        self._cancelled = True
-
-    @property
     def value(self) -> Any:
         """The event's value; raises if the event failed."""
         if not self._triggered:
@@ -100,22 +89,22 @@ class Event:
         return self._value
 
     # -- triggering ----------------------------------------------------------
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger the event successfully with ``value`` after ``delay``."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event successfully with ``value``."""
         self._pre_trigger()
         self._value = value
         self._ok = True
-        self.sim._enqueue(self, delay)
+        self.sim._enqueue(self, 0.0)
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed; waiters get ``exception`` thrown."""
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
         self._pre_trigger()
         self._value = exception
         self._ok = False
-        self.sim._enqueue(self, delay)
+        self.sim._enqueue(self, 0.0)
         return self
 
     def _pre_trigger(self) -> None:
@@ -135,9 +124,9 @@ class _Wake(Event):
     These are the kernel's hottest allocation: every process bootstrap,
     every resume-on-already-processed-target, and every interrupt creates
     one, uses it for exactly one step, and drops it.  They are never
-    handed to user code, never waited on by ``_waiting_on``, and never
-    cancelled — so :meth:`Simulator.step` recycles them through a small
-    free list (slab) instead of letting each become garbage.
+    handed to user code and nothing keeps a reference past that step — so
+    :meth:`Simulator.step` recycles them through a small free list (slab)
+    instead of letting each become garbage.
     """
 
     __slots__ = ()
@@ -149,8 +138,6 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
         super().__init__(sim)
         self.delay = delay
         self._value = value
@@ -183,49 +170,43 @@ class ScheduledCall:
         self._cancelled = True
 
 
-class TimerWheel:
-    """Coalesces same-instant, same-deadline sleeps into one queue entry.
+class PeriodicCall:
+    """A :meth:`Simulator.call_in` chain that re-arms itself.
 
-    Correlated timers — N replication watchers armed by one rack failure,
-    N tracker-expiry grace periods after a host crash — all sleep for the
-    same delay from the same simulated instant.  Arming each as its own
-    :class:`Timeout` costs N heap entries and N ``step()`` rounds; a
-    wheel shares one Timeout among all waiters armed at the same instant
-    for the same deadline, so a 1,000-VM correlated failure wakes its
-    watchers with one event.  Waiters resume in arming order — exactly
-    the order their individual timers' sequence numbers would have given
-    them — so coalescing is invisible to the simulated timeline.
-
-    Each subsystem should own its wheel: slots are keyed by
-    ``(armed_at, deadline)`` *within* the wheel, which keeps unrelated
-    same-delay timers from ever sharing an entry.
+    ``tick()`` does one round's work and returns the seconds until the
+    next; the first round runs at the instant of :meth:`start`.  While
+    stopped nothing is queued, so the loop neither keeps ``run()`` alive
+    nor drags the clock to its next boundary.  ``tick`` may stop or
+    restart its own loop.
     """
 
-    __slots__ = ("sim", "_slots", "armed", "coalesced")
+    __slots__ = ("sim", "tick", "running", "_timer")
 
-    def __init__(self, sim: "Simulator"):
+    def __init__(self, sim: "Simulator", tick: Callable[[], float]):
         self.sim = sim
-        self._slots: dict[tuple[float, float], Timeout] = {}
-        #: Distinct Timeouts created (cache misses).
-        self.armed = 0
-        #: Sleeps that shared an existing Timeout (events saved).
-        self.coalesced = 0
+        self.tick = tick
+        self.running = False
+        self._timer: Optional[ScheduledCall] = None
 
-    def sleep(self, delay: float) -> Timeout:
-        """An event firing ``delay`` seconds from now, shared with every
-        other ``sleep(delay)`` issued at this same instant."""
-        now = self.sim.now
-        key = (now, now + delay)
-        timer = self._slots.get(key)
-        if timer is None or timer._processed:
-            timer = Timeout(self.sim, delay)
-            self._slots[key] = timer
-            timer.callbacks.append(
-                lambda _ev, key=key: self._slots.pop(key, None))
-            self.armed += 1
-        else:
-            self.coalesced += 1
-        return timer
+    def start(self) -> None:
+        """Begin ticking (idempotent)."""
+        if not self.running:
+            self.running = True
+            self._timer = self.sim.call_in(0.0, self._fire)
+
+    def stop(self) -> None:
+        """Stop ticking and withdraw the armed call (idempotent)."""
+        self.running = False
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _fire(self) -> None:
+        self._timer = None
+        delay = self.tick()
+        # ``tick`` may have stopped the loop, or restarted it (armed again).
+        if self.running and self._timer is None:
+            self._timer = self.sim.call_in(delay, self._fire)
 
 
 class Interrupt(Exception):
@@ -451,10 +432,6 @@ class Simulator:
                 name: Optional[str] = None) -> Process:
         """Start a process from a generator; returns its completion event."""
         return Process(self, generator, name=name)
-
-    def timer_wheel(self) -> TimerWheel:
-        """A fresh :class:`TimerWheel` for one subsystem's batched sleeps."""
-        return TimerWheel(self)
 
     def _wake(self, callback: Callable[[Event], None]) -> Event:
         """An immediately-triggered kernel wake event (recycled slab)."""

@@ -1,16 +1,14 @@
 """Discrete resources on top of the simulation kernel.
 
 :class:`Resource` is a counting semaphore with FIFO waiters — used for
-Hadoop task *slots* (map/reduce slots per TaskTracker).  :class:`Store` is a
-FIFO queue of items with blocking ``get`` — used for message/heartbeat
-queues.  Both are event-based: ``acquire``/``get`` return events a process
-yields on.
+Hadoop task *slots* (map/reduce slots per TaskTracker).  ``acquire``
+returns an event a process yields on.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from repro.errors import ResourceError
 from repro.sim.kernel import Event, Simulator
@@ -61,38 +59,3 @@ class Resource:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Resource {self.name} {self.in_use}/{self.capacity} "
                 f"queued={len(self._waiters)}>")
-
-
-class Store:
-    """Unbounded FIFO store of items with blocking ``get``."""
-
-    __slots__ = ("sim", "name", "_items", "_getters")
-
-    def __init__(self, sim: Simulator, name: str = "store"):
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Add an item; wakes the oldest blocked getter immediately."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that triggers with the next item."""
-        event = self.sim.event()
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; ``None`` when empty."""
-        return self._items.popleft() if self._items else None

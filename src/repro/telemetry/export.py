@@ -37,17 +37,15 @@ def _json_safe(value):
 
 
 def chrome_trace(spans: Sequence[Span],
-                 events: Sequence[TraceEvent] = (),
-                 skip_event_prefixes: Sequence[str] = ("net.transfer",)
-                 ) -> dict:
+                 events: Sequence[TraceEvent] = ()) -> dict:
     """Render spans + events as a Chrome trace-event JSON object.
 
     Timestamps are microseconds (simulated seconds × 1e6).  Span start/end
     events are omitted from the instant-event stream — the spans themselves
-    carry that information as complete events.  High-volume event kinds
-    (per-flow network transfers by default) are skipped too.
+    carry that information as complete events.  The high-volume per-flow
+    ``net.transfer`` events are skipped too.
     """
-    skip = tuple(skip_event_prefixes) + tuple(
+    skip = ("net.transfer",) + tuple(
         f"{kind}.{edge}" for kind in EV.SPAN_KINDS
         for edge in ("start", "end"))
     trace_events: list[dict] = []

@@ -263,18 +263,15 @@ class Telemetry:
         return self.job_timeline(job_name).critical_path()
 
     # -- exports ------------------------------------------------------------
-    def chrome_trace(self, include_events: bool = True) -> dict:
+    def chrome_trace(self) -> dict:
         from repro.telemetry.export import chrome_trace
-        return chrome_trace(self.tracer.spans,
-                            self.tracer.events if include_events else ())
+        return chrome_trace(self.tracer.spans, self.tracer.events)
 
-    def export_chrome_trace(self, path: str,
-                            include_events: bool = True) -> str:
+    def export_chrome_trace(self, path: str) -> str:
         """Write a ``chrome://tracing`` / Perfetto JSON file."""
         from repro.telemetry.export import write_chrome_trace
-        return write_chrome_trace(
-            path, self.tracer.spans,
-            self.tracer.events if include_events else ())
+        return write_chrome_trace(path, self.tracer.spans,
+                                  self.tracer.events)
 
     def prometheus_text(self) -> str:
         from repro.telemetry.export import prometheus_text

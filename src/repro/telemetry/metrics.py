@@ -116,7 +116,7 @@ class Histogram:
             raise ConfigError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
             return 0.0
-        rank = q * self.count
+        rank = max(1, math.ceil(q * self.count))  # q=0: the first sample
         seen = 0
         for i, n in enumerate(self.bucket_counts):
             seen += n

@@ -47,6 +47,7 @@ import math
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from repro.errors import ConfigError
+from repro.sim.kernel import PeriodicCall
 from repro.telemetry.metrics import (Counter, Gauge, LabelSet,
                                      LatencyHistogram, _labelset)
 
@@ -360,11 +361,11 @@ class TimeSeriesStore:
     """All time series of one scope, plus the optional registry sampler.
 
     Construction is cheap and passive.  With ``sim`` and ``registry``
-    wired (the facade does both), :meth:`start` arms a self-re-arming
-    ``Simulator.call_in`` timer that snapshots every counter and gauge
-    in the registry into same-named series every ``step`` — the
-    historical view of the live metrics.  :meth:`stop` cancels the
-    timer, so a stopped store never keeps the simulation alive.
+    wired (the facade does both), :meth:`start` begins a
+    :class:`~repro.sim.kernel.PeriodicCall` that snapshots every counter
+    and gauge in the registry into same-named series every ``step`` — the
+    historical view of the live metrics.  A stopped store has nothing
+    queued, so it never keeps the simulation alive.
     """
 
     def __init__(self, sim=None, registry: Optional["MetricsRegistry"] = None,
@@ -380,8 +381,7 @@ class TimeSeriesStore:
         self._series: dict[tuple[str, LabelSet], TimeSeries] = {}
         self._hist_series: dict[tuple[str, LabelSet], HistogramSeries] = {}
         self.samples_taken = 0
-        self._running = False
-        self._timer = None
+        self._loop = PeriodicCall(sim, self._tick)
 
     # -- series access ---------------------------------------------------
     def series(self, name: str,
@@ -488,33 +488,24 @@ class TimeSeriesStore:
     # -- the sampler timer -----------------------------------------------
     @property
     def running(self) -> bool:
-        return self._running
+        return self._loop.running
 
     def start(self) -> "TimeSeriesStore":
         """Begin periodic registry sampling (idempotent); returns self."""
-        if self._running:
-            return self
         if self.sim is None:
             raise ConfigError("store has no simulator to tick on")
         if self.registry is None:
             raise ConfigError("store has no metrics registry to sample")
-        self._running = True
-        self._timer = self.sim.call_in(0.0, self._tick)
+        self._loop.start()
         return self
 
     def stop(self) -> None:
-        """Stop sampling and cancel the armed timer (idempotent)."""
-        self._running = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        """Stop sampling (idempotent): nothing stays armed."""
+        self._loop.stop()
 
-    def _tick(self) -> None:
-        self._timer = None
+    def _tick(self) -> float:
         self.sample_registry(self.sim.now)
-        # A sample hook may have stopped (or restarted) the store.
-        if self._running and self._timer is None:
-            self._timer = self.sim.call_in(self.step, self._tick)
+        return self.step
 
     # -- determinism -----------------------------------------------------
     def digest(self) -> str:
@@ -529,4 +520,4 @@ class TimeSeriesStore:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<TimeSeriesStore series={len(self._series)} "
                 f"hist={len(self._hist_series)} step={self.step} "
-                f"{'running' if self._running else 'idle'}>")
+                f"{'running' if self.running else 'idle'}>")

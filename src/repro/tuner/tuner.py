@@ -16,7 +16,6 @@ from repro.tuner.rules import DEFAULT_RULES, Recommendation, TuningRule
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import HadoopVirtualCluster
-    from repro.telemetry.facade import Telemetry
 
 
 @dataclass
@@ -28,10 +27,9 @@ class TuningLogEntry:
 
 
 class MapReduceTuner:
-    """Rule-driven tuner bound to one cluster's :class:`Telemetry` handle.
+    """Rule-driven tuner bound to one cluster's telemetry handle.
 
-    Pass nothing for ``telemetry`` to use ``cluster.telemetry`` (the normal
-    case); the tuner reads every metric through the facade.  To drive
+    The tuner reads every metric through ``cluster.telemetry``.  To drive
     detection, attach an :class:`~repro.observatory.core.Observatory` and
     use the alert-driven rules
     (:class:`~repro.tuner.rules.SpeculateOnStragglersRule`,
@@ -40,13 +38,11 @@ class MapReduceTuner:
     """
 
     def __init__(self, cluster: "HadoopVirtualCluster",
-                 telemetry: Optional["Telemetry"] = None,
                  rules: Sequence[TuningRule] = DEFAULT_RULES):
         if not rules:
             raise TunerError("tuner needs at least one rule")
         self.cluster = cluster
-        self.telemetry = (telemetry if telemetry is not None
-                          else cluster.telemetry)
+        self.telemetry = cluster.telemetry
         self.rules = list(rules)
         self.log: list[TuningLogEntry] = []
 

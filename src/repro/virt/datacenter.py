@@ -36,7 +36,7 @@ class Datacenter:
         self.tracer = Tracer(enabled=self.config.trace)
         self.metrics = MetricsRegistry()
         self.rng = RngRegistry(seed=self.config.seed)
-        self.fss = FairShareSystem(self.sim, metrics=self.metrics)
+        self.fss = FairShareSystem(self.sim)
         self.fabric = NetworkFabric(self.sim, self.fss, tracer=self.tracer)
         self.image_store = NfsImageStore(self.fabric,
                                          bandwidth=self.config.nfs_bandwidth)

@@ -49,20 +49,21 @@ class Hypervisor:
         self.tracer.emit(self.sim.now, EV.VM_PLACE, vm.name,
                          host=self.host.name)
 
-    def boot(self, vm: VirtualMachine, image: str = "base") -> Event:
-        """Boot a placed VM; returns an event valued with boot seconds."""
+    def boot(self, vm: VirtualMachine) -> Event:
+        """Boot a placed VM from the ``base`` image; returns an event valued
+        with boot seconds."""
         if vm.host is not self.host:
             raise VMStateError(f"{vm.name} is not placed on {self.host.name}")
-        return self.sim.process(self._boot_proc(vm, image),
+        return self.sim.process(self._boot_proc(vm),
                                 name=f"boot:{vm.name}")
 
-    def _boot_proc(self, vm: VirtualMachine, image: str):
+    def _boot_proc(self, vm: VirtualMachine):
         started = self.sim.now
         vm.state = VMState.BOOTING
         span = self.tracer.begin_span(started, EV.VM_BOOT, vm.name,
                                       host=self.host.name)
-        if self.image_store is not None and image in self.image_store.images:
-            size = self.image_store.images[image] * BOOT_FETCH_FRACTION
+        if self.image_store is not None and "base" in self.image_store.images:
+            size = self.image_store.images["base"] * BOOT_FETCH_FRACTION
             yield self.image_store.read_through(
                 self.host.dom0, size, name=f"nfs:boot:{vm.name}")
         yield self.sim.timeout(GUEST_BOOT_S)

@@ -83,24 +83,12 @@ class LiveMigrator:
 
     def __init__(self, sim: Simulator, fss: FairShareSystem,
                  fabric: NetworkFabric, tracer: Optional[Tracer] = None,
-                 metrics=None,
-                 stop_threshold: int = C.MIGRATION_STOP_THRESHOLD,
-                 max_rounds: int = C.MIGRATION_MAX_ROUNDS,
-                 setup_s: float = C.MIGRATION_SETUP_S,
-                 resume_overhead_s: float = C.MIGRATION_RESUME_OVERHEAD_S,
-                 round_overhead_s: float = C.MIGRATION_ROUND_OVERHEAD_S,
-                 send_budget_factor: float = C.MIGRATION_SEND_BUDGET_FACTOR):
+                 metrics=None):
         self.sim = sim
         self.fss = fss
         self.fabric = fabric
         self.tracer = tracer or Tracer(enabled=False)
         self.metrics = metrics
-        self.stop_threshold = stop_threshold
-        self.max_rounds = max_rounds
-        self.setup_s = setup_s
-        self.resume_overhead_s = resume_overhead_s
-        self.round_overhead_s = round_overhead_s
-        self.send_budget_factor = send_budget_factor
 
     def migrate(self, vm: VirtualMachine, destination: PhysicalMachine,
                 rate_cap_bps: Optional[float] = None) -> Event:
@@ -144,7 +132,7 @@ class LiveMigrator:
         assert vm.host is not None
         t0 = self.sim.now
         if scan:
-            yield self.sim.timeout(self.round_overhead_s)
+            yield self.sim.timeout(C.MIGRATION_ROUND_OVERHEAD_S)
         yield self.fabric.transfer(vm.host.dom0, destination.dom0, nbytes,
                                    name=f"migrate:{vm.name}",
                                    cap=rate_cap_bps)
@@ -161,7 +149,7 @@ class LiveMigrator:
                                       src=source.name, dst=destination.name)
         vm.state = VMState.MIGRATING
         try:
-            yield self.sim.timeout(self.setup_s)
+            yield self.sim.timeout(C.MIGRATION_SETUP_S)
 
             to_send = float(vm.config.memory)
             rounds = 0
@@ -181,16 +169,16 @@ class LiveMigrator:
                 self.tracer.emit(self.sim.now, EV.MIGRATION_ROUND, vm.name,
                                  index=rounds, sent=to_send, dirtied=dirtied)
                 rounds += 1
-                if dirtied <= self.stop_threshold:
+                if dirtied <= C.MIGRATION_STOP_THRESHOLD:
                     reason = "converged"
                     to_send = dirtied
                     break
-                if rounds >= self.max_rounds:
+                if rounds >= C.MIGRATION_MAX_ROUNDS:
                     reason = "round-budget"
                     to_send = dirtied
                     break
                 if record.total_sent_bytes + dirtied > \
-                        self.send_budget_factor * vm.config.memory:
+                        C.MIGRATION_SEND_BUDGET_FACTOR * vm.config.memory:
                     # Xen's third stop rule: give up pre-copy once the
                     # total volume sent would exceed N x guest memory —
                     # the dirty rate is keeping pace with the wire.
@@ -209,7 +197,7 @@ class LiveMigrator:
                                             scan=False,
                                             rate_cap_bps=rate_cap_bps)
             record.total_sent_bytes += to_send
-            yield self.sim.timeout(self.resume_overhead_s)
+            yield self.sim.timeout(C.MIGRATION_RESUME_OVERHEAD_S)
             record.downtime_s = (self.sim.now - pause_started)
 
             # Swap the temporary hold for real residency.  No simulated time

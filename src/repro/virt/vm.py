@@ -157,19 +157,18 @@ class VirtualMachine:
                 self._failure_event.succeed(self)
         return self._failure_event
 
-    def recover(self, host: Optional["PhysicalMachine"] = None) -> None:
+    def recover(self) -> None:
         """Bring a FAILED VM back to RUNNING (chaos rejoin).
 
-        The guest is re-admitted to ``host`` (default: its previous host)
-        with cold caches — dirty-memory state is reset.  Services that ran
-        on the VM must be re-registered by the layers above — see
+        The guest is re-admitted to its previous host with cold caches —
+        dirty-memory state is reset.  Services that ran on the VM must be
+        re-registered by the layers above — see
         :func:`repro.platform.faults.rejoin_worker`.
         """
         self._require(VMState.FAILED)
-        target = host or self.host
+        target = self.host
         assert target is not None and self.node is not None
         target.admit(self)
-        self.host = target
         self.fabric.move(self.node, target.net)
         self.state = VMState.RUNNING
         self.disk_slowdown = 1.0

@@ -78,7 +78,7 @@ CASES = [
         id="ladder-5x5x4"),
     pytest.param(
         chaos_quick,
-        (24.27680442040166, 620, 58, 243, 63, "3e2aeb91bd3418a6"),
+        (24.27680442040166, 634, 58, 243, 63, "3e2aeb91bd3418a6"),
         id="chaos-quick"),
 ]
 

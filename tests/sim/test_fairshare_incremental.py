@@ -35,7 +35,6 @@ from hypothesis import HealthCheck, given, settings
 from repro.errors import SimulationError
 from repro.sim import FairShareSystem, SharedResource, Simulator
 from repro.sim.fairshare import _maxmin_rates, _maxmin_rates_scoped
-from repro.telemetry.metrics import MetricsRegistry
 
 _SLOW = dict(deadline=None,
              suppress_health_check=[HealthCheck.too_slow])
@@ -236,7 +235,7 @@ def test_zero_size_open_completes_without_rebalance():
 
 
 def _live_timers(sim):
-    return [ev for _t, _seq, ev in sim._heap if not ev.cancelled]
+    return [ev for _t, _seq, ev in sim._heap if not ev._cancelled]
 
 
 def test_superseded_timers_are_cancelled_not_leaked():
@@ -292,20 +291,3 @@ def test_settle_is_idempotent_and_on_demand():
     fss.settle()
     sim.run(until=1.0)  # the kernel's own flush finds nothing to do
     assert fss.rebalance_count == 1
-
-
-def test_engine_metrics_flow_into_registry():
-    metrics = MetricsRegistry()
-    sim = Simulator()
-    fss = FairShareSystem(sim, metrics=metrics)
-    link = SharedResource("link", 100.0)
-    for i in range(3):
-        sim.run(until=float(i))
-        fss.open([link], size=1000.0, name=f"f{i}")
-    sim.run()
-    assert metrics.get("fairshare.rebalances").value == fss.rebalance_count
-    assert metrics.get("fairshare.flow.visits").value == fss.flow_visits
-    assert (metrics.get("fairshare.timer.cancellations").value
-            == fss.timer_cancellations >= 2)
-    hist = metrics.get("fairshare.component.flows")
-    assert hist.count >= 3 and hist.max <= fss.max_component_flows == 3

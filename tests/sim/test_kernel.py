@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator, Interrupt
+from repro.sim import Interrupt, PeriodicCall, Simulator
 
 
 def test_empty_run_leaves_clock_at_zero():
@@ -542,11 +542,10 @@ def test_call_in_is_fifo_with_events_armed_at_the_same_instant():
     log = []
     sim.timeout(1.0).callbacks.append(lambda _ev: log.append("timeout"))
     sim.call_in(1.0, log.append, "call")
-    sim.event().succeed(None, delay=1.0).callbacks.append(
-        lambda _ev: log.append("event"))
+    sim.timeout(1.0).callbacks.append(lambda _ev: log.append("timeout again"))
     sim.call_in(1.0, log.append, "call again")
     sim.run()
-    assert log == ["timeout", "call", "event", "call again"]
+    assert log == ["timeout", "call", "timeout again", "call again"]
 
 
 def test_cancelled_call_is_pruned_without_moving_the_clock():
@@ -598,9 +597,9 @@ def test_instant_hook_runs_after_a_zero_delay_call_armed_in_the_instant():
 
 @pytest.mark.parametrize("arm", [
     lambda sim: sim.call_in(3.0, print),
-    lambda sim: sim.timeout(3.0),
-], ids=["call_in", "timeout"])
+], ids=["call_in"])
 def test_run_and_run_until_on_an_all_cancelled_heap(arm):
+    assert not hasattr(Simulator().timeout(3.0), "cancel")  # calls only
     sim = Simulator()
     arm(sim).cancel()
     sim.run(until=1.0)
@@ -627,6 +626,66 @@ def test_run_with_a_pending_hook_and_nothing_else_runs_the_hook():
     assert log == ["armed by hook"] and sim.now == 1.0
     # run_until: a hook that arms the awaited event is honoured, too.
     done = sim.event()
-    sim.at_instant_end(lambda: done.succeed("late", delay=2.0))
+    sim.at_instant_end(lambda: sim.call_in(2.0, done.succeed, "late"))
     sim.run_until(done)
     assert done.value == "late" and sim.now == 3.0
+
+
+# -- PeriodicCall: the one self-re-arming loop --------------------------------
+
+def test_periodic_call_stopped_from_its_own_tick_leaves_nothing_armed():
+    sim = Simulator()
+    ticks = []
+
+    def tick():
+        ticks.append(sim.now)
+        if sim.now >= 10.0:
+            loop.stop()
+        return 5.0
+
+    loop = PeriodicCall(sim, tick)
+    loop.start()
+    loop.start()  # idempotent: still one chain
+    sim.run()  # drains: nothing is armed for t=15
+    assert ticks == [0.0, 5.0, 10.0]
+    assert not loop.running and sim.now == 10.0
+    loop.stop()  # idempotent
+    assert sim.cancelled_pruned == 0
+
+
+def test_periodic_call_restarted_from_its_own_tick_keeps_one_chain():
+    sim = Simulator()
+    ticks = []
+
+    def tick():
+        ticks.append(sim.now)
+        if sim.now == 5.0 and ticks.count(5.0) == 1:
+            loop.stop()
+            loop.start()  # ticks again this instant; must not arm twice
+        return 5.0
+
+    loop = PeriodicCall(sim, tick)
+    loop.start()
+    sim.run(until=12.0)
+    assert ticks == [0.0, 5.0, 5.0, 10.0]
+    loop.stop()
+    sim.run()
+    assert sim.now == 12.0 and sim.cancelled_pruned == 1
+
+
+def test_periodic_call_reads_the_interval_when_it_re_arms():
+    sim = Simulator()
+    ticks = []
+    interval = [5.0]
+
+    def tick():
+        ticks.append(sim.now)
+        return interval[0]
+
+    loop = PeriodicCall(sim, tick)
+    loop.start()
+    sim.run(until=7.0)       # ticked at 0 and 5; armed for 10
+    interval[0] = 2.0        # takes effect from the next re-arm
+    sim.run(until=15.0)
+    loop.stop()
+    assert ticks == [0.0, 5.0, 10.0, 12.0, 14.0]

@@ -1,9 +1,9 @@
-"""Unit tests for Resource/Store, RngRegistry and Tracer."""
+"""Unit tests for Resource, RngRegistry and Tracer."""
 
 import pytest
 
 from repro.errors import ResourceError
-from repro.sim import Resource, RngRegistry, Simulator, Store, Tracer
+from repro.sim import Resource, RngRegistry, Simulator, Tracer
 
 
 # --- Resource ----------------------------------------------------------------
@@ -60,47 +60,6 @@ def test_resource_handoff_keeps_in_use_constant():
     res.release()
     assert waiter.triggered
     assert res.in_use == 1
-
-
-# --- Store --------------------------------------------------------------------
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    got = store.get()
-    assert got.triggered and got.value == "x"
-    assert len(store) == 0
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    results = []
-
-    def consumer(sim):
-        item = yield store.get()
-        results.append((sim.now, item))
-
-    def producer(sim):
-        yield sim.timeout(4.0)
-        store.put("late")
-
-    sim.process(consumer(sim))
-    sim.process(producer(sim))
-    sim.run()
-    assert results == [(4.0, "late")]
-
-
-def test_store_fifo_order_and_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    for i in range(3):
-        store.put(i)
-    assert store.try_get() == 0
-    assert store.try_get() == 1
-    assert store.try_get() == 2
-    assert store.try_get() is None
 
 
 # --- RngRegistry ---------------------------------------------------------------

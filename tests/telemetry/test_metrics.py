@@ -62,6 +62,15 @@ def test_histogram_statistics_and_buckets():
     assert histogram.quantile(0.0) <= histogram.quantile(1.0)
 
 
+def test_histogram_quantile_zero_skips_empty_leading_buckets():
+    histogram = Histogram(buckets=(1.0, 10.0, 100.0))
+    histogram.observe(50.0)
+    histogram.observe(60.0)
+    # The 0-quantile is the first sample's bucket, never a bound below min.
+    assert histogram.quantile(0.0) == 100.0 >= histogram.min
+    assert histogram.quantile(0.5) == histogram.quantile(1.0) == 100.0
+
+
 def test_registry_get_and_clear():
     registry = MetricsRegistry()
     registry.gauge("g").set(7.0)

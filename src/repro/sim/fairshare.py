@@ -1,99 +1,73 @@
 """Max-min fair fluid-flow sharing of capacitated resources.
 
-This module is the single contention mechanism of the simulator.  A
-:class:`SharedResource` is anything with a capacity in *units per second*:
-a physical NIC (bytes/s), a software bridge, a disk, an NFS server, a
-physical CPU package (core-seconds/s == cores), or a VM's VCPU allocation.
+The simulator's one contention mechanism.  A :class:`SharedResource` has a
+capacity in units per second (a NIC, a bridge, a disk, the NFS server, a
+CPU package, a VM's VCPUs); a :class:`FluidFlow` is a demand of *size*
+units along a *path* of resources, e.g. ``(vm NIC, host NIC, host NIC, vm
+NIC)`` or ``(vm.vcpu, host.cpu)``.  Every active flow gets its max-min fair
+rate with optional per-flow caps, by progressive filling: unfrozen flows
+share a level rising from 0 until a cap or a resource (frozen load plus
+its unfrozen flows at the level) binds; those freeze; repeat.
 
-A :class:`FluidFlow` is a demand of a given *size* that traverses an ordered
-*path* of resources — e.g. a network transfer crosses ``(src VM NIC, src
-host NIC, dst host NIC, dst VM NIC)``, while a burst of CPU work crosses
-``(vm.vcpu, host.cpu)``.  At any instant every active flow receives a rate;
-the rates are the *max-min fair allocation* with optional per-flow caps,
-computed by progressive filling:
+**Flow classes.**  Max-min fairness is symmetric, so live flows with the
+same ``(path, cap)`` get the same rate: they form one :class:`_FlowClass`
+with multiplicity ``n``, and the component partition, the fill
+(:func:`_fill`), write-back, load sums and completion scheduling all run
+over classes.  A class has one clock ``v`` (what each member moved since
+the class was created), folded forward only when its rate changes or a
+member completes.  A member that joined at ``v0`` has moved ``v - v0`` and
+completes when ``v`` reaches ``v0 + size`` (or is within ``_MIN_DT``
+seconds of service of it); members wait in a per-class heap by target and
+the engine heap holds one due time per class, so time passing costs
+nothing per flow.  Same-instant completions fire in (due, class seq,
+target, flow seq) order.  A class dies with its last member, so its clock
+restarts from 0 each time it comes back.
 
-1. all unfrozen flows share one common rate *level* that rises from 0;
-2. the level stops at the first constraint — a flow cap, or a resource whose
-   capacity is exhausted by its frozen load plus its unfrozen flows at the
-   level;
-3. the constrained flows freeze at that level; repeat with the rest.
+**Components and flushes.**  Rates decompose over connected components,
+kept as a union-find partition (:class:`_Component`) that unions eagerly
+and splits lazily.  ``open``/``close``/``set_capacity``/completions act on
+the spot but only *record* the resources they touch; the kernel calls
+:meth:`FairShareSystem.settle` once per instant
+(:meth:`repro.sim.kernel.Simulator.at_instant_end`) to fill the touched
+components and re-arm the one timer.  Skipped intermediate rates would
+have held for zero seconds; in-instant readers of ``flow.rate`` or
+``utilization`` call ``settle()`` first, and time cannot pass unsettled.
 
-Every change to the flow set or a capacity (``open``/``close``/
-``set_capacity``/a completion) advances all flows' progress to *now*,
-attaches or detaches the flow and triggers ``done`` on the spot — but only
-*records* which resources it touched.  Rates are recomputed, and the next
-completion scheduled, once per simulated instant: the kernel calls
-:meth:`FairShareSystem.settle` when nothing further is due at ``now``
-(:meth:`repro.sim.kernel.Simulator.at_instant_end`).  A completion that
-wakes N tasks which each open a flow therefore costs one fill, not N+1.
-The skipped intermediate rates would have existed for zero simulated
-seconds: they multiply ``dt == 0`` in every integral and the clock cannot
-reach a horizon computed from them, so no timestamp, byte count or
-busy-time can tell the difference.  What *can* is a reader that looks at
-``flow.rate`` or ``resource.utilization`` from inside such an instant;
-readers call ``settle()`` first (``active_flows``/``flows_through`` do it
-for them), and ``_advance`` refuses to integrate if the clock ever moved
-past unsettled rates.  The result is an event-driven fluid simulation
-whose cost is independent of transfer sizes.
-
-Incremental engine
-------------------
-Max-min fairness decomposes over the *connected components* of the
-resource/flow graph (two resources are connected when a live flow crosses
-both): the fair rates inside one component are a function of that component
-alone.  A flow-set change therefore only recomputes the component it
-touches.  Components are maintained incrementally as a union-find-style
-partition (:class:`_Component`): a new flow eagerly unions the components
-its path bridges (small-to-large), while splits are detected lazily — a
-union that lost half its flows since its peak is re-derived from the live
-adjacency on first touch.  A union may transiently cover several true
-components; the fill over a union decomposes exactly into per-component
-fills, so scoping never changes a computed rate.  Disjoint components keep
-their rates — recomputing them would reproduce the same values bit for
-bit.  There is one way to compute rates (``settle`` → ``_scope`` → the
-incidence-indexed :func:`_maxmin_rates_scoped`) and one oracle
-(:func:`_maxmin_rates`, the plain whole-graph progressive fill):
-``tests/sim/test_fairshare_incremental.py`` asserts that every active
-flow's rate equals the oracle's after every flush, and that flushing after
-every single op instead changes no outcome (DESIGN.md §Performance).
-
-Two things deliberately stay global so that simulated timestamps are
-*bit-identical* to a full recomputation:
-
-* progress advancement (``_advance``) walks every active flow whenever
-  simulated time has passed — partial advancement would change the
-  floating-point stepping of ``remaining`` and with it completion
-  timestamps.  Same-timestamp cascades (the common case) cost O(1).
-* the completion horizon of an *untouched* flow is a pure function of its
-  unchanged ``remaining``/``rate``, so cached horizons in a lazy-deletion
-  heap are exact.
-
-Resources keep a time-integrated load *fraction* so monitors can report
-utilization; capacity changes do not rescale already-integrated history.
-The engine's cost counters (``rebalance_count``, ``flow_visits``,
-``timer_cancellations``, ``max_component_flows``, ``completed_count``)
-are plain attributes of :class:`FairShareSystem`; the benchmark census
-and ``tests/platform/test_engine_counters.py`` read them there.
+**Contract** (``tests/sim/test_fairshare_incremental.py``): rates equal the
+per-flow whole-graph progressive fill (the tests' oracle) bit for bit
+after every flush.  Completion times and ``transferred`` equal exact rational
+integration of each flow's rate history within ``1e-12`` relative: the
+residue is a few ulps of the class clock — a targeted search over 20,000
+generated op sequences measured at most 5.1e-16 on completion times and
+4.5e-15 on transfers, a hand-built worst case (a short member on a
+long-lived clock) 1.1e-13.  Settling after every op instead of once per
+instant moves no timestamp or transfer.  Resources integrate their load
+*fraction*, so capacity changes never rescale history.  The cost counters
+(``rebalance_count``, ``flow_visits`` = class inspections by fills,
+``timer_cancellations``, ``max_component_flows``, ``completed_count``) are
+plain attributes of :class:`FairShareSystem`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import ResourceError, SimulationError
 from repro.sim.kernel import Event, Simulator
 
 _EPS = 1e-12
-#: Smallest scheduling horizon (seconds); see FairShareSystem._advance.
+#: Smallest scheduling horizon (seconds); also the completion slack.
 _MIN_DT = 1e-9
+_INF = math.inf
 
 
 class SharedResource:
     """A capacity shared max-min fairly among the flows crossing it."""
 
-    __slots__ = ("name", "capacity", "nominal", "_flows",
+    __slots__ = ("name", "capacity", "nominal", "_classes",
                  "current_load", "_busy_integral", "_moved_integral",
                  "_last_change", "_comp")
 
@@ -104,14 +78,14 @@ class SharedResource:
         self.name = name
         self.capacity = float(capacity)
         #: Design capacity.  ``set_capacity`` (fault injection) moves only
-        #: ``capacity``; rate caps derived from device speed must use the
-        #: nominal value so a transient degradation is never frozen into a
-        #: flow's lifetime cap.
+        #: ``capacity``; caps derived from device speed use this, so a
+        #: transient degradation is never frozen into a flow's cap.
         self.nominal = float(capacity)
-        self._flows: set["FluidFlow"] = set()
-        #: Union-find component this resource currently belongs to (None
-        #: while no live flow has ever crossed it, or after a lazy split
-        #: found it isolated).
+        #: Live classes crossing this resource, insertion-ordered (so the
+        #: load sum is deterministic).
+        self._classes: dict["_FlowClass", None] = {}
+        #: Union-find component (None until a class crosses it, or after
+        #: a lazy split found it isolated).
         self._comp: Optional["_Component"] = None
         self.current_load = 0.0
         self._busy_integral = 0.0
@@ -123,28 +97,18 @@ class SharedResource:
         """Instantaneous load fraction in [0, 1]."""
         return min(1.0, self.current_load / self.capacity)
 
-    @property
-    def n_flows(self) -> int:
-        return len(self._flows)
-
     def _accrue(self, now: float) -> None:
-        """Fold the elapsed load *fraction* into the busy integral.
-
-        Integrating the fraction (not the absolute load) makes history
-        immune to later capacity changes: a chaos ``disk.slow`` fault must
-        not retroactively rescale utilization that was accumulated at the
-        old capacity.
-        """
+        """Fold the elapsed load *fraction* (not the absolute load) into
+        the busy integral, so a later capacity change — a chaos
+        ``disk.slow`` fault — cannot rescale history."""
         dt = now - self._last_change
         self._busy_integral += self.current_load / self.capacity * dt
         self._moved_integral += self.current_load * dt
         self._last_change = now
 
     def _set_load(self, load: float, now: float) -> None:
-        # Accrue only when the value actually changes: busy_time then
-        # depends solely on the load *trajectory*, not on how often the
-        # engine happened to re-assert an unchanged load (which depends
-        # on how wide a rebalance's scope happened to be).
+        # Accrue only on a real change: busy_time then depends on the load
+        # trajectory, not on how often an unchanged load was re-asserted.
         if load != self.current_load:
             self._accrue(now)
             self.current_load = load
@@ -156,11 +120,9 @@ class SharedResource:
                 * (now - self._last_change))
 
     def moved_through(self, now: float) -> float:
-        """Units carried through this resource up to ``now`` — the
-        interface byte counter a real NIC/device exposes.  Unlike
-        :meth:`busy_time` this is in absolute units, so it *is* sensitive
-        to capacity changes: the link-health detector compares its rate
-        of change against the nominal capacity."""
+        """Units carried up to ``now`` — the interface byte counter of a
+        real device, in absolute units (so capacity-sensitive: the
+        link-health detector compares its rate with ``nominal``)."""
         return (self._moved_integral
                 + self.current_load * (now - self._last_change))
 
@@ -172,44 +134,41 @@ class SharedResource:
 class FluidFlow:
     """A demand of ``size`` units crossing a path of shared resources."""
 
-    __slots__ = ("name", "path", "size", "remaining", "rate", "cap",
-                 "done", "start_time", "end_time", "_moved",
-                 "_seq", "_horizon", "_upath", "_comp")
+    __slots__ = ("name", "path", "size", "cap", "done", "start_time",
+                 "end_time", "_seq", "_cls", "_v0", "_moved")
 
     def __init__(self, name: str, path: Sequence[SharedResource], size: float,
                  cap: Optional[float], done: Event, start_time: float):
         self.name = name
         self.path = tuple(path)
         self.size = float(size)
-        self.remaining = float(size)
-        self.rate = 0.0
-        self.cap = float(cap) if cap is not None else math.inf
+        self.cap = float(cap) if cap is not None else _INF
         self.done = done
         self.start_time = start_time
         self.end_time: Optional[float] = None
+        self._seq = 0  # monotone: tie-break among same-target members
+        #: The class while live; its clock when the flow joined; the units
+        #: moved, final once the flow has ended.
+        self._cls: Optional["_FlowClass"] = None
+        self._v0 = 0.0
         self._moved = 0.0
-        #: Monotone id: deterministic tie-break in the horizon heap.
-        self._seq = 0
-        #: Cached completion horizon (remaining / rate) as of the flow's
-        #: last rate change or the last global advance; ``inf`` when the
-        #: flow cannot complete on its own.
-        self._horizon = math.inf
-        #: Union-find component while the flow is live.
-        self._comp: Optional["_Component"] = None
-        #: Path with duplicates removed (unfrozen-counter bookkeeping);
-        #: load accumulation still charges duplicated path entries twice.
-        path = self.path
-        if len(path) < 2:
-            self._upath = path
-        elif len(path) == 2:  # the hot compute/disk case
-            self._upath = path if path[0] is not path[1] else path[:1]
-        else:
-            self._upath = tuple(dict.fromkeys(path))
+
+    @property
+    def rate(self) -> float:
+        cls = self._cls
+        return cls.rate if cls is not None else 0.0
 
     @property
     def transferred(self) -> float:
         """Units moved so far (works for open-ended flows too)."""
-        return self._moved
+        cls = self._cls
+        if cls is None:
+            return self._moved
+        return cls.progress(cls.sim.now) - self._v0
+
+    @property
+    def remaining(self) -> float:
+        return max(0.0, self.size - self.transferred)
 
     @property
     def active(self) -> bool:
@@ -220,35 +179,79 @@ class FluidFlow:
                 f"rate={self.rate:g}>")
 
 
+class _FlowClass:
+    """The live flows of one ``(path, cap)``: one rate, one clock."""
+
+    __slots__ = ("path", "upath", "cap", "seq", "sim", "members", "heap",
+                 "rate", "v", "t", "undo", "due", "_comp")
+
+    def __init__(self, path: tuple, cap: float, seq: int, sim: Simulator):
+        self.path = path
+        #: Deduplicated path (incidence counts); frozen loads still charge
+        #: a duplicated path entry twice.
+        if len(path) == 2:  # the hot compute/disk case
+            self.upath = path if path[0] is not path[1] else path[:1]
+        else:
+            self.upath = tuple(dict.fromkeys(path))
+        self.cap = cap
+        self.seq = seq
+        self.sim = sim
+        self.members: set[FluidFlow] = set()
+        #: (target, flow seq, flow) of finite members; entries of members
+        #: that closed early are dropped when they surface.
+        self.heap: list = []
+        self.rate = 0.0
+        #: Clock ``v`` as of time ``t``; ``undo`` is what a rate change at
+        #: instant ``t`` folded away (see :meth:`set_rate`).
+        self.v = 0.0
+        self.t = sim.now
+        self.undo: Optional[tuple] = None
+        #: When the head member completes; an engine-heap entry
+        #: ``(due, seq, cls)`` is valid while it matches.
+        self.due = _INF
+        self._comp: Optional["_Component"] = None
+
+    def progress(self, now: float) -> float:
+        return self.v + self.rate * (now - self.t)
+
+    def fold(self, now: float) -> None:
+        """Bring the clock up to ``now`` at the current rate."""
+        self.v += self.rate * (now - self.t)
+        self.t = now
+        self.undo = None
+
+    def set_rate(self, rate: float, now: float) -> None:
+        """Fold the old rate's progress into the clock, then switch.  A
+        later change in the same instant back to the rate the class ran
+        at before it undoes the fold, so settling once per instant or
+        after every op leaves the clock, and every completion time
+        computed from it, bit-identical."""
+        if self.t != now:
+            undo = (self.v, self.t, self.rate)
+            self.fold(now)
+            self.undo = undo
+        elif self.undo is not None and self.undo[2] == rate:
+            self.v, self.t, _rate = self.undo
+            self.undo = None
+        self.rate = rate
+
+
 class _Component:
-    """A never-split union of live connected components.
+    """A lazily split union of live connected components: a rebalance
+    that touches one whose class count halved since its peak re-derives
+    it from the live adjacency first (amortized O(1) per removal)."""
 
-    Unions happen eagerly when a new flow bridges components; splits are
-    detected lazily — when a rebalance touches a component whose live flow
-    count has halved since its peak, the partition is re-derived from the
-    live adjacency (amortized O(1) per flow removal).  A component may
-    therefore transiently cover *several* true connected components; the
-    progressive fill over such a union decomposes exactly into the
-    per-component fills, so the lazy split cannot change any computed
-    rate, only how much work a rebalance does.
-    """
-
-    __slots__ = ("flows", "resources", "peak", "nlive", "capped")
+    __slots__ = ("classes", "resources", "peak", "nlive", "capped")
 
     def __init__(self) -> None:
-        self.flows: set[FluidFlow] = set()
+        self.classes: set[_FlowClass] = set()
         self.resources: set[SharedResource] = set()
-        #: Largest live flow count seen since the last (re)derivation;
-        #: the lazy-split trigger compares against it.
         self.peak = 0
-        #: Live flow count per resource (``flow._upath`` incidence),
-        #: maintained at attach/detach so a progressive fill seeds its
-        #: unfrozen counters with one dict copy instead of re-scanning
-        #: every scoped flow's path — see :func:`_maxmin_rates_scoped`.
+        #: Live *flow* count per resource over deduplicated paths (the
+        #: fill's unfrozen counters start as a copy).
         self.nlive: dict[SharedResource, int] = {}
-        #: Live flows with a finite rate cap; the fill's cap heap is built
-        #: from this instead of inspecting every flow.
-        self.capped: set[FluidFlow] = set()
+        #: Live classes with a finite cap (the fill's cap heap).
+        self.capped: set[_FlowClass] = set()
 
 
 class FairShareSystem:
@@ -256,30 +259,27 @@ class FairShareSystem:
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self._flows: set[FluidFlow] = set()
+        self._classes: dict[tuple, _FlowClass] = {}  # by (path, cap)
+        self._class_seq = 0
+        self._flow_seq = 0
         self._last_update = 0.0
+        #: Lazy-deletion heap of (due, class seq, class).
+        self._due_heap: list = []
         #: The armed completion timer (a ``call_in`` handle), None once fired.
         self._timer = None
-        self.completed_count = 0
-        #: Lazy-deletion heap of (horizon, flow seq, flow); an entry is
-        #: valid while the flow is active and its cached horizon matches.
-        self._horizon_heap: list = []
-        self._flow_seq = 0
         #: Resources touched since the last flush, or ``None`` when rates
         #: are settled; see :meth:`_touch` / :meth:`settle`.
         self._seeds: Optional[list[SharedResource]] = None
         # -- engine cost counters (benchmark census, test_engine_counters) --
+        self.completed_count = 0
         self.rebalance_count = 0
-        #: Flow inspections performed by the scoped progressive fills.
-        self.flow_visits = 0
+        self.flow_visits = 0  # class inspections by the fills
         self.timer_cancellations = 0
         self.max_component_flows = 0
-        #: Optional flow-completion sink (anything with ``append``); every
-        #: flow that leaves the system — completed, closed, interrupted —
-        #: is handed over exactly once, after its rate/end_time are final.
-        #: The observatory's attribution engine installs a
-        #: :class:`repro.observatory.attribution.FlowLog` here via the
-        #: telemetry facade; the engine itself stays telemetry-agnostic.
+        #: Optional sink (anything with ``append``) handed every flow that
+        #: leaves the system — completed, closed, interrupted — once, after
+        #: its end_time is final; the observatory installs a
+        #: :class:`repro.observatory.attribution.FlowLog` here.
         self.flow_log = None
 
     # -- public API ------------------------------------------------------
@@ -296,23 +296,38 @@ class FairShareSystem:
             raise ResourceError("flow path must contain at least one resource")
         if cap is not None and cap <= 0:
             raise ResourceError(f"flow cap must be > 0, got {cap}")
-        flow = FluidFlow(name, path, size, cap, self.sim.event(),
-                         self.sim.now)
+        now = self.sim.now
+        flow = FluidFlow(name, path, size, cap, self.sim.event(), now)
         self._flow_seq += 1
         flow._seq = self._flow_seq
         self._advance()
         if size <= _EPS and math.isfinite(size):
             # Zero-size fast path: the flow set is unchanged, so no rates
             # move — succeed the event and touch nothing.
-            flow.remaining = 0.0
-            flow.end_time = self.sim.now
+            flow._moved = flow.size
+            flow.end_time = now
             flow.done.succeed(flow)
             return flow
-        self._flows.add(flow)
-        for res in flow.path:
-            res._flows.add(flow)
-        self._attach_component(flow)
-        self._touch(flow.path)
+        key = (flow.path, flow.cap)
+        cls = self._classes.get(key)
+        if cls is None:
+            self._class_seq += 1
+            cls = self._classes[key] = _FlowClass(flow.path, flow.cap,
+                                                  self._class_seq, self.sim)
+            self._attach_class(cls)
+        else:
+            nlive = cls._comp.nlive
+            for res in cls.upath:
+                nlive[res] += 1
+        cls.members.add(flow)
+        flow._cls = cls
+        flow._v0 = v0 = cls.v + cls.rate * (now - cls.t)
+        if flow.size != _INF:
+            heap = cls.heap
+            heapq.heappush(heap, (v0 + flow.size, flow._seq, flow))
+            if heap[0][2] is flow:
+                self._reschedule(cls)
+        self._touch(cls.upath)
         return flow
 
     def close(self, flow: FluidFlow) -> float:
@@ -321,22 +336,26 @@ class FairShareSystem:
         Returns the amount transferred.  The flow's ``done`` event triggers
         with the flow.
         """
-        if flow not in self._flows:
+        if flow._cls is None:
             raise ResourceError(f"flow {flow.name!r} is not active")
         self._advance()
-        self._detach(flow)
+        cls = flow._cls
+        if cls is None:  # it completed at this very instant
+            return flow._moved
+        was_head = cls.heap and cls.heap[0][2] is flow
+        self._detach(flow, completed=False)
+        if was_head and cls.members:
+            self._reschedule(cls)
         flow.done.succeed(flow)
-        self._touch(flow.path)
-        return flow.transferred
+        self._touch(cls.upath)
+        return flow._moved
 
     def set_capacity(self, resource: SharedResource, capacity: float) -> None:
         """Change a resource's capacity mid-simulation (fault injection).
 
-        All in-flight progress is advanced to *now* at the old rates first;
-        this instant's flush recomputes rates under the new capacity — so a
-        network degradation only affects bytes still to be moved.  The
-        busy-time integral is flushed at the old capacity first, so
-        utilization history is not rescaled.
+        Progress up to *now* ran at the old rates and the busy integral is
+        flushed at the old capacity; this instant's flush recomputes rates,
+        so a degradation only affects units still to be moved.
         """
         if capacity <= 0:
             raise ResourceError(
@@ -348,13 +367,13 @@ class FairShareSystem:
         self._touch((resource,))
 
     def settle(self) -> None:
-        """Bring every rate, horizon and load up to date (idempotent).
+        """Bring every rate, due time and load up to date (idempotent).
 
         The kernel calls this at the end of each instant in which the flow
         set or a capacity changed; anything that *reads* ``flow.rate``,
         ``current_load`` or ``utilization`` from inside such an instant
         calls it first.  ``busy_time``/``moved_through``/``transferred``
-        need no settle: the pre-flush load is their integrand up to ``now``.
+        need no settle: the pre-flush rates are their integrand up to now.
         """
         seeds = self._seeds
         if seeds is not None:
@@ -365,214 +384,201 @@ class FairShareSystem:
     def active_flows(self) -> frozenset[FluidFlow]:
         """The live flows, with settled rates."""
         self.settle()
-        return frozenset(self._flows)
+        return frozenset(flow for cls in self._classes.values()
+                         for flow in cls.members)
 
     def flows_through(self, resource: SharedResource) -> frozenset[FluidFlow]:
         self.settle()
-        return frozenset(resource._flows)
+        return frozenset(flow for cls in resource._classes
+                         for flow in cls.members)
 
     # -- internals ---------------------------------------------------------
     def _touch(self, resources: Iterable[SharedResource] = ()) -> None:
         """Record resources whose flow set or capacity just changed; the
-        first touch of an instant books its one :meth:`settle` with the
-        kernel (module docstring: why the intermediates are unobservable).
-        """
+        first touch of an instant books its one :meth:`settle`."""
         if self._seeds is None:
             self._seeds = []
             self.sim.at_instant_end(self.settle)
         self._seeds.extend(resources)
 
-    def _detach(self, flow: FluidFlow) -> None:
-        comp = flow._comp
-        if comp is not None:
-            comp.flows.discard(flow)
-            comp.capped.discard(flow)
-            nlive = comp.nlive
-            for res in flow._upath:
-                n = nlive.get(res, 0) - 1
-                if n > 0:
-                    nlive[res] = n
-                else:
-                    nlive.pop(res, None)
-            flow._comp = None
-        self._flows.discard(flow)
+    def _detach(self, flow: FluidFlow, completed: bool) -> None:
+        cls = flow._cls
         now = self.sim.now
-        for res in flow.path:
-            res._flows.discard(flow)
-            if not res._flows:
-                res._set_load(0.0, now)
-        flow.rate = 0.0
+        flow._moved = flow.size if completed else cls.progress(now) - flow._v0
+        flow._cls = None
         flow.end_time = now
+        members = cls.members
+        members.discard(flow)
+        comp = cls._comp
+        nlive = comp.nlive
+        for res in cls.upath:
+            n = nlive[res] - 1
+            if n:
+                nlive[res] = n
+            else:
+                del nlive[res]
+        if not members:  # the class dies
+            del self._classes[(cls.path, cls.cap)]
+            cls.due = _INF
+            cls.heap = []
+            comp.classes.discard(cls)
+            comp.capped.discard(cls)
+            cls._comp = None
+            for res in cls.upath:
+                classes = res._classes
+                del classes[cls]
+                if not classes:
+                    res._set_load(0.0, now)
         if self.flow_log is not None:
             self.flow_log.append(flow)
 
-    def _advance(self) -> None:
-        """Progress every active flow from the last update time to now.
+    def _reschedule(self, cls: _FlowClass) -> None:
+        """Recompute the class's due time from its clock and head member."""
+        heap = cls.heap
+        while heap and heap[0][2]._cls is not cls:
+            heapq.heappop(heap)
+        rate = cls.rate
+        if heap and rate > _EPS:
+            due = cls.due = cls.t + (heap[0][0] - cls.v) / rate
+            heapq.heappush(self._due_heap, (due, cls.seq, cls))
+        else:
+            cls.due = _INF
 
-        Flows that complete are detached, their ``done`` triggered and
-        their paths touched for this instant's flush.  Advancement is
-        deliberately global: partial (per-component) advancement would
-        change the floating-point stepping of ``remaining`` and therefore
-        completion timestamps.  When no simulated time has passed — the
-        overwhelmingly common cascade case — this is O(1).
+    def _advance(self) -> None:
+        """Complete every member that is due by now.
+
+        Only classes due within ``_MIN_DT`` are touched: each folds its
+        clock to now and pops the members within ``_MIN_DT`` of service
+        (or ``_EPS`` relative) of their target.  They detach, fire
+        ``done`` in (due, class seq, target, flow seq) order and touch
+        their paths for this instant's flush.  O(1) when no simulated time
+        has passed — the common cascade case — or nothing is due.
         """
         now = self.sim.now
-        dt = now - self._last_update
-        if dt < 0:  # pragma: no cover - defensive
+        last = self._last_update
+        if now == last:
+            return
+        if now < last:  # pragma: no cover - defensive
             raise SimulationError("fair-share clock went backwards")
-        if dt > 0:
-            if self._seeds is not None:
-                raise SimulationError(
-                    f"the clock moved to t={now} but the fair-share rates "
-                    f"touched at t={self._last_update} were never settled")
-            finished: list[FluidFlow] = []
-            # Time moved, so every surviving horizon shifted; the fresh
-            # horizons are computed in the same pass that steps progress.
-            # Heap layout depends on entry order, but pops follow the
-            # (horizon, seq) total order, so the layout is not observable.
-            entries: list = []
-            push = entries.append
-            inf = math.inf
-            for flow in self._flows:
-                rate = flow.rate
-                if rate > 0:
-                    flow._moved += rate * dt
-                    if math.isfinite(flow.remaining):
-                        flow.remaining = max(0.0, flow.remaining - rate * dt)
-                        # A flow is done when the residue is negligible
-                        # relative to its size *or* would take less than a
-                        # nanosecond to drain — the latter absorbs float
-                        # subtraction residues that are above the size
-                        # epsilon but below the clock's resolution.
-                        if (flow.remaining <= _EPS * max(1.0, flow.size)
-                                or flow.remaining <= rate * _MIN_DT):
-                            flow.remaining = 0.0
-                            flow._moved = flow.size
-                            finished.append(flow)
-                        elif rate > _EPS:
-                            horizon = flow.remaining / rate
-                            flow._horizon = horizon
-                            push((horizon, flow._seq, flow))
-                        else:
-                            flow._horizon = inf
-                    else:
-                        flow._horizon = inf
-                else:
-                    flow._horizon = inf
-            for flow in finished:
-                self._detach(flow)
-                self.completed_count += 1
-                flow.done.succeed(flow)
-                self._touch(flow.path)
-            heapq.heapify(entries)
-            self._horizon_heap = entries
+        if self._seeds is not None:
+            raise SimulationError(
+                f"the clock moved to t={now} but the fair-share rates "
+                f"touched at t={last} were never settled")
         self._last_update = now
+        heap = self._due_heap
+        bound = now + _MIN_DT
+        due: list[_FlowClass] = []
+        while heap and heap[0][0] <= bound:
+            when, _seq, cls = heapq.heappop(heap)
+            if cls.due == when:
+                cls.due = _INF
+                due.append(cls)
+        finished: list[FluidFlow] = []
+        for cls in due:
+            cls.fold(now)
+            v = cls.v
+            slack = cls.rate * _MIN_DT
+            members = cls.heap
+            while members:
+                target, _seq, flow = members[0]
+                if flow._cls is cls:
+                    left = target - v
+                    if left > slack and left > _EPS * max(1.0, flow.size):
+                        break
+                    finished.append(flow)
+                heapq.heappop(members)
+        for flow in finished:
+            cls = flow._cls
+            self._detach(flow, completed=True)
+            self.completed_count += 1
+            flow.done.succeed(flow)
+            self._touch(cls.upath)
+        for cls in due:
+            if cls.members:
+                self._reschedule(cls)
 
-    def _attach_component(self, flow: FluidFlow) -> None:
-        """Union the components the new flow's path bridges (small-to-large).
-
-        Merging the smaller union into the larger bounds the total merge
-        work at O(n log n) over a run; the split side of the partition is
-        amortized by :meth:`_split_component`'s halving trigger.
-        """
+    def _attach_class(self, cls: _FlowClass) -> None:
+        """Union the components the new class's path bridges; merging the
+        smaller into the larger bounds merge work at O(n log n) a run."""
         comp: Optional[_Component] = None
-        for res in flow._upath:
+        for res in cls.upath:
             other = res._comp
             if other is None or other is comp:
                 continue
             if comp is None:
                 comp = other
                 continue
-            if len(other.flows) > len(comp.flows):
+            if len(other.classes) > len(comp.classes):
                 comp, other = other, comp
             for r in other.resources:
                 r._comp = comp
             comp.resources.update(other.resources)
-            for f in other.flows:
-                f._comp = comp
-            comp.flows.update(other.flows)
-            # Components are resource-disjoint, so the incidence dicts
-            # merge without collisions.
+            for c in other.classes:
+                c._comp = comp
+            comp.classes.update(other.classes)
+            # Components are resource-disjoint: no incidence collisions.
             comp.nlive.update(other.nlive)
             comp.capped.update(other.capped)
         if comp is None:
             comp = _Component()
-        comp.flows.add(flow)
-        flow._comp = comp
+        comp.classes.add(cls)
+        cls._comp = comp
         nlive = comp.nlive
-        for res in flow._upath:
+        for res in cls.upath:
+            res._classes[cls] = None
             if res._comp is not comp:
                 res._comp = comp
                 comp.resources.add(res)
             nlive[res] = nlive.get(res, 0) + 1
-        if math.isfinite(flow.cap):
-            comp.capped.add(flow)
-        n = len(comp.flows)
-        if n > comp.peak:
-            comp.peak = n
+        if cls.cap != _INF:
+            comp.capped.add(cls)
+        comp.peak = max(comp.peak, len(comp.classes))
 
     def _split_component(self, comp: _Component) -> None:
-        """Re-derive true components from a shrunken union (lazy split).
-
-        One breadth-first walk over the union's live adjacency.  Isolated
-        resources (no live flows left) drop out of the partition entirely.
-        """
+        """Re-derive true components from a shrunken union: one walk over
+        its live adjacency; resources left without classes drop out."""
         for res in comp.resources:
             if res._comp is comp:
                 res._comp = None
-        pending = comp.flows
-        for flow in pending:
-            flow._comp = None
+        pending = comp.classes
+        for cls in pending:
+            cls._comp = None
         while pending:
             part = _Component()
             first = pending.pop()
             first._comp = part
-            part.flows.add(first)
+            part.classes.add(first)
             stack = [first]
             while stack:
-                flow = stack.pop()
-                for res in flow._upath:
+                for res in stack.pop().upath:
                     if res._comp is part:
                         continue
                     res._comp = part
                     part.resources.add(res)
-                    for nxt in res._flows:
+                    for nxt in res._classes:
                         if nxt._comp is not part:
                             nxt._comp = part
-                            part.flows.add(nxt)
+                            part.classes.add(nxt)
                             pending.discard(nxt)
                             stack.append(nxt)
-            part.peak = len(part.flows)
+            part.peak = len(part.classes)
             nlive = part.nlive
-            capped = part.capped
-            for f in part.flows:
-                for r in f._upath:
-                    nlive[r] = nlive.get(r, 0) + 1
-                if math.isfinite(f.cap):
-                    capped.add(f)
+            for c in part.classes:
+                for r in c.upath:
+                    nlive[r] = nlive.get(r, 0) + len(c.members)
+                if c.cap != _INF:
+                    part.capped.add(c)
 
     def _scope(self, seeds: list[SharedResource]
-               ) -> tuple[set[FluidFlow], dict[SharedResource, int],
-                          set[FluidFlow]]:
-        """Resolve a rebalance scope from the component partition.
-
-        Touched unions that lost half their flows since their peak are
-        split exactly first.  Then the scope is the union of the touched
-        components' flows, per-resource live-flow counts and capped flows
-        (seeds outside the partition carry no live flows).  The
-        single-component case — the overwhelmingly common one — aliases
-        the component's own sets instead of copying; callers only read
-        them.
-        """
+               ) -> tuple[set[_FlowClass], dict[SharedResource, int],
+                          set[_FlowClass]]:
+        """The touched components' classes, live-flow counts and capped
+        classes, after splitting any that halved since their peak.  One
+        component — the common case — is aliased, not copied."""
         while True:
-            comps: list[_Component] = []
-            seen: set[int] = set()
-            for res in seeds:
-                comp = res._comp
-                if comp is not None and id(comp) not in seen:
-                    seen.add(id(comp))
-                    comps.append(comp)
-            stale = [c for c in comps if 2 * len(c.flows) < c.peak]
+            comps = list({id(res._comp): res._comp for res in seeds
+                          if res._comp is not None}.values())
+            stale = [c for c in comps if 2 * len(c.classes) < c.peak]
             if not stale:
                 break
             # A split drains its input, so re-derive; fresh parts sit at
@@ -580,55 +586,37 @@ class FairShareSystem:
             for comp in stale:
                 self._split_component(comp)
         if len(comps) == 1:
-            comp = comps[0]
-            return comp.flows, comp.nlive, comp.capped
-        flows: set[FluidFlow] = set()
+            return comps[0].classes, comps[0].nlive, comps[0].capped
         nlive: dict[SharedResource, int] = {}
-        capped: set[FluidFlow] = set()
         for comp in comps:
-            flows |= comp.flows
             nlive.update(comp.nlive)
-            capped |= comp.capped
-        return flows, nlive, capped
+        return (set().union(*(c.classes for c in comps)), nlive,
+                set().union(*(c.capped for c in comps)))
 
     def _rebalance(self, seeds: list[SharedResource]) -> None:
-        """Recompute fair rates for the touched component(s) and reschedule.
-
-        ``seeds`` are the resources whose flow set (or capacity) changed
-        this instant; the fill covers their full connected components.
-        Rates outside the scope are untouched — recomputing them would
-        yield the same values, which the tests assert against the oracle.
-        Only what changed is written back: a flow whose rate the fill
-        reproduced keeps its horizon-heap entry (``remaining`` only moves
-        in ``_advance``, which rebuilds the heap), and a load is re-summed
-        only for seeds and for resources on a changed flow's path — any
-        other sum would reproduce ``current_load`` bit for bit.
-        """
+        """Fill the touched component(s), write back the rates that
+        changed (folding those classes' clocks and rescheduling them),
+        re-sum the loads of seeds and of changed classes' paths, and
+        re-arm the timer.  Rates outside the scope would be reproduced."""
         now = self.sim.now
         self.rebalance_count += 1
-        flows, nlive, capped = self._scope(seeds)
-        if flows:
-            n_flows = len(flows)
-            if n_flows > self.max_component_flows:
-                self.max_component_flows = n_flows
-            rates, visits = _maxmin_rates_scoped(flows, nlive, capped)
+        classes, nlive, capped = self._scope(seeds)
+        if classes:
+            rates, visits = _fill(classes, nlive, capped)
             self.flow_visits += visits
-            heap = self._horizon_heap
             reload = set(seeds)
-            for flow in flows:
-                rate = rates[flow]
-                if rate == flow.rate:
-                    continue
-                flow.rate = rate
-                reload.update(flow._upath)
-                if rate > _EPS and math.isfinite(flow.remaining):
-                    horizon = flow.remaining / rate
-                    flow._horizon = horizon
-                    heapq.heappush(heap, (horizon, flow._seq, flow))
-                else:
-                    flow._horizon = math.inf
+            n_flows = 0
+            for cls in classes:
+                n_flows += len(cls.members)
+                rate = rates[cls]
+                if rate != cls.rate:
+                    cls.set_rate(rate, now)
+                    reload.update(cls.upath)
+                    self._reschedule(cls)
+            self.max_component_flows = max(self.max_component_flows, n_flows)
             for res in reload:
-                res._set_load(sum(f.rate for f in res._flows), now)
+                res._set_load(sum([cls.rate * len(cls.members)
+                                   for cls in res._classes]), now)
         self._schedule_next()
 
     def _schedule_next(self) -> None:
@@ -637,16 +625,12 @@ class FairShareSystem:
             self._timer = None
             timer.cancel()
             self.timer_cancellations += 1
-        heap = self._horizon_heap
-        while heap:
-            horizon, _seq, flow = heap[0]
-            if flow.end_time is None and flow._horizon == horizon:
-                break
+        heap = self._due_heap
+        while heap and heap[0][2].due != heap[0][0]:
             heapq.heappop(heap)
-        if not heap:
-            return
-        self._timer = self.sim.call_in(max(heap[0][0], _MIN_DT),
-                                       self._on_timer)
+        if heap:
+            self._timer = self.sim.call_in(
+                max(heap[0][0] - self.sim.now, _MIN_DT), self._on_timer)
 
     def _on_timer(self) -> None:
         self._timer = None
@@ -654,129 +638,84 @@ class FairShareSystem:
         self._touch()  # even with nothing completed, re-arm the timer
 
 
-def _maxmin_rates(flows: Iterable[FluidFlow]) -> dict[FluidFlow, float]:
-    """Progressive-filling max-min fair allocation with per-flow caps.
+def _fill(classes: set[_FlowClass], nlive: dict[SharedResource, int],
+          capped: set[_FlowClass]) -> tuple[dict[_FlowClass, float], int]:
+    """Progressive filling over the classes of one (union of) component(s).
 
-    Reference implementation kept as the oracle for the incremental
-    engine's property tests: :func:`_maxmin_rates_scoped` must agree with
-    it exactly on every connected component.
+    The oracle's arithmetic: every saturation level is ``(capacity -
+    frozen) / unfrozen flows`` over the same operands and each round binds
+    at the same minimum.  A round freezes everything at its level (a cap
+    below it exists only after a rounding clamp of the level), so a
+    resource's frozen load takes the oracle's per-flow additions as one
+    run of adds per round — and only where flows stay unfrozen, the only
+    loads read again.  Unfrozen counters start from ``nlive``; the minimum
+    cap comes from a lazy-deletion heap of ``capped``.
+
+    Returns ``(rates, visits)``; ``visits`` counts class inspections.
     """
-    unfrozen = set(flows)
-    rates: dict[FluidFlow, float] = {f: 0.0 for f in unfrozen}
-    if not unfrozen:
-        return rates
-    frozen_load: dict[SharedResource, float] = {}
-    for flow in unfrozen:
-        for res in flow.path:
-            frozen_load.setdefault(res, 0.0)
-    level = 0.0
-    while unfrozen:
-        # How high can the common level rise before a constraint binds?
-        sat_levels: dict[SharedResource, float] = {}
-        for res, loaded in frozen_load.items():
-            n = sum(1 for f in res._flows if f in unfrozen)
-            if n:
-                sat_levels[res] = (res.capacity - loaded) / n
-        res_level = min(sat_levels.values(), default=math.inf)
-        min_cap = min((f.cap for f in unfrozen), default=math.inf)
-        next_level = min(res_level, min_cap)
-        if not math.isfinite(next_level):  # pragma: no cover - defensive
-            raise ResourceError("unbounded fair-share level")
-        level = max(level, next_level)
-        newly_frozen: set[FluidFlow] = set()
-        if min_cap <= next_level + _EPS:
-            newly_frozen.update(f for f in unfrozen if f.cap <= level + _EPS)
-        for res, sat in sat_levels.items():
-            if sat <= next_level + _EPS:  # this resource saturates here
-                newly_frozen.update(f for f in res._flows if f in unfrozen)
-        if not newly_frozen:  # pragma: no cover - numerical safety net
-            newly_frozen = set(unfrozen)
-        for flow in newly_frozen:
-            rates[flow] = min(level, flow.cap)
-            unfrozen.discard(flow)
-            for res in flow.path:
-                frozen_load[res] += rates[flow]
-    return rates
-
-
-def _maxmin_rates_scoped(flows: set[FluidFlow],
-                         nlive: dict[SharedResource, int],
-                         capped: set[FluidFlow],
-                         ) -> tuple[dict[FluidFlow, float], int]:
-    """Progressive filling over one (set of) connected component(s).
-
-    Identical arithmetic to :func:`_maxmin_rates` — every saturation level
-    is ``(capacity - frozen) / unfrozen`` over the same operands, and the
-    binding level of each round is the same minimum — but the per-round
-    work is indexed instead of scanned:
-
-    * per-resource unfrozen-flow *counters* replace the oracle's per-round
-      rescan of every ``res._flows`` set;
-    * saturation levels are recomputed only for resources a freeze just
-      touched (unchanged operands reproduce the cached value bit for bit);
-    * the minimum flow cap comes from a lazy-deletion heap rather than a
-      scan of all unfrozen flows.
-
-    ``nlive`` and ``capped`` are the scope's maintained incidence counts
-    and capped-flow set (:class:`_Component`), so the fill's own init is
-    one dict copy — no per-flow scan at all, which at the 1,000-VM rung
-    was ~40% of all flow inspections.
-
-    Returns ``(rates, flow_visits)`` where ``flow_visits`` counts flow
-    inspections (the engine's cost metric).
-    """
-    unfrozen = set(flows)
-    rates: dict[FluidFlow, float] = {}
+    rates: dict[_FlowClass, float] = {}
     visits = 0
+    left = len(classes)
     n_unfrozen = dict(nlive)
-    frozen_load = {res: 0.0 for res in n_unfrozen}
-    cap_heap = [(f.cap, f._seq, f) for f in capped]
+    frozen_load = dict.fromkeys(n_unfrozen, 0.0)
+    cap_heap = [(c.cap, c.seq, c) for c in capped]
     heapq.heapify(cap_heap)
     sat_levels: dict[SharedResource, float] = {
-        res: (res.capacity - frozen_load[res]) / n
-        for res, n in n_unfrozen.items()}
+        res: (res.capacity - 0.0) / n for res, n in n_unfrozen.items()}
     level = 0.0
-    while unfrozen:
-        while cap_heap and cap_heap[0][2] not in unfrozen:
+    while left:
+        while cap_heap and cap_heap[0][2] in rates:
             heapq.heappop(cap_heap)
-        res_level = min(sat_levels.values(), default=math.inf)
-        min_cap = cap_heap[0][0] if cap_heap else math.inf
+        res_level = min(sat_levels.values(), default=_INF)
+        min_cap = cap_heap[0][0] if cap_heap else _INF
         next_level = min(res_level, min_cap)
         if not math.isfinite(next_level):  # pragma: no cover - defensive
             raise ResourceError("unbounded fair-share level")
         level = max(level, next_level)
-        newly_frozen: set[FluidFlow] = set()
+        newly_frozen: set[_FlowClass] = set()
         if min_cap <= next_level + _EPS:
-            # Everything with cap <= level + _EPS, exactly the oracle's
-            # freeze set: the heap orders finite caps, so pop until above
-            # the bound (stale frozen entries are skipped).
+            # Everything with cap <= level + _EPS, the oracle's freeze set.
             cap_bound = level + _EPS
             while cap_heap and cap_heap[0][0] <= cap_bound:
-                _cap, _seq, cf = heapq.heappop(cap_heap)
-                if cf in unfrozen:
-                    newly_frozen.add(cf)
+                cls = heapq.heappop(cap_heap)[2]
+                if cls not in rates:
+                    newly_frozen.add(cls)
                     visits += 1
         sat_bound = next_level + _EPS
-        for res, sat in sat_levels.items():
-            if sat <= sat_bound:  # this resource saturates here
-                visits += len(res._flows)
-                newly_frozen.update(f for f in res._flows if f in unfrozen)
+        for res in [r for r, sat in sat_levels.items() if sat <= sat_bound]:
+            visits += len(res._classes)  # this resource saturates here
+            newly_frozen.update(res._classes)
         if not newly_frozen:  # pragma: no cover - numerical safety net
-            newly_frozen = set(unfrozen)
-        dirty: set[SharedResource] = set()
-        for flow in newly_frozen:
-            rate = min(level, flow.cap)
-            rates[flow] = rate
-            unfrozen.discard(flow)
-            for res in flow.path:
-                frozen_load[res] += rate
-            for res in flow._upath:
-                n_unfrozen[res] -= 1
-                dirty.add(res)
-        for res in dirty:
+            newly_frozen = set(classes)
+        adds: dict[SharedResource, int] = defaultdict(int)
+        for cls in newly_frozen:
+            if cls in rates:
+                continue
+            left -= 1
+            n = len(cls.members)
+            cap = cls.cap
+            if cap < level:
+                rates[cls] = cap
+                for res in cls.path:
+                    load = frozen_load[res]
+                    for _ in range(n):
+                        load += cap
+                    frozen_load[res] = load
+                    adds[res] += 0
+            else:
+                rates[cls] = level
+                for res in cls.path:
+                    adds[res] += n
+            for res in cls.upath:
+                n_unfrozen[res] -= n
+        for res, k in adds.items():
             n = n_unfrozen[res]
             if n:
-                sat_levels[res] = (res.capacity - frozen_load[res]) / n
+                load = frozen_load[res]
+                for _ in range(k):
+                    load += level
+                frozen_load[res] = load
+                sat_levels[res] = (res.capacity - load) / n
             else:
-                del sat_levels[res]
+                sat_levels.pop(res, None)
     return rates, visits

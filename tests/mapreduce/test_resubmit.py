@@ -64,18 +64,9 @@ def expected(lines=LINES, job=None):
 
 
 def run_all(platform, cluster, jobs):
-    """Submit ``jobs`` half a second apart, so that they overlap (not at one
-    instant: flows that complete in the same instant fire in set order,
-    which permutes symmetric jobs' reports between same-seed runs)."""
+    """Submit ``jobs`` all at one instant and run them to completion."""
     runner = platform.runner(cluster)
-    events = []
-
-    def feeder():
-        for job in jobs:
-            events.append(runner.submit(job))
-            yield platform.sim.timeout(0.5)
-
-    platform.sim.process(feeder(), name="feeder")
+    events = [runner.submit(job) for job in jobs]
     platform.sim.run()
     return [event.value for event in events]
 

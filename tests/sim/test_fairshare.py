@@ -174,6 +174,20 @@ def test_close_inactive_flow_rejected(sim, fss):
         fss.close(flow)
 
 
+def test_close_at_the_completion_instant_returns_the_full_size(sim, fss):
+    """A close that runs at the flow's completion instant, before the
+    completion timer (an interrupt handler, say), finds the flow done:
+    it returns the full size and ``done`` triggers exactly once."""
+    link = SharedResource("link", 100.0)
+    closed = []
+    sim.call_in(10.0, lambda: closed.append(fss.close(flow)))
+    flow = fss.open([link], size=1000.0)
+    sim.run()
+    assert closed == [1000.0]
+    assert flow.end_time == 10.0 and flow.done.value is flow
+    assert fss.completed_count == 1
+
+
 def test_utilization_and_busy_time(sim, fss):
     link = SharedResource("link", 100.0)
     fss.open([link], size=500.0, cap=50.0)

@@ -1,24 +1,25 @@
-"""Properties of the incremental connected-component fair-share engine.
+"""Properties of the flow-class fair-share engine.
 
-Four invariants protect the optimization:
+Five invariants protect it:
 
 * **allocation exactness** — after *every* flush of any
   open/close/set_capacity/advance sequence, the timer-driven ones inside
   ``sim.run`` included, every active flow's rate equals what the
-  reference global progressive fill
-  (:func:`repro.sim.fairshare._maxmin_rates`, the oracle) computes over
-  the whole flow graph.  Progress advancement is shared and global, so
-  equal rates at every flush imply equal completion timestamps;
+  reference global progressive fill (:func:`_maxmin_rates`, the oracle)
+  computes over the whole flow graph;
+* **completion times are exact integrals** — each flow's ``end_time`` and
+  ``transferred`` equal the exact rational integral of its recorded rate
+  history within the module docstring's bound;
 * **coalescing is unobservable** — the engine recomputes rates once per
   simulated instant; the same op sequence with ``settle()`` forced after
-  every op (the old eager engine, which survives only here) yields the
-  same timestamps, transfers and integrals, from no fewer rebalances;
-* **maintained incidence is exact** — every component's ``nlive``
-  (per-resource live-flow counts over deduped paths) and ``capped`` set
-  always equal a from-scratch recount, through opens, closes, merges and
-  splits;
-* **indexed fills change nothing** — :func:`_maxmin_rates_scoped` fed the
-  maintained indices returns the oracle's rates bit for bit.
+  every op yields the same timestamps, transfers and integrals, from no
+  fewer rebalances;
+* **maintained incidence is exact** — every class's membership and every
+  component's ``nlive`` (per-resource live-flow counts over deduped
+  paths) and ``capped`` set always equal a from-scratch recount, through
+  opens, closes, completions, merges and splits;
+* **class fills change nothing** — :func:`_fill` fed the maintained
+  indices gives each class the oracle's rate for its every member.
 
 Capacities, sizes, and caps are drawn from discrete pools on purpose: the
 exactness claim excludes adversarial *sub-epsilon* cross-component ties
@@ -27,14 +28,15 @@ arise from exact discrete inputs.
 """
 
 import math
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.errors import SimulationError
+from repro.errors import ResourceError, SimulationError
 from repro.sim import FairShareSystem, SharedResource, Simulator
-from repro.sim.fairshare import _maxmin_rates, _maxmin_rates_scoped
+from repro.sim.fairshare import _EPS, _fill
 
 _SLOW = dict(deadline=None,
              suppress_health_check=[HealthCheck.too_slow])
@@ -54,21 +56,65 @@ _ops = st.lists(
     min_size=1, max_size=30)
 
 
+def _maxmin_rates(flows):
+    """The oracle: a plain per-flow whole-graph progressive fill that
+    reads nothing of the engine's state.  :func:`_fill` must agree with
+    it exactly on every connected component after every flush."""
+    unfrozen = set(flows)
+    rates = {f: 0.0 for f in unfrozen}
+    frozen_load = {}
+    through = {}
+    for flow in unfrozen:
+        for res in flow.path:
+            frozen_load.setdefault(res, 0.0)
+        for res in dict.fromkeys(flow.path):
+            through.setdefault(res, []).append(flow)
+    level = 0.0
+    while unfrozen:
+        # How high can the common level rise before a constraint binds?
+        sat_levels = {}
+        for res, loaded in frozen_load.items():
+            n = sum(1 for f in through[res] if f in unfrozen)
+            if n:
+                sat_levels[res] = (res.capacity - loaded) / n
+        res_level = min(sat_levels.values(), default=math.inf)
+        min_cap = min((f.cap for f in unfrozen), default=math.inf)
+        next_level = min(res_level, min_cap)
+        if not math.isfinite(next_level):  # pragma: no cover - defensive
+            raise ResourceError("unbounded fair-share level")
+        level = max(level, next_level)
+        newly_frozen = set()
+        if min_cap <= next_level + _EPS:
+            newly_frozen.update(f for f in unfrozen if f.cap <= level + _EPS)
+        for res, sat in sat_levels.items():
+            if sat <= next_level + _EPS:  # this resource saturates here
+                newly_frozen.update(f for f in through[res] if f in unfrozen)
+        if not newly_frozen:  # pragma: no cover - numerical safety net
+            newly_frozen = set(unfrozen)
+        for flow in newly_frozen:
+            rates[flow] = min(level, flow.cap)
+            unfrozen.discard(flow)
+            for res in flow.path:
+                frozen_load[res] += rates[flow]
+    return rates
+
+
 class _OracleCheckedSystem(FairShareSystem):
     """Asserts the whole-graph oracle's rates after every flush."""
 
     def _rebalance(self, seeds):
         super()._rebalance(seeds)
-        oracle = _maxmin_rates(self._flows)
-        for flow in self._flows:
+        flows = self.active_flows
+        oracle = _maxmin_rates(flows)
+        for flow in flows:
             assert flow.rate == oracle[flow], (
                 f"{flow.name}: engine {flow.rate!r} != oracle "
                 f"{oracle[flow]!r} at t={self.sim.now}")
 
 
-def _build(n_res, cap_picks):
+def _build(n_res, cap_picks, system=None):
     sim = Simulator()
-    fss = _OracleCheckedSystem(sim)
+    fss = (system or _OracleCheckedSystem)(sim)
     resources = [
         SharedResource(f"r{i}", _CAPACITIES[cap_picks[i % len(cap_picks)]
                                             % len(_CAPACITIES)])
@@ -114,7 +160,8 @@ def _apply(sim, fss, resources, ops, eager=False):
 
 
 def _components(fss):
-    return list({id(f._comp): f._comp for f in fss._flows}.values())
+    return list({id(c._comp): c._comp
+                 for c in fss._classes.values()}.values())
 
 
 _GRAPH = dict(n_res=st.integers(2, 6),
@@ -154,11 +201,10 @@ def test_coalesced_flush_equals_settle_after_every_op(n_res, cap_picks, ops):
     """Differential: one flush per instant vs a rebalance per op.  The
     intermediate rates of a burst last zero simulated seconds, so they
     may not move a completion timestamp, a byte count (both exact) or an
-    integral.  The integrals get one part in 1e12: a load is a float sum
-    over an id-hashed set, so two separately built systems can disagree
-    in its last bit whatever the mode, and a burst whose net load change
-    is zero makes the eager side accrue one interval as two partial sums.
-    A load the flush failed to refresh would be off by whole rates."""
+    integral.  The integrals get one part in 1e12: a burst whose net load
+    change is zero makes the eager side accrue one interval as two
+    partial sums.  A load the flush failed to refresh would be off by
+    whole rates."""
     flows, integrals, rebalances = _outcome(n_res, cap_picks, ops, False)
     e_flows, e_integrals, e_rebalances = _outcome(n_res, cap_picks, ops, True)
     assert flows == e_flows
@@ -169,31 +215,107 @@ def test_coalesced_flush_equals_settle_after_every_op(n_res, cap_picks, ops):
 @_graphs_both_modes
 @settings(max_examples=50, **_SLOW)
 def test_maintained_incidence_matches_recount(n_res, cap_picks, ops, eager):
-    """``nlive``/``capped`` survive attach, detach, merge and split."""
+    """Class membership, ``nlive`` and ``capped`` survive attach, detach,
+    completion, merge and split."""
     sim, fss, resources = _build(n_res, cap_picks)
-    for _flows in _apply(sim, fss, resources, ops, eager):
+    for flows in _apply(sim, fss, resources, ops, eager):
+        live = {}
+        for f in flows:
+            if f.active:
+                live.setdefault((f.path, f.cap), set()).add(f)
+        assert {key: cls.members for key, cls in fss._classes.items()} \
+            == live
+        for res in resources:
+            assert list(res._classes) == [
+                c for c in fss._classes.values() if res in c.path]
         for comp in _components(fss):
             nlive = {}
-            capped = set()
-            for f in comp.flows:
-                for res in f._upath:
-                    nlive[res] = nlive.get(res, 0) + 1
-                if math.isfinite(f.cap):
-                    capped.add(f)
+            for c in comp.classes:
+                for res in c.upath:
+                    nlive[res] = nlive.get(res, 0) + len(c.members)
             assert comp.nlive == nlive
-            assert comp.capped == capped
+            assert comp.capped == {c for c in comp.classes
+                                   if math.isfinite(c.cap)}
 
 
 @_graphs
 @settings(max_examples=50, **_SLOW)
 def test_indexed_fill_matches_oracle(n_res, cap_picks, ops):
-    """Per component, the indexed fill returns the oracle's rates."""
+    """Per component, the class fill gives every member the oracle's
+    rate."""
     sim, fss, resources = _build(n_res, cap_picks)
     for _flows in _apply(sim, fss, resources, ops):
         for comp in _components(fss):
-            indexed, _visits = _maxmin_rates_scoped(comp.flows, comp.nlive,
-                                                    comp.capped)
-            assert indexed == _maxmin_rates(comp.flows)
+            rates, _visits = _fill(comp.classes, comp.nlive, comp.capped)
+            oracle = _maxmin_rates(f for c in comp.classes
+                                   for f in c.members)
+            assert {f: rates[c] for c in comp.classes
+                    for f in c.members} == oracle
+
+
+class _HistorySystem(_OracleCheckedSystem):
+    """Records every live flow's rate after every flush."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.history = {}
+
+    def _rebalance(self, seeds):
+        super()._rebalance(seeds)
+        for flow in self.active_flows:
+            steps = self.history.setdefault(flow, [])
+            if not steps or steps[-1][1] != flow.rate:
+                steps.append((self.sim.now, flow.rate))
+
+
+def _integrate(steps, until):
+    """Exact units moved by ``until`` under the step rate history."""
+    moved = Fraction(0)
+    for (t, rate), (t_next, _r) in zip(steps, steps[1:] + [(until, 0.0)]):
+        moved += Fraction(rate) * (Fraction(min(t_next, until)) - Fraction(t))
+    return moved
+
+
+def _exact_end(steps, size):
+    """Exact time the step rate history has moved ``size`` units."""
+    left = Fraction(size)
+    for (t, rate), (t_next, _r) in zip(steps, steps[1:] + [(math.inf, 0.0)]):
+        if rate > 0:
+            end = Fraction(t) + left / Fraction(rate)
+            if t_next == math.inf or end <= Fraction(t_next):
+                return end
+            left -= Fraction(rate) * (Fraction(t_next) - Fraction(t))
+    raise AssertionError("history never finishes the flow")
+
+
+#: The contract bound stated in the ``repro.sim.fairshare`` docstring:
+#: relative to the exact completion time, or to the exact transfer.
+_BOUND = 1e-12
+
+
+@_graphs_both_modes
+@settings(max_examples=80, **_SLOW)
+def test_completion_times_match_exact_integration(n_res, cap_picks, ops,
+                                                  eager):
+    """Differential: every ``end_time`` and ``transferred`` against exact
+    rational integration of the flow's own rate history."""
+    sim, fss, resources = _build(n_res, cap_picks, _HistorySystem)
+    flows = []
+    for flows in _apply(sim, fss, resources, ops, eager):
+        pass
+    sim.run(until=sim.now + 120.0)
+    for f in flows:
+        steps = fss.history.get(f, [])
+        if f.active or not steps:  # never ran, or never flushed
+            assert f.transferred == 0.0 or f.active
+            continue
+        if f.transferred == f.size:  # completed by the engine
+            exact = _exact_end(steps, f.size)
+            err = abs(Fraction(f.end_time) - exact) / exact
+        else:  # closed early
+            exact = _integrate(steps, f.end_time)
+            err = abs(Fraction(f.transferred) - exact) / (exact or 1)
+        assert err <= _BOUND, (f.name, float(err))
 
 
 def test_busy_time_history_survives_capacity_change():

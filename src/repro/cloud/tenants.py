@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.errors import ConfigError
 from repro.telemetry.metrics import LatencyHistogram
@@ -107,13 +107,6 @@ class TenantRegistry:
         self._stats[spec.name] = TenantStats(tenant=spec.name)
         return spec
 
-    def ensure(self, name: str, **kwargs) -> TenantSpec:
-        """Fetch the spec for ``name``, registering a default if new."""
-        spec = self._specs.get(name)
-        if spec is None:
-            spec = self.register(TenantSpec(name=name, **kwargs))
-        return spec
-
     def spec(self, name: str) -> TenantSpec:
         try:
             return self._specs[name]
@@ -136,9 +129,6 @@ class TenantRegistry:
     @property
     def names(self) -> list[str]:
         return list(self._specs)
-
-    def all_stats(self) -> dict[str, TenantStats]:
-        return dict(self._stats)
 
     def total_weight(self) -> float:
         return sum(spec.weight for spec in self)

@@ -30,10 +30,6 @@ class DataNode:
     def name(self) -> str:
         return self.vm.name
 
-    @property
-    def used_bytes(self) -> int:
-        return sum(b.size for b in self.blocks.values())
-
     def holds(self, block: Block) -> bool:
         return block.block_id in self.blocks
 

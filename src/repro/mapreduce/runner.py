@@ -952,9 +952,9 @@ class MapReduceRunner:
                         for output in map_outputs)
         report.shuffle_bytes += nbytes_in
         self.metrics.histogram(
-            "mapreduce.shuffle.partition_bytes",
-            "shuffle bytes fetched per reduce partition",
-            {"job": job.name}).observe(nbytes_in)
+            "mapreduce.shuffle.partition_mib",
+            "shuffle MiB fetched per reduce partition",
+            {"job": job.name}).observe(nbytes_in / C.MiB)
         # 2. merge-sort + reduce CPU.
         n = sum(len(run.values) for run in runs)
         work = (job.reduce_cpu_per_byte * nbytes_in

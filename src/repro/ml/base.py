@@ -24,6 +24,7 @@ import numpy as np
 from repro.errors import ClusteringError
 from repro.mapreduce.job import Job
 from repro.mapreduce.local import LocalJobRunner
+from repro.sim.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mapreduce.runner import JobReport, MapReduceRunner
@@ -136,8 +137,7 @@ class LocalExecutor(Executor):
         self.inputs: dict[str, list] = {k: list(v)
                                         for k, v in (inputs or {}).items()}
         self.outputs: dict[str, list] = {}
-        self._seed = seed
-        self._rngs: dict[str, np.random.Generator] = {}
+        self._rng = RngRegistry(seed)
 
     def add_input(self, path: str, records: Sequence) -> None:
         self.inputs[path] = list(records)
@@ -163,13 +163,7 @@ class LocalExecutor(Executor):
         return list(self.outputs[path])
 
     def rng(self, name: str) -> np.random.Generator:
-        if name not in self._rngs:
-            import hashlib
-            entropy = int.from_bytes(
-                hashlib.sha256(name.encode()).digest()[:8], "little")
-            self._rngs[name] = np.random.default_rng(
-                np.random.SeedSequence([self._seed, entropy]))
-        return self._rngs[name]
+        return self._rng.stream(name)
 
 
 # -- shared helpers -----------------------------------------------------------

@@ -1,9 +1,9 @@
 """Streaming anomaly detectors.
 
 Each detector watches one class of failure through *legitimately
-observable* signals — trace events, nmon rolling-window rates, fair-share
-load/utilization samples, the flow log, HDFS replica counts — never the
-chaos injector's own state.  The observatory drives them two ways:
+observable* signals — trace events, the fair-share busy-time and
+bytes-moved integrals, live flows, the namenode's replica counts — never
+the chaos injector's own state.  The observatory drives them two ways:
 
 * ``on_event(event)`` — called synchronously from tracer subscriptions
   (task attempt edges, shuffle fetches, VM lifecycle events);

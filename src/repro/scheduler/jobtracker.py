@@ -166,10 +166,6 @@ class JobScheduler:
         """Dispatchable-but-unassigned tasks of ``kind`` right now."""
         return sum(ex.pending_count(kind) for ex in self._active)
 
-    @property
-    def active_jobs(self) -> int:
-        return len(self._active)
-
     # -- elastic membership ------------------------------------------------
     def attach_tracker(self, tracker) -> None:
         """Start slot workers for a tracker joined after the first submit

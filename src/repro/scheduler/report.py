@@ -140,7 +140,3 @@ class SchedulerReport:
     @property
     def latency_p99(self) -> float:
         return self.latency_percentile(0.99)
-
-    def wait_of(self, *job_names: str) -> list[float]:
-        wanted = set(job_names)
-        return [j.wait_s for j in self.jobs if j.job_name in wanted]

@@ -25,7 +25,7 @@ _LAZY = {
     "MetricFamily": ("repro.telemetry.metrics", "MetricFamily"),
     "Counter": ("repro.telemetry.metrics", "Counter"),
     "Gauge": ("repro.telemetry.metrics", "Gauge"),
-    "Histogram": ("repro.telemetry.metrics", "Histogram"),
+    "LatencyHistogram": ("repro.telemetry.metrics", "LatencyHistogram"),
     "JobTimeline": ("repro.telemetry.timeline", "JobTimeline"),
     "CriticalPath": ("repro.telemetry.timeline", "CriticalPath"),
     "PathSegment": ("repro.telemetry.timeline", "PathSegment"),

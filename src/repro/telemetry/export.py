@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.sim.trace import Span, TraceEvent
 from repro.telemetry import events as EV
-from repro.telemetry.metrics import Histogram, MetricsRegistry
+from repro.telemetry.metrics import LatencyHistogram, MetricsRegistry
 
 #: Stable pid per category so Perfetto's track order is deterministic.
 _CATEGORY_PIDS = {
@@ -156,14 +156,17 @@ def prometheus_text(registry: MetricsRegistry) -> str:
             lines.append(f"# HELP {metric} {help_text}")
         lines.append(f"# TYPE {metric} {family.kind}")
         for labelset, child in family.items():
-            if isinstance(child, Histogram):
+            if isinstance(child, LatencyHistogram):
+                # One cumulative line per non-empty bin below the overflow
+                # bin, which only ``+Inf`` covers.
                 acc = 0
-                for bound, n in zip(child.buckets, child.bucket_counts):
-                    acc += n
-                    lines.append(
-                        f"{metric}_bucket"
-                        f"{_prom_labels(labelset, {'le': repr(bound)})}"
-                        f" {acc}")
+                for index, n in enumerate(child.counts[:-1]):
+                    if n:
+                        acc += n
+                        le = repr(child.edge(index))
+                        lines.append(
+                            f"{metric}_bucket"
+                            f"{_prom_labels(labelset, {'le': le})} {acc}")
                 lines.append(
                     f"{metric}_bucket{_prom_labels(labelset, {'le': '+Inf'})}"
                     f" {child.count}")
@@ -189,9 +192,9 @@ def metrics_csv(registry: MetricsRegistry) -> str:
         family = registry.families[name]
         for labelset, child in family.items():
             labels = ";".join(f"{k}={v}" for k, v in labelset)
-            if isinstance(child, Histogram):
-                low = child.min if child.count else ""
-                high = child.max if child.count else ""
+            if isinstance(child, LatencyHistogram):
+                low = child.min_seen if child.count else ""
+                high = child.max_seen if child.count else ""
                 writer.writerow([name, family.kind, labels, "",
                                  child.count, child.total, low, high,
                                  child.mean])
@@ -252,7 +255,8 @@ def timeseries_json(store) -> dict:
         width = series.step
         for bucket in series.tiers[0].buckets():
             hist = bucket.hist
-            buckets.append({"t": round(bucket.index * width, 6), "n": hist.n,
+            buckets.append({"t": round(bucket.index * width, 6),
+                            "n": hist.count,
                             "mean": hist.mean, "p50": hist.p50,
                             "p99": hist.p99, "max": hist.max_seen})
         hist_out.append({
@@ -300,7 +304,7 @@ def timeseries_prometheus(store, at: Optional[float] = None) -> str:
         metric = _prom_name(name)
         labels = _prom_labels(labelset)
         lines.append(f"# TYPE {metric} summary")
-        lines.append(f"{metric}_count{labels} {hist.n}")
+        lines.append(f"{metric}_count{labels} {hist.count}")
         lines.append(f"{metric}_sum{labels} {hist.total}")
         lines.append(
             f"{metric}{_prom_labels(labelset, {'quantile': '0.5'})}"

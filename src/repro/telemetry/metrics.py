@@ -13,8 +13,9 @@ type) owns one child per distinct label set.  Everything is in-memory and
 deterministic — there is no background aggregation thread, because values
 only ever change inside the single-threaded simulation.
 
-:class:`LatencyHistogram` is the registry-free, log-binned, mergeable
-histogram the service tier and the time-series store keep latencies in.
+:class:`LatencyHistogram` is the one distribution type: log-binned,
+mergeable and subtractable.  A registry histogram child is one, and so are
+the service tier's latencies and the time-series store's histogram deltas.
 
 Exporters live in :mod:`repro.telemetry.export` (Prometheus text, CSV).
 """
@@ -70,62 +71,6 @@ class Gauge:
         self.value -= amount
 
 
-class Histogram:
-    """Streaming distribution summary over fixed buckets.
-
-    Buckets are cumulative upper bounds (Prometheus style, ``+Inf``
-    implied).  Count, sum, min and max are exact; quantiles are estimated
-    from the bucket counts.
-    """
-
-    __slots__ = ("buckets", "bucket_counts", "count", "total", "min", "max")
-
-    #: Default bounds, tuned for durations in simulated seconds.
-    DEFAULT_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
-                       100.0, 250.0, 500.0, 1000.0)
-
-    def __init__(self, buckets: Optional[tuple[float, ...]] = None):
-        bounds = tuple(buckets) if buckets else self.DEFAULT_BUCKETS
-        if list(bounds) != sorted(bounds):
-            raise ConfigError(f"histogram buckets must ascend: {bounds}")
-        self.buckets = bounds
-        self.bucket_counts = [0] * (len(bounds) + 1)   # + the +Inf bucket
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Estimated q-quantile from the bucket counts (upper bound)."""
-        if not 0.0 <= q <= 1.0:
-            raise ConfigError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = max(1, math.ceil(q * self.count))  # q=0: the first sample
-        seen = 0
-        for i, n in enumerate(self.bucket_counts):
-            seen += n
-            if seen >= rank:
-                return (self.buckets[i] if i < len(self.buckets)
-                        else self.max)
-        return self.max
-
-
 class LatencyHistogram:
     """Fixed log-spaced latency histogram with deterministic quantiles.
 
@@ -135,7 +80,9 @@ class LatencyHistogram:
     deliberately not kept: at ~1M samples a sorted list dominates memory
     and wall time, while 256 bin counters do not — and two same-seed runs
     quantise identically (bin edges are pure functions of the constructor
-    arguments).  Mergeable and subtractable, so windows of them roll.
+    arguments).  ``count``, ``total``, ``min_seen`` and ``max_seen`` are
+    exact; the last bin is the overflow bin (everything above ``hi``).
+    Mergeable and subtractable, so windows of them roll.
     """
 
     def __init__(self, lo: float = 0.1, hi: float = 1e5,
@@ -148,11 +95,13 @@ class LatencyHistogram:
         self._log_lo = math.log(lo)
         self._scale = (n_bins - 1) / (math.log(hi) - self._log_lo)
         self.counts = [0] * n_bins
-        self.n = 0
+        self.count = 0
         self.total = 0.0
+        self.min_seen = _INF
         self.max_seen = 0.0
 
-    def _edge(self, index: int) -> float:
+    def edge(self, index: int) -> float:
+        """Upper edge of bin ``index``."""
         return math.exp(self._log_lo + (index + 1) / self._scale)
 
     def observe(self, value: float, *also: "LatencyHistogram") -> None:
@@ -174,30 +123,32 @@ class LatencyHistogram:
             if index >= self.n_bins:
                 index = self.n_bins - 1
         for hist in (self, *also) if also else (self,):
-            hist.n += 1
+            hist.count += 1
             hist.total += value
             if value > hist.max_seen:
                 hist.max_seen = value
+            if value < hist.min_seen:
+                hist.min_seen = value
             hist.counts[index] += 1
 
     @property
     def mean(self) -> float:
-        return self.total / self.n if self.n else 0.0
+        return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
         """Upper edge of the bin containing the q-th sample (0 if empty)."""
         if not 0.0 <= q <= 1.0:
             raise ConfigError(f"q must be in [0, 1], got {q}")
-        if self.n == 0:
+        if self.count == 0:
             return 0.0
-        rank = max(1, math.ceil(q * self.n))
+        rank = max(1, math.ceil(q * self.count))
         seen = 0
         for index, count in enumerate(self.counts):
             seen += count
             if seen >= rank:
                 if index == self.n_bins - 1:
                     return self.max_seen  # overflow bin: exact max
-                return min(self._edge(index), self.max_seen)
+                return min(self.edge(index), self.max_seen)
         return self.max_seen
 
     @property
@@ -216,13 +167,13 @@ class LatencyHistogram:
         answers in upper edges, so ``fraction_above(quantile(q)) <= 1-q``
         deterministically.  Returns 0.0 when empty.
         """
-        if self.n == 0:
+        if self.count == 0:
             return 0.0
         bad = 0
         for index, count in enumerate(self.counts):
-            if count and self._edge(index) > threshold:
+            if count and self.edge(index) > threshold:
                 bad += count
-        return bad / self.n
+        return bad / self.count
 
     def _check_bins(self, other: "LatencyHistogram", verb: str) -> None:
         if (other.lo, other.hi, other.n_bins) != (self.lo, self.hi,
@@ -234,18 +185,20 @@ class LatencyHistogram:
         self._check_bins(other, "merge")
         for index, count in enumerate(other.counts):
             self.counts[index] += count
-        self.n += other.n
+        self.count += other.count
         self.total += other.total
+        self.min_seen = min(self.min_seen, other.min_seen)
         self.max_seen = max(self.max_seen, other.max_seen)
 
     def subtract(self, other: "LatencyHistogram") -> None:
-        """Undo an earlier :meth:`merge` of ``other`` (counts, ``n`` and
-        ``total``).  ``max_seen`` is left alone — a maximum cannot be
-        un-merged; a caller that knows the remaining parts sets it."""
+        """Undo an earlier :meth:`merge` of ``other`` (counts, ``count``
+        and ``total``).  ``min_seen`` and ``max_seen`` are left alone — an
+        extreme cannot be un-merged; a caller that knows the remaining
+        parts sets it."""
         self._check_bins(other, "subtract")
         for index, count in enumerate(other.counts):
             self.counts[index] -= count
-        self.n -= other.n
+        self.count -= other.count
         self.total -= other.total
 
 
@@ -256,7 +209,6 @@ class MetricFamily:
     name: str
     kind: str                    # "counter" | "gauge" | "histogram"
     help: str = ""
-    buckets: Optional[tuple[float, ...]] = None
     children: dict[LabelSet, object] = field(default_factory=dict)
 
     def child(self, labels: LabelSet):
@@ -264,7 +216,7 @@ class MetricFamily:
             return self.children[labels]
         except KeyError:
             made = {"counter": Counter, "gauge": Gauge,
-                    "histogram": lambda: Histogram(self.buckets)}[self.kind]()
+                    "histogram": LatencyHistogram}[self.kind]()
             self.children[labels] = made
             return made
 
@@ -279,12 +231,10 @@ class MetricsRegistry:
         self.families: dict[str, MetricFamily] = {}
 
     # -- family accessors -----------------------------------------------------
-    def _family(self, name: str, kind: str, help: str,
-                buckets: Optional[tuple[float, ...]] = None) -> MetricFamily:
+    def _family(self, name: str, kind: str, help: str) -> MetricFamily:
         family = self.families.get(name)
         if family is None:
-            family = MetricFamily(name=name, kind=kind, help=help,
-                                  buckets=buckets)
+            family = MetricFamily(name=name, kind=kind, help=help)
             self.families[name] = family
         elif family.kind != kind:
             raise ConfigError(
@@ -301,10 +251,9 @@ class MetricsRegistry:
         return self._family(name, "gauge", help).child(_labelset(labels))
 
     def histogram(self, name: str, help: str = "",
-                  labels: Optional[Mapping[str, str]] = None,
-                  buckets: Optional[tuple[float, ...]] = None) -> Histogram:
-        return self._family(name, "histogram", help,
-                            buckets=buckets).child(_labelset(labels))
+                  labels: Optional[Mapping[str, str]] = None
+                  ) -> LatencyHistogram:
+        return self._family(name, "histogram", help).child(_labelset(labels))
 
     # -- reading --------------------------------------------------------------
     def get(self, name: str,

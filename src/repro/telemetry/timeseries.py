@@ -319,7 +319,7 @@ class HistogramSeries:
     def observe(self, at: float, hist: LatencyHistogram) -> None:
         """Merge one interval's histogram delta into every tier that
         still retains ``at``."""
-        if hist.n == 0:
+        if hist.count == 0:
             return
         for tier in self.tiers:
             bucket = tier.bucket_for(at)
@@ -352,7 +352,7 @@ class HistogramSeries:
             for bucket in tier.buckets():
                 hist = bucket.hist
                 counts = ",".join(str(c) for c in hist.counts if c) or "0"
-                h.update((f"t{ti}|{bucket.index}|{hist.n}|"
+                h.update((f"t{ti}|{bucket.index}|{hist.count}|"
                           f"{_fmt(hist.total)}|{_fmt(hist.max_seen)}|"
                           f"{counts}\n").encode("utf-8"))
 
@@ -459,9 +459,9 @@ class TimeSeriesStore:
         """Snapshot every counter/gauge child into a same-named series.
 
         Returns the number of samples recorded.  Metric histograms are
-        skipped — their bucket layout differs from the latency
-        histograms this store can merge; record those explicitly via
-        :meth:`record_histogram`.
+        skipped — a registry histogram is cumulative since the run began,
+        while a histogram series merges interval deltas; record those
+        explicitly via :meth:`record_histogram`.
         """
         if self.registry is None:
             raise ConfigError("store has no metrics registry to sample")

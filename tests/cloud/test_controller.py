@@ -72,7 +72,7 @@ def test_surrogate_run_conserves_requests():
     assert c["submitted"] == (c["admitted"] + c["rejected_quota"]
                               + c["rejected_overload"])
     assert c["completed"] + c["failed"] == c["admitted"]  # fully drained
-    assert report.latency.n == c["completed"]
+    assert report.latency.count == c["completed"]
     # Tenant stats roll up to the service totals.
     per_tenant = sum(report.tenants.stats(n).submitted
                      for n in report.tenants.names)

@@ -218,7 +218,8 @@ def test_repeated_shrink_ticks_on_a_busy_pool_stop_at_min_size():
 # -- one bin lookup for several histograms ---------------------------------
 
 def _state(hist):
-    return (list(hist.counts), hist.n, hist.total, hist.max_seen)
+    return (list(hist.counts), hist.count, hist.total, hist.min_seen,
+            hist.max_seen)
 
 
 _LATENCIES = st.lists(st.floats(0.0, 2e5, allow_nan=False), max_size=40)
@@ -245,20 +246,21 @@ def test_multi_histogram_observe_equals_single_observes(values, n_also):
 @settings(max_examples=100, deadline=None)
 def test_subtract_undoes_merge(kept, other):
     """``merge`` then ``subtract`` of the same histogram restores the bin
-    counts and ``n`` exactly and ``total`` to rounding; ``max_seen`` is
-    the one field a subtraction cannot restore and does not touch."""
+    counts and ``count`` exactly and ``total`` to rounding; ``min_seen``
+    and ``max_seen`` are the fields a subtraction cannot restore and does
+    not touch."""
     hist, part = LatencyHistogram(), LatencyHistogram()
     for value in kept:
         hist.observe(value)
     for value in other:
         part.observe(value)
-    counts, n, total, _ = _state(hist)
+    counts, n, total, _, _ = _state(hist)
     hist.merge(part)
-    merged_max = hist.max_seen
+    merged_extremes = (hist.min_seen, hist.max_seen)
     hist.subtract(part)
-    assert (hist.counts, hist.n) == (counts, n)
+    assert (hist.counts, hist.count) == (counts, n)
     assert hist.total == pytest.approx(total, abs=1e-6 * (1 + part.total))
-    assert hist.max_seen == merged_max
+    assert (hist.min_seen, hist.max_seen) == merged_extremes
     with pytest.raises(ConfigError):
         hist.subtract(LatencyHistogram(n_bins=16))
 
@@ -276,4 +278,4 @@ def test_a_rejected_observation_leaves_every_histogram_untouched(bad):
     with pytest.raises(ConfigError):    # layouts differ: nothing recorded
         first.observe(5.0, second, LatencyHistogram(n_bins=16))
     assert (_state(first), _state(second)) == before
-    assert first.n == sum(first.counts)
+    assert first.count == sum(first.counts)

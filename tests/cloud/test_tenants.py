@@ -81,7 +81,7 @@ def test_histogram_edges_and_overflow():
     assert hist.quantile(0.0) > 0.0
     assert hist.quantile(1.0) == 1e6
     assert hist.max_seen == 1e6
-    assert hist.n == 2
+    assert hist.count == 2
     with pytest.raises(ConfigError):
         hist.observe(-1.0)
     assert LatencyHistogram().quantile(0.5) == 0.0  # empty -> 0
@@ -93,8 +93,9 @@ def test_histogram_merge_equals_union():
         (a if i % 2 else b).observe(v)
         union.observe(v)
     a.merge(b)
-    assert a.n == union.n
+    assert a.count == union.count
     assert a.counts == union.counts
+    assert (a.min_seen, a.max_seen) == (union.min_seen, union.max_seen)
     assert a.quantile(0.99) == union.quantile(0.99)
     with pytest.raises(ConfigError):
         a.merge(LatencyHistogram(n_bins=16))

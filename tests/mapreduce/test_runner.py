@@ -1,6 +1,7 @@
 """Integration tests for the timed cluster MapReduce runner."""
 
 import collections
+import dataclasses
 
 import pytest
 
@@ -9,8 +10,7 @@ from repro.config import HadoopConfig, PlatformConfig
 from repro.errors import JobConfigError, TaskFailure
 from repro.mapreduce import Job, LocalJobRunner, Mapper, Reducer
 from repro.platform import ClusterSpec, VHadoopPlatform
-from repro.workloads.wordcount import (WordCountMapper, WordCountReducer,
-                                       lines_as_records, line_record_sizeof,
+from repro.workloads.wordcount import (lines_as_records, line_record_sizeof,
                                        wordcount_job)
 
 LINES = ["the quick brown fox", "jumps over the lazy dog",
@@ -211,3 +211,37 @@ def test_cross_domain_job_slower_than_normal():
         job = wordcount_job("/big", "/out", n_reduces=4, volume_scale=50)
         elapsed[layout] = platform.run_job(cluster, job).elapsed
     assert elapsed["cross-domain"] > elapsed["normal"]
+
+
+def run_scaled_wordcounts():
+    """Two 2,000-line volume-scaled Wordcounts (different names and reduce
+    counts) on one cluster; returns (registry, reports)."""
+    platform, cluster = make_cluster()
+    lines = ["mu nu xi omicron pi " * 10] * 2000
+    platform.upload(cluster, "/in", lines_as_records(lines),
+                    sizeof=lambda r: (len(r[1]) + 1) * 60, timed=False)
+    reports = []
+    for name, n_reduces in (("wc-a", 4), ("wc-b", 2)):
+        job = dataclasses.replace(
+            wordcount_job("/in", f"/out-{name}", n_reduces=n_reduces,
+                          volume_scale=60), name=name)
+        reports.append(platform.run_job(cluster, job))
+    return platform.datacenter.metrics, reports
+
+
+def test_task_duration_count_equals_report_attempts():
+    registry, reports = run_scaled_wordcounts()
+    family = registry.families["mapreduce.task.duration"]
+    assert (sum(child.count for _labels, child in family.items())
+            == sum(len(report.tasks) for report in reports))
+
+
+def test_partition_mib_in_range_one_observation_per_reduce_attempt():
+    registry, reports = run_scaled_wordcounts()
+    for report in reports:
+        child = registry.get("mapreduce.shuffle.partition_mib",
+                             {"job": report.job_name})
+        reduces = [t for t in report.tasks if t.kind == "reduce"]
+        assert child.count == len(reduces) == report.n_reduces
+        assert child.counts[-1] == 0            # nothing in the overflow bin
+        assert child.total == pytest.approx(report.shuffle_bytes / C.MiB)

@@ -70,21 +70,23 @@ def test_prometheus_text_counters_gauges_histograms():
     registry = MetricsRegistry()
     registry.counter("jobs.done", "completed", {"pool": "p0"}).inc(3)
     registry.gauge("slots.free").set(4)
-    hist = registry.histogram("task.duration", "secs",
-                              buckets=(1.0, 10.0))
+    hist = registry.histogram("task.duration", "secs")
     hist.observe(0.5)
     hist.observe(5.0)
     hist.observe(50.0)
+    hist.observe(1e9)                           # overflow bin: +Inf only
     text = prometheus_text(registry)
     assert '# TYPE jobs_done counter' in text
     assert 'jobs_done{pool="p0"} 3.0' in text
     assert "slots_free 4" in text
-    # Cumulative buckets: 1 ≤1.0, 2 ≤10.0, 3 total.
-    assert 'task_duration_bucket{le="1.0"} 1' in text
-    assert 'task_duration_bucket{le="10.0"} 2' in text
-    assert 'task_duration_bucket{le="+Inf"} 3' in text
-    assert "task_duration_count 3" in text
-    assert "task_duration_sum 55.5" in text
+    # One cumulative line per non-empty bin, at that bin's upper edge.
+    edges = [repr(hist.edge(i)) for i, n in enumerate(hist.counts) if n]
+    for acc, le in enumerate(edges[:3], start=1):
+        assert f'task_duration_bucket{{le="{le}"}} {acc}' in text
+    assert text.count("task_duration_bucket") == 4
+    assert 'task_duration_bucket{le="+Inf"} 4' in text
+    assert "task_duration_count 4" in text
+    assert "task_duration_sum 1000000055.5" in text
 
 
 def test_metrics_csv_shape():

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry import (Counter, Gauge, LatencyHistogram,
+                             MetricsRegistry)
 
 
 def test_counter_accumulates_and_rejects_negative():
@@ -48,27 +49,33 @@ def test_kind_mismatch_raises():
         registry.gauge("x")
 
 
-def test_histogram_statistics_and_buckets():
-    histogram = Histogram(buckets=(1.0, 10.0, 100.0))
+def test_registry_histogram_is_a_latency_histogram():
+    registry = MetricsRegistry()
+    histogram = registry.histogram("task.duration", "secs", {"job": "wc"})
+    assert isinstance(histogram, LatencyHistogram)
     for value in (0.5, 5.0, 50.0, 500.0):
         histogram.observe(value)
-    assert histogram.count == 4
+    assert registry.get("task.duration", {"job": "wc"}) is histogram
+    assert histogram.count == 4 == sum(histogram.counts)
     assert histogram.total == pytest.approx(555.5)
-    assert histogram.min == 0.5
-    assert histogram.max == 500.0
+    assert histogram.min_seen == 0.5
+    assert histogram.max_seen == 500.0
     assert histogram.mean == pytest.approx(138.875)
-    # One observation per bucket, one in +Inf.
-    assert histogram.bucket_counts == [1, 1, 1, 1]
-    assert histogram.quantile(0.0) <= histogram.quantile(1.0)
+    # The 0-quantile is the first sample's bin, never an edge below min.
+    assert histogram.min_seen <= histogram.quantile(0.0) < 1.0
+    assert histogram.quantile(1.0) == 500.0
 
 
-def test_histogram_quantile_zero_skips_empty_leading_buckets():
-    histogram = Histogram(buckets=(1.0, 10.0, 100.0))
-    histogram.observe(50.0)
-    histogram.observe(60.0)
-    # The 0-quantile is the first sample's bucket, never a bound below min.
-    assert histogram.quantile(0.0) == 100.0 >= histogram.min
-    assert histogram.quantile(0.5) == histogram.quantile(1.0) == 100.0
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_registry_histogram_rejects_bad_values_untouched(bad):
+    histogram = MetricsRegistry().histogram("h")
+    histogram.observe(3.0)
+    before = (list(histogram.counts), histogram.count, histogram.total,
+              histogram.min_seen, histogram.max_seen)
+    with pytest.raises(ConfigError):
+        histogram.observe(bad)
+    assert (list(histogram.counts), histogram.count, histogram.total,
+            histogram.min_seen, histogram.max_seen) == before
 
 
 def test_registry_get_and_clear():

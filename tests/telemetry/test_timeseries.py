@@ -106,7 +106,7 @@ def test_quantile_over_time_merges_covered_buckets():
     slow = series.quantile_over_time(0.99, 0.0, 20.0)
     assert fast < 2.0                           # only the fast interval
     assert slow >= 100.0                        # merge includes the spike
-    assert series.merged_over(0.0, 20.0).n == 6
+    assert series.merged_over(0.0, 20.0).count == 6
     assert series.quantile_over_time(0.5, 500.0, 600.0) == 0.0
 
 
@@ -124,7 +124,7 @@ def test_histogram_series_digest_tracks_content():
 def test_empty_delta_is_ignored():
     series = HistogramSeries("lat")
     series.observe(0.0, LatencyHistogram())
-    assert series.merged_over(0.0, 10.0).n == 0
+    assert series.merged_over(0.0, 10.0).count == 0
 
 
 # -- TimeSeriesStore ---------------------------------------------------------
@@ -157,7 +157,7 @@ def test_registry_sampler_snapshots_counters_and_gauges():
     registry = MetricsRegistry()
     counter = registry.counter("jobs.done", "d", {"q": "a"})
     gauge = registry.gauge("util", "u")
-    registry.histogram("skipped.hist", "h", buckets=(1.0,)).observe(0.5)
+    registry.histogram("skipped.hist", "h").observe(0.5)
     store = TimeSeriesStore(sim, registry=registry, step=5.0)
     store.start()
     counter.inc(3)
@@ -215,9 +215,9 @@ def test_late_histogram_delta_is_skipped_not_merged_over_newer():
     series = HistogramSeries("lat", step=5.0, capacity=4)
     series.observe(100.0, delta(1.0))
     series.observe(0.0, delta(50.0, 50.0))
-    assert series.merged_over(95.0, 105.0, tier=0).n == 1
-    assert series.merged_over(0.0, 5.0, tier=0).n == 0
-    assert series.merged_over(0.0, 50.0, tier=1).n == 2   # x10 retains t=0
+    assert series.merged_over(95.0, 105.0, tier=0).count == 1
+    assert series.merged_over(0.0, 5.0, tier=0).count == 0
+    assert series.merged_over(0.0, 50.0, tier=1).count == 2   # x10 retains t=0
 
 
 def model(samples, step, capacity):

@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.datasets.memo import cached
+
 SAMPLE_COMPONENTS = (
     ((1.0, 1.0), 3.0, 500),
     ((1.0, 0.0), 0.5, 300),
@@ -26,8 +28,13 @@ SAMPLE_COMPONENTS = (
 def generate_sample_data(rng: Optional[np.random.Generator] = None,
                          components=SAMPLE_COMPONENTS
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(X, component_labels)`` with X of shape (N, 2)."""
-    rng = rng or np.random.default_rng(0)
+    """Return ``(X, component_labels)`` with X of shape (N, 2) (memoized,
+    :mod:`repro.datasets.memo`)."""
+    return cached(_generate, rng or np.random.default_rng(0), components)
+
+
+def _generate(rng: np.random.Generator, components
+              ) -> tuple[np.ndarray, np.ndarray]:
     points = []
     labels = []
     for index, (center, sigma, count) in enumerate(components):

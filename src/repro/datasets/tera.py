@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.datasets.memo import cached
+
 TERA_RECORD_BYTES = 100
 TERA_KEY_BYTES = 10
 
@@ -32,10 +34,14 @@ class TeraRecord:
 
 def teragen(n_records: int, rng: Optional[np.random.Generator] = None
             ) -> list[TeraRecord]:
-    """Generate ``n_records`` records with uniformly random keys."""
+    """Generate ``n_records`` records with uniformly random keys (memoized,
+    :mod:`repro.datasets.memo`)."""
     if n_records < 0:
         raise ValueError("n_records must be >= 0")
-    rng = rng or np.random.default_rng(0)
+    return cached(_teragen, rng or np.random.default_rng(0), n_records)
+
+
+def _teragen(rng: np.random.Generator, n_records: int) -> list[TeraRecord]:
     keys = rng.integers(0, 256, size=(n_records, TERA_KEY_BYTES),
                         dtype=np.uint8)
     return [TeraRecord(bytes(keys[i].tobytes()), i) for i in range(n_records)]

@@ -6,9 +6,9 @@ vHadoop platform: every master/worker VM is sampled in parallel and the
 performance bottleneck (their conclusion: network I/O and NFS disk I/O).
 """
 
-from repro.monitor.nmon import NmonMonitor, NmonSample, NodeSeries
+from repro.monitor.nmon import NmonMonitor
 from repro.monitor.analyser import (BottleneckReport, NmonAnalyser,
                                     SeriesSummary)
 
-__all__ = ["BottleneckReport", "NmonAnalyser", "NmonMonitor", "NmonSample",
-           "NodeSeries", "SeriesSummary"]
+__all__ = ["BottleneckReport", "NmonAnalyser", "NmonMonitor",
+           "SeriesSummary"]

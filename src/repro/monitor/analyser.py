@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import MonitorError
-from repro.monitor.nmon import NmonMonitor, NodeSeries
+from repro.monitor.nmon import (CPU, DISK, MEMORY, NET_RX, NET_TX,
+                                NmonMonitor, vm_buckets)
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,18 @@ class BottleneckReport:
         return ranked[:n]
 
 
+def _whole_run(store, vm: str, name: str) -> tuple[int, float, float]:
+    """``(count, total, max)`` of one VM's series over the whole run.
+
+    Read from the coarsest tier, which retains the longest; count, total
+    and max merge exactly across buckets, so any tier that still holds
+    every sample gives the same aggregates.
+    """
+    buckets = vm_buckets(store, vm, name, tier=-1)
+    return (sum(b.count for b in buckets), sum(b.total for b in buckets),
+            max((b.max for b in buckets), default=0.0))
+
+
 class NmonAnalyser:
     """Turns monitor series (and shared-resource counters) into reports."""
 
@@ -67,31 +80,30 @@ class NmonAnalyser:
         self.monitor = monitor
 
     def summarize(self, vm_name: str) -> SeriesSummary:
-        series = self.monitor.node(vm_name)
-        return self._summarize(series)
+        summary = self._summarize(vm_name)
+        if summary is None:
+            raise MonitorError(f"no samples collected for {vm_name}")
+        return summary
 
-    @staticmethod
-    def _summarize(series: NodeSeries) -> SeriesSummary:
-        if not series.samples:
-            raise MonitorError(f"no samples collected for {series.vm}")
-        cpu = np.asarray(series.column("cpu_util"))
-        memory = np.asarray(series.column("memory_fraction"))
-        disk = np.asarray(series.column("disk_bytes_delta"))
-        tx = np.asarray(series.column("net_tx_delta"))
-        rx = np.asarray(series.column("net_rx_delta"))
+    def _summarize(self, vm: str) -> Optional[SeriesSummary]:
+        store = self.monitor.store
+        n, cpu_total, cpu_peak = _whole_run(store, vm, CPU)
+        if not n:
+            return None
         return SeriesSummary(
-            vm=series.vm,
-            n_samples=len(series),
-            cpu_mean=float(cpu.mean()),
-            cpu_peak=float(cpu.max()),
-            memory_mean=float(memory.mean()),
-            disk_bytes_total=float(disk.sum()),
-            net_bytes_total=float((tx + rx).sum()),
+            vm=vm,
+            n_samples=n,
+            cpu_mean=cpu_total / n,
+            cpu_peak=cpu_peak,
+            memory_mean=_whole_run(store, vm, MEMORY)[1] / n,
+            disk_bytes_total=_whole_run(store, vm, DISK)[1],
+            net_bytes_total=(_whole_run(store, vm, NET_TX)[1]
+                             + _whole_run(store, vm, NET_RX)[1]),
         )
 
     def summaries(self) -> list[SeriesSummary]:
-        return [self._summarize(s) for s in self.monitor.series.values()
-                if s.samples]
+        found = (self._summarize(vm.name) for vm in self.monitor.vms)
+        return [summary for summary in found if summary is not None]
 
     def bottleneck(self, shared_resources: Optional[Sequence] = None,
                    now: Optional[float] = None) -> BottleneckReport:

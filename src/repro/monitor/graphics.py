@@ -1,14 +1,16 @@
 """nmon-analyser graphics, terminal edition.
 
 The real nmon analyser is an Excel workbook that turns nmon output files
-into utilization charts.  This module renders the same views as text:
+into utilization charts.  This module renders the same views as text,
+from the raw tier of the monitor's time-series store (one column per
+raw-tier bucket, i.e. per sample interval):
 
 * :func:`sparkline` — one metric of one node as a unicode sparkline;
 * :func:`render_node_timeline` — the four resource classes of one node,
   stacked;
 * :func:`render_cluster_heatmap` — one metric across all nodes over time
-  (rows = nodes, columns = samples) — the view that makes imbalance and
-  cross-domain hotspots visible at a glance.
+  (rows = nodes, columns = sample times) — the view that makes imbalance
+  and cross-domain hotspots visible at a glance.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import MonitorError
-from repro.monitor.nmon import NmonMonitor, NodeSeries
+from repro.monitor.nmon import (CPU, DISK, MEMORY, NET_RX, NET_TX,
+                                vm_buckets)
+from repro.telemetry.timeseries import TimeSeriesStore
 
 _TICKS = " ▁▂▃▄▅▆▇█"
 _HEAT = " .:-=+*#%@"
@@ -39,19 +43,23 @@ def sparkline(values: Sequence[float]) -> str:
     return "".join(_TICKS[i] for i in _scale(values, len(_TICKS)))
 
 
-def render_node_timeline(series: NodeSeries) -> str:
+def _means(store: TimeSeriesStore, vm: str, name: str) -> dict[int, float]:
+    """Raw-tier bucket index -> mean sample value of one VM's series."""
+    return {b.index: b.mean for b in vm_buckets(store, vm, name)}
+
+
+def render_node_timeline(store: TimeSeriesStore, vm: str) -> str:
     """cpu / memory / disk / net sparklines for one node."""
-    if not series.samples:
-        raise MonitorError(f"no samples for {series.vm}")
-    rows = [
-        ("cpu", series.column("cpu_util")),
-        ("mem", series.column("memory_fraction")),
-        ("disk", series.column("disk_bytes_delta")),
-        ("net", [tx + rx for tx, rx in zip(series.column("net_tx_delta"),
-                                           series.column("net_rx_delta"))]),
-    ]
+    cpu = _means(store, vm, CPU)
+    if not cpu:
+        raise MonitorError(f"no samples for {vm}")
+    tx, rx = _means(store, vm, NET_TX), _means(store, vm, NET_RX)
+    rows = [("cpu", cpu.values()),
+            ("mem", _means(store, vm, MEMORY).values()),
+            ("disk", _means(store, vm, DISK).values()),
+            ("net", [tx[i] + rx[i] for i in tx])]
     width = max(len(name) for name, _v in rows)
-    lines = [f"== {series.vm} =="]
+    lines = [f"== {vm} =="]
     for name, values in rows:
         peak = max(values) if values else 0.0
         lines.append(f"{name:>{width}s} |{sparkline(values)}| "
@@ -59,28 +67,28 @@ def render_node_timeline(series: NodeSeries) -> str:
     return "\n".join(lines)
 
 
-def render_cluster_heatmap(monitor: NmonMonitor, metric: str = "cpu_util"
-                           ) -> str:
-    """Node x time heatmap of one metric across the whole cluster."""
-    names = sorted(monitor.series)
-    columns = []
-    for name in names:
-        series = monitor.series[name]
-        if not series.samples:
-            raise MonitorError(f"no samples for {name}")
-        columns.append(series.column(metric))
-    n_samples = min(len(c) for c in columns)
-    matrix = np.asarray([c[:n_samples] for c in columns], dtype=float)
-    top = matrix.max()
+def render_cluster_heatmap(store: TimeSeriesStore, metric: str = CPU) -> str:
+    """Node x time heatmap of one monitor series across the whole cluster.
+
+    Columns are raw-tier bucket indices, shared by every row, so a VM that
+    joined late (or missed samples) shows blanks where it has none.
+    """
+    vms = [dict(labels)["vm"] for (name, labels), _ in store.items()
+           if name == metric]
+    rows = {vm: cells for vm in vms if (cells := _means(store, vm, metric))}
+    if not rows:
+        raise MonitorError(f"no samples of {metric}")
+    last = max(max(cells) for cells in rows.values())
+    first = max(last - store.capacity + 1,
+                min(min(cells) for cells in rows.values()))
+    top = max(max(cells.values()) for cells in rows.values())
     lines = [f"== cluster heatmap: {metric} (peak={top:.3g}) =="]
-    width = max(len(n) for n in names)
-    for name, row in zip(names, matrix):
-        if top > 0:
-            glyphs = "".join(
-                _HEAT[min(len(_HEAT) - 1,
-                          int(v / top * (len(_HEAT) - 1) + 0.5))]
-                for v in row)
-        else:
-            glyphs = " " * n_samples
-        lines.append(f"{name:>{width}s} |{glyphs}|")
+    width = max(len(vm) for vm in rows)
+    for vm, cells in rows.items():
+        glyphs = "".join(
+            " " if index not in cells or top <= 0
+            else _HEAT[min(len(_HEAT) - 1,
+                           int(cells[index] / top * (len(_HEAT) - 1) + 0.5))]
+            for index in range(first, last + 1))
+        lines.append(f"{vm:>{width}s} |{glyphs}|")
     return "\n".join(lines)

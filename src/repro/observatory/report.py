@@ -14,10 +14,10 @@ results directory offline.  It shows three sections:
 from __future__ import annotations
 
 import html as _html
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.monitor.nmon import CPU, DISK, NET_RX, NET_TX, TASKS, vm_buckets
 from repro.observatory.attribution import (CLASSES, JobBottleneckReport)
 from repro.observatory.htmlkit import (CLASS_COLOURS as _CLASS_COLOURS,
                                        SEVERITY_COLOURS as _SEVERITY_COLOURS,
@@ -25,9 +25,9 @@ from repro.observatory.htmlkit import (CLASS_COLOURS as _CLASS_COLOURS,
 from repro.observatory.slo import Alert
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.monitor.nmon import NmonMonitor
     from repro.observatory.core import Observatory
     from repro.telemetry.timeline import CriticalPath, JobTimeline
+    from repro.telemetry.timeseries import TimeSeriesStore
 
 
 @dataclass(frozen=True)
@@ -52,27 +52,34 @@ class WindowSummary:
         return self.net_bytes / self.span_s if self.span_s > 0 else 0.0
 
 
-def window_summaries(monitor: "NmonMonitor", now: float,
-                     window_s: float) -> list[WindowSummary]:
-    """Per-VM aggregates of the samples taken in ``[now - window_s, now]``."""
+def window_summaries(store: "TimeSeriesStore", vms: Sequence[str],
+                     now: float, window_s: float) -> list[WindowSummary]:
+    """Per-VM aggregates of the nmon samples in ``[now - window_s, now]``:
+    the raw-tier buckets whose last sample is at or after the cutoff."""
     cutoff = now - window_s
+
+    def tail(vm: str, name: str) -> list:
+        return [b for b in vm_buckets(store, vm, name) if b.last_at >= cutoff]
+
+    def total(vm: str, name: str) -> float:
+        return sum(b.total for b in tail(vm, name))
+
     out = []
-    for vm in sorted(monitor.series):
-        samples = monitor.series[vm].samples
-        tail = samples[bisect_left(samples, cutoff, key=lambda s: s.time):]
-        n = len(tail)
+    for vm in sorted(vms):
+        cpu = tail(vm, CPU)
+        n = sum(b.count for b in cpu)
         if not n:
             out.append(WindowSummary(vm, 0, 0.0, 0.0, 0.0, 0.0, 0.0))
             continue
         # A sample's deltas cover the interval before it, so even a single
-        # sample spans one monitor interval.
-        span = min(window_s, max(now - tail[0].time, monitor.interval))
+        # sample spans one sampling interval (the store's step).
+        span = min(window_s, max(now - cpu[0].last_at, store.step))
         out.append(WindowSummary(
             vm=vm, n_samples=n, span_s=span,
-            cpu_mean=sum(s.cpu_util for s in tail) / n,
-            disk_bytes=sum(s.disk_bytes_delta for s in tail),
-            net_bytes=sum(s.net_tx_delta + s.net_rx_delta for s in tail),
-            activity_mean=sum(s.activity for s in tail) / n))
+            cpu_mean=total(vm, CPU) / n,
+            disk_bytes=total(vm, DISK),
+            net_bytes=total(vm, NET_TX) + total(vm, NET_RX),
+            activity_mean=total(vm, TASKS) / n))
     return out
 
 
@@ -226,9 +233,11 @@ def build_report(obs: "Observatory", job: Optional[str] = None
         path = timeline.critical_path()
         if obs.telemetry.flow_log is not None:
             attribution = obs.telemetry.attribution(job)
-    window = (window_summaries(obs.telemetry.monitor, obs.sim.now,
-                               obs.window_s)
-              if obs.telemetry.vms else [])
+    telemetry = obs.telemetry
+    window = (window_summaries(telemetry.timeseries,
+                               [vm.name for vm in telemetry.monitor.vms],
+                               obs.sim.now, obs.window_s)
+              if telemetry.vms else [])
     return ObservatoryReport(
         generated_at=obs.sim.now, digest=obs.digest(),
         alerts=obs.alerts(), window=window, job=job,

@@ -4,8 +4,10 @@ Everything observable about a running platform hangs off this object:
 
 * ``telemetry.tracer`` — the shared event/span log;
 * ``telemetry.metrics`` — the labelled :class:`MetricsRegistry`;
+* ``telemetry.timeseries`` — the bounded sample history;
 * ``telemetry.monitor`` / ``telemetry.analyser`` — the nmon sampling loop
-  and its aggregates (created lazily, owned by the facade);
+  (recording into ``telemetry.timeseries``) and its aggregates (created
+  lazily, owned by the facade);
 * ``telemetry.bottleneck()`` — the paper's platform diagnosis, folding in
   the shared fair-share resources (host NICs, netback, NFS);
 * ``telemetry.job_timeline()`` / ``critical_path()`` — span analysis;
@@ -41,19 +43,13 @@ class Telemetry:
     def __init__(self, sim, tracer: Tracer,
                  metrics: Optional[MetricsRegistry] = None,
                  vms: Optional[Sequence["VirtualMachine"]] = None,
-                 datacenter: Optional["Datacenter"] = None,
-                 monitor_interval: float = 5.0):
+                 datacenter: Optional["Datacenter"] = None):
         self.sim = sim
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.datacenter = datacenter
-        self.monitor_interval = monitor_interval
         self._vms = list(vms) if vms is not None else None
         self._monitor: Optional["NmonMonitor"] = None
-        #: vm name -> cached metric instruments for the nmon sample mirror
-        #: (the per-sample family/label-set resolution dominated monitor
-        #: overhead at 64 VMs).
-        self._sample_instruments: dict[str, list] = {}
         self._analyser: Optional["NmonAnalyser"] = None
         self._flow_log: Optional["FlowLog"] = None
         self._timeseries: Optional["TimeSeriesStore"] = None
@@ -74,22 +70,20 @@ class Telemetry:
         if self._vms is not None and vm not in self._vms:
             self._vms.append(vm)
         if self._monitor is not None and vm not in self._monitor.vms:
-            from repro.monitor.nmon import NodeSeries
             self._monitor.vms.append(vm)
-            self._monitor.series.setdefault(vm.name, NodeSeries(vm.name))
 
     # -- nmon monitor ------------------------------------------------------
     @property
     def monitor(self) -> "NmonMonitor":
-        """The facade's nmon monitor (created on first access)."""
+        """The facade's nmon monitor (created on first access), recording
+        into :attr:`timeseries`."""
         if self._monitor is None:
             from repro.monitor.nmon import NmonMonitor
             vms = self.vms
             if not vms:
                 raise MonitorError(
                     "telemetry scope has no VMs to monitor yet")
-            self._monitor = NmonMonitor(vms, interval=self.monitor_interval)
-            self._monitor.on_sample = self._record_sample
+            self._monitor = NmonMonitor(vms, self.timeseries)
         return self._monitor
 
     @property
@@ -101,74 +95,40 @@ class Telemetry:
 
     def start_monitor(self, interval: Optional[float] = None
                       ) -> "NmonMonitor":
-        """Begin nmon sampling on this scope's VMs; returns the monitor."""
-        if interval is not None and self._monitor is None:
-            self.monitor_interval = interval
-        monitor = self.monitor
+        """Begin nmon sampling on this scope's VMs; returns the monitor.
+        ``interval`` sets the store's one ``step`` (see
+        :meth:`start_timeseries`)."""
         if interval is not None:
-            monitor.interval = float(interval)
-        monitor.start()
-        return monitor
+            self.timeseries.step = interval
+        self.monitor.start()
+        return self.monitor
 
     def stop_monitor(self) -> None:
         if self._monitor is not None:
             self._monitor.stop()
 
-    def _record_sample(self, sample) -> None:
-        """Mirror each nmon sample into the metrics registry."""
-        inst = self._sample_instruments.get(sample.vm)
-        if inst is None:
-            labels = {"vm": sample.vm}
-            # The I/O counter slots stay None until first use so an idle
-            # VM exports no zero-valued counter series (same visible
-            # behaviour as resolving them per sample).
-            inst = [labels,
-                    self.metrics.gauge("vm.cpu.utilization",
-                                       "VCPU load fraction", labels),
-                    self.metrics.gauge("vm.memory.fraction",
-                                       "resident memory fraction", labels),
-                    self.metrics.gauge("vm.tasks.running",
-                                       "running tasks", labels),
-                    None, None]
-            self._sample_instruments[sample.vm] = inst
-        inst[1].set(sample.cpu_util)
-        inst[2].set(sample.memory_fraction)
-        inst[3].set(sample.activity)
-        if sample.disk_bytes_delta > 0:
-            if inst[4] is None:
-                inst[4] = self.metrics.counter(
-                    "vm.disk.bytes", "virtual-disk I/O", inst[0])
-            inst[4].inc(sample.disk_bytes_delta)
-        net = sample.net_tx_delta + sample.net_rx_delta
-        if net > 0:
-            if inst[5] is None:
-                inst[5] = self.metrics.counter(
-                    "vm.net.bytes", "VM network I/O", inst[0])
-            inst[5].inc(net)
-
     # -- time-series store -------------------------------------------------
     @property
     def timeseries(self) -> "TimeSeriesStore":
-        """The scope's historical metrics store (created on first access).
-
-        Passive until :meth:`start_timeseries` begins the periodic
-        registry sampler; subsystems may also :meth:`record
-        <repro.telemetry.timeseries.TimeSeriesStore.record>` into it
-        directly.
-        """
+        """The scope's one sample history (created on first access): the
+        nmon monitor records its per-VM series here, :meth:`start_timeseries`
+        adds the registry sampler, and subsystems may :meth:`record
+        <repro.telemetry.timeseries.TimeSeriesStore.record>` directly."""
         if self._timeseries is None:
             from repro.telemetry.timeseries import TimeSeriesStore
-            self._timeseries = TimeSeriesStore(
-                self.sim, registry=self.metrics,
-                step=self.monitor_interval)
+            self._timeseries = TimeSeriesStore(self.sim,
+                                               registry=self.metrics)
         return self._timeseries
 
     def start_timeseries(self, step: Optional[float] = None
                          ) -> "TimeSeriesStore":
-        """Begin periodic counter/gauge snapshots; returns the store."""
+        """Begin periodic counter/gauge snapshots; returns the store.
+        ``step`` is the scope's one sampling interval, shared with the nmon
+        monitor: changing it once the store holds series raises
+        :class:`~repro.errors.ConfigError`."""
         store = self.timeseries
-        if step is not None and not store.running:
-            store.step = float(step)
+        if step is not None:
+            store.step = step
         return store.start()
 
     def stop_timeseries(self) -> None:

@@ -77,16 +77,6 @@ class Bucket:
         self.last = 0.0
         self.last_at = 0.0
 
-    def observe(self, at: float, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.last = value
-        self.last_at = at
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -103,16 +93,19 @@ class _Tier:
 
     A bucket is **live** iff its index lies within ``capacity`` of the
     newest index the tier has seen; bucket ``i`` can only sit in slot
-    ``i % capacity``, so every read is an index walk, never a scan.
+    ``(i - base) % capacity``, ``base`` being the first bucket's index, so
+    every read is an index walk, never a scan.  The ring grows on demand
+    up to ``capacity`` slots: a short series holds only the slots it used.
     ``make(index)`` builds the bucket payload (anything with ``.index``).
     """
 
-    __slots__ = ("width", "capacity", "slots", "newest", "make")
+    __slots__ = ("width", "capacity", "slots", "base", "newest", "make")
 
     def __init__(self, width: float, capacity: int, make=Bucket):
         self.width = width
         self.capacity = capacity
-        self.slots: list = [None] * capacity
+        self.slots: list = []
+        self.base = 0
         #: The highest-index bucket ever created (None while empty).
         self.newest = None
         self.make = make
@@ -123,12 +116,19 @@ class _Tier:
         not evict the newer bucket that owns its slot)."""
         index = int(at // self.width)
         newest = self.newest
-        if newest is not None and index <= newest.index - self.capacity:
+        if newest is None:
+            self.base = index
+        elif index == newest.index:
+            return newest
+        elif index <= newest.index - self.capacity:
             return None
-        slot = index % self.capacity
-        bucket = self.slots[slot]
+        slots = self.slots
+        slot = (index - self.base) % self.capacity
+        if slot >= len(slots):
+            slots.extend([None] * (slot + 1 - len(slots)))
+        bucket = slots[slot]
         if bucket is None or bucket.index != index:
-            bucket = self.slots[slot] = self.make(index)
+            bucket = slots[slot] = self.make(index)
             if newest is None or index > newest.index:
                 self.newest = bucket
         return bucket
@@ -139,6 +139,7 @@ class _Tier:
         if self.newest is None:
             return []
         width, capacity, slots = self.width, self.capacity, self.slots
+        base, used = self.base, len(slots)
         # Candidate indices: the window's, one generous on each side,
         # clamped (in floats, so infinite ends are fine) to the retained
         # interval.  The float interval test below decides.
@@ -149,7 +150,8 @@ class _Tier:
         hi = int(max(min(t1, end_s), first_s) // width) + 1
         out = []
         for index in range(max(lo, first), min(hi, last) + 1):
-            bucket = slots[index % capacity]
+            slot = (index - base) % capacity
+            bucket = slots[slot] if slot < used else None
             start = index * width
             if (bucket is not None and bucket.index == index
                     and not (start + width <= t0 or start >= t1)):
@@ -193,8 +195,15 @@ class TimeSeries:
             bucket = tier.bucket_for(at)
             if bucket is None:
                 late = True
-            else:
-                bucket.observe(at, value)
+                continue
+            bucket.count += 1
+            bucket.total += value
+            if value < bucket.min:
+                bucket.min = value
+            if value > bucket.max:
+                bucket.max = value
+            bucket.last = value
+            bucket.last_at = at
         if late:
             self._late += 1
 
@@ -370,18 +379,31 @@ class TimeSeriesStore:
 
     def __init__(self, sim=None, registry: Optional["MetricsRegistry"] = None,
                  step: float = 5.0, capacity: int = 360):
-        if step <= 0:
-            raise ConfigError(f"step must be > 0, got {step}")
         if capacity < 2:
             raise ConfigError(f"capacity must be >= 2, got {capacity}")
         self.sim = sim
         self.registry = registry
-        self.step = float(step)
         self.capacity = capacity
         self._series: dict[tuple[str, LabelSet], TimeSeries] = {}
         self._hist_series: dict[tuple[str, LabelSet], HistogramSeries] = {}
+        self.step = step
         self.samples_taken = 0
         self._loop = PeriodicCall(sim, self._tick)
+
+    @property
+    def step(self) -> float:
+        """Raw-tier bucket width and the interval of every sampler writing
+        here (registry loop, nmon monitor); fixed once series exist."""
+        return self._step
+
+    @step.setter
+    def step(self, value: float) -> None:
+        if value <= 0:
+            raise ConfigError(f"step must be > 0, got {value}")
+        if len(self) and value != self._step:
+            raise ConfigError(f"store already holds series at step "
+                              f"{self._step:g}; cannot change it to {value}")
+        self._step = float(value)
 
     # -- series access ---------------------------------------------------
     def series(self, name: str,

@@ -6,7 +6,8 @@ import pytest
 from repro.errors import MonitorError
 from repro.ml import CanopyKMeansPipeline, LocalExecutor, points_as_records
 from repro.monitor.export import parse_nmon, write_nmon
-from repro.monitor.nmon import NmonSample, NodeSeries
+from repro.monitor.nmon import SERIES, record_sample, vm_buckets
+from repro.telemetry.timeseries import TimeSeriesStore
 
 CENTERS = np.array([[0.0, 0.0], [10.0, 10.0], [-10.0, 8.0]])
 
@@ -48,42 +49,42 @@ def test_pipeline_rejects_empty_canopy_stage():
 
 # --- nmon export --------------------------------------------------------------
 
-def sample_series():
-    series = NodeSeries("vm-test")
+def sample_store():
+    store = TimeSeriesStore(step=5.0)
     for i in range(4):
-        series.samples.append(NmonSample(
-            time=float(i * 5), vm="vm-test", cpu_util=0.25 * i,
-            memory_fraction=0.4, disk_bytes_delta=1000.0 * i,
-            net_tx_delta=10.0 * i, net_rx_delta=20.0 * i, activity=i))
-    return series
+        record_sample(store, "vm-test", float(i * 5),
+                      (0.25 * i, 0.4, i, 1000.0 * i, 10.0 * i, 20.0 * i))
+    return store
+
+
+def rows(store):
+    columns = [vm_buckets(store, "vm-test", name) for name in SERIES]
+    return [(row[0].last_at, [b.last for b in row]) for row in zip(*columns)]
 
 
 def test_nmon_roundtrip():
-    original = sample_series()
-    text = write_nmon(original)
+    original = sample_store()
+    text = write_nmon(original, "vm-test")
     assert text.startswith("AAA,host,vm-test")
-    parsed = parse_nmon(text)
-    assert parsed.vm == "vm-test"
-    assert len(parsed) == len(original)
-    for a, b in zip(original.samples, parsed.samples):
-        assert b.time == pytest.approx(a.time, abs=1e-3)
-        assert b.cpu_util == pytest.approx(a.cpu_util, abs=1e-4)
-        assert b.disk_bytes_delta == pytest.approx(a.disk_bytes_delta)
-        assert b.net_rx_delta == pytest.approx(a.net_rx_delta)
-        assert b.activity == a.activity
+    parsed = TimeSeriesStore(step=5.0)
+    assert parse_nmon(text, parsed) == "vm-test"
+    assert len(rows(parsed)) == len(rows(original)) == 4
+    for (t_a, a), (t_b, b) in zip(rows(original), rows(parsed)):
+        assert t_b == pytest.approx(t_a, abs=1e-3)
+        assert b == pytest.approx(a, abs=1e-4)
 
 
 def test_nmon_export_requires_samples():
     with pytest.raises(MonitorError):
-        write_nmon(NodeSeries("empty"))
+        write_nmon(TimeSeriesStore(), "empty")
 
 
 def test_nmon_parse_requires_header():
     with pytest.raises(MonitorError):
-        parse_nmon("ZZZZ,T0001,0.0\n")
+        parse_nmon("ZZZZ,T0001,0.0\n", TimeSeriesStore())
 
 
 def test_nmon_parse_detects_missing_sections():
     text = "AAA,host,x\nZZZZ,T0001,0.0\nCPU_ALL,T0001,10.0\n"
     with pytest.raises(MonitorError):
-        parse_nmon(text)
+        parse_nmon(text, TimeSeriesStore())

@@ -4,7 +4,9 @@ leaves nothing armed in the sim."""
 import pytest
 
 from repro.config import PlatformConfig
+from repro.errors import ConfigError
 from repro.monitor import NmonMonitor
+from repro.monitor.nmon import CPU, vm_buckets
 from repro.observatory.detectors import Detector
 from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.sim.kernel import Simulator
@@ -18,15 +20,21 @@ def make_cluster(seed=7):
     return platform, cluster
 
 
+def samples(monitor):
+    """Samples the monitor recorded so far, over all its VMs."""
+    return sum(b.count for vm in monitor.vms
+               for b in vm_buckets(monitor.store, vm.name, CPU))
+
+
 def test_stopped_monitor_emits_no_further_samples():
     platform, cluster = make_cluster()
     monitor = cluster.telemetry.start_monitor(interval=2.0)
     platform.sim.run(until=5.0)
     cluster.telemetry.stop_monitor()
-    count = len(monitor.all_samples())
+    count = samples(monitor)
     assert count == 3 * len(cluster.vms)  # t=0, 2, 4
     platform.sim.run(until=50.0)
-    assert len(monitor.all_samples()) == count
+    assert samples(monitor) == count
 
 
 def test_stop_withdraws_pending_wakeup_from_the_queue():
@@ -48,34 +56,62 @@ def test_stop_is_idempotent_and_restartable():
     platform.sim.run(until=2.5)
     telemetry.stop_monitor()
     telemetry.stop_monitor()  # no-op
-    before = len(monitor.all_samples())
+    before = samples(monitor)
     telemetry.start_monitor()
     platform.sim.run(until=4.5)
     telemetry.stop_monitor()
-    assert len(monitor.all_samples()) > before
+    assert samples(monitor) > before
 
 
 def test_samples_mirror_into_metrics_gauges():
+    # The monitor writes straight into the scope's store; the registry
+    # keeps no copy of the samples.
     platform, cluster = make_cluster()
     telemetry = cluster.telemetry
-    telemetry.start_monitor(interval=1.0)
+    monitor = telemetry.start_monitor(interval=1.0)
     platform.sim.run(until=3.0)
     telemetry.stop_monitor()
+    assert monitor.store is telemetry.timeseries
     name = cluster.vms[0].name
-    assert telemetry.metrics.get("vm.cpu.utilization",
-                                 {"vm": name}) is not None
-    value = telemetry.metrics.value("vm.cpu.utilization", {"vm": name})
-    assert 0.0 <= value <= 1.0
+    series = telemetry.timeseries.get("vm.cpu.utilization", {"vm": name})
+    assert series is not None
+    times = [b.last_at for b in series.tiers[0].buckets()]
+    assert times == [0.0, 1.0, 2.0, 3.0]
+    assert 0.0 <= series.latest()[0].last <= 1.0
+    assert not [family for family in telemetry.metrics.families
+                if family.startswith("vm.")]
+
+
+def test_monitor_interval_and_store_step_are_one_value():
+    platform, cluster = make_cluster()
+    telemetry = cluster.telemetry
+    store = telemetry.start_timeseries(step=5.0)
+    assert telemetry.start_monitor(interval=5.0).interval == 5.0
+    platform.sim.run(until=1.0)
+    assert len(store) > 0
+    with pytest.raises(ConfigError, match="step"):
+        telemetry.start_monitor(interval=2.0)
+    with pytest.raises(ConfigError, match="step"):
+        telemetry.start_timeseries(step=2.0)
+    assert telemetry.monitor.interval == store.step == 5.0
+    telemetry.stop_monitor()
+    telemetry.stop_timeseries()
 
 
 # -- stopping a watcher from inside its own tick ------------------------------
 
 def _self_stopping_monitor():
     platform, cluster = make_cluster()
-    monitor = NmonMonitor(cluster.vms, interval=5.0)
-    monitor.on_sample = lambda s: monitor.stop() if s.time >= 10.0 else None
-    return platform.sim, monitor, lambda: len(monitor.series[
-        cluster.vms[0].name])
+    monitor = NmonMonitor(cluster.vms, TimeSeriesStore(cluster.sim))
+    sample = monitor.sample_now
+
+    def sample_then_stop(now):
+        sample(now)
+        if now >= 10.0:
+            monitor.stop()
+    monitor.sample_now = sample_then_stop
+    return platform.sim, monitor, lambda: samples(monitor) // len(
+        cluster.vms)
 
 
 def _self_stopping_store():

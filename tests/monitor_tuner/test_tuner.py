@@ -18,7 +18,7 @@ def make(layout="normal", n=6, seed=2):
                  else ClusterSpec.packed(n, hosts=2))
     cluster = platform.provision_cluster("tn", placement)
     telemetry = cluster.telemetry
-    telemetry.monitor_interval = 1.0
+    telemetry.timeseries.step = 1.0
     return platform, cluster, telemetry.monitor, telemetry.analyser
 
 

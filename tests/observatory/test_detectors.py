@@ -197,7 +197,8 @@ def test_readers_see_settled_rates_from_inside_a_burst(obs):
 
     def reader():
         telemetry.monitor.sample_now(sim.now)
-        seen["cpu"] = telemetry.monitor.node(vm.name).samples[-1].cpu_util
+        seen["cpu"] = telemetry.timeseries.get(
+            "vm.cpu.utilization", {"vm": vm.name}).latest()[0].last
         seen["ratio"] = detector(obs, DiskHealthDetector)._shortfalls(sim.now)
         seen["rate"] = old.rate
         yield sim.timeout(0.0)

@@ -1,65 +1,70 @@
-"""The report's "Rolling nmon window" table, built from NodeSeries tails."""
+"""The report's "Rolling nmon window" table, built from the raw tier of
+the time-series store the nmon monitor records into."""
 
 import pytest
 
 from repro.config import PlatformConfig
-from repro.monitor.nmon import NmonSample, NodeSeries
+from repro.monitor.nmon import record_sample
 from repro.observatory.report import window_summaries
 from repro.platform import ClusterSpec, VHadoopPlatform
-
-
-class StubMonitor:
-    """The slice of NmonMonitor the table reads: interval + series."""
-
-    def __init__(self, interval, **series):
-        self.interval = interval
-        self.series = {vm: NodeSeries(vm, list(samples))
-                       for vm, samples in series.items()}
+from repro.telemetry.timeseries import TimeSeriesStore
 
 
 def sample(t, vm="vm1", cpu=0.5, disk=0.0, tx=0.0, rx=0.0, activity=1):
-    return NmonSample(time=t, vm=vm, cpu_util=cpu, memory_fraction=0.5,
-                      disk_bytes_delta=disk, net_tx_delta=tx,
-                      net_rx_delta=rx, activity=activity)
+    return dict(t=t, vm=vm, cpu=cpu, disk=disk, tx=tx, rx=rx,
+                activity=activity)
+
+
+def feed(step, **series):
+    """A store holding each VM's samples as the monitor records them,
+    plus the VM names (a VM with no samples has no series)."""
+    store = TimeSeriesStore(step=step)
+    for samples in series.values():
+        for s in samples:
+            record(store, s)
+    return store, list(series)
+
+
+def record(store, s):
+    record_sample(store, s["vm"], s["t"], (s["cpu"], 0.5, s["activity"],
+                                           s["disk"], s["tx"], s["rx"]))
 
 
 def test_only_the_tail_inside_the_window_is_aggregated():
     pushed = [sample(float(t), cpu=(t * 7 % 10) / 10.0, disk=100.0 * t,
                      tx=3.0 * t, rx=2.0 * t, activity=t % 4)
               for t in range(15)]
-    monitor = StubMonitor(1.0, vm1=pushed)
-    (summary,) = window_summaries(monitor, now=14.0, window_s=7.0)
-    kept = [s for s in pushed if s.time >= 7.0]
+    store, vms = feed(1.0, vm1=pushed)
+    (summary,) = window_summaries(store, vms, now=14.0, window_s=7.0)
+    kept = [s for s in pushed if s["t"] >= 7.0]
     assert summary.n_samples == len(kept) == 8
     assert summary.span_s == 7.0         # clamped to the window
     assert summary.cpu_mean == pytest.approx(
-        sum(s.cpu_util for s in kept) / len(kept))
-    assert summary.disk_bytes == sum(s.disk_bytes_delta for s in kept)
-    assert summary.net_bytes == sum(s.net_tx_delta + s.net_rx_delta
-                                    for s in kept)
+        sum(s["cpu"] for s in kept) / len(kept))
+    assert summary.disk_bytes == sum(s["disk"] for s in kept)
+    assert summary.net_bytes == sum(s["tx"] + s["rx"] for s in kept)
     assert summary.activity_mean == pytest.approx(
-        sum(s.activity for s in kept) / len(kept))
+        sum(s["activity"] for s in kept) / len(kept))
 
 
 def test_rates_divide_by_the_covered_span():
-    monitor = StubMonitor(2.0, vm1=[sample(4.0, disk=100.0, tx=30.0,
-                                           rx=20.0)])
-    (summary,) = window_summaries(monitor, now=4.0, window_s=10.0)
-    # A single sample covers (at least) one monitor interval.
+    store, vms = feed(2.0, vm1=[sample(4.0, disk=100.0, tx=30.0, rx=20.0)])
+    (summary,) = window_summaries(store, vms, now=4.0, window_s=10.0)
+    # A single sample covers (at least) one sampling interval.
     assert summary.span_s == 2.0
     assert summary.disk_rate == pytest.approx(50.0)
     assert summary.net_rate == pytest.approx(25.0)
-    monitor.series["vm1"].samples.append(sample(8.0, disk=100.0))
-    (summary,) = window_summaries(monitor, now=8.0, window_s=10.0)
+    record(store, sample(8.0, disk=100.0))
+    (summary,) = window_summaries(store, vms, now=8.0, window_s=10.0)
     assert summary.span_s == 4.0
     assert summary.disk_bytes == 200.0
     assert summary.disk_rate == pytest.approx(50.0)
 
 
 def test_vm_without_recent_samples_gets_an_all_zero_row():
-    monitor = StubMonitor(1.0, quiet=[sample(1.0, vm="quiet", disk=9.0)],
-                          fresh=[], busy=[sample(50.0, vm="busy")])
-    rows = window_summaries(monitor, now=50.0, window_s=10.0)
+    store, vms = feed(1.0, quiet=[sample(1.0, vm="quiet", disk=9.0)],
+                      fresh=[], busy=[sample(50.0, vm="busy")])
+    rows = window_summaries(store, vms, now=50.0, window_s=10.0)
     assert [r.vm for r in rows] == ["busy", "fresh", "quiet"]
     assert [r.n_samples for r in rows] == [1, 0, 0]
     for empty in rows[1:]:

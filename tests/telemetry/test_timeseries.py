@@ -31,6 +31,15 @@ def test_ring_overwrites_and_bounds_memory():
     assert raw[0].last == 30.0 and raw[-1].last == 39.0
 
 
+def test_ring_grows_only_to_the_slots_it_used():
+    series = TimeSeries("s", step=1.0, capacity=360)
+    for i in range(3):
+        series.observe(1000.0 + i, float(i))
+    assert [len(t.slots) for t in series.tiers] == [3, 1, 1]
+    assert [len(t.slots) for t in filled(n=40, capacity=10).tiers] \
+        == [10, 4, 1]
+
+
 def test_coarse_tier_is_exact_merge_of_fine():
     series = filled(n=40, capacity=10)
     # x10 tier: bucket 3 covers samples 30..39 — count 10, sum 345.

@@ -8,9 +8,11 @@ import pytest
 from repro.config import PlatformConfig
 from repro.errors import MonitorError
 from repro.monitor import NmonMonitor
+from repro.monitor.nmon import MEMORY
 from repro.monitor.graphics import (render_cluster_heatmap,
                                     render_node_timeline, sparkline)
 from repro.platform import ClusterSpec, VHadoopPlatform
+from repro.telemetry.timeseries import TimeSeriesStore
 from repro.workloads.examples_jobs import (estimate_pi, grep_jobs, pi_input,
                                            pi_job, run_grep)
 from repro.workloads.wordcount import lines_as_records, line_record_sizeof
@@ -90,21 +92,41 @@ def test_node_timeline_and_heatmap_render():
     platform, cluster = make()
     platform.upload(cluster, "/logs", lines_as_records(LINES * 50),
                     sizeof=lambda r: (len(r[1]) + 1) * 100, timed=False)
-    monitor = NmonMonitor(cluster.vms, interval=1.0)
-    monitor.start()
+    monitor = cluster.telemetry.start_monitor(interval=1.0)
     from repro.workloads.wordcount import wordcount_job
     platform.run_job(cluster, wordcount_job("/logs", "/wc", n_reduces=2,
                                             volume_scale=100))
     monitor.stop()
-    timeline = render_node_timeline(monitor.node(cluster.workers[0].name))
+    store = monitor.store
+    timeline = render_node_timeline(store, cluster.workers[0].name)
     assert "cpu" in timeline and "net" in timeline and "|" in timeline
-    heatmap = render_cluster_heatmap(monitor, metric="cpu_util")
+    heatmap = render_cluster_heatmap(store, metric="vm.cpu.utilization")
     assert heatmap.count("\n") == len(cluster.vms)
     assert "cluster heatmap" in heatmap
 
 
 def test_heatmap_requires_samples():
     platform, cluster = make()
-    monitor = NmonMonitor(cluster.vms)
+    monitor = NmonMonitor(cluster.vms, TimeSeriesStore(cluster.sim))
     with pytest.raises(MonitorError):
-        render_cluster_heatmap(monitor)
+        render_cluster_heatmap(monitor.store)
+
+
+def test_heatmap_aligns_a_late_vm_by_sample_time():
+    platform, cluster = make(n=3)
+    late = platform.provision_cluster("late", ClusterSpec.single_host(2))
+    telemetry = cluster.telemetry
+    telemetry.start_monitor(interval=1.0)
+    platform.sim.run(until=5.5)                 # samples at t=0..5
+    telemetry.add_vm(late.workers[0])
+    platform.sim.run(until=7.5)                 # t=6, 7 include the new VM
+    telemetry.stop_monitor()
+    heatmap = render_cluster_heatmap(telemetry.timeseries, metric=MEMORY)
+    rows = {line.split("|")[0].strip(): line.split("|")[1]
+            for line in heatmap.splitlines()[1:]}
+    assert set(rows) == {vm.name for vm in cluster.vms} | {
+        late.workers[0].name}
+    # Eight sample times, eight columns; the late VM is blank until t=6.
+    assert all(len(cells) == 8 for cells in rows.values())
+    assert rows[late.workers[0].name] == " " * 6 + "@@"
+    assert rows[cluster.vms[0].name] == "@" * 8

@@ -14,11 +14,11 @@ CI smoke job asserts two same-seed runs agree on it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.chaos.plan import Fault, FaultPlan
+from repro.digest import Digest
 from repro.errors import ConfigError
 from repro.platform.faults import crash_worker, rejoin_worker
 from repro.sim.kernel import Event
@@ -50,11 +50,11 @@ class ChaosReport:
 
     def digest(self) -> str:
         """Deterministic hash of the executed timeline."""
-        h = hashlib.sha256()
-        h.update(self.plan_digest.encode())
+        h = Digest()
+        h.update(self.plan_digest)
         for t, action, target in self.timeline:
-            h.update(f"\n{t:.6f}|{action}|{target}".encode())
-        return h.hexdigest()[:16]
+            h.update(f"\n{t:.6f}|{action}|{target}")
+        return h.hex()
 
 
 class ChaosInjector:

@@ -31,10 +31,10 @@ Fault kinds
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
+from repro.digest import Digest
 from repro.errors import ConfigError
 
 #: All fault kinds the injector understands.
@@ -131,14 +131,11 @@ class FaultPlan:
         cannot collide with a different plan whose faults spell out the
         same byte stream.
         """
-        h = hashlib.sha256()
-        name = self.name.encode()
-        h.update(f"{len(name)}:".encode())
-        h.update(name)
+        h = Digest()
+        h.update(f"{len(self.name.encode())}:{self.name}")
         for fault in self.ordered():
-            h.update(b"\n")
-            h.update(fault.key().encode())
-        return h.hexdigest()[:16]
+            h.update(f"\n{fault.key()}")
+        return h.hex()
 
     def __len__(self) -> int:
         return len(self.faults)

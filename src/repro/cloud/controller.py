@@ -37,7 +37,6 @@ compares it across two fresh processes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -47,6 +46,7 @@ from repro.cloud.admission import (ADMIT, REJECT_OVERLOAD, REJECT_QUOTA,
                                    AdmissionController)
 from repro.cloud.tenants import LatencyHistogram, TenantRegistry
 from repro.cloud.traffic import Arrival, ArrivalProcess
+from repro.digest import Digest
 from repro.errors import ConfigError
 from repro.observatory.burnrate import BurnRateEngine
 from repro.observatory.slo import SERVICE_SLOS, AlertBook
@@ -378,20 +378,19 @@ class ServiceReport:
 
     def digest(self) -> str:
         """Stable digest over counters, tenants, actions and alerts."""
-        h = hashlib.sha256()
+        h = Digest()
         for key, value in sorted(self.counters().items()):
-            h.update(f"{key}={value}\n".encode())
+            h.update(f"{key}={value}\n")
         for name in sorted(self.tenants.names):
             stats = self.tenants.stats(name)
-            h.update((f"{name}|{stats.submitted}|{stats.admitted}|"
-                      f"{stats.rejected}|{stats.completed}\n").encode())
+            h.update(f"{name}|{stats.submitted}|{stats.admitted}|"
+                     f"{stats.rejected}|{stats.completed}\n")
         for action in self.actions:
-            h.update(action.line().encode())
-            h.update(b"\n")
-        h.update(self.book.digest().encode())
-        h.update(self.trace_digest.encode())
-        h.update(self.burn_digest.encode())
-        return h.hexdigest()[:16]
+            h.update(action.line() + "\n")
+        h.update(self.book.digest())
+        h.update(self.trace_digest)
+        h.update(self.burn_digest)
+        return h.hex()
 
     def as_dict(self, timeline_stride: int = 1) -> dict:
         per_tenant = {name: self.tenants.stats(name).as_dict()
@@ -479,7 +478,7 @@ class ServiceController:
         self.report = ServiceReport(name, tenants, self.book)
         self.inflight = 0
         backend.on_done = self._on_done
-        self._trace_hash = hashlib.sha256()
+        self._trace_hash = Digest()
         self._offer_done = False
         # The last ``rolling_ticks`` per-tick latency histograms and their
         # running sum: the timeline's rolling p99.
@@ -502,7 +501,7 @@ class ServiceController:
         self.sim.run_until(done)
         self.report.kernel_events = self.sim.events_processed - before
         self.report.finished_at = self.sim.now
-        self.report.trace_digest = self._trace_hash.hexdigest()[:16]
+        self.report.trace_digest = self._trace_hash.hex()
         self.report.burn_digest = self.burn_engine.digest()
         if self.autoscaler is not None:
             self.report.actions = list(self.autoscaler.actions)
@@ -524,7 +523,7 @@ class ServiceController:
         self._offer_done = True
 
     def _handle(self, arrival: Arrival) -> None:
-        self._trace_hash.update((arrival.line() + "\n").encode())
+        self._trace_hash.update(arrival.line() + "\n")
         spec = self.tenants.spec(arrival.tenant)
         stats = self.tenants.stats(arrival.tenant)
         stats.submitted += 1

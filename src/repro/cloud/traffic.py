@@ -21,7 +21,6 @@ Shapes:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from repro.cloud.tenants import TenantRegistry
+from repro.digest import Digest
 from repro.errors import ConfigError
 
 #: (class name, min MB, max MB, probability) — the service job mix.
@@ -71,17 +71,16 @@ class Arrival:
 
 
 def trace_digest(arrivals: Iterable[Arrival]) -> str:
-    """Streaming sha256 over the fixed-format arrival lines (16 hex chars).
+    """Streaming :mod:`repro.digest` over the fixed-format arrival lines.
 
     Mirrors :meth:`~repro.observatory.slo.AlertBook.digest`: same-seed
     runs must agree byte-for-byte, asserted by tests and the CI
     ``determinism`` job.
     """
-    h = hashlib.sha256()
+    h = Digest()
     for arrival in arrivals:
-        h.update(arrival.line().encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()[:16]
+        h.update(arrival.line() + "\n")
+    return h.hex()
 
 
 class ArrivalProcess:

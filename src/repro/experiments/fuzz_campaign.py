@@ -31,11 +31,11 @@ of restarting.
 
 from __future__ import annotations
 
-import hashlib
 import sys
 import time
 from typing import Optional
 
+from repro.digest import Digest
 from repro.errors import ConfigError
 from repro.experiments.common import ExperimentResult
 from repro.fuzz import (corpus_digest, generate_scenario, load_repro,
@@ -126,17 +126,17 @@ def run(seeds: tuple[int, int] = DEFAULT_SEEDS, jobs: int = 1,
     # The campaign digest folds run digests in ascending-seed order —
     # the fabric returns results in input order, so this line is
     # byte-identical to the pre-fabric serial loop.
-    campaign = hashlib.sha256()
+    campaign = Digest()
     failing = 0
     fabric_failures = 0
     for seed, item in zip(range(lo, hi), sharded.results):
         if not item.ok:  # worker death/timeout — environmental, recorded
             fabric_failures += 1
-            campaign.update(f"{seed}:fabric-error\n".encode())
+            campaign.update(f"{seed}:fabric-error\n")
             result.add(seed, "-", "-", "-", f"fabric: {item.error}")
             continue
         payload = item.value
-        campaign.update(f"{seed}:{payload['run_digest']}\n".encode())
+        campaign.update(f"{seed}:{payload['run_digest']}\n")
         if not payload["ok"]:
             failing += 1
             result.add(seed, payload["jobs"], payload["faults"],
@@ -152,7 +152,7 @@ def run(seeds: tuple[int, int] = DEFAULT_SEEDS, jobs: int = 1,
     if sharded.n_resumed:
         result.note(f"{sharded.n_resumed} seeds resumed from journal")
     result.note(f"corpus digest: {corpus_digest(scenarios)}")
-    result.note(f"campaign digest: {campaign.hexdigest()[:16]}")
+    result.note(f"campaign digest: {campaign.hex()}")
 
     if console is not None:
         from repro.experiments.service import burn_timelines
@@ -161,15 +161,14 @@ def run(seeds: tuple[int, int] = DEFAULT_SEEDS, jobs: int = 1,
         if live:
             print("\r" + tailer.status_line(), file=sys.stderr, flush=True)
         burn_series, burn_digests = burn_timelines()
-        digest = control_room_digest(sharded.digest(),
-                                     campaign.hexdigest()[:16],
+        digest = control_room_digest(sharded.digest(), campaign.hex(),
                                      burn_digests)
         html_path = console + ".html"
         write_control_room(
             html_path, tailer,
             title=f"fuzz seeds {lo}:{hi} x{jobs} jobs",
             digest=digest,
-            notes=[f"campaign digest {campaign.hexdigest()[:16]}",
+            notes=[f"campaign digest {campaign.hex()}",
                    f"corpus digest {corpus_digest(scenarios)}",
                    f"{failing} failing seeds, {fabric_failures} "
                    f"fabric failures",

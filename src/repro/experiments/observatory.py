@@ -21,11 +21,10 @@ The detection matrix::
 
 from __future__ import annotations
 
-import hashlib
-
 from repro import constants as C
 from repro.chaos import ChaosInjector, Fault, FaultPlan
 from repro.datasets.text import generate_corpus
+from repro.digest import digest
 from repro.experiments.common import (ExperimentResult, make_platform,
                                       sixteen_node_cluster)
 from repro.workloads.wordcount import (lines_as_records, scaled_line_sizeof,
@@ -190,11 +189,11 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
 
     digests = [clean_digest]
     for kind in DETECTION_MATRIX:
-        report, alerts, digest = _run_fault(seed, kind, clean_report)
+        report, alerts, book_digest = _run_fault(seed, kind, clean_report)
         _check_matrix_row(kind, alerts)
         expected_slo, _ = DETECTION_MATRIX[kind]
         result.add(kind, report.elapsed, len(alerts), expected_slo, True)
-        digests.append(digest)
+        digests.append(book_digest)
 
     # Same seed, same fault, same alert book — detector determinism.
     if not quick:
@@ -205,8 +204,6 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
                 "alert book is not deterministic for the seed: "
                 f"{digest2} != {digests[1]}")
 
-    matrix_digest = hashlib.sha256(
-        "|".join(digests).encode()).hexdigest()[:16]
-    result.note(f"alert digest {matrix_digest} "
+    result.note(f"alert digest {digest('|'.join(digests))} "
                 "(clean + 5 fault classes, stable for the seed)")
     return result

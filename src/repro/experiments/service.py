@@ -30,7 +30,6 @@ action logs and timelines are available on demand from
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 from repro.cloud import (AdmissionController, Arrival, BurstTraffic,
@@ -39,6 +38,7 @@ from repro.cloud import (AdmissionController, Arrival, BurstTraffic,
                          SharedClusterBackend, SharedVHadoopService,
                          SlotModelBackend, TenantRegistry)
 from repro.cloud.traffic import JOB_CLASSES, mean_job_size_mb
+from repro.digest import digest
 from repro.experiments.common import (ExperimentResult, make_platform,
                                       scaled_cluster)
 from repro.observatory.slo import AlertBook
@@ -259,7 +259,6 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
 
     combined = "|".join(f"{name}:{report.digest()}"
                         for name, report in sorted(reports.items()))
-    digest = hashlib.sha256(combined.encode()).hexdigest()[:16]
 
     result.note(f"cost model: base={cost.base_s:.1f}s "
                 f"per_mb={cost.per_mb_s:.4f}s (calibrated on real jobs)")
@@ -274,6 +273,6 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
     result.note("steady mix: 0 alerts, 0 scaling actions "
                 "(0 clean-run false positives)")
     result.note(f"burn store digest {on.burn_digest}")
-    result.note(f"service digest {digest} "
+    result.note(f"service digest {digest(combined)} "
                 f"({len(reports)} mixes, deterministic)")
     return result

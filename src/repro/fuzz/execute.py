@@ -25,7 +25,6 @@ workers), so shrunk topologies keep their fault schedules meaningful.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -39,6 +38,7 @@ from repro.config import PlatformConfig, TopologySpec
 from repro.datasets.sample_data import generate_sample_data, sample_sizeof
 from repro.datasets.tera import records_for_bytes, tera_sizeof, teragen
 from repro.datasets.text import generate_corpus
+from repro.digest import Digest
 from repro.fuzz.invariants import (InvariantSuite, JobOutcome, RunContext,
                                    Violation)
 from repro.fuzz.scenario import FuzzJob, Scenario
@@ -364,20 +364,20 @@ def _execute(scenario: Scenario, ctx: RunContext) -> None:
 
 def _run_digest(ctx: RunContext) -> str:
     """Deterministic hash of everything a replay must reproduce."""
-    h = hashlib.sha256()
-    h.update(ctx.scenario.digest().encode())
-    h.update(f"\ncrash={ctx.crash or ''}".encode())
-    h.update(f"\ndeadline={int(ctx.deadline_hit)}".encode())
+    h = Digest()
+    h.update(ctx.scenario.digest())
+    h.update(f"\ncrash={ctx.crash or ''}")
+    h.update(f"\ndeadline={int(ctx.deadline_hit)}")
     for job in ctx.jobs:
         finished = (f"{job.report.finished_at:.6f}"
                     if job.report is not None else "-")
         counters = ("" if job.report is None else "|".join(
             f"{k}={v}" for k, v in
             sorted(job.report.counters.group("job").items())))
-        h.update(f"\n{job.name}|{finished}|{counters}".encode())
-    h.update(f"\nchaos={ctx.chaos_digest}".encode())
-    h.update(f"\nalerts={ctx.alert_count}".encode())
-    h.update(f"\nunder_rep={len(ctx.under_replicated)}".encode())
+        h.update(f"\n{job.name}|{finished}|{counters}")
+    h.update(f"\nchaos={ctx.chaos_digest}")
+    h.update(f"\nalerts={ctx.alert_count}")
+    h.update(f"\nunder_rep={len(ctx.under_replicated)}")
     for name in sorted(ctx.worker_states):
-        h.update(f"\n{name}={ctx.worker_states[name]}".encode())
-    return h.hexdigest()[:16]
+        h.update(f"\n{name}={ctx.worker_states[name]}")
+    return h.hex()

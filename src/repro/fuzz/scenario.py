@@ -20,7 +20,6 @@ wrong under such a schedule is a platform bug — which is the point.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -30,6 +29,7 @@ import numpy as np
 from repro.chaos.plan import FAULT_KINDS
 from repro.cloud.adversaries import ADVERSARY_KINDS, AdversarySpec
 from repro.config import HadoopConfig
+from repro.digest import digest
 from repro.errors import ConfigError
 
 #: Serialization format version (bump on incompatible change).
@@ -192,9 +192,8 @@ class Scenario:
         JSON encoding, so no crafted string can collide across field
         boundaries.
         """
-        payload = json.dumps(self.to_dict(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return digest(json.dumps(self.to_dict(), sort_keys=True,
+                                 separators=(",", ":")))
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
@@ -279,11 +278,7 @@ class Scenario:
 
 def corpus_digest(scenarios: Sequence[Scenario]) -> str:
     """Digest of a whole scenario corpus (pinned by the CI smoke job)."""
-    h = hashlib.sha256()
-    for scenario in scenarios:
-        h.update(scenario.digest().encode())
-        h.update(b"\n")
-    return h.hexdigest()[:16]
+    return digest("".join(f"{s.digest()}\n" for s in scenarios))
 
 
 class ScenarioGenerator:

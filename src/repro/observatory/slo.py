@@ -20,10 +20,10 @@ must produce byte-identical digests (asserted in CI).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.digest import Digest
 from repro.errors import MonitorError
 from repro.telemetry import events as EV
 
@@ -236,15 +236,14 @@ class AlertBook:
         same-seed runs must agree (asserted by tests and the CI
         ``determinism`` job).
         """
-        h = hashlib.sha256()
+        h = Digest()
         for a in sorted(self.alerts,
                         key=lambda a: (a.fired_at, a.slo, a.target)):
             resolved = ("%.6f" % a.resolved_at
                         if a.resolved_at is not None else "active")
-            h.update((f"{a.slo}|{a.target}|{a.severity}|{a.attribution}|"
-                      f"{a.fired_at:.6f}|{resolved}|{a.value:.6f}\n")
-                     .encode("utf-8"))
-        return h.hexdigest()[:16]
+            h.update(f"{a.slo}|{a.target}|{a.severity}|{a.attribution}|"
+                     f"{a.fired_at:.6f}|{resolved}|{a.value:.6f}\n")
+        return h.hex()
 
     def describe(self) -> str:
         if not self.alerts:

@@ -30,7 +30,6 @@ digests), byte-identical across processes and ``--jobs`` levels.
 
 from __future__ import annotations
 
-import hashlib
 import html as _html
 import json
 import os
@@ -38,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
+from repro.digest import Digest
 from repro.observatory.htmlkit import column_chart, page
 
 #: Sidecar format version (bumped on incompatible record changes).
@@ -256,12 +256,12 @@ def tail_console(path: str) -> ConsoleTailer:
 def control_room_digest(run_digest: str, campaign_digest: str = "",
                         series_digests: Sequence[str] = ()) -> str:
     """The digest CI pins: sim-time content only, never wall/RSS data."""
-    h = hashlib.sha256()
-    h.update(f"run:{run_digest}\n".encode())
-    h.update(f"campaign:{campaign_digest}\n".encode())
-    for digest in series_digests:
-        h.update(f"series:{digest}\n".encode())
-    return h.hexdigest()[:16]
+    h = Digest()
+    h.update(f"run:{run_digest}\n")
+    h.update(f"campaign:{campaign_digest}\n")
+    for series_digest in series_digests:
+        h.update(f"series:{series_digest}\n")
+    return h.hex()
 
 
 def _throughput_buckets(tailer: ConsoleTailer, n: int = 60) -> list[float]:

@@ -35,7 +35,6 @@ reference path the parallel digests are pinned against.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import multiprocessing
@@ -47,6 +46,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+from repro.digest import Digest
 from repro.errors import ConfigError
 from repro.parallel.journal import CampaignJournal
 
@@ -185,12 +185,12 @@ class ShardedRun:
         so ``jobs=1`` and ``jobs=N`` runs of a deterministic worker hash
         identically byte for byte.
         """
-        h = hashlib.sha256()
+        h = Digest()
         for r in sorted(self.results, key=lambda r: r.key):
             payload = (json.dumps(r.value, sort_keys=True)
                        if r.ok else "failed")
-            h.update(f"{r.key}\t{payload}\n".encode("utf-8"))
-        return h.hexdigest()[:16]
+            h.update(f"{r.key}\t{payload}\n")
+        return h.hex()
 
 
 # -- worker side --------------------------------------------------------------

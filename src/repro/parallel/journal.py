@@ -20,13 +20,13 @@ line (the writer died mid-append) is skipped, not fatal.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
 from pathlib import Path
 from typing import Optional
 
+from repro.digest import digest
 from repro.errors import ConfigError
 
 FORMAT = 1
@@ -34,11 +34,7 @@ FORMAT = 1
 
 def items_digest(keys: list[str]) -> str:
     """Content digest over the sorted item keys (campaign identity)."""
-    h = hashlib.sha256()
-    for key in sorted(keys):
-        h.update(key.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()[:16]
+    return digest("".join(f"{key}\n" for key in sorted(keys)))
 
 
 class CampaignJournal:

@@ -28,7 +28,7 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.timeline import CriticalPath, JobTimeline, build_timeline
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.monitor.analyser import NmonAnalyser
+    from repro.monitor.analyser import BottleneckReport, NmonAnalyser
     from repro.monitor.nmon import NmonMonitor
     from repro.observatory.attribution import FlowLog, JobBottleneckReport
     from repro.observatory.core import Observatory
@@ -168,21 +168,11 @@ class Telemetry:
         resources.append(self.datacenter.image_store.node.vnic)
         return resources
 
-    def bottleneck(self, job: Optional[str] = None):
-        """Bottleneck diagnosis.
-
-        Without arguments this is the paper's cluster-wide view: a
-        :class:`~repro.monitor.analyser.BottleneckReport` naming the
-        busiest shared resource over the whole run.  With ``job=<name>``
-        it narrows to *that job's* critical path instead, blaming each
-        path segment on cpu / network / disk / nfs via flow-level
-        accounting — a :class:`JobBottleneckReport` (requires the flow log,
-        see :meth:`enable_flow_log` / :meth:`observatory`).
-        """
-        if job is None:
-            return self.analyser.bottleneck(self.shared_resources(),
-                                            now=self.sim.now)
-        return self.attribution(job)
+    def bottleneck(self) -> "BottleneckReport":
+        """The paper's cluster-wide diagnosis: the busiest shared resource
+        over the whole run (:meth:`attribution` is the per-job view)."""
+        return self.analyser.bottleneck(self.shared_resources(),
+                                        now=self.sim.now)
 
     def attribution(self, job_name: str) -> "JobBottleneckReport":
         """Per-job, per-phase bottleneck attribution from the flow log."""
@@ -201,9 +191,6 @@ class Telemetry:
         from repro.observatory.core import Observatory
         self.enable_flow_log()
         return Observatory(self, **kwargs)
-
-    def imbalance(self) -> float:
-        return self.analyser.imbalance()
 
     # -- spans & timelines --------------------------------------------------
     @property
@@ -244,18 +231,6 @@ class Telemetry:
     def spans_csv(self) -> str:
         from repro.telemetry.export import spans_csv
         return spans_csv(self.tracer.spans)
-
-    def timeseries_csv(self) -> str:
-        from repro.telemetry.export import timeseries_csv
-        return timeseries_csv(self.timeseries)
-
-    def timeseries_json(self) -> dict:
-        from repro.telemetry.export import timeseries_json
-        return timeseries_json(self.timeseries)
-
-    def timeseries_prometheus(self) -> str:
-        from repro.telemetry.export import timeseries_prometheus
-        return timeseries_prometheus(self.timeseries)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Telemetry vms={len(self.vms)} "

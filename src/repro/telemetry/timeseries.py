@@ -42,10 +42,10 @@ cluster as ``telemetry.timeseries``.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
+from repro.digest import Digest
 from repro.errors import ConfigError
 from repro.sim.kernel import PeriodicCall
 from repro.telemetry.metrics import (Counter, Gauge, LabelSet,
@@ -269,19 +269,18 @@ class TimeSeries:
 
     # -- determinism -----------------------------------------------------
     def digest(self) -> str:
-        """Stable sha256 content digest over all tiers' live buckets."""
-        h = hashlib.sha256()
+        """Stable content digest over all tiers' live buckets."""
+        h = Digest()
         self._hash_into(h)
-        return h.hexdigest()[:16]
+        return h.hex()
 
     def _hash_into(self, h) -> None:
         labels = ",".join(f"{k}={v}" for k, v in self.labels)
-        h.update(f"series|{self.name}|{labels}|{_fmt(self.step)}\n"
-                 .encode("utf-8"))
+        h.update(f"series|{self.name}|{labels}|{_fmt(self.step)}\n")
         for ti, tier in enumerate(self.tiers):
             for bucket in tier.buckets():
                 start = bucket.index * tier.width
-                h.update(f"t{ti}|{bucket.line(start)}\n".encode("utf-8"))
+                h.update(f"t{ti}|{bucket.line(start)}\n")
 
     def __repr__(self) -> str:  # pragma: no cover
         live = sum(len(t.buckets()) for t in self.tiers)
@@ -349,21 +348,20 @@ class HistogramSeries:
         return self.merged_over(t0, t1, tier).quantile(q)
 
     def digest(self) -> str:
-        h = hashlib.sha256()
+        h = Digest()
         self._hash_into(h)
-        return h.hexdigest()[:16]
+        return h.hex()
 
     def _hash_into(self, h) -> None:
         labels = ",".join(f"{k}={v}" for k, v in self.labels)
-        h.update(f"hseries|{self.name}|{labels}|{_fmt(self.step)}\n"
-                 .encode("utf-8"))
+        h.update(f"hseries|{self.name}|{labels}|{_fmt(self.step)}\n")
         for ti, tier in enumerate(self.tiers):
             for bucket in tier.buckets():
                 hist = bucket.hist
                 counts = ",".join(str(c) for c in hist.counts if c) or "0"
-                h.update((f"t{ti}|{bucket.index}|{hist.count}|"
-                          f"{_fmt(hist.total)}|{_fmt(hist.max_seen)}|"
-                          f"{counts}\n").encode("utf-8"))
+                h.update(f"t{ti}|{bucket.index}|{hist.count}|"
+                         f"{_fmt(hist.total)}|{_fmt(hist.max_seen)}|"
+                         f"{counts}\n")
 
 
 class TimeSeriesStore:
@@ -531,13 +529,13 @@ class TimeSeriesStore:
 
     # -- determinism -----------------------------------------------------
     def digest(self) -> str:
-        """Stable sha256 digest over every series' every live bucket."""
-        h = hashlib.sha256()
+        """Stable content digest over every series' every live bucket."""
+        h = Digest()
         for _, made in self.items():
             made._hash_into(h)
         for _, made in self.histogram_items():
             made._hash_into(h)
-        return h.hexdigest()[:16]
+        return h.hex()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<TimeSeriesStore series={len(self._series)} "

@@ -8,7 +8,6 @@ numbers are then re-pinned consciously, in the PR that moved them.  The
 ``benchmarks/e2e``.
 """
 
-import hashlib
 from functools import partial
 
 import pytest
@@ -17,6 +16,7 @@ from repro import constants as C
 from repro.chaos import ChaosInjector
 from repro.config import PlatformConfig, TopologySpec
 from repro.datasets.text import generate_corpus
+from repro.digest import digest
 from repro.experiments import chaos_faults
 from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.workloads.terasort import run_terasort
@@ -46,7 +46,7 @@ def ladder_rung(topology, wc_mb, wc_reduces, tera_mb, tera_reduces):
     assert tera.validated
     return (platform,
             [wordcount.elapsed, tera.generation_time_s + tera.sort_time_s],
-            hashlib.sha256(repr(placement).encode("utf-8")).hexdigest()[:16])
+            digest(repr(placement)))
 
 
 def chaos_quick():
@@ -86,7 +86,7 @@ CASES = [
 
 @pytest.mark.parametrize("run, pinned", CASES)
 def test_engine_counters_are_pinned(run, pinned):
-    platform, sim_elapsed, digest = run()
+    platform, sim_elapsed, run_digest = run()
     sim, fss = platform.sim, platform.datacenter.fss
     assert (sim_elapsed, sim.events_processed, fss.rebalance_count,
-            fss.flow_visits, fss.completed_count, digest) == pinned
+            fss.flow_visits, fss.completed_count, run_digest) == pinned

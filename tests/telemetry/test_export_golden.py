@@ -165,16 +165,17 @@ def test_timeseries_prometheus_matches_golden():
 
 
 _DIGEST_SNIPPET = """
-import hashlib, json, sys
+import json, sys
 sys.path.insert(0, {src!r}); sys.path.insert(0, {root!r})
 from tests.telemetry.test_export_golden import fixture_store
+from repro.digest import digest
 from repro.telemetry import (timeseries_csv, timeseries_json,
                              timeseries_prometheus)
 store = fixture_store()
 print(store.digest())
 for text in (timeseries_csv(store), timeseries_prometheus(store),
              json.dumps(timeseries_json(store), sort_keys=True)):
-    print(hashlib.sha256(text.encode()).hexdigest()[:16])
+    print(digest(text))
 """
 
 

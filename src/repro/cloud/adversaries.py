@@ -11,9 +11,10 @@ tests) and comes in two forms:
 * an **arrival process** usable anywhere a
   :class:`~repro.cloud.traffic.ArrivalProcess` is (service mode,
   admission studies): one misbehaving tenant riding on top of a normal
-  registry;
-* a **payload builder** used by the fuzz runner to materialize the
-  adversarial job itself (the records that make the job hostile).
+  registry — a parameterisation of the one block generator that pins
+  the tenant (and, for skew and spam, the class and size);
+* a **payload** the fuzz runner materializes
+  (:mod:`repro.fuzz.execute`): the records that make the job hostile.
 
 Actors
 ------
@@ -31,9 +32,11 @@ Actors
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from repro.cloud.traffic import ArrivalProcess
+import numpy as np
+
+from repro.cloud.traffic import JOB_CLASSES, ArrivalProcess, PoissonTraffic
 from repro.errors import ConfigError
 
 #: The adversary kinds the fuzzer composes into scenarios.
@@ -67,157 +70,64 @@ class AdversarySpec:
         return f"{self.kind}|{self.intensity}|{self.tenant}"
 
 
-# -- payload builders (fuzz runner side) ------------------------------------
-
-def hot_key_lines(rng, n_lines: int, intensity: int = 1) -> list[str]:
-    """A wordcount corpus where the word ``hotspot`` dominates.
-
-    Intensity 1/2/3 makes ~50/70/90% of all tokens the hot word, so the
-    reducer that owns it sees a single giant value list while its peers
-    idle — the shuffle-side hot-partition attack.
-    """
-    fraction = {1: 0.5, 2: 0.7, 3: 0.9}[intensity]
-    words_per_line = 12
-    lines = []
-    for _ in range(n_lines):
-        tokens = []
-        for _ in range(words_per_line):
-            if float(rng.uniform(0.0, 1.0)) < fraction:
-                tokens.append("hotspot")
-            else:
-                tokens.append(f"w{int(rng.integers(0, 512)):03d}")
-        lines.append(" ".join(tokens))
-    return lines
-
-
-def skewed_keys(rng, n_records: int, n_reduces: int,
-                intensity: int = 1) -> list[tuple[str, int]]:
-    """Records whose keys hash-partition almost entirely into one bucket.
-
-    Keys are rejection-sampled so ``hash(key) % n_reduces`` lands in
-    partition 0 for the skewed share (60/80/95% by intensity) — the
-    straggler-inducing partition-skew attack against any hash
-    partitioner, independent of key distribution assumptions.
-    """
-    from repro.mapreduce.api import HashPartitioner
-    partitioner = HashPartitioner()
-    share = {1: 0.6, 2: 0.8, 3: 0.95}[intensity]
-    records = []
-    for i in range(n_records):
-        want_hot = float(rng.uniform(0.0, 1.0)) < share
-        for attempt in range(64):
-            key = f"k{int(rng.integers(0, 1 << 30)):08x}"
-            bucket = partitioner.partition(key, max(1, n_reduces))
-            if (bucket == 0) == want_hot or n_reduces <= 1:
-                break
-        records.append((key, i))
-    return records
-
-
-def spam_job_count(intensity: int = 1) -> int:
-    """How many tiny jobs the noisy neighbor floods in (per actor)."""
-    return {1: 2, 2: 4, 3: 6}[intensity]
-
-
 # -- arrival processes (service mode side) ----------------------------------
 
-class _PinnedTenantProcess(ArrivalProcess):
-    """Base for adversaries: every arrival comes from the actor's tenant."""
-
-    def __init__(self, name: str, tenants, rng, tenant: str):
-        super().__init__(name, tenants, rng)
-        if tenant not in tenants.names:
-            raise ConfigError(f"adversary tenant {tenant!r} is not in the "
-                              "registry")
-        self.tenant = tenant
-
-    def _pick_tenant(self) -> str:
-        return self.tenant
+def _registered(tenant: str, tenants) -> str:
+    if tenant not in tenants:
+        raise ConfigError(f"adversary tenant {tenant!r} is not in the "
+                          "registry")
+    return tenant
 
 
-class HotKeyFloodTraffic(_PinnedTenantProcess):
-    """Bursty single-tenant flood: quiet baseline, then dense bursts.
+class HotKeyFloodTraffic(ArrivalProcess):
+    """Bursty single-tenant flood: silence, then dense bursts.
 
     Models a tenant that periodically hammers the service with
-    correlated requests (every burst arrives back-to-back at
-    ``burst_rate``), starving admission windows for everyone else.
+    correlated requests, starving admission windows for everyone else:
+    a ``BURST_LEN_S`` burst of Poisson arrivals at ``burst_rate`` every
+    ``BURST_EVERY_S`` seconds from t=0, nothing in between (acceptance
+    is "inside a burst window").
     """
 
-    #: One ``BURST_LEN_S`` burst every ``BURST_EVERY_S`` seconds.
     BURST_EVERY_S, BURST_LEN_S = 120.0, 10.0
 
     def __init__(self, name: str, tenants, rng, tenant: str,
                  burst_rate: float = 2.0):
-        super().__init__(name, tenants, rng, tenant)
+        super().__init__(name, tenants, rng)
         if burst_rate <= 0:
             raise ConfigError("burst_rate must be positive")
-        self.burst_rate = burst_rate
+        self.tenant = _registered(tenant, tenants)
+        self.burst_rate = self.peak_rate = float(burst_rate)
 
-    def _times(self, horizon_s: float) -> Iterator[float]:
-        t = 0.0
-        while t < horizon_s:
-            burst_start = t
-            burst_end = min(burst_start + self.BURST_LEN_S, horizon_s)
-            at = burst_start
-            while at < burst_end:
-                at += float(self.rng.exponential(1.0 / self.burst_rate))
-                if at < burst_end:
-                    yield at
-            t = burst_start + self.BURST_EVERY_S
+    def rate_at(self, t):
+        return np.where(t % self.BURST_EVERY_S < self.BURST_LEN_S,
+                        self.burst_rate, 0.0)
 
 
-class StragglerSkewTraffic(_PinnedTenantProcess):
+class StragglerSkewTraffic(PoissonTraffic):
     """Steady arrivals whose sizes are pinned to the heaviest class.
 
     Every request is a maximal ``large`` job — the tenant that always
     submits the work most likely to straggle and hold slots.
     """
 
+    job_class, size_mb = JOB_CLASSES[-1][0], JOB_CLASSES[-1][2]
+
     def __init__(self, name: str, tenants, rng, tenant: str,
                  rate_per_s: float = 0.02):
-        super().__init__(name, tenants, rng, tenant)
-        if rate_per_s <= 0:
-            raise ConfigError("rate_per_s must be positive")
-        self.rate_per_s = rate_per_s
-
-    def _pick_class(self) -> tuple[str, float]:
-        from repro.cloud.traffic import JOB_CLASSES
-        name, _lo, hi, _prob = JOB_CLASSES[-1]
-        # Consume one draw so the stream stays aligned with the base
-        # class and the trace digest is a pure function of the seed.
-        self.rng.uniform(0.0, 1.0)
-        return name, hi
-
-    def _times(self, horizon_s: float) -> Iterator[float]:
-        t = 0.0
-        while True:
-            t += float(self.rng.exponential(1.0 / self.rate_per_s))
-            if t >= horizon_s:
-                return
-            yield t
+        super().__init__(name, tenants, rng, rate_per_s)
+        self.tenant = _registered(tenant, tenants)
 
 
-class BatchSpamTraffic(_PinnedTenantProcess):
-    """Noisy neighbor: a dense Poisson train of tiny batch jobs."""
+class BatchSpamTraffic(PoissonTraffic):
+    """Noisy neighbor: a dense Poisson train of minimal ``small`` jobs."""
+
+    job_class, size_mb = JOB_CLASSES[0][0], JOB_CLASSES[0][1]
 
     def __init__(self, name: str, tenants, rng, tenant: str,
                  rate_per_s: float = 0.5):
-        super().__init__(name, tenants, rng, tenant)
-        if rate_per_s <= 0:
-            raise ConfigError("rate_per_s must be positive")
-        self.rate_per_s = rate_per_s
-
-    def _pick_class(self) -> tuple[str, float]:
-        self.rng.uniform(0.0, 1.0)
-        return "small", 16.0
-
-    def _times(self, horizon_s: float) -> Iterator[float]:
-        t = 0.0
-        while True:
-            t += float(self.rng.exponential(1.0 / self.rate_per_s))
-            if t >= horizon_s:
-                return
-            yield t
+        super().__init__(name, tenants, rng, rate_per_s)
+        self.tenant = _registered(tenant, tenants)
 
 
 def make_adversary_traffic(spec: AdversarySpec, tenants, rng,

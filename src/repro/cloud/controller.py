@@ -53,6 +53,10 @@ from repro.observatory.slo import SERVICE_SLOS, AlertBook
 from repro.telemetry import events as EV
 from repro.telemetry.timeseries import TimeSeriesStore
 
+#: Arrival lines hashed per trace-digest update.  SHA-256 over the
+#: concatenated lines is the same digest however they are chunked.
+TRACE_CHUNK = 1024
+
 
 # -- the surrogate cost model ------------------------------------------------
 @dataclass(frozen=True)
@@ -479,6 +483,7 @@ class ServiceController:
         self.inflight = 0
         backend.on_done = self._on_done
         self._trace_hash = Digest()
+        self._trace_lines: list[str] = []
         self._offer_done = False
         # The last ``rolling_ticks`` per-tick latency histograms and their
         # running sum: the timeline's rolling p99.
@@ -501,6 +506,7 @@ class ServiceController:
         self.sim.run_until(done)
         self.report.kernel_events = self.sim.events_processed - before
         self.report.finished_at = self.sim.now
+        self._hash_trace()
         self.report.trace_digest = self._trace_hash.hex()
         self.report.burn_digest = self.burn_engine.digest()
         if self.autoscaler is not None:
@@ -522,8 +528,18 @@ class ServiceController:
             self._handle(arrival)
         self._offer_done = True
 
+    def _hash_trace(self) -> None:
+        """Fold the pending arrival lines into the trace digest."""
+        lines = self._trace_lines
+        if lines:
+            self._trace_hash.update("\n".join(lines) + "\n")
+            lines.clear()
+
     def _handle(self, arrival: Arrival) -> None:
-        self._trace_hash.update(arrival.line() + "\n")
+        lines = self._trace_lines
+        lines.append(arrival.line())
+        if len(lines) == TRACE_CHUNK:
+            self._hash_trace()
         spec = self.tenants.spec(arrival.tenant)
         stats = self.tenants.stats(arrival.tenant)
         stats.submitted += 1

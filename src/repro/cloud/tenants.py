@@ -157,9 +157,8 @@ class TenantRegistry:
             raise ConfigError("quota_scale must be > 0")
         registry = cls()
         width = max(3, len(str(n_tenants - 1)))
-        for index in range(n_tenants):
+        for index, draw in enumerate(rng.random(n_tenants).tolist()):
             weight = 1.0 / (1 + index) ** 0.8
-            draw = float(rng.uniform(0.0, 1.0))
             if draw < 0.2:
                 priority, slo_scale = "interactive", 0.5
             elif draw < 0.8:

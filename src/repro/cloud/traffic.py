@@ -1,31 +1,44 @@
 """Open-loop traffic for the always-on service.
 
-Arrival processes generate timestamped :class:`Arrival` records *lazily*
-(``stream(horizon)`` is an iterator — a million-submission run never holds
-a million objects at once) and *deterministically*: every draw comes from
-one named RNG stream, so the same seed yields a byte-identical trace,
-pinned by :func:`trace_digest` in tests and CI.
+Every generated arrival process is one thinned (Lewis–Shedler) Poisson
+process, drawn in blocks of :data:`BLOCK` candidates from one named RNG
+stream:
+
+1. candidate times: one ``standard_exponential(BLOCK)`` scaled to the
+   process's ``peak_rate`` and summed on from the previous block's last
+   candidate;
+2. acceptance: one ``random(BLOCK)`` compared against the vectorised
+   ``rate_at(t) / peak_rate``;
+3. decoration of the accepted candidates: tenant (weighted, by
+   ``searchsorted`` on the cumulative weights), job class and log-uniform
+   size, one array draw each, skipped for whatever the process pins.
+
+The horizon cuts a block only after all of that is drawn, so the draws
+never depend on it: ``stream(H1)`` is a prefix of ``stream(H2)``, the same
+seed yields a byte-identical trace (pinned by :func:`trace_digest`), and
+memory stays one block whatever the horizon.  The distributions are
+checked statistically in ``tests/cloud/test_traffic.py``.
 
 Open-loop means arrival times never depend on service state — the
 generator keeps offering load whether or not the service keeps up, which
 is what makes backlog growth, load shedding and autoscaling observable at
 all (a closed loop self-throttles and hides them).
 
-Shapes:
+Shapes (each a ``peak_rate`` plus a ``rate_at``):
 
 * :class:`PoissonTraffic` — homogeneous Poisson at a fixed rate;
-* :class:`DiurnalTraffic` — sinusoidal day/night rate (thinning);
+* :class:`DiurnalTraffic` — sinusoidal day/night rate;
 * :class:`BurstTraffic` — base rate with periodic multiplied bursts;
-* :class:`TraceReplay` — replays a recorded list verbatim.
+* :class:`TraceReplay` — replays a recorded list verbatim (no draws).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from repro.cloud.tenants import TenantRegistry
 from repro.digest import Digest
@@ -38,13 +51,16 @@ JOB_CLASSES: tuple[tuple[str, float, float, float], ...] = (
     ("large", 1024.0, 8192.0, 0.10),
 )
 
+#: Candidates drawn per block.
+BLOCK = 4096
 
-#: JOB_CLASSES as the sampler reads it:
-#: (class name, min MB, log(max/min), cumulative probability).
-_CLASS_BANDS = tuple(
-    (name, lo_mb, math.log(hi_mb / lo_mb), acc)
-    for (name, lo_mb, hi_mb, _), acc
-    in zip(JOB_CLASSES, accumulate(prob for *_, prob in JOB_CLASSES)))
+#: JOB_CLASSES as the sampler reads it: names, cumulative probabilities
+#: short of the last class (which takes the rounding remainder), and each
+#: band's min MB and log(max/min).
+_CLASS_NAMES = np.array([name for name, *_ in JOB_CLASSES], dtype=object)
+_CLASS_ACC = np.cumsum([prob for *_, prob in JOB_CLASSES])[:-1]
+_CLASS_LO = np.array([lo for _, lo, _, _ in JOB_CLASSES])
+_CLASS_SPAN = np.array([math.log(hi / lo) for _, lo, hi, _ in JOB_CLASSES])
 
 
 def mean_job_size_mb() -> float:
@@ -54,7 +70,7 @@ def mean_job_size_mb() -> float:
                for _, lo, hi, prob in JOB_CLASSES)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Arrival:
     """One offered request, before admission."""
 
@@ -84,8 +100,20 @@ def trace_digest(arrivals: Iterable[Arrival]) -> str:
 
 
 class ArrivalProcess:
-    """Base: turns a time sequence into tenant/class/size-decorated
-    arrivals.  Subclasses implement :meth:`_times`."""
+    """A thinned Poisson process drawn in blocks (module docstring).
+
+    A subclass is a parameterisation: ``peak_rate`` (candidates per
+    second), :meth:`rate_at` (vectorised over candidate times; a candidate
+    at ``t`` is accepted with probability ``rate_at(t) / peak_rate``), and
+    optionally a pinned ``tenant``, ``job_class`` or ``size_mb`` — left
+    ``None``, each is drawn (a drawn size is log-uniform in the arrival's
+    class band).
+    """
+
+    peak_rate: float
+    tenant: Optional[str] = None
+    job_class: Optional[str] = None
+    size_mb: Optional[float] = None
 
     def __init__(self, name: str, tenants: TenantRegistry, rng):
         if len(tenants) == 0:
@@ -93,56 +121,64 @@ class ArrivalProcess:
         self.name = name
         self.tenants = tenants
         self.rng = rng
-        # ``a + (b - a) * random()`` and ``scale * standard_exponential()``
-        # are the doubles ``uniform(a, b)`` / ``exponential(scale)`` return,
-        # minus NumPy's per-call argument parsing (pinned by the tests).
-        self._random = rng.random
-        self._exponential = rng.standard_exponential
         self._seq = 0
-        # Cumulative tenant weights for O(log n) weighted choice.
-        self._names = tenants.names
-        self._cum: list[float] = []
-        total = 0.0
-        for spec in tenants:
-            total += spec.weight
-            self._cum.append(total)
-        self._total_weight = total
+        self._names = np.array(tenants.names, dtype=object)
+        cum = np.cumsum([spec.weight for spec in tenants])
+        self._total_weight = cum[-1]
+        # Short of the last tenant, so rounding can never overrun.
+        self._cum = cum[:-1]
 
-    # -- decoration --------------------------------------------------------
-    def _pick_tenant(self) -> str:
-        draw = self._total_weight * self._random()
-        # First tenant whose cumulative weight exceeds the draw; the
-        # search stops short of the last so rounding can never overrun.
-        return self._names[bisect_right(self._cum, draw, 0,
-                                        len(self._cum) - 1)]
-
-    def _pick_class(self) -> tuple[str, float]:
-        draw = self._random()
-        for name, lo_mb, log_span, acc in _CLASS_BANDS:
-            if draw < acc:
-                break
-        # (no break: the last class takes the rounding remainder)
-        # Log-uniform size inside the class band.
-        return name, lo_mb * math.exp(self._random() * log_span)
-
-    def _decorate(self, at: float) -> Arrival:
-        tenant = self._pick_tenant()
-        job_class, size_mb = self._pick_class()
-        request_id = f"{self.name}-{self._seq:08d}"
-        self._seq += 1
-        return Arrival(at=at, tenant=tenant, job_class=job_class,
-                       size_mb=size_mb, request_id=request_id)
-
-    # -- the stream --------------------------------------------------------
-    def _times(self, horizon_s: float) -> Iterator[float]:
+    def rate_at(self, t):
+        """Offered rate at ``t`` (a time or an array of them)."""
         raise NotImplementedError
 
+    # -- the stream --------------------------------------------------------
     def stream(self, horizon_s: float) -> Iterator[Arrival]:
         """Lazily yield arrivals with ``at`` strictly below ``horizon_s``."""
         if horizon_s <= 0:
             raise ConfigError("horizon_s must be positive")
-        for at in self._times(horizon_s):
-            yield self._decorate(at)
+        return self._generate(horizon_s)
+
+    def _generate(self, horizon_s: float) -> Iterator[Arrival]:
+        rng, peak = self.rng, self.peak_rate
+        scale = 1.0 / peak
+        prefix = f"{self.name}-"
+        t = 0.0
+        while t < horizon_s:
+            gaps = scale * rng.standard_exponential(BLOCK)
+            gaps[0] += t
+            times = gaps.cumsum()
+            t = times[-1]
+            at = times[rng.random(BLOCK) < self.rate_at(times) / peak]
+            tenants, classes, sizes = self._draw_mix(len(at))
+            first = self._seq
+            self._seq += len(at)
+            keep = int(at.searchsorted(horizon_s))
+            yield from map(Arrival, at[:keep].tolist(), tenants[:keep],
+                           classes[:keep], sizes[:keep],
+                           [f"{prefix}{seq:08d}"
+                            for seq in range(first, first + keep)])
+
+    def _draw_mix(self, n: int) -> tuple[list, list, list]:
+        """Tenants, class names and sizes of ``n`` accepted candidates,
+        one array draw each unless pinned."""
+        rng = self.rng
+        if self.tenant is None:
+            draws = self._total_weight * rng.random(n)
+            tenants = self._names[self._cum.searchsorted(
+                draws, side="right")].tolist()
+        else:
+            tenants = [self.tenant] * n
+        if self.job_class is None:
+            index = _CLASS_ACC.searchsorted(rng.random(n), side="right")
+        else:
+            index = np.full(n, list(_CLASS_NAMES).index(self.job_class))
+        if self.size_mb is None:
+            sizes = (_CLASS_LO[index]
+                     * np.exp(rng.random(n) * _CLASS_SPAN[index])).tolist()
+        else:
+            sizes = [self.size_mb] * n
+        return tenants, _CLASS_NAMES[index].tolist(), sizes
 
     def materialize(self, horizon_s: float) -> list[Arrival]:
         return list(self.stream(horizon_s))
@@ -156,46 +192,13 @@ class PoissonTraffic(ArrivalProcess):
         super().__init__(name, tenants, rng)
         if rate_per_s <= 0:
             raise ConfigError("rate_per_s must be positive")
-        self.rate_per_s = float(rate_per_s)
+        self.rate_per_s = self.peak_rate = float(rate_per_s)
 
-    def _times(self, horizon_s: float) -> Iterator[float]:
-        t = 0.0
-        draw, scale = self._exponential, 1.0 / self.rate_per_s
-        while True:
-            t += scale * draw()
-            if t >= horizon_s:
-                return
-            yield t
+    def rate_at(self, t):
+        return self.rate_per_s
 
 
-class _ThinnedProcess(ArrivalProcess):
-    """Non-homogeneous Poisson via Lewis–Shedler thinning.
-
-    Subclasses provide ``peak_rate`` and ``rate_at(t)``; candidates are
-    drawn at the peak rate and accepted with probability
-    ``rate_at(t) / peak_rate`` — exact, and deterministic under the named
-    RNG stream.
-    """
-
-    peak_rate: float
-
-    def rate_at(self, t: float) -> float:
-        raise NotImplementedError
-
-    def _times(self, horizon_s: float) -> Iterator[float]:
-        t = 0.0
-        exponential, random = self._exponential, self._random
-        peak_rate, rate_at = self.peak_rate, self.rate_at
-        scale = 1.0 / peak_rate
-        while True:
-            t += scale * exponential()
-            if t >= horizon_s:
-                return
-            if random() < rate_at(t) / peak_rate:
-                yield t
-
-
-class DiurnalTraffic(_ThinnedProcess):
+class DiurnalTraffic(ArrivalProcess):
     """Sinusoidal day/night load: rate(t) = base·(1 + amp·sin(2πt/period))."""
 
     def __init__(self, name: str, tenants: TenantRegistry, rng,
@@ -212,13 +215,13 @@ class DiurnalTraffic(_ThinnedProcess):
         self.phase = float(phase)
         self.peak_rate = self.base_rate_per_s * (1.0 + self.amplitude)
 
-    def rate_at(self, t: float) -> float:
+    def rate_at(self, t):
         return self.base_rate_per_s * (
             1.0 + self.amplitude
-            * math.sin(2.0 * math.pi * t / self.period_s + self.phase))
+            * np.sin(2.0 * math.pi * t / self.period_s + self.phase))
 
 
-class BurstTraffic(_ThinnedProcess):
+class BurstTraffic(ArrivalProcess):
     """Base-rate Poisson with periodic multiplied burst windows.
 
     Every ``burst_every_s`` the rate jumps to ``base · burst_factor`` for
@@ -248,16 +251,14 @@ class BurstTraffic(_ThinnedProcess):
                                  else float(burst_every_s))
         self.peak_rate = self.base_rate_per_s * self.burst_factor
 
-    def in_burst(self, t: float) -> bool:
-        if t < self.first_burst_at_s:
-            return False
+    def in_burst(self, t):
+        """Whether ``t`` (a time or an array of them) is inside a burst."""
         offset = (t - self.first_burst_at_s) % self.burst_every_s
-        return offset < self.burst_duration_s
+        return (t >= self.first_burst_at_s) & (offset < self.burst_duration_s)
 
-    def rate_at(self, t: float) -> float:
-        if self.in_burst(t):
-            return self.base_rate_per_s * self.burst_factor
-        return self.base_rate_per_s
+    def rate_at(self, t):
+        return np.where(self.in_burst(t), self.peak_rate,
+                        self.base_rate_per_s)
 
 
 class TraceReplay(ArrivalProcess):
@@ -279,6 +280,3 @@ class TraceReplay(ArrivalProcess):
             if arrival.at >= horizon_s:
                 return
             yield arrival
-
-    def _times(self, horizon_s: float) -> Iterator[float]:  # pragma: no cover
-        raise NotImplementedError("TraceReplay overrides stream()")

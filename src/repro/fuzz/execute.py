@@ -32,8 +32,7 @@ import numpy as np
 
 from repro import constants as C
 from repro.chaos import ChaosInjector, Fault, FaultPlan
-from repro.cloud.adversaries import (AdversarySpec, hot_key_lines,
-                                     skewed_keys, spam_job_count)
+from repro.cloud.adversaries import AdversarySpec
 from repro.config import PlatformConfig, TopologySpec
 from repro.datasets.sample_data import generate_sample_data, sample_sizeof
 from repro.datasets.tera import records_for_bytes, tera_sizeof, teragen
@@ -43,6 +42,7 @@ from repro.fuzz.invariants import (InvariantSuite, JobOutcome, RunContext,
                                    Violation)
 from repro.fuzz.scenario import FuzzJob, Scenario
 from repro.hdfs.replication import under_replicated
+from repro.mapreduce.api import HashPartitioner
 from repro.mapreduce.job import Job
 from repro.mapreduce.local import LocalJobRunner
 from repro.ml.kmeans import KMeansDriver
@@ -148,6 +148,55 @@ def _materialize_kmeans(j: FuzzJob, index: int, rng) -> MaterializedJob:
     return MaterializedJob(job=job, records=records, sizeof=sample_sizeof,
                            pool=j.pool, kind="kmeans", input_path=path,
                            float_outputs=True)
+
+
+def hot_key_lines(rng, n_lines: int, intensity: int = 1) -> list[str]:
+    """A wordcount corpus where the word ``hotspot`` dominates.
+
+    Intensity 1/2/3 makes ~50/70/90% of all tokens the hot word, so the
+    reducer that owns it sees a single giant value list while its peers
+    idle — the shuffle-side hot-partition attack.
+    """
+    fraction = {1: 0.5, 2: 0.7, 3: 0.9}[intensity]
+    words_per_line = 12
+    lines = []
+    for _ in range(n_lines):
+        tokens = []
+        for _ in range(words_per_line):
+            if float(rng.uniform(0.0, 1.0)) < fraction:
+                tokens.append("hotspot")
+            else:
+                tokens.append(f"w{int(rng.integers(0, 512)):03d}")
+        lines.append(" ".join(tokens))
+    return lines
+
+
+def skewed_keys(rng, n_records: int, n_reduces: int,
+                intensity: int = 1) -> list[tuple[str, int]]:
+    """Records whose keys hash-partition almost entirely into one bucket.
+
+    Keys are rejection-sampled so ``hash(key) % n_reduces`` lands in
+    partition 0 for the skewed share (60/80/95% by intensity) — the
+    straggler-inducing partition-skew attack against any hash
+    partitioner, independent of key distribution assumptions.
+    """
+    partitioner = HashPartitioner()
+    share = {1: 0.6, 2: 0.8, 3: 0.95}[intensity]
+    records = []
+    for i in range(n_records):
+        want_hot = float(rng.uniform(0.0, 1.0)) < share
+        for attempt in range(64):
+            key = f"k{int(rng.integers(0, 1 << 30)):08x}"
+            bucket = partitioner.partition(key, max(1, n_reduces))
+            if (bucket == 0) == want_hot or n_reduces <= 1:
+                break
+        records.append((key, i))
+    return records
+
+
+def spam_job_count(intensity: int = 1) -> int:
+    """How many tiny jobs the noisy neighbor floods in (per actor)."""
+    return {1: 2, 2: 4, 3: 6}[intensity]
 
 
 def _materialize_adversary(spec: AdversarySpec, index: int, rng,

@@ -146,6 +146,12 @@ class BurnRateEngine:
         self.book = book
         self.target = target
         self.policies = tuple(policies)
+        #: Each policy's distinct window lengths (the fast pair's long
+        #: window is the slow pair's short one).
+        self._spans = tuple(
+            tuple(sorted({span for window in policy.windows
+                          for span in (window.long_s, window.short_s)}))
+            for policy in self.policies)
         self.labels = dict(labels) if labels else None
         #: Backlog per slot counted as budget burn.  Deliberately low:
         #: budget math needs an objective that trips early and pages
@@ -172,20 +178,30 @@ class BurnRateEngine:
                     else 0.0, at=now)
 
     # -- evaluation --------------------------------------------------------
-    def _burn(self, policy: BurnPolicy, t0: float, t1: float) -> float:
-        frac = self.store.mean_over(policy.series, t0, t1,
-                                    labels=self.labels)
-        return frac / policy.budget
+    def _burns(self, policy: BurnPolicy, spans: tuple[float, ...],
+               now: float) -> dict[float, float]:
+        """Burn rate over ``(now - span, now]`` for each window length."""
+        series = self.store.get(policy.series, self.labels)
+        if series is None:
+            return dict.fromkeys(spans, 0.0)
+        return {span: series.trailing_mean(now, span) / policy.budget
+                for span in spans}
 
     def evaluate(self, now: float) -> list[BurnState]:
-        """Fire/resolve every policy; returns the per-window burn states."""
+        """Fire/resolve every policy; returns the per-window burn states.
+
+        A window of length ``W`` covers ``(now - W, now]``: the tick just
+        recorded counts, the one ``W`` seconds back does not.  Each
+        distinct length is summed once per tick.
+        """
         self.evaluations += 1
         states: list[BurnState] = []
-        for policy in self.policies:
+        for policy, spans in zip(self.policies, self._spans):
+            burn = self._burns(policy, spans, now)
             worst: Optional[tuple[float, float, BurnWindow]] = None
             for window in policy.windows:
-                long_burn = self._burn(policy, now - window.long_s, now)
-                short_burn = self._burn(policy, now - window.short_s, now)
+                long_burn = burn[window.long_s]
+                short_burn = burn[window.short_s]
                 firing = (long_burn >= window.burn
                           and short_burn >= window.burn)
                 states.append(BurnState(policy.slo, window.label,
@@ -202,11 +218,8 @@ class BurnRateEngine:
                             f"{window.short_s:.0f}s "
                             f"(budget {policy.budget:g})"))
             elif self.book.is_active(policy.slo, self.target):
-                calm = all(
-                    self._burn(policy, now - window.long_s, now)
-                    < window.burn * 0.5
-                    for window in policy.windows)
-                if calm:
+                if all(burn[window.long_s] < window.burn * 0.5
+                       for window in policy.windows):
                     self.book.resolve(policy.slo, self.target)
         self.last_states = states
         return states

@@ -94,6 +94,9 @@ class LatencyHistogram:
         self.n_bins = int(n_bins)
         self._log_lo = math.log(lo)
         self._scale = (n_bins - 1) / (math.log(hi) - self._log_lo)
+        #: What two histograms must share to observe, merge or subtract
+        #: together (every bin edge derives from it).
+        self._layout = (self.lo, self.hi, self.n_bins)
         self.counts = [0] * n_bins
         self.count = 0
         self.total = 0.0
@@ -111,9 +114,9 @@ class LatencyHistogram:
         if not 0 <= value < _INF:  # negative, NaN or infinite
             raise ConfigError(f"latency must be finite and >= 0, "
                               f"got {value!r}")
+        layout = self._layout
         for hist in also:
-            if (hist._scale != self._scale or hist.n_bins != self.n_bins
-                    or hist._log_lo != self._log_lo):
+            if hist._layout != layout:
                 raise ConfigError("cannot observe into histograms with "
                                   "different bins")
         if value <= self.lo:
@@ -122,7 +125,14 @@ class LatencyHistogram:
             index = int((math.log(value) - self._log_lo) * self._scale)
             if index >= self.n_bins:
                 index = self.n_bins - 1
-        for hist in (self, *also) if also else (self,):
+        self.count += 1
+        self.total += value
+        if value > self.max_seen:
+            self.max_seen = value
+        if value < self.min_seen:
+            self.min_seen = value
+        self.counts[index] += 1
+        for hist in also:
             hist.count += 1
             hist.total += value
             if value > hist.max_seen:
@@ -176,8 +186,7 @@ class LatencyHistogram:
         return bad / self.count
 
     def _check_bins(self, other: "LatencyHistogram", verb: str) -> None:
-        if (other.lo, other.hi, other.n_bins) != (self.lo, self.hi,
-                                                  self.n_bins):
+        if other._layout != self._layout:
             raise ConfigError(f"cannot {verb} histograms with different "
                               f"bins")
 

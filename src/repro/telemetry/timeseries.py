@@ -158,6 +158,25 @@ class _Tier:
                 out.append(bucket)
         return out
 
+    def sums(self, first: int, last: int) -> tuple[float, int]:
+        """Summed ``total`` and ``count`` of the live buckets with index in
+        ``[first, last]``, added in ascending index order (the order
+        :meth:`buckets` returns them); builds no list."""
+        newest = self.newest
+        if newest is None:
+            return 0.0, 0
+        capacity, slots, base = self.capacity, self.slots, self.base
+        used = len(slots)
+        total, count = 0.0, 0
+        for index in range(max(first, newest.index - capacity + 1),
+                           min(last, newest.index) + 1):
+            slot = (index - base) % capacity
+            bucket = slots[slot] if slot < used else None
+            if bucket is not None and bucket.index == index:
+                total += bucket.total
+                count += bucket.count
+        return total, count
+
     def retention_s(self) -> float:
         return self.width * self.capacity
 
@@ -247,6 +266,22 @@ class TimeSeries:
         for _, bucket in self.range(t0, t1, tier):
             total += bucket.total
             count += bucket.count
+        return total / count if count else 0.0
+
+    def trailing_mean(self, now: float, span: float) -> float:
+        """Sample-weighted mean over the trailing window ``(now - span,
+        now]`` (0.0 when empty).
+
+        At bucket grain: the bucket holding ``now`` is in, the one holding
+        ``now - span`` is out — exact for samples on bucket edges, as a
+        sampler every ``step`` records them.  Reads the finest tier whose
+        retention covers ``span``, adding buckets in ascending order as
+        :meth:`mean_over` does.
+        """
+        tier = next((t for t in self.tiers if span <= t.retention_s()),
+                    self.tiers[-1])
+        total, count = tier.sums(int((now - span) // tier.width) + 1,
+                                 int(now // tier.width))
         return total / count if count else 0.0
 
     def rate(self, t0: float, t1: float,

@@ -15,7 +15,8 @@ from repro.cloud import (AdmissionController, BurstTraffic, CostModel,
                          ElasticAutoscaler, LatencyHistogram, PoissonTraffic,
                          ServiceController, SharedClusterBackend,
                          SharedVHadoopService, SlotModelBackend,
-                         TenantRegistry)
+                         TenantRegistry, trace_digest)
+from repro.cloud.controller import TRACE_CHUNK
 from repro.config import PlatformConfig
 from repro.errors import ConfigError
 from repro.observatory.burnrate import BurnRateEngine
@@ -30,15 +31,21 @@ from repro.telemetry.timeseries import TimeSeriesStore
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def surrogate_run(seed, autoscale=True, rate=2.0, horizon=600.0):
-    sim = Simulator()
+def burst_universe(seed, rate=2.0):
+    """The surrogate runs' tenant fleet and traffic."""
     rngs = RngRegistry(seed)
-    cost = CostModel(base_s=20.0, per_mb_s=0.02)
     tenants = TenantRegistry.synthetic(16, rngs.stream("fleet"),
                                        quota_scale=200.0)
     traffic = BurstTraffic("b", tenants, rngs.stream("traffic"),
                            base_rate_per_s=rate, burst_factor=5.0,
                            burst_every_s=200.0, burst_duration_s=80.0)
+    return tenants, traffic
+
+
+def surrogate_run(seed, autoscale=True, rate=2.0, horizon=600.0):
+    sim = Simulator()
+    cost = CostModel(base_s=20.0, per_mb_s=0.02)
+    tenants, traffic = burst_universe(seed, rate)
     slots = 80
     backend = SlotModelBackend(sim, cost, slots=slots, elastic_max=320,
                                boot_s=30.0)
@@ -63,6 +70,16 @@ def test_surrogate_run_is_deterministic_in_process():
     assert a.counters() == b.counters()
     assert a.digest() == b.digest()
     assert surrogate_run(8).digest() != a.digest()
+
+
+def test_report_trace_digest_is_the_materialized_trace_digest():
+    """The controller hashes arrival lines in chunks of TRACE_CHUNK; the
+    digest equals hashing a fresh identical traffic's trace line by
+    line."""
+    report = surrogate_run(7)
+    assert report.submitted > 2 * TRACE_CHUNK
+    _, traffic = burst_universe(7)
+    assert report.trace_digest == trace_digest(traffic.materialize(600.0))
 
 
 def test_surrogate_run_conserves_requests():

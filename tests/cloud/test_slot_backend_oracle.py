@@ -279,3 +279,18 @@ def test_a_rejected_observation_leaves_every_histogram_untouched(bad):
         first.observe(5.0, second, LatencyHistogram(n_bins=16))
     assert (_state(first), _state(second)) == before
     assert first.count == sum(first.counts)
+
+
+@pytest.mark.parametrize("odd", [0, 1, 2])
+def test_one_mismatched_target_leaves_every_histogram_untouched(odd):
+    """``observe(v, *also)`` checks every target's layout before it
+    records anything, wherever the mismatched one sits."""
+    owner = LatencyHistogram()
+    also = [LatencyHistogram() for _ in range(3)]
+    also[odd] = LatencyHistogram(hi=1e4)
+    for hist in (owner, *also):
+        hist.observe(2.0)
+    before = [_state(hist) for hist in (owner, *also)]
+    with pytest.raises(ConfigError, match="different bins"):
+        owner.observe(5.0, *also)
+    assert [_state(hist) for hist in (owner, *also)] == before

@@ -1,10 +1,16 @@
-"""Determinism and shape of the open-loop arrival generators."""
+"""Determinism, shape and statistics of the open-loop arrival generators."""
 
+import math
+from collections import Counter
+
+import numpy as np
 import pytest
+from scipy import stats
 
-from repro.cloud import (BurstTraffic, DiurnalTraffic, PoissonTraffic,
-                         TenantRegistry, TraceReplay, trace_digest)
-from repro.cloud.traffic import JOB_CLASSES, mean_job_size_mb
+from repro.cloud import (ADVERSARY_KINDS, AdversarySpec, BurstTraffic,
+                         DiurnalTraffic, PoissonTraffic, TenantRegistry,
+                         TraceReplay, make_adversary_traffic, trace_digest)
+from repro.cloud.traffic import BLOCK, JOB_CLASSES, mean_job_size_mb
 from repro.errors import ConfigError
 from repro.sim.rng import RngRegistry
 
@@ -21,37 +27,118 @@ def test_same_seed_same_trace_digest():
     assert trace_digest(ta) == trace_digest(tb)
 
 
-@pytest.mark.parametrize("make, n_arrivals, digest", [
-    (lambda t, r: PoissonTraffic("p", t, r, rate_per_s=2.0),
-     4062, "2d82178ed5a44bf2"),
-    (lambda t, r: DiurnalTraffic("d", t, r, base_rate_per_s=2.0,
-                                 period_s=600.0),
-     4123, "c1bb9ec34aa73272"),
-    (lambda t, r: BurstTraffic("b", t, r, base_rate_per_s=2.0,
-                               burst_every_s=500.0, burst_duration_s=100.0),
-     5803, "d65c5347ef57dc68"),
+#: The three generated shapes the pins and the prefix test run.
+SHAPES = {
+    "poisson": lambda t, r: PoissonTraffic("p", t, r, rate_per_s=2.0),
+    "diurnal": lambda t, r: DiurnalTraffic("d", t, r, base_rate_per_s=2.0,
+                                           period_s=600.0),
+    "burst": lambda t, r: BurstTraffic("b", t, r, base_rate_per_s=2.0,
+                                       burst_every_s=500.0,
+                                       burst_duration_s=100.0),
+}
+
+
+@pytest.mark.parametrize("shape, n_arrivals, digest", [
+    ("poisson", 4095, "5aaa70bb570cc7f5"),
+    ("diurnal", 4291, "3123cd3dbfba377e"),
+    ("burst", 5857, "0a98ba43d981b5ff"),
 ], ids=["poisson", "diurnal", "burst"])
-def test_arrival_streams_are_pinned(make, n_arrivals, digest):
-    """Pinned before the draws moved off ``uniform`` / ``exponential``:
-    every arrival time, tenant, class and size is the same double."""
+def test_arrival_streams_are_pinned(shape, n_arrivals, digest):
+    """Pinned at the block generator: every arrival time, tenant, class
+    and size, byte for byte."""
     rngs = RngRegistry(7)
     tenants = TenantRegistry.synthetic(16, rngs.stream("fleet"))
-    arrivals = make(tenants, rngs.stream("traffic")).materialize(2000.0)
+    arrivals = SHAPES[shape](tenants, rngs.stream("traffic")).materialize(
+        2000.0)
     assert (len(arrivals), trace_digest(arrivals)) == (n_arrivals, digest)
 
 
-def test_argument_free_draws_are_the_uniform_and_exponential_doubles():
-    """The identity the generators rest on; a NumPy release that draws
-    ``uniform`` / ``exponential`` differently must fail here, loudly."""
-    old = RngRegistry(5).fresh("draws")
-    new = RngRegistry(5).fresh("draws")
-    for i in range(4000):
-        a, b, scale = -3.0 + i, 0.125 * (i % 97) + i, 1.0 / (1 + i % 13)
-        assert a + (b - a) * new.random() == float(old.uniform(a, b))
-        assert scale * new.standard_exponential() == \
-            float(old.exponential(scale))
-        assert 37.5 * new.random() == float(old.uniform(0.0, 37.5))
-        assert new.random() == float(old.uniform(0.0, 1.0))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_a_shorter_horizon_is_a_prefix(shape):
+    """The horizon cuts a block after it is drawn: the 700 s trace is the
+    start of the 9,000 s one, cut inside the first of several blocks."""
+    def trace(horizon):
+        rngs = RngRegistry(3)
+        tenants = TenantRegistry.synthetic(16, rngs.stream("fleet"))
+        return [a.line() for a in SHAPES[shape](
+            tenants, rngs.stream("traffic")).materialize(horizon)]
+    short, long = trace(700.0), trace(9000.0)
+    assert len(long) > 4 * BLOCK > 4 * len(short) > 0
+    assert long[:len(short)] == short
+
+
+# -- the statistical oracle ---------------------------------------------------
+# Fixed seeds make every check below deterministic; ALPHA says how unlucky a
+# seed would have to be for a correct generator to fail it.
+ALPHA = 0.01
+
+
+def test_poisson_gaps_are_exponential():
+    rate = 3.0
+    arrivals = PoissonTraffic("p", fleet(), RngRegistry(21).stream("t"),
+                              rate).materialize(3000.0)
+    gaps = np.diff([0.0] + [a.at for a in arrivals])
+    assert stats.kstest(gaps, "expon", args=(0.0, 1.0 / rate)).pvalue > ALPHA
+
+
+def test_burst_density_is_burst_factor_times_the_base():
+    traffic = BurstTraffic("b", fleet(), RngRegistry(22).stream("t"),
+                           base_rate_per_s=2.0, burst_factor=5.0,
+                           burst_every_s=1000.0, burst_duration_s=200.0)
+    horizon = 20000.0
+    inside = traffic.in_burst(np.array(
+        [a.at for a in traffic.materialize(horizon)]))
+    burst_s = 200.0 * len(np.arange(1000.0, horizon, 1000.0))
+    ratio = (inside.sum() / burst_s) / ((~inside).sum()
+                                        / (horizon - burst_s))
+    # ~38k and ~32k arrivals: the ratio's relative error is ~0.8%.
+    assert ratio == pytest.approx(5.0, rel=0.04)
+
+
+def test_tenant_shares_follow_the_weights():
+    tenants = fleet(n=12)
+    arrivals = PoissonTraffic("p", tenants, RngRegistry(23).stream("t"),
+                              10.0).materialize(3000.0)
+    seen = Counter(a.tenant for a in arrivals)
+    weights = np.array([spec.weight for spec in tenants])
+    expected = len(arrivals) * weights / weights.sum()
+    observed = [seen[name] for name in tenants.names]
+    assert stats.chisquare(observed, expected).pvalue > ALPHA
+
+
+def test_class_shares_and_log_uniform_sizes_within_each_class():
+    arrivals = PoissonTraffic("p", fleet(), RngRegistry(24).stream("t"),
+                              10.0).materialize(3000.0)
+    sizes = {name: [] for name, *_ in JOB_CLASSES}
+    for a in arrivals:
+        sizes[a.job_class].append(a.size_mb)
+    observed = [len(sizes[name]) for name, *_ in JOB_CLASSES]
+    expected = [len(arrivals) * prob for *_, prob in JOB_CLASSES]
+    assert stats.chisquare(observed, expected).pvalue > ALPHA
+    for name, lo, hi, _ in JOB_CLASSES:
+        position = np.log(np.array(sizes[name]) / lo) / math.log(hi / lo)
+        assert stats.kstest(position, "uniform").pvalue > ALPHA
+
+
+def test_adversaries_keep_their_pinned_tenant_class_and_size():
+    tenants = fleet(n=6)
+    target = tenants.names[3]
+    traces = {kind: make_adversary_traffic(
+        AdversarySpec(kind, intensity=3, tenant=target), tenants,
+        RngRegistry(25).stream(kind)).materialize(3000.0)
+        for kind in ADVERSARY_KINDS}
+    for arrivals in traces.values():
+        assert arrivals and {a.tenant for a in arrivals} == {target}
+    hot = traces["hotkey"]
+    assert all(a.at % 120.0 < 10.0 for a in hot)        # bursts only
+    assert {a.job_class for a in hot} == {n for n, *_ in JOB_CLASSES}
+    assert {(a.job_class, a.size_mb) for a in traces["skew"]} == \
+        {("large", 8192.0)}
+    assert {(a.job_class, a.size_mb) for a in traces["spam"]} == \
+        {("small", 16.0)}
+    with pytest.raises(ConfigError):
+        make_adversary_traffic(AdversarySpec("spam", tenant="nobody"),
+                               tenants, RngRegistry(0).stream("x"))
 
 
 def test_different_seed_different_trace():

@@ -130,6 +130,40 @@ def test_digest_is_the_store_digest():
     assert engine.digest() == engine.store.digest()
 
 
+def test_a_window_covers_now_and_not_its_far_edge():
+    """A window of W covers ``(now - W, now]``: the sample recorded at
+    ``now`` counts, the one W seconds back does not."""
+    book = AlertBook()
+    for spec in SERVICE_SLOS:
+        book.register(spec)
+    store = TimeSeriesStore(step=10.0)
+    policy = BurnPolicy("service-p99", SERIES_LATENCY, budget=0.5,
+                        windows=(BurnWindow(60.0, 60.0, burn=2.0),))
+    engine = BurnRateEngine(store, book, target="svc", policies=(policy,))
+    for at, error in ((10.0, 0.0), (20.0, 0.0), (30.0, 1.0)):
+        engine.record(SERIES_LATENCY, error, at=at)
+    assert store.get(SERIES_LATENCY).trailing_mean(30.0, 60.0) == 1 / 3
+    [state] = engine.evaluate(30.0)
+    assert state.long_burn == (1 / 3) / 0.5
+    # At t=70 the window (10, 70] has dropped t=10 and holds t=70.
+    engine.record(SERIES_LATENCY, 1.0, at=70.0)
+    [state] = engine.evaluate(70.0)
+    assert state.long_burn == (2 / 3) / 0.5
+
+
+def test_a_total_outage_fires_on_the_tick_its_burn_crosses():
+    """100 clean 5 s ticks, then a p99 outage from t=500.  At t=520 the
+    slow pair's windows hold 5 of 105 and 5 of 60 bad ticks (burn 2.38
+    and 4.17 against 2), counting the tick recorded at 520 itself; at
+    515 the long window's 4 of 104 burn only 1.92."""
+    engine, book = make_engine()
+    now = drive(engine, ticks=100, error=0.0)
+    assert now == 500.0
+    while not book.is_active("service-p99", "svc"):
+        now = drive(engine, ticks=1, error=1.0, t0=now)
+    assert now - TICK == 520.0
+
+
 def test_default_windows_detection_time_algebra():
     fast = DEFAULT_BURN_WINDOWS[0]
     # Total outage (error fraction 1.0) on a 2% budget burns at 50x; the

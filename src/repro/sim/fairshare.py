@@ -33,19 +33,48 @@ components and re-arm the one timer.  Skipped intermediate rates would
 have held for zero seconds; in-instant readers of ``flow.rate`` or
 ``utilization`` call ``settle()`` first, and time cannot pass unsettled.
 
+**Binding sets.**  Few resources of a component ever saturate (about 8 of
+the 87 an average ``ladder500`` fill would walk).  Each component keeps a
+binding set ``B``, the only resources :func:`_fill` walks, and each class
+its path restricted to ``B``.  Every other resource holds a *slack
+certificate* (:func:`_slack`): with ``n`` live flows, capacity ``c`` and
+load ``l`` (the insertion-ordered sum the flush re-sums), ``c - l >
+n * (_EPS + k * 2**-52 * c)``.  Flows unfrozen at round ``i`` end at or
+above its level ``L``, so the frozen load ``F`` and unfrozen count ``u <=
+n`` satisfy ``F + u * L <= l`` and the resource's saturation level
+exceeds ``L`` by ``(c - l) / u`` before rounding.  Rounding costs at most
+``n`` half-ulps of ``c`` in ``F``'s repeated adds, ``n`` more in ``l``'s
+products and sum, and three in the subtraction, division and ``level +
+_EPS``: under ``3 * 2**-52 * c`` per flow, so ``k = 3`` suffices and
+``k = 16`` leaves headroom for a cap frozen ulps below its level after a
+rounding clamp, the one case that count does not bound.  A certified
+resource therefore never comes within ``_EPS`` of a level: the
+restricted fill makes the full fill's decisions round for round.  A
+certificate holds until the resource's load, capacity or flow count
+moves, which only a seed or a changed class's path can do; the flush
+checks those on the tentative rates, binds any that fail and refills.
+An accepted fill shrinks ``B`` to what saturated plus what still fails.
+Merges union ``B``, splits share it out, a resource joins its component
+bound (so a new component starts fully bound), and a class no bound
+resource could freeze (uncapped, with an empty restricted path) binds
+its path.  A resource one class crosses twice is never certified: ``l``
+counts that class once, the fill twice.
+
 **Contract** (``tests/sim/test_fairshare_incremental.py``): rates equal the
 per-flow whole-graph progressive fill (the tests' oracle) bit for bit
-after every flush.  Completion times and ``transferred`` equal exact rational
-integration of each flow's rate history within ``1e-12`` relative: the
-residue is a few ulps of the class clock — a targeted search over 20,000
-generated op sequences measured at most 5.1e-16 on completion times and
-4.5e-15 on transfers, a hand-built worst case (a short member on a
-long-lived clock) 1.1e-13.  Settling after every op instead of once per
-instant moves no timestamp or transfer.  Resources integrate their load
-*fraction*, so capacity changes never rescale history.  The cost counters
-(``rebalance_count``, ``flow_visits`` = class inspections by fills,
-``timer_cancellations``, ``max_component_flows``, ``completed_count``) are
-plain attributes of :class:`FairShareSystem`.
+after every flush, and the fill over the binding sets equals the fill over
+every resource in rates and visits.  Completion times and ``transferred``
+equal exact rational integration of each flow's rate history within
+``1e-12`` relative: the residue is a few ulps of the class clock — a
+targeted search over 20,000 generated op sequences measured at most
+5.1e-16 on completion times and 4.5e-15 on transfers, a hand-built worst
+case (a short member on a long-lived clock) 1.1e-13.  Settling after
+every op instead of once per instant moves no timestamp or transfer.
+Resources integrate their load *fraction*, so capacity changes never
+rescale history.  The cost counters (``rebalance_count``, ``flow_visits``
+= class inspections by accepted fills, ``fill_reruns``,
+``timer_cancellations``, ``max_component_flows``, ``completed_count``)
+are plain attributes of :class:`FairShareSystem`.
 """
 
 from __future__ import annotations
@@ -59,6 +88,9 @@ from repro.errors import ResourceError, SimulationError
 from repro.sim.kernel import Event, Simulator
 
 _EPS = 1e-12
+#: The certificate's rounding allowance per flow, as a fraction of
+#: capacity: ``k = 16`` machine epsilons (derived in the module docstring).
+_ULPS = 16 * 2.0 ** -52
 #: Smallest scheduling horizon (seconds); also the completion slack.
 _MIN_DT = 1e-9
 _INF = math.inf
@@ -69,7 +101,7 @@ class SharedResource:
 
     __slots__ = ("name", "capacity", "nominal", "_classes",
                  "current_load", "_busy_integral", "_moved_integral",
-                 "_last_change", "_comp")
+                 "_last_change", "_comp", "_repeats")
 
     def __init__(self, name: str, capacity: float):
         if capacity <= 0:
@@ -87,6 +119,9 @@ class SharedResource:
         #: Union-find component (None until a class crosses it, or after
         #: a lazy split found it isolated).
         self._comp: Optional["_Component"] = None
+        #: Live classes whose path crosses this resource more than once:
+        #: ``current_load`` undercounts their share, so no certificate.
+        self._repeats = 0
         self.current_load = 0.0
         self._busy_integral = 0.0
         self._moved_integral = 0.0
@@ -182,8 +217,9 @@ class FluidFlow:
 class _FlowClass:
     """The live flows of one ``(path, cap)``: one rate, one clock."""
 
-    __slots__ = ("path", "upath", "cap", "seq", "sim", "members", "heap",
-                 "rate", "v", "t", "undo", "due", "_comp")
+    __slots__ = ("path", "upath", "bpath", "bupath", "repeats", "cap", "seq",
+                 "sim", "members", "heap", "rate", "v", "t", "undo", "due",
+                 "_comp")
 
     def __init__(self, path: tuple, cap: float, seq: int, sim: Simulator):
         self.path = path
@@ -193,6 +229,12 @@ class _FlowClass:
             self.upath = path if path[0] is not path[1] else path[:1]
         else:
             self.upath = tuple(dict.fromkeys(path))
+        #: The resources the path crosses more than once.
+        self.repeats = () if len(self.upath) == len(path) else tuple(
+            r for r in self.upath if path.count(r) > 1)
+        #: ``path`` / ``upath`` restricted to the component's binding set:
+        #: what :func:`_fill` walks (see :meth:`restrict`).
+        self.bpath = self.bupath = ()
         self.cap = cap
         self.seq = seq
         self.sim = sim
@@ -235,23 +277,35 @@ class _FlowClass:
             self.undo = None
         self.rate = rate
 
+    def restrict(self) -> None:
+        """Re-derive the paths restricted to the component's binding set."""
+        binding = self._comp.binding
+        self.bpath = bpath = tuple([r for r in self.path if r in binding])
+        self.bupath = (bpath if len(self.upath) == len(self.path)
+                       else tuple(dict.fromkeys(bpath)))
+
 
 class _Component:
     """A lazily split union of live connected components: a rebalance
     that touches one whose class count halved since its peak re-derives
     it from the live adjacency first (amortized O(1) per removal)."""
 
-    __slots__ = ("classes", "resources", "peak", "nlive", "capped")
+    __slots__ = ("classes", "resources", "binding", "peak", "nlive",
+                 "capped", "nflows")
 
     def __init__(self) -> None:
         self.classes: set[_FlowClass] = set()
         self.resources: set[SharedResource] = set()
+        #: The binding set: the resources :func:`_fill` runs over.  Every
+        #: other resource holds a slack certificate (:func:`_slack`).
+        self.binding: set[SharedResource] = set()
         self.peak = 0
         #: Live *flow* count per resource over deduplicated paths (the
-        #: fill's unfrozen counters start as a copy).
+        #: fill's unfrozen counters start from its binding-set entries).
         self.nlive: dict[SharedResource, int] = {}
         #: Live classes with a finite cap (the fill's cap heap).
         self.capped: set[_FlowClass] = set()
+        self.nflows = 0  # live flows
 
 
 class FairShareSystem:
@@ -273,7 +327,8 @@ class FairShareSystem:
         # -- engine cost counters (benchmark census, test_engine_counters) --
         self.completed_count = 0
         self.rebalance_count = 0
-        self.flow_visits = 0  # class inspections by the fills
+        self.flow_visits = 0  # class inspections by the accepted fills
+        self.fill_reruns = 0  # fills redone after a failed certificate
         self.timer_cancellations = 0
         self.max_component_flows = 0
         #: Optional sink (anything with ``append``) handed every flow that
@@ -319,6 +374,7 @@ class FairShareSystem:
             nlive = cls._comp.nlive
             for res in cls.upath:
                 nlive[res] += 1
+        cls._comp.nflows += 1
         cls.members.add(flow)
         flow._cls = cls
         flow._v0 = v0 = cls.v + cls.rate * (now - cls.t)
@@ -410,13 +466,15 @@ class FairShareSystem:
         members = cls.members
         members.discard(flow)
         comp = cls._comp
+        comp.nflows -= 1
         nlive = comp.nlive
         for res in cls.upath:
             n = nlive[res] - 1
             if n:
                 nlive[res] = n
-            else:
+            else:  # idle: load 0 certifies it until a flow returns
                 del nlive[res]
+                comp.binding.discard(res)
         if not members:  # the class dies
             del self._classes[(cls.path, cls.cap)]
             cls.due = _INF
@@ -424,6 +482,8 @@ class FairShareSystem:
             comp.classes.discard(cls)
             comp.capped.discard(cls)
             cls._comp = None
+            for res in cls.repeats:
+                res._repeats -= 1
             for res in cls.upath:
                 classes = res._classes
                 del classes[cls]
@@ -516,9 +576,12 @@ class FairShareSystem:
             for c in other.classes:
                 c._comp = comp
             comp.classes.update(other.classes)
-            # Components are resource-disjoint: no incidence collisions.
+            # Components are resource-disjoint: no incidence collisions,
+            # and certificates are per-resource facts.
             comp.nlive.update(other.nlive)
             comp.capped.update(other.capped)
+            comp.binding.update(other.binding)
+            comp.nflows += other.nflows
         if comp is None:
             comp = _Component()
         comp.classes.add(cls)
@@ -526,13 +589,20 @@ class FairShareSystem:
         nlive = comp.nlive
         for res in cls.upath:
             res._classes[cls] = None
-            if res._comp is not comp:
+            if res._comp is not comp:  # a resource joins bound
                 res._comp = comp
                 comp.resources.add(res)
+                comp.binding.add(res)
             nlive[res] = nlive.get(res, 0) + 1
         if cls.cap != _INF:
             comp.capped.add(cls)
         comp.peak = max(comp.peak, len(comp.classes))
+        for res in cls.repeats:
+            res._repeats += 1
+        cls.restrict()
+        if not cls.bupath and cls.cap == _INF:
+            # Nothing in the binding set could freeze it: bind its path.
+            self._rebind(cls.upath, True)
 
     def _split_component(self, comp: _Component) -> None:
         """Re-derive true components from a shrunken union: one walk over
@@ -540,7 +610,7 @@ class FairShareSystem:
         for res in comp.resources:
             if res._comp is comp:
                 res._comp = None
-        pending = comp.classes
+        pending, binding = comp.classes, comp.binding
         for cls in pending:
             cls._comp = None
         while pending:
@@ -562,8 +632,10 @@ class FairShareSystem:
                             pending.discard(nxt)
                             stack.append(nxt)
             part.peak = len(part.classes)
+            part.binding = binding & part.resources
             nlive = part.nlive
             for c in part.classes:
+                part.nflows += len(c.members)
                 for r in c.upath:
                     nlive[r] = nlive.get(r, 0) + len(c.members)
                 if c.cap != _INF:
@@ -571,13 +643,15 @@ class FairShareSystem:
 
     def _scope(self, seeds: list[SharedResource]
                ) -> tuple[set[_FlowClass], dict[SharedResource, int],
-                          set[_FlowClass]]:
-        """The touched components' classes, live-flow counts and capped
-        classes, after splitting any that halved since their peak.  One
-        component — the common case — is aliased, not copied."""
+                          set[_FlowClass], set[SharedResource], int]:
+        """The touched components' classes, live-flow counts, capped
+        classes, binding set and flow count, after splitting any that
+        halved since their peak.  One component — the common case — is
+        aliased, not copied."""
         while True:
-            comps = list({id(res._comp): res._comp for res in seeds
-                          if res._comp is not None}.values())
+            comps = [comp for comp in dict.fromkeys([res._comp
+                                                      for res in seeds])
+                     if comp is not None]
             stale = [c for c in comps if 2 * len(c.classes) < c.peak]
             if not stale:
                 break
@@ -586,37 +660,79 @@ class FairShareSystem:
             for comp in stale:
                 self._split_component(comp)
         if len(comps) == 1:
-            return comps[0].classes, comps[0].nlive, comps[0].capped
+            comp = comps[0]
+            return (comp.classes, comp.nlive, comp.capped, comp.binding,
+                    comp.nflows)
         nlive: dict[SharedResource, int] = {}
         for comp in comps:
             nlive.update(comp.nlive)
         return (set().union(*(c.classes for c in comps)), nlive,
-                set().union(*(c.capped for c in comps)))
+                set().union(*(c.capped for c in comps)),
+                set().union(*(c.binding for c in comps)),
+                sum([c.nflows for c in comps]))
+
+    @staticmethod
+    def _rebind(resources: Iterable[SharedResource], bind: bool) -> None:
+        """Move resources into (or out of) their components' binding sets
+        and refresh the restricted paths of the classes crossing them."""
+        crossing: dict[_FlowClass, None] = {}
+        for res in resources:
+            if bind:
+                res._comp.binding.add(res)
+            else:
+                res._comp.binding.discard(res)
+            crossing.update(res._classes)
+        for cls in crossing:
+            cls.restrict()
 
     def _rebalance(self, seeds: list[SharedResource]) -> None:
-        """Fill the touched component(s), write back the rates that
-        changed (folding those classes' clocks and rescheduling them),
-        re-sum the loads of seeds and of changed classes' paths, and
-        re-arm the timer.  Rates outside the scope would be reproduced."""
+        """Fill the touched component(s) over their binding sets, check
+        the certificate of every resource outside them whose load,
+        capacity or flow count can have moved — the seeds and changed
+        classes' paths, the loads re-summed anyway — and refill with any
+        that fail.  Then write back the rates that changed (folding those
+        classes' clocks and rescheduling them), store the loads, shrink
+        the binding sets to what the fill saturated plus what still fails
+        its certificate, and re-arm the timer.  Rates outside the scope
+        would be reproduced."""
         now = self.sim.now
         self.rebalance_count += 1
-        classes, nlive, capped = self._scope(seeds)
+        classes, nlive, capped, binding, n_flows = self._scope(seeds)
         if classes:
-            rates, visits = _fill(classes, nlive, capped)
-            self.flow_visits += visits
-            reload = set(seeds)
-            n_flows = 0
-            for cls in classes:
-                n_flows += len(cls.members)
-                rate = rates[cls]
-                if rate != cls.rate:
-                    cls.set_rate(rate, now)
+            while True:
+                counts = {r: n for r, n in nlive.items() if r in binding}
+                rates, visits, saturated = _fill(classes, counts, capped)
+                changed = [cls for cls, rate in rates.items()
+                           if rate != cls.rate]
+                reload = set(seeds)
+                for cls in changed:
                     reload.update(cls.upath)
-                    self._reschedule(cls)
+                # Loads outside the binding sets, for their certificates.
+                loads = {res: sum([rates[c] * len(c.members)
+                                   for c in res._classes])
+                         for res in reload if res not in binding}
+                unsafe = [res for res, load in loads.items()
+                          if not _slack(res, load, nlive.get(res, 0))]
+                if not unsafe:
+                    break
+                self.fill_reruns += 1
+                self._rebind(unsafe, True)
+                binding.update(unsafe)  # a no-op unless a union copy
+            self.flow_visits += visits
+            for cls in changed:
+                cls.set_rate(rates[cls], now)
+                self._reschedule(cls)
             self.max_component_flows = max(self.max_component_flows, n_flows)
             for res in reload:
+                load = loads.get(res)
                 res._set_load(sum([cls.rate * len(cls.members)
-                                   for cls in res._classes]), now)
+                                   for cls in res._classes])
+                              if load is None else load, now)
+            dropped = [res for res, n in counts.items()
+                       if res not in saturated
+                       and _slack(res, res.current_load, n)]
+            if dropped:
+                self._rebind(dropped, False)
         self._schedule_next()
 
     def _schedule_next(self) -> None:
@@ -638,9 +754,20 @@ class FairShareSystem:
         self._touch()  # even with nothing completed, re-arm the timer
 
 
-def _fill(classes: set[_FlowClass], nlive: dict[SharedResource, int],
-          capped: set[_FlowClass]) -> tuple[dict[_FlowClass, float], int]:
-    """Progressive filling over the classes of one (union of) component(s).
+def _slack(res: SharedResource, load: float, n: int) -> bool:
+    """The slack certificate of a resource with ``n`` live flows carrying
+    ``load``: true when no fill round can bring it within ``_EPS`` of
+    the level (the module docstring derives the margin)."""
+    cap = res.capacity
+    return not res._repeats and cap - load > n * (_EPS + _ULPS * cap)
+
+
+def _fill(classes: set[_FlowClass], counts: dict[SharedResource, int],
+          capped: set[_FlowClass]
+          ) -> tuple[dict[_FlowClass, float], int, set[SharedResource]]:
+    """Progressive filling over the classes of one (union of) component(s),
+    walking only the binding set: ``counts`` is its live-flow counts and
+    each class's ``bpath``/``bupath`` its path restricted to it.
 
     The oracle's arithmetic: every saturation level is ``(capacity -
     frozen) / unfrozen flows`` over the same operands and each round binds
@@ -648,15 +775,17 @@ def _fill(classes: set[_FlowClass], nlive: dict[SharedResource, int],
     below it exists only after a rounding clamp of the level), so a
     resource's frozen load takes the oracle's per-flow additions as one
     run of adds per round — and only where flows stay unfrozen, the only
-    loads read again.  Unfrozen counters start from ``nlive``; the minimum
-    cap comes from a lazy-deletion heap of ``capped``.
+    loads read again.  Unfrozen counters start from ``counts``; the
+    minimum cap comes from a lazy-deletion heap of ``capped``.
 
-    Returns ``(rates, visits)``; ``visits`` counts class inspections.
+    Returns ``(rates, visits, saturated)``: ``visits`` counts class
+    inspections, ``saturated`` the resources that bound a round.
     """
     rates: dict[_FlowClass, float] = {}
     visits = 0
+    saturated: set[SharedResource] = set()
     left = len(classes)
-    n_unfrozen = dict(nlive)
+    n_unfrozen = dict(counts)
     frozen_load = dict.fromkeys(n_unfrozen, 0.0)
     cap_heap = [(c.cap, c.seq, c) for c in capped]
     heapq.heapify(cap_heap)
@@ -668,10 +797,11 @@ def _fill(classes: set[_FlowClass], nlive: dict[SharedResource, int],
             heapq.heappop(cap_heap)
         res_level = min(sat_levels.values(), default=_INF)
         min_cap = cap_heap[0][0] if cap_heap else _INF
-        next_level = min(res_level, min_cap)
-        if not math.isfinite(next_level):  # pragma: no cover - defensive
+        next_level = res_level if res_level <= min_cap else min_cap
+        if next_level == _INF:  # pragma: no cover - defensive
             raise ResourceError("unbounded fair-share level")
-        level = max(level, next_level)
+        if next_level > level:
+            level = next_level
         newly_frozen: set[_FlowClass] = set()
         if min_cap <= next_level + _EPS:
             # Everything with cap <= level + _EPS, the oracle's freeze set.
@@ -685,6 +815,7 @@ def _fill(classes: set[_FlowClass], nlive: dict[SharedResource, int],
         for res in [r for r, sat in sat_levels.items() if sat <= sat_bound]:
             visits += len(res._classes)  # this resource saturates here
             newly_frozen.update(res._classes)
+            saturated.add(res)
         if not newly_frozen:  # pragma: no cover - numerical safety net
             newly_frozen = set(classes)
         adds: dict[SharedResource, int] = defaultdict(int)
@@ -696,7 +827,7 @@ def _fill(classes: set[_FlowClass], nlive: dict[SharedResource, int],
             cap = cls.cap
             if cap < level:
                 rates[cls] = cap
-                for res in cls.path:
+                for res in cls.bpath:
                     load = frozen_load[res]
                     for _ in range(n):
                         load += cap
@@ -704,9 +835,9 @@ def _fill(classes: set[_FlowClass], nlive: dict[SharedResource, int],
                     adds[res] += 0
             else:
                 rates[cls] = level
-                for res in cls.path:
+                for res in cls.bpath:
                     adds[res] += n
-            for res in cls.upath:
+            for res in cls.bupath:
                 n_unfrozen[res] -= n
         for res, k in adds.items():
             n = n_unfrozen[res]
@@ -718,4 +849,4 @@ def _fill(classes: set[_FlowClass], nlive: dict[SharedResource, int],
                 sat_levels[res] = (res.capacity - load) / n
             else:
                 sat_levels.pop(res, None)
-    return rates, visits
+    return rates, visits, saturated

@@ -9,8 +9,8 @@ from repro.experiments import (fig2_wordcount, fig3_mrbench,
                                fig4_terasort_dfsio, fig5_migration,
                                fig6_synthetic_control,
                                fig7_display_clustering, fig8_cluster_visuals,
-                               sched_policies, table1_benchmarks,
-                               telemetry_demo)
+                               scale_wordcount, sched_policies,
+                               table1_benchmarks, telemetry_demo)
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -223,3 +223,16 @@ def test_telemetry_demo_accounts_for_the_makespan():
     cats = {r["cat"] for r in trace["traceEvents"] if r["ph"] == "X"}
     assert len(cats) >= 4
     assert "# TYPE" in result.artifacts["metrics.prom"]
+
+
+# --- scale ---------------------------------------------------------------------
+
+def test_scale_note_names_each_layouts_dominant_locality():
+    """The note is computed from the table, so it cannot contradict it."""
+    result = scale_wordcount.run(seed=7, quick=True)
+    (note,) = result.notes
+    kinds = scale_wordcount.LOCALITIES
+    for row in result.rows:
+        pct = dict(zip(kinds, row[-len(kinds):]))
+        kind = max(pct, key=pct.get)
+        assert f"{row[0]} {kind} ({pct[kind]:.1f}%)" in note

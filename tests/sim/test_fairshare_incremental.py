@@ -1,6 +1,6 @@
 """Properties of the flow-class fair-share engine.
 
-Five invariants protect it:
+Six invariants protect it:
 
 * **allocation exactness** — after *every* flush of any
   open/close/set_capacity/advance sequence, the timer-driven ones inside
@@ -18,13 +18,20 @@ Five invariants protect it:
   component's ``nlive`` (per-resource live-flow counts over deduped
   paths) and ``capped`` set always equal a from-scratch recount, through
   opens, closes, completions, merges and splits;
+* **the binding set is sound** — after every flush each component's
+  binding set lies within its resources, every resource outside it
+  passes its slack certificate, each class's restricted path is its path
+  intersected with it, and the fill over it gives the rates *and*
+  ``flow_visits`` of a fill over every resource;
 * **class fills change nothing** — :func:`_fill` fed the maintained
   indices gives each class the oracle's rate for its every member.
 
 Capacities, sizes, and caps are drawn from discrete pools on purpose: the
-exactness claim excludes adversarial *sub-epsilon* cross-component ties
-(saturation levels unequal but within 1e-12 of each other), which cannot
-arise from exact discrete inputs.
+exactness claim excludes *sub-epsilon* cross-component ties (saturation
+levels unequal but within 1e-12 of each other).  Discrete inputs make
+them rare, not impossible: thirds of different components can round one
+ulp apart, and then a whole-graph oracle and a per-scope fill disagree
+(an open ROADMAP item).
 """
 
 import math
@@ -36,7 +43,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.errors import ResourceError, SimulationError
 from repro.sim import FairShareSystem, SharedResource, Simulator
-from repro.sim.fairshare import _EPS, _fill
+from repro.sim.fairshare import _EPS, _fill, _slack
 
 _SLOW = dict(deadline=None,
              suppress_health_check=[HealthCheck.too_slow])
@@ -112,6 +119,58 @@ class _OracleCheckedSystem(FairShareSystem):
                 f"{oracle[flow]!r} at t={self.sim.now}")
 
 
+def _full_path_fill(classes, nlive, capped):
+    """:func:`_fill` with every resource in the binding set, as it must
+    fill between flushes, when certificates may be stale."""
+    saved = [(c, c.bpath, c.bupath) for c in classes]
+    for c in classes:
+        c.bpath, c.bupath = c.path, c.upath
+    try:
+        rates, visits, _saturated = _fill(classes, nlive, capped)
+    finally:
+        for c, bpath, bupath in saved:
+            c.bpath, c.bupath = bpath, bupath
+    return rates, visits
+
+
+def _assert_binding_sound(fss):
+    for comp in _components(fss):
+        binding = comp.binding
+        assert binding <= comp.resources and binding <= comp.nlive.keys()
+        for res in comp.resources - binding:
+            assert _slack(res, res.current_load, comp.nlive.get(res, 0)), \
+                f"{res.name} left the binding set without slack"
+        for c in comp.classes:
+            assert c.bpath == tuple(r for r in c.path if r in binding)
+            assert c.bupath == tuple(dict.fromkeys(c.bpath))
+
+
+class _BindingCheckedSystem(FairShareSystem):
+    """Asserts, after every flush, the binding-set invariants and that the
+    accepted fill matches a full-path fill over the same scope in rates
+    and in the ``flow_visits`` it booked."""
+
+    def _rebalance(self, seeds):
+        visits = self.flow_visits
+        super()._rebalance(seeds)
+        comps = {id(r._comp): r._comp for r in seeds
+                 if r._comp is not None}.values()
+        classes = set().union(*(c.classes for c in comps))
+        if classes:
+            nlive = {}
+            for comp in comps:
+                nlive.update(comp.nlive)
+            rates, full_visits = _full_path_fill(
+                classes, nlive, set().union(*(c.capped for c in comps)))
+            assert {c: c.rate for c in classes} == rates
+            assert self.flow_visits - visits == full_visits
+        _assert_binding_sound(self)
+
+
+class _FullyCheckedSystem(_BindingCheckedSystem, _OracleCheckedSystem):
+    """Both of the above after every flush."""
+
+
 def _build(n_res, cap_picks, system=None):
     sim = Simulator()
     fss = (system or _OracleCheckedSystem)(sim)
@@ -122,12 +181,13 @@ def _build(n_res, cap_picks, system=None):
     return sim, fss, resources
 
 
-def _apply(sim, fss, resources, ops, eager=False):
+def _apply(sim, fss, resources, ops, eager=False, repeats=False):
     """Interpret an op sequence, yielding every flow opened so far.
 
     ``eager`` settles after every op, i.e. one rebalance per op as before
     the engine coalesced; otherwise a same-instant burst is flushed by the
-    kernel when the next "advance" moves the clock.
+    kernel when the next "advance" moves the clock.  ``repeats`` lets
+    some paths cross their first resource twice.
     """
     flows = []
     n_res = len(resources)
@@ -141,6 +201,8 @@ def _apply(sim, fss, resources, ops, eager=False):
                 extra = resources[(first + 2) % n_res]
                 if extra not in path:
                     path.append(extra)
+            if repeats and b % 5 == 0:
+                path.append(path[0])
             flows.append(fss.open(path, size=_SIZES[a % len(_SIZES)],
                                   cap=_CAPS[b % len(_CAPS)],
                                   name=f"f{len(flows)}"))
@@ -215,9 +277,9 @@ def test_coalesced_flush_equals_settle_after_every_op(n_res, cap_picks, ops):
 @_graphs_both_modes
 @settings(max_examples=50, **_SLOW)
 def test_maintained_incidence_matches_recount(n_res, cap_picks, ops, eager):
-    """Class membership, ``nlive`` and ``capped`` survive attach, detach,
-    completion, merge and split."""
-    sim, fss, resources = _build(n_res, cap_picks)
+    """Class membership, ``nlive``, ``capped``, ``nflows`` and the binding
+    set survive attach, detach, completion, merge and split."""
+    sim, fss, resources = _build(n_res, cap_picks, _FullyCheckedSystem)
     for flows in _apply(sim, fss, resources, ops, eager):
         live = {}
         for f in flows:
@@ -236,21 +298,158 @@ def test_maintained_incidence_matches_recount(n_res, cap_picks, ops, eager):
             assert comp.nlive == nlive
             assert comp.capped == {c for c in comp.classes
                                    if math.isfinite(c.cap)}
+            assert comp.nflows == sum(len(c.members) for c in comp.classes)
 
 
 @_graphs
 @settings(max_examples=50, **_SLOW)
 def test_indexed_fill_matches_oracle(n_res, cap_picks, ops):
-    """Per component, the class fill gives every member the oracle's
+    """Per component, between flushes too, the class fill over the
+    maintained ``nlive`` and ``capped`` gives every member the oracle's
     rate."""
     sim, fss, resources = _build(n_res, cap_picks)
     for _flows in _apply(sim, fss, resources, ops):
         for comp in _components(fss):
-            rates, _visits = _fill(comp.classes, comp.nlive, comp.capped)
+            rates, _visits = _full_path_fill(comp.classes, comp.nlive,
+                                             comp.capped)
             oracle = _maxmin_rates(f for c in comp.classes
                                    for f in c.members)
             assert {f: rates[c] for c in comp.classes
                     for f in c.members} == oracle
+
+
+def _edge_case_graph(sim, fss, x_capacity):
+    """Certificate edge cases.
+
+    * ``link`` (50) carries two flows capped at 25: exactly full, slack
+      0.0, like a netback whose only flows are capped.
+    * ``netback`` (4e7) carries three flows bound elsewhere at 1e7, 1e7
+      and one ulp below 2e7: never within ``_EPS`` of a round's level, so
+      it never saturates, yet its load rounds to exactly its capacity —
+      only the drop-time certificate keeps it in the binding set.
+    * ``r`` (100) carries ``g1`` (frozen at 25 by ``a``, shared with
+      ``h``) and ``g2`` (capped at 60): 85 of 100, so it leaves the
+      binding set — until closing ``h``, an op that touches only ``a``,
+      lifts ``g1`` to where ``r`` binds.
+    * a ``set_capacity`` on ``r`` while it is outside the binding set.
+    """
+    link, x = SharedResource("link", 50.0), SharedResource("x", x_capacity)
+    a, r = SharedResource("a", 50.0), SharedResource("r", 100.0)
+    netback = SharedResource("netback", 4e7)
+    for i, capacity in enumerate((1e7, 1e7, math.nextafter(2e7, 0))):
+        fss.open([netback, SharedResource(f"nic{i}", capacity)],
+                 size=math.inf, name=f"n{i}")
+    fss.open([link, x], size=math.inf, cap=25.0, name="c1")
+    fss.open([link], size=math.inf, cap=25.0, name="c2")
+    h = fss.open([a], size=math.inf, name="h")
+    g1 = fss.open([a, r], size=math.inf, name="g1")
+    fss.open([r], size=math.inf, cap=60.0, name="g2")
+    sim.run(until=sim.now + 1.0)
+    return [link, x, a, r, netback], h, g1
+
+
+def test_certificate_edge_cases_step_by_step():
+    sim = Simulator()
+    fss = _BindingCheckedSystem(sim)
+    (link, _x, a, r, netback), h, g1 = _edge_case_graph(sim, fss, 400.0)
+    for full in (link, netback):
+        assert full.current_load == full.capacity
+        assert full in full._comp.binding
+    assert not _slack(netback, netback.current_load, 3)
+    assert r.current_load == 85.0 and r not in r._comp.binding
+    reruns = fss.fill_reruns
+    fss.close(h)  # touches only ``a``; ``r`` starts to bind
+    sim.run(until=sim.now + 1.0)
+    assert fss.fill_reruns == reruns + 1 and r in r._comp.binding
+    assert g1.rate == 50.0 and r.current_load == 100.0
+    fss.open([a, r], size=math.inf, cap=10.0, name="g3")
+    sim.run(until=sim.now + 1.0)
+    reruns = fss.fill_reruns
+    fss.set_capacity(r, 400.0)  # slack again: ``r`` drops out ...
+    sim.run(until=sim.now + 1.0)
+    assert r not in r._comp.binding
+    fss.set_capacity(r, 50.0)  # ... and a squeeze outside it refills
+    sim.run(until=sim.now + 1.0)
+    assert fss.fill_reruns == reruns + 1 and r in r._comp.binding
+
+
+@given(x_capacity=st.sampled_from(_CAPACITIES),
+       order=st.permutations(("close", "setcap", "advance")),
+       new_capacity=st.sampled_from(_CAPACITIES),
+       eager=st.booleans(), ops=_ops)
+@settings(max_examples=60, **_SLOW)
+def test_certificate_edge_cases_match_full_path_fill(
+        x_capacity, order, new_capacity, eager, ops):
+    """The edge cases of :func:`_edge_case_graph` in any order, then any
+    op sequence over the same resources: after every flush the rates and
+    ``flow_visits`` equal a full-path fill (the checked system)."""
+    sim = Simulator()
+    fss = _BindingCheckedSystem(sim)
+    resources, h, _g1 = _edge_case_graph(sim, fss, x_capacity)
+    for step in order:
+        if step == "close":
+            fss.close(h)
+        elif step == "setcap":
+            fss.set_capacity(resources[3], new_capacity)
+        else:
+            sim.run(until=sim.now + 1.0)
+    for _flows in _apply(sim, fss, resources, ops, eager):
+        pass
+    sim.run(until=sim.now + 120.0)
+
+
+def test_resource_crossed_twice_is_never_certified():
+    """The fill charges ``a`` twice on ``r`` (30 + 30 of 100), its load
+    counts it once: 75 of 100 would pass a certificate while ``r`` really
+    binds ``b`` at 40, not ``t``'s 45."""
+    sim = Simulator()
+    fss = _FullyCheckedSystem(sim)
+    r, s, t = (SharedResource(n, c) for n, c in
+               (("r", 100.0), ("s", 30.0), ("t", 45.0)))
+    fss.open([r, s, r], size=math.inf, name="a")
+    sim.run(until=1.0)
+    assert r in r._comp.binding and r._repeats == 1
+    b = fss.open([r, t], size=math.inf, name="b")
+    sim.run(until=2.0)
+    assert b.rate == 40.0
+
+
+@_graphs
+@settings(max_examples=40, **_SLOW)
+def test_paths_crossing_a_resource_twice(n_res, cap_picks, ops):
+    """Any op sequence whose paths may cross a resource twice."""
+    sim, fss, resources = _build(n_res, cap_picks, _FullyCheckedSystem)
+    for _flows in _apply(sim, fss, resources, ops, repeats=True):
+        pass
+    sim.run(until=sim.now + 120.0)
+
+
+def test_binding_set_survives_merge_and_split():
+    """A merge unions two binding sets; a split hands each part its
+    share; restricted paths follow."""
+    sim = Simulator()
+    fss = _BindingCheckedSystem(sim)
+    left, right, bridge = (SharedResource(n, 100.0)
+                           for n in ("left", "right", "bridge"))
+    quiet_l = SharedResource("quiet-l", 400.0)
+    quiet_r = SharedResource("quiet-r", 400.0)
+    fss.open([left, quiet_l], size=math.inf, name="l")
+    fss.open([right, quiet_r], size=math.inf, name="r")
+    sim.run(until=1.0)
+    assert left._comp is not right._comp
+    assert quiet_l not in left._comp.binding  # slack 300 of 400
+    spans = [fss.open([left, bridge, right], size=math.inf, cap=cap,
+                      name=f"span{cap}") for cap in (None, 25.0, 60.0)]
+    sim.run(until=2.0)
+    comp = left._comp
+    assert comp is right._comp and {left, right} <= comp.binding
+    for span in spans:
+        fss.close(span)
+    sim.run(until=3.0)
+    assert left._comp is not right._comp  # split: 2 of a peak of 5 classes
+    for part in (left._comp, right._comp):
+        assert part.binding <= part.resources
+    _assert_binding_sound(fss)
 
 
 class _HistorySystem(_OracleCheckedSystem):

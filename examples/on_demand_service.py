@@ -6,15 +6,19 @@ Three tenants submit jobs to a shared two-machine datacenter:
 * a Naive Bayes spam classifier training + evaluation run,
 * an item-based recommender over movie preferences.
 
-The service provisions a fresh hadoop virtual cluster per request (booting
-VMs from the NFS image store), queues requests that don't fit, and tears
-clusters down when jobs finish.
+The Wordcount goes through the cluster-per-job service backend: it
+provisions a fresh hadoop virtual cluster for the request (booting VMs
+from the NFS image store), runs the job and tears the cluster down.  The
+example asserts its own scenario: the word counts match a plain Python
+count, and teardown hands every byte of DRAM back to the datacenter.
 
 Run:  python examples/on_demand_service.py
 """
 
+import collections
+
 from repro import PlatformConfig, VHadoopPlatform
-from repro.cloud import OnDemandVHadoopService, ServiceRequest
+from repro.cloud import PerJobClusterBackend, ServiceRequest
 from repro.datasets.text import generate_corpus
 from repro.ml import (ClusterExecutor, ItemCooccurrenceRecommender,
                       NaiveBayesDriver)
@@ -39,23 +43,28 @@ PREFS = [(("u1", "matrix"), 5.0), (("u1", "inception"), 4.0),
 
 def main() -> None:
     platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=11))
-    service = OnDemandVHadoopService(platform)
+    service = PerJobClusterBackend(platform)
+    machines = platform.datacenter.machines
+    free_before = sum(machine.dram_free for machine in machines)
 
-    # Tenant 1: Wordcount as a service request.
+    # Tenant 1: Wordcount as a service request on a cluster of its own.
     corpus = generate_corpus(500_000,
                              rng=platform.datacenter.rng.stream("svc"))
-    wc = service.submit(ServiceRequest(
+    wc = service.serve(ServiceRequest(
         name="wordcount",
         n_nodes=6,
         records=lines_as_records(corpus),
         make_job=lambda inp, out: wordcount_job(inp, out, n_reduces=2),
         sizeof=line_record_sizeof))
-
-    outcomes = service.run_all([wc])
-    o = outcomes[0]
+    platform.sim.run_until(wc)
+    o = wc.value
     print(f"[wordcount]   waited {o.queue_wait_s:.1f}s, "
           f"total {o.total_s:.1f}s (incl. boot), "
           f"{len(o.output)} distinct words")
+    expected = collections.Counter(" ".join(corpus).split())
+    assert dict(o.output) == expected, "word counts differ"
+    free_after = sum(machine.dram_free for machine in machines)
+    assert free_after == free_before, "teardown kept DRAM"
 
     # Tenants 2 and 3 use long-lived clusters through the platform API —
     # classification and recommendation, the library's other categories.

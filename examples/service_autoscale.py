@@ -28,8 +28,7 @@ import dataclasses
 from repro import ClusterSpec, PlatformConfig, VHadoopPlatform
 from repro.cloud import (AdmissionController, BurstTraffic,
                          ElasticAutoscaler, ServiceController,
-                         SharedClusterBackend, SharedVHadoopService,
-                         TenantRegistry)
+                         SharedClusterBackend, TenantRegistry)
 from repro.observatory.slo import AlertBook
 from repro.platform.provisioning import ElasticWorkerPool
 from repro.telemetry import events as EV
@@ -43,7 +42,7 @@ def main() -> None:
     platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=11,
                                               trace=True))
     cluster = platform.provision_cluster("svc", ClusterSpec.spread(6, hosts=2))
-    service = SharedVHadoopService(platform, cluster)
+    backend = SharedClusterBackend(platform, cluster)
     sim = platform.sim
     rngs = platform.datacenter.rng
 
@@ -58,13 +57,12 @@ def main() -> None:
                            first_burst_at_s=300.0)
 
     book = AlertBook(sim=sim, tracer=cluster.tracer)
-    pool = ElasticWorkerPool(cluster, service.scheduler, max_size=8,
+    pool = ElasticWorkerPool(cluster, backend.scheduler, max_size=8,
                              quiescence_poll_s=10.0)
     autoscaler = ElasticAutoscaler(pool, book, cooldown_s=60.0,
                                    grow_step=2, scale_in_util=0.25,
                                    scale_in_ticks=8,
                                    tracer=cluster.tracer)
-    backend = SharedClusterBackend(service, pool=pool)
     default_request = backend.request_factory
     backend.request_factory = lambda arrival: default_request(
         dataclasses.replace(arrival,

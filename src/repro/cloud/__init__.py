@@ -5,55 +5,52 @@ cloud computing system to provide scalable on-demand computation service
 for processing data-intensive (or big-data) applications with parallel
 machine learning algorithms."  (paper, Section VI)
 
-Three service shapes on top of the platform:
+One front door: open-loop traffic (:mod:`repro.cloud.traffic`) from a
+tenant fleet (:mod:`repro.cloud.tenants`) flows through admission control
+(:mod:`repro.cloud.admission`) into a
+:class:`~repro.cloud.controller.ServiceController`, with SLO alerting and
+alert-driven elastic autoscaling (:mod:`repro.cloud.autoscaler`) — the
+platform's closed monitor → decide → actuate loop.  Behind it sit three
+backends of one contract, three fidelities:
 
-* :class:`~repro.cloud.service.OnDemandVHadoopService` — EMR-style
-  cluster-per-job: provision, run, tear down (capacity-gated admission
-  through an :class:`~repro.cloud.admission.AgingFifoGate`);
-* :class:`~repro.cloud.service.SharedVHadoopService` — one warm cluster,
-  jobs interleaved at slot granularity under a scheduler policy;
-* the **always-on service mode** — open-loop traffic
-  (:mod:`repro.cloud.traffic`) from a tenant fleet
-  (:mod:`repro.cloud.tenants`) through admission control
-  (:mod:`repro.cloud.admission`) into a
-  :class:`~repro.cloud.controller.ServiceController`, with SLO alerting
-  and alert-driven elastic autoscaling
-  (:mod:`repro.cloud.autoscaler`) — the platform's first closed
-  monitor → decide → actuate loop.
+* :class:`~repro.cloud.controller.SlotModelBackend` — a calibrated
+  queueing surrogate for million-submission runs;
+* :class:`~repro.cloud.service.SharedClusterBackend` — real jobs on one
+  warm cluster, interleaved at slot granularity by a scheduler;
+* :class:`~repro.cloud.service.PerJobClusterBackend` — EMR-style
+  cluster-per-job: provision, run, tear down.
+
+The two full-fidelity backends also serve a single request directly
+(``backend.serve(request)``).
 """
 
 from repro.cloud.adversaries import (ADVERSARY_KINDS, AdversarySpec,
                                      BatchSpamTraffic, HotKeyFloodTraffic,
                                      StragglerSkewTraffic,
                                      make_adversary_traffic)
-from repro.cloud.admission import (ADMIT, DEFER, REJECT_IMPOSSIBLE,
-                                   REJECT_OVERLOAD, REJECT_QUOTA,
-                                   AdmissionController, AdmissionDecision,
-                                   AgingFifoGate)
+from repro.cloud.admission import (ADMIT, REJECT_OVERLOAD, REJECT_QUOTA,
+                                   AdmissionController, AdmissionDecision)
 from repro.cloud.autoscaler import (AlertCursor, ElasticAutoscaler,
                                     ScalingAction)
 from repro.cloud.controller import (CostModel, ServiceController,
-                                    ServiceReport, SharedClusterBackend,
-                                    SlotModelBackend)
-from repro.cloud.service import (OnDemandVHadoopService, ServiceOutcome,
-                                 ServiceRequest, SharedVHadoopService)
+                                    ServiceReport, SlotModelBackend)
+from repro.cloud.service import (PerJobClusterBackend, ServiceOutcome,
+                                 ServiceRequest, SharedClusterBackend)
 from repro.cloud.tenants import (LatencyHistogram, TenantRegistry,
                                  TenantSpec, TenantStats)
 from repro.cloud.traffic import (Arrival, BurstTraffic, DiurnalTraffic,
                                  PoissonTraffic, TraceReplay, trace_digest)
 
 __all__ = [
-    "ADMIT", "ADVERSARY_KINDS", "DEFER", "REJECT_IMPOSSIBLE",
-    "REJECT_OVERLOAD", "REJECT_QUOTA",
+    "ADMIT", "ADVERSARY_KINDS", "REJECT_OVERLOAD", "REJECT_QUOTA",
     "AdmissionController", "AdmissionDecision", "AdversarySpec",
-    "AgingFifoGate",
     "AlertCursor", "Arrival", "BatchSpamTraffic", "BurstTraffic",
     "CostModel", "HotKeyFloodTraffic", "StragglerSkewTraffic",
     "make_adversary_traffic",
     "DiurnalTraffic", "ElasticAutoscaler", "LatencyHistogram",
-    "OnDemandVHadoopService", "PoissonTraffic", "ScalingAction",
+    "PerJobClusterBackend", "PoissonTraffic", "ScalingAction",
     "ServiceController", "ServiceOutcome", "ServiceReport",
-    "ServiceRequest", "SharedClusterBackend", "SharedVHadoopService",
+    "ServiceRequest", "SharedClusterBackend",
     "SlotModelBackend", "TenantRegistry", "TenantSpec", "TenantStats",
     "TraceReplay", "trace_digest",
 ]

@@ -1,42 +1,33 @@
-"""Admission control for both cloud service modes.
+"""Admission control for the always-on service.
 
-Two admission mechanisms live here:
-
-* :class:`AgingFifoGate` — the capacity gate of the cluster-per-job
-  :class:`~repro.cloud.service.OnDemandVHadoopService`, extracted from its
-  historical ``_admit`` scan: FIFO with bounded skipping, where each
-  admission that jumps a waiting request ages it and an aged-out queue
-  head stops the scan (no starvation of large requests behind small
-  ones).
-
-* :class:`AdmissionController` — the always-on service's per-arrival
-  policy: a hard per-tenant in-flight quota, then graded load shedding by
-  priority class once the service overloads.  Batch traffic sheds first
-  (at ``shed_start``), interactive last (at ``shed_hard``), standard
-  midway — so an overloaded service degrades from the bottom of the
-  priority ladder upward instead of collapsing uniformly.
+:class:`AdmissionController` is the per-arrival policy of the
+:class:`~repro.cloud.controller.ServiceController`: a hard per-tenant
+in-flight quota, then graded load shedding by priority class once the
+service overloads.  Batch traffic sheds first (at ``shed_start``),
+interactive last (at ``shed_hard``), standard midway — so an overloaded
+service degrades from the bottom of the priority ladder upward instead of
+collapsing uniformly.
 
 Every decision is an explicit :data:`AdmissionDecision` with a stable
 reason string; decisions are pure functions of their inputs (no RNG), so
-same-seed runs reject byte-identically.
+same-seed runs reject byte-identically.  Capacity waits are the
+backends' business: the cluster-per-job backend queues admitted requests
+in strict FIFO order until their DRAM is free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
 
 from repro.cloud.tenants import PRIORITIES, TenantSpec, TenantStats
 from repro.errors import ConfigError
 
 # -- decisions ---------------------------------------------------------------
 ADMIT = "admit"
-DEFER = "defer"                      # queued, not yet schedulable
 REJECT_QUOTA = "reject-quota"        # tenant over its in-flight quota
 REJECT_OVERLOAD = "reject-overload"  # shed by priority under overload
-REJECT_IMPOSSIBLE = "reject-impossible"  # can never fit this datacenter
 
-DECISIONS = (ADMIT, DEFER, REJECT_QUOTA, REJECT_OVERLOAD, REJECT_IMPOSSIBLE)
+DECISIONS = (ADMIT, REJECT_QUOTA, REJECT_OVERLOAD)
 
 
 @dataclass(frozen=True)
@@ -56,8 +47,7 @@ class AdmissionDecision:
 
     @property
     def rejected(self) -> bool:
-        return self.decision in (REJECT_QUOTA, REJECT_OVERLOAD,
-                                 REJECT_IMPOSSIBLE)
+        return self.decision in (REJECT_QUOTA, REJECT_OVERLOAD)
 
 
 #: Admissions carry no reason, so every one is this one frozen decision.
@@ -104,36 +94,3 @@ class AdmissionController:
                 f"({spec.priority})")
         return _ADMITTED
 
-
-class AgingFifoGate:
-    """FIFO-with-bounded-skipping admission over a waiting queue.
-
-    Entries must expose a mutable ``skips`` counter.  ``admittable``
-    yields, in scan order, each entry that currently ``fits`` — aging
-    every blocked entry it jumps — and stops early once the queue head
-    has exhausted its skip budget (``max_head_skips``; ``None`` means
-    unbounded skipping, ``0`` strict FIFO).
-
-    It is a generator on purpose: the caller reserves capacity for each
-    yielded entry *before* advancing, so later ``fits`` checks see the
-    reduced capacity and same-instant admissions cannot double-book.
-    """
-
-    def __init__(self, max_head_skips: Optional[int] = 16):
-        if max_head_skips is not None and max_head_skips < 0:
-            raise ConfigError("max_head_skips must be >= 0 or None")
-        self.max_head_skips = max_head_skips
-
-    def admittable(self, queue: list,
-                   fits: Callable[[object], bool]) -> Iterator[object]:
-        blocked: list = []
-        for entry in list(queue):
-            if (self.max_head_skips is not None and blocked
-                    and blocked[0].skips >= self.max_head_skips):
-                return  # the head has aged out its skip budget
-            if not fits(entry):
-                blocked.append(entry)
-                continue
-            for older in blocked:
-                older.skips += 1
-            yield entry

@@ -17,17 +17,16 @@ chains over one arrival stream (the controller starts no sim process):
   samples the public timeline (workers / backlog / in-flight /
   utilisation / rolling p99).
 
-Two backends provide two fidelities of the same contract:
-
-* :class:`SharedClusterBackend` — every admitted arrival becomes a real
-  MapReduce job on a warm :class:`~repro.cloud.service.SharedVHadoopService`
-  cluster (full task/shuffle/HDFS simulation).  Use for demos, tests and
-  for *calibrating* the surrogate.
-* :class:`SlotModelBackend` — a job-granularity queueing surrogate: an
-  elastic pool of service slots (counters, not processes) where a job's
-  service time comes from a :class:`CostModel` fitted against real
-  scheduler runs.  Two kernel events per job — its arrival and its
-  finish — which is what makes million-submission experiments tractable.
+The controller is the service's one front door.  A backend takes
+``submit(arrival, spec)``, reports each job once through ``on_done(tenant,
+submitted_at, wait_s, ok)`` and exposes ``backlog()``, ``total_slots()``
+and ``utilization()``.  :class:`SlotModelBackend` is the job-granularity
+surrogate: counters, not processes, where a job's service time comes from
+a :class:`CostModel` fitted against real scheduler runs — two kernel
+events per job, which is what makes million-submission runs tractable.
+The full-fidelity :class:`~repro.cloud.service.SharedClusterBackend` (one
+warm cluster) and :class:`~repro.cloud.service.PerJobClusterBackend` (a
+cluster per job) run every admitted arrival as a real MapReduce job.
 
 Determinism: arrivals, decisions and completions are pure functions of
 the seed; :meth:`ServiceReport.digest` pins the whole run (trace digest,
@@ -237,81 +236,6 @@ class SlotModelBackend:
             self._start(*self._queue.popleft())
         else:
             self._idle += 1
-
-
-class SharedClusterBackend:
-    """Full-fidelity backend: real jobs on a warm shared cluster.
-
-    Every admitted arrival is turned into a :class:`ServiceRequest` (by
-    default a wordcount over a small materialized sample whose serialized
-    sizes are scaled to the arrival's ``size_mb`` — the volume-scaling
-    trick the experiments use) and submitted to the tenant's priority
-    pool on the :class:`~repro.cloud.service.SharedVHadoopService`.
-    """
-
-    #: Fixed sample corpus; sizes are scaled per arrival.
-    SAMPLE_LINES = ["alpha beta gamma delta", "beta gamma", "gamma delta",
-                    "delta epsilon zeta"] * 4
-
-    def __init__(self, service, request_factory: Optional[Callable] = None,
-                 pool=None):
-        self.service = service
-        self.sim = service.sim
-        self.scheduler = service.scheduler
-        self.request_factory = request_factory or self._default_request
-        #: The autoscaler's actuator (an ElasticWorkerPool), if any.
-        self.pool = pool
-        self.on_done: Optional[Callable] = None
-
-    def _default_request(self, arrival: Arrival):
-        from repro.cloud.service import ServiceRequest
-        from repro.workloads.wordcount import (lines_as_records,
-                                               wordcount_job)
-        records = lines_as_records(self.SAMPLE_LINES)
-        per_record = max(1, int(arrival.size_mb * (1 << 20) / len(records)))
-        return ServiceRequest(
-            name=arrival.request_id,
-            n_nodes=2,  # ignored by the shared service
-            records=records,
-            make_job=lambda inp, out: wordcount_job(inp, out, n_reduces=2),
-            sizeof=lambda record: per_record,
-            tenant=arrival.tenant)
-
-    def submit(self, arrival: Arrival, spec) -> None:
-        request = self.request_factory(arrival)
-        submitted_at = self.sim.now
-        event = self.service.submit(request, pool=spec.priority)
-        self.sim.process(self._watch(event, arrival.tenant, submitted_at),
-                         name=f"svc-watch:{arrival.request_id}")
-
-    def _watch(self, event, tenant: str, submitted_at: float):
-        try:
-            outcome = yield event
-            wait_s = (outcome.report.wait_s
-                      if outcome.report is not None else 0.0)
-            ok = True
-        except Exception:
-            wait_s, ok = 0.0, False
-        if self.on_done is not None:
-            self.on_done(tenant, submitted_at, wait_s, ok)
-
-    def backlog(self) -> int:
-        return (self.scheduler.backlog("map")
-                + self.scheduler.backlog("reduce"))
-
-    def total_slots(self) -> int:
-        return self.scheduler.total_slots("map")
-
-    def utilization(self) -> float:
-        busy = total = 0
-        from repro.virt.vm import VMState
-        for tracker in self.scheduler.cluster.trackers:
-            if tracker.vm.state in (VMState.FAILED, VMState.STOPPED):
-                continue
-            busy += tracker.map_slots.in_use + tracker.reduce_slots.in_use
-            total += (tracker.map_slots.capacity
-                      + tracker.reduce_slots.capacity)
-        return busy / total if total else 1.0
 
 
 # -- the report --------------------------------------------------------------

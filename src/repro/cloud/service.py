@@ -1,30 +1,23 @@
-"""The elastic cluster-per-job service.
+"""The full-fidelity service backends: a real MapReduce job per request.
 
-Lifecycle of one request:
-
-1. **queue** — requests wait until the datacenter has DRAM for the
-   requested cluster (admission is capacity-based, FIFO with skipping of
-   requests that cannot currently fit behind ones that can);
-2. **provision** — VMs are placed greedily on the hosts with the most free
-   DRAM and booted from the NFS image store (timed: image fetch + guest
-   boot), then assembled into a :class:`HadoopVirtualCluster`;
-3. **stage + run** — the request's input is uploaded (timed) and its job
-   executed by the MapReduce engine;
-4. **collect + teardown** — output records are gathered, the VMs stopped,
-   and the DRAM returned to the pool, admitting waiting requests.
-
-Multiple requests run concurrently when capacity allows — the service is
-the elasticity layer the paper's future-work section sketches.
+Both are :class:`~repro.cloud.controller.ServiceController` backends and
+both serve a request directly: ``serve(request)`` returns an event whose
+value is the :class:`ServiceOutcome` (``sim.run_until(event)`` waits for
+it); a job that fails fails the event.  :class:`SharedClusterBackend`
+runs every job on one warm cluster; :class:`PerJobClusterBackend` boots a
+cluster per job and tears it down — the paper's stated future work.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
-from repro.cloud.admission import (ADMIT, DEFER, REJECT_IMPOSSIBLE,
-                                   AgingFifoGate)
+from repro.cloud.admission import ADMIT
+from repro.cloud.traffic import Arrival
 from repro.config import HadoopConfig, VMConfig
 from repro.errors import ConfigError, PlacementError
 from repro.hdfs.client import default_sizeof
@@ -32,9 +25,11 @@ from repro.mapreduce.job import Job
 from repro.mapreduce.runner import JobReport, MapReduceRunner
 from repro.platform.cluster import HadoopVirtualCluster
 from repro.platform.vhadoop import VHadoopPlatform
-from repro.scheduler import JobScheduler, SchedulerReport, SchedulingPolicy
+from repro.scheduler import JobScheduler
 from repro.sim.kernel import Event
 from repro.telemetry import events as EV
+from repro.virt.vm import VMState
+from repro.workloads.wordcount import lines_as_records, wordcount_job
 
 #: A request's job factory receives the input path and an output path.
 JobFactory = Callable[[str, str], Job]
@@ -68,7 +63,7 @@ class ServiceOutcome:
 
     request: ServiceRequest
     submitted_at: float
-    started_at: float = 0.0      # when provisioning began
+    started_at: float = 0.0      # when staging (or provisioning) began
     finished_at: float = 0.0
     report: Optional[JobReport] = None
     output: list = field(default_factory=list)
@@ -82,257 +77,223 @@ class ServiceOutcome:
         return self.finished_at - self.submitted_at
 
 
-@dataclass
-class _QueueEntry:
-    """A waiting request plus how often younger requests jumped past it."""
+class _ClusterBackend:
+    """What both full-fidelity backends share: turning an arrival into a
+    :class:`ServiceRequest` and reporting its outcome to the controller.
 
-    request: ServiceRequest
-    done: Event
-    outcome: ServiceOutcome
-    skips: int = 0
-    #: Whether the defer decision has been announced (one telemetry event
-    #: per stay in the queue, not one per admission scan).
-    deferred: bool = False
+    The default ``request_factory`` is a wordcount over a small fixed
+    sample whose serialized sizes are scaled to the arrival's ``size_mb``
+    — the volume-scaling trick the experiments use.
+    """
+
+    #: Fixed sample corpus; sizes are scaled per arrival.
+    SAMPLE_LINES = ["alpha beta gamma delta", "beta gamma", "gamma delta",
+                    "delta epsilon zeta"] * 4
+
+    def __init__(self, platform: VHadoopPlatform,
+                 request_factory: Optional[Callable] = None):
+        self.platform = platform
+        self.sim = platform.sim
+        self.request_factory = request_factory or self._default_request
+        #: Set by the controller:
+        #: ``on_done(tenant, submitted_at, wait_s, ok)``.
+        self.on_done: Optional[Callable] = None
+
+    def _default_request(self, arrival: Arrival) -> ServiceRequest:
+        records = lines_as_records(self.SAMPLE_LINES)
+        per_record = max(1, int(arrival.size_mb * (1 << 20) / len(records)))
+        return ServiceRequest(
+            name=arrival.request_id,
+            n_nodes=2,  # ignored by the shared cluster
+            records=records,
+            make_job=lambda inp, out: wordcount_job(inp, out, n_reduces=2),
+            sizeof=lambda record: per_record,
+            tenant=arrival.tenant)
+
+    def submit(self, arrival: Arrival, spec) -> None:
+        """The controller's entry: serve the arrival in its tenant's
+        priority pool and report back through ``on_done``."""
+        event = self.serve(self.request_factory(arrival), pool=spec.priority)
+        event.callbacks.append(partial(self._report, arrival.tenant,
+                                       self.sim.now))
+
+    def _report(self, tenant: str, submitted_at: float, event: Event) -> None:
+        if event.ok:
+            outcome = event.value
+            wait_s = outcome.queue_wait_s + outcome.report.wait_s
+        else:
+            wait_s = 0.0
+        if self.on_done is not None:
+            self.on_done(tenant, submitted_at, wait_s, event.ok)
 
 
-class OnDemandVHadoopService:
-    """Elastic cluster-per-job execution over one platform.
+class SharedClusterBackend(_ClusterBackend):
+    """Real jobs on one warm cluster, interleaved at slot granularity by a
+    :class:`~repro.scheduler.JobScheduler` whose pools isolate tenants.
+    ``request.n_nodes`` is ignored: the cluster is what was provisioned,
+    grown by any :class:`~repro.platform.provisioning.ElasticWorkerPool`
+    over ``scheduler``."""
 
-    ``max_head_skips`` is the aging guard on admission: once the oldest
-    waiting request has been skipped by that many younger admissions, the
-    scan stops at it — capacity drains until the head fits, so a large
-    request can no longer starve behind an endless stream of small ones.
-    ``None`` restores the unbounded legacy behaviour.
+    def __init__(self, platform: VHadoopPlatform,
+                 cluster: HadoopVirtualCluster,
+                 request_factory: Optional[Callable] = None):
+        super().__init__(platform, request_factory)
+        self.cluster = cluster
+        self.scheduler = JobScheduler(
+            cluster, runner=platform.runners.get(cluster.name))
+        self._ids = itertools.count()
+
+    def serve(self, request: ServiceRequest, pool: str = "default") -> Event:
+        """Stage the request's input and run its job in ``pool``; the
+        serve process is the outcome event."""
+        base = f"/shared/{request.name}-{next(self._ids)}"
+        return self.sim.process(self._serve(request, pool, base),
+                                name=f"shared-svc:{request.name}")
+
+    def _serve(self, request: ServiceRequest, pool: str, base: str):
+        now = self.sim.now
+        outcome = ServiceOutcome(request=request, submitted_at=now,
+                                 started_at=now)
+        yield self.cluster.dfs.write_file(
+            self.cluster.master, f"{base}/input", request.records,
+            sizeof=request.sizeof)
+        job = request.make_job(f"{base}/input", f"{base}/output")
+        outcome.report = yield self.scheduler.submit(job, pool=pool)
+        outcome.output = self.scheduler.runner.read_output(outcome.report)
+        outcome.finished_at = self.sim.now
+        self.cluster.tracer.emit(
+            self.sim.now, EV.CLOUD_REQUEST_DONE, request.name,
+            total=outcome.total_s, waited=outcome.queue_wait_s, shared=True)
+        return outcome
+
+    def backlog(self) -> int:
+        """Dispatchable tasks no slot has taken yet."""
+        return (self.scheduler.backlog("map")
+                + self.scheduler.backlog("reduce"))
+
+    def total_slots(self) -> int:
+        """Schedulable map slots."""
+        return self.scheduler.total_slots("map")
+
+    def utilization(self) -> float:
+        """Busy share of the live trackers' map and reduce slots."""
+        busy = total = 0
+        for tracker in self.cluster.trackers:
+            if tracker.vm.state in (VMState.FAILED, VMState.STOPPED):
+                continue
+            busy += tracker.map_slots.in_use + tracker.reduce_slots.in_use
+            total += (tracker.map_slots.capacity
+                      + tracker.reduce_slots.capacity)
+        return busy / total if total else 1.0
+
+
+class PerJobClusterBackend(_ClusterBackend):
+    """Cluster-per-job: each request boots its own ``n_nodes`` VMs (of
+    ``request.vm_config``), runs, and tears them down.
+
+    Requests wait in strict FIFO order.  The head starts once the
+    datacenter has DRAM for its whole cluster; nothing overtakes it, so
+    nothing starves.  Its VMs are placed synchronously, which reserves
+    their DRAM before any later same-instant request is considered.
     """
 
     def __init__(self, platform: VHadoopPlatform,
-                 max_head_skips: Optional[int] = 16):
-        self._gate = AgingFifoGate(max_head_skips)
-        self.platform = platform
+                 request_factory: Optional[Callable] = None):
+        super().__init__(platform, request_factory)
         self.datacenter = platform.datacenter
-        self.sim = platform.sim
-        self._queue: list[_QueueEntry] = []
+        self._queue: deque = deque()   # (request, its admission event)
+        self._running: dict[str, list] = {}   # cluster name -> its VMs
         self._ids = itertools.count()
-        self.completed: list[ServiceOutcome] = []
 
-    @property
-    def max_head_skips(self) -> Optional[int]:
-        return self._gate.max_head_skips
+    def serve(self, request: ServiceRequest, pool: str = "default") -> Event:
+        """Queue ``request`` for a cluster of its own (``pool`` is moot:
+        nobody shares it).
 
-    # -- public --------------------------------------------------------------
-    def submit(self, request: ServiceRequest) -> Event:
-        """Queue a request; the event's value is a :class:`ServiceOutcome`.
-
-        A request that could never fit the datacenter — more nodes than
-        its total (empty) capacity holds — is rejected synchronously with
-        :class:`~repro.errors.PlacementError` instead of queueing forever.
+        A request that could never fit — more VMs than the empty
+        datacenter holds — raises :class:`~repro.errors.PlacementError`
+        here instead of queueing forever.
         """
-        capacity = self._max_possible_nodes(request)
+        capacity = self._room(request, empty=True)
         if request.n_nodes > capacity:
-            self._announce(request, REJECT_IMPOSSIBLE,
-                           f"n_nodes={request.n_nodes} > datacenter "
-                           f"capacity {capacity}")
             raise PlacementError(
                 f"request {request.name!r} wants {request.n_nodes} nodes "
                 f"but the datacenter can host at most {capacity} VMs of "
                 f"its size")
-        done = self.sim.event()
-        outcome = ServiceOutcome(request=request, submitted_at=self.sim.now)
-        self._queue.append(_QueueEntry(request, done, outcome))
+        admitted = self.sim.event()
+        self._queue.append((request, admitted))
         self._admit()
-        return done
+        return self.sim.process(self._serve(request, admitted),
+                                name=f"svc:{request.name}")
 
-    def run_all(self, events: Sequence[Event]) -> list[ServiceOutcome]:
-        """Drive the simulator until every given request completes."""
-        gate = self.sim.all_of(list(events))
-        self.sim.run_until(gate)
-        return [events_value for events_value in
-                (event.value for event in events)]
-
-    @property
-    def queued(self) -> int:
+    def backlog(self) -> int:
+        """Requests waiting for DRAM."""
         return len(self._queue)
 
-    # -- capacity ---------------------------------------------------------------
-    def _vm_memory(self, request: ServiceRequest) -> int:
-        config = request.vm_config or self.datacenter.config.vm
-        return config.memory
+    def total_slots(self) -> int:
+        """Clusters running now."""
+        return len(self._running)
 
-    def _fits(self, request: ServiceRequest) -> bool:
-        memory = self._vm_memory(request)
-        slots = sum(machine.dram_free // memory
-                    for machine in self.datacenter.machines)
-        return slots >= request.n_nodes
+    def utilization(self) -> float:
+        """Share of the datacenter's guest DRAM the running clusters hold."""
+        held = sum(vm.config.memory for vms in self._running.values()
+                   for vm in vms)
+        return held / sum(machine.config.guest_dram
+                          for machine in self.datacenter.machines)
 
-    def _max_possible_nodes(self, request: ServiceRequest) -> int:
-        """VMs of this request's size an *empty* datacenter could host."""
-        memory = self._vm_memory(request)
-        return sum(machine.config.guest_dram // memory
-                   for machine in self.datacenter.machines)
-
-    def _announce(self, request: ServiceRequest, decision: str,
-                  reason: str) -> None:
-        """Emit the admission-decision telemetry event (one per verdict)."""
-        self.datacenter.tracer.emit(
-            self.sim.now, EV.CLOUD_ADMISSION, request.name,
-            tenant=request.tenant, decision=decision, reason=reason)
+    def _room(self, request: ServiceRequest, empty: bool = False) -> int:
+        """VMs of the request's size the datacenter holds free (or empty)."""
+        memory = (request.vm_config or self.datacenter.config.vm).memory
+        return sum((m.config.guest_dram if empty else m.dram_free) // memory
+                   for m in self.datacenter.machines)
 
     def _admit(self) -> None:
-        """Start every queued request that currently fits (FIFO scan with
-        bounded skipping — see :class:`~repro.cloud.admission.AgingFifoGate`).
+        """Start queue heads while the next one fits, each VM on the host
+        with the biggest DRAM gap."""
+        machines = self.datacenter.machines
+        while (self._queue and self._room(self._queue[0][0])
+               >= self._queue[0][0].n_nodes):
+            request, admitted = self._queue.popleft()
+            name = f"svc-{request.name}-{next(self._ids)}"
+            self._running[name] = [
+                self.datacenter.create_vm(
+                    f"{name}-vm{i:02d}",
+                    max(machines, key=lambda m: m.dram_free),
+                    config=request.vm_config)
+                for i in range(request.n_nodes)]
+            self.datacenter.tracer.emit(
+                self.sim.now, EV.CLOUD_ADMISSION, request.name,
+                tenant=request.tenant, decision=ADMIT,
+                reason=f"fits n_nodes={request.n_nodes}")
+            admitted.succeed(name)
 
-        Admission reserves the cluster's DRAM *synchronously* (a hold per
-        VM) so that several same-instant admissions cannot double-book the
-        capacity; the hold is swapped for real VM residency when the serve
-        process provisions.  Each verdict is announced as a
-        ``cloud.admission.decision`` event: ``admit`` when a request
-        starts, ``defer`` the first time it is left waiting.
-        """
-        for entry in self._gate.admittable(
-                self._queue, lambda e: self._fits(e.request)):
-            request = entry.request
-            self._queue.remove(entry)
-            hosts = self._place(request)
-            memory = self._vm_memory(request)
-            for machine in hosts:
-                machine.reserve_dram(memory, f"svc-hold:{request.name}")
-            self._announce(request, ADMIT,
-                           f"fits n_nodes={request.n_nodes}"
-                           + (f" after {entry.skips} skips"
-                              if entry.skips else ""))
-            self.sim.process(
-                self._serve(request, entry.done, entry.outcome, hosts),
-                name=f"svc:{request.name}")
-        for entry in self._queue:
-            if not entry.deferred:
-                entry.deferred = True
-                self._announce(entry.request, DEFER,
-                               f"insufficient capacity for "
-                               f"n_nodes={entry.request.n_nodes}")
-
-    # -- serving -------------------------------------------------------------
-    def _place(self, request: ServiceRequest) -> list:
-        """Greedy biggest-gap placement; returns one machine per VM."""
-        memory = self._vm_memory(request)
-        budget = {m.name: m.dram_free for m in self.datacenter.machines}
-        hosts = []
-        for _ in range(request.n_nodes):
-            machine = max(self.datacenter.machines,
-                          key=lambda m: budget[m.name])
-            if budget[machine.name] < memory:
-                raise PlacementError(
-                    f"capacity vanished while placing {request.name!r}")
-            budget[machine.name] -= memory
-            hosts.append(machine)
-        return hosts
-
-    def _serve(self, request: ServiceRequest, done: Event,
-               outcome: ServiceOutcome, hosts: list):
+    def _serve(self, request: ServiceRequest, admitted: Event):
+        outcome = ServiceOutcome(request=request, submitted_at=self.sim.now)
+        name = yield admitted
         outcome.started_at = self.sim.now
-        instance = next(self._ids)
-        cluster_name = f"svc-{request.name}-{instance}"
-
-        # Swap the admission holds for real VM residency — atomic: no
-        # simulated time passes between the release and the placements.
-        memory = self._vm_memory(request)
-        vms = []
-        for i, machine in enumerate(hosts):
-            machine.release_dram(memory)
-            vms.append(self.datacenter.create_vm(
-                f"{cluster_name}-vm{i:02d}", machine,
-                config=request.vm_config))
-        boots = [self.datacenter.boot_vm(vm) for vm in vms]
-        yield self.sim.all_of(boots)
-
-        cluster = HadoopVirtualCluster(cluster_name, self.datacenter,
-                                       vms[0], vms[1:],
-                                       config=request.hadoop_config)
-        runner = MapReduceRunner(cluster)
+        vms = self._running[name]
         try:
-            # Stage input (timed) and run.
-            input_path = f"/{cluster_name}/input"
-            upload = cluster.dfs.write_file(cluster.master, input_path,
-                                            request.records,
-                                            sizeof=request.sizeof)
-            yield upload
-            job = request.make_job(input_path, f"/{cluster_name}/output")
-            report = yield runner.submit(job)
-            outcome.report = report
-            outcome.output = runner.read_output(report)
+            yield self.sim.all_of([self.datacenter.boot_vm(vm)
+                                   for vm in vms])
+            cluster = HadoopVirtualCluster(name, self.datacenter, vms[0],
+                                           vms[1:],
+                                           config=request.hadoop_config)
+            runner = MapReduceRunner(cluster)
+            input_path = f"/{name}/input"
+            yield cluster.dfs.write_file(cluster.master, input_path,
+                                         request.records,
+                                         sizeof=request.sizeof)
+            job = request.make_job(input_path, f"/{name}/output")
+            outcome.report = yield runner.submit(job)
+            outcome.output = runner.read_output(outcome.report)
         finally:
-            # Teardown: stop every VM, returning DRAM to the pool.
-            for vm in vms:
+            # Teardown, also when the job failed: stop every VM, returning
+            # DRAM to the next head.
+            for vm in self._running.pop(name):
                 if vm.host is not None:
                     vm.stop()
             outcome.finished_at = self.sim.now
-            self.completed.append(outcome)
             self.datacenter.tracer.emit(
                 self.sim.now, EV.CLOUD_REQUEST_DONE, request.name,
                 total=outcome.total_s, waited=outcome.queue_wait_s)
-            self._admit()  # freed capacity may admit queued requests
-        done.succeed(outcome)
+            self._admit()
         return outcome
-
-
-class SharedVHadoopService:
-    """Multi-tenant execution on one long-lived shared cluster.
-
-    Where :class:`OnDemandVHadoopService` boots a cluster per job, this
-    mode keeps one :class:`HadoopVirtualCluster` warm and pushes every
-    request through a :class:`~repro.scheduler.JobScheduler` — no boot or
-    teardown cost per job, jobs interleave at slot granularity, and tenants
-    are isolated by scheduler pools.  ``request.n_nodes`` is ignored: the
-    cluster is whatever was provisioned.
-    """
-
-    def __init__(self, platform: VHadoopPlatform,
-                 cluster: HadoopVirtualCluster,
-                 policy: Optional[SchedulingPolicy] = None):
-        self.platform = platform
-        self.cluster = cluster
-        self.sim = platform.sim
-        self.scheduler = JobScheduler(
-            cluster, policy=policy,
-            runner=platform.runners.get(cluster.name))
-        self._ids = itertools.count()
-        self.completed: list[ServiceOutcome] = []
-
-    def submit(self, request: ServiceRequest,
-               pool: str = "default") -> Event:
-        """Stage the request's input and submit its job to ``pool``; the
-        event's value is a :class:`ServiceOutcome`."""
-        done = self.sim.event()
-        outcome = ServiceOutcome(request=request, submitted_at=self.sim.now)
-        instance = next(self._ids)
-        base = f"/shared/{request.name}-{instance}"
-        self.sim.process(self._serve(request, pool, base, done, outcome),
-                         name=f"shared-svc:{request.name}")
-        return done
-
-    def _serve(self, request: ServiceRequest, pool: str, base: str,
-               done: Event, outcome: ServiceOutcome):
-        outcome.started_at = self.sim.now
-        upload = self.cluster.dfs.write_file(
-            self.cluster.master, f"{base}/input", request.records,
-            sizeof=request.sizeof)
-        yield upload
-        job = request.make_job(f"{base}/input", f"{base}/output")
-        report = yield self.scheduler.submit(job, pool=pool)
-        outcome.report = report
-        outcome.output = self.scheduler.runner.read_output(report)
-        outcome.finished_at = self.sim.now
-        self.completed.append(outcome)
-        self.cluster.tracer.emit(
-            self.sim.now, EV.CLOUD_REQUEST_DONE, request.name,
-            total=outcome.total_s, waited=outcome.queue_wait_s, shared=True)
-        done.succeed(outcome)
-        return outcome
-
-    def run_all(self, events: Sequence[Event]) -> list[ServiceOutcome]:
-        """Drive the simulator until every given request completes."""
-        gate = self.sim.all_of(list(events))
-        self.sim.run_until(gate)
-        return [event.value for event in events]
-
-    def scheduler_report(self) -> SchedulerReport:
-        return self.scheduler.finalize()

@@ -35,8 +35,8 @@ import math
 from repro.cloud import (AdmissionController, Arrival, BurstTraffic,
                          CostModel, DiurnalTraffic, ElasticAutoscaler,
                          PoissonTraffic, ServiceController, ServiceReport,
-                         SharedClusterBackend, SharedVHadoopService,
-                         SlotModelBackend, TenantRegistry)
+                         SharedClusterBackend, SlotModelBackend,
+                         TenantRegistry)
 from repro.cloud.traffic import JOB_CLASSES, mean_job_size_mb
 from repro.digest import digest
 from repro.experiments.common import (ExperimentResult, make_platform,
@@ -79,17 +79,16 @@ def calibrate_cost_model(seed: int, quick: bool) -> CostModel:
     """
     platform = make_platform(seed)
     cluster = scaled_cluster(platform, 8, name="svc-cal")
-    service = SharedVHadoopService(platform, cluster)
-    backend = SharedClusterBackend(service)
+    backend = SharedClusterBackend(platform, cluster)
     sizes = CALIBRATION_SIZES_QUICK if quick else CALIBRATION_SIZES
     samples = []
     for size_mb in sizes:
         arrival = Arrival(at=platform.sim.now, tenant="default",
                           job_class="calibration", size_mb=size_mb,
                           request_id=f"cal-{int(size_mb)}")
-        request = backend.request_factory(arrival)
-        outcome = service.run_all([service.submit(request)])[0]
-        samples.append((size_mb, outcome.total_s))
+        event = backend.serve(backend.request_factory(arrival))
+        platform.sim.run_until(event)
+        samples.append((size_mb, event.value.total_s))
     return CostModel.fit(samples)
 
 

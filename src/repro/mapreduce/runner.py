@@ -482,17 +482,19 @@ class MapReduceRunner:
         if phase.done.triggered:
             return
         live = self._live_trackers()
-        usable = [t for t in live
-                  if not self._is_blacklisted(phase, t)] or live
+        usable = [t for t in live if not self._is_blacklisted(phase, t)]
         if not usable:
             task_id = phase.task_id(item)
             if parked >= self.MAX_TRACKER_WAITS:
-                phase.done.fail(TaskFailure(task_id, "no live trackers left"))
+                phase.done.fail(TaskFailure(
+                    task_id, "every live tracker is blacklisted" if live
+                    else "no live trackers left"))
                 return
             # A transient total tracker outage (say, the lone worker host
             # crashed with a rejoin already scheduled) must not kill the
             # job: park for a heartbeat and look again.  The wait is
             # bounded so a cluster that never recovers still terminates.
+            # Blacklisted trackers count as gone: no worker serves them.
             phase.retrying += 1
             self.sim.process(
                 self._requeue_proc(phase, item,

@@ -1,13 +1,16 @@
-"""Quota, graded load shedding and the aging FIFO capacity gate."""
-
-from dataclasses import dataclass, field
+"""Quota, graded load shedding, and capacity reserved at admission."""
 
 import pytest
 
+from repro import constants as C
 from repro.cloud import (ADMIT, REJECT_OVERLOAD, REJECT_QUOTA,
                          AdmissionController, AdmissionDecision,
-                         AgingFifoGate, TenantSpec, TenantStats)
+                         PerJobClusterBackend, ServiceRequest, TenantSpec,
+                         TenantStats)
+from repro.config import PlatformConfig, VMConfig
 from repro.errors import ConfigError
+from repro.platform import VHadoopPlatform
+from repro.workloads.wordcount import lines_as_records, wordcount_job
 
 
 def spec(priority="standard", quota=4):
@@ -53,63 +56,37 @@ def test_graded_shedding_ladder():
             assert verdict.decision == expected, (overload, priority)
 
 
-@dataclass
-class Entry:
-    name: str
-    size: int
-    skips: int = 0
-    log: list = field(default_factory=list)
+def per_job_backend():
+    """Cluster-per-job over two hosts with 30 GiB of guest DRAM each."""
+    platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=23))
+    return platform, PerJobClusterBackend(platform)
 
 
-def drain(gate, queue, capacity):
-    """Admit with stateful capacity, the way the service consumes it."""
-    admitted = []
-    state = {"free": capacity}
-    for entry in gate.admittable(queue, lambda e: e.size <= state["free"]):
-        state["free"] -= entry.size
-        queue.remove(entry)
-        admitted.append(entry.name)
-    return admitted, state["free"]
+def request(name, n_nodes, memory_gib):
+    return ServiceRequest(
+        name=name, n_nodes=n_nodes, records=lines_as_records(["a b"]),
+        make_job=lambda inp, out: wordcount_job(inp, out),
+        vm_config=VMConfig(memory=memory_gib * C.GiB))
 
 
 def test_strict_fifo_at_zero_budget():
-    gate = AgingFifoGate(max_head_skips=0)
-    queue = [Entry("big", 8), Entry("small", 1)]
-    admitted, _ = drain(gate, queue, capacity=4)
-    assert admitted == []          # the head blocks everything behind it
-    assert queue[0].skips == 0
-
-
-def test_skipping_ages_the_blocked_head():
-    gate = AgingFifoGate(max_head_skips=2)
-    queue = [Entry("big", 8), Entry("s1", 1), Entry("s2", 1),
-             Entry("s3", 1)]
-    admitted, _ = drain(gate, queue, capacity=4)
-    # Two skips allowed: s1 and s2 jump the head, then it ages out.
-    assert admitted == ["s1", "s2"]
-    assert [e.name for e in queue] == ["big", "s3"]
-    assert queue[0].skips == 2
-
-
-def test_unbounded_gate_admits_everything_that_fits():
-    gate = AgingFifoGate(max_head_skips=None)
-    queue = [Entry("big", 8), Entry("s1", 1), Entry("s2", 1),
-             Entry("s3", 1)]
-    admitted, free = drain(gate, queue, capacity=3)
-    assert admitted == ["s1", "s2", "s3"]
-    assert free == 0
+    # The queue head never lets anything pass it: a small request that
+    # would fit beside the running one waits behind the head that does
+    # not.
+    platform, backend = per_job_backend()
+    backend.serve(request("running", 10, 4))
+    backend.serve(request("head", 10, 4))
+    backend.serve(request("small", 2, 1))
+    assert backend.total_slots() == 1 and backend.backlog() == 2
 
 
 def test_admissions_see_reserved_capacity():
-    # Two entries both "fit" the initial capacity; the generator contract
-    # means the second check runs after the first reservation.
-    gate = AgingFifoGate()
-    queue = [Entry("a", 3), Entry("b", 3)]
-    admitted, _ = drain(gate, queue, capacity=4)
-    assert admitted == ["a"]
-    assert [e.name for e in queue] == ["b"]
-
-
-def test_gate_validation():
-    with pytest.raises(ConfigError):
-        AgingFifoGate(max_head_skips=-1)
+    # Two 10-VM x 4 GiB requests each fit the empty 60 GiB datacenter
+    # but not together.  The first one's VMs are placed, and so hold
+    # their DRAM, before the same-instant second one is considered.
+    platform, backend = per_job_backend()
+    backend.serve(request("a", 10, 4))
+    backend.serve(request("b", 10, 4))
+    assert backend.total_slots() == 1 and backend.backlog() == 1
+    free = sum(m.dram_free for m in platform.datacenter.machines)
+    assert free == 60 * C.GiB - 10 * 4 * C.GiB

@@ -1,6 +1,8 @@
 """The always-on ServiceController: end-to-end surrogate runs, the
-full-fidelity backend, and cross-process determinism."""
+full-fidelity backends, and cross-process determinism."""
 
+import collections
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud import (AdmissionController, BurstTraffic, CostModel,
-                         ElasticAutoscaler, LatencyHistogram, PoissonTraffic,
+                         ElasticAutoscaler, LatencyHistogram,
+                         PerJobClusterBackend, PoissonTraffic,
                          ServiceController, SharedClusterBackend,
-                         SharedVHadoopService, SlotModelBackend,
-                         TenantRegistry, trace_digest)
+                         SlotModelBackend, TenantRegistry, trace_digest)
 from repro.cloud.controller import TRACE_CHUNK
 from repro.config import PlatformConfig
 from repro.errors import ConfigError
+from repro.mapreduce import Mapper
 from repro.observatory.burnrate import BurnRateEngine
 from repro.observatory.slo import AlertBook
 from repro.platform import ClusterSpec, VHadoopPlatform
@@ -27,6 +30,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.telemetry import events as EV
 from repro.telemetry.timeseries import TimeSeriesStore
+from repro.virt.vm import VMState
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -219,30 +223,33 @@ def test_two_fresh_processes_agree_byte_for_byte():
     assert payload["counters"]["submitted"] > 100
 
 
+def clamp_inputs(backend, max_mb=64.0):
+    """Clamp the default requests' inputs to ``max_mb``."""
+    default = backend.request_factory
+    backend.request_factory = lambda arrival: default(
+        dataclasses.replace(arrival, size_mb=min(arrival.size_mb, max_mb)))
+
+
 def test_full_fidelity_backend_with_elastic_pool():
     """Real jobs on a warm cluster; the autoscaler boots real VMs."""
     platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=31))
     cluster = platform.provision_cluster("svc", ClusterSpec.spread(4, hosts=2))
-    service = SharedVHadoopService(platform, cluster)
+    backend = SharedClusterBackend(platform, cluster)
     rngs = platform.datacenter.rng
     tenants = TenantRegistry.synthetic(6, rngs.stream("fleet"),
                                        quota_scale=50.0)
     traffic = PoissonTraffic("p", tenants, rngs.stream("traffic"), 0.25)
     book = AlertBook(sim=platform.sim)
-    pool = ElasticWorkerPool(cluster, service.scheduler, max_size=4,
+    pool = ElasticWorkerPool(cluster, backend.scheduler, max_size=4,
                              quiescence_poll_s=5.0)
     autoscaler = ElasticAutoscaler(pool, book, cooldown_s=30.0,
                                    grow_step=2, scale_in_ticks=4)
-    backend = SharedClusterBackend(service, pool=pool)
-    import dataclasses
-    default = backend.request_factory
-    backend.request_factory = lambda arrival: default(
-        dataclasses.replace(arrival, size_mb=min(arrival.size_mb, 64.0)))
+    clamp_inputs(backend)
     controller = ServiceController(
         platform.sim, backend, tenants, traffic, book=book,
         autoscaler=autoscaler, tick_s=10.0, latency_target_s=60.0,
         tracer=cluster.tracer, verbose_telemetry=True)
-    base_slots = service.scheduler.total_slots("map")
+    base_slots = backend.scheduler.total_slots("map")
     report = controller.run(horizon_s=240.0)
     c = report.counters()
     assert c["completed"] > 0
@@ -254,4 +261,94 @@ def test_full_fidelity_backend_with_elastic_pool():
     # workers, which joined the scheduler's pool.
     if any(a.action == "grow" for a in report.actions):
         assert EV.CLUSTER_WORKER_JOINED in kinds
-        assert service.scheduler.total_slots("map") > base_slots
+        assert backend.scheduler.total_slots("map") > base_slots
+
+
+def make_backend(kind, seed=31):
+    """One backend of each fidelity, on a fresh simulator."""
+    if kind == "slot-model":
+        sim = Simulator()
+        return sim, SlotModelBackend(sim, CostModel(base_s=20.0,
+                                                    per_mb_s=0.02), slots=4)
+    platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=seed))
+    if kind == "shared-cluster":
+        cluster = platform.provision_cluster("svc",
+                                             ClusterSpec.spread(4, hosts=2))
+        backend = SharedClusterBackend(platform, cluster)
+    else:
+        backend = PerJobClusterBackend(platform)
+    clamp_inputs(backend)
+    return platform.sim, backend
+
+
+def small_universe(seed, rate):
+    rngs = RngRegistry(seed)
+    tenants = TenantRegistry.synthetic(3, rngs.stream("fleet"),
+                                       quota_scale=50.0)
+    return tenants, PoissonTraffic("p", tenants, rngs.stream("traffic"),
+                                   rate)
+
+
+class Exploding(Mapper):
+    def map(self, key, value, context):
+        raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("kind", ["shared-cluster", "per-job-cluster"])
+def test_failed_job_is_counted_not_raised(kind):
+    """A job that raises fails its serve event; the controller counts it
+    as failed and the run still returns."""
+    sim, backend = make_backend(kind)
+    datacenter = backend.platform.datacenter
+    free_before = sum(m.dram_free for m in datacenter.machines)
+    default = backend.request_factory
+
+    def exploding(arrival):
+        request = default(arrival)
+        return dataclasses.replace(
+            request, make_job=lambda inp, out: dataclasses.replace(
+                request.make_job(inp, out), mapper=Exploding))
+
+    backend.request_factory = exploding
+    tenants, traffic = small_universe(7, rate=0.05)
+    report = ServiceController(sim, backend, tenants, traffic,
+                               tick_s=10.0).run(horizon_s=100.0)
+    c = report.counters()
+    assert c["failed"] > 0
+    assert c["completed"] + c["failed"] == c["admitted"]
+    if kind == "per-job-cluster":
+        # Every per-job VM was stopped and all DRAM came back.
+        assert datacenter.vms and all(vm.state is VMState.STOPPED
+                                      for vm in datacenter.vms.values())
+        assert sum(m.dram_free for m in datacenter.machines) == free_before
+
+
+@pytest.mark.parametrize("kind", ["slot-model", "shared-cluster",
+                                  "per-job-cluster"])
+def test_one_front_door_contract(kind):
+    """One seeded universe through each fidelity: the same offered
+    traffic, every arrival accounted for, exactly one completion report
+    per admitted arrival."""
+    sim, backend = make_backend(kind)
+    tenants, traffic = small_universe(3, rate=0.1)
+    controller = ServiceController(sim, backend, tenants, traffic,
+                                   tick_s=10.0)
+    reported = collections.Counter()
+    on_done = backend.on_done
+
+    def counting(tenant, submitted_at, wait_s, ok):
+        reported[tenant] += 1
+        on_done(tenant, submitted_at, wait_s, ok)
+
+    backend.on_done = counting
+    report = controller.run(horizon_s=600.0)
+    _, fresh = small_universe(3, rate=0.1)
+    assert report.trace_digest == trace_digest(fresh.materialize(600.0))
+    c = report.counters()
+    assert c["submitted"] > 30
+    assert c["submitted"] == (c["admitted"] + c["rejected_quota"]
+                              + c["rejected_overload"])
+    assert c["completed"] + c["failed"] == c["admitted"]
+    assert reported == {name: tenants.stats(name).admitted
+                        for name in tenants.names
+                        if tenants.stats(name).admitted}

@@ -129,6 +129,24 @@ def test_task_failure_propagates():
         _ = event.value
 
 
+def test_task_failure_on_a_lone_blacklisted_tracker_fails_the_job():
+    # One worker: it is blacklisted after three failed attempts, before
+    # the task's retry budget runs out.  The retry must fail the job, not
+    # sit pending forever with no worker left to take it.
+    class Exploding(Mapper):
+        def map(self, key, value, context):
+            raise RuntimeError("boom")
+
+    platform, cluster = make_cluster(n=2)
+    upload_corpus(platform, cluster)
+    job = Job(name="bad", input_paths=["/wc/in"], output_path="/bad",
+              mapper=Exploding, n_reduces=0)
+    event = platform.runners[cluster.name].submit(job)
+    with pytest.raises(TaskFailure, match="blacklisted"):
+        platform.sim.run()
+    assert event.triggered and not event.ok
+
+
 def test_missing_input_raises():
     platform, cluster = make_cluster()
     job = Job(name="ghost", input_paths=["/nope"], output_path="/o",

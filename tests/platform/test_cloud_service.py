@@ -1,14 +1,17 @@
-"""Tests for the on-demand elastic vHadoop service (paper future work)."""
+"""The full-fidelity service backends driven directly through ``serve``:
+cluster-per-job (the paper's future work) and the warm shared cluster."""
 
 import collections
 
 import pytest
 
 from repro import constants as C
-from repro.cloud import OnDemandVHadoopService, ServiceRequest
+from repro.cloud import (PerJobClusterBackend, ServiceRequest,
+                         SharedClusterBackend)
 from repro.config import PlatformConfig, VMConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PlacementError
 from repro.platform import VHadoopPlatform
+from repro.virt.vm import VMState
 from repro.workloads.wordcount import (lines_as_records, line_record_sizeof,
                                        wordcount_job)
 
@@ -27,15 +30,29 @@ def wc_request(name, n_nodes=4, memory=None):
     )
 
 
-def make_service(seed=23, n_hosts=2):
+def big(name):
+    # Each host has 30 GiB for guests; 2 GiB VMs x 16 nodes = 32 GiB per
+    # request, so two of them (64 GiB) exceed the 60 GiB datacenter.
+    return wc_request(name, n_nodes=16, memory=2 * C.GiB)
+
+
+def make_backend(seed=23, n_hosts=2):
     platform = VHadoopPlatform(PlatformConfig(n_hosts=n_hosts, seed=seed))
-    return platform, OnDemandVHadoopService(platform)
+    return platform, PerJobClusterBackend(platform)
+
+
+def serve_all(platform, backend, requests):
+    """Serve each request now; run until all are done; their outcomes."""
+    events = [backend.serve(request) for request in requests]
+    platform.sim.run_until(platform.sim.all_of(events))
+    return {event.value.request.name: event.value for event in events}
 
 
 def test_single_request_end_to_end():
-    platform, service = make_service()
-    event = service.submit(wc_request("one"))
-    (outcome,) = service.run_all([event])
+    platform, backend = make_backend()
+    event = backend.serve(wc_request("one"))
+    platform.sim.run_until(event)
+    outcome = event.value
     assert dict(outcome.output) == EXPECTED
     assert outcome.report is not None
     assert outcome.total_s > 18.0  # boot time is part of the service time
@@ -43,18 +60,20 @@ def test_single_request_end_to_end():
 
 
 def test_teardown_returns_capacity():
-    platform, service = make_service()
+    platform, backend = make_backend()
     free_before = sum(m.dram_free for m in platform.datacenter.machines)
-    event = service.submit(wc_request("cycle"))
-    service.run_all([event])
+    serve_all(platform, backend, [wc_request("cycle")])
     free_after = sum(m.dram_free for m in platform.datacenter.machines)
     assert free_after == free_before
+    assert all(vm.state is VMState.STOPPED
+               for vm in platform.datacenter.vms.values())
+    assert backend.total_slots() == 0 and backend.utilization() == 0.0
 
 
 def test_concurrent_requests_share_the_datacenter():
-    platform, service = make_service()
-    events = [service.submit(wc_request(f"r{i}")) for i in range(3)]
-    outcomes = service.run_all(events)
+    platform, backend = make_backend()
+    outcomes = serve_all(platform, backend,
+                         [wc_request(f"r{i}") for i in range(3)]).values()
     assert all(dict(o.output) == EXPECTED for o in outcomes)
     # All three fit at once: nobody waited.
     assert all(o.queue_wait_s == 0.0 for o in outcomes)
@@ -65,78 +84,29 @@ def test_concurrent_requests_share_the_datacenter():
 
 
 def test_oversized_demand_queues_then_runs():
-    # Each host has 30 GiB for guests; 2 GiB VMs x 16 nodes = 32 GiB per
-    # request, so two requests (64 GiB) exceed the 60 GiB datacenter: the
-    # second must wait for the first to tear down.
-    platform, service = make_service()
-    big = lambda name: wc_request(name, n_nodes=16, memory=2 * C.GiB)
-    first = service.submit(big("first"))
-    second = service.submit(big("second"))
-    assert service.queued >= 1  # second did not fit immediately
-    outcomes = service.run_all([first, second])
-    by_name = {o.request.name: o for o in outcomes}
-    assert by_name["second"].queue_wait_s > 0.0
-    assert by_name["second"].started_at >= by_name["first"].finished_at
-    assert dict(by_name["second"].output) == EXPECTED
-
-
-def test_small_request_skips_ahead_of_oversized_one():
-    platform, service = make_service()
-    blocker = service.submit(wc_request("blocker", n_nodes=16,
-                                        memory=2 * C.GiB))
-    too_big = service.submit(wc_request("too-big", n_nodes=16,
-                                        memory=2 * C.GiB))
-    small = service.submit(wc_request("small", n_nodes=3))
-    outcomes = service.run_all([blocker, too_big, small])
-    by_name = {o.request.name: o for o in outcomes}
-    # The small request fit beside the blocker and never queued.
-    assert by_name["small"].queue_wait_s == 0.0
-    assert by_name["too-big"].queue_wait_s > 0.0
+    # The second big request must wait for the first to tear down.
+    platform, backend = make_backend()
+    first = backend.serve(big("first"))
+    second = backend.serve(big("second"))
+    assert backend.backlog() == 1  # second did not fit immediately
+    assert backend.total_slots() == 1
+    assert 0.5 < backend.utilization() <= 1.0
+    platform.sim.run_until(platform.sim.all_of([first, second]))
+    assert second.value.queue_wait_s > 0.0
+    assert second.value.started_at >= first.value.finished_at
+    assert dict(second.value.output) == EXPECTED
 
 
 def test_zero_skip_budget_means_strict_fifo():
-    platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=23))
-    service = OnDemandVHadoopService(platform, max_head_skips=0)
-    blocker = service.submit(wc_request("blocker", n_nodes=16,
-                                        memory=2 * C.GiB))
-    too_big = service.submit(wc_request("too-big", n_nodes=16,
-                                        memory=2 * C.GiB))
-    small = service.submit(wc_request("small", n_nodes=3))
-    outcomes = service.run_all([blocker, too_big, small])
-    by_name = {o.request.name: o for o in outcomes}
-    # Nothing may pass the queue head: the small request waits it out.
+    """Strict FIFO is the only order: nothing passes the queue head, so a
+    small request that would fit waits behind a big one that does not."""
+    platform, backend = make_backend()
+    by_name = serve_all(platform, backend,
+                        [big("blocker"), big("too-big"),
+                         wc_request("small", n_nodes=3)])
     assert by_name["small"].queue_wait_s > 0.0
     assert by_name["small"].started_at >= by_name["too-big"].started_at
     assert dict(by_name["small"].output) == EXPECTED
-
-
-def test_aging_guard_stops_small_requests_starving_a_big_one():
-    platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=23))
-    service = OnDemandVHadoopService(platform, max_head_skips=2)
-    blocker = service.submit(wc_request("blocker", n_nodes=16,
-                                        memory=2 * C.GiB))
-    big = service.submit(wc_request("big", n_nodes=16, memory=2 * C.GiB))
-    smalls = [service.submit(wc_request(f"s{i}", n_nodes=3))
-              for i in range(5)]
-    # Only two smalls may jump the starving head; the rest wait behind it
-    # even though capacity for them is free.
-    assert service.queued == 4  # big + three blocked smalls
-    outcomes = service.run_all([blocker, big] + smalls)
-    by_name = {o.request.name: o for o in outcomes}
-    assert by_name["s0"].queue_wait_s == 0.0
-    assert by_name["s1"].queue_wait_s == 0.0
-    for name in ("s2", "s3", "s4"):
-        assert by_name[name].started_at >= by_name["big"].started_at
-        assert dict(by_name[name].output) == EXPECTED
-
-
-def test_head_skip_validation():
-    platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=23))
-    with pytest.raises(ConfigError):
-        OnDemandVHadoopService(platform, max_head_skips=-1)
-    # None restores the unbounded legacy scan.
-    service = OnDemandVHadoopService(platform, max_head_skips=None)
-    assert service.max_head_skips is None
 
 
 def test_request_validation():
@@ -148,19 +118,19 @@ def test_request_validation():
 
 
 def test_shared_service_runs_tenants_on_one_warm_cluster():
-    from repro.cloud import SharedVHadoopService
     from repro.platform import ClusterSpec
 
     platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=23))
     cluster = platform.provision_cluster("warm", ClusterSpec.single_host(6))
-    service = SharedVHadoopService(platform, cluster)
-    events = [service.submit(wc_request("a"), pool="tenant-a"),
-              service.submit(wc_request("b"), pool="tenant-b")]
-    outcomes = service.run_all(events)
+    backend = SharedClusterBackend(platform, cluster)
+    events = [backend.serve(wc_request("a"), pool="tenant-a"),
+              backend.serve(wc_request("b"), pool="tenant-b")]
+    platform.sim.run_until(platform.sim.all_of(events))
+    outcomes = [event.value for event in events]
     assert all(dict(o.output) == EXPECTED for o in outcomes)
     # No per-job boot: far quicker than the ~18 s cluster-per-job path.
     assert all(o.total_s < 18.0 for o in outcomes)
-    report = service.scheduler_report()
+    report = backend.scheduler.finalize()
     assert report.n_jobs == 2
     assert {j.pool for j in report.jobs} == {"tenant-a", "tenant-b"}
     done = platform.tracer.last("cloud.request.done")
@@ -168,8 +138,8 @@ def test_shared_service_runs_tenants_on_one_warm_cluster():
 
 
 def test_service_emits_trace():
-    platform, service = make_service()
-    service.run_all([service.submit(wc_request("traced"))])
+    platform, backend = make_backend()
+    serve_all(platform, backend, [wc_request("traced")])
     done = platform.tracer.last("cloud.request.done")
     assert done is not None
     assert done["total"] > 0
@@ -181,39 +151,26 @@ def admission_events(platform):
 
 
 def test_every_admission_verdict_is_announced():
-    platform, service = make_service()
-    # Admit: fits immediately.
-    fast = service.submit(wc_request("fast"))
-    # Defer: a second 16-node 2 GiB request cannot fit beside the first.
-    big = lambda name: wc_request(name, n_nodes=16, memory=2 * C.GiB)
-    blocker = service.submit(big("blocker"))
-    waiter = service.submit(big("waiter"))
-    events = admission_events(platform)
-    by_source = {e.source: e for e in events}
+    platform, backend = make_backend()
+    fast = backend.serve(wc_request("fast"))
+    blocker = backend.serve(big("blocker"))
+    waiter = backend.serve(big("waiter"))
+    by_source = {e.source: e for e in admission_events(platform)}
     assert by_source["fast"]["decision"] == "admit"
     assert by_source["fast"]["tenant"] == "default"
-    assert by_source["waiter"]["decision"] == "defer"
-    assert "n_nodes=16" in by_source["waiter"]["reason"]
-    # One defer per stay in the queue, not one per admission scan.
-    assert sum(e.source == "waiter" for e in events) == 1
-    service.run_all([fast, blocker, waiter])
-    events = admission_events(platform)
-    # The waiter was eventually admitted too: defer then admit.
-    waiter_decisions = [e["decision"] for e in events
+    assert "n_nodes=4" in by_source["fast"]["reason"]
+    assert "waiter" not in by_source  # still queued: no verdict yet
+    platform.sim.run_until(platform.sim.all_of([fast, blocker, waiter]))
+    # The waiter is announced once, when it finally starts.
+    waiter_decisions = [e["decision"] for e in admission_events(platform)
                         if e.source == "waiter"]
-    assert waiter_decisions == ["defer", "admit"]
+    assert waiter_decisions == ["admit"]
 
 
-def test_impossible_request_announces_rejection_and_raises():
-    from repro.errors import PlacementError
-
-    platform, service = make_service()
+def test_impossible_request_raises_without_queueing():
+    platform, backend = make_backend()
     # 64 nodes x 2 GiB = 128 GiB can never fit the 60 GiB datacenter.
-    with pytest.raises(PlacementError):
-        service.submit(wc_request("hopeless", n_nodes=64, memory=2 * C.GiB))
-    event = platform.tracer.last("cloud.admission.decision")
-    assert event is not None and event.source == "hopeless"
-    assert event["decision"] == "reject-impossible"
-    assert event["tenant"] == "default"
-    assert "n_nodes=64" in event["reason"]
-    assert service.queued == 0  # never entered the queue
+    with pytest.raises(PlacementError, match="at most 30 VMs"):
+        backend.serve(wc_request("hopeless", n_nodes=64, memory=2 * C.GiB))
+    assert backend.backlog() == 0  # never entered the queue
+    assert not platform.datacenter.vms

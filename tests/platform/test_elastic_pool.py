@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud import SharedVHadoopService
+from repro.cloud import SharedClusterBackend
 from repro.config import PlatformConfig
 from repro.errors import ConfigError
 from repro.platform import ClusterSpec, VHadoopPlatform
@@ -16,15 +16,15 @@ LINES = ["rho sigma tau", "sigma tau", "tau"] * 6
 def make_pool(seed=29, max_size=4, **kw):
     platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=seed))
     cluster = platform.provision_cluster("ep", ClusterSpec.spread(4, hosts=2))
-    service = SharedVHadoopService(platform, cluster)
-    pool = ElasticWorkerPool(cluster, service.scheduler,
+    backend = SharedClusterBackend(platform, cluster)
+    pool = ElasticWorkerPool(cluster, backend.scheduler,
                              max_size=max_size, **kw)
-    return platform, cluster, service, pool
+    return platform, cluster, backend, pool
 
 
 def test_grow_boots_joins_and_attaches():
-    platform, cluster, service, pool = make_pool()
-    base_slots = service.scheduler.total_slots("map")
+    platform, cluster, backend, pool = make_pool()
+    base_slots = backend.scheduler.total_slots("map")
     base_vms = len(cluster.vms)
     base_datanodes = len(cluster.datanodes)
     started = pool.grow(2)
@@ -33,20 +33,20 @@ def test_grow_boots_joins_and_attaches():
     platform.sim.run_until(platform.sim.timeout(120.0))
     assert pool.booting == 0 and len(pool.workers) == 2
     assert len(cluster.vms) == base_vms + 2
-    assert service.scheduler.total_slots("map") > base_slots
+    assert backend.scheduler.total_slots("map") > base_slots
     # Compute-only workers: no DataNode joined HDFS.
     assert len(cluster.datanodes) == base_datanodes
 
 
 def test_grow_respects_max_size_and_avoid_hosts():
-    platform, cluster, service, pool = make_pool(max_size=3)
+    platform, cluster, backend, pool = make_pool(max_size=3)
     assert pool.grow(10) == 3          # capped
     assert pool.grow(1) == 0           # already at the cap
     platform.sim.run_until(platform.sim.timeout(120.0))
     hosts = {t.vm.host.name for t in pool.workers}
     assert hosts  # placed somewhere real
     # A fresh pool told to avoid one host places everything on the other.
-    platform2, cluster2, service2, pool2 = make_pool(seed=30)
+    platform2, cluster2, backend2, pool2 = make_pool(seed=30)
     machines = platform2.datacenter.machines
     pool2.grow(2, avoid_hosts={machines[0].name})
     platform2.sim.run_until(platform2.sim.timeout(120.0))
@@ -54,7 +54,7 @@ def test_grow_respects_max_size_and_avoid_hosts():
 
 
 def test_shrink_drains_then_retires_and_returns_dram():
-    platform, cluster, service, pool = make_pool()
+    platform, cluster, backend, pool = make_pool()
     pool.grow(2)
     platform.sim.run_until(platform.sim.timeout(120.0))
     free_before = sum(m.dram_free for m in platform.datacenter.machines)
@@ -71,14 +71,14 @@ def test_shrink_drains_then_retires_and_returns_dram():
 def test_shrink_waits_for_running_work():
     from repro.cloud import ServiceRequest
 
-    platform, cluster, service, pool = make_pool()
+    platform, cluster, backend, pool = make_pool()
     pool.grow(1)
     platform.sim.run_until(platform.sim.timeout(120.0))
     request = ServiceRequest(
         name="inflight", n_nodes=2, records=lines_as_records(LINES),
         make_job=lambda i, o: wordcount_job(i, o, n_reduces=1),
         sizeof=line_record_sizeof)
-    event = service.submit(request)
+    event = backend.serve(request)
     # Retire while the job is in flight: the drain must outwait it.
     pool.shrink(1)
     platform.sim.run_until(event)
@@ -89,9 +89,9 @@ def test_shrink_waits_for_running_work():
 
 
 def test_min_size_floor_and_validation():
-    platform, cluster, service, pool = make_pool(min_size=1, max_size=3)
+    platform, cluster, backend, pool = make_pool(min_size=1, max_size=3)
     pool.grow(2)
     platform.sim.run_until(platform.sim.timeout(120.0))
     assert pool.shrink(5) == 1          # floor holds at min_size
     with pytest.raises(ConfigError):
-        ElasticWorkerPool(cluster, service.scheduler, min_size=2, max_size=1)
+        ElasticWorkerPool(cluster, backend.scheduler, min_size=2, max_size=1)

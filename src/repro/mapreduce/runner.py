@@ -62,7 +62,7 @@ from repro.mapreduce.api import (Context, Reducer, combine, merge_runs,
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Job
 from repro.sim import Resource
-from repro.sim.kernel import AllOf, AnyOf, Event, Interrupt, Process
+from repro.sim.kernel import Event, cancel
 from repro.sim.trace import Span
 from repro.telemetry import events as EV
 from repro.virt.vm import VMState
@@ -71,27 +71,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import HadoopVirtualCluster, TaskTracker
 
 
-def _cancel_wait(event: Event) -> None:
-    """Interrupt the live process(es) behind an abandoned wait."""
-    if isinstance(event, Process):
-        if event.is_alive:
-            event.interrupt("aborted")
-    elif isinstance(event, (AllOf, AnyOf)):
-        for child in event.events:
-            if isinstance(child, Process) and child.is_alive:
-                child.interrupt("aborted")
-
-
 def _drive_racing(sim, gen, stop: Event, abortable=None):
     """Run task generator ``gen``, racing every wait against ``stop``.
 
     Returns ``(result, stopped)``.  When ``stop`` fires first the generator
-    is closed and any live sub-processes it was waiting on are interrupted;
-    the virt/net layers cancel their flows and bill only the work actually
-    done.  ``abortable`` (when given) is consulted at the moment ``stop``
-    fires: returning False makes the attempt uninterruptible from then on —
-    used by reduces that already hold the output-commit token, which must
-    run to completion so the commit protocol stays single-writer.
+    is closed and the event it was waiting on is cancelled, in the same
+    step: sub-processes close, and the virt/net leaf operations close
+    their flows and bill only the work actually done.  ``abortable`` (when
+    given) is consulted at the moment ``stop`` fires: returning False
+    makes the attempt unabortable from then on — used by reduces that
+    already hold the output-commit token, which must run to completion so
+    the commit protocol stays single-writer.
     """
     def may_abort() -> bool:
         return abortable is None or abortable()
@@ -104,7 +94,7 @@ def _drive_racing(sim, gen, stop: Event, abortable=None):
         if stop.triggered:
             if may_abort():
                 gen.close()
-                _cancel_wait(target)
+                cancel(target)
                 return None, True
             yield target
         else:
@@ -112,7 +102,7 @@ def _drive_racing(sim, gen, stop: Event, abortable=None):
             if stop.triggered and not target.triggered:
                 if may_abort():
                     gen.close()
-                    _cancel_wait(target)
+                    cancel(target)
                     return None, True
                 yield target
         try:
@@ -1014,11 +1004,9 @@ class MapReduceRunner:
         out rather than crashing the fetch process.
         """
         config = self.cluster.config
-        acquired = False
-        pending: list[Event] = []
+        # A cancel landing in the pending ``acquire()`` holds no permit.
+        yield sem.acquire()
         try:
-            yield sem.acquire()
-            acquired = True
             for _ in range(config.max_task_retries + 1):
                 if not self._vm_live(output.tracker.vm):
                     yield from self._recover_map_output(output, to_vm)
@@ -1049,19 +1037,8 @@ class MapReduceRunner:
                 return None
             raise TaskFailure(f"{output.spec.task_id}:r{partition}",
                               "shuffle source kept failing")
-        except Interrupt:
-            # The owning reduce attempt was aborted: cancel any in-flight
-            # sub-work so the virt/net layers bill only what moved.
-            for ev in pending:
-                if isinstance(ev, Process) and ev.is_alive:
-                    ev.interrupt("fetch aborted")
-            return None
         finally:
-            # Only release what we actually acquired: an Interrupt landing
-            # in the pending ``acquire()`` above must not mint a permit.
-            if acquired:
-                sem.release()
-        return None
+            sem.release()
 
     def _recover_map_output(self, output: _MapOutput, to_vm):
         """Re-execute a lost map task on ``to_vm`` (Hadoop's map re-run).

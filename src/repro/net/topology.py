@@ -39,13 +39,12 @@ be O(n²).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro import constants as C
 from repro.errors import SimulationError
-from repro.sim import FairShareSystem, SharedResource, Simulator, Tracer
-from repro.sim.kernel import Event, Interrupt
-from repro.sim.fairshare import FluidFlow
+from repro.sim import (Event, FairShareSystem, FlowOp, FluidFlow,
+                       SharedResource, Simulator, Tracer)
 from repro.telemetry import events as EV
 
 
@@ -258,38 +257,28 @@ class NetworkFabric:
 
         The event's value is the elapsed transfer time in seconds.  Loopback
         transfers cost nothing but still count toward the endpoints' byte
-        counters.
+        counters.  Cancelling a transfer tears the stream down and counts
+        only the bytes that made it across.
         """
         if nbytes < 0:
             raise SimulationError(f"cannot transfer {nbytes} bytes")
-        return self.sim.process(self._transfer_proc(src, dst, nbytes, name, cap),
-                                name=f"net:{name}")
+        return FlowOp(self.fss, nbytes, name, self._start_transfer,
+                      self._bill_transfer, src, dst, cap)
 
-    def _transfer_proc(self, src: NetNode, dst: NetNode, nbytes: float,
-                       name: str, cap: Optional[float]):
-        started = self.sim.now
+    def _start_transfer(self, op: FlowOp, src: NetNode, dst: NetNode,
+                        cap: Optional[float]) -> None:
         path, latency = self.path(src, dst)
-        self.tracer.emit(started, EV.NET_TRANSFER_START, name,
-                         src=src.name, dst=dst.name, bytes=nbytes,
+        self.tracer.emit(op.started, EV.NET_TRANSFER_START, op.name,
+                         src=src.name, dst=dst.name, bytes=op.amount,
                          cross_domain=self.crosses_physical_nic(src, dst))
-        flow = None
-        moved = nbytes
-        try:
-            if latency > 0:
-                yield self.sim.timeout(latency)
-            if path and nbytes > 0:
-                flow = self.fss.open(path, size=float(nbytes), cap=cap,
-                                     name=name)
-                yield flow.done
-        except Interrupt:
-            # The transfer's owner was preempted: tear the stream down and
-            # account only the bytes that made it across.
-            moved = self.fss.close(flow) if flow is not None and flow.active \
-                else 0.0
+        op.wait(latency, op.move, path, op.amount, cap)
+
+    def _bill_transfer(self, op: FlowOp, moved: float, src: NetNode,
+                       dst: NetNode, _cap: Optional[float]) -> float:
         src.tx_bytes += moved
         dst.rx_bytes += moved
-        elapsed = self.sim.now - started
-        self.tracer.emit(self.sim.now, EV.NET_TRANSFER_END, name,
+        elapsed = self.sim.now - op.started
+        self.tracer.emit(self.sim.now, EV.NET_TRANSFER_END, op.name,
                          src=src.name, dst=dst.name, bytes=moved,
                          elapsed=elapsed)
         return elapsed

@@ -23,10 +23,10 @@ plain runner keep their exact timing.
 
 Preemption (fair scheduler with ``preemption_timeout_s`` pools) kills the
 youngest *map* tasks of over-share pools: the killed attempt's in-flight
-flows are cancelled (the virt/net layers catch :class:`Interrupt` and bill
-only the work actually done) and the task returns to its job's pending
-queue.  Reduce tasks are never killed — re-shuffling is too expensive, as
-in Hadoop — so reduce min-shares are enforced at assignment time only.
+operation is cancelled (its virt/net flows close and bill only the work
+actually done) and the task returns to its job's pending queue.  Reduce
+tasks are never killed — re-shuffling is too expensive, as in Hadoop — so
+reduce min-shares are enforced at assignment time only.
 """
 
 from __future__ import annotations

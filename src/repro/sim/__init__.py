@@ -1,14 +1,14 @@
 """Discrete-event simulation substrate.
 
-The kernel (:mod:`repro.sim.kernel`) is a small generator-coroutine
-discrete-event simulator in the style of SimPy: *processes* are Python
-generators that ``yield`` events; the :class:`~repro.sim.kernel.Simulator`
-advances virtual time from event to event.
+The kernel (:mod:`repro.sim.kernel`) is a small discrete-event simulator:
+*processes* are generators that ``yield`` events, callbacks are ``call_in``
+entries, and ``cancel()`` is synchronous — nothing is thrown into a body.
 
 On top of the kernel:
 
 * :mod:`repro.sim.fairshare` — fluid-flow max-min fair sharing of capacitated
-  resources, the single mechanism used for CPU, NIC, disk and NFS contention;
+  resources, the single mechanism used for CPU, NIC, disk and NFS contention,
+  and ``FlowOp``, the callback event of every compute, disk I/O and transfer;
 * :mod:`repro.sim.resources` — counting semaphores (task slots);
 * :mod:`repro.sim.rng` — named deterministic random streams;
 * :mod:`repro.sim.trace` — structured event tracing.
@@ -18,13 +18,12 @@ from repro.sim.kernel import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     PeriodicCall,
     Process,
     Simulator,
     Timeout,
 )
-from repro.sim.fairshare import FairShareSystem, FluidFlow, SharedResource
+from repro.sim.fairshare import FairShareSystem, FlowOp, FluidFlow, SharedResource
 from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Span, TraceEvent, Tracer
@@ -34,8 +33,8 @@ __all__ = [
     "AnyOf",
     "Event",
     "FairShareSystem",
+    "FlowOp",
     "FluidFlow",
-    "Interrupt",
     "PeriodicCall",
     "Process",
     "Resource",

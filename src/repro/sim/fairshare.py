@@ -82,7 +82,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.errors import ResourceError, SimulationError
 from repro.sim.kernel import Event, Simulator
@@ -332,7 +332,7 @@ class FairShareSystem:
         self.timer_cancellations = 0
         self.max_component_flows = 0
         #: Optional sink (anything with ``append``) handed every flow that
-        #: leaves the system — completed, closed, interrupted — once, after
+        #: leaves the system — completed or closed — once, after
         #: its end_time is final; the observatory installs a
         #: :class:`repro.observatory.attribution.FlowLog` here.
         self.flow_log = None
@@ -752,6 +752,75 @@ class FairShareSystem:
         self._timer = None
         self._advance()
         self._touch()  # even with nothing completed, re-arm the timer
+
+
+class FlowOp(Event):
+    """A leaf operation (CPU work, disk I/O, a transfer) as a callback event.
+
+    A zero-delay call runs ``start(op, *args)`` where a process body would
+    have started (at ``op.started``); it may :meth:`wait` and :meth:`move`
+    one flow named ``name``.  The op ends with ``bill(op, moved, *args)``,
+    the event's value; ``moved`` is ``amount`` if the op completes.
+    :meth:`cancel` withdraws the pending call (nothing moved) or closes the
+    flow and bills what it moved; before the start it bills nothing.
+    """
+
+    __slots__ = ("fss", "amount", "name", "started", "_bill", "_args",
+                 "_call", "_flow")
+
+    def __init__(self, fss: FairShareSystem, amount: float, name: str,
+                 start: Callable[..., None], bill: Callable[..., Any],
+                 *args: Any):
+        super().__init__(fss.sim)
+        self.fss, self.amount, self.name = fss, amount, name
+        self._bill, self._args = bill, args
+        self.started: Optional[float] = None
+        self._flow: Optional[FluidFlow] = None
+        self._call = fss.sim.call_in(0.0, self._fire, start, (self, *args))
+
+    def cancel(self) -> None:
+        if self._triggered:
+            return
+        flow = self._flow
+        if self._call is not None:
+            self._call.cancel()
+        elif flow.active:
+            self.fss.close(flow)
+        if self.started is None:
+            self.succeed(0.0)
+        else:
+            self._end(0.0 if flow is None else flow.transferred)
+
+    def wait(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Call ``fn(*args)`` after ``delay`` seconds (at once if 0)."""
+        if delay > 0:
+            self._call = self.sim.call_in(delay, self._fire, fn, args)
+        else:
+            fn(*args)
+
+    def move(self, path: Sequence[SharedResource], size: float,
+             cap: Optional[float] = None) -> None:
+        """Move ``size`` along ``path`` in one flow, then end with ``amount``;
+        nothing to move ends the op at once."""
+        if path and size > 0:
+            flow = self._flow = self.fss.open(path, size, cap=cap,
+                                              name=self.name)
+            flow.done.callbacks.append(self._moved)
+        else:
+            self._end(self.amount)
+
+    def _fire(self, fn: Callable[..., None], args: tuple) -> None:
+        if self.started is None:  # the first call is the start
+            self.started = self.sim.now
+        self._call = None
+        fn(*args)
+
+    def _moved(self, _done: Event) -> None:
+        if not self._triggered:  # else cancelled as the flow completed
+            self._end(self.amount)
+
+    def _end(self, moved: float) -> None:
+        self.succeed(self._bill(self, moved, *self._args))
 
 
 def _slack(res: SharedResource, load: float, n: int) -> bool:

@@ -5,9 +5,14 @@ events.  *Processes* are plain Python generators that ``yield`` events; when
 a yielded event triggers, the kernel resumes the generator with the event's
 value (or throws the event's exception into it).  Work nothing waits on
 needs neither: :meth:`Simulator.call_in` schedules a plain callback as one
-queue entry — the one way to wait for a time outside a process, and its
-:class:`ScheduledCall` handle the one thing that can be cancelled — and
+queue entry — the one way to wait for a time outside a process — and
 :class:`PeriodicCall` is the ``call_in`` chain that re-arms itself.
+
+Cancellation is synchronous: :func:`cancel` runs an event's own
+``cancel()``.  A :class:`Process` closes where it waits and cancels that
+event, :class:`AllOf`/:class:`AnyOf` cancel their pending children, and
+a :class:`~repro.sim.fairshare.FlowOp` bills what moved.  A timeout or
+an acquire has none: it is simply no longer waited on.
 
 The kernel is deliberately small — just enough for the vHadoop models — but
 it enforces its invariants strictly: no scheduling in the past, no double
@@ -28,7 +33,6 @@ Example
 from __future__ import annotations
 
 import heapq
-import inspect
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -121,15 +125,22 @@ class Event:
 class _Wake(Event):
     """Kernel-internal immediate wake-up event.
 
-    These are the kernel's hottest allocation: every process bootstrap,
-    every resume-on-already-processed-target, and every interrupt creates
-    one, uses it for exactly one step, and drops it.  They are never
-    handed to user code and nothing keeps a reference past that step — so
+    These are the kernel's hottest allocation: every process bootstrap and
+    every resume-on-already-processed-target creates one, uses it for
+    exactly one step, and drops it.  They are never handed to user code
+    and nothing keeps a reference past that step — so
     :meth:`Simulator.step` recycles them through a small free list (slab)
     instead of letting each become garbage.
     """
 
     __slots__ = ()
+
+
+def cancel(event: Event) -> None:
+    """Withdraw the work ``event`` stands for, if it has a ``cancel()``."""
+    withdraw = getattr(event, "cancel", None)
+    if withdraw is not None:
+        withdraw()
 
 
 class Timeout(Event):
@@ -209,14 +220,6 @@ class PeriodicCall:
             self._timer = self.sim.call_in(delay, self._fire)
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """A running process; also an event that triggers when the body returns.
 
@@ -238,51 +241,28 @@ class Process(Event):
         # Bootstrap: resume the process at the current time.
         self._waiting_on: Optional[Event] = sim._wake(self._resume)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the body has not finished."""
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event.
-        """
+    def cancel(self) -> None:
+        """Succeed with ``None`` where the body waits: detach it, close it
+        (``finally`` blocks run) and cancel what it waited on.  A finished
+        process is left alone."""
         if self._triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        target = self._waiting_on
+            return
+        target, self._waiting_on = self._waiting_on, None
+        self.succeed(None)
         if target is not None and self._resume in target.callbacks:
             target.callbacks.remove(self._resume)
-        self._waiting_on = None
-        self.sim._wake(lambda _ev: self._throw_interrupt(cause))
+        self._generator.close()
+        if target is not None:
+            cancel(target)
 
     # -- internal ------------------------------------------------------------
-    def _throw_interrupt(self, cause: Any) -> None:
-        if self._triggered:
-            return  # body finished before the interrupt could land
-        if inspect.getgeneratorstate(self._generator) == inspect.GEN_CREATED:
-            # The body never started, so it has nothing to unwind and no
-            # way to catch the Interrupt: treat it as a cancellation.
-            self._generator.close()
-            self.succeed(None)
-            return
-        self._step(Interrupt(cause), throw=True)
-
     def _resume(self, event: Event) -> None:
-        if self._triggered or self._waiting_on is not event:
-            # Stale wake-up: the process was interrupted (or already
-            # re-resumed) after this callback was scheduled.  An interrupt
-            # can only detach ``_resume`` from an event's callback list;
-            # it cannot reach the immediate re-resume scheduled for an
-            # already-processed target, nor a callback list that step()
-            # has begun draining — so validate here instead.
+        if self._triggered:
+            # Cancelled after this wake-up was queued: cancel cannot reach
+            # an immediate re-resume or a list step() is already draining.
             return
-        self._waiting_on = None
-        if event._ok:
-            self._step(event._value, throw=False)
-        else:
-            self._step(event._value, throw=True)
+        self._waiting_on = None  # a finished body keeps nothing alive
+        self._step(event._value, throw=not event._ok)
 
     def _step(self, value: Any, throw: bool) -> None:
         try:
@@ -342,6 +322,12 @@ class _Condition(Event):
 
     def _on_child(self, event: Event) -> None:
         raise NotImplementedError
+
+    def cancel(self) -> None:
+        """Cancel the children still pending."""
+        for ev in self.events:
+            if not ev._triggered:
+                cancel(ev)
 
     def _values(self) -> dict[Event, Any]:
         return {ev: ev._value for ev in self.events if ev._triggered and ev._ok}

@@ -24,8 +24,8 @@ from repro import constants as C
 from repro.config import VMConfig
 from repro.errors import VMStateError
 from repro.net import NetNode, NetworkFabric
-from repro.sim import FairShareSystem, SharedResource, Simulator, Tracer
-from repro.sim.kernel import Event, Interrupt
+from repro.sim import (Event, FairShareSystem, FlowOp, SharedResource,
+                       Simulator, Tracer)
 from repro.telemetry import events as EV
 from repro.virt.memory import DirtyMemoryModel
 
@@ -188,43 +188,31 @@ class VirtualMachine:
 
     # -- work ------------------------------------------------------------------
     def compute(self, work: float, name: str = "work") -> Event:
-        """Charge ``work`` core-seconds; returns the completion event.
+        """Charge ``work`` core-seconds; the event's value is the work done.
 
         Each call models one task/thread: it can use at most one core, the
         VM's VCPUs cap the VM total, and the host's cores are fair-shared
-        among every resident VCPU.
+        among every resident VCPU.  A cancel bills only the work retired.
         """
         self._require(VMState.RUNNING, VMState.MIGRATING)
         assert self.host is not None
-        return self.sim.process(self._compute_proc(work, name),
-                                name=f"{self.name}:{name}")
+        return FlowOp(self.fss, work, f"{self.name}:{name}",
+                      self._start_compute, self._bill_compute)
 
-    def _compute_proc(self, work: float, name: str):
-        assert self.host is not None
+    def _start_compute(self, op: FlowOp) -> None:
         self.activity += 1
-        flow = None
-        done = work
-        try:
-            if work > 0:
-                path = self._compute_path
-                if path is None or path[1] is not self.host.cpu:
-                    path = self._compute_path = (self.vcpu, self.host.cpu)
-                flow = self.fss.open(path, size=work,
-                                     cap=1.0, name=f"{self.name}:{name}")
-                yield flow.done
-        except Interrupt:
-            # Preempted (task kill): cancel the remaining demand and charge
-            # only the work actually retired.  The process *succeeds* with
-            # the partial amount so nothing downstream sees a failure.
-            done = self.fss.close(flow) if flow is not None and flow.active \
-                else 0.0
-        finally:
-            self.cpu_seconds += done
-            self.activity -= 1
+        path = self._compute_path
+        if path is None or path[1] is not self.host.cpu:
+            path = self._compute_path = (self.vcpu, self.host.cpu)
+        op.move(path, op.amount, cap=1.0)
+
+    def _bill_compute(self, _op: FlowOp, done: float) -> float:
+        self.cpu_seconds += done
+        self.activity -= 1
         return done
 
     def disk_io(self, nbytes: float, name: str = "io") -> Event:
-        """Charge ``nbytes`` of virtual-disk I/O.
+        """Charge ``nbytes`` of virtual-disk I/O; the value is bytes moved.
 
         The paper's VM images all live on one NFS server, so a guest's disk
         I/O really is network traffic: it crosses the host's physical NIC
@@ -232,57 +220,41 @@ class VirtualMachine:
         When the VM has an ``nfs_backend`` (the normal case — the
         :class:`~repro.virt.datacenter.Datacenter` wires it), the charged
         path is ``[host.nic, nfs]``; otherwise the host's local disk is
-        used (standalone tests).
+        used (standalone tests).  A cancel bills only what moved.
         """
         self._require(VMState.RUNNING, VMState.MIGRATING)
         assert self.host is not None
-        return self.sim.process(self._disk_proc(nbytes, name),
-                                name=f"{self.name}:{name}")
+        return FlowOp(self.fss, nbytes, f"{self.name}:{name}",
+                      self._start_disk, self._bill_disk)
 
-    def _disk_proc(self, nbytes: float, name: str):
-        assert self.host is not None
-        flow = None
-        done = nbytes
-        try:
-            if nbytes > 0:
-                # A slow-disk fault (chaos) divides the effective device
-                # rate by ``disk_slowdown`` via a per-flow rate cap.
-                slow = max(1.0, self.disk_slowdown)
-                if self.nfs_backend is not None:
-                    # Guest page cache / write-back absorbs most of the I/O
-                    # at memory speed; only the miss fraction reaches the
-                    # NFS server, crossing the host's physical NIC.
-                    cached = nbytes * C.DISK_CACHE_HIT_RATIO
-                    missed = nbytes - cached
-                    yield self.sim.timeout(cached * slow / C.PAGE_CACHE_BPS)
-                    if missed > 0:
-                        path = self._nfs_path
-                        if (path is None
-                                or path[0] is not self.host.net.nic
-                                or path[1] is not self.nfs_backend):
-                            path = self._nfs_path = (self.host.net.nic,
-                                                     self.nfs_backend)
-                        # Cap from *nominal* device speed: a concurrent
-                        # net fault lowers ``capacity`` transiently, and
-                        # baking that into the flow's lifetime cap would
-                        # keep it crawling long after the fault heals.
-                        cap = (None if slow == 1.0 else
-                               min(r.nominal for r in path) / slow)
-                        flow = self.fss.open(path, size=float(missed),
-                                             cap=cap,
-                                             name=f"{self.name}:{name}")
-                        yield flow.done
-                else:
-                    cap = (None if slow == 1.0 else
-                           self.host.disk.nominal / slow)
-                    flow = self.fss.open([self.host.disk],
-                                         size=float(nbytes), cap=cap,
-                                         name=f"{self.name}:{name}")
-                    yield flow.done
-        except Interrupt:
-            # Preempted: abandon the remaining I/O, keep what was moved.
-            done = self.fss.close(flow) if flow is not None and flow.active \
-                else 0.0
+    def _start_disk(self, op: FlowOp) -> None:
+        # A slow-disk fault (chaos) divides the effective device rate by
+        # ``disk_slowdown`` via a per-flow rate cap.
+        slow = max(1.0, self.disk_slowdown)
+        nbytes = op.amount
+        if self.nfs_backend is None or nbytes <= 0:
+            cap = None if slow == 1.0 else self.host.disk.nominal / slow
+            op.move((self.host.disk,), nbytes, cap)
+        else:
+            # Guest page cache / write-back absorbs most of the I/O at
+            # memory speed; only the miss fraction reaches the NFS server,
+            # crossing the host's physical NIC.
+            cached = nbytes * C.DISK_CACHE_HIT_RATIO
+            op.wait(cached * slow / C.PAGE_CACHE_BPS, self._nfs_miss, op,
+                    nbytes - cached, slow)
+
+    def _nfs_miss(self, op: FlowOp, missed: float, slow: float) -> None:
+        path = self._nfs_path
+        if (path is None or path[0] is not self.host.net.nic
+                or path[1] is not self.nfs_backend):
+            path = self._nfs_path = (self.host.net.nic, self.nfs_backend)
+        # Cap from *nominal* device speed: a concurrent net fault lowers
+        # ``capacity`` transiently, and baking that into the flow's
+        # lifetime cap would keep it crawling long after the fault heals.
+        cap = None if slow == 1.0 else min(r.nominal for r in path) / slow
+        op.move(path, missed, cap)
+
+    def _bill_disk(self, _op: FlowOp, done: float) -> float:
         self.disk_bytes += done
         return done
 

@@ -183,6 +183,44 @@ def test_shuffle_recovery_replaces_the_lost_runs_output_identical(
         assert sorted(runner.read_output(done.value)) == clean, engine
 
 
+def test_aborted_shuffle_recovery_cancels_its_rerun():
+    """A reduce attempt aborted while its shuffle re-runs a lost map must
+    cancel the re-run's in-flight work: the re-run's CPU flow ends at the
+    crash instant and the dead VM is billed only what it retired."""
+    for engine in ENGINES:
+        platform, cluster = make()
+        cluster.arm_recovery()
+        runner = platform.runner(cluster)
+        submit = (runner.submit if engine == "solo"
+                  else JobScheduler(cluster, runner=runner).submit)
+        done = submit(wordcount_job("/in", "/out", n_reduces=2))
+        sim, fss = platform.sim, platform.datacenter.fss
+        while not platform.tracer.count("job.maps.done"):
+            sim.step()
+        mapper_name = next(platform.tracer.select("task.map.done"))["tracker"]
+        crash_worker(cluster, next(tr.vm for tr in cluster.trackers
+                                   if tr.name == mapper_name))
+        rerun = None
+        while rerun is None:
+            sim.step()
+            rerun = next((f for f in fss.active_flows
+                          if ":map:" in f.name), None)
+        vm = next(w for w in cluster.workers
+                  if rerun.name.startswith(f"{w.name}:"))
+        assert [f for f in fss.active_flows
+                if f.path[0] is vm.vcpu] == [rerun], engine
+        # Crash the recovering VM a quarter of the way into the re-run.
+        sim.run(until=sim.now + rerun.remaining / rerun.rate / 4)
+        billed = vm.cpu_seconds
+        crashed_at = sim.now
+        crash_worker(cluster, vm)
+        sim.run_until(done)
+        assert rerun.end_time == crashed_at, engine
+        assert 0 < rerun.transferred < rerun.size, engine
+        assert vm.cpu_seconds - billed == rerun.transferred, engine
+        assert dict(runner.read_output(done.value)) == EXPECTED, engine
+
+
 # --- blacklist lifetime ------------------------------------------------------
 
 def test_blacklist_is_scoped_to_one_job_run():

@@ -79,7 +79,7 @@ CASES = [
         id="ladder-5x5x4"),
     pytest.param(
         chaos_quick,
-        (24.27680442040166, 634, 58, 195, 63, "3e2aeb91bd3418a6"),
+        (24.27680442040166, 633, 58, 195, 63, "3e2aeb91bd3418a6"),
         id="chaos-quick"),
 ]
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Interrupt, PeriodicCall, Simulator
+from repro.sim import PeriodicCall, Simulator
 
 
 def test_empty_run_leaves_clock_at_zero():
@@ -215,42 +215,70 @@ def test_yield_non_event_raises_in_process():
     assert p.value == "typed"
 
 
-def test_interrupt_waiting_process():
+def test_cancel_while_waiting_runs_finally_and_never_resumes():
     sim = Simulator()
     log = []
 
     def sleeper(sim):
         try:
             yield sim.timeout(100.0)
-        except Interrupt as i:
-            log.append((sim.now, i.cause))
-            yield sim.timeout(1.0)
-        return "recovered"
+            log.append("resumed")
+        finally:
+            log.append(("finally", sim.now))
 
-    def interrupter(sim, victim):
+    def canceller(sim, victim):
         yield sim.timeout(2.0)
-        victim.interrupt("wake-up")
+        victim.cancel()
+        log.append("cancelled")
 
     victim = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, victim))
+    sim.process(canceller(sim, victim))
     sim.run()
-    assert log == [(2.0, "wake-up")]
-    assert victim.triggered and victim.value == "recovered"
+    # The body unwinds synchronously, inside the cancelling step.
+    assert log == [("finally", 2.0), "cancelled"]
+    assert victim.triggered and victim.value is None
     # The abandoned 100 s timeout still sat in the queue (SimPy semantics);
     # draining it moved the clock to 100 but resumed nobody.
     assert sim.now == 100.0
 
 
-def test_interrupt_finished_process_rejected():
+def test_cancel_of_a_finished_process_is_a_no_op():
     sim = Simulator()
 
     def quick(sim):
         yield sim.timeout(0.0)
+        return "done"
 
     p = sim.process(quick(sim))
     sim.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
+    p.cancel()
+    sim.run()
+    assert p.value == "done"
+
+
+def test_cancel_cascades_to_what_the_process_waits_on():
+    """A process cancels the process it waits on, and so on down."""
+    sim = Simulator()
+    log = []
+
+    def leaf():
+        try:
+            yield sim.timeout(10.0)
+        finally:
+            log.append("leaf")
+
+    def middle(child):
+        try:
+            yield child
+        finally:
+            log.append("middle")
+
+    child = sim.process(leaf())
+    parent = sim.process(middle(child))
+    sim.run(until=1.0)
+    parent.cancel()
+    assert log == ["middle", "leaf"]
+    assert parent.triggered and child.triggered
 
 
 def test_any_of_triggers_on_first():
@@ -311,11 +339,11 @@ def test_clock_is_monotone_across_many_events():
     assert sim.now == 3.0
 
 
-# --- stale wake-ups around interrupt() -------------------------------------
+# --- stale wake-ups around cancel() ----------------------------------------
 
-def test_interrupt_beats_stale_immediate_resume():
-    """An interrupt must suppress the re-resume scheduled for a process
-    that yielded an already-processed event (the wake-up is stale)."""
+def test_queued_immediate_resume_after_cancel_is_dropped():
+    """A cancel must suppress the re-resume queued for a process that
+    yielded an already-processed event (the wake-up is stale)."""
     sim = Simulator()
     log = []
     ready = sim.event()
@@ -326,26 +354,26 @@ def test_interrupt_beats_stale_immediate_resume():
         try:
             yield ready  # already processed: immediate re-resume pending
             log.append("resumed")
-        except Interrupt:
-            log.append("interrupted")
+        finally:
+            log.append("closed")
 
     proc = sim.process(body())
 
     def killer():
         # Runs in the same timestep, after ``proc`` booted and parked
         # behind the immediate re-resume.
-        proc.interrupt("stop")
+        proc.cancel()
         return
         yield  # pragma: no cover
 
     sim.process(killer())
     sim.run()
-    assert log == ["interrupted"]
-    assert not proc.is_alive
+    assert log == ["closed"]
+    assert proc.triggered
 
 
-def test_interrupt_from_sibling_callback_suppresses_resume():
-    """Interrupting from another callback of the *same* event must win,
+def test_cancel_from_sibling_callback_suppresses_resume():
+    """Cancelling from another callback of the *same* event must win,
     even though step() already detached the event's callback list."""
     sim = Simulator()
     log = []
@@ -353,7 +381,7 @@ def test_interrupt_from_sibling_callback_suppresses_resume():
     holder = {}
 
     def sibling(_ev):
-        holder["proc"].interrupt("beaten to it")
+        holder["proc"].cancel()
 
     gate.callbacks.append(sibling)
 
@@ -361,19 +389,17 @@ def test_interrupt_from_sibling_callback_suppresses_resume():
         try:
             yield gate
             log.append("resumed")
-        except Interrupt:
-            log.append("interrupted")
+        finally:
+            log.append("closed")
 
     holder["proc"] = sim.process(body())
     sim.run()  # boot: proc is now waiting on gate, behind ``sibling``
     gate.succeed(None)
     sim.run()
-    assert log == ["interrupted"]
+    assert log == ["closed"]
 
 
-def test_interrupt_before_first_resume_cancels_quietly():
-    """A process interrupted before its body ever ran cannot catch the
-    Interrupt — the kernel treats it as a cancellation instead."""
+def test_cancel_before_first_resume_never_runs_the_body():
     sim = Simulator()
     started = []
 
@@ -382,37 +408,63 @@ def test_interrupt_before_first_resume_cancels_quietly():
         yield sim.timeout(1.0)
 
     proc = sim.process(body())
-    proc.interrupt("never mind")  # before the bootstrap event fires
+    proc.cancel()  # before the bootstrap event fires
     sim.run()
     assert not started
-    assert not proc.is_alive
+    assert proc.triggered
     assert proc.value is None
+    assert sim.now == 0.0
 
 
-def test_second_interrupt_after_body_finished_is_dropped():
-    """Two interrupts in one timestep: the first may finish the body, so
-    the second lands on a finished process and must be dropped, not
-    refail it."""
+def test_second_cancel_is_a_no_op():
     sim = Simulator()
     log = []
 
     def body():
         try:
             yield sim.timeout(100.0)
-        except Interrupt:
-            log.append("interrupted")
+        finally:
+            log.append("closed")
 
     proc = sim.process(body())
 
     def killer():
         yield sim.timeout(1.0)
-        proc.interrupt("one")
-        proc.interrupt("two")  # body returns before this one lands
+        proc.cancel()
+        proc.cancel()
 
     sim.process(killer())
     sim.run()
-    assert log == ["interrupted"]
-    assert not proc.is_alive
+    assert log == ["closed"]
+    assert proc.triggered
+
+
+@pytest.mark.parametrize("compose", ["all_of", "any_of"])
+def test_condition_cancels_only_its_pending_children(compose):
+    sim = Simulator()
+    log = []
+
+    def child(tag, delay):
+        try:
+            yield sim.timeout(delay)
+            log.append(("done", tag))
+        finally:
+            log.append(("closed", tag))
+
+    early = sim.process(child("early", 1.0))
+    late = sim.process(child("late", 5.0))
+    plain = sim.event()
+    cond = getattr(sim, compose)([early, late, plain])
+    sim.run(until=2.0)
+    log.clear()
+    cond.cancel()
+    # Only ``late`` was pending and cancellable; the finished child and
+    # the plain event (no work to withdraw) are untouched.
+    assert log == [("closed", "late")]
+    assert early.value is None and late.triggered
+    assert not plain.triggered
+    sim.run()
+    assert sim.now == 5.0  # the abandoned timeout still drains
 
 
 # -- end-of-instant hooks ------------------------------------------------------

@@ -168,6 +168,30 @@ class LocalExecutor(Executor):
 
 # -- shared helpers -----------------------------------------------------------
 
+def centers_k(driver: str, k: Optional[int],
+              initial_centers: Optional[Sequence[tuple]]) -> int:
+    """The cluster count of a k-Means-style driver, checked at construction.
+
+    Either ``k >= 1`` or a non-empty list of equal-length, non-empty
+    ``initial_centers`` (and then ``k``, if given, must be its length).
+    """
+    if initial_centers is None:
+        if k is None or k < 1:
+            raise ClusteringError(f"{driver} needs k or initial_centers")
+        return k
+    dims = {len(c) for c in initial_centers}
+    if not dims or 0 in dims:
+        raise ClusteringError(f"{driver}: initial_centers must be non-empty "
+                              f"vectors, got {list(initial_centers)!r}")
+    if len(dims) > 1:
+        raise ClusteringError(f"{driver}: initial_centers have mixed "
+                              f"dimensions {sorted(dims)}")
+    if k is not None and k != len(initial_centers):
+        raise ClusteringError(f"{driver}: k={k} but {len(initial_centers)} "
+                              f"initial_centers")
+    return len(initial_centers)
+
+
 def run_centroid_loop(driver, algorithm: str, executor: Executor,
                       input_path: str,
                       iteration_job: Callable[[int, list[tuple]], Job]
@@ -182,12 +206,17 @@ def run_centroid_loop(driver, algorithm: str, executor: Executor,
     under ``driver.measure`` or ``driver.max_iterations`` is reached; a
     cluster absent from an iteration's output keeps its center.  Returns
     the result (models, history and timings filled in) and the final
-    centers.
+    centers.  Initial centers whose dimension differs from the first input
+    record's fail here, before any job runs.
     """
+    records = executor.input_records(input_path)
     if driver.initial_centers is not None:
         centers = [tuple(c) for c in driver.initial_centers]
+        if records and len(records[0][1]) != len(centers[0]):
+            raise ClusteringError(
+                f"initial centers have {len(centers[0])} dimensions, the "
+                f"input records {len(records[0][1])}")
     else:
-        records = executor.input_records(input_path)
         if len(records) < driver.k:
             raise ClusteringError(
                 f"k={driver.k} exceeds the {len(records)} input points")

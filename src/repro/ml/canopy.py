@@ -25,7 +25,7 @@ from repro.mapreduce.api import Context, Mapper, Reducer
 from repro.mapreduce.job import Job
 from repro.ml.base import ClusterModel, ClusteringResult, Executor
 from repro.ml.kmeans import AssignMapper, _map_record_cost
-from repro.ml.vectors import DistanceMeasure, EuclideanDistance
+from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
 
 
 def canopy_pass(points: np.ndarray, t1: float, t2: float,
@@ -38,17 +38,18 @@ def canopy_pass(points: np.ndarray, t1: float, t2: float,
     points = np.asarray(points, dtype=float)
     # Canopies 0..k-1 live in preallocated rows, so one to_centers call
     # measures a point against every founder.
-    founders = np.empty_like(points)
+    founders = Centers(points[:0], capacity=len(points))
     sums = np.empty_like(points)
     counts = np.zeros(len(points), dtype=int)
     k = 0
     for point in points:
-        dist = measure.to_centers(point[None], founders[:k])[0]
+        dist = measure.to_centers(point[None], founders)[0]
         within_t1 = np.flatnonzero(dist < t1)
         sums[within_t1] += point
         counts[within_t1] += 1
         if not (dist < t2).any():
-            founders[k] = sums[k] = point
+            founders.append(point)
+            sums[k] = point
             counts[k] = 1
             k += 1
     return list(zip(sums[:k] / counts[:k, None], counts[:k].tolist()))

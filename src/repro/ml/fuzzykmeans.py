@@ -22,10 +22,11 @@ import numpy as np
 from repro.errors import ClusteringError
 from repro.mapreduce.api import Context, Mapper
 from repro.mapreduce.job import Job
-from repro.ml.base import ClusteringResult, Executor, run_centroid_loop
+from repro.ml.base import (ClusteringResult, Executor, centers_k,
+                           run_centroid_loop)
 from repro.ml.kmeans import (CentroidReducer, PartialSumCombiner,
                              _map_record_cost, _stats_sizeof)
-from repro.ml.vectors import DistanceMeasure, EuclideanDistance
+from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
 
 _EPS = 1e-9
 
@@ -42,7 +43,7 @@ def memberships(distances: np.ndarray, m: float) -> np.ndarray:
 class FuzzyKMeansMapper(Mapper):
     def __init__(self, centers: Sequence[tuple], measure: DistanceMeasure,
                  m: float):
-        self.centers = np.asarray(centers, dtype=float)
+        self.centers = Centers(np.asarray(centers, dtype=float))
         self.measure = measure
         self.m = m
 
@@ -50,10 +51,11 @@ class FuzzyKMeansMapper(Mapper):
         point = np.asarray(value, dtype=float)
         distances = self.measure.to_centers(point[None, :], self.centers)
         u = memberships(distances, self.m)[0] ** self.m
-        point_sq = point * point
-        for cid in range(len(self.centers)):
-            w = float(u[cid])
-            context.emit(cid, (tuple(w * point), tuple(w * point_sq), w))
+        # Row cid of each product is u[cid] * point, element by element.
+        stats = zip(u.tolist(), (u[:, None] * point).tolist(),
+                    (u[:, None] * (point * point)).tolist())
+        for cid, (w, vec, vec_sq) in enumerate(stats):
+            context.emit(cid, (tuple(vec), tuple(vec_sq), w))
 
 
 class FuzzyKMeansDriver:
@@ -66,9 +68,7 @@ class FuzzyKMeansDriver:
                  max_iterations: int = 10, n_reduces: int = 1):
         if m <= 1.0:
             raise ClusteringError(f"fuzziness m must be > 1, got {m}")
-        if initial_centers is None and (k is None or k < 1):
-            raise ClusteringError("FuzzyKMeansDriver needs k or centers")
-        self.k = k if k is not None else len(initial_centers)
+        self.k = centers_k("FuzzyKMeansDriver", k, initial_centers)
         self.initial_centers = initial_centers
         self.measure = measure or EuclideanDistance()
         self.m = float(m)

@@ -20,11 +20,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ClusteringError
 from repro.mapreduce.api import Context, Mapper, Reducer
 from repro.mapreduce.job import Job
-from repro.ml.base import ClusteringResult, Executor, run_centroid_loop
-from repro.ml.vectors import DistanceMeasure, EuclideanDistance
+from repro.ml.base import (ClusteringResult, Executor, centers_k,
+                           run_centroid_loop)
+from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
 
 #: Per-record CPU cost of one distance evaluation row (k centers, d dims):
 #: JVM-era deserialization + k*d flops.
@@ -36,7 +36,7 @@ class KMeansMapper(Mapper):
     """Nearest-center assignment; centers arrive via the job params."""
 
     def __init__(self, centers: Sequence[tuple], measure: DistanceMeasure):
-        self.centers = np.asarray(centers, dtype=float)
+        self.centers = Centers(np.asarray(centers, dtype=float))
         self.measure = measure
 
     def map(self, key, value, context: Context) -> None:
@@ -46,17 +46,26 @@ class KMeansMapper(Mapper):
         context.emit(nearest, (tuple(point), tuple(point * point), 1))
 
 
+def fold_stats(values) -> tuple[np.ndarray, np.ndarray, float]:
+    """Component-wise sums of (sum, sum_sq, count) triples.
+
+    Each column is summed in value order, one addition per value: the bits
+    of a left-to-right fold.  ``np.cumsum`` keeps that order for every
+    width; ``sum(axis=0)`` does not (it sums a one-column stack pairwise).
+    """
+    vecs, vec_sqs, counts = zip(*values)
+    count = 0
+    for n in counts:
+        count += n
+    return (np.cumsum(vecs, axis=0)[-1], np.cumsum(vec_sqs, axis=0)[-1],
+            count)
+
+
 class PartialSumCombiner(Reducer):
     """Component-wise sum of (sum, sum_sq, count) triples."""
 
     def reduce(self, key, values, context: Context) -> None:
-        total = total_sq = None
-        count = 0
-        for vec, vec_sq, n in values:
-            arr, arr_sq = np.asarray(vec), np.asarray(vec_sq)
-            total = arr if total is None else total + arr
-            total_sq = arr_sq if total_sq is None else total_sq + arr_sq
-            count += n
+        total, total_sq, count = fold_stats(values)
         context.emit(key, (tuple(total), tuple(total_sq), count))
 
 
@@ -64,13 +73,7 @@ class CentroidReducer(Reducer):
     """(cluster_id, partial sums) -> (cluster_id, (center, weight, radius))."""
 
     def reduce(self, key, values, context: Context) -> None:
-        total = total_sq = None
-        count = 0
-        for vec, vec_sq, n in values:
-            arr, arr_sq = np.asarray(vec), np.asarray(vec_sq)
-            total = arr if total is None else total + arr
-            total_sq = arr_sq if total_sq is None else total_sq + arr_sq
-            count += n
+        total, total_sq, count = fold_stats(values)
         center = total / count
         # RMS radius from E[x^2] - center^2 per dimension.
         variance = np.maximum(total_sq / count - center * center, 0.0)
@@ -82,7 +85,7 @@ class AssignMapper(Mapper):
     """clusterdata pass: (point_id, vector) -> (point_id, cluster_id)."""
 
     def __init__(self, centers: Sequence[tuple], measure: DistanceMeasure):
-        self.centers = np.asarray(centers, dtype=float)
+        self.centers = Centers(np.asarray(centers, dtype=float))
         self.measure = measure
 
     def map(self, key, value, context: Context) -> None:
@@ -104,9 +107,7 @@ class KMeansDriver:
                  measure: Optional[DistanceMeasure] = None,
                  convergence_delta: float = 0.5, max_iterations: int = 10,
                  n_reduces: int = 1):
-        if initial_centers is None and (k is None or k < 1):
-            raise ClusteringError("KMeansDriver needs k or initial_centers")
-        self.k = k if k is not None else len(initial_centers)
+        self.k = centers_k("KMeansDriver", k, initial_centers)
         self.initial_centers = initial_centers
         self.measure = measure or EuclideanDistance()
         self.convergence_delta = convergence_delta

@@ -26,7 +26,7 @@ from repro.errors import ClusteringError
 from repro.mapreduce.api import Context, Mapper, Reducer
 from repro.mapreduce.job import Job
 from repro.ml.base import ClusterModel, ClusteringResult, Executor
-from repro.ml.vectors import DistanceMeasure, EuclideanDistance
+from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
 
 
 def shift_and_merge(canopies: list[tuple[np.ndarray, float]], t1: float,
@@ -37,30 +37,30 @@ def shift_and_merge(canopies: list[tuple[np.ndarray, float]], t1: float,
         return [], True
     centers = np.vstack([c for c, _w in canopies])
     weights = np.asarray([w for _c, w in canopies], dtype=float)
-    distances = measure.to_centers(centers, centers)
-    # Per-row masked sums: a matmul here would change the means' bits.
+    # Each mean sums the rows of one weighted stack picked by one row of
+    # the neighbourhood matrix; a matmul here would change the means' bits.
+    within_t1 = measure.to_centers(centers, centers) < t1
+    weighted = centers * weights[:, None]
     means = np.empty_like(centers)
-    for i in range(len(canopies)):
-        mask = distances[i] < t1
-        total_w = weights[mask].sum()
-        means[i] = (centers[mask] * weights[mask, None]).sum(axis=0) / total_w
+    for i, row in enumerate(within_t1):
+        means[i] = weighted[row].sum(axis=0) / weights[row].sum()
     all_converged = not (measure.paired(means, centers) > delta).any()
     # Merge canopies within T2 (the earliest such canopy absorbs the later
     # one); merged canopies 0..m-1 live in preallocated rows.
-    merged = np.empty_like(centers)
+    merged = Centers(centers[:0], capacity=len(centers))
     merged_w: list[float] = []
     for center, weight in zip(means, weights.tolist()):
-        m = len(merged_w)
-        near = measure.to_centers(center[None], merged[:m])[0] < t2
+        near = measure.to_centers(center[None], merged)[0] < t2
         if near.any():
             j = int(near.argmax())
             new_w = merged_w[j] + weight
-            merged[j] = (merged[j] * merged_w[j] + center * weight) / new_w
+            merged.replace(j, (merged.rows[j] * merged_w[j] + center * weight)
+                           / new_w)
             merged_w[j] = new_w
         else:
-            merged[m] = center
+            merged.append(center)
             merged_w.append(weight)
-    return list(zip(merged[:len(merged_w)], merged_w)), all_converged
+    return list(zip(merged.rows, merged_w)), all_converged
 
 
 class MeanShiftMapper(Mapper):

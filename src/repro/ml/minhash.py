@@ -20,8 +20,6 @@ Single pass, no iteration — MinHash trades accuracy for one cheap job.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import ClusteringError
@@ -32,28 +30,31 @@ from repro.ml.base import ClusterModel, ClusteringResult, Executor
 _MERSENNE = (1 << 31) - 1
 
 
-def discretize(vector: np.ndarray, bucket: float) -> list[int]:
-    """Vector -> sorted feature ids ((dim, floor(x/bucket)) pairs hashed)."""
+def discretize(vector: np.ndarray, bucket: float) -> np.ndarray:
+    """Vector -> int64 feature ids ((dim, floor(x/bucket)) pairs hashed)."""
     buckets = np.floor(np.asarray(vector, dtype=float) / bucket).astype(int)
-    return [((dim * 2654435761) ^ (int(b) & 0xFFFFFFFF)) & 0x7FFFFFFF
-            for dim, b in enumerate(buckets)]
+    dims = np.arange(len(buckets), dtype=np.int64) * 2654435761
+    return (dims ^ (buckets & 0xFFFFFFFF)) & 0x7FFFFFFF
 
 
-class _UniversalHash:
-    """h(x) = (a*x + b) mod p — the classic universal family."""
+def make_hashes(num_hashes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The universal family h_i(x) = (a_i*x + b_i) mod p as (a, b) columns.
 
-    def __init__(self, a: int, b: int):
-        self.a, self.b = a, b
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        return (self.a * values + self.b) % _MERSENNE
-
-
-def make_hashes(num_hashes: int, seed: int) -> list[_UniversalHash]:
+    Features and p are below 2**31, so every a*x + b stays below 2**63:
+    int64 arithmetic is exact.
+    """
     rng = np.random.default_rng(seed)
-    return [_UniversalHash(int(rng.integers(1, _MERSENNE)),
-                           int(rng.integers(0, _MERSENNE)))
-            for _ in range(num_hashes)]
+    draws = [(int(rng.integers(1, _MERSENNE)), int(rng.integers(0, _MERSENNE)))
+             for _ in range(num_hashes)]
+    a, b = np.asarray(draws, dtype=np.int64).reshape(num_hashes, 2).T
+    return a[:, None], b[:, None]
+
+
+def signature(features: np.ndarray, hashes: tuple[np.ndarray, np.ndarray]
+              ) -> list[int]:
+    """Min-hash of the feature set under every hash function at once."""
+    a, b = hashes
+    return ((a * features + b) % _MERSENNE).min(axis=1).tolist()
 
 
 class MinHashMapper(Mapper):
@@ -64,11 +65,10 @@ class MinHashMapper(Mapper):
         self.bucket = bucket
 
     def map(self, key, value, context: Context) -> None:
-        features = np.asarray(discretize(np.asarray(value), self.bucket))
-        signature = [int(h(features).min()) for h in self.hashes]
+        sig = signature(discretize(value, self.bucket), self.hashes)
         group = max(1, self.key_groups)
-        for band_start in range(0, len(signature), group):
-            band = signature[band_start:band_start + group]
+        for band_start in range(0, len(sig), group):
+            band = sig[band_start:band_start + group]
             band_key = f"b{band_start}-" + "-".join(map(str, band))
             context.emit(band_key, int(key))
 

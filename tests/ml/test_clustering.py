@@ -87,6 +87,30 @@ def test_kmeans_validation():
         KMeansDriver(k=50).run(executor_for(points), "/in")
 
 
+@pytest.mark.parametrize("driver", [KMeansDriver, FuzzyKMeansDriver])
+def test_initial_centers_are_checked_at_construction(driver):
+    five = [(float(i), 0.0) for i in range(5)]
+    with pytest.raises(ClusteringError, match="k=3 but 5 initial_centers"):
+        driver(k=3, initial_centers=five)
+    with pytest.raises(ClusteringError, match="non-empty"):
+        driver(initial_centers=[])
+    with pytest.raises(ClusteringError, match="non-empty"):
+        driver(initial_centers=[()])
+    with pytest.raises(ClusteringError, match=r"mixed dimensions \[1, 2\]"):
+        driver(initial_centers=[(0.0, 0.0), (1.0,)])
+    assert driver(k=5, initial_centers=five).k == 5
+
+
+@pytest.mark.parametrize("driver", [KMeansDriver, FuzzyKMeansDriver])
+def test_initial_center_dimension_is_checked_before_any_job(driver, blobs):
+    points, _labels = blobs
+    executor = executor_for(points)
+    with pytest.raises(ClusteringError, match="3 dimensions, the input "
+                                              "records 2"):
+        driver(initial_centers=[(0.0, 0.0, 0.0)]).run(executor, "/in")
+    assert executor.outputs == {}
+
+
 def test_kmeans_random_seed_converges(blobs):
     points, _ = blobs
     result = KMeansDriver(k=3, max_iterations=30).run(

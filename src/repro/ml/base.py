@@ -4,6 +4,8 @@
   per-iteration history that Fig. 8's visualization overlays;
 * :class:`ClusteringResult` — what every driver returns: final models,
   optional point assignments, per-iteration runtimes, total runtime;
+* :class:`SplitMapper` — the base of every mapper that computes its whole
+  split in one pass;
 * executors — a driver talks to an abstract *executor*:
 
   - :class:`ClusterExecutor` runs each iteration as a real MapReduce job on
@@ -22,6 +24,7 @@ from typing import Callable, Optional, Sequence, TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ClusteringError
+from repro.mapreduce.api import Context, Mapper
 from repro.mapreduce.job import Job
 from repro.mapreduce.local import LocalJobRunner
 from repro.sim.rng import RngRegistry
@@ -34,10 +37,19 @@ if TYPE_CHECKING:  # pragma: no cover
 # -- data plumbing -----------------------------------------------------------
 
 def points_as_records(points: np.ndarray) -> list[tuple[int, tuple]]:
-    """(N, d) array -> [(point_id, tuple(coords))]: the HDFS input records."""
+    """(N, d) array -> [(point_id, tuple(coords))]: the HDFS input records.
+
+    Every coordinate must be finite: a NaN or infinite point would be
+    assigned somewhere and poison that cluster's center.
+    """
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2:
         raise ClusteringError(f"points must be 2-D, got shape {arr.shape}")
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        row = int(bad.argmax())
+        raise ClusteringError(f"point {row} has a non-finite coordinate: "
+                              f"{arr[row].tolist()}")
     return [(i, tuple(row)) for i, row in enumerate(arr)]
 
 
@@ -45,6 +57,33 @@ def vector_sizeof(record) -> int:
     """Serialized size of one (id, vector) record (Mahout VectorWritable)."""
     _key, vec = record
     return 16 + 8 * len(vec)
+
+
+class SplitMapper(Mapper):
+    """A mapper that computes its whole split at once.
+
+    ``map`` only buffers the split's records; ``cleanup`` hands them to
+    :meth:`map_split` as the list of keys and one ``(n, d)`` float array
+    of the values, so the split can cost one NumPy call per kernel instead
+    of one per record.  An empty split emits nothing.
+    """
+
+    def setup(self, context: Context) -> None:
+        self._keys: list = []
+        self._values: list = []
+
+    def map(self, key, value, context: Context) -> None:
+        self._keys.append(key)
+        self._values.append(value)
+
+    def cleanup(self, context: Context) -> None:
+        if self._keys:
+            self.map_split(self._keys, np.asarray(self._values, dtype=float),
+                           context)
+
+    def map_split(self, keys: list, points: np.ndarray,
+                  context: Context) -> None:
+        raise NotImplementedError
 
 
 # -- models --------------------------------------------------------------------

@@ -21,9 +21,10 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ClusteringError
-from repro.mapreduce.api import Context, Mapper, Reducer
+from repro.mapreduce.api import Context, Reducer
 from repro.mapreduce.job import Job
-from repro.ml.base import ClusterModel, ClusteringResult, Executor
+from repro.ml.base import (ClusterModel, ClusteringResult, Executor,
+                           SplitMapper)
 from repro.ml.kmeans import AssignMapper, _map_record_cost
 from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
 
@@ -55,24 +56,17 @@ def canopy_pass(points: np.ndarray, t1: float, t2: float,
     return list(zip(sums[:k] / counts[:k, None], counts[:k].tolist()))
 
 
-class CanopyMapper(Mapper):
+class CanopyMapper(SplitMapper):
     """Local canopy formation over the split."""
 
     def __init__(self, t1: float, t2: float, measure: DistanceMeasure):
         self.t1, self.t2 = t1, t2
         self.measure = measure
-        self._points: list[np.ndarray] = []
 
-    def map(self, key, value, context: Context) -> None:
-        self._points.append(np.asarray(value, dtype=float))
-
-    def cleanup(self, context: Context) -> None:
-        if not self._points:
-            return
-        for centroid, count in canopy_pass(np.asarray(self._points),
-                                           self.t1, self.t2, self.measure):
+    def map_split(self, keys, points, context: Context) -> None:
+        for centroid, count in canopy_pass(points, self.t1, self.t2,
+                                           self.measure):
             context.emit("centroid", (tuple(centroid), count))
-        self._points.clear()
 
 
 class CanopyReducer(Reducer):

@@ -27,9 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ClusteringError
-from repro.mapreduce.api import Context, Mapper
+from repro.mapreduce.api import Context
 from repro.mapreduce.job import Job
-from repro.ml.base import ClusterModel, ClusteringResult, Executor
+from repro.ml.base import (ClusterModel, ClusteringResult, Executor,
+                           SplitMapper)
 from repro.ml.kmeans import CentroidReducer, PartialSumCombiner, _stats_sizeof
 
 
@@ -67,28 +68,21 @@ def sample_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
     return (cdf <= rng.random(len(probs))[:, None]).sum(axis=1)
 
 
-class DirichletMapper(Mapper):
+class DirichletMapper(SplitMapper):
     """Sample a model assignment for each point of the split."""
 
     def __init__(self, models: Sequence[tuple], seed: int):
         self.models = [NormalModel(*m) for m in models]
         self.seed = seed
-        self._points: list = []
 
     def setup(self, context: Context) -> None:
+        super().setup(context)
         # Deterministic per-task stream: seed + task id.
         entropy = zlib.crc32(context.task_id.encode()) & 0xFFFFFFFF
         self._rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, entropy]))
 
-    def map(self, key, value, context: Context) -> None:
-        self._points.append(value)
-
-    def cleanup(self, context: Context) -> None:
-        if not self._points:
-            return
-        x = np.asarray(self._points, dtype=float)
-        self._points.clear()
+    def map_split(self, keys, x, context: Context) -> None:
         logs = np.stack([math.log(max(m.weight, 1e-12)) + m.log_pdf(x)
                          for m in self.models], axis=1)
         logs -= logs.max(axis=1, keepdims=True)

@@ -20,13 +20,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ClusteringError
-from repro.mapreduce.api import Context, Mapper
+from repro.mapreduce.api import Context
 from repro.mapreduce.job import Job
 from repro.ml.base import (ClusteringResult, Executor, centers_k,
                            run_centroid_loop)
-from repro.ml.kmeans import (CentroidReducer, PartialSumCombiner,
-                             _map_record_cost, _stats_sizeof)
-from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
+from repro.ml.kmeans import (CentersMapper, CentroidReducer,
+                             PartialSumCombiner, _map_record_cost,
+                             _stats_sizeof)
+from repro.ml.vectors import DistanceMeasure, EuclideanDistance
 
 _EPS = 1e-9
 
@@ -40,22 +41,22 @@ def memberships(distances: np.ndarray, m: float) -> np.ndarray:
     return inv / inv.sum(axis=1, keepdims=True)
 
 
-class FuzzyKMeansMapper(Mapper):
+class FuzzyKMeansMapper(CentersMapper):
     def __init__(self, centers: Sequence[tuple], measure: DistanceMeasure,
                  m: float):
-        self.centers = Centers(np.asarray(centers, dtype=float))
-        self.measure = measure
+        super().__init__(centers, measure)
         self.m = m
 
-    def map(self, key, value, context: Context) -> None:
-        point = np.asarray(value, dtype=float)
-        distances = self.measure.to_centers(point[None, :], self.centers)
-        u = memberships(distances, self.m)[0] ** self.m
-        # Row cid of each product is u[cid] * point, element by element.
-        stats = zip(u.tolist(), (u[:, None] * point).tolist(),
-                    (u[:, None] * (point * point)).tolist())
-        for cid, (w, vec, vec_sq) in enumerate(stats):
-            context.emit(cid, (tuple(vec), tuple(vec_sq), w))
+    def map_split(self, keys, points, context: Context) -> None:
+        u = memberships(self.distances(points), self.m) ** self.m
+        # Entry (i, cid) of each product is u[i, cid] * point i, element by
+        # element.
+        weighted = u[:, :, None]
+        stats = zip(u.tolist(), (weighted * points[:, None, :]).tolist(),
+                    (weighted * (points * points)[:, None, :]).tolist())
+        for ws, vecs, vec_sqs in stats:
+            for cid, (w, vec, vec_sq) in enumerate(zip(ws, vecs, vec_sqs)):
+                context.emit(cid, (tuple(vec), tuple(vec_sq), w))
 
 
 class FuzzyKMeansDriver:

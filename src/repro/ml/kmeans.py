@@ -3,7 +3,8 @@
 Per iteration one job runs:
 
 * **mapper** — assign each point to the nearest current center; emit
-  ``(cluster_id, (sum, sum_sq, count))`` for the point;
+  ``(cluster_id, (sum, sum_sq, count))`` for the point (the split's
+  distances come from one call);
 * **combiner** — component-wise sums of the partial statistics;
 * **reducer** — new center = sum / count (plus weight and RMS radius from
   the second moment); empty clusters keep their previous center.
@@ -16,13 +17,14 @@ that emits the hard assignment of every point.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.mapreduce.api import Context, Mapper, Reducer
+from repro.mapreduce.api import Context, Reducer
 from repro.mapreduce.job import Job
-from repro.ml.base import (ClusteringResult, Executor, centers_k,
+from repro.ml.base import (ClusteringResult, Executor, SplitMapper, centers_k,
                            run_centroid_loop)
 from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
 
@@ -32,18 +34,26 @@ def _map_record_cost(k: int, d: int) -> float:
     return 2.0e-5 + 1.2e-8 * k * d
 
 
-class KMeansMapper(Mapper):
-    """Nearest-center assignment; centers arrive via the job params."""
+class CentersMapper(SplitMapper):
+    """A split mapper that measures its points against fixed centers."""
 
     def __init__(self, centers: Sequence[tuple], measure: DistanceMeasure):
         self.centers = Centers(np.asarray(centers, dtype=float))
         self.measure = measure
 
-    def map(self, key, value, context: Context) -> None:
-        point = np.asarray(value, dtype=float)
-        distances = self.measure.to_centers(point[None, :], self.centers)[0]
-        nearest = int(np.argmin(distances))
-        context.emit(nearest, (tuple(point), tuple(point * point), 1))
+    def distances(self, points: np.ndarray) -> np.ndarray:
+        """(n, d) -> (n, k) in one call, each point its own ``(1, d)``
+        batch: the bits of n one-point calls (see ``repro.ml.vectors``)."""
+        return self.measure.to_centers(points[:, None, :], self.centers)[:, 0]
+
+
+class KMeansMapper(CentersMapper):
+    """Nearest-center assignment; centers arrive via the job params."""
+
+    def map_split(self, keys, points, context: Context) -> None:
+        nearest = self.distances(points).argmin(axis=1).tolist()
+        for cid, point, point_sq in zip(nearest, points, points * points):
+            context.emit(cid, (tuple(point), tuple(point_sq), 1))
 
 
 def fold_stats(values) -> tuple[np.ndarray, np.ndarray, float]:
@@ -52,13 +62,24 @@ def fold_stats(values) -> tuple[np.ndarray, np.ndarray, float]:
     Each column is summed in value order, one addition per value: the bits
     of a left-to-right fold.  ``np.cumsum`` keeps that order for every
     width; ``sum(axis=0)`` does not (it sums a one-column stack pairwise).
+    Vectors of differing lengths raise ``ValueError``.
     """
     vecs, vec_sqs, counts = zip(*values)
+    n, d = len(vecs), len(vecs[0])
+    lengths = set(map(len, vecs)) | set(map(len, vec_sqs))
+    if lengths != {d}:
+        raise ValueError(f"ragged statistics: vector lengths "
+                         f"{sorted(lengths)}")
     count = 0
-    for n in counts:
-        count += n
-    return (np.cumsum(vecs, axis=0)[-1], np.cumsum(vec_sqs, axis=0)[-1],
-            count)
+    for c in counts:
+        count += c
+    return _column_fold(vecs, n, d), _column_fold(vec_sqs, n, d), count
+
+
+def _column_fold(rows: tuple, n: int, d: int) -> np.ndarray:
+    """Column sums of n length-d rows, stacked by one flat conversion."""
+    stack = np.fromiter(chain.from_iterable(rows), float, n * d)
+    return np.cumsum(stack.reshape(n, d), axis=0)[-1]
 
 
 class PartialSumCombiner(Reducer):
@@ -81,17 +102,13 @@ class CentroidReducer(Reducer):
         context.emit(key, (tuple(center), float(count), radius))
 
 
-class AssignMapper(Mapper):
+class AssignMapper(CentersMapper):
     """clusterdata pass: (point_id, vector) -> (point_id, cluster_id)."""
 
-    def __init__(self, centers: Sequence[tuple], measure: DistanceMeasure):
-        self.centers = Centers(np.asarray(centers, dtype=float))
-        self.measure = measure
-
-    def map(self, key, value, context: Context) -> None:
-        point = np.asarray(value, dtype=float)
-        distances = self.measure.to_centers(point[None, :], self.centers)[0]
-        context.emit(int(key), int(np.argmin(distances)))
+    def map_split(self, keys, points, context: Context) -> None:
+        nearest = self.distances(points).argmin(axis=1).tolist()
+        for key, cid in zip(keys, nearest):
+            context.emit(int(key), cid)
 
 
 def _stats_sizeof(pair) -> int:

@@ -10,7 +10,8 @@ the other five algorithms), the vector is first discretized into the set of
 computed over that feature set, exactly how Mahout's example pipeline
 vectorizes numeric data.
 
-* **mapper** — compute ``num_hashes`` min-hashes, group them into bands of
+* **mapper** — compute ``num_hashes`` min-hashes (one exact int64
+  evaluation for the whole split), group them into bands of
   ``key_groups`` values, emit ``(band_signature, point_id)``;
 * **reducer** — every signature bucket with at least ``min_cluster_size``
   members becomes a cluster; emit ``(cluster_label, point_id)``.
@@ -23,17 +24,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ClusteringError
-from repro.mapreduce.api import Context, Mapper, Reducer
+from repro.mapreduce.api import Context, Reducer
 from repro.mapreduce.job import Job
-from repro.ml.base import ClusterModel, ClusteringResult, Executor
+from repro.ml.base import (ClusterModel, ClusteringResult, Executor,
+                           SplitMapper)
 
 _MERSENNE = (1 << 31) - 1
 
 
-def discretize(vector: np.ndarray, bucket: float) -> np.ndarray:
-    """Vector -> int64 feature ids ((dim, floor(x/bucket)) pairs hashed)."""
-    buckets = np.floor(np.asarray(vector, dtype=float) / bucket).astype(int)
-    dims = np.arange(len(buckets), dtype=np.int64) * 2654435761
+def discretize(vectors: np.ndarray, bucket: float) -> np.ndarray:
+    """Vector ``(d,)`` or matrix ``(n, d)`` -> int64 feature ids of the
+    same shape ((dim, floor(x/bucket)) pairs hashed)."""
+    buckets = np.floor(np.asarray(vectors, dtype=float) / bucket).astype(int)
+    dims = np.arange(buckets.shape[-1], dtype=np.int64) * 2654435761
     return (dims ^ (buckets & 0xFFFFFFFF)) & 0x7FFFFFFF
 
 
@@ -51,26 +54,29 @@ def make_hashes(num_hashes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def signature(features: np.ndarray, hashes: tuple[np.ndarray, np.ndarray]
-              ) -> list[int]:
-    """Min-hash of the feature set under every hash function at once."""
+              ) -> list:
+    """Min-hash of a feature set ``(d,)`` under every hash function at
+    once, or of every row of ``(n, d)``: one list of ints per row."""
     a, b = hashes
-    return ((a * features + b) % _MERSENNE).min(axis=1).tolist()
+    return ((a * features[..., None, :] + b) % _MERSENNE).min(axis=-1).tolist()
 
 
-class MinHashMapper(Mapper):
+class MinHashMapper(SplitMapper):
     def __init__(self, num_hashes: int, key_groups: int, bucket: float,
                  seed: int):
         self.hashes = make_hashes(num_hashes, seed)
         self.key_groups = key_groups
         self.bucket = bucket
 
-    def map(self, key, value, context: Context) -> None:
-        sig = signature(discretize(value, self.bucket), self.hashes)
+    def map_split(self, keys, points, context: Context) -> None:
+        signatures = signature(discretize(points, self.bucket), self.hashes)
         group = max(1, self.key_groups)
-        for band_start in range(0, len(sig), group):
-            band = sig[band_start:band_start + group]
-            band_key = f"b{band_start}-" + "-".join(map(str, band))
-            context.emit(band_key, int(key))
+        for key, sig in zip(keys, signatures):
+            pid = int(key)
+            for band_start in range(0, len(sig), group):
+                band = sig[band_start:band_start + group]
+                band_key = f"b{band_start}-" + "-".join(map(str, band))
+                context.emit(band_key, pid)
 
 
 class MinHashReducer(Reducer):

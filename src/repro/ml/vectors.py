@@ -11,9 +11,15 @@ on every call, with the same bits.  The k-means, assign and fuzzy k-means
 mappers prepare their centers once per task; canopy's founders and
 mean-shift's merged set are growable ``Centers`` that recompute only the
 changed row's terms.  Only center-side terms are hoisted: every matmul
-keeps its per-call operand shapes, because one batched ``(n, d) @ (d, k)``
+keeps its per-call operand shapes, because one 2-D ``(n, d) @ (d, k)``
 differs in the last bits from n ``(1, d) @ (d, k)`` calls, and those bits
 feed the ``<``/``>`` tests and membership weights the models depend on.
+
+A leading batch axis does not move them: ``to_centers(points[:, None, :],
+centers)[:, 0]`` is n separate ``(1, d) @ (d, k)`` products, every
+reduction stays per row, and so it returns the bits of n one-point calls.
+The k-means, assign and fuzzy k-means mappers rely on this to measure a
+whole split in one call (``kmeans.CentersMapper.distances``).
 """
 
 from __future__ import annotations

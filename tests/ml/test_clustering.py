@@ -111,6 +111,21 @@ def test_initial_center_dimension_is_checked_before_any_job(driver, blobs):
     assert executor.outputs == {}
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_fail_at_staging(bad):
+    points = np.array([[0.0, 0.0], [1.0, 1.0], [bad, 5.0], [9.0, 9.0],
+                       [10.0, 10.0]])
+    # Unstaged, k-means would put the point in cluster 0 and return a
+    # non-finite center 0 without an error.
+    with pytest.raises(ClusteringError, match=r"point 2 has a non-finite "
+                                              r"coordinate: \[.*, 5\.0\]"):
+        KMeansDriver(initial_centers=[(0.0, 0.0), (10.0, 10.0)]).run(
+            executor_for(points), "/in")
+    points[3, 1] = bad
+    with pytest.raises(ClusteringError, match="point 2 "):
+        points_as_records(points)
+
+
 def test_kmeans_random_seed_converges(blobs):
     points, _ = blobs
     result = KMeansDriver(k=3, max_iterations=30).run(

@@ -161,6 +161,32 @@ def test_fold_is_the_per_value_loop(d, n, seed, fractional):
     assert got[2] == want[2] and type(got[2]) is type(want[2])
 
 
+@pytest.mark.parametrize("vecs, vec_sqs", [
+    ([(1.0,), (2.0, 3.0, 4.0)], [(1.0,), (4.0, 9.0, 16.0)]),
+    ([(1.0, 2.0), (3.0,), (4.0,)], [(1.0, 4.0), (9.0,), (16.0,)]),
+    ([(1.0, 2.0), (3.0, 4.0)], [(1.0, 4.0), (9.0,)]),
+    ([(1.0, 2.0), (3.0, 4.0)], [(1.0, 4.0, 0.0), (9.0, 16.0)]),
+    ([(1.0, 2.0, 3.0), (4.0,)], [(1.0, 4.0, 9.0), (16.0,)]),
+])
+def test_fold_rejects_ragged_statistics(vecs, vec_sqs):
+    # With d the first vector's length, several cases hold n*d coordinates
+    # or more: a flat conversion that trusts n*d would truncate or reshape
+    # them silently.
+    with pytest.raises(ValueError, match="ragged"):
+        fold_stats(list(zip(vecs, vec_sqs, [1] * len(vecs))))
+
+
+@pytest.mark.parametrize("counts", [[1, 2, 3], [0.5, 1, 2.0],
+                                    [np.int64(2), 3], [True, 1]])
+def test_fold_keeps_the_type_of_the_count_loop(counts):
+    values = [((1.0,), (1.0,), n) for n in counts]
+    want = 0
+    for n in counts:
+        want += n
+    count = fold_stats(values)[2]
+    assert count == want and type(count) is type(want)
+
+
 def test_combiner_then_reducer_emit_the_folded_statistics():
     x = np.random.default_rng(4).normal(size=(50, 3))
     values = _stats(x, [1] * 50)

@@ -225,41 +225,49 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """Parse :meth:`to_dict` output; a missing or malformed field
+        raises :class:`ConfigError` naming it."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"a scenario must be a JSON object, got "
+                              f"{type(data).__name__}")
         if data.get("format") != FORMAT_VERSION:
             raise ConfigError(
                 f"unsupported scenario format {data.get('format')!r} "
                 f"(this build reads format {FORMAT_VERSION})")
-        topo = data["topology"]
-        knobs = data["knobs"]
+        topo = _get(data, "topology")
+        knobs = _get(data, "knobs")
         scenario = cls(
-            seed=int(data["seed"]),
-            racks=int(topo["racks"]),
-            hosts_per_rack=int(topo["hosts_per_rack"]),
-            vms_per_host=int(topo["vms_per_host"]),
-            n_vms=int(data["n_vms"]),
-            layout=str(data["layout"]),
+            seed=_field(data, "seed", int),
+            racks=_field(topo, "racks", int, "topology"),
+            hosts_per_rack=_field(topo, "hosts_per_rack", int, "topology"),
+            vms_per_host=_field(topo, "vms_per_host", int, "topology"),
+            n_vms=_field(data, "n_vms", int),
+            layout=_field(data, "layout", str),
             knobs=KnobSample(
-                map_slots=int(knobs["map_slots"]),
-                reduce_slots=int(knobs["reduce_slots"]),
-                dfs_replication=int(knobs["dfs_replication"]),
-                policy=str(knobs["policy"]),
-                speculation=bool(knobs["speculation"]),
-                use_combiner=bool(knobs["use_combiner"])),
-            jobs=tuple(FuzzJob(kind=str(j["kind"]),
-                               size_mb=int(j["size_mb"]),
-                               n_reduces=int(j["n_reduces"]),
-                               pool=str(j["pool"]))
-                       for j in data["jobs"]),
-            adversaries=tuple(AdversarySpec(kind=str(a["kind"]),
-                                            intensity=int(a["intensity"]),
-                                            tenant=str(a["tenant"]))
-                              for a in data["adversaries"]),
-            faults=tuple(FuzzFault(at=float(f["at"]), kind=str(f["kind"]),
-                                   scope=str(f["scope"]),
-                                   index=int(f["index"]),
-                                   duration=float(f["duration"]),
-                                   factor=float(f["factor"]))
-                         for f in data["faults"]),
+                map_slots=_field(knobs, "map_slots", int, "knobs"),
+                reduce_slots=_field(knobs, "reduce_slots", int, "knobs"),
+                dfs_replication=_field(knobs, "dfs_replication", int,
+                                       "knobs"),
+                policy=_field(knobs, "policy", str, "knobs"),
+                speculation=_field(knobs, "speculation", bool, "knobs"),
+                use_combiner=_field(knobs, "use_combiner", bool, "knobs")),
+            jobs=tuple(FuzzJob(kind=_field(j, "kind", str, at),
+                               size_mb=_field(j, "size_mb", int, at),
+                               n_reduces=_field(j, "n_reduces", int, at),
+                               pool=_field(j, "pool", str, at))
+                       for at, j in _items(data, "jobs")),
+            adversaries=tuple(
+                AdversarySpec(kind=_field(a, "kind", str, at),
+                              intensity=_field(a, "intensity", int, at),
+                              tenant=_field(a, "tenant", str, at))
+                for at, a in _items(data, "adversaries")),
+            faults=tuple(FuzzFault(at=_field(f, "at", float, at),
+                                   kind=_field(f, "kind", str, at),
+                                   scope=_field(f, "scope", str, at),
+                                   index=_field(f, "index", int, at),
+                                   duration=_field(f, "duration", float, at),
+                                   factor=_field(f, "factor", float, at))
+                         for at, f in _items(data, "faults")),
         )
         scenario.validate()
         return scenario
@@ -267,13 +275,40 @@ class Scenario:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_dict(json.loads(text))
-
     def without(self, **kwargs) -> "Scenario":
         """A shrunk copy with fields replaced (shrinker primitive)."""
         return replace(self, **kwargs)
+
+
+def _get(obj, key: str, where: str = ""):
+    """``obj[key]`` of a parsed scenario; ``where`` is ``obj``'s path."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"scenario field {where!r} must be an object, "
+                          f"got {type(obj).__name__}")
+    if key not in obj:
+        name = f"{where}.{key}" if where else key
+        raise ConfigError(f"scenario field {name!r} is missing")
+    return obj[key]
+
+
+def _field(obj, key: str, kind: type, where: str = ""):
+    """``kind(obj[key])``, or a :class:`ConfigError` naming the field."""
+    value = _get(obj, key, where)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        name = f"{where}.{key}" if where else key
+        raise ConfigError(f"scenario field {name!r} is not a valid "
+                          f"{kind.__name__}: {value!r}") from None
+
+
+def _items(data: dict, key: str) -> list[tuple[str, object]]:
+    """``(path, item)`` of each entry of a top-level list field."""
+    value = _get(data, key)
+    if not isinstance(value, list):
+        raise ConfigError(f"scenario field {key!r} must be a list, got "
+                          f"{type(value).__name__}")
+    return [(f"{key}[{i}]", item) for i, item in enumerate(value)]
 
 
 def corpus_digest(scenarios: Sequence[Scenario]) -> str:

@@ -265,15 +265,29 @@ def write_repro(result: ShrinkResult, path: "str | Path") -> Path:
 
 
 def load_repro(path: "str | Path") -> tuple[Scenario, Violation]:
-    """Read a repro file back into (scenario, expected violation)."""
-    data = json.loads(Path(path).read_text())
+    """Read a repro file back into (scenario, expected violation); a
+    malformed file raises :class:`ConfigError` naming it."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"repro file {path} is not valid JSON: {exc}"
+                          ) from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"repro file {path} must hold a JSON object, got "
+                          f"{type(data).__name__}")
     if data.get("format") != FORMAT_VERSION:
         raise ConfigError(f"unsupported repro format {data.get('format')!r}")
-    scenario = Scenario.from_dict(data["scenario"])
+    try:
+        scenario = Scenario.from_dict(data.get("scenario"))
+    except ConfigError as exc:
+        raise ConfigError(f"repro file {path}: {exc}") from None
     if scenario.digest() != data.get("scenario_digest"):
         raise ConfigError(
             f"repro file {path} is corrupt: scenario digest mismatch")
-    v = data["violation"]
+    v = data.get("violation")
+    if not isinstance(v, dict) or not {"invariant", "detail"} <= v.keys():
+        raise ConfigError(f"repro file {path} needs a 'violation' object "
+                          f"with 'invariant' and 'detail'")
     return scenario, Violation(invariant=v["invariant"], detail=v["detail"],
                                job=v.get("job"))
 

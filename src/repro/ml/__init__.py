@@ -5,8 +5,7 @@ Dirichlet, Fuzzy k-Means, k-Means, MeanShift, MinHash — implemented from
 scratch as MapReduce drivers over the engine in :mod:`repro.mapreduce`,
 plus the other two categories the paper's library description names:
 classification (:mod:`repro.ml.naivebayes`) and recommendations
-(:mod:`repro.ml.recommender`), and Mahout's canonical canopy-seeded
-k-means pipeline (:mod:`repro.ml.pipeline`).
+(:mod:`repro.ml.recommender`).
 Every algorithm also works standalone through the
 :class:`~repro.ml.base.LocalExecutor` (pure functional, no cluster) so the
 math is testable in isolation.
@@ -24,7 +23,6 @@ from repro.ml.kmeans import KMeansDriver
 from repro.ml.meanshift import MeanShiftDriver
 from repro.ml.minhash import MinHashDriver
 from repro.ml.naivebayes import NaiveBayesDriver, NaiveBayesModel
-from repro.ml.pipeline import CanopyKMeansPipeline
 from repro.ml.recommender import (ItemCooccurrenceRecommender,
                                   RecommendationResult)
 from repro.ml.vectors import (ChebyshevDistance, CosineDistance,
@@ -32,7 +30,7 @@ from repro.ml.vectors import (ChebyshevDistance, CosineDistance,
                               SquaredEuclideanDistance, TanimotoDistance)
 
 __all__ = [
-    "CanopyDriver", "CanopyKMeansPipeline", "ChebyshevDistance",
+    "CanopyDriver", "ChebyshevDistance",
     "ClusterExecutor", "ClusterModel", "ClusteringResult", "CosineDistance",
     "DirichletDriver", "EuclideanDistance", "FuzzyKMeansDriver",
     "ItemCooccurrenceRecommender", "KMeansDriver", "LocalExecutor",

@@ -4,8 +4,7 @@ Mahout's ``DisplayClustering`` examples draw the sample points and
 superimpose each iteration's clusters, the last iteration in bold.  A
 terminal reproduction renders the 2-D scatter as a character grid:
 
-* points are drawn as ``.`` (or the digit of their cluster when an
-  assignment is given);
+* points are drawn as ``.``;
 * cluster centers are capital letters with a circle of ``+`` marks at one
   radius (the model parameter overlay);
 * earlier iterations can be overlaid as fainter rings with
@@ -14,11 +13,11 @@ terminal reproduction renders the 2-D scatter as a character grid:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.ml.base import ClusterModel, ClusteringResult
+from repro.ml.base import ClusteringResult
 
 _CENTER_GLYPHS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -73,26 +72,6 @@ def render_points(points: np.ndarray, width: int = 72, height: int = 28
     canvas = AsciiCanvas(points, width, height)
     for x, y in np.asarray(points)[:, :2]:
         canvas.plot(x, y, ".", overwrite=False)
-    return canvas.render()
-
-
-def render_clusters(points: np.ndarray, models: Sequence[ClusterModel],
-                    assignments: Optional[dict[int, int]] = None,
-                    width: int = 72, height: int = 28) -> str:
-    """One clustering outcome: points (digit = cluster), centers, radii."""
-    pts = np.asarray(points)
-    canvas = AsciiCanvas(pts, width, height)
-    for pid, (x, y) in enumerate(pts[:, :2]):
-        glyph = "."
-        if assignments and pid in assignments:
-            glyph = str(assignments[pid] % 10)
-        canvas.plot(x, y, glyph, overwrite=False)
-    for model in models:
-        cx, cy = model.center[0], model.center[1]
-        if model.radius > 0:
-            canvas.circle(cx, cy, model.radius)
-        canvas.plot(cx, cy, _CENTER_GLYPHS[model.cluster_id
-                                           % len(_CENTER_GLYPHS)])
     return canvas.render()
 
 

@@ -102,9 +102,3 @@ class FuzzyKMeansDriver:
 
         return run_centroid_loop(self, "fuzzykmeans", executor, input_path,
                                  iteration_job)[0]
-
-    def soft_assignments(self, points: np.ndarray,
-                         result: ClusteringResult) -> np.ndarray:
-        """(n, k) membership matrix of ``points`` under the final model."""
-        distances = self.measure.to_centers(points, result.centers())
-        return memberships(distances, self.m)

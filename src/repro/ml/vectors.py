@@ -198,11 +198,3 @@ class TanimotoDistance(DistanceMeasure):
 MEASURES = {cls.name: cls for cls in (
     EuclideanDistance, SquaredEuclideanDistance, ManhattanDistance,
     ChebyshevDistance, CosineDistance, TanimotoDistance)}
-
-
-def measure_by_name(name: str) -> DistanceMeasure:
-    try:
-        return MEASURES[name]()
-    except KeyError:
-        raise ValueError(f"unknown distance measure {name!r}; "
-                         f"known: {sorted(MEASURES)}") from None

@@ -5,8 +5,8 @@ seconds into a :class:`~repro.telemetry.timeseries.TimeSeriesStore`: the
 six :data:`SERIES`, labelled ``{vm}`` — VCPU utilization, resident memory
 fraction, running tasks, and the virtual-disk, net-tx and net-rx bytes
 since the previous sample.  The interval *is* the store's ``step``, so the
-store is the one bounded sample history that the analyser, the exporter,
-the graphics and the observatory's window table read.  Sampling runs on a
+store is the one bounded sample history that the analyser and the
+observatory's window table read.  Sampling runs on a
 :class:`~repro.sim.kernel.PeriodicCall`, interleaved with the workload.
 """
 

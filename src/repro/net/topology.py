@@ -38,13 +38,12 @@ be O(n²).
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro import constants as C
 from repro.errors import SimulationError
-from repro.sim import (Event, FairShareSystem, FlowOp, FluidFlow,
-                       SharedResource, Simulator, Tracer)
+from repro.sim import (Event, FairShareSystem, FlowOp, SharedResource,
+                       Simulator, Tracer)
 from repro.telemetry import events as EV
 
 
@@ -243,13 +242,6 @@ class NetworkFabric:
         """True when traffic between the endpoints leaves a physical host."""
         return src is not dst and src.host is not dst.host
 
-    def crosses_rack(self, src: NetNode, dst: NetNode) -> bool:
-        """True when traffic between the endpoints leaves a rack (always
-        False on flat/one-rack topologies)."""
-        return (src is not dst and src.host is not dst.host
-                and src.host.rack is not None
-                and src.host.rack is not dst.host.rack)
-
     # -- transfers ------------------------------------------------------------
     def transfer(self, src: NetNode, dst: NetNode, nbytes: float,
                  name: str = "xfer", cap: Optional[float] = None) -> Event:
@@ -282,19 +274,3 @@ class NetworkFabric:
                          src=src.name, dst=dst.name, bytes=moved,
                          elapsed=elapsed)
         return elapsed
-
-    def open_stream(self, src: NetNode, dst: NetNode
-                    ) -> Optional[FluidFlow]:
-        """Open an open-ended background flow (e.g. a migration stream's
-        contention placeholder); ``None`` for loopback.  Close with
-        :meth:`close_stream`."""
-        path, _latency = self.path(src, dst)
-        if not path:
-            return None
-        return self.fss.open(path, size=math.inf, name="stream")
-
-    def close_stream(self, flow: Optional[FluidFlow]) -> float:
-        """Close a background flow; returns bytes moved (0 for loopback)."""
-        if flow is None:
-            return 0.0
-        return self.fss.close(flow)

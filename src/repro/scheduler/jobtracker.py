@@ -227,8 +227,6 @@ class JobScheduler:
         stats.wait_s_total += r.wait_s
         stats.elapsed_total += r.elapsed
         stats.slot_seconds += r.slot_seconds
-        stats.wait_samples.append(r.wait_s)
-        stats.latency_samples.append(r.elapsed)
 
     # -- slot workers ------------------------------------------------------
     def _ensure_workers(self) -> None:

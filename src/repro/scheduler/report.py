@@ -2,24 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in [0, 1]) of ``values``.
-
-    Deterministic and exact: no interpolation, so two same-seed runs
-    produce byte-identical numbers.  Returns 0.0 for an empty sample.
-    """
-    if not values:
-        return 0.0
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+from typing import Optional
 
 
 @dataclass
@@ -53,30 +37,10 @@ class PoolStats:
     preemptions_suffered: int = 0
     #: Kills triggered on this pool's behalf.
     preemptions_claimed: int = 0
-    #: Per-job queue waits (submission → first task), recorded at job end.
-    wait_samples: list = field(default_factory=list)
-    #: Per-job completion latencies (submission → finish).
-    latency_samples: list = field(default_factory=list)
 
     @property
     def mean_wait_s(self) -> float:
         return self.wait_s_total / self.n_jobs if self.n_jobs else 0.0
-
-    @property
-    def wait_p50(self) -> float:
-        return percentile(self.wait_samples, 0.50)
-
-    @property
-    def wait_p99(self) -> float:
-        return percentile(self.wait_samples, 0.99)
-
-    @property
-    def latency_p50(self) -> float:
-        return percentile(self.latency_samples, 0.50)
-
-    @property
-    def latency_p99(self) -> float:
-        return percentile(self.latency_samples, 0.99)
 
 
 @dataclass
@@ -120,23 +84,3 @@ class SchedulerReport:
         if not self.jobs:
             return 0.0
         return sum(j.wait_s for j in self.jobs) / len(self.jobs)
-
-    def wait_percentile(self, q: float) -> float:
-        """Cluster-wide queue-wait percentile over all finished jobs."""
-        return percentile([j.wait_s for j in self.jobs], q)
-
-    def latency_percentile(self, q: float) -> float:
-        """Cluster-wide completion-latency percentile (submit → finish)."""
-        return percentile([j.elapsed for j in self.jobs], q)
-
-    @property
-    def wait_p99(self) -> float:
-        return self.wait_percentile(0.99)
-
-    @property
-    def latency_p50(self) -> float:
-        return self.latency_percentile(0.50)
-
-    @property
-    def latency_p99(self) -> float:
-        return self.latency_percentile(0.99)

@@ -36,10 +36,6 @@ _LAZY = {
     "prometheus_text": ("repro.telemetry.export", "prometheus_text"),
     "metrics_csv": ("repro.telemetry.export", "metrics_csv"),
     "spans_csv": ("repro.telemetry.export", "spans_csv"),
-    "timeseries_csv": ("repro.telemetry.export", "timeseries_csv"),
-    "timeseries_json": ("repro.telemetry.export", "timeseries_json"),
-    "timeseries_prometheus": ("repro.telemetry.export",
-                              "timeseries_prometheus"),
     "TimeSeries": ("repro.telemetry.timeseries", "TimeSeries"),
     "TimeSeriesStore": ("repro.telemetry.timeseries", "TimeSeriesStore"),
     "HistogramSeries": ("repro.telemetry.timeseries", "HistogramSeries"),

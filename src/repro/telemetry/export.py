@@ -204,117 +204,6 @@ def metrics_csv(registry: MetricsRegistry) -> str:
     return out.getvalue()
 
 
-def timeseries_csv(store) -> str:
-    """Flat CSV of a :class:`~repro.telemetry.timeseries.TimeSeriesStore`.
-
-    One row per live bucket per tier per series, in (name, labels, tier,
-    bucket-start) order — fully deterministic.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["series", "labels", "tier", "bucket_start", "width",
-                     "count", "sum", "min", "max", "last", "last_at"])
-    for (name, labelset), series in store.items():
-        labels = ";".join(f"{k}={v}" for k, v in labelset)
-        for ti, tier in enumerate(series.tiers):
-            for bucket in tier.buckets():
-                start = bucket.index * tier.width
-                writer.writerow([
-                    name, labels, ti, f"{start:.6f}", f"{tier.width:.6f}",
-                    bucket.count, f"{bucket.total:.9g}",
-                    f"{bucket.min:.9g}", f"{bucket.max:.9g}",
-                    f"{bucket.last:.9g}", f"{bucket.last_at:.6f}"])
-    return out.getvalue()
-
-
-def timeseries_json(store) -> dict:
-    """JSON-able dict of every series' raw-tier buckets plus digests.
-
-    Intended for dashboards and the campaign control room: the raw tier
-    carries the plot-ready points; coarser tiers are recoverable from it
-    and are omitted to keep payloads small.
-    """
-    series_out = []
-    for (name, labelset), series in store.items():
-        points = []
-        for start, bucket in ((b.index * series.tiers[0].width, b)
-                              for b in series.tiers[0].buckets()):
-            points.append({"t": round(start, 6), "count": bucket.count,
-                           "sum": bucket.total, "min": bucket.min,
-                           "max": bucket.max, "last": bucket.last})
-        series_out.append({
-            "name": name,
-            "labels": {k: v for k, v in labelset},
-            "step": series.step,
-            "digest": series.digest(),
-            "points": points,
-        })
-    hist_out = []
-    for (name, labelset), series in store.histogram_items():
-        buckets = []
-        width = series.step
-        for bucket in series.tiers[0].buckets():
-            hist = bucket.hist
-            buckets.append({"t": round(bucket.index * width, 6),
-                            "n": hist.count,
-                            "mean": hist.mean, "p50": hist.p50,
-                            "p99": hist.p99, "max": hist.max_seen})
-        hist_out.append({
-            "name": name,
-            "labels": {k: v for k, v in labelset},
-            "step": series.step,
-            "digest": series.digest(),
-            "buckets": buckets,
-        })
-    return {"step": store.step, "capacity": store.capacity,
-            "digest": store.digest(), "series": series_out,
-            "histograms": hist_out}
-
-
-def timeseries_prometheus(store, at: Optional[float] = None) -> str:
-    """Latest store values in the Prometheus text exposition format.
-
-    Each scalar series renders as a gauge carrying the newest raw-tier
-    bucket's aggregates (``*_last`` value plus ``_min``/``_max``/
-    ``_sum``/``_count`` of that bucket); histogram series render their
-    newest bucket's count/sum/p99.  A scrape of sim-history, shaped the
-    way a real Prometheus sidecar would expose it.
-    """
-    lines: list[str] = []
-    for (name, labelset), series in store.items():
-        newest = series.latest(1)
-        if not newest:
-            continue
-        bucket = newest[0]
-        if at is not None and bucket.last_at > at:
-            continue
-        metric = _prom_name(name)
-        labels = _prom_labels(labelset)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric}{labels} {bucket.last}")
-        lines.append(f"{metric}_min{labels} {bucket.min}")
-        lines.append(f"{metric}_max{labels} {bucket.max}")
-        lines.append(f"{metric}_sum{labels} {bucket.total}")
-        lines.append(f"{metric}_count{labels} {bucket.count}")
-    for (name, labelset), series in store.histogram_items():
-        newest = series.tiers[0].newest
-        if newest is None:
-            continue
-        hist = newest.hist
-        metric = _prom_name(name)
-        labels = _prom_labels(labelset)
-        lines.append(f"# TYPE {metric} summary")
-        lines.append(f"{metric}_count{labels} {hist.count}")
-        lines.append(f"{metric}_sum{labels} {hist.total}")
-        lines.append(
-            f"{metric}{_prom_labels(labelset, {'quantile': '0.5'})}"
-            f" {hist.p50}")
-        lines.append(
-            f"{metric}{_prom_labels(labelset, {'quantile': '0.99'})}"
-            f" {hist.p99}")
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 def spans_csv(spans: Iterable[Span]) -> str:
     """Flat CSV of finished spans (one row per span)."""
     out = io.StringIO()

@@ -96,8 +96,8 @@ class Telemetry:
     def start_monitor(self, interval: Optional[float] = None
                       ) -> "NmonMonitor":
         """Begin nmon sampling on this scope's VMs; returns the monitor.
-        ``interval`` sets the store's one ``step`` (see
-        :meth:`start_timeseries`)."""
+        ``interval`` sets the store's one ``step``: changing it once the
+        store holds series raises :class:`~repro.errors.ConfigError`."""
         if interval is not None:
             self.timeseries.step = interval
         self.monitor.start()
@@ -111,29 +111,14 @@ class Telemetry:
     @property
     def timeseries(self) -> "TimeSeriesStore":
         """The scope's one sample history (created on first access): the
-        nmon monitor records its per-VM series here, :meth:`start_timeseries`
-        adds the registry sampler, and subsystems may :meth:`record
-        <repro.telemetry.timeseries.TimeSeriesStore.record>` directly."""
+        nmon monitor records its per-VM series here, and subsystems may
+        :meth:`record <repro.telemetry.timeseries.TimeSeriesStore.record>`
+        directly."""
         if self._timeseries is None:
             from repro.telemetry.timeseries import TimeSeriesStore
             self._timeseries = TimeSeriesStore(self.sim,
                                                registry=self.metrics)
         return self._timeseries
-
-    def start_timeseries(self, step: Optional[float] = None
-                         ) -> "TimeSeriesStore":
-        """Begin periodic counter/gauge snapshots; returns the store.
-        ``step`` is the scope's one sampling interval, shared with the nmon
-        monitor: changing it once the store holds series raises
-        :class:`~repro.errors.ConfigError`."""
-        store = self.timeseries
-        if step is not None:
-            store.step = step
-        return store.start()
-
-    def stop_timeseries(self) -> None:
-        if self._timeseries is not None:
-            self._timeseries.stop()
 
     # -- flow accounting ---------------------------------------------------
     def enable_flow_log(self) -> "FlowLog":

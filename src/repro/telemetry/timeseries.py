@@ -13,7 +13,7 @@ sim-time buckets**:
   eviction-time compaction;
 * every bucket keeps the five *mergeable* aggregates
   ``min / max / sum / count / last`` (plus the exact time of the last
-  sample, which is what makes :meth:`TimeSeries.rate` bit-exact).
+  sample).
 
 Memory is bounded by construction: ``capacity`` buckets per tier per
 series, old buckets overwritten as sim-time advances.  Retention grows
@@ -33,11 +33,8 @@ Histogram-valued series (:class:`HistogramSeries`) hold one mergeable
 :class:`~repro.telemetry.metrics.LatencyHistogram` per bucket, giving
 ``quantile_over_time`` with bounded relative error at bounded memory.
 
-Exporters live in :mod:`repro.telemetry.export`
-(:func:`~repro.telemetry.export.timeseries_prometheus` /
-``timeseries_csv`` / ``timeseries_json``); the
-:class:`~repro.telemetry.facade.Telemetry` facade wires a store to each
-cluster as ``telemetry.timeseries``.
+The :class:`~repro.telemetry.facade.Telemetry` facade wires a store to
+each cluster as ``telemetry.timeseries``.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from repro.digest import Digest
 from repro.errors import ConfigError
-from repro.sim.kernel import PeriodicCall
 from repro.telemetry.metrics import (Counter, Gauge, LabelSet,
                                      LatencyHistogram, _labelset)
 
@@ -258,16 +254,6 @@ class TimeSeries:
             return [chosen.newest] if chosen.newest is not None else []
         return chosen.buckets()[-n:]
 
-    def mean_over(self, t0: float, t1: float,
-                  tier: Optional[int] = None) -> float:
-        """Sample-weighted mean over the range (0.0 when empty)."""
-        total = 0.0
-        count = 0
-        for _, bucket in self.range(t0, t1, tier):
-            total += bucket.total
-            count += bucket.count
-        return total / count if count else 0.0
-
     def trailing_mean(self, now: float, span: float) -> float:
         """Sample-weighted mean over the trailing window ``(now - span,
         now]`` (0.0 when empty).
@@ -275,32 +261,13 @@ class TimeSeries:
         At bucket grain: the bucket holding ``now`` is in, the one holding
         ``now - span`` is out — exact for samples on bucket edges, as a
         sampler every ``step`` records them.  Reads the finest tier whose
-        retention covers ``span``, adding buckets in ascending order as
-        :meth:`mean_over` does.
+        retention covers ``span``, adding buckets in ascending order.
         """
         tier = next((t for t in self.tiers if span <= t.retention_s()),
                     self.tiers[-1])
         total, count = tier.sums(int((now - span) // tier.width) + 1,
                                  int(now // tier.width))
         return total / count if count else 0.0
-
-    def rate(self, t0: float, t1: float,
-             tier: Optional[int] = None) -> float:
-        """Per-second rate of a cumulative (counter-style) series.
-
-        Uses the exact last-sample values and times of the first and
-        last bucket in range — bit-identical to differencing the raw
-        samples, which is what lets detectors drop their ad-hoc
-        ``(t, value)`` state for a store series.
-        """
-        buckets = self.range(t0, t1, tier)
-        if len(buckets) < 2:
-            return 0.0
-        first, last = buckets[0][1], buckets[-1][1]
-        dt = last.last_at - first.last_at
-        if dt <= 0:
-            return 0.0
-        return (last.last - first.last) / dt
 
     # -- determinism -----------------------------------------------------
     def digest(self) -> str:
@@ -400,14 +367,13 @@ class HistogramSeries:
 
 
 class TimeSeriesStore:
-    """All time series of one scope, plus the optional registry sampler.
+    """All time series of one scope.
 
-    Construction is cheap and passive.  With ``sim`` and ``registry``
-    wired (the facade does both), :meth:`start` begins a
-    :class:`~repro.sim.kernel.PeriodicCall` that snapshots every counter
-    and gauge in the registry into same-named series every ``step`` — the
-    historical view of the live metrics.  A stopped store has nothing
-    queued, so it never keeps the simulation alive.
+    Construction is cheap and passive: a store schedules nothing, so it
+    never keeps the simulation alive.  ``sim`` supplies the default sample
+    time; with a ``registry`` wired (the facade does both),
+    :meth:`sample_registry` snapshots every counter and gauge into
+    same-named series — the historical view of the live metrics.
     """
 
     def __init__(self, sim=None, registry: Optional["MetricsRegistry"] = None,
@@ -421,12 +387,11 @@ class TimeSeriesStore:
         self._hist_series: dict[tuple[str, LabelSet], HistogramSeries] = {}
         self.step = step
         self.samples_taken = 0
-        self._loop = PeriodicCall(sim, self._tick)
 
     @property
     def step(self) -> float:
-        """Raw-tier bucket width and the interval of every sampler writing
-        here (registry loop, nmon monitor); fixed once series exist."""
+        """Raw-tier bucket width and the nmon monitor's sampling interval;
+        fixed once series exist."""
         return self._step
 
     @step.setter
@@ -491,17 +456,7 @@ class TimeSeriesStore:
             at = self.sim.now if self.sim is not None else 0.0
         self.histogram_series(name, labels).observe(at, hist)
 
-    # -- query conveniences ----------------------------------------------
-    def mean_over(self, name: str, t0: float, t1: float,
-                  labels: Optional[Mapping[str, str]] = None) -> float:
-        made = self.get(name, labels)
-        return made.mean_over(t0, t1) if made is not None else 0.0
-
-    def rate(self, name: str, t0: float, t1: float,
-             labels: Optional[Mapping[str, str]] = None) -> float:
-        made = self.get(name, labels)
-        return made.rate(t0, t1) if made is not None else 0.0
-
+    # -- read ------------------------------------------------------------
     def quantile_over_time(self, name: str, q: float, t0: float, t1: float,
                            labels: Optional[Mapping[str, str]] = None
                            ) -> float:
@@ -540,28 +495,6 @@ class TimeSeriesStore:
         self.samples_taken += n
         return n
 
-    # -- the sampler timer -----------------------------------------------
-    @property
-    def running(self) -> bool:
-        return self._loop.running
-
-    def start(self) -> "TimeSeriesStore":
-        """Begin periodic registry sampling (idempotent); returns self."""
-        if self.sim is None:
-            raise ConfigError("store has no simulator to tick on")
-        if self.registry is None:
-            raise ConfigError("store has no metrics registry to sample")
-        self._loop.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop sampling (idempotent): nothing stays armed."""
-        self._loop.stop()
-
-    def _tick(self) -> float:
-        self.sample_registry(self.sim.now)
-        return self.step
-
     # -- determinism -----------------------------------------------------
     def digest(self) -> str:
         """Stable content digest over every series' every live bucket."""
@@ -574,5 +507,4 @@ class TimeSeriesStore:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<TimeSeriesStore series={len(self._series)} "
-                f"hist={len(self._hist_series)} step={self.step} "
-                f"{'running' if self.running else 'idle'}>")
+                f"hist={len(self._hist_series)} step={self.step}>")

@@ -8,8 +8,7 @@ optimizer.
 
 Two rule families exist:
 
-* **metric rules** (the originals) read nmon aggregates and scheduler
-  counters;
+* **metric rules** (the originals) read nmon aggregates;
 * **alert rules** (:class:`SpeculateOnStragglersRule`,
   :class:`MigrateOffHotHostRule`) are driven by the observatory's SLO
   alerts — the detection work already happened online, the rule only
@@ -98,46 +97,6 @@ class IncreaseSlotsWhenCpuIdleRule(TuningRule):
                        f"{self.cpu_threshold}: raising map slots",
                 config_changes={"map_tasks_maximum": slots + 1})
         return None
-
-
-class IncreaseSlotsWhenBacklogRule(TuningRule):
-    """Scheduler backlog deep while CPUs have headroom -> more map slots.
-
-    The first rule fed by JobTracker-level metrics rather than nmon data:
-    it reads the live :class:`~repro.scheduler.JobScheduler` backlog
-    (pending map tasks vs. total map slots) and only widens trackers when
-    the monitor confirms the VCPUs are not the bottleneck.
-    """
-
-    name = "increase-slots-when-backlog"
-
-    def __init__(self, scheduler, backlog_factor: float = 2.0,
-                 cpu_threshold: float = 0.7, max_slots: int = 4):
-        self.scheduler = scheduler
-        self.backlog_factor = backlog_factor
-        self.cpu_threshold = cpu_threshold
-        self.max_slots = max_slots
-
-    def evaluate(self, cluster, analyser, report):
-        total = self.scheduler.total_slots("map")
-        backlog = self.scheduler.backlog("map")
-        if total == 0 or backlog < self.backlog_factor * total:
-            return None
-        summaries = report.node_summaries
-        mean_cpu = (sum(s.cpu_mean for s in summaries) / len(summaries)
-                    if summaries else 0.0)
-        if mean_cpu >= self.cpu_threshold:
-            return None
-        slots = cluster.config.map_tasks_maximum
-        if slots >= self.max_slots:
-            return None
-        return Recommendation(
-            rule=self.name, kind="reconfigure",
-            reason=f"scheduler backlog {backlog} >= "
-                   f"{self.backlog_factor:g}x{total} map slots with mean "
-                   f"VCPU {mean_cpu:.2f} < {self.cpu_threshold}: "
-                   f"raising map slots",
-            config_changes={"map_tasks_maximum": slots + 1})
 
 
 class ConsolidateCrossDomainRule(TuningRule):

@@ -6,8 +6,8 @@ machines (virtual cluster) migration which can record the migration time
 and downtime of each virtual machine and the whole virtual cluster."
 
 :class:`VirtLM` does exactly that: it migrates each VM of a cluster from
-its host to a destination, sequentially (``xm migrate`` one at a time — the
-mode the paper's figures imply: 16 consecutive bars) or concurrently, and
+its host to a destination one after another (``xm migrate`` one at a
+time — the mode the paper's figures imply: 16 consecutive bars), and
 reports per-VM :class:`~repro.virt.migration.MigrationRecord` entries plus
 the whole-cluster aggregate of Table II.
 """
@@ -68,27 +68,16 @@ class VirtLM:
         self.sim: Simulator = migrator.sim
         self.tracer = tracer or migrator.tracer
 
-    def migrate_vm(self, vm: VirtualMachine, destination: PhysicalMachine
-                   ) -> Event:
-        """Single-VM benchmark (original Virt-LM)."""
-        return self.migrator.migrate(vm, destination)
-
     def migrate_cluster(self, vms: Sequence[VirtualMachine],
                         destination: PhysicalMachine, label: str = "cluster",
-                        concurrent: bool = False,
                         rate_cap_bps: Optional[float] = None) -> Event:
-        """Whole-cluster benchmark; event value is a
-        :class:`ClusterMigrationReport`.
-
-        ``concurrent=False`` (default) migrates VMs one after another, as
-        the paper does; ``concurrent=True`` starts all migrations at once
-        (gang migration), provided the destination can hold them all.
-        """
+        """Whole-cluster benchmark, one VM after another as the paper
+        does; event value is a :class:`ClusterMigrationReport`."""
         if not vms:
             raise MigrationError("migrate_cluster needs at least one VM")
-        proc = (self._concurrent_proc if concurrent else self._sequential_proc)
         return self.sim.process(
-            proc(list(vms), destination, label, rate_cap_bps),
+            self._sequential_proc(list(vms), destination, label,
+                                  rate_cap_bps),
             name=f"virtlm:{label}")
 
     def _sequential_proc(self, vms: list[VirtualMachine],
@@ -103,23 +92,6 @@ class VirtLM:
         report.overall_migration_time_s = self.sim.now - started
         self.tracer.emit(self.sim.now, EV.VIRTLM_CLUSTER_END, label,
                          mode="sequential",
-                         overall_time=report.overall_migration_time_s,
-                         overall_downtime=report.overall_downtime_s)
-        return report
-
-    def _concurrent_proc(self, vms: list[VirtualMachine],
-                         destination: PhysicalMachine, label: str,
-                         rate_cap_bps: Optional[float] = None):
-        report = ClusterMigrationReport(label=label)
-        started = self.sim.now
-        events = [self.migrator.migrate(vm, destination,
-                                        rate_cap_bps=rate_cap_bps)
-                  for vm in vms]
-        results = yield self.sim.all_of(events)
-        report.records.extend(results[ev] for ev in events)
-        report.overall_migration_time_s = self.sim.now - started
-        self.tracer.emit(self.sim.now, EV.VIRTLM_CLUSTER_END, label,
-                         mode="concurrent",
                          overall_time=report.overall_migration_time_s,
                          overall_downtime=report.overall_downtime_s)
         return report

@@ -1,11 +1,12 @@
 """Tenant fleet, quotas and the log-binned latency histogram."""
 
+import math
+
 import pytest
 
 from repro.cloud import LatencyHistogram, TenantRegistry, TenantSpec
 from repro.cloud.tenants import PRIORITIES
 from repro.errors import ConfigError
-from repro.scheduler.report import percentile
 from repro.sim.rng import RngRegistry
 
 
@@ -61,6 +62,12 @@ def test_registry_accounting_roundtrip():
     assert name in fleet and len(fleet) == 5
 
 
+def nearest_rank(values, q):
+    """Exact nearest-rank q-quantile: the oracle for the histogram."""
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+
+
 def test_histogram_quantiles_track_exact_percentiles():
     hist = LatencyHistogram()
     # Stay inside the default [0.1, 1e5) range so nothing overflows.
@@ -68,7 +75,7 @@ def test_histogram_quantiles_track_exact_percentiles():
     for s in samples:
         hist.observe(s)
     for q in (0.5, 0.9, 0.99):
-        exact = percentile(samples, q)
+        exact = nearest_rank(samples, q)
         approx = hist.quantile(q)
         # Bin upper edge: over-estimates by at most one bin's growth.
         assert exact <= approx <= exact * 1.12

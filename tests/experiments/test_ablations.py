@@ -99,7 +99,8 @@ def test_ablation_netback_bottleneck():
 
 def test_ablation_migration_sequential_vs_concurrent():
     """Gang migration shares the NIC: wall-clock shrinks, per-VM times
-    stretch (Virt-LM's two modes)."""
+    stretch.  Virt-LM migrates one VM after another, as the paper does;
+    the gang arm starts every migration at once through the migrator."""
     from repro.config import VMConfig
 
     def run_mode(concurrent):
@@ -107,16 +108,22 @@ def test_ablation_migration_sequential_vs_concurrent():
         cluster = platform.provision_cluster(
             "m", ClusterSpec.single_host(8), vm_config=VMConfig(memory=512 * C.MiB))
         dc = platform.datacenter
-        event = dc.virtlm.migrate_cluster(cluster.vms, dc.machine(1),
-                                          concurrent=concurrent)
-        dc.sim.run_until(event)
-        return event.value
+        if not concurrent:
+            event = dc.virtlm.migrate_cluster(cluster.vms, dc.machine(1))
+            dc.sim.run_until(event)
+            return (event.value.overall_migration_time_s,
+                    event.value.migration_times)
+        started = dc.now
+        events = [dc.migrator.migrate(vm, dc.machine(1))
+                  for vm in cluster.vms]
+        dc.sim.run_until(dc.sim.all_of(events))
+        return dc.now - started, [e.value.migration_time_s for e in events]
 
-    sequential, gang = run_mode(False), run_mode(True)
-    print(f"\nsequential: overall={sequential.overall_migration_time_s:.1f}s"
-          f" mean-per-vm={sum(sequential.migration_times) / 8:.1f}s")
-    print(f"gang:       overall={gang.overall_migration_time_s:.1f}s"
-          f" mean-per-vm={sum(gang.migration_times) / 8:.1f}s")
-    assert gang.overall_migration_time_s < \
-        sequential.overall_migration_time_s
-    assert sum(gang.migration_times) > sum(sequential.migration_times)
+    (seq_overall, seq_times), (gang_overall, gang_times) = \
+        run_mode(False), run_mode(True)
+    print(f"\nsequential: overall={seq_overall:.1f}s"
+          f" mean-per-vm={sum(seq_times) / 8:.1f}s")
+    print(f"gang:       overall={gang_overall:.1f}s"
+          f" mean-per-vm={sum(gang_times) / 8:.1f}s")
+    assert gang_overall < seq_overall
+    assert sum(gang_times) > sum(seq_times)

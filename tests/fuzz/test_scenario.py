@@ -6,6 +6,8 @@ the serialize → parse round trip with its digest intact (repro files stay
 valid forever).
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from repro.fuzz import (FORMAT_VERSION, FuzzFault, FuzzJob, KnobSample,
 @given(st.integers(0, 10_000))
 def test_roundtrip_preserves_digest(seed):
     scenario = generate_scenario(seed)
-    clone = Scenario.from_json(scenario.to_json())
+    clone = Scenario.from_dict(json.loads(scenario.to_json()))
     assert clone == scenario
     assert clone.digest() == scenario.digest()
 

@@ -6,6 +6,7 @@ predicate over the scenario, so the shrinker's search behaviour can be
 pinned without simulating anything.
 """
 
+import json
 import time
 
 import pytest
@@ -153,3 +154,24 @@ class TestReproFiles:
         path.write_text(text)
         with pytest.raises(ConfigError):
             load_repro(path)
+
+    @pytest.mark.parametrize("mutate, names", [
+        (lambda text: text[:len(text) // 2], "repro.json"),
+        (lambda text: _edit(text, lambda d: d["scenario"].pop("topology")),
+         "'topology' is missing"),
+        (lambda text: _edit(text, lambda d: d["scenario"].update(
+            n_vms="many")), "'n_vms' is not a valid int"),
+        (lambda text: json.dumps([json.loads(text)]), "repro.json"),
+    ], ids=["truncated", "no-topology", "n_vms-not-int", "top-level-list"])
+    def test_malformed_file_raises_config_error_naming_it(self, tmp_path,
+                                                          mutate, names):
+        path = write_repro(self.make_result(), tmp_path / "repro.json")
+        path.write_text(mutate(path.read_text()))
+        with pytest.raises(ConfigError, match=names):
+            load_repro(path)
+
+
+def _edit(text, change):
+    data = json.loads(text)
+    change(data)
+    return json.dumps(data)

@@ -199,7 +199,8 @@ def test_fuzzy_soft_assignments(blobs):
     points, _ = blobs
     driver = FuzzyKMeansDriver(k=3, max_iterations=25)
     result = driver.run(executor_for(points), "/in")
-    u = driver.soft_assignments(points, result)
+    u = memberships(driver.measure.to_centers(points, result.centers()),
+                    driver.m)
     assert u.shape == (len(points), 3)
     assert np.allclose(u.sum(axis=1), 1.0)
 

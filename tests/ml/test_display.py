@@ -3,9 +3,8 @@
 import numpy as np
 
 from repro.ml import KMeansDriver, LocalExecutor, points_as_records
-from repro.ml.base import ClusterModel
-from repro.ml.display import (AsciiCanvas, describe_result, render_clusters,
-                              render_history, render_points)
+from repro.ml.display import (AsciiCanvas, describe_result, render_history,
+                              render_points)
 
 
 def grid_points():
@@ -19,17 +18,6 @@ def test_render_points_draws_dots():
     assert len(lines) == 14  # 12 rows + 2 borders
     assert all(len(line) == 42 for line in lines)
     assert "." in out
-
-
-def test_render_clusters_marks_centers_and_digits():
-    pts = grid_points()
-    models = [ClusterModel(0, (0.0, 0.0), weight=10, radius=1.0),
-              ClusterModel(1, (1.0, 1.0), weight=5, radius=0.5)]
-    assignments = {i: i % 2 for i in range(len(pts))}
-    out = render_clusters(pts, models, assignments, width=50, height=20)
-    assert "A" in out and "B" in out
-    assert "+" in out  # radius rings
-    assert "0" in out and "1" in out
 
 
 def test_render_history_overlays_iterations():

@@ -8,8 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.ml.vectors import (ChebyshevDistance, CosineDistance,
                               EuclideanDistance, ManhattanDistance,
-                              SquaredEuclideanDistance, TanimotoDistance,
-                              MEASURES, measure_by_name)
+                              SquaredEuclideanDistance, TanimotoDistance)
 
 ALL = [EuclideanDistance(), SquaredEuclideanDistance(), ManhattanDistance(),
        ChebyshevDistance(), CosineDistance(), TanimotoDistance()]
@@ -71,13 +70,6 @@ def test_paired_matches_scalar():
         assert paired.shape == (7,)
         for i in range(7):
             assert paired[i] == pytest.approx(measure.distance(a[i], b[i]))
-
-
-def test_measure_by_name():
-    for name in MEASURES:
-        assert measure_by_name(name).name == name
-    with pytest.raises(ValueError):
-        measure_by_name("nope")
 
 
 _vec = arrays(np.float64, 4,

@@ -1,5 +1,5 @@
-"""stop() semantics: a stopped monitor, time-series sampler or observatory
-leaves nothing armed in the sim."""
+"""stop() semantics: a stopped monitor or observatory leaves nothing armed
+in the sim."""
 
 import pytest
 
@@ -9,8 +9,6 @@ from repro.monitor import NmonMonitor
 from repro.monitor.nmon import CPU, vm_buckets
 from repro.observatory.detectors import Detector
 from repro.platform import ClusterSpec, VHadoopPlatform
-from repro.sim.kernel import Simulator
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.timeseries import TimeSeriesStore
 
 
@@ -85,17 +83,16 @@ def test_samples_mirror_into_metrics_gauges():
 def test_monitor_interval_and_store_step_are_one_value():
     platform, cluster = make_cluster()
     telemetry = cluster.telemetry
-    store = telemetry.start_timeseries(step=5.0)
+    store = telemetry.timeseries
     assert telemetry.start_monitor(interval=5.0).interval == 5.0
     platform.sim.run(until=1.0)
     assert len(store) > 0
     with pytest.raises(ConfigError, match="step"):
         telemetry.start_monitor(interval=2.0)
     with pytest.raises(ConfigError, match="step"):
-        telemetry.start_timeseries(step=2.0)
+        store.step = 2.0
     assert telemetry.monitor.interval == store.step == 5.0
     telemetry.stop_monitor()
-    telemetry.stop_timeseries()
 
 
 # -- stopping a watcher from inside its own tick ------------------------------
@@ -114,21 +111,6 @@ def _self_stopping_monitor():
         cluster.vms)
 
 
-def _self_stopping_store():
-    sim = Simulator()
-    registry = MetricsRegistry()
-    registry.gauge("util", "u").set(0.5)
-    store = TimeSeriesStore(sim, registry, step=5.0)
-    sample = store.sample_registry
-
-    def sample_then_stop(at=None):
-        sample(at)
-        if sim.now >= 10.0:
-            store.stop()
-    store.sample_registry = sample_then_stop
-    return sim, store, lambda: store.samples_taken
-
-
 def _self_stopping_observatory():
     platform, cluster = make_cluster()
 
@@ -141,7 +123,6 @@ def _self_stopping_observatory():
 
 
 @pytest.mark.parametrize("build", [_self_stopping_monitor,
-                                   _self_stopping_store,
                                    _self_stopping_observatory])
 def test_watcher_stopped_from_its_own_tick_leaves_no_timer(build):
     # Ticks at t=0, 5, 10; the third stops the watcher, so nothing may be

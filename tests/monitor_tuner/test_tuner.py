@@ -6,8 +6,7 @@ from repro.config import PlatformConfig
 from repro.errors import TunerError
 from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.tuner import (ConsolidateCrossDomainRule, MapReduceTuner,
-                         Recommendation, IncreaseSlotsWhenBacklogRule,
-                         IncreaseSlotsWhenCpuIdleRule,
+                         Recommendation, IncreaseSlotsWhenCpuIdleRule,
                          ReduceSlotsWhenSaturatedRule)
 from repro.workloads.wordcount import lines_as_records, wordcount_job
 
@@ -57,53 +56,6 @@ def test_reduce_slots_when_saturated():
     recommendation = tuner.step()
     assert recommendation is not None
     assert cluster.config.map_tasks_maximum == before - 1
-
-
-class _StubScheduler:
-    """Only what IncreaseSlotsWhenBacklogRule reads: live queue depth."""
-
-    def __init__(self, slots, backlog):
-        self._slots = slots
-        self._backlog = backlog
-
-    def total_slots(self, kind):
-        return self._slots
-
-    def backlog(self, kind):
-        return self._backlog
-
-
-def test_increase_slots_on_deep_backlog_with_idle_cpu():
-    platform, cluster, monitor, analyser = make()
-    for _ in range(3):
-        monitor.sample_now(platform.sim.now)  # all-idle samples
-    rule = IncreaseSlotsWhenBacklogRule(_StubScheduler(slots=8, backlog=40))
-    tuner = MapReduceTuner(cluster, rules=[rule])
-    before = cluster.config.map_tasks_maximum
-    recommendation = tuner.step()
-    assert recommendation is not None
-    assert recommendation.kind == "reconfigure"
-    assert cluster.config.map_tasks_maximum == before + 1
-
-
-def test_backlog_rule_abstains_on_shallow_backlog():
-    platform, cluster, monitor, analyser = make()
-    for _ in range(3):
-        monitor.sample_now(platform.sim.now)
-    rule = IncreaseSlotsWhenBacklogRule(_StubScheduler(slots=8, backlog=3))
-    assert rule.evaluate(cluster, analyser, analyser.bottleneck()) is None
-
-
-def test_backlog_rule_abstains_when_cpu_is_the_bottleneck():
-    platform, cluster, monitor, analyser = make()
-    for vm in cluster.vms:
-        vm.compute(500.0)
-        vm.compute(500.0)
-    platform.sim.run(until=5.0)
-    for _ in range(3):
-        monitor.sample_now(platform.sim.now)
-    rule = IncreaseSlotsWhenBacklogRule(_StubScheduler(slots=8, backlog=40))
-    assert rule.evaluate(cluster, analyser, analyser.bottleneck()) is None
 
 
 def test_consolidation_migrates_cross_domain_cluster():

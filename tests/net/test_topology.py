@@ -109,19 +109,6 @@ def test_zero_byte_transfer_costs_latency_only(fabric):
     assert done.value == pytest.approx(C.LAN_LATENCY_S)
 
 
-def test_open_stream_and_close(fabric):
-    sim, fab = fabric
-    _h0, _h1, a, _b, c = build_two_hosts(fab)
-    stream = fab.open_stream(a, c)
-    assert stream is not None
-    sim.run(until=2.0)
-    moved = fab.close_stream(stream)
-    assert moved == pytest.approx(2.0 * C.XEN_NETBACK_BPS, rel=1e-3)
-    # Loopback stream is a no-op.
-    assert fab.open_stream(a, a) is None
-    assert fab.close_stream(None) == 0.0
-
-
 def test_move_rehomes_endpoint(fabric):
     sim, fab = fabric
     h0, h1, a, _b, c = build_two_hosts(fab)

@@ -2,9 +2,8 @@
 
 The heavyweight checks here mirror the PR's acceptance criteria:
 
-* a detectors-on run, and a time-series-sampler-on run, leave the
-  simulated outcome and the fair-share engine's deterministic counters
-  bit-identical (both are read-only);
+* a detectors-on run leaves the simulated outcome and the fair-share
+  engine's deterministic counters bit-identical (it is read-only);
 * the chaos detection-matrix experiment detects every fault class with
   the right attribution, zero false positives on the clean run, and a
   digest that is stable for the seed.
@@ -24,40 +23,29 @@ from repro.workloads.wordcount import (lines_as_records, line_record_sizeof,
 LINES = ["sigma tau upsilon phi chi psi omega"] * 500
 
 
-def run_wordcount(with_observatory=False, with_sampler=False):
+def run_wordcount(with_observatory=False):
     platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=6))
     cluster = platform.provision_cluster("ro", ClusterSpec.single_host(6))
     platform.upload(cluster, "/in", lines_as_records(LINES),
                     sizeof=line_record_sizeof, timed=False)
     obs = cluster.observatory(interval=2.0).start() if with_observatory \
         else None
-    store = cluster.telemetry.start_timeseries(step=2.0) if with_sampler \
-        else None
     job = wordcount_job("/in", "/out", n_reduces=3)
     report = platform.run_job(cluster, job)
     if obs is not None:
         obs.stop()
-    if store is not None:
-        cluster.telemetry.stop_timeseries()
     fss = platform.datacenter.fss
     counters = (fss.rebalance_count, fss.flow_visits, fss.completed_count)
     outcome = (repr(report.elapsed), platform.collect(cluster, report),
                counters)
-    return outcome, obs, store
+    return outcome, obs
 
 
 def test_detectors_on_run_is_bit_identical():
-    off, _, _ = run_wordcount()
-    on, obs, _ = run_wordcount(with_observatory=True)
+    off, _ = run_wordcount()
+    on, obs = run_wordcount(with_observatory=True)
     assert on == off
     assert obs.ticks > 0
-    # The registry sampler is read-only too, and the history it keeps is
-    # the same bytes on every run.
-    sampled, _, store = run_wordcount(with_sampler=True)
-    again, _, store_again = run_wordcount(with_sampler=True)
-    assert sampled == again == off
-    assert len(store) > 0
-    assert store.digest() == store_again.digest()
 
 
 def test_lifecycle_and_validation():

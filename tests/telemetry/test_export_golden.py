@@ -1,8 +1,9 @@
 """Golden-file exporter tests.
 
-The fixtures are fully synthetic (hand-built spans, events and metrics),
-so every byte of the rendered Chrome trace, Prometheus text and CSVs is
-deterministic and pinned against the files in ``goldens/``.  This is what
+The fixtures are fully synthetic (hand-built spans, events, metrics and a
+time-series store), so every byte of the rendered Chrome trace,
+Prometheus text and CSVs is deterministic and pinned against the files in
+``goldens/``, and the store's content is pinned by its digest.  This is what
 keeps the exports stable across refactors — notably the Chrome-trace tid
 assignment, which once used ``hash(str)`` and silently changed ids every
 process (PYTHONHASHSEED salting).
@@ -24,9 +25,7 @@ import pytest
 
 from repro.sim.trace import Tracer
 from repro.telemetry import (MetricsRegistry, chrome_trace, events as EV,
-                             metrics_csv, prometheus_text, spans_csv,
-                             timeseries_csv, timeseries_json,
-                             timeseries_prometheus)
+                             metrics_csv, prometheus_text, spans_csv)
 
 GOLDENS = Path(__file__).parent / "goldens"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -80,7 +79,7 @@ def fixture_registry() -> MetricsRegistry:
 
 def fixture_store():
     """A small deterministic time-series store: wrapped ring, labels,
-    a histogram series — every exporter code path."""
+    a histogram series."""
     from repro.cloud.tenants import LatencyHistogram
     from repro.telemetry import TimeSeriesStore
 
@@ -150,39 +149,37 @@ def test_spans_csv_excludes_open_spans():
     assert "vm-open" not in text
 
 
-def test_timeseries_csv_matches_golden():
-    golden("timeseries.csv", timeseries_csv(fixture_store()))
+#: ``fixture_store().digest()``: every live bucket of every tier of both
+#: scalar series (the wrapped ring included) and of the histogram series.
+STORE_DIGEST = "073530a21a34fd76"
 
 
-def test_timeseries_json_matches_golden():
-    payload = timeseries_json(fixture_store())
-    golden("timeseries.json",
-           json.dumps(payload, indent=1, sort_keys=True) + "\n")
-
-
-def test_timeseries_prometheus_matches_golden():
-    golden("timeseries.prom", timeseries_prometheus(fixture_store()))
+def test_store_digest_is_pinned():
+    assert fixture_store().digest() == STORE_DIGEST
 
 
 _DIGEST_SNIPPET = """
 import json, sys
 sys.path.insert(0, {src!r}); sys.path.insert(0, {root!r})
-from tests.telemetry.test_export_golden import fixture_store
+from tests.telemetry.test_export_golden import (fixture_registry,
+                                                fixture_store, fixture_tracer)
 from repro.digest import digest
-from repro.telemetry import (timeseries_csv, timeseries_json,
-                             timeseries_prometheus)
-store = fixture_store()
-print(store.digest())
-for text in (timeseries_csv(store), timeseries_prometheus(store),
-             json.dumps(timeseries_json(store), sort_keys=True)):
+from repro.telemetry import (chrome_trace, metrics_csv, prometheus_text,
+                             spans_csv)
+print(fixture_store().digest())
+tracer, registry = fixture_tracer(), fixture_registry()
+for text in (json.dumps(chrome_trace(tracer.spans, tracer.events),
+                        sort_keys=True),
+             prometheus_text(registry), metrics_csv(registry),
+             spans_csv(tracer.spans)):
     print(digest(text))
 """
 
 
 def test_digests_identical_across_fresh_salted_processes():
     """Two fresh interpreters with different PYTHONHASHSEEDs must agree
-    on the store digest and every exporter byte — no dict/set iteration
-    order anywhere in the pipeline."""
+    on the store digest and every exporter's bytes — no dict/set
+    iteration order anywhere in the pipeline."""
     snippet = _DIGEST_SNIPPET.format(src=str(REPO_ROOT / "src"),
                                      root=str(REPO_ROOT))
     outputs = []
@@ -193,12 +190,11 @@ def test_digests_identical_across_fresh_salted_processes():
                               check=True)
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 4    # digest + 3 exporter hashes
+    assert outputs[0].splitlines()[0] == STORE_DIGEST
+    assert len(outputs[0].splitlines()) == 5    # digest + 4 exporter hashes
 
 
 @pytest.mark.parametrize("name", ["chrome_trace.json", "metrics.prom",
-                                  "metrics.csv", "spans.csv",
-                                  "timeseries.csv", "timeseries.json",
-                                  "timeseries.prom"])
+                                  "metrics.csv", "spans.csv"])
 def test_goldens_are_checked_in(name):
     assert (GOLDENS / name).is_file()

@@ -52,24 +52,6 @@ def test_coarse_tier_is_exact_merge_of_fine():
     assert len(hundred) == 1 and hundred[0].count == 40
 
 
-def test_rate_matches_raw_sample_differencing():
-    series = TimeSeries("ctr", step=5.0)
-    for i, value in enumerate((0.0, 3.0, 9.0, 10.0)):
-        series.observe(i * 5.0, value)
-    # (10 - 0) / (15 - 0): exact last-sample values, not bucket means.
-    assert series.rate(0.0, 20.0) == (10.0 - 0.0) / 15.0
-    assert series.rate(0.0, 4.9) == 0.0         # single bucket → no rate
-
-
-def test_mean_over_is_sample_weighted():
-    series = TimeSeries("g", step=1.0)
-    series.observe(0.0, 1.0)
-    series.observe(0.5, 3.0)                    # same bucket, two samples
-    series.observe(1.0, 5.0)
-    assert series.mean_over(0.0, 2.0) == (1.0 + 3.0 + 5.0) / 3.0
-    assert series.mean_over(50.0, 60.0) == 0.0
-
-
 def test_range_auto_picks_finest_retaining_tier():
     series = filled(n=200, step=1.0, capacity=10)
     # t0=195 is within raw retention (10 s from newest at 199).
@@ -143,9 +125,9 @@ def test_store_record_and_query_roundtrip():
     store.record("q", 2.0, at=0.0)
     store.record("q", 4.0, at=5.0)
     store.record("q", 4.0, labels={"vm": "a"}, at=5.0)
-    assert store.mean_over("q", 0.0, 10.0) == 3.0
-    assert store.mean_over("q", 0.0, 10.0, labels={"vm": "a"}) == 4.0
-    assert store.rate("missing", 0.0, 10.0) == 0.0
+    assert [(start, b.last) for start, b in store.get("q").range(0.0, 10.0)] \
+        == [(0.0, 2.0), (5.0, 4.0)]
+    assert store.get("q", {"vm": "a"}).latest(1)[0].last == 4.0
     assert len(store) == 2
     assert store.get("q") is store.series("q")
     assert store.get("nope") is None
@@ -168,35 +150,22 @@ def test_registry_sampler_snapshots_counters_and_gauges():
     gauge = registry.gauge("util", "u")
     registry.histogram("skipped.hist", "h").observe(0.5)
     store = TimeSeriesStore(sim, registry=registry, step=5.0)
-    store.start()
     counter.inc(3)
     gauge.set(0.5)
-    sim.run(until=12.0)                         # perpetual ticker: bound it
-    store.stop()
-    assert store.running is False
+    assert store.sample_registry() == 2         # the histogram is skipped
+    sim.run(until=12.0)
+    store.sample_registry()
     series = store.get("jobs.done", {"q": "a"})
     assert series is not None and series.latest(1)[0].last == 3.0
     assert store.get("util").latest(1)[0].last == 0.5
     assert store.get("skipped.hist") is None    # histograms not sampled
-    assert store.samples_taken > 0
+    assert store.samples_taken == 4
+    assert [b.last_at for b in series.tiers[0].buckets()] == [0.0, 12.0]
 
 
-def test_stopped_sampler_does_not_keep_sim_alive():
-    sim = Simulator()
-    store = TimeSeriesStore(sim, registry=MetricsRegistry(), step=5.0)
-    store.start()
-    store.stop()
-    sim.run()                                   # returns: no parked timeout
-    assert sim.now < 5.0
-
-
-def test_start_requires_sim_and_registry():
+def test_sample_registry_requires_a_registry():
     with pytest.raises(ConfigError):
-        TimeSeriesStore().start()
-    with pytest.raises(ConfigError):
-        TimeSeriesStore(Simulator()).start()
-    with pytest.raises(ConfigError):
-        TimeSeriesStore().sample_registry()
+        TimeSeriesStore(Simulator()).sample_registry()
 
 
 def test_tier_multipliers_shape():
@@ -292,14 +261,3 @@ def test_queries_match_filter_and_sort_reference(step, capacity, moves,
         got = series.range(t0, t1, tier)
         assert [(s, [b.count, b.total, b.last, b.last_at])
                 for s, b in got] == want
-        count = sum(agg[0] for _, agg in want)
-        total = 0.0
-        for _, agg in want:
-            total += agg[1]
-        assert series.mean_over(t0, t1, tier) == (total / count
-                                                  if count else 0.0)
-        rate = 0.0
-        if len(want) >= 2 and want[-1][1][3] - want[0][1][3] > 0:
-            rate = ((want[-1][1][2] - want[0][1][2])
-                    / (want[-1][1][3] - want[0][1][3]))
-        assert series.rate(t0, t1, tier) == rate

@@ -190,17 +190,6 @@ def test_virtlm_sequential_cluster_migration(dc):
         sum(report.downtimes))
 
 
-def test_virtlm_concurrent_cluster_migration(dc):
-    vms = make_cluster(dc, n=4)
-    ev = dc.virtlm.migrate_cluster(vms, dc.machine(1), label="gang",
-                                   concurrent=True)
-    dc.run()
-    report = ev.value
-    assert len(report.records) == 4
-    # Concurrent migrations share the NIC: wall clock is far below the sum.
-    assert report.overall_migration_time_s < 0.9 * sum(report.migration_times)
-
-
 def test_virtlm_empty_cluster_rejected(dc):
     with pytest.raises(MigrationError):
         dc.virtlm.migrate_cluster([], dc.machine(1))

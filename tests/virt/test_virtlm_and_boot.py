@@ -1,5 +1,6 @@
-"""Additional virtualization-layer tests: Virt-LM single-VM mode, boot
-contention on the NFS image store, and migration-model properties."""
+"""Additional virtualization-layer tests: single-VM migration (the
+original Virt-LM benchmark), boot contention on the NFS image store, and
+migration-model properties."""
 
 import pytest
 from hypothesis import given, settings, HealthCheck
@@ -21,12 +22,12 @@ def boot_vm(dc, name, host_index=0, memory=1024 * C.MiB):
     return vm
 
 
-# --- Virt-LM single-VM mode ------------------------------------------------
+# --- single-VM migration (original Virt-LM) ----------------------------------
 
 def test_virtlm_single_vm_benchmark():
     dc = make_dc()
     vm = boot_vm(dc, "solo")
-    event = dc.virtlm.migrate_vm(vm, dc.machine(1))
+    event = dc.migrator.migrate(vm, dc.machine(1))
     dc.run()
     record = event.value
     assert record.vm == "solo"
@@ -38,7 +39,7 @@ def test_virtlm_single_vm_benchmark():
 def test_migration_record_rounds_account_for_all_bytes():
     dc = make_dc()
     vm = boot_vm(dc, "acct")
-    event = dc.virtlm.migrate_vm(vm, dc.machine(1))
+    event = dc.migrator.migrate(vm, dc.machine(1))
     dc.run()
     record = event.value
     sent_in_rounds = sum(r.sent_bytes for r in record.rounds)
@@ -96,9 +97,9 @@ def test_property_idle_migration_time_scales_with_memory(mem_mib):
     dc = make_dc()
     small = boot_vm(dc, "small", memory=128 * C.MiB)
     big = boot_vm(dc, "big", memory=mem_mib * C.MiB)
-    ev_small = dc.virtlm.migrate_vm(small, dc.machine(1))
+    ev_small = dc.migrator.migrate(small, dc.machine(1))
     dc.run()
-    ev_big = dc.virtlm.migrate_vm(big, dc.machine(1))
+    ev_big = dc.migrator.migrate(big, dc.machine(1))
     dc.run()
     assert ev_big.value.migration_time_s > ev_small.value.migration_time_s
     # Idle downtime stays within a narrow band regardless of memory.
@@ -112,9 +113,9 @@ def test_sequential_migrations_do_not_interfere():
     dc = make_dc()
     a = boot_vm(dc, "a")
     b = boot_vm(dc, "b")
-    ev_a = dc.virtlm.migrate_vm(a, dc.machine(1))
+    ev_a = dc.migrator.migrate(a, dc.machine(1))
     dc.run()
-    ev_b = dc.virtlm.migrate_vm(b, dc.machine(1))
+    ev_b = dc.migrator.migrate(b, dc.machine(1))
     dc.run()
     assert ev_a.value.migration_time_s == pytest.approx(
         ev_b.value.migration_time_s, rel=1e-9)
@@ -123,11 +124,11 @@ def test_sequential_migrations_do_not_interfere():
 def test_concurrent_migrations_share_the_wire():
     dc = make_dc()
     vms = [boot_vm(dc, f"c{i}") for i in range(4)]
-    event = dc.virtlm.migrate_cluster(vms, dc.machine(1), concurrent=True)
+    started = dc.now
+    events = [dc.migrator.migrate(vm, dc.machine(1)) for vm in vms]
     dc.run()
-    report = event.value
     # Four concurrent streams over one NIC pair: each takes ~4x the solo
     # time, but the wall clock beats 4 sequential migrations.
     solo_floor = 1024 * C.MiB / C.GBIT_ETHERNET_BPS
-    assert min(report.migration_times) > 2.0 * solo_floor
-    assert report.overall_migration_time_s < 4.0 * (solo_floor * 4)
+    assert min(e.value.migration_time_s for e in events) > 2.0 * solo_floor
+    assert dc.now - started < 4.0 * (solo_floor * 4)

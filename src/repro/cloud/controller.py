@@ -366,7 +366,7 @@ class ServiceController:
                  tick_s: float = 5.0,
                  latency_target_s: float = 600.0,
                  rolling_ticks: int = 24,
-                 tracer=None, metrics=None,
+                 tracer=None,
                  verbose_telemetry: bool = False,
                  burn_engine=None):
         if tick_s <= 0:
@@ -398,10 +398,9 @@ class ServiceController:
         self.tick_s = tick_s
         self.latency_target_s = latency_target_s
         self.tracer = tracer
-        self.metrics = metrics
         #: Per-request trace events are off by default: a million-arrival
         #: run must not materialize a million TraceEvents.  Aggregates
-        #: always flow into the metrics registry.
+        #: always land in the report.
         self.verbose_telemetry = verbose_telemetry
         self.report = ServiceReport(name, tenants, self.book)
         self.inflight = 0
@@ -561,13 +560,3 @@ class ServiceController:
         self.report.timeline.append(TimelinePoint(
             at=now, workers=slots, backlog=backlog, inflight=self.inflight,
             utilization=utilization, p99=p99))
-        if self.metrics is not None:
-            labels = {"service": self.name}
-            self.metrics.gauge("service.backlog", "queued jobs",
-                               labels).set(backlog)
-            self.metrics.gauge("service.inflight", "admitted jobs in "
-                               "flight", labels).set(self.inflight)
-            self.metrics.gauge("service.slots", "schedulable service "
-                               "slots", labels).set(slots)
-            self.metrics.gauge("service.utilization", "busy slot "
-                               "fraction", labels).set(utilization)

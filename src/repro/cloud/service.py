@@ -81,20 +81,20 @@ class _ClusterBackend:
     """What both full-fidelity backends share: turning an arrival into a
     :class:`ServiceRequest` and reporting its outcome to the controller.
 
-    The default ``request_factory`` is a wordcount over a small fixed
-    sample whose serialized sizes are scaled to the arrival's ``size_mb``
-    — the volume-scaling trick the experiments use.
+    ``request_factory`` turns an arrival into a request; by default a
+    wordcount over a small fixed sample whose serialized sizes are scaled
+    to the arrival's ``size_mb`` — the volume-scaling trick the
+    experiments use.  Reassign it to serve other jobs.
     """
 
     #: Fixed sample corpus; sizes are scaled per arrival.
     SAMPLE_LINES = ["alpha beta gamma delta", "beta gamma", "gamma delta",
                     "delta epsilon zeta"] * 4
 
-    def __init__(self, platform: VHadoopPlatform,
-                 request_factory: Optional[Callable] = None):
+    def __init__(self, platform: VHadoopPlatform):
         self.platform = platform
         self.sim = platform.sim
-        self.request_factory = request_factory or self._default_request
+        self.request_factory: Callable = self._default_request
         #: Set by the controller:
         #: ``on_done(tenant, submitted_at, wait_s, ok)``.
         self.on_done: Optional[Callable] = None
@@ -135,9 +135,8 @@ class SharedClusterBackend(_ClusterBackend):
     over ``scheduler``."""
 
     def __init__(self, platform: VHadoopPlatform,
-                 cluster: HadoopVirtualCluster,
-                 request_factory: Optional[Callable] = None):
-        super().__init__(platform, request_factory)
+                 cluster: HadoopVirtualCluster):
+        super().__init__(platform)
         self.cluster = cluster
         self.scheduler = JobScheduler(
             cluster, runner=platform.runners.get(cluster.name))
@@ -197,9 +196,8 @@ class PerJobClusterBackend(_ClusterBackend):
     their DRAM before any later same-instant request is considered.
     """
 
-    def __init__(self, platform: VHadoopPlatform,
-                 request_factory: Optional[Callable] = None):
-        super().__init__(platform, request_factory)
+    def __init__(self, platform: VHadoopPlatform):
+        super().__init__(platform)
         self.datacenter = platform.datacenter
         self._queue: deque = deque()   # (request, its admission event)
         self._running: dict[str, list] = {}   # cluster name -> its VMs

@@ -244,7 +244,7 @@ class NetworkFabric:
 
     # -- transfers ------------------------------------------------------------
     def transfer(self, src: NetNode, dst: NetNode, nbytes: float,
-                 name: str = "xfer", cap: Optional[float] = None) -> Event:
+                 name: str = "xfer") -> Event:
         """Move ``nbytes`` from ``src`` to ``dst``; returns a completion event.
 
         The event's value is the elapsed transfer time in seconds.  Loopback
@@ -255,18 +255,18 @@ class NetworkFabric:
         if nbytes < 0:
             raise SimulationError(f"cannot transfer {nbytes} bytes")
         return FlowOp(self.fss, nbytes, name, self._start_transfer,
-                      self._bill_transfer, src, dst, cap)
+                      self._bill_transfer, src, dst)
 
-    def _start_transfer(self, op: FlowOp, src: NetNode, dst: NetNode,
-                        cap: Optional[float]) -> None:
+    def _start_transfer(self, op: FlowOp, src: NetNode,
+                        dst: NetNode) -> None:
         path, latency = self.path(src, dst)
         self.tracer.emit(op.started, EV.NET_TRANSFER_START, op.name,
                          src=src.name, dst=dst.name, bytes=op.amount,
                          cross_domain=self.crosses_physical_nic(src, dst))
-        op.wait(latency, op.move, path, op.amount, cap)
+        op.wait(latency, op.move, path, op.amount)
 
     def _bill_transfer(self, op: FlowOp, moved: float, src: NetNode,
-                       dst: NetNode, _cap: Optional[float]) -> float:
+                       dst: NetNode) -> float:
         src.tx_bytes += moved
         dst.rx_bytes += moved
         elapsed = self.sim.now - op.started

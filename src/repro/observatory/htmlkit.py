@@ -11,7 +11,7 @@ labelled timeline-bar row, and a pure-div column chart for series.
 from __future__ import annotations
 
 import html as _html
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 SEVERITY_COLOURS = {"info": "#4c78a8", "warning": "#e8a838",
                     "critical": "#d62f2f"}
@@ -75,25 +75,17 @@ def timeline_bar(t0: float, t1: float, start: float, total: float,
     return bar_row(label, left, width, colour)
 
 
-def column_chart(label: str, values: Sequence[float], colour: str,
-                 ceiling: Optional[float] = None) -> str:
-    """A labelled pure-div column chart (heights scaled to the max).
-
-    With ``ceiling`` set, columns exceeding it render in red — the
-    RSS-vs-ceiling view.
-    """
+def column_chart(label: str, values: Sequence[float], colour: str) -> str:
+    """A labelled pure-div column chart (heights scaled to the max)."""
     peak = max([v for v in values if v is not None] + [1e-9])
-    if ceiling is not None:
-        peak = max(peak, ceiling)
     cols = []
     for v in values:
         if v is None:
             cols.append('<span class="col" style="height:0"></span>')
             continue
         h = max(1.0, 100.0 * v / peak)
-        c = "#d62f2f" if ceiling is not None and v > ceiling else colour
         cols.append(f'<span class="col" style="height:{h:.1f}%;'
-                    f'background:{c}"></span>')
+                    f'background:{colour}"></span>')
     return (f'<div class="row"><span class="lbl">'
             f'{_html.escape(label)}</span>'
             f'<span class="chart">{"".join(cols)}</span></div>')

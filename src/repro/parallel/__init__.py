@@ -5,7 +5,7 @@ Public surface:
 * :func:`run_sharded` — shard independent items over N worker processes;
   results come back in input order and digest identically for any job
   count or interleaving.
-* :func:`call_guarded` — one call in a killable child under a wall/RSS
+* :func:`call_guarded` — one call in a killable child under a wall
   budget.
 * :class:`CampaignJournal` — JSONL checkpoint/resume for campaigns.
 * :class:`ConsoleTailer` / :func:`control_room_html` — the live sidecar

@@ -5,7 +5,7 @@ The :mod:`repro.parallel.fabric` pool runs multi-process campaigns with
 
 * a **sidecar JSONL stream** next to the campaign journal — workers
   append a record per finished item (their own wall time and peak RSS),
-  the parent appends lifecycle records (spawn / kill / retire) and
+  the parent appends lifecycle records (spawn / kill / end) and
   periodic fleet RSS samples from ``/proc``.  Appends are single
   ``O_APPEND`` writes under ``PIPE_BUF``, so concurrent writers never
   interleave bytes; a killed worker can at worst tear the final line,
@@ -17,7 +17,7 @@ The :mod:`repro.parallel.fabric` pool runs multi-process campaigns with
 * a self-contained **control room** HTML report
   (:func:`control_room_html`, built on the observatory's shared
   :mod:`~repro.observatory.htmlkit`) charting fleet throughput,
-  per-worker RSS vs the ceiling, failure/retry counts, and — when the
+  per-worker RSS, failure/retry counts, and — when the
   campaign carries service experiments — tenant SLO burn-rate
   timelines.
 
@@ -60,14 +60,14 @@ class ConsoleWriter:
     """Parent-side writer: the header, lifecycle records, RSS samples."""
 
     def __init__(self, path: str, *, worker_ref: str, total: int,
-                 jobs: int, rss_limit_mb: Optional[float] = None):
+                 jobs: int):
         self.path = path
         self.t0 = time.time()
         self._last_rss_emit = 0.0
         console_append(path, {
             "kind": "header", "format": CONSOLE_FORMAT,
             "worker": worker_ref, "total": total, "jobs": jobs,
-            "rss_limit_mb": rss_limit_mb, "t": round(self.t0, 3)})
+            "t": round(self.t0, 3)})
 
     def event(self, kind: str, **fields: Any) -> None:
         record = {"kind": kind, "t": round(time.time(), 3)}
@@ -95,7 +95,7 @@ class WorkerView:
     failures: int = 0
     last_rss_mb: float = 0.0
     peak_rss_mb: float = 0.0
-    state: str = "running"        # running | retired:* | killed:* | died
+    state: str = "running"        # running | killed:timeout | killed:died
     rss_history: list[float] = field(default_factory=list)
 
     def saw_rss(self, rss_mb: float, history: bool = False) -> None:
@@ -125,7 +125,6 @@ class ConsoleTailer:
         self.done = 0
         self.failed = 0
         self.kills = 0
-        self.retires = 0
         self.done_times: list[float] = []       # wall t of each done
         self.fleet_rss: list[tuple[float, float]] = []   # (t, total MB)
         self.finished: Optional[dict] = None    # the "end" record
@@ -170,7 +169,7 @@ class ConsoleTailer:
             # A fresh campaign segment: reset the aggregates.
             self.header = record
             self.workers = {}
-            self.done = self.failed = self.kills = self.retires = 0
+            self.done = self.failed = self.kills = 0
             self.done_times = []
             self.fleet_rss = []
             self.finished = None
@@ -198,10 +197,6 @@ class ConsoleTailer:
             self.kills += 1
             view = self._worker(int(record["wid"]))
             view.state = f"killed:{record.get('reason', '?')}"
-        elif kind == "retire":
-            self.retires += 1
-            view = self._worker(int(record["wid"]))
-            view.state = f"retired:{record.get('reason', '?')}"
         elif kind == "end":
             self.finished = record
 
@@ -209,11 +204,6 @@ class ConsoleTailer:
     @property
     def total(self) -> int:
         return int(self.header.get("total", 0))
-
-    @property
-    def rss_limit_mb(self) -> Optional[float]:
-        limit = self.header.get("rss_limit_mb")
-        return float(limit) if limit is not None else None
 
     def elapsed_s(self) -> float:
         t0 = float(self.header.get("t", 0.0))
@@ -239,8 +229,8 @@ class ConsoleTailer:
                 f"ok={self.done - self.failed} fail={self.failed}",
                 f"{live} workers rss={rss_now:.0f}MB peak={peak:.0f}MB",
                 f"{self.throughput():.1f} items/s"]
-        if self.kills or self.retires:
-            bits.append(f"kills={self.kills} retires={self.retires}")
+        if self.kills:
+            bits.append(f"kills={self.kills}")
         return " | ".join(bits)
 
 
@@ -309,17 +299,13 @@ def control_room_html(tailer: ConsoleTailer, *, title: str = "campaign",
                                   "#4c78a8"))
 
     if tailer.workers:
-        parts.append("<h2>Per-worker RSS vs ceiling</h2>")
-        limit = tailer.rss_limit_mb
-        if limit is not None:
-            parts.append(f"<p class='meta'>ceiling {limit:.0f}&thinsp;MB "
-                         f"(over-ceiling samples in red)</p>")
+        parts.append("<h2>Per-worker RSS</h2>")
         for wid in sorted(tailer.workers):
             view = tailer.workers[wid]
             samples = view.rss_history or [view.peak_rss_mb]
             parts.append(column_chart(
                 f"worker {wid} (peak {view.peak_rss_mb:.0f} MB)",
-                samples, "#59a14f", ceiling=limit))
+                samples, "#59a14f"))
 
         parts.append("<h2>Workers</h2>")
         parts.append("<table><tr><th>worker</th><th>state</th>"
@@ -332,8 +318,7 @@ def control_room_html(tailer: ConsoleTailer, *, title: str = "campaign",
                 f"<td>{view.items}</td><td>{view.failures}</td>"
                 f"<td>{view.peak_rss_mb:.0f}</td></tr>")
         parts.append("</table>")
-        parts.append(f"<p class='meta'>kills {tailer.kills} &middot; "
-                     f"retirements {tailer.retires}</p>")
+        parts.append(f"<p class='meta'>kills {tailer.kills}</p>")
 
     if series:
         parts.append("<h2>SLO burn-rate timelines (sim-time)</h2>")

@@ -14,13 +14,11 @@ Mechanics
   on one shared task queue; idle workers pull the next chunk, so a slow
   item never staggers the whole schedule.
 * **Per-worker guards** — a worker that exceeds the per-item wall-clock
-  budget or the RSS ceiling is killed (parent-side, via ``/proc``) and
-  the in-flight item becomes a *recorded failure* instead of a hung
-  campaign; the rest of its chunk is requeued and a replacement worker
-  is spawned (bounded respawn budget).  Workers also retire voluntarily
-  between items once their peak RSS crosses the ceiling, and
-  ``tasks_per_worker`` forces retirement after N items (one rung per
-  process keeps peak-RSS attribution clean).
+  budget is killed (parent-side).  Its in-flight item, like that of a
+  worker that dies on its own, becomes a *recorded failure* instead of a
+  hung campaign; the rest of its chunk is requeued and a replacement
+  worker is spawned (bounded respawn budget).  Each worker's RSS is
+  sampled from ``/proc`` and its peak recorded, never enforced.
 * **Checkpoint/resume** — with ``journal=...`` every resolved item is
   appended to a JSONL journal (see :mod:`repro.parallel.journal`); a
   rerun reuses completed items and retries failures.
@@ -62,7 +60,7 @@ def _worker_ref(worker: Callable) -> str:
     return f"{worker.__module__}:{worker.__qualname__}"
 
 
-def _default_chunk_size(n_items: int, jobs: int) -> int:
+def _chunk_size(n_items: int, jobs: int) -> int:
     # Small enough that stealing balances a skewed campaign, large enough
     # that queue traffic stays negligible: ~4 chunks per worker.
     return max(1, min(8, math.ceil(n_items / max(1, jobs * 4))))
@@ -117,8 +115,6 @@ class FabricStats:
     workers_spawned: int = 0
     worker_deaths: int = 0
     timeouts: int = 0
-    rss_kills: int = 0
-    retirements: int = 0
     requeued_items: int = 0
 
     def as_dict(self) -> dict:
@@ -130,16 +126,13 @@ class WorkerStats:
     """One worker's observed footprint (never part of digests).
 
     ``peak_rss_mb`` is the max of the worker's own ``ru_maxrss`` reports
-    and the parent's ``/proc`` samples — the fabric was already watching
-    RSS for the ceiling; now the observed peak is recorded instead of
-    discarded.
+    and the parent's ``/proc`` samples.
     """
 
     wid: int
     items_completed: int = 0
     peak_rss_mb: float = 0.0
-    outcome: str = "ok"   # ok | retired:* | killed:timeout | killed:rss
-    #                     # | died
+    outcome: str = "ok"   # ok | killed:timeout | died
 
     def as_dict(self) -> dict:
         return {"wid": self.wid,
@@ -196,11 +189,8 @@ class ShardedRun:
 # -- worker side --------------------------------------------------------------
 
 def _worker_main(worker_id: int, worker: Callable, tasks, results,
-                 rss_limit_mb: Optional[float],
-                 tasks_per_worker: Optional[int],
-                 console_path: Optional[str] = None) -> None:
-    """Worker loop: pull a chunk, run its items, report, maybe retire."""
-    done_items = 0
+                 console_path: Optional[str]) -> None:
+    """Worker loop: pull a chunk, run its items, report each."""
     while True:
         chunk = tasks.get()
         if chunk is _STOP:
@@ -229,15 +219,6 @@ def _worker_main(worker_id: int, worker: Callable, tasks, results,
                     "wall_s": round(payload["wall_s"], 3),
                     "rss_mb": round(payload["rss_mb"], 1),
                     "t": round(time.time(), 3)})
-            done_items += 1
-            over_rss = (rss_limit_mb is not None
-                        and _rss_peak_mb() > rss_limit_mb)
-            spent = (tasks_per_worker is not None
-                     and done_items >= tasks_per_worker)
-            if over_rss or spent:
-                reason = "rss" if over_rss else "tasks"
-                results.put(("retire", worker_id, reason, None))
-                return
 
 
 # -- parent side --------------------------------------------------------------
@@ -264,14 +245,10 @@ class _Pool:
     """One campaign's worker pool + merge loop."""
 
     def __init__(self, worker: Callable, jobs: int,
-                 timeout_s: Optional[float], rss_limit_mb: Optional[float],
-                 tasks_per_worker: Optional[int], mp_context: str,
-                 console=None):
+                 timeout_s: Optional[float], mp_context: str, console):
         self.worker = worker
         self.jobs = jobs
         self.timeout_s = timeout_s
-        self.rss_limit_mb = rss_limit_mb
-        self.tasks_per_worker = tasks_per_worker
         self.ctx = multiprocessing.get_context(mp_context)
         self.stats = FabricStats(jobs=jobs)
         #: Optional :class:`~repro.parallel.console.ConsoleWriter`.
@@ -298,8 +275,7 @@ class _Pool:
                         else None)
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(wid, self.worker, self.tasks, results,
-                  self.rss_limit_mb, self.tasks_per_worker, console_path),
+            args=(wid, self.worker, self.tasks, results, console_path),
             daemon=True, name=f"shard-worker-{wid}")
         # A spawned child only inherits PYTHONPATH, not the parent's
         # runtime sys.path — exporting it keeps ``repro`` importable in
@@ -409,7 +385,7 @@ class _Pool:
         for w in list(self.workers.values()):
             if w.stopped:
                 # A killed worker may have torn its queue mid-put; a
-                # retired one has nothing after its final message.
+                # stopped one has nothing after its final message.
                 continue
             while True:
                 try:
@@ -437,27 +413,13 @@ class _Pool:
                     rss = b.get("rss_mb")
                     if rss is not None and rss > w.stats.peak_rss_mb:
                         w.stats.peak_rss_mb = rss
-                elif kind == "retire":
-                    self.stats.retirements += 1
-                    w.stats.outcome = f"retired:{a}"
-                    if self.console is not None:
-                        self.console.event("retire", wid=wid, reason=a)
-                    w.stopped = True
-                    # Voluntary retirement is healthy turnover, not a
-                    # failure: refund the respawn budget so per-rung
-                    # ``tasks_per_worker=1`` pools never starve.
-                    self.spawn_budget += 1
                 elif kind == "stopped":
                     w.stopped = True
         return progressed
 
     def _police(self, resolve, items_by_key, pending_keys) -> None:
-        """Enforce the per-item wall budget and the RSS ceiling.
-
-        Always samples ``/proc`` RSS for live workers — even with no
-        ceiling set — so the observed peaks land in the worker stats and
-        the console stream instead of being discarded.
-        """
+        """Enforce the per-item wall budget; sample each live worker's
+        ``/proc`` RSS into its stats and the console stream."""
         now = time.monotonic()
         rss_by_wid: dict[int, float] = {}
         for w in list(self.workers.values()):
@@ -469,9 +431,7 @@ class _Pool:
                     rss_by_wid[w.id] = rss
                     if rss > w.stats.peak_rss_mb:
                         w.stats.peak_rss_mb = rss
-            if w.current is None:
-                continue
-            if (self.timeout_s is not None
+            if (w.current is not None and self.timeout_s is not None
                     and now - w.started_at > self.timeout_s):
                 self.stats.timeouts += 1
                 w.stats.outcome = "killed:timeout"
@@ -482,19 +442,6 @@ class _Pool:
                     w, f"timeout: exceeded {self.timeout_s}s budget",
                     resolve)
                 self._requeue(w, pending_keys, items_by_key)
-                continue
-            if self.rss_limit_mb is not None:
-                rss = rss_by_wid.get(w.id)
-                if rss is not None and rss > self.rss_limit_mb:
-                    self.stats.rss_kills += 1
-                    w.stats.outcome = "killed:rss"
-                    if self.console is not None:
-                        self.console.event("kill", wid=w.id, reason="rss")
-                    self._kill(w)
-                    self._fail_current(
-                        w, f"rss: {rss:.0f} MB exceeded the "
-                           f"{self.rss_limit_mb:.0f} MB ceiling", resolve)
-                    self._requeue(w, pending_keys, items_by_key)
         if self.console is not None and rss_by_wid:
             self.console.rss_sample(rss_by_wid, pending=len(pending_keys))
 
@@ -552,10 +499,7 @@ class _Pool:
 def run_sharded(items: Sequence[Any], worker: Callable[[Any], Any],
                 jobs: int = 1, *,
                 key: Optional[Callable[[Any], str]] = None,
-                chunk_size: Optional[int] = None,
                 timeout_s: Optional[float] = None,
-                rss_limit_mb: Optional[float] = None,
-                tasks_per_worker: Optional[int] = None,
                 journal: "Optional[str]" = None,
                 console: "Optional[str]" = None,
                 on_poll: Optional[Callable[[], None]] = None,
@@ -568,11 +512,9 @@ def run_sharded(items: Sequence[Any], worker: Callable[[Any], Any],
     how execution interleaved; :meth:`ShardedRun.digest` is the
     sort-by-key content digest campaigns pin in CI.
 
-    ``jobs=1`` with no guards runs inline (the serial reference path).
-    Setting ``timeout_s``/``rss_limit_mb`` forces the pool even for one
-    job, because guards need a killable process boundary; so does
-    ``tasks_per_worker``, whose point is a fresh process per batch (the
-    scale ladder uses ``tasks_per_worker=1`` for attributable peak RSS).
+    ``jobs=1`` without ``timeout_s`` runs inline (the serial reference
+    path).  A ``timeout_s`` forces the pool even for one job, because the
+    budget needs a killable process boundary.
 
     ``console=PATH`` appends a live progress/RSS sidecar stream (see
     :mod:`repro.parallel.console`); ``on_poll`` is invoked repeatedly
@@ -606,8 +548,7 @@ def run_sharded(items: Sequence[Any], worker: Callable[[Any], Any],
     if console is not None:
         from repro.parallel.console import ConsoleWriter
         writer = ConsoleWriter(console, worker_ref=_worker_ref(worker),
-                               total=len(pending), jobs=jobs,
-                               rss_limit_mb=rss_limit_mb)
+                               total=len(pending), jobs=jobs)
     t0 = time.monotonic()
 
     def resolve(result: ItemResult) -> None:
@@ -617,10 +558,8 @@ def run_sharded(items: Sequence[Any], worker: Callable[[Any], Any],
         if jnl is not None:
             jnl.append(result.journal_entry())
 
-    use_pool = (jobs > 1 or timeout_s is not None
-                or rss_limit_mb is not None or tasks_per_worker is not None)
     try:
-        if not use_pool:
+        if jobs == 1 and timeout_s is None:
             serial = WorkerStats(wid=0)
             if pending:
                 worker_stats.append(serial)
@@ -649,13 +588,10 @@ def run_sharded(items: Sequence[Any], worker: Callable[[Any], Any],
                 if on_poll is not None:
                     on_poll()
         elif pending:
-            size = chunk_size or _default_chunk_size(len(pending), jobs)
-            if tasks_per_worker is not None:
-                size = min(size, tasks_per_worker)
+            size = _chunk_size(len(pending), jobs)
             chunks = [pending[i:i + size]
                       for i in range(0, len(pending), size)]
-            pool = _Pool(worker, jobs, timeout_s, rss_limit_mb,
-                         tasks_per_worker, mp_context, console=writer)
+            pool = _Pool(worker, jobs, timeout_s, mp_context, writer)
             pool.run(chunks, dict(pending), resolve,
                      pending_keys=_PendingView(by_key, keys),
                      on_poll=on_poll)

@@ -15,7 +15,9 @@ Lines are appended (and flushed) as items resolve, so a campaign killed
 mid-flight loses at most the in-flight items.  On resume, ``ok`` entries
 are reused verbatim and failed entries are *retried* — a worker death or
 timeout is environmental, not a property of the item.  A truncated final
-line (the writer died mid-append) is skipped, not fatal.
+line (the writer died mid-append) is skipped, not fatal, and the next
+append starts on a line of its own.  Any other malformed entry is a
+:class:`ConfigError` naming the file and line.
 """
 
 from __future__ import annotations
@@ -53,19 +55,25 @@ class CampaignJournal:
         """Completed (``ok``) entries keyed by item key; {} if no journal.
 
         Raises :class:`ConfigError` when the journal on disk belongs to a
-        different campaign (worker or item set mismatch).
+        different campaign (worker or item set mismatch) or holds an entry
+        that is not a JSON object, or an ``ok`` one without a string key.
         """
         if not self.path.exists():
             return {}
         completed: dict[str, dict] = {}
         header_seen = False
-        for line in self.path.read_text(encoding="utf-8").splitlines():
+        lines = self.path.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
                 entry = json.loads(line)
             except json.JSONDecodeError:
                 continue  # torn final append from a killed run
+            if not isinstance(entry, dict):
+                raise ConfigError(
+                    f"journal {self.path}, line {number}: expected a JSON "
+                    f"object, got {type(entry).__name__}")
             if not header_seen:
                 header_seen = True
                 if entry.get("kind") != "header":
@@ -84,15 +92,27 @@ class CampaignJournal:
                             f"{want!r}")
                 continue
             if entry.get("ok"):
+                if not isinstance(entry.get("key"), str):
+                    raise ConfigError(
+                        f"journal {self.path}, line {number}: ok entry "
+                        f"without a string key")
                 completed[entry["key"]] = entry
         return completed
 
     # -- append ----------------------------------------------------------
     def open(self) -> None:
-        """Open for appending; writes the header when the file is new."""
+        """Open for appending; writes the header when the file is new and
+        ends a torn last line, so the first append is a line of its own."""
         fresh = not self.path.exists() or self.path.stat().st_size == 0
+        torn = False
+        if not fresh:
+            with self.path.open("rb") as fh:
+                fh.seek(-1, os.SEEK_END)
+                torn = fh.read(1) != b"\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("a", encoding="utf-8")
+        if torn:
+            self._fh.write("\n")
         if fresh:
             self._write({"kind": "header", "format": FORMAT,
                          "worker": self.worker_ref,

@@ -114,32 +114,21 @@ class HadoopVirtualCluster:
                 if vm.host is not None and vm.host.rack_name is not None}
 
     # -- elastic membership ------------------------------------------------
-    def add_worker(self, vm: VirtualMachine,
-                   with_datanode: bool = False) -> TaskTracker:
-        """Join a running VM to the cluster as a new worker.
-
-        By default the worker is *compute-only* (a TaskTracker without a
-        DataNode) — the elastic-autoscaling contract: scaled-out capacity
-        carries tasks, while HDFS replicas stay on the stable core
-        workers, so scale-in never forces a re-replication sweep.  Pass
-        ``with_datanode=True`` to grow the HDFS tier too (permanent
-        expansion rather than elastic burst capacity).
+    def add_worker(self, vm: VirtualMachine) -> TaskTracker:
+        """Join a running VM to the cluster as a new *compute-only*
+        worker (a TaskTracker without a DataNode) — the elastic-autoscaling
+        contract: scaled-out capacity carries tasks, while HDFS replicas
+        stay on the stable core workers, so scale-in never forces a
+        re-replication sweep.
         """
         self.workers.append(vm)
         tracker = TaskTracker(vm, self.config)
         self.trackers.append(tracker)
-        if with_datanode:
-            dn = DataNode(vm)
-            self.namenode.register_datanode(dn)
-            self.datanodes.append(dn)
-            if self.recovery is not None:
-                self.recovery.watch(dn)
         if self.recovery is not None:
             self.watch_tracker(tracker)
         self.telemetry.add_vm(vm)
         self.tracer.emit(self.sim.now, EV.CLUSTER_WORKER_JOINED, vm.name,
-                         cluster=self.name, datanode=with_datanode,
-                         n_nodes=self.n_nodes)
+                         cluster=self.name, n_nodes=self.n_nodes)
         return tracker
 
     def retire_worker(self, tracker: TaskTracker) -> None:

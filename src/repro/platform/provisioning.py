@@ -136,7 +136,7 @@ class ElasticWorkerPool:
     def _bring_up(self, vm):
         yield self.datacenter.boot_vm(vm)
         self.booting -= 1
-        tracker = self.cluster.add_worker(vm, with_datanode=False)
+        tracker = self.cluster.add_worker(vm)
         self.workers.append(tracker)
         self.scheduler.attach_tracker(tracker)
 

@@ -3,7 +3,7 @@
 Layout:
 
 * :mod:`repro.telemetry.events` — the registered event/span taxonomy;
-* :mod:`repro.telemetry.metrics` — counters/gauges/histograms + registry;
+* :mod:`repro.telemetry.metrics` — counters/histograms + registry;
 * :mod:`repro.telemetry.timeline` — per-job timelines and critical paths;
 * :mod:`repro.telemetry.export` — Chrome trace / Prometheus text / CSV;
 * :mod:`repro.telemetry.facade` — the :class:`Telemetry` handle, reachable
@@ -24,7 +24,6 @@ _LAZY = {
     "MetricsRegistry": ("repro.telemetry.metrics", "MetricsRegistry"),
     "MetricFamily": ("repro.telemetry.metrics", "MetricFamily"),
     "Counter": ("repro.telemetry.metrics", "Counter"),
-    "Gauge": ("repro.telemetry.metrics", "Gauge"),
     "LatencyHistogram": ("repro.telemetry.metrics", "LatencyHistogram"),
     "JobTimeline": ("repro.telemetry.timeline", "JobTimeline"),
     "CriticalPath": ("repro.telemetry.timeline", "CriticalPath"),

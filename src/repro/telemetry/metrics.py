@@ -1,4 +1,4 @@
-"""Labelled metrics: counters, gauges, histograms, and their registry.
+"""Labelled metrics: counters, histograms, and their registry.
 
 The registry is the quantitative half of the telemetry subsystem (spans
 being the structural half).  Instrumented layers record, e.g.::
@@ -32,6 +32,14 @@ LabelSet = tuple[tuple[str, str], ...]
 
 _INF = math.inf
 
+#: The one histogram layout: ``N_BINS`` log-spaced bins from ``LO`` to
+#: ``HI`` seconds, the last one the overflow bin (everything above ``HI``).
+LO = 0.1
+HI = 1e5
+N_BINS = 256
+_LOG_LO = math.log(LO)
+_SCALE = (N_BINS - 1) / (math.log(HI) - _LOG_LO)
+
 
 def _labelset(labels: Optional[Mapping[str, str]]) -> LabelSet:
     if not labels:
@@ -53,24 +61,6 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """Value that can go up and down (utilization, queue depth, ...)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-
 class LatencyHistogram:
     """Fixed log-spaced latency histogram with deterministic quantiles.
 
@@ -79,25 +69,14 @@ class LatencyHistogram:
     (``growth - 1``), independent of arrival order.  Exact values are
     deliberately not kept: at ~1M samples a sorted list dominates memory
     and wall time, while 256 bin counters do not — and two same-seed runs
-    quantise identically (bin edges are pure functions of the constructor
-    arguments).  ``count``, ``total``, ``min_seen`` and ``max_seen`` are
-    exact; the last bin is the overflow bin (everything above ``hi``).
-    Mergeable and subtractable, so windows of them roll.
+    quantise identically (every histogram shares the module's bin layout).
+    ``count``, ``total``, ``min_seen`` and ``max_seen`` are exact; the last
+    bin is the overflow bin (everything above ``HI``).  Mergeable and
+    subtractable, so windows of them roll.
     """
 
-    def __init__(self, lo: float = 0.1, hi: float = 1e5,
-                 n_bins: int = 256):
-        if not (lo > 0 and hi > lo and n_bins >= 2):
-            raise ConfigError("need 0 < lo < hi and n_bins >= 2")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.n_bins = int(n_bins)
-        self._log_lo = math.log(lo)
-        self._scale = (n_bins - 1) / (math.log(hi) - self._log_lo)
-        #: What two histograms must share to observe, merge or subtract
-        #: together (every bin edge derives from it).
-        self._layout = (self.lo, self.hi, self.n_bins)
-        self.counts = [0] * n_bins
+    def __init__(self) -> None:
+        self.counts = [0] * N_BINS
         self.count = 0
         self.total = 0.0
         self.min_seen = _INF
@@ -105,26 +84,21 @@ class LatencyHistogram:
 
     def edge(self, index: int) -> float:
         """Upper edge of bin ``index``."""
-        return math.exp(self._log_lo + (index + 1) / self._scale)
+        return math.exp(_LOG_LO + (index + 1) / _SCALE)
 
     def observe(self, value: float, *also: "LatencyHistogram") -> None:
-        """Record ``value`` here and in every histogram of ``also`` (same
-        bin layout as this one): the bin is computed once for all of them.
-        Nothing is touched unless the whole call is valid."""
+        """Record ``value`` here and in every histogram of ``also``: the
+        bin is computed once for all of them.  An invalid value touches
+        none of them."""
         if not 0 <= value < _INF:  # negative, NaN or infinite
             raise ConfigError(f"latency must be finite and >= 0, "
                               f"got {value!r}")
-        layout = self._layout
-        for hist in also:
-            if hist._layout != layout:
-                raise ConfigError("cannot observe into histograms with "
-                                  "different bins")
-        if value <= self.lo:
+        if value <= LO:
             index = 0
         else:
-            index = int((math.log(value) - self._log_lo) * self._scale)
-            if index >= self.n_bins:
-                index = self.n_bins - 1
+            index = int((math.log(value) - _LOG_LO) * _SCALE)
+            if index >= N_BINS:
+                index = N_BINS - 1
         self.count += 1
         self.total += value
         if value > self.max_seen:
@@ -156,7 +130,7 @@ class LatencyHistogram:
         for index, count in enumerate(self.counts):
             seen += count
             if seen >= rank:
-                if index == self.n_bins - 1:
+                if index == N_BINS - 1:
                     return self.max_seen  # overflow bin: exact max
                 return min(self.edge(index), self.max_seen)
         return self.max_seen
@@ -185,13 +159,7 @@ class LatencyHistogram:
                 bad += count
         return bad / self.count
 
-    def _check_bins(self, other: "LatencyHistogram", verb: str) -> None:
-        if other._layout != self._layout:
-            raise ConfigError(f"cannot {verb} histograms with different "
-                              f"bins")
-
     def merge(self, other: "LatencyHistogram") -> None:
-        self._check_bins(other, "merge")
         for index, count in enumerate(other.counts):
             self.counts[index] += count
         self.count += other.count
@@ -204,7 +172,6 @@ class LatencyHistogram:
         and ``total``).  ``min_seen`` and ``max_seen`` are left alone — an
         extreme cannot be un-merged; a caller that knows the remaining
         parts sets it."""
-        self._check_bins(other, "subtract")
         for index, count in enumerate(other.counts):
             self.counts[index] -= count
         self.count -= other.count
@@ -216,7 +183,7 @@ class MetricFamily:
     """One metric name: its type, help text, and per-label-set children."""
 
     name: str
-    kind: str                    # "counter" | "gauge" | "histogram"
+    kind: str                    # "counter" | "histogram"
     help: str = ""
     children: dict[LabelSet, object] = field(default_factory=dict)
 
@@ -224,8 +191,8 @@ class MetricFamily:
         try:
             return self.children[labels]
         except KeyError:
-            made = {"counter": Counter, "gauge": Gauge,
-                    "histogram": LatencyHistogram}[self.kind]()
+            made = {"counter": Counter, "histogram": LatencyHistogram}[
+                self.kind]()
             self.children[labels] = made
             return made
 
@@ -255,10 +222,6 @@ class MetricsRegistry:
                 labels: Optional[Mapping[str, str]] = None) -> Counter:
         return self._family(name, "counter", help).child(_labelset(labels))
 
-    def gauge(self, name: str, help: str = "",
-              labels: Optional[Mapping[str, str]] = None) -> Gauge:
-        return self._family(name, "gauge", help).child(_labelset(labels))
-
     def histogram(self, name: str, help: str = "",
                   labels: Optional[Mapping[str, str]] = None
                   ) -> LatencyHistogram:
@@ -275,13 +238,13 @@ class MetricsRegistry:
 
     def value(self, name: str,
               labels: Optional[Mapping[str, str]] = None) -> float:
-        """Scalar value of a counter/gauge (0.0 when absent)."""
+        """Scalar value of a counter (0.0 when absent)."""
         child = self.get(name, labels)
         return child.value if child is not None else 0.0
 
     def sum(self, name: str, label: Optional[str] = None,
             value: Optional[str] = None) -> float:
-        """Sum a counter/gauge family across children, optionally filtered
+        """Sum a counter family across children, optionally filtered
         to children whose ``label`` equals ``value``."""
         family = self.families.get(name)
         if family is None:

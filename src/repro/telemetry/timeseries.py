@@ -44,8 +44,8 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from repro.digest import Digest
 from repro.errors import ConfigError
-from repro.telemetry.metrics import (Counter, Gauge, LabelSet,
-                                     LatencyHistogram, _labelset)
+from repro.telemetry.metrics import (Counter, LabelSet, LatencyHistogram,
+                                     _labelset)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.metrics import MetricsRegistry
@@ -372,7 +372,7 @@ class TimeSeriesStore:
     Construction is cheap and passive: a store schedules nothing, so it
     never keeps the simulation alive.  ``sim`` supplies the default sample
     time; with a ``registry`` wired (the facade does both),
-    :meth:`sample_registry` snapshots every counter and gauge into
+    :meth:`sample_registry` snapshots every counter into
     same-named series — the historical view of the live metrics.
     """
 
@@ -466,7 +466,7 @@ class TimeSeriesStore:
 
     # -- registry sampling -----------------------------------------------
     def sample_registry(self, at: Optional[float] = None) -> int:
-        """Snapshot every counter/gauge child into a same-named series.
+        """Snapshot every counter child into a same-named series.
 
         Returns the number of samples recorded.  Metric histograms are
         skipped — a registry histogram is cumulative since the run began,
@@ -483,7 +483,7 @@ class TimeSeriesStore:
             if family.kind == "histogram":
                 continue
             for labelset, child in family.items():
-                assert isinstance(child, (Counter, Gauge))
+                assert isinstance(child, Counter)
                 key = (name, labelset)
                 made = self._series.get(key)
                 if made is None:

@@ -90,17 +90,10 @@ class LiveMigrator:
         self.tracer = tracer or Tracer(enabled=False)
         self.metrics = metrics
 
-    def migrate(self, vm: VirtualMachine, destination: PhysicalMachine,
-                rate_cap_bps: Optional[float] = None) -> Event:
-        """Live-migrate ``vm``; event value is the :class:`MigrationRecord`.
-
-        ``rate_cap_bps`` reserves bandwidth *for the workload* by capping
-        the migration stream (the resource-reservation scheme of Ye et
-        al., CLOUD'11 — the authors' prior work the paper builds on): the
-        migration takes longer but steals less from the running jobs.
-        """
-        if rate_cap_bps is not None and rate_cap_bps <= 0:
-            raise MigrationError("rate_cap_bps must be positive")
+    def migrate(self, vm: VirtualMachine,
+                destination: PhysicalMachine) -> Event:
+        """Live-migrate ``vm``; the event's value is its
+        :class:`MigrationRecord`."""
         if vm.state is not VMState.RUNNING:
             raise MigrationError(f"{vm.name} is {vm.state.value}, not running")
         if vm.host is None:
@@ -114,13 +107,12 @@ class LiveMigrator:
         # Reserve destination memory for the whole migration (Xen does).
         destination.reserve_dram(vm.config.memory, f"migrate:{vm.name}")
         return self.sim.process(
-            self._migrate_proc(vm, destination, rate_cap_bps),
+            self._migrate_proc(vm, destination),
             name=f"migrate:{vm.name}")
 
     # -- internals ------------------------------------------------------------
     def _copy(self, vm: VirtualMachine, destination: PhysicalMachine,
-              nbytes: float, scan: bool = True,
-              rate_cap_bps: Optional[float] = None):
+              nbytes: float, scan: bool = True):
         """Push ``nbytes`` over the dom0→dom0 stream; yields, returns secs.
 
         ``scan=True`` charges the per-round fixed cost (dirty-bitmap scan,
@@ -134,12 +126,11 @@ class LiveMigrator:
         if scan:
             yield self.sim.timeout(C.MIGRATION_ROUND_OVERHEAD_S)
         yield self.fabric.transfer(vm.host.dom0, destination.dom0, nbytes,
-                                   name=f"migrate:{vm.name}",
-                                   cap=rate_cap_bps)
+                                   name=f"migrate:{vm.name}")
         return self.sim.now - t0
 
-    def _migrate_proc(self, vm: VirtualMachine, destination: PhysicalMachine,
-                      rate_cap_bps: Optional[float] = None):
+    def _migrate_proc(self, vm: VirtualMachine,
+                      destination: PhysicalMachine):
         source = vm.host
         assert source is not None
         record = MigrationRecord(
@@ -156,8 +147,7 @@ class LiveMigrator:
             reason = "round-budget"
             while True:
                 integral_start = vm.activity_integral()
-                elapsed = yield from self._copy(vm, destination, to_send,
-                                                rate_cap_bps=rate_cap_bps)
+                elapsed = yield from self._copy(vm, destination, to_send)
                 mean_activity = ((vm.activity_integral() - integral_start)
                                  / elapsed) if elapsed > 0 else vm.activity
                 record.total_sent_bytes += to_send
@@ -194,8 +184,7 @@ class LiveMigrator:
             # cluster traffic running, which is the conservative choice.
             pause_started = self.sim.now
             elapsed = yield from self._copy(vm, destination, to_send,
-                                            scan=False,
-                                            rate_cap_bps=rate_cap_bps)
+                                            scan=False)
             record.total_sent_bytes += to_send
             yield self.sim.timeout(C.MIGRATION_RESUME_OVERHEAD_S)
             record.downtime_s = (self.sim.now - pause_started)

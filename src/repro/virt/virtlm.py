@@ -69,25 +69,22 @@ class VirtLM:
         self.tracer = tracer or migrator.tracer
 
     def migrate_cluster(self, vms: Sequence[VirtualMachine],
-                        destination: PhysicalMachine, label: str = "cluster",
-                        rate_cap_bps: Optional[float] = None) -> Event:
+                        destination: PhysicalMachine,
+                        label: str = "cluster") -> Event:
         """Whole-cluster benchmark, one VM after another as the paper
         does; event value is a :class:`ClusterMigrationReport`."""
         if not vms:
             raise MigrationError("migrate_cluster needs at least one VM")
         return self.sim.process(
-            self._sequential_proc(list(vms), destination, label,
-                                  rate_cap_bps),
+            self._sequential_proc(list(vms), destination, label),
             name=f"virtlm:{label}")
 
     def _sequential_proc(self, vms: list[VirtualMachine],
-                         destination: PhysicalMachine, label: str,
-                         rate_cap_bps: Optional[float] = None):
+                         destination: PhysicalMachine, label: str):
         report = ClusterMigrationReport(label=label)
         started = self.sim.now
         for vm in vms:
-            record = yield self.migrator.migrate(vm, destination,
-                                                 rate_cap_bps=rate_cap_bps)
+            record = yield self.migrator.migrate(vm, destination)
             report.records.append(record)
         report.overall_migration_time_s = self.sim.now - started
         self.tracer.emit(self.sim.now, EV.VIRTLM_CLUSTER_END, label,

@@ -8,6 +8,7 @@ from repro.cloud import LatencyHistogram, TenantRegistry, TenantSpec
 from repro.cloud.tenants import PRIORITIES
 from repro.errors import ConfigError
 from repro.sim.rng import RngRegistry
+from repro.telemetry.metrics import HI, LO, N_BINS
 
 
 def test_spec_validation_and_ranks():
@@ -82,13 +83,23 @@ def test_histogram_quantiles_track_exact_percentiles():
 
 
 def test_histogram_edges_and_overflow():
-    hist = LatencyHistogram(lo=1.0, hi=100.0, n_bins=8)
+    # The layout's every edge, bit for bit as the float operations of a
+    # LatencyHistogram(lo=0.1, hi=1e5, n_bins=256) computed them.
+    scale = 255 / (math.log(1e5) - math.log(0.1))
+    assert (LO, HI, N_BINS) == (0.1, 1e5, 256)
+    hist = LatencyHistogram()
+    assert [hist.edge(i) for i in range(N_BINS)] == [
+        math.exp(math.log(0.1) + (i + 1) / scale) for i in range(256)]
+    assert hist.edge(N_BINS - 2) == pytest.approx(HI)
     hist.observe(0.0)           # clamps into the first bin
+    hist.observe(0.99 * HI)     # the last bin below the overflow bin
     hist.observe(1e6)           # overflow bin reports the exact max
-    assert hist.quantile(0.0) > 0.0
+    assert hist.counts[0] == hist.counts[N_BINS - 2] == 1
+    assert hist.counts[N_BINS - 1] == 1
+    assert hist.quantile(0.0) == hist.edge(0) > LO
     assert hist.quantile(1.0) == 1e6
     assert hist.max_seen == 1e6
-    assert hist.count == 2
+    assert hist.count == 3
     with pytest.raises(ConfigError):
         hist.observe(-1.0)
     assert LatencyHistogram().quantile(0.5) == 0.0  # empty -> 0
@@ -104,8 +115,6 @@ def test_histogram_merge_equals_union():
     assert a.counts == union.counts
     assert (a.min_seen, a.max_seen) == (union.min_seen, union.max_seen)
     assert a.quantile(0.99) == union.quantile(0.99)
-    with pytest.raises(ConfigError):
-        a.merge(LatencyHistogram(n_bins=16))
 
 
 def test_histogram_order_independent():

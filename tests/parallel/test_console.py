@@ -10,14 +10,13 @@ from repro.parallel.console import (CONSOLE_FORMAT, ConsoleTailer,
 
 def make_stream(path):
     writer = ConsoleWriter(str(path), worker_ref="mod:fn", total=4,
-                           jobs=2, rss_limit_mb=256.0)
+                           jobs=2)
     writer.event("spawn", wid=0)
     writer.event("spawn", wid=1)
     writer.event("done", wid=0, key="a", ok=True, rss_mb=40.0)
     writer.event("done", wid=1, key="b", ok=False, rss_mb=52.5)
     writer.rss_sample({0: 41.0, 1: 53.0}, pending=2, min_interval_s=0.0)
-    writer.event("kill", wid=1, reason="rss")
-    writer.event("retire", wid=0, reason="tasks")
+    writer.event("kill", wid=1, reason="timeout")
     writer.event("end", ok=3, failed=1, wall_s=1.5)
     return writer
 
@@ -27,12 +26,12 @@ def test_writer_tailer_roundtrip(tmp_path):
     make_stream(path)
     tailer = tail_console(str(path))
     assert tailer.header["format"] == CONSOLE_FORMAT
-    assert tailer.total == 4 and tailer.rss_limit_mb == 256.0
+    assert tailer.total == 4
     assert tailer.done == 2 and tailer.failed == 1
-    assert tailer.kills == 1 and tailer.retires == 1
+    assert tailer.kills == 1
     assert tailer.workers[0].items == 1
-    assert tailer.workers[0].state == "retired:tasks"
-    assert tailer.workers[1].state == "killed:rss"
+    assert tailer.workers[0].state == "running"
+    assert tailer.workers[1].state == "killed:timeout"
     assert tailer.workers[1].peak_rss_mb == 53.0
     assert tailer.workers[0].rss_history == [41.0]
     assert tailer.finished["ok"] == 3
@@ -86,7 +85,7 @@ def test_status_line_summarizes_fleet(tmp_path):
     line = tail_console(str(path)).status_line()
     assert "campaign 2/4" in line
     assert "ok=1 fail=1" in line
-    assert "kills=1 retires=1" in line
+    assert "kills=1" in line
 
 
 def test_appends_are_single_lines(tmp_path):
@@ -117,9 +116,8 @@ def test_control_room_html_renders_sections(tmp_path):
     assert "Campaign control room" in html
     assert "t&lt;&amp;&gt;t" in html            # title is escaped
     assert "abcd" in html and "note one" in html
-    assert "Per-worker RSS vs ceiling" in html
+    assert "Per-worker RSS" in html and "kills 1" in html
     assert "slo.error.backlog" in html
-    assert "ceiling 256" in html
     out = write_control_room(str(tmp_path / "room.html"), tailer)
     assert (tmp_path / "room.html").read_text().startswith("<!DOCTYPE")
     assert out == str(tmp_path / "room.html")

@@ -13,6 +13,7 @@ end by the fuzz campaign CLI and the CI campaign job).
 """
 
 import json
+import os
 import time
 
 import hypothesis.strategies as st
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.errors import ConfigError
-from repro.parallel import call_guarded, run_sharded
+from repro.parallel import ShardedRun, call_guarded, run_sharded
 
 _SLOW = dict(deadline=None,
              suppress_health_check=[HealthCheck.too_slow])
@@ -44,6 +45,14 @@ def _hang_on_one(n):
     return n
 
 
+def _die_on_two(n):
+    if n == 2:
+        # Die mid-item, once the parent has seen the item start.
+        time.sleep(0.5)
+        os._exit(3)
+    return _square(n)
+
+
 _FAIL_FLAG = {"fail": False}
 
 
@@ -51,6 +60,12 @@ def _conditional(n):
     if _FAIL_FLAG["fail"]:
         raise RuntimeError("flagged failure")
     return n
+
+
+def _flagged_three(n):
+    if n == 3 and _FAIL_FLAG["fail"]:
+        raise RuntimeError("flagged failure")
+    return _square(n)
 
 
 # -- serial reference path ----------------------------------------------------
@@ -105,26 +120,29 @@ class TestPool:
     def test_parallel_records_worker_exception(self):
         items = [2, 3, 4, 5]
         pooled = run_sharded(items, _fail_on_three, jobs=2,
-                             mp_context="fork", chunk_size=1)
+                             mp_context="fork")
         assert pooled.n_failed == 1
         assert pooled.failures()[0].key == "3"
         assert pooled.digest() == run_sharded(items, _fail_on_three).digest()
 
     def test_timeout_kills_the_hung_item_only(self):
         run = run_sharded([0, 1, 2], _hang_on_one, jobs=2,
-                          timeout_s=0.5, mp_context="fork", chunk_size=1)
+                          timeout_s=0.5, mp_context="fork")
         by_key = {r.key: r for r in run.results}
         assert not by_key["1"].ok and "timeout" in by_key["1"].error
         assert by_key["0"].ok and by_key["2"].ok
         assert run.stats.timeouts >= 1
 
-    def test_tasks_per_worker_forces_fresh_processes(self):
-        run = run_sharded(list(range(4)), _square, jobs=1,
-                          tasks_per_worker=1, mp_context="fork")
-        assert run.n_ok == 4
-        assert run.stats.retirements == 4
-        assert run.stats.workers_spawned == 4
-        assert run.digest() == run_sharded(list(range(4)), _square).digest()
+    def test_worker_death_fails_its_item_only(self):
+        items = [0, 1, 2, 3, 4]
+        run = run_sharded(items, _die_on_two, jobs=2, mp_context="fork")
+        by_key = {r.key: r for r in run.results}
+        assert not by_key["2"].ok and "worker died" in by_key["2"].error
+        assert all(r.ok for key, r in by_key.items() if key != "2")
+        assert run.stats.worker_deaths == 1
+        survivors = ShardedRun(results=[r for r in run.results if r.ok])
+        serial = run_sharded([n for n in items if n != 2], _square)
+        assert survivors.digest() == serial.digest()
 
     def test_digest_ignores_nondeterministic_fields(self):
         a = run_sharded([1, 2], _square)
@@ -192,6 +210,32 @@ class TestJournal:
             fh.write('{"key": "2", "ok": true, "val')  # killed mid-append
         resumed = run_sharded([1, 2, 3], _square, journal=journal)
         assert resumed.n_resumed == 3
+
+    def test_append_after_a_torn_line_survives_the_next_resume(self,
+                                                               tmp_path):
+        journal = tmp_path / "campaign.jsonl"
+        _FAIL_FLAG["fail"] = True
+        try:
+            first = run_sharded([1, 2, 3], _flagged_three, journal=journal)
+        finally:
+            _FAIL_FLAG["fail"] = False
+        assert first.n_failed == 1
+        with journal.open("a") as fh:
+            fh.write('{"key": "2", "ok": true, "val')  # killed mid-append
+        retried = run_sharded([1, 2, 3], _flagged_three, journal=journal)
+        assert retried.n_resumed == 2 and retried.n_ok == 3
+        again = run_sharded([1, 2, 3], _flagged_three, journal=journal)
+        assert again.n_resumed == 3
+        assert again.digest() == retried.digest()
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"x"', '{"ok": true}'])
+    def test_malformed_entry_is_a_config_error(self, tmp_path, line):
+        journal = tmp_path / "campaign.jsonl"
+        run_sharded([1, 2], _square, journal=journal)
+        with journal.open("a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ConfigError, match=f"{journal.name}, line 4"):
+            run_sharded([1, 2], _square, journal=journal)
 
     def test_journal_lines_are_valid_jsonl_with_header(self, tmp_path):
         journal = tmp_path / "campaign.jsonl"

@@ -64,8 +64,6 @@ def fixture_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("mapreduce.tasks.speculated", "backup attempts",
                      {"phase": "map", "job": "wc"}).inc(3)
-    registry.gauge("vm.cpu.utilization", "VCPU load fraction",
-                   {"vm": "vm01"}).set(0.75)
     hist = registry.histogram("shuffle.partition.bytes",
                               "bytes per partition", {"job": "wc"})
     for value in (50, 150, 5000):

@@ -69,7 +69,7 @@ def test_write_chrome_trace_file(tmp_path):
 def test_prometheus_text_counters_gauges_histograms():
     registry = MetricsRegistry()
     registry.counter("jobs.done", "completed", {"pool": "p0"}).inc(3)
-    registry.gauge("slots.free").set(4)
+    registry.counter("slots.free").inc(4)
     hist = registry.histogram("task.duration", "secs")
     hist.observe(0.5)
     hist.observe(5.0)
@@ -78,7 +78,8 @@ def test_prometheus_text_counters_gauges_histograms():
     text = prometheus_text(registry)
     assert '# TYPE jobs_done counter' in text
     assert 'jobs_done{pool="p0"} 3.0' in text
-    assert "slots_free 4" in text
+    assert "# TYPE slots_free counter" in text
+    assert "slots_free 4.0" in text
     # One cumulative line per non-empty bin, at that bin's upper edge.
     edges = [repr(hist.edge(i)) for i, n in enumerate(hist.counts) if n]
     for acc, le in enumerate(edges[:3], start=1):

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.telemetry import (Counter, Gauge, LatencyHistogram,
-                             MetricsRegistry)
+from repro.telemetry import Counter, LatencyHistogram, MetricsRegistry
 
 
 def test_counter_accumulates_and_rejects_negative():
@@ -15,14 +14,6 @@ def test_counter_accumulates_and_rejects_negative():
     assert registry.value("jobs.done") == 5.0
     with pytest.raises(ConfigError):
         counter.inc(-1.0)
-
-
-def test_gauge_set_inc_dec():
-    gauge = Gauge()
-    gauge.set(3.0)
-    gauge.inc(2.0)
-    gauge.dec(4.0)
-    assert gauge.value == 1.0
 
 
 def test_labels_create_independent_children():
@@ -46,7 +37,7 @@ def test_kind_mismatch_raises():
     registry = MetricsRegistry()
     registry.counter("x")
     with pytest.raises(ConfigError):
-        registry.gauge("x")
+        registry.histogram("x")
 
 
 def test_registry_histogram_is_a_latency_histogram():
@@ -80,8 +71,8 @@ def test_registry_histogram_rejects_bad_values_untouched(bad):
 
 def test_registry_get_and_clear():
     registry = MetricsRegistry()
-    registry.gauge("g").set(7.0)
-    assert isinstance(registry.get("g"), Gauge)
+    registry.counter("g").inc(7.0)
+    assert registry.get("g").value == 7.0
     assert registry.get("missing") is None
     registry.clear()
     assert registry.get("g") is None

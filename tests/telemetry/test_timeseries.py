@@ -147,11 +147,11 @@ def test_registry_sampler_snapshots_counters_and_gauges():
     sim = Simulator()
     registry = MetricsRegistry()
     counter = registry.counter("jobs.done", "d", {"q": "a"})
-    gauge = registry.gauge("util", "u")
+    util = registry.counter("util", "u")
     registry.histogram("skipped.hist", "h").observe(0.5)
     store = TimeSeriesStore(sim, registry=registry, step=5.0)
     counter.inc(3)
-    gauge.set(0.5)
+    util.inc(0.5)
     assert store.sample_registry() == 2         # the histogram is skipped
     sim.run(until=12.0)
     store.sample_registry()

@@ -36,13 +36,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # -- data plumbing -----------------------------------------------------------
 
-def points_as_records(points: np.ndarray) -> list[tuple[int, tuple]]:
-    """(N, d) array -> [(point_id, tuple(coords))]: the HDFS input records.
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only: its rows are emitted as records."""
+    array.flags.writeable = False
+    return array
 
-    Every coordinate must be finite: a NaN or infinite point would be
-    assigned somewhere and poison that cluster's center.
+
+def points_as_records(points: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(N, d) array -> [(point_id, row)]: the HDFS input records.
+
+    Each row is a read-only float64 view of a private copy of ``points``,
+    so a caller that changes its array afterwards changes no staged point,
+    and a :class:`SplitMapper` stacks its split without converting element
+    by element.  Every coordinate must be finite: a NaN or infinite point
+    would be assigned somewhere and poison that cluster's center.
     """
-    arr = np.asarray(points, dtype=float)
+    arr = np.array(points, dtype=float)
     if arr.ndim != 2:
         raise ClusteringError(f"points must be 2-D, got shape {arr.shape}")
     bad = ~np.isfinite(arr).all(axis=1)
@@ -50,7 +59,7 @@ def points_as_records(points: np.ndarray) -> list[tuple[int, tuple]]:
         row = int(bad.argmax())
         raise ClusteringError(f"point {row} has a non-finite coordinate: "
                               f"{arr[row].tolist()}")
-    return [(i, tuple(row)) for i, row in enumerate(arr)]
+    return list(enumerate(read_only(arr)))
 
 
 def vector_sizeof(record) -> int:
@@ -63,9 +72,15 @@ class SplitMapper(Mapper):
     """A mapper that computes its whole split at once.
 
     ``map`` only buffers the split's records; ``cleanup`` hands them to
-    :meth:`map_split` as the list of keys and one ``(n, d)`` float array
-    of the values, so the split can cost one NumPy call per kernel instead
-    of one per record.  An empty split emits nothing.
+    :meth:`map_split` as the list of keys and one read-only ``(n, d)``
+    float64 array of the values (staged rows and tuples alike are stacked
+    by one ``np.asarray``), so the split can cost one NumPy call per
+    kernel instead of one per record.  An empty split emits nothing.
+
+    The statistics a clustering mapper emits are rows of that array or of
+    its products, marked read-only: intermediate records travel as
+    float64 arrays, and only reducers turn them into the tuples of a job's
+    output.
     """
 
     def setup(self, context: Context) -> None:
@@ -78,8 +93,8 @@ class SplitMapper(Mapper):
 
     def cleanup(self, context: Context) -> None:
         if self._keys:
-            self.map_split(self._keys, np.asarray(self._values, dtype=float),
-                           context)
+            points = read_only(np.asarray(self._values, dtype=float))
+            self.map_split(self._keys, points, context)
 
     def map_split(self, keys: list, points: np.ndarray,
                   context: Context) -> None:

@@ -5,7 +5,8 @@ Mahout's ``CanopyDriver``: distance thresholds ``T1 > T2``.
 * **mapper** — streams its split through the canopy rule: a point within
   ``T2`` of an existing local canopy center is *strongly bound* (absorbed);
   otherwise it founds a new canopy.  Points within ``T1`` contribute to a
-  canopy's running centroid.  The mapper emits each local canopy centroid;
+  canopy's running centroid.  The mapper emits each local canopy centroid
+  as a read-only float64 row;
 * **reducer** — re-clusters all mapper centroids with the same rule,
   producing the final canopy centers.
 
@@ -24,7 +25,7 @@ from repro.errors import ClusteringError
 from repro.mapreduce.api import Context, Reducer
 from repro.mapreduce.job import Job
 from repro.ml.base import (ClusterModel, ClusteringResult, Executor,
-                           SplitMapper)
+                           SplitMapper, read_only)
 from repro.ml.kmeans import AssignMapper, _map_record_cost
 from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
 
@@ -34,7 +35,7 @@ def canopy_pass(points: np.ndarray, t1: float, t2: float,
     """The sequential canopy rule: [(centroid, n_contributors)].
 
     Centroids are running means of the points within ``T1`` of the canopy's
-    founding point.
+    founding point, returned as read-only float64 rows.
     """
     points = np.asarray(points, dtype=float)
     # Canopies 0..k-1 live in preallocated rows, so one to_centers call
@@ -53,7 +54,8 @@ def canopy_pass(points: np.ndarray, t1: float, t2: float,
             sums[k] = point
             counts[k] = 1
             k += 1
-    return list(zip(sums[:k] / counts[:k, None], counts[:k].tolist()))
+    return list(zip(read_only(sums[:k] / counts[:k, None]),
+                    counts[:k].tolist()))
 
 
 class CanopyMapper(SplitMapper):
@@ -66,7 +68,7 @@ class CanopyMapper(SplitMapper):
     def map_split(self, keys, points, context: Context) -> None:
         for centroid, count in canopy_pass(points, self.t1, self.t2,
                                            self.measure):
-            context.emit("centroid", (tuple(centroid), count))
+            context.emit("centroid", (centroid, count))
 
 
 class CanopyReducer(Reducer):

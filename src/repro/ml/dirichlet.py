@@ -7,7 +7,8 @@ truncated Dirichlet Process mixture of Gaussians:
   weights drawn from ``Dirichlet(alpha_0 / K + counts)``;
 * **mapper** — for each point, compute the posterior responsibility of
   every model (``weight_k * pdf_k(x)``) and *sample* an assignment from it;
-  emit ``(model_id, (x, x^2, 1))``;
+  emit ``(model_id, (x, x^2, 1))``, ``x`` and ``x^2`` read-only float64
+  rows;
 * **reducer** — recompute each model's posterior parameters (mean, sigma)
   from its assigned points;
 * **driver** — resample the mixture weights, iterate a fixed number of
@@ -30,7 +31,7 @@ from repro.errors import ClusteringError
 from repro.mapreduce.api import Context
 from repro.mapreduce.job import Job
 from repro.ml.base import (ClusterModel, ClusteringResult, Executor,
-                           SplitMapper)
+                           SplitMapper, read_only)
 from repro.ml.kmeans import CentroidReducer, PartialSumCombiner, _stats_sizeof
 
 
@@ -89,8 +90,8 @@ class DirichletMapper(SplitMapper):
         probs = np.exp(logs)
         probs /= probs.sum(axis=1, keepdims=True)
         for z, vec, vec_sq in zip(sample_rows(self._rng, probs).tolist(),
-                                  x.tolist(), (x * x).tolist()):
-            context.emit(z, (tuple(vec), tuple(vec_sq), 1))
+                                  x, read_only(x * x)):
+            context.emit(z, (vec, vec_sq, 1))
 
 
 class DirichletDriver:
@@ -108,10 +109,9 @@ class DirichletDriver:
         self.alpha0 = float(alpha0)
         self.max_iterations = max_iterations
 
-    def _prior_models(self, executor: Executor, input_path: str
+    def _prior_models(self, executor: Executor, records: list
                       ) -> list[NormalModel]:
         """Sample K prior models from the data's empirical spread."""
-        records = executor.input_records(input_path)
         points = np.asarray([vec for _pid, vec in records], dtype=float)
         rng = executor.rng("ml/dirichlet/prior")
         mean, std = points.mean(axis=0), points.std(axis=0).mean() + 1e-6
@@ -124,9 +124,13 @@ class DirichletDriver:
 
     def run(self, executor: Executor, input_path: str,
             work_prefix: str = "/dirichlet") -> ClusteringResult:
-        models = self._prior_models(executor, input_path)
+        records = executor.input_records(input_path)
+        if not records:
+            raise ClusteringError(
+                f"dirichlet: no input points at {input_path!r}")
+        models = self._prior_models(executor, records)
         rng = executor.rng("ml/dirichlet/weights")
-        n_total = len(executor.input_records(input_path))
+        n_total = len(records)
         d = len(models[0].mean)
         result = ClusteringResult(algorithm="dirichlet", models=[])
 

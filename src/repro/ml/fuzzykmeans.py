@@ -6,8 +6,8 @@ to every cluster with membership
     u_ij = 1 / sum_k (d_ij / d_ik)^(2 / (m - 1))
 
 * **mapper** — emit ``(cluster_id, (u^m * x, u^m * x^2, u^m))`` for every
-  cluster (soft assignment — this is why Fuzzy k-Means shuffles k times the
-  data of k-Means);
+  cluster, the vectors read-only float64 rows (soft assignment — this is
+  why Fuzzy k-Means shuffles k times the data of k-Means);
 * **combiner/reducer** — weighted sums; new center = sum / weight.
 
 Convergence as in k-Means: maximum center shift below the delta.
@@ -23,7 +23,7 @@ from repro.errors import ClusteringError
 from repro.mapreduce.api import Context
 from repro.mapreduce.job import Job
 from repro.ml.base import (ClusteringResult, Executor, centers_k,
-                           run_centroid_loop)
+                           read_only, run_centroid_loop)
 from repro.ml.kmeans import (CentersMapper, CentroidReducer,
                              PartialSumCombiner, _map_record_cost,
                              _stats_sizeof)
@@ -52,11 +52,11 @@ class FuzzyKMeansMapper(CentersMapper):
         # Entry (i, cid) of each product is u[i, cid] * point i, element by
         # element.
         weighted = u[:, :, None]
-        stats = zip(u.tolist(), (weighted * points[:, None, :]).tolist(),
-                    (weighted * (points * points)[:, None, :]).tolist())
+        stats = zip(u.tolist(), read_only(weighted * points[:, None, :]),
+                    read_only(weighted * (points * points)[:, None, :]))
         for ws, vecs, vec_sqs in stats:
             for cid, (w, vec, vec_sq) in enumerate(zip(ws, vecs, vec_sqs)):
-                context.emit(cid, (tuple(vec), tuple(vec_sq), w))
+                context.emit(cid, (vec, vec_sq, w))
 
 
 class FuzzyKMeansDriver:

@@ -3,8 +3,8 @@
 Per iteration one job runs:
 
 * **mapper** — assign each point to the nearest current center; emit
-  ``(cluster_id, (sum, sum_sq, count))`` for the point (the split's
-  distances come from one call);
+  ``(cluster_id, (x, x^2, 1))`` for the point, ``x`` and ``x^2`` read-only
+  float64 rows (the split's distances come from one call);
 * **combiner** — component-wise sums of the partial statistics;
 * **reducer** — new center = sum / count (plus weight and RMS radius from
   the second moment); empty clusters keep their previous center.
@@ -17,7 +17,6 @@ that emits the hard assignment of every point.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from repro.mapreduce.api import Context, Reducer
 from repro.mapreduce.job import Job
 from repro.ml.base import (ClusteringResult, Executor, SplitMapper, centers_k,
-                           run_centroid_loop)
+                           read_only, run_centroid_loop)
 from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
 
 #: Per-record CPU cost of one distance evaluation row (k centers, d dims):
@@ -52,42 +51,42 @@ class KMeansMapper(CentersMapper):
 
     def map_split(self, keys, points, context: Context) -> None:
         nearest = self.distances(points).argmin(axis=1).tolist()
-        for cid, point, point_sq in zip(nearest, points, points * points):
-            context.emit(cid, (tuple(point), tuple(point_sq), 1))
+        squares = read_only(points * points)
+        for cid, point, point_sq in zip(nearest, points, squares):
+            context.emit(cid, (point, point_sq, 1))
 
 
 def fold_stats(values) -> tuple[np.ndarray, np.ndarray, float]:
     """Component-wise sums of (sum, sum_sq, count) triples.
 
-    Each column is summed in value order, one addition per value: the bits
-    of a left-to-right fold.  ``np.cumsum`` keeps that order for every
-    width; ``sum(axis=0)`` does not (it sums a one-column stack pairwise).
-    Vectors of differing lengths raise ``ValueError``.
+    The vectors may be float64 rows or tuples; either way each column is
+    stacked by one ``np.asarray`` and summed in value order, one addition
+    per value: the bits of a left-to-right fold.  ``np.cumsum`` keeps that
+    order for every width; ``sum(axis=0)`` does not (it sums a one-column
+    stack pairwise).  The sums come back as fresh read-only rows.  Vectors
+    of differing lengths raise ``ValueError``.
     """
     vecs, vec_sqs, counts = zip(*values)
-    n, d = len(vecs), len(vecs[0])
     lengths = set(map(len, vecs)) | set(map(len, vec_sqs))
-    if lengths != {d}:
+    if len(lengths) != 1:
         raise ValueError(f"ragged statistics: vector lengths "
                          f"{sorted(lengths)}")
     count = 0
     for c in counts:
         count += c
-    return _column_fold(vecs, n, d), _column_fold(vec_sqs, n, d), count
+    return _column_fold(vecs), _column_fold(vec_sqs), count
 
 
-def _column_fold(rows: tuple, n: int, d: int) -> np.ndarray:
-    """Column sums of n length-d rows, stacked by one flat conversion."""
-    stack = np.fromiter(chain.from_iterable(rows), float, n * d)
-    return np.cumsum(stack.reshape(n, d), axis=0)[-1]
+def _column_fold(rows: tuple) -> np.ndarray:
+    """Column sums of equal-length rows, folded in row order."""
+    return read_only(np.cumsum(np.asarray(rows, dtype=float), axis=0)[-1])
 
 
 class PartialSumCombiner(Reducer):
     """Component-wise sum of (sum, sum_sq, count) triples."""
 
     def reduce(self, key, values, context: Context) -> None:
-        total, total_sq, count = fold_stats(values)
-        context.emit(key, (tuple(total), tuple(total_sq), count))
+        context.emit(key, fold_stats(values))
 
 
 class CentroidReducer(Reducer):

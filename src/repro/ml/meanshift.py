@@ -10,8 +10,8 @@ arbitrary shape emerge without choosing k a priori.
 Job layout per iteration (as in Mahout):
 
 * **mapper** — receives the canopy set of its split, performs one local
-  shift-and-merge pass, emits surviving canopies keyed by a single
-  reducer key;
+  shift-and-merge pass, emits surviving canopies (centers as read-only
+  float64 rows) keyed by a single reducer key;
 * **reducer** — merges all mapper outputs with the same rule, emitting the
   next iteration's canopies and whether each converged.
 """
@@ -25,14 +25,15 @@ import numpy as np
 from repro.errors import ClusteringError
 from repro.mapreduce.api import Context, Mapper, Reducer
 from repro.mapreduce.job import Job
-from repro.ml.base import ClusterModel, ClusteringResult, Executor
+from repro.ml.base import ClusterModel, ClusteringResult, Executor, read_only
 from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
 
 
 def shift_and_merge(canopies: list[tuple[np.ndarray, float]], t1: float,
                     t2: float, measure: DistanceMeasure,
                     delta: float) -> tuple[list[tuple[np.ndarray, float]], bool]:
-    """One mean-shift pass: returns (new canopies, all_converged)."""
+    """One mean-shift pass: returns (new canopies, all_converged), the new
+    centers as read-only float64 rows."""
     if not canopies:
         return [], True
     centers = np.vstack([c for c, _w in canopies])
@@ -60,7 +61,7 @@ def shift_and_merge(canopies: list[tuple[np.ndarray, float]], t1: float,
         else:
             merged.append(center)
             merged_w.append(weight)
-    return list(zip(merged.rows, merged_w)), all_converged
+    return list(zip(read_only(merged.rows), merged_w)), all_converged
 
 
 class MeanShiftMapper(Mapper):
@@ -79,7 +80,7 @@ class MeanShiftMapper(Mapper):
         merged, converged = shift_and_merge(
             self._canopies, self.t1, self.t2, self.measure, self.delta)
         for center, weight in merged:
-            context.emit("canopies", (tuple(center), weight, converged))
+            context.emit("canopies", (center, weight, converged))
         self._canopies.clear()
 
 
@@ -125,8 +126,7 @@ class MeanShiftDriver:
         # Initial canopies: every point, weight 1 — staged as a derived
         # dataset so each iteration is a normal MapReduce job.
         records = executor.input_records(input_path)
-        canopy_records = [(int(pid), (tuple(vec), 1.0))
-                          for pid, vec in records]
+        canopy_records = [(int(pid), (vec, 1.0)) for pid, vec in records]
         current_path = f"{work_prefix}/state-0"
         self._stage(executor, current_path, canopy_records)
 

@@ -21,6 +21,8 @@ Single pass, no iteration — MinHash trades accuracy for one cheap job.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ClusteringError
@@ -100,6 +102,9 @@ class MinHashDriver:
             raise ClusteringError("num_hashes and key_groups must be >= 1")
         if min_cluster_size < 1:
             raise ClusteringError("min_cluster_size must be >= 1")
+        if not (math.isfinite(bucket) and bucket > 0):
+            raise ClusteringError(
+                f"bucket must be a finite width > 0, got {bucket}")
         self.num_hashes = num_hashes
         self.key_groups = key_groups
         self.min_cluster_size = min_cluster_size

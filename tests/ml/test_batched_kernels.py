@@ -26,6 +26,7 @@ from repro.ml.canopy import CanopyMapper, canopy_pass
 from repro.ml.dirichlet import DirichletMapper, sample_rows
 from repro.ml.meanshift import MeanShiftMapper, shift_and_merge
 from repro.ml.vectors import MEASURES, EuclideanDistance
+from tests.ml.test_split_mappers import exact_stats
 
 
 # --- the retired per-pair loops, verbatim ------------------------------------
@@ -193,7 +194,8 @@ def test_dirichlet_mapper_matches_per_record_reference():
                      Context(task_id="m-3"))
     want = run_mapper(PerRecordDirichletMapper(models, seed=1000), records,
                       Context(task_id="m-3"))
-    assert got == want                     # record order, same assignments
+    # Record order, same assignments, same bits.
+    assert exact_stats(got) == exact_stats(want, emitted=False)
     assert len({z for z, _stats in got}) > 1
 
 
@@ -269,3 +271,17 @@ def test_shift_and_merge_edge_cases():
 ], ids=lambda m: type(m).__name__)
 def test_empty_split_emits_nothing(mapper):
     assert run_mapper(mapper, [], Context()) == []
+
+
+@pytest.mark.parametrize("mapper, record", [
+    (CanopyMapper(2.0, 1.0, EuclideanDistance()), lambda point: point),
+    (MeanShiftMapper(2.0, 1.0, EuclideanDistance(), 0.5),
+     lambda point: (point, 1.0)),
+], ids=["CanopyMapper", "MeanShiftMapper"])
+def test_canopies_travel_as_read_only_rows(mapper, record):
+    records = [(i, record((float(i), -float(i)))) for i in range(6)]
+    pairs = run_mapper(mapper, records, Context())
+    assert len(pairs) > 1
+    for _key, (center, *_rest) in pairs:
+        assert isinstance(center, np.ndarray) and center.dtype == np.float64
+        assert center.shape == (2,) and not center.flags.writeable

@@ -5,6 +5,8 @@ LocalExecutor (pure math).  Cluster-executor equivalence is covered in
 test_cluster_equivalence.py.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,18 @@ def test_non_finite_points_fail_at_staging(bad):
     points[3, 1] = bad
     with pytest.raises(ClusteringError, match="point 2 "):
         points_as_records(points)
+
+
+def test_staged_records_are_read_only_rows_of_a_private_copy():
+    points = np.array([[0.0, 1.0], [2.0, 3.0]])
+    records = points_as_records(points)
+    points[0, 0] = 99.0
+    assert [(i, row.tolist()) for i, row in records] == \
+        [(0, [0.0, 1.0]), (1, [2.0, 3.0])]
+    for _i, row in records:
+        assert row.dtype == np.float64 and row.shape == (2,)
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 5.0
 
 
 def test_kmeans_random_seed_converges(blobs):
@@ -266,6 +280,15 @@ def test_dirichlet_validation():
         DirichletDriver(max_iterations=0)
 
 
+def test_dirichlet_on_empty_input_fails_before_any_job():
+    executor = executor_for(np.empty((0, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no mean-of-empty-slice warnings
+        with pytest.raises(ClusteringError, match="no input points at '/in'"):
+            DirichletDriver().run(executor, "/in")
+    assert executor.outputs == {}
+
+
 # --- minhash -------------------------------------------------------------------
 
 def test_minhash_clusters_similar_points(blobs):
@@ -297,3 +320,12 @@ def test_minhash_validation():
         MinHashDriver(num_hashes=0)
     with pytest.raises(ClusteringError):
         MinHashDriver(min_cluster_size=0)
+
+
+@pytest.mark.parametrize("bucket", [0.0, -1.0, np.nan, np.inf])
+def test_minhash_bucket_must_be_a_finite_positive_width(bucket):
+    # Zero and NaN collapsed every point into one cluster (with a cast
+    # warning); a negative width mirrored the grid.
+    with pytest.raises(ClusteringError, match="bucket must be a finite "
+                                              "width > 0"):
+        MinHashDriver(bucket=bucket)

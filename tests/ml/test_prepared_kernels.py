@@ -15,6 +15,7 @@ from repro.ml.kmeans import CentroidReducer, PartialSumCombiner, fold_stats
 from repro.ml.minhash import (_MERSENNE, discretize, make_hashes,
                               signature)
 from repro.ml.vectors import MEASURES, Centers
+from tests.ml.test_split_mappers import exact_stats
 
 
 # --- the retired per-call measure bodies, verbatim ---------------------------
@@ -130,8 +131,10 @@ def _retired_fold(values):
     return total, total_sq, count
 
 
-def _stats(x, weights):
-    return [(tuple(r), tuple(r * r), w) for r, w in zip(x, weights)]
+def _stats(x, weights, rows=False):
+    """(x, x^2, w) triples, the vectors as tuples or as float64 rows."""
+    return [(r, r * r, w) if rows else (tuple(r), tuple(r * r), w)
+            for r, w in zip(x, weights)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 100, 1000])
@@ -150,12 +153,12 @@ def test_fold_is_the_per_value_loop_on_one_column(n):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 300), st.integers(0, 2**32 - 1),
-       st.booleans())
-def test_fold_is_the_per_value_loop(d, n, seed, fractional):
+       st.booleans(), st.booleans())
+def test_fold_is_the_per_value_loop(d, n, seed, fractional, rows):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 6, size=(n, d))
     weights = rng.random(n).tolist() if fractional else [1] * n
-    values = _stats(x, weights)
+    values = _stats(x, weights, rows)
     got, want = fold_stats(values), _retired_fold(values)
     assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
     assert got[2] == want[2] and type(got[2]) is type(want[2])
@@ -193,7 +196,9 @@ def test_combiner_then_reducer_emit_the_folded_statistics():
     total, total_sq, count = _retired_fold(values)
     [(key, combined)] = run_reducer(PartialSumCombiner(), [(7, values)],
                                     Context())
-    assert key == 7 and combined == (tuple(total), tuple(total_sq), count)
+    # The combiner's sums are read-only float64 rows with the fold's bits.
+    assert key == 7 and exact_stats([(key, combined)]) == exact_stats(
+        [(7, (tuple(total), tuple(total_sq), count))], emitted=False)
     [(_key, (center, weight, radius))] = run_reducer(
         CentroidReducer(), [(7, [combined])], Context())
     assert center == tuple(total / count) and weight == 50.0

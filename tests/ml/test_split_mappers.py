@@ -3,7 +3,9 @@
 The k-means, assign, fuzzy k-means and MinHash mappers buffer their split
 in ``map`` and compute it in ``cleanup``.  The per-record ``map`` bodies
 they replaced live on here, verbatim, as the oracles: same pairs, same
-order, same value types, same bits.
+order, same value types, same bits.  The one difference is by design:
+where an oracle emits a statistic vector as a tuple, the mapper emits a
+read-only 1-D float64 row of the same bits.
 """
 
 import numpy as np
@@ -86,6 +88,29 @@ def _same_output(mapper, oracle, records):
     assert _exact(got) == _exact(want)
 
 
+def exact_stats(pairs, emitted=True):
+    """:func:`_exact` of ``(key, (vec, vec_sq, w))`` pairs, each vector as
+    its float64 bytes.  ``emitted`` vectors must be read-only 1-D float64
+    rows; the oracles' are tuples."""
+    out = []
+    for key, (vec, vec_sq, w) in pairs:
+        if emitted:
+            for row in (vec, vec_sq):
+                assert isinstance(row, np.ndarray)
+                assert row.dtype == np.float64 and row.ndim == 1
+                assert not row.flags.writeable
+        out.append((key, (np.asarray(vec, float).tobytes(),
+                          np.asarray(vec_sq, float).tobytes(), w)))
+    return _exact(out)
+
+
+def _same_stats(mapper, oracle, records):
+    """Same keys, order, counts, weight types and vector bits."""
+    got = run_mapper(mapper, records, Context(task_id="m-1"))
+    want = run_mapper(oracle, records, Context(task_id="m-1"))
+    assert exact_stats(got) == exact_stats(want, emitted=False)
+
+
 # --- (a) every mapper against its oracle -------------------------------------
 
 # The 1/8 grid makes exact ties (argmin takes the first); the rest is any
@@ -108,8 +133,8 @@ def _split(draw):
 def test_kmeans_and_assign_mappers_match_per_record(split, name):
     records, centers = split
     measure = MEASURES[name]()
-    _same_output(KMeansMapper(centers, measure),
-                 PerRecordKMeansMapper(centers, measure), records)
+    _same_stats(KMeansMapper(centers, measure),
+                PerRecordKMeansMapper(centers, measure), records)
     _same_output(AssignMapper(centers, measure),
                  PerRecordAssignMapper(centers, measure), records)
 
@@ -120,8 +145,8 @@ def test_kmeans_and_assign_mappers_match_per_record(split, name):
 def test_fuzzy_kmeans_mapper_matches_per_record(split, name, m):
     records, centers = split
     measure = MEASURES[name]()
-    _same_output(FuzzyKMeansMapper(centers, measure, m),
-                 PerRecordFuzzyKMeansMapper(centers, measure, m), records)
+    _same_stats(FuzzyKMeansMapper(centers, measure, m),
+                PerRecordFuzzyKMeansMapper(centers, measure, m), records)
 
 
 @settings(max_examples=80, deadline=None)
@@ -136,23 +161,25 @@ def test_minhash_mapper_matches_per_record(split, num_hashes, key_groups,
 
 
 def _mappers(centers, measure):
+    """(mapper, its oracle, the comparison they must pass)."""
     return [
         (KMeansMapper(centers, measure),
-         PerRecordKMeansMapper(centers, measure)),
+         PerRecordKMeansMapper(centers, measure), _same_stats),
         (AssignMapper(centers, measure),
-         PerRecordAssignMapper(centers, measure)),
+         PerRecordAssignMapper(centers, measure), _same_output),
         (FuzzyKMeansMapper(centers, measure, 2.0),
-         PerRecordFuzzyKMeansMapper(centers, measure, 2.0)),
-        (MinHashMapper(8, 2, 2.0, 7), PerRecordMinHashMapper(8, 2, 2.0, 7)),
+         PerRecordFuzzyKMeansMapper(centers, measure, 2.0), _same_stats),
+        (MinHashMapper(8, 2, 2.0, 7), PerRecordMinHashMapper(8, 2, 2.0, 7),
+         _same_output),
     ]
 
 
 @pytest.mark.parametrize("name", sorted(MEASURES))
 def test_empty_and_one_record_splits(name):
     centers = [(0.0, 1.0, 2.0), (3.0, -1.0, 0.5)]
-    for mapper, oracle in _mappers(centers, MEASURES[name]()):
+    for mapper, oracle, same in _mappers(centers, MEASURES[name]()):
         assert run_mapper(mapper, [], Context()) == []
-        _same_output(mapper, oracle, [(4, (1.0, 2.0, 3.0))])
+        same(mapper, oracle, [(4, (1.0, 2.0, 3.0))])
 
 
 # --- (b) the fact the mappers rest on ----------------------------------------
@@ -194,7 +221,7 @@ def test_one_distance_call_per_split(name, n, monkeypatch):
                         calls.append(len(p)) or inner(self, p, c))
     records = [(i, (float(i), -float(i))) for i in range(n)]
     centers = [(0.0, 0.0), (5.0, -5.0), (50.0, 1.0)]
-    for mapper, _oracle in _mappers(centers, cls())[:3]:
+    for mapper, _oracle, _same in _mappers(centers, cls())[:3]:
         calls.clear()
         run_mapper(mapper, records, Context())
         assert calls == [n]

@@ -18,6 +18,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TYPE_CHECKING
 
@@ -244,6 +245,16 @@ def centers_k(driver: str, k: Optional[int],
         raise ClusteringError(f"{driver}: k={k} but {len(initial_centers)} "
                               f"initial_centers")
     return len(initial_centers)
+
+
+def checked_delta(driver: str, delta: float) -> float:
+    """An iterative driver's ``convergence_delta``, checked at construction:
+    a finite shift ``>= 0`` (with NaN mean-shift stops after one pass and
+    k-means never stops early; a negative one never converges)."""
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ClusteringError(f"{driver}: convergence_delta must be a finite "
+                              f"shift >= 0, got {delta}")
+    return float(delta)
 
 
 def run_centroid_loop(driver, algorithm: str, executor: Executor,

@@ -35,25 +35,42 @@ def canopy_pass(points: np.ndarray, t1: float, t2: float,
     """The sequential canopy rule: [(centroid, n_contributors)].
 
     Centroids are running means of the points within ``T1`` of the canopy's
-    founding point, returned as read-only float64 rows.
+    founding point, returned as read-only float64 rows.  The founders only
+    change when a point founds a canopy, so the pass runs in founder
+    epochs: one batched ``to_centers`` call measures a window of points
+    against the founders, the first with nothing within ``T2`` founds the
+    next canopy, and the ``T1`` hits up to it fold into the running sums
+    in point order: a sum starts from and a miss adds ``-0.0``, the exact
+    additive identity (``np.add.reduce`` would start from ``+0.0``).
+    The window doubles while no founder appears and restarts at one point
+    after one does: never more calls than points.
     """
     points = np.asarray(points, dtype=float)
     # Canopies 0..k-1 live in preallocated rows, so one to_centers call
-    # measures a point against every founder.
+    # measures a window against every founder.
     founders = Centers(points[:0], capacity=len(points))
     sums = np.empty_like(points)
     counts = np.zeros(len(points), dtype=int)
-    k = 0
-    for point in points:
-        dist = measure.to_centers(point[None], founders)[0]
-        within_t1 = np.flatnonzero(dist < t1)
-        sums[within_t1] += point
-        counts[within_t1] += 1
-        if not (dist < t2).any():
-            founders.append(point)
-            sums[k] = point
+    k, i, window = 0, 0, 1
+    while i < len(points):
+        ahead = points[i:i + window]
+        dist = measure.to_centers(ahead[:, None], founders)[:, 0]
+        absorbed = (dist < t2).any(axis=1)
+        first = int(absorbed.argmin())  # 0 when every point is absorbed
+        end = len(ahead) if absorbed[first] else first + 1
+        within_t1 = dist[:end] < t1
+        fold = np.where(within_t1[..., None], ahead[:end, None], -0.0)
+        sums[:k] = np.add.reduce(np.concatenate((sums[None, :k], fold)),
+                                 axis=0, initial=-0.0)
+        counts[:k] += within_t1.sum(axis=0)
+        i += end
+        window *= 2
+        if not absorbed[first]:
+            founders.append(ahead[first])
+            sums[k] = ahead[first]
             counts[k] = 1
             k += 1
+            window = 1
     return list(zip(read_only(sums[:k] / counts[:k, None]),
                     counts[:k].tolist()))
 

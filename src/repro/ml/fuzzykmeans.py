@@ -23,7 +23,7 @@ from repro.errors import ClusteringError
 from repro.mapreduce.api import Context
 from repro.mapreduce.job import Job
 from repro.ml.base import (ClusteringResult, Executor, centers_k,
-                           read_only, run_centroid_loop)
+                           checked_delta, read_only, run_centroid_loop)
 from repro.ml.kmeans import (CentersMapper, CentroidReducer,
                              PartialSumCombiner, _map_record_cost,
                              _stats_sizeof)
@@ -73,7 +73,8 @@ class FuzzyKMeansDriver:
         self.initial_centers = initial_centers
         self.measure = measure or EuclideanDistance()
         self.m = float(m)
-        self.convergence_delta = convergence_delta
+        self.convergence_delta = checked_delta("FuzzyKMeansDriver",
+                                               convergence_delta)
         self.max_iterations = max_iterations
         self.n_reduces = n_reduces
 

@@ -24,7 +24,7 @@ import numpy as np
 from repro.mapreduce.api import Context, Reducer
 from repro.mapreduce.job import Job
 from repro.ml.base import (ClusteringResult, Executor, SplitMapper, centers_k,
-                           read_only, run_centroid_loop)
+                           checked_delta, read_only, run_centroid_loop)
 from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
 
 #: Per-record CPU cost of one distance evaluation row (k centers, d dims):
@@ -126,7 +126,8 @@ class KMeansDriver:
         self.k = centers_k("KMeansDriver", k, initial_centers)
         self.initial_centers = initial_centers
         self.measure = measure or EuclideanDistance()
-        self.convergence_delta = convergence_delta
+        self.convergence_delta = checked_delta("KMeansDriver",
+                                               convergence_delta)
         self.max_iterations = max_iterations
         self.n_reduces = n_reduces
 

@@ -25,41 +25,63 @@ import numpy as np
 from repro.errors import ClusteringError
 from repro.mapreduce.api import Context, Mapper, Reducer
 from repro.mapreduce.job import Job
-from repro.ml.base import ClusterModel, ClusteringResult, Executor, read_only
+from repro.ml.base import (ClusterModel, ClusteringResult, Executor,
+                           checked_delta, read_only)
 from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
+
+
+#: A neighbourhood block has about this many cells (1 MB of floats).
+_BLOCK_CELLS = 1 << 17
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` blocks of at least two rows covering ``0..n-1``: a lone
+    row goes to gemv and changes the bits, so it joins the block before."""
+    bounds = list(range(0, n, max(2, _BLOCK_CELLS // n)))
+    if len(bounds) > 1 and n - bounds[-1] == 1:
+        bounds.pop()
+    return list(zip(bounds, bounds[1:] + [n]))
 
 
 def shift_and_merge(canopies: list[tuple[np.ndarray, float]], t1: float,
                     t2: float, measure: DistanceMeasure,
                     delta: float) -> tuple[list[tuple[np.ndarray, float]], bool]:
     """One mean-shift pass: returns (new canopies, all_converged), the new
-    centers as read-only float64 rows."""
+    centers as read-only float64 rows.
+
+    The ``< T1`` neighbourhoods are measured in row blocks against one
+    prepared :class:`Centers` (see ``vectors``); each mean sums its
+    neighbours' weighted rows by an ordered gather, in a boolean-mask sum's
+    order.  The T2 merge stays sequential: each step moves or adds a row.
+    """
     if not canopies:
         return [], True
     centers = np.vstack([c for c, _w in canopies])
     weights = np.asarray([w for _c, w in canopies], dtype=float)
-    # Each mean sums the rows of one weighted stack picked by one row of
-    # the neighbourhood matrix; a matmul here would change the means' bits.
-    within_t1 = measure.to_centers(centers, centers) < t1
+    prepared = Centers(centers)
     weighted = centers * weights[:, None]
     means = np.empty_like(centers)
-    for i, row in enumerate(within_t1):
-        means[i] = weighted[row].sum(axis=0) / weights[row].sum()
+    for lo, hi in _row_blocks(len(centers)):
+        within_t1 = measure.to_centers(centers[lo:hi], prepared) < t1
+        for i, row in enumerate(within_t1, lo):
+            idx = row.nonzero()[0]
+            means[i] = (np.add.reduce(weighted.take(idx, axis=0), axis=0)
+                        / np.add.reduce(weights.take(idx)))
     all_converged = not (measure.paired(means, centers) > delta).any()
     # Merge canopies within T2 (the earliest such canopy absorbs the later
     # one); merged canopies 0..m-1 live in preallocated rows.
     merged = Centers(centers[:0], capacity=len(centers))
     merged_w: list[float] = []
-    for center, weight in zip(means, weights.tolist()):
-        near = measure.to_centers(center[None], merged)[0] < t2
-        if near.any():
-            j = int(near.argmax())
+    for point, weight in zip(means[:, None], weights.tolist()):
+        near = (measure.to_centers(point, merged)[0] < t2).nonzero()[0]
+        if near.size:
+            j = near[0]
             new_w = merged_w[j] + weight
-            merged.replace(j, (merged.rows[j] * merged_w[j] + center * weight)
-                           / new_w)
+            merged.replace(j, (merged.rows[j] * merged_w[j]
+                               + point[0] * weight) / new_w)
             merged_w[j] = new_w
         else:
-            merged.append(center)
+            merged.append(point)
             merged_w.append(weight)
     return list(zip(read_only(merged.rows), merged_w)), all_converged
 
@@ -114,7 +136,8 @@ class MeanShiftDriver:
             raise ClusteringError("max_iterations must be >= 1")
         self.t1, self.t2 = float(t1), float(t2)
         self.measure = measure or EuclideanDistance()
-        self.convergence_delta = convergence_delta
+        self.convergence_delta = checked_delta("MeanShiftDriver",
+                                               convergence_delta)
         self.max_iterations = max_iterations
 
     def run(self, executor: Executor, input_path: str,

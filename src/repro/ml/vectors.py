@@ -19,7 +19,20 @@ A leading batch axis does not move them: ``to_centers(points[:, None, :],
 centers)[:, 0]`` is n separate ``(1, d) @ (d, k)`` products, every
 reduction stays per row, and so it returns the bits of n one-point calls.
 The k-means, assign and fuzzy k-means mappers rely on this to measure a
-whole split in one call (``kmeans.CentersMapper.distances``).
+whole split in one call (``kmeans.CentersMapper.distances``), and canopy
+to run in founder epochs: between two founder appends the founders are
+fixed, so one ``to_centers(points[i:i + w, None, :], founders)`` call
+measures the next w points with the bits of w one-point calls.
+
+Mean-shift measures its ``< T1`` neighbourhoods in row blocks,
+``to_centers(rows[lo:hi], prepared)``, so no n x n float matrix is built.
+Which bits a block gets is the BLAS's choice by shape.  With OpenBLAS on
+x86-64, blocks of two or more rows give the bits of the one-call
+``(n, d) @ (d, n)`` product at the experiments' sizes (1,000 x 2 and
+1,800 x 60, as the full-size tests check), but a 1-row block goes to gemv
+and does not, so a lone last row joins the block before it.  At some
+other sizes (900 x 60, 999 x 2) up to 0.4% of the block distances differ
+by an ulp; a model then changes only if a distance lies within it of T1.
 """
 
 from __future__ import annotations

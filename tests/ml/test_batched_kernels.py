@@ -1,9 +1,9 @@
 """Differential oracles for the batched clustering kernels.
 
-Canopy, mean-shift and Dirichlet do their distance / likelihood work one
-NumPy call per point (against every live canopy) or per split.  The
-per-pair loops they replaced live on here as the reference: same decisions,
-same bits.
+Canopy measures a window of points per call (founder epochs), mean-shift
+its neighbourhoods in row blocks, and Dirichlet its likelihoods per split.
+The per-pair loops and the one-call-per-point passes they replaced live on
+here as the references: same decisions, same bits.
 """
 
 import hashlib
@@ -20,12 +20,12 @@ from repro.experiments import fig6_synthetic_control as fig6
 from repro.experiments import fig7_display_clustering as fig7
 from repro.experiments.common import make_platform, scaled_cluster
 from repro.mapreduce.api import Context, run_mapper
-from repro.ml import ClusterExecutor
-from repro.ml.base import stage_points
+from repro.ml import ClusterExecutor, meanshift
+from repro.ml.base import read_only, stage_points
 from repro.ml.canopy import CanopyMapper, canopy_pass
 from repro.ml.dirichlet import DirichletMapper, sample_rows
 from repro.ml.meanshift import MeanShiftMapper, shift_and_merge
-from repro.ml.vectors import MEASURES, EuclideanDistance
+from repro.ml.vectors import MEASURES, Centers, EuclideanDistance
 from tests.ml.test_split_mappers import exact_stats
 
 
@@ -72,6 +72,65 @@ def shift_and_merge_reference(canopies, t1, t2, measure, delta):
         else:
             merged.append((center, weight))
     return merged, all_converged
+
+
+# --- the retired one-call-per-point passes, verbatim --------------------------
+
+def canopy_pass_one_call_per_point(points, t1, t2, measure):
+    points = np.asarray(points, dtype=float)
+    # Canopies 0..k-1 live in preallocated rows, so one to_centers call
+    # measures a point against every founder.
+    founders = Centers(points[:0], capacity=len(points))
+    sums = np.empty_like(points)
+    counts = np.zeros(len(points), dtype=int)
+    k = 0
+    for point in points:
+        dist = measure.to_centers(point[None], founders)[0]
+        within_t1 = np.flatnonzero(dist < t1)
+        sums[within_t1] += point
+        counts[within_t1] += 1
+        if not (dist < t2).any():
+            founders.append(point)
+            sums[k] = point
+            counts[k] = 1
+            k += 1
+    return list(zip(read_only(sums[:k] / counts[:k, None]),
+                    counts[:k].tolist()))
+
+
+def shift_and_merge_one_call_per_point(canopies, t1, t2, measure, delta):
+    if not canopies:
+        return [], True
+    centers = np.vstack([c for c, _w in canopies])
+    weights = np.asarray([w for _c, w in canopies], dtype=float)
+    # Each mean sums the rows of one weighted stack picked by one row of
+    # the neighbourhood matrix; a matmul here would change the means' bits.
+    within_t1 = measure.to_centers(centers, centers) < t1
+    weighted = centers * weights[:, None]
+    means = np.empty_like(centers)
+    for i, row in enumerate(within_t1):
+        means[i] = weighted[row].sum(axis=0) / weights[row].sum()
+    all_converged = not (measure.paired(means, centers) > delta).any()
+    # Merge canopies within T2 (the earliest such canopy absorbs the later
+    # one); merged canopies 0..m-1 live in preallocated rows.
+    merged = Centers(centers[:0], capacity=len(centers))
+    merged_w: list[float] = []
+    for center, weight in zip(means, weights.tolist()):
+        near = measure.to_centers(center[None], merged)[0] < t2
+        if near.any():
+            j = int(near.argmax())
+            new_w = merged_w[j] + weight
+            merged.replace(j, (merged.rows[j] * merged_w[j] + center * weight)
+                           / new_w)
+            merged_w[j] = new_w
+        else:
+            merged.append(center)
+            merged_w.append(weight)
+    return list(zip(read_only(merged.rows), merged_w)), all_converged
+
+
+def _bits(pairs):
+    return [(row.tobytes(), n) for row, n in pairs]
 
 
 def log_pdf_reference(model, x):
@@ -285,3 +344,96 @@ def test_canopies_travel_as_read_only_rows(mapper, record):
     for _key, (center, *_rest) in pairs:
         assert isinstance(center, np.ndarray) and center.dtype == np.float64
         assert center.shape == (2,) and not center.flags.writeable
+
+
+# --- (e) full-size inputs and edge cases against the one-call passes ----------
+
+def _fig6_points():
+    rng = make_platform(seed=0).datacenter.rng.fresh("datasets/control")
+    return generate_synthetic_control(n_per_class=300, rng=rng)[0]
+
+
+def _fig7_points():
+    rng = make_platform(seed=0).datacenter.rng.fresh("datasets/sample")
+    return generate_sample_data(rng)[0]
+
+
+# The 120-point digest pins above fit in one neighbourhood block and a few
+# epochs; these sizes take many of each.  At 900 x 60 some block distances
+# differ from the one-call product's by an ulp (vectors.py); no decision may.
+@pytest.mark.parametrize("points, canopy_t, meanshift_t", [
+    (_fig6_points, (fig6.CANOPY_T1, fig6.CANOPY_T2),
+     (fig6.MEANSHIFT_T1, fig6.MEANSHIFT_T2)),
+    (lambda: _fig6_points()[:900], (fig6.CANOPY_T1, fig6.CANOPY_T2),
+     (fig6.MEANSHIFT_T1, fig6.MEANSHIFT_T2)),
+    (_fig7_points, (3.0, 1.5), (2.0, 1.0)),
+], ids=["fig6-1800x60", "fig6-900x60", "fig7-1000x2"])
+def test_full_size_passes_match_the_one_call_per_point_passes(
+        points, canopy_t, meanshift_t):
+    points = points()
+    measure = EuclideanDistance()
+    assert len(meanshift._row_blocks(len(points))) > 1
+    got = canopy_pass(points, *canopy_t, measure)
+    assert len(got) > 2
+    assert _bits(got) == _bits(canopy_pass_one_call_per_point(
+        points, *canopy_t, measure))
+    canopies = [(p, 1.0) for p in points]
+    for _ in range(2):  # unit weights, then the merged, weighted canopies
+        got, converged = shift_and_merge(canopies, *meanshift_t, measure, 0.5)
+        want, want_converged = shift_and_merge_one_call_per_point(
+            canopies, *meanshift_t, measure, 0.5)
+        assert _bits(got) == _bits(want) and converged == want_converged
+        canopies = got
+
+
+def test_signed_zeros_survive_both_passes():
+    points = np.array([[-0.0, 0.0], [10.0, 10.0], [-0.0, 0.5],
+                       [10.0, -0.0], [-0.0, -0.0], [10.5, -0.0]])
+    measure = EuclideanDistance()
+    got = canopy_pass(points, 3.0, 1.5, measure)
+    assert _bits(got) == _bits(canopy_pass_one_call_per_point(
+        points, 3.0, 1.5, measure))
+    # A point outside T1 adds -0.0 to a founder's sum: +0.0 would flip it.
+    assert np.signbit(got[0][0][0]) and np.signbit(got[2][0][1])
+    canopies = [(p, 1.0) for p in points]
+    got, _ = shift_and_merge(canopies, 3.0, 1.5, measure, 0.5)
+    want, _ = shift_and_merge_one_call_per_point(canopies, 3.0, 1.5,
+                                                 measure, 0.5)
+    assert _bits(got) == _bits(want)  # the sums start from +0.0 in both
+
+
+class CountingEuclidean(EuclideanDistance):
+    def __init__(self):
+        self.calls = 0
+
+    def to_centers(self, points, centers):
+        self.calls += 1
+        return super().to_centers(points, centers)
+
+
+def test_an_all_founders_canopy_pass_makes_at_most_one_call_per_point():
+    points = np.random.default_rng(11).normal(size=(400, 3))
+    measure = CountingEuclidean()
+    got = canopy_pass(points, 0.5, 1e-9, measure)
+    assert len(got) == len(points) and measure.calls <= len(points)
+    assert _bits(got) == _bits(canopy_pass_one_call_per_point(
+        points, 0.5, 1e-9, EuclideanDistance()))
+
+
+def test_a_one_row_remainder_joins_the_previous_block(monkeypatch):
+    points = _fig7_points()
+    measure = EuclideanDistance()
+    monkeypatch.setattr(meanshift, "_BLOCK_CELLS", 37 * len(points))
+    blocks = meanshift._row_blocks(len(points))  # 1,000 = 27 x 37 + 1
+    assert blocks[-1] == (962, 1000) and len(blocks) == 27
+    # T1 sits exactly on a last-row distance that a lone-row (gemv) call
+    # measures an ulp shorter, so a 1-row block would change that mean.
+    full = measure.to_centers(points, points)[-1]
+    lone = measure.to_centers(points[-1:], Centers(points))[0]
+    shorter = np.flatnonzero(lone < full)
+    t1 = full[shorter[0]] if shorter.size else 2.0
+    canopies = [(p, 1.0) for p in points]
+    got, _ = shift_and_merge(canopies, t1, t1 / 2, measure, 0.5)
+    want, _ = shift_and_merge_one_call_per_point(canopies, t1, t1 / 2,
+                                                 measure, 0.5)
+    assert _bits(got) == _bits(want)

@@ -251,6 +251,21 @@ def test_meanshift_validation():
         MeanShiftDriver(t1=2.0, t2=1.0, max_iterations=0)
 
 
+@pytest.mark.parametrize("driver", [
+    lambda delta: KMeansDriver(k=3, convergence_delta=delta),
+    lambda delta: FuzzyKMeansDriver(k=3, convergence_delta=delta),
+    lambda delta: MeanShiftDriver(t1=4.0, t2=2.0, convergence_delta=delta),
+], ids=["KMeansDriver", "FuzzyKMeansDriver", "MeanShiftDriver"])
+def test_convergence_delta_must_be_a_finite_shift(driver):
+    # NaN stopped mean-shift as converged after one pass and ran k-means to
+    # its budget; a negative delta never converged.
+    for delta in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ClusteringError, match="convergence_delta must "
+                                                  "be a finite shift >= 0"):
+            driver(delta)
+    assert driver(0).convergence_delta == 0.0
+
+
 # --- dirichlet -------------------------------------------------------------------
 
 def test_dirichlet_finds_significant_models(blobs):

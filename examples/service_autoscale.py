@@ -57,8 +57,7 @@ def main() -> None:
                            first_burst_at_s=300.0)
 
     book = AlertBook(sim=sim, tracer=cluster.tracer)
-    pool = ElasticWorkerPool(cluster, backend.scheduler, max_size=8,
-                             quiescence_poll_s=10.0)
+    pool = ElasticWorkerPool(cluster, backend.scheduler, max_size=8)
     autoscaler = ElasticAutoscaler(pool, book, cooldown_s=60.0,
                                    grow_step=2, scale_in_util=0.25,
                                    scale_in_ticks=8,

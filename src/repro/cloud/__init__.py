@@ -39,7 +39,7 @@ from repro.cloud.service import (PerJobClusterBackend, ServiceOutcome,
 from repro.cloud.tenants import (LatencyHistogram, TenantRegistry,
                                  TenantSpec, TenantStats)
 from repro.cloud.traffic import (Arrival, BurstTraffic, DiurnalTraffic,
-                                 PoissonTraffic, TraceReplay, trace_digest)
+                                 PoissonTraffic, trace_digest)
 
 __all__ = [
     "ADMIT", "ADVERSARY_KINDS", "REJECT_OVERLOAD", "REJECT_QUOTA",
@@ -52,5 +52,5 @@ __all__ = [
     "ServiceController", "ServiceOutcome", "ServiceReport",
     "ServiceRequest", "SharedClusterBackend",
     "SlotModelBackend", "TenantRegistry", "TenantSpec", "TenantStats",
-    "TraceReplay", "trace_digest",
+    "trace_digest",
 ]

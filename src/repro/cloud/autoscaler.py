@@ -150,7 +150,7 @@ class ElasticAutoscaler:
             self._low_ticks += 1
             if self._low_ticks >= self.scale_in_ticks:
                 self._low_ticks = 0
-                stopped = self.pool.shrink(1)
+                stopped = self.pool.shrink()
                 if stopped:
                     taken.append(self._record(
                         now, "shrink", stopped, "utilization",

@@ -36,7 +36,7 @@ compares it across two fresh processes.
 
 from __future__ import annotations
 
-import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -56,6 +56,9 @@ from repro.telemetry.timeseries import TimeSeriesStore
 #: concatenated lines is the same digest however they are chunked.
 TRACE_CHUNK = 1024
 
+#: Control ticks the timeline's rolling p99 spans.
+ROLLING_TICKS = 24
+
 
 # -- the surrogate cost model ------------------------------------------------
 @dataclass(frozen=True)
@@ -70,8 +73,12 @@ class CostModel:
     per_mb_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.base_s <= 0 or self.per_mb_s < 0:
-            raise ConfigError("need base_s > 0 and per_mb_s >= 0")
+        if not 0 < self.base_s < math.inf:
+            raise ConfigError(f"base_s must be finite and > 0, "
+                              f"got {self.base_s!r}")
+        if not 0 <= self.per_mb_s < math.inf:
+            raise ConfigError(f"per_mb_s must be finite and >= 0, "
+                              f"got {self.per_mb_s!r}")
 
     def service_time(self, size_mb: float) -> float:
         return self.base_s + self.per_mb_s * size_mb
@@ -125,17 +132,15 @@ class _SurrogatePool:
         self.booting -= 1
         self.backend.add_slot()
 
-    def shrink(self, n: int = 1) -> int:
-        stopped = 0
-        for _ in range(n):
-            # Not ``size``: a retiring slot stays in it until it has left.
-            if self.backend.total_slots() + self.booting <= self.min_size:
-                break
-            if not self.backend.remove_slot():
-                break
-            self.retired += 1
-            stopped += 1
-        return stopped
+    def shrink(self) -> int:
+        """Retire one slot unless at the floor; returns how many (0 or 1)."""
+        # Not ``size``: a retiring slot stays in it until it has left.
+        if self.backend.total_slots() + self.booting <= self.min_size:
+            return 0
+        if not self.backend.remove_slot():
+            return 0
+        self.retired += 1
+        return 1
 
 
 class SlotModelBackend:
@@ -146,12 +151,12 @@ class SlotModelBackend:
     count, not a process: the only kernel event a job costs here is the
     ``call_in`` that finishes it.  No tasks, no shuffle, no HDFS — the
     :class:`CostModel` stands in for all of it, calibrated against the
-    full simulation.
+    full simulation.  The elastic pool never shrinks below the ``slots``
+    it started with.
     """
 
     def __init__(self, sim, cost: CostModel, slots: int,
-                 elastic_min: Optional[int] = None, elastic_max: int = 512,
-                 boot_s: float = 45.0):
+                 elastic_max: int = 512, boot_s: float = 45.0):
         if slots < 1:
             raise ConfigError("slots must be >= 1")
         self.sim = sim
@@ -167,9 +172,8 @@ class SlotModelBackend:
         self._idle_retiring = 0
         self._busy_retiring = 0
         self.busy = 0
-        self.pool = _SurrogatePool(
-            self, min_size=slots if elastic_min is None else elastic_min,
-            max_size=elastic_max, boot_s=boot_s)
+        self.pool = _SurrogatePool(self, min_size=slots,
+                                   max_size=elastic_max, boot_s=boot_s)
         for _ in range(slots):
             self.add_slot()
 
@@ -248,11 +252,6 @@ class TimelinePoint:
     utilization: float
     p99: float
 
-    def as_row(self) -> list:
-        return [round(self.at, 3), self.workers, self.backlog,
-                self.inflight, round(self.utilization, 4),
-                round(self.p99, 3)]
-
 
 class ServiceReport:
     """Everything measured about one service run."""
@@ -283,10 +282,6 @@ class ServiceReport:
     @property
     def rejected(self) -> int:
         return self.rejected_quota + self.rejected_overload
-
-    @property
-    def rejection_rate(self) -> float:
-        return self.rejected / self.submitted if self.submitted else 0.0
 
     @property
     def goodput(self) -> float:
@@ -320,36 +315,6 @@ class ServiceReport:
         h.update(self.burn_digest)
         return h.hex()
 
-    def as_dict(self, timeline_stride: int = 1) -> dict:
-        per_tenant = {name: self.tenants.stats(name).as_dict()
-                      for name in sorted(self.tenants.names)}
-        return {
-            "service": self.name,
-            "horizon_s": self.horizon_s,
-            "finished_at": round(self.finished_at, 3),
-            "kernel_events": self.kernel_events,
-            "counters": self.counters(),
-            "rejection_rate": round(self.rejection_rate, 6),
-            "goodput": round(self.goodput, 6),
-            "latency_p50": round(self.latency.p50, 3),
-            "latency_p99": round(self.latency.p99, 3),
-            "wait_p50": round(self.queue_wait.p50, 3),
-            "wait_p99": round(self.queue_wait.p99, 3),
-            "n_tenants": len(self.tenants),
-            "tenants": per_tenant,
-            "timeline": [p.as_row() for p
-                         in self.timeline[::max(1, timeline_stride)]],
-            "scaling_actions": [a.line() for a in self.actions],
-            "alerts": [a.slo for a in self.book.alerts],
-            "trace_digest": self.trace_digest,
-            "burn_digest": self.burn_digest,
-            "digest": self.digest(),
-        }
-
-    def to_json(self, timeline_stride: int = 1) -> str:
-        return json.dumps(self.as_dict(timeline_stride), indent=2,
-                          sort_keys=True)
-
 
 # -- the controller ----------------------------------------------------------
 class ServiceController:
@@ -365,14 +330,11 @@ class ServiceController:
                  name: str = "service",
                  tick_s: float = 5.0,
                  latency_target_s: float = 600.0,
-                 rolling_ticks: int = 24,
                  tracer=None,
                  verbose_telemetry: bool = False,
                  burn_engine=None):
         if tick_s <= 0:
             raise ConfigError("tick_s must be positive")
-        if rolling_ticks < 1:
-            raise ConfigError("rolling_ticks must be >= 1")
         self.sim = sim
         self.backend = backend
         self.tenants = tenants
@@ -408,9 +370,9 @@ class ServiceController:
         self._trace_hash = Digest()
         self._trace_lines: list[str] = []
         self._offer_done = False
-        # The last ``rolling_ticks`` per-tick latency histograms and their
+        # The last ``ROLLING_TICKS`` per-tick latency histograms and their
         # running sum: the timeline's rolling p99.
-        self._window: deque = deque(maxlen=rolling_ticks)
+        self._window: deque = deque(maxlen=ROLLING_TICKS)
         self._rolling_hist = LatencyHistogram()
         self._tick_hist = LatencyHistogram()
         self._tick_submitted = 0

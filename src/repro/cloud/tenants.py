@@ -67,31 +67,6 @@ class TenantStats:
     def rejected(self) -> int:
         return self.rejected_quota + self.rejected_overload
 
-    @property
-    def rejection_rate(self) -> float:
-        return self.rejected / self.submitted if self.submitted else 0.0
-
-    @property
-    def goodput(self) -> float:
-        """Completed fraction of everything submitted so far."""
-        return self.completed / self.submitted if self.submitted else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "rejected_quota": self.rejected_quota,
-            "rejected_overload": self.rejected_overload,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejection_rate": round(self.rejection_rate, 6),
-            "goodput": round(self.goodput, 6),
-            "latency_p50": round(self.latency.p50, 3),
-            "latency_p99": round(self.latency.p99, 3),
-            "wait_p50": round(self.queue_wait.p50, 3),
-            "wait_p99": round(self.queue_wait.p99, 3),
-        }
-
 
 class TenantRegistry:
     """The fleet of tenants one service instance carries."""
@@ -129,9 +104,6 @@ class TenantRegistry:
     @property
     def names(self) -> list[str]:
         return list(self._specs)
-
-    def total_weight(self) -> float:
-        return sum(spec.weight for spec in self)
 
     # -- synthetic fleets --------------------------------------------------
     @classmethod

@@ -28,8 +28,7 @@ Shapes (each a ``peak_rate`` plus a ``rate_at``):
 
 * :class:`PoissonTraffic` — homogeneous Poisson at a fixed rate;
 * :class:`DiurnalTraffic` — sinusoidal day/night rate;
-* :class:`BurstTraffic` — base rate with periodic multiplied bursts;
-* :class:`TraceReplay` — replays a recorded list verbatim (no draws).
+* :class:`BurstTraffic` — base rate with periodic multiplied bursts.
 """
 
 from __future__ import annotations
@@ -203,7 +202,7 @@ class DiurnalTraffic(ArrivalProcess):
 
     def __init__(self, name: str, tenants: TenantRegistry, rng,
                  base_rate_per_s: float, amplitude: float = 0.6,
-                 period_s: float = 86400.0, phase: float = 0.0):
+                 period_s: float = 86400.0):
         super().__init__(name, tenants, rng)
         if base_rate_per_s <= 0:
             raise ConfigError("base_rate_per_s must be positive")
@@ -212,13 +211,12 @@ class DiurnalTraffic(ArrivalProcess):
         self.base_rate_per_s = float(base_rate_per_s)
         self.amplitude = float(amplitude)
         self.period_s = float(period_s)
-        self.phase = float(phase)
         self.peak_rate = self.base_rate_per_s * (1.0 + self.amplitude)
 
     def rate_at(self, t):
         return self.base_rate_per_s * (
             1.0 + self.amplitude
-            * np.sin(2.0 * math.pi * t / self.period_s + self.phase))
+            * np.sin(2.0 * math.pi * t / self.period_s))
 
 
 class BurstTraffic(ArrivalProcess):
@@ -259,24 +257,3 @@ class BurstTraffic(ArrivalProcess):
     def rate_at(self, t):
         return np.where(self.in_burst(t), self.peak_rate,
                         self.base_rate_per_s)
-
-
-class TraceReplay(ArrivalProcess):
-    """Replay a recorded arrival list verbatim (ignores its own RNG)."""
-
-    def __init__(self, name: str, tenants: TenantRegistry, rng,
-                 trace: Iterable[Arrival]):
-        super().__init__(name, tenants, rng)
-        self.trace = sorted(trace, key=lambda a: (a.at, a.request_id))
-        for arrival in self.trace:
-            if arrival.tenant not in tenants:
-                raise ConfigError(
-                    f"trace references unknown tenant {arrival.tenant!r}")
-
-    def stream(self, horizon_s: float) -> Iterator[Arrival]:
-        if horizon_s <= 0:
-            raise ConfigError("horizon_s must be positive")
-        for arrival in self.trace:
-            if arrival.at >= horizon_s:
-                return
-            yield arrival

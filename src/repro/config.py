@@ -12,10 +12,20 @@ All configs are frozen; derived variants are produced with
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from repro import constants as C
 from repro.errors import ConfigError
+
+
+def _require_finite(config, *names: str) -> None:
+    """Reject NaN and infinities first: every range check below is a
+    ``<`` / ``<=`` comparison, which NaN passes."""
+    for name in names:
+        value = getattr(config, name)
+        if not -math.inf < value < math.inf:
+            raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,15 +38,13 @@ class VMConfig:
     image_size: int = 4 * C.GiB
 
     def __post_init__(self) -> None:
+        _require_finite(self, "vcpus", "memory", "image_size")
         if self.vcpus < 1:
             raise ConfigError(f"vcpus must be >= 1, got {self.vcpus}")
         if self.memory < 64 * C.MiB:
             raise ConfigError(f"memory must be >= 64 MiB, got {self.memory}")
         if self.image_size <= 0:
             raise ConfigError("image_size must be positive")
-
-    def with_memory(self, memory: int) -> "VMConfig":
-        return dataclasses.replace(self, memory=memory)
 
 
 @dataclass(frozen=True)
@@ -53,6 +61,9 @@ class HostConfig:
     dom0_reserved: int = 2 * C.GiB
 
     def __post_init__(self) -> None:
+        _require_finite(self, "cores", "dram", "nic_bandwidth",
+                        "bridge_bandwidth", "netback_bandwidth",
+                        "disk_bandwidth", "dom0_reserved")
         if self.cores < 1:
             raise ConfigError(f"cores must be >= 1, got {self.cores}")
         if self.dram <= self.dom0_reserved:
@@ -121,6 +132,15 @@ class HadoopConfig:
     replication_repair_delay_s: float = 5.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "dfs_replication", "dfs_block_size",
+                        "map_tasks_maximum", "reduce_tasks_maximum",
+                        "speculative_slowdown", "task_startup_s",
+                        "job_overhead_s", "heartbeat_s",
+                        "shuffle_parallel_copies", "job_localization_bytes",
+                        "missed_heartbeats_dead", "max_task_retries",
+                        "retry_backoff_s", "retry_backoff_cap_s",
+                        "tracker_blacklist_failures",
+                        "replication_repair_delay_s")
         if self.dfs_replication < 1:
             raise ConfigError("dfs.replication must be >= 1")
         if self.dfs_block_size < 1 * C.MiB:
@@ -172,6 +192,11 @@ class TopologySpec:
     agg_bandwidth: float = C.AGG_UPLINK_BPS
 
     def __post_init__(self) -> None:
+        _require_finite(self, "racks", "hosts_per_rack", "vms_per_host",
+                        "tor_bandwidth", "agg_bandwidth")
+        for name in ("nic_bandwidth", "bridge_bandwidth"):
+            if getattr(self, name) is not None:
+                _require_finite(self, name)
         if self.racks < 1 or self.hosts_per_rack < 1 or self.vms_per_host < 1:
             raise ConfigError("racks, hosts_per_rack and vms_per_host "
                               "must all be >= 1")
@@ -219,9 +244,6 @@ class TopologySpec:
     def spec_str(self) -> str:
         return f"{self.racks}x{self.hosts_per_rack}x{self.vms_per_host}"
 
-    def replace(self, **kwargs) -> "TopologySpec":
-        return dataclasses.replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class PlatformConfig:
@@ -245,10 +267,8 @@ class PlatformConfig:
     def __post_init__(self) -> None:
         if self.topology is not None:
             object.__setattr__(self, "n_hosts", self.topology.n_hosts)
+        _require_finite(self, "n_hosts", "nfs_bandwidth")
         if self.n_hosts < 1:
             raise ConfigError("n_hosts must be >= 1")
         if self.nfs_bandwidth <= 0:
             raise ConfigError("nfs_bandwidth must be positive")
-
-    def replace(self, **kwargs) -> "PlatformConfig":
-        return dataclasses.replace(self, **kwargs)

@@ -159,8 +159,3 @@ def _build_corpus(rng: np.random.Generator, nbytes: int) -> list[str]:
         lines += flat[flat != 0].tobytes().decode("ascii").splitlines()
         produced = int(ends[n - 1])
     return lines
-
-
-def corpus_sizeof(line: str) -> int:
-    """Serialized size of one corpus line (bytes + newline)."""
-    return len(line) + 1

@@ -22,10 +22,9 @@ through the controller's
   p99 latency improves.
 
 Prints a combined ``service digest`` note that the CI ``determinism``
-job compares across two fresh processes.  Nothing is written to disk; the
-per-mix latency/goodput/rejection curves, tenant stats, autoscaler
-action logs and timelines are available on demand from
-:meth:`~repro.cloud.ServiceReport.to_json`.
+job compares across two fresh processes.  Nothing is written to disk; a
+caller that wants per-mix tenant stats, autoscaler action logs or
+timelines reads them off each :class:`~repro.cloud.ServiceReport`.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ bottleneck.
 
 from repro.hdfs.block import Block, BlockStore
 from repro.hdfs.datanode import DataNode
-from repro.hdfs.files import DfsFile, FileSplit
+from repro.hdfs.files import DfsFile
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.client import DfsClient
 
 __all__ = ["Block", "BlockStore", "DataNode", "DfsClient", "DfsFile",
-           "FileSplit", "NameNode"]
+           "NameNode"]

@@ -50,9 +50,6 @@ class BlockStore:
         except KeyError:
             raise BlockNotFound(f"no payload for {block.block_id}") from None
 
-    def drop(self, block: Block) -> None:
-        self._payloads.pop(block.block_id, None)
-
     def __contains__(self, block: Block) -> bool:
         return block.block_id in self._payloads
 

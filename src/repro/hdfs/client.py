@@ -125,21 +125,6 @@ class DfsClient:
         self.namenode.block_store.put(block, payload)
         self.namenode.commit_block(f, block, targets)
 
-    def append_records(self, writer: "VirtualMachine", path: str,
-                       records: Sequence[Any],
-                       sizeof: Callable[[Any], int] = default_sizeof) -> Event:
-        """Append records to an existing file as new blocks."""
-        return self.sim.process(
-            self._append_proc(writer, path, records, sizeof),
-            name=f"dfs:append:{path}")
-
-    def _append_proc(self, writer, path, records, sizeof):
-        f = self.namenode.get_file(path)
-        for block, payload in self._pack_blocks(records, sizeof):
-            yield from self._write_block(writer, f, block, payload,
-                                         self.config.dfs_replication)
-        return f
-
     # -- read ---------------------------------------------------------------
     def read_block(self, reader: "VirtualMachine", block: Block,
                    prefer_local: bool = True) -> Event:

@@ -36,9 +36,6 @@ class DataNode:
     def add_replica(self, block: Block) -> None:
         self.blocks[block.block_id] = block
 
-    def drop_replica(self, block: Block) -> None:
-        self.blocks.pop(block.block_id, None)
-
     def write_to_disk(self, block: Block) -> Event:
         """Charge the local-disk write of one replica."""
         return self.vm.disk_io(block.size, name=f"dfs:write:{block.block_id}")

@@ -1,4 +1,4 @@
-"""Logical files and input splits."""
+"""Logical files."""
 
 from __future__ import annotations
 
@@ -25,17 +25,3 @@ class DfsFile:
 
     def __iter__(self) -> Iterator[Block]:
         return iter(self.blocks)
-
-
-@dataclass(frozen=True)
-class FileSplit:
-    """One map task's input: a block of a file (splits == blocks here,
-    which is Hadoop's default when block size == split size)."""
-
-    path: str
-    block: Block
-    index: int
-
-    @property
-    def size(self) -> int:
-        return self.block.size

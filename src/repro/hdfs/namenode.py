@@ -31,7 +31,7 @@ from repro.errors import (FileAlreadyExists, FileNotFoundInDfs,
                           ReplicationError)
 from repro.hdfs.block import Block, BlockStore
 from repro.hdfs.datanode import DataNode
-from repro.hdfs.files import DfsFile, FileSplit
+from repro.hdfs.files import DfsFile
 
 
 class NameNode:
@@ -72,22 +72,8 @@ class NameNode:
     def exists(self, path: str) -> bool:
         return path in self.files
 
-    def delete_file(self, path: str) -> None:
-        f = self.files.pop(path, None)
-        if f is None:
-            raise FileNotFoundInDfs(path)
-        for block in f.blocks:
-            for dn in self.replicas.pop(block.block_id, []):
-                dn.drop_replica(block)
-            self.block_store.drop(block)
-
     def list_files(self, prefix: str = "") -> list[str]:
         return sorted(p for p in self.files if p.startswith(prefix))
-
-    def splits(self, path: str) -> list[FileSplit]:
-        f = self.get_file(path)
-        return [FileSplit(path=path, block=b, index=i)
-                for i, b in enumerate(f.blocks)]
 
     # -- placement ----------------------------------------------------------
     @staticmethod
@@ -220,10 +206,3 @@ class NameNode:
         if not candidates:
             raise ReplicationError("datanode pool exhausted")
         return candidates[int(self._rng.integers(len(candidates)))]
-
-    # -- stats -----------------------------------------------------------------
-    def total_bytes(self) -> int:
-        return sum(f.size for f in self.files.values())
-
-    def replica_count(self, block: Block) -> int:
-        return len(self.replicas.get(block.block_id, []))

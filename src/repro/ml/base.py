@@ -113,13 +113,6 @@ class ClusterModel:
     weight: float = 0.0          # number of points (possibly fractional)
     radius: float = 0.0          # RMS distance of members to the center
 
-    def center_array(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
-
-    def as_tuple(self) -> tuple:
-        return (self.cluster_id, tuple(self.center), float(self.weight),
-                float(self.radius))
-
 
 @dataclass
 class ClusteringResult:
@@ -140,11 +133,6 @@ class ClusteringResult:
     @property
     def k(self) -> int:
         return len(self.models)
-
-    def centers(self) -> np.ndarray:
-        if not self.models:
-            return np.empty((0, 0))
-        return np.vstack([m.center_array() for m in self.models])
 
 
 # -- executors ---------------------------------------------------------------

@@ -21,27 +21,34 @@ from repro.ml.base import ClusteringResult
 
 _CENTER_GLYPHS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
+#: Panel size in characters (inside the border).
+WIDTH = 72
+HEIGHT = 28
+#: Margin around the data, as a fraction of its extent on each axis.
+PAD = 0.05
+#: Marks drawn per cluster ring.
+RING_SEGMENTS = 48
 
-def _bounds(points: np.ndarray, pad: float = 0.05
-            ) -> tuple[float, float, float, float]:
+
+def _bounds(points: np.ndarray) -> tuple[float, float, float, float]:
     x0, y0 = points.min(axis=0)[:2]
     x1, y1 = points.max(axis=0)[:2]
     dx, dy = max(x1 - x0, 1e-9), max(y1 - y0, 1e-9)
-    return x0 - pad * dx, x1 + pad * dx, y0 - pad * dy, y1 + pad * dy
+    return x0 - PAD * dx, x1 + PAD * dx, y0 - PAD * dy, y1 + PAD * dy
 
 
 class AsciiCanvas:
-    """A character raster over a 2-D data window."""
+    """A :data:`WIDTH` × :data:`HEIGHT` character raster over a 2-D data
+    window."""
 
-    def __init__(self, points: np.ndarray, width: int = 72, height: int = 28):
-        self.width, self.height = width, height
+    def __init__(self, points: np.ndarray):
         self.x0, self.x1, self.y0, self.y1 = _bounds(np.asarray(points))
-        self.grid = [[" "] * width for _ in range(height)]
+        self.grid = [[" "] * WIDTH for _ in range(HEIGHT)]
 
     def _to_cell(self, x: float, y: float) -> Optional[tuple[int, int]]:
-        col = int((x - self.x0) / (self.x1 - self.x0) * (self.width - 1))
-        row = int((self.y1 - y) / (self.y1 - self.y0) * (self.height - 1))
-        if 0 <= row < self.height and 0 <= col < self.width:
+        col = int((x - self.x0) / (self.x1 - self.x0) * (WIDTH - 1))
+        row = int((self.y1 - y) / (self.y1 - self.y0) * (HEIGHT - 1))
+        if 0 <= row < HEIGHT and 0 <= col < WIDTH:
             return row, col
         return None
 
@@ -54,34 +61,33 @@ class AsciiCanvas:
         if overwrite or self.grid[row][col] == " ":
             self.grid[row][col] = glyph
 
-    def circle(self, cx: float, cy: float, radius: float, glyph: str = "+",
-               segments: int = 48) -> None:
-        for theta in np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False):
+    def circle(self, cx: float, cy: float, radius: float,
+               glyph: str = "+") -> None:
+        for theta in np.linspace(0.0, 2.0 * np.pi, RING_SEGMENTS,
+                                 endpoint=False):
             self.plot(cx + radius * np.cos(theta),
                       cy + radius * np.sin(theta), glyph, overwrite=False)
 
     def render(self) -> str:
-        border = "+" + "-" * self.width + "+"
+        border = "+" + "-" * WIDTH + "+"
         body = "\n".join("|" + "".join(row) + "|" for row in self.grid)
         return f"{border}\n{body}\n{border}"
 
 
-def render_points(points: np.ndarray, width: int = 72, height: int = 28
-                  ) -> str:
+def render_points(points: np.ndarray) -> str:
     """Fig. 8(a): the raw sample data."""
-    canvas = AsciiCanvas(points, width, height)
+    canvas = AsciiCanvas(points)
     for x, y in np.asarray(points)[:, :2]:
         canvas.plot(x, y, ".", overwrite=False)
     return canvas.render()
 
 
-def render_history(points: np.ndarray, result: ClusteringResult,
-                   width: int = 72, height: int = 28) -> str:
+def render_history(points: np.ndarray, result: ClusteringResult) -> str:
     """Fig. 8(b)-(f): superimpose the iterations — the last five earlier
     rings faint (``'``), the final clusters bold (``+`` rings, letter
     centers)."""
     pts = np.asarray(points)
-    canvas = AsciiCanvas(pts, width, height)
+    canvas = AsciiCanvas(pts)
     for x, y in pts[:, :2]:
         canvas.plot(x, y, ".", overwrite=False)
     for models in result.history[-6:-1]:

@@ -166,11 +166,3 @@ class NaiveBayesDriver:
         )
         output, elapsed = executor.run_job(job)
         return {doc: label for doc, label in output}, elapsed
-
-    @staticmethod
-    def accuracy(predictions: dict, truth: dict) -> float:
-        if not truth:
-            raise ClusteringError("empty truth set")
-        hits = sum(1 for doc, label in truth.items()
-                   if predictions.get(doc) == label)
-        return hits / len(truth)

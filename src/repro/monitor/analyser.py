@@ -35,18 +35,6 @@ class SeriesSummary:
     disk_bytes_total: float
     net_bytes_total: float
 
-    @property
-    def dominant(self) -> str:
-        """Which class dominated this node: 'cpu', 'disk' or 'net'."""
-        scores = {"cpu": self.cpu_mean,
-                  "disk": self.disk_bytes_total,
-                  "net": self.net_bytes_total}
-        # CPU is a fraction; compare I/O classes by bytes, then prefer CPU
-        # only when it is plainly saturated.
-        if self.cpu_mean > 0.85:
-            return "cpu"
-        return max(("disk", "net"), key=lambda k: scores[k])
-
 
 @dataclass(frozen=True)
 class BottleneckReport:
@@ -105,32 +93,22 @@ class NmonAnalyser:
         found = (self._summarize(vm.name) for vm in self.monitor.vms)
         return [summary for summary in found if summary is not None]
 
-    def bottleneck(self, shared_resources: Optional[Sequence] = None,
-                   now: Optional[float] = None) -> BottleneckReport:
+    def bottleneck(self, shared_resources: Sequence,
+                   now: float) -> BottleneckReport:
         """Diagnose the platform bottleneck.
 
         ``shared_resources`` are :class:`~repro.sim.fairshare.SharedResource`
-        objects (host NICs, netback, NFS vnic, CPUs); their time-integrated
-        busy fractions are compared and the busiest wins.
+        objects (host NICs, netback, NFS vnic, CPUs); their busy fractions
+        over ``[0, now]`` are compared and the busiest wins (at ``now`` 0
+        nothing has been busy yet: every fraction is 0).
         """
-        summaries = self.summaries()
-        busy: dict[str, float] = {}
-        if shared_resources and now is not None and now > 0:
-            for res in shared_resources:
-                busy[res.name] = res.busy_time(now) / now
-        if busy:
-            busiest = max(busy, key=busy.get)  # type: ignore[arg-type]
-        else:
-            # Fall back to the per-node dominant classes.
-            if not summaries:
-                raise MonitorError("nothing to analyse")
-            votes: dict[str, int] = {}
-            for summary in summaries:
-                votes[summary.dominant] = votes.get(summary.dominant, 0) + 1
-            busiest = max(votes, key=votes.get)  # type: ignore[arg-type]
-        return BottleneckReport(busiest_resource=busiest,
-                                busy_fractions=busy,
-                                node_summaries=summaries)
+        if not shared_resources:
+            raise MonitorError("nothing to analyse: no shared resources")
+        busy = {res.name: res.busy_time(now) / now if now > 0 else 0.0
+                for res in shared_resources}
+        return BottleneckReport(
+            busiest_resource=max(busy, key=busy.get),  # type: ignore[arg-type]
+            busy_fractions=busy, node_summaries=self.summaries())
 
     def imbalance(self) -> float:
         """Coefficient of variation of per-node CPU means — the tuner's

@@ -110,9 +110,6 @@ class Observatory:
         """Full alert history (optionally one SLO's)."""
         return self.book.history(slo)
 
-    def active_alerts(self, slo: Optional[str] = None) -> list[Alert]:
-        return self.book.active(slo)
-
     def digest(self) -> str:
         """Deterministic content digest of the alert history."""
         return self.book.digest()

@@ -225,9 +225,6 @@ class AlertBook:
     def is_active(self, slo: str, target: str) -> bool:
         return (slo, target) in self._active
 
-    def count(self, slo: Optional[str] = None) -> int:
-        return len(self.history(slo))
-
     # -- determinism -------------------------------------------------------
     def digest(self) -> str:
         """Stable content digest over the full fire/resolve history.
@@ -244,8 +241,3 @@ class AlertBook:
             h.update(f"{a.slo}|{a.target}|{a.severity}|{a.attribution}|"
                      f"{a.fired_at:.6f}|{resolved}|{a.value:.6f}\n")
         return h.hex()
-
-    def describe(self) -> str:
-        if not self.alerts:
-            return "no alerts"
-        return "\n".join(a.describe() for a in self.alerts)

@@ -15,8 +15,7 @@ Public surface:
 
 from repro.parallel.console import (ConsoleTailer, ConsoleWriter,
                                     console_append, control_room_digest,
-                                    control_room_html, tail_console,
-                                    write_control_room)
+                                    control_room_html, write_control_room)
 from repro.parallel.fabric import (FabricStats, ItemResult, ShardedRun,
                                    WorkerStats, run_sharded)
 from repro.parallel.guard import GuardedResult, call_guarded
@@ -36,6 +35,5 @@ __all__ = [
     "control_room_digest",
     "control_room_html",
     "run_sharded",
-    "tail_console",
     "write_control_room",
 ]

@@ -44,6 +44,10 @@ from repro.observatory.htmlkit import column_chart, page
 CONSOLE_FORMAT = 1
 #: Default sidecar suffix next to a campaign journal.
 CONSOLE_SUFFIX = ".console.jsonl"
+#: Seconds between two fleet RSS records in the stream.
+RSS_SAMPLE_INTERVAL_S = 0.5
+#: Wall-time buckets of the control room's throughput chart.
+THROUGHPUT_BUCKETS = 60
 
 
 def console_append(path: str, record: Mapping[str, Any]) -> None:
@@ -75,10 +79,11 @@ class ConsoleWriter:
         console_append(self.path, record)
 
     def rss_sample(self, rss_by_wid: Mapping[int, float],
-                   pending: int, min_interval_s: float = 0.5) -> None:
-        """Throttled fleet RSS snapshot (at most one per interval)."""
+                   pending: int) -> None:
+        """Throttled fleet RSS snapshot (at most one per
+        :data:`RSS_SAMPLE_INTERVAL_S`)."""
         now = time.time()
-        if now - self._last_rss_emit < min_interval_s:
+        if now - self._last_rss_emit < RSS_SAMPLE_INTERVAL_S:
             return
         self._last_rss_emit = now
         self.event("rss", rss={str(w): round(v, 1)
@@ -234,13 +239,6 @@ class ConsoleTailer:
         return " | ".join(bits)
 
 
-def tail_console(path: str) -> ConsoleTailer:
-    """Read a whole sidecar stream once (the report-building path)."""
-    tailer = ConsoleTailer(path)
-    tailer.poll()
-    return tailer
-
-
 # -- the control room ---------------------------------------------------------
 
 def control_room_digest(run_digest: str, campaign_digest: str = "",
@@ -254,8 +252,9 @@ def control_room_digest(run_digest: str, campaign_digest: str = "",
     return h.hex()
 
 
-def _throughput_buckets(tailer: ConsoleTailer, n: int = 60) -> list[float]:
+def _throughput_buckets(tailer: ConsoleTailer) -> list[float]:
     """Done-items per wall bucket across the observed window."""
+    n = THROUGHPUT_BUCKETS
     if not tailer.done_times:
         return []
     t0 = float(tailer.header.get("t", min(tailer.done_times)))

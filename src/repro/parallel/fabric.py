@@ -117,9 +117,6 @@ class FabricStats:
     timeouts: int = 0
     requeued_items: int = 0
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class WorkerStats:
@@ -133,12 +130,6 @@ class WorkerStats:
     items_completed: int = 0
     peak_rss_mb: float = 0.0
     outcome: str = "ok"   # ok | killed:timeout | died
-
-    def as_dict(self) -> dict:
-        return {"wid": self.wid,
-                "items_completed": self.items_completed,
-                "peak_rss_mb": round(self.peak_rss_mb, 1),
-                "outcome": self.outcome}
 
 
 @dataclass

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence
+from typing import Collection, Sequence
 
-from repro.config import VMConfig
 from repro.errors import ConfigError, PlacementError
 from repro.virt.machine import PhysicalMachine
 
@@ -55,6 +54,10 @@ def validate_placement(placement: Placement,
                 f"{host_index} but only {len(machines)} exist")
 
 
+#: Seconds between a draining worker's quiescence checks.
+QUIESCENCE_POLL_S = 10.0
+
+
 class ElasticWorkerPool:
     """Grow/shrink a running cluster with compute-only elastic workers.
 
@@ -70,25 +73,20 @@ class ElasticWorkerPool:
     live shuffle inputs on it — then stop the VM and return its DRAM.
 
     ``size`` counts committed capacity: booted workers not yet draining
-    plus boots in flight.  It never goes below ``min_size`` or above
-    ``max_size``; the floor makes a clean (never-scaled-out) run
-    structurally unable to shrink below its provisioned base.
+    plus boots in flight.  It never goes above ``max_size``, and only
+    workers the pool booted ever retire, so a clean (never-scaled-out)
+    run is structurally unable to shrink below its provisioned base.
+    New workers take the datacenter's VM template.
     """
 
-    def __init__(self, cluster, scheduler,
-                 vm_config: Optional[VMConfig] = None,
-                 min_size: int = 0, max_size: int = 64,
-                 quiescence_poll_s: float = 5.0):
-        if min_size < 0 or max_size < min_size:
-            raise ConfigError("need 0 <= min_size <= max_size")
+    def __init__(self, cluster, scheduler, max_size: int = 64):
+        if max_size < 0:
+            raise ConfigError("need max_size >= 0")
         self.cluster = cluster
         self.scheduler = scheduler
         self.datacenter = cluster.datacenter
         self.sim = cluster.sim
-        self.vm_config = vm_config
-        self.min_size = min_size
         self.max_size = max_size
-        self.quiescence_poll_s = quiescence_poll_s
         self._seq = itertools.count()
         #: Trackers this pool booted and attached, oldest first.
         self.workers: list = []
@@ -110,7 +108,7 @@ class ElasticWorkerPool:
         hot-host alerts) are skipped while any other host has room.
         Stops early when the cap or the datacenter's DRAM is reached.
         """
-        memory = (self.vm_config or self.datacenter.config.vm).memory
+        memory = self.datacenter.config.vm.memory
         started = 0
         for _ in range(n):
             if self.size >= self.max_size:
@@ -125,8 +123,7 @@ class ElasticWorkerPool:
                 break  # datacenter is full
             host = max(candidates, key=lambda m: m.dram_free)
             vm = self.datacenter.create_vm(
-                f"{self.cluster.name}-es{next(self._seq):03d}", host,
-                config=self.vm_config)
+                f"{self.cluster.name}-es{next(self._seq):03d}", host)
             self.booting += 1
             self.sim.process(self._bring_up(vm),
                              name=f"elastic:boot:{vm.name}")
@@ -140,28 +137,24 @@ class ElasticWorkerPool:
         self.workers.append(tracker)
         self.scheduler.attach_tracker(tracker)
 
-    def shrink(self, n: int = 1) -> int:
-        """Gracefully retire up to ``n`` workers (youngest first);
-        returns how many drains were initiated."""
-        stopped = 0
+    def shrink(self) -> int:
+        """Gracefully retire the youngest worker not already draining;
+        returns how many drains were initiated (0 or 1)."""
         for tracker in reversed(self.workers):
-            if stopped >= n or self.size <= self.min_size:
-                break
             if tracker.draining:
                 continue
             tracker.draining = True
             self.sim.process(self._drain_and_retire(tracker),
                              name=f"elastic:drain:{tracker.name}")
-            stopped += 1
-        if stopped:
             # Parked slot workers re-check draining on wake-up.
             self.scheduler._signal("map")
             self.scheduler._signal("reduce")
-        return stopped
+            return 1
+        return 0
 
     def _drain_and_retire(self, tracker):
         while not self.scheduler.tracker_quiescent(tracker):
-            yield self.sim.timeout(self.quiescence_poll_s)
+            yield self.sim.timeout(QUIESCENCE_POLL_S)
         self.workers = [t for t in self.workers if t is not tracker]
         self.cluster.retire_worker(tracker)
         self.retired += 1

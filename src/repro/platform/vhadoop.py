@@ -128,25 +128,6 @@ class VHadoopPlatform:
         """Run a job to completion; returns its report."""
         return self.runners[cluster.name].run_to_completion(job)
 
-    def submit_jobs(self, cluster: HadoopVirtualCluster,
-                    jobs: Sequence[Any], policy: Any = None
-                    ) -> tuple[list[JobReport], Any]:
-        """Run several jobs *concurrently* on one cluster under a scheduler
-        policy (default FIFO).
-
-        ``jobs`` is a sequence of :class:`Job` or ``(Job, pool)`` pairs.
-        Returns ``(job reports in submission order, SchedulerReport)``.
-        """
-        from repro.scheduler import JobScheduler
-        scheduler = JobScheduler(cluster, policy=policy,
-                                 runner=self.runners[cluster.name])
-        events = []
-        for item in jobs:
-            job, pool = item if isinstance(item, tuple) else (item, "default")
-            events.append(scheduler.submit(job, pool=pool))
-        sched_report = scheduler.run_all()
-        return [event.value for event in events], sched_report
-
     def collect(self, cluster: HadoopVirtualCluster, report: JobReport
                 ) -> list[tuple[Any, Any]]:
         """Step 8: gather the job's output records."""

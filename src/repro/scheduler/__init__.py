@@ -12,8 +12,9 @@ arbitrated by pluggable policies —
 * :class:`CapacityScheduler` — hierarchical queues with guaranteed
   capacities and elastic overflow.
 
-Entry point: :class:`JobScheduler` (``submit(job, pool)`` → report event,
-``run_all()`` → :class:`SchedulerReport`).
+Entry point: :class:`JobScheduler` (``submit(job, pool)`` → report event;
+once the simulator has run those events, ``finalize()`` →
+:class:`SchedulerReport`).
 """
 
 from repro.scheduler.jobtracker import JobExecution, JobScheduler

@@ -135,16 +135,13 @@ class JobScheduler:
                          pool=pool, policy=self.policy.name)
         return ex.done
 
-    def run_all(self) -> SchedulerReport:
-        """Drive the simulator until every submitted job has finished."""
-        for ex in list(self._jobs):
-            self.sim.run_until(ex.done)
-        return self.finalize()
-
     def finalize(self) -> SchedulerReport:
+        """The report, once every submitted job has finished (run the
+        simulator until their events have fired first)."""
         if self._active:
             raise SimulationError(
-                f"{len(self._active)} jobs still active; run_all() first")
+                f"{len(self._active)} jobs still active; run the "
+                f"simulator until they finish first")
         self._accrue()
         self.report.finished_at = max(
             (ex.report.finished_at for ex in self._jobs),

@@ -74,13 +74,3 @@ class SchedulerReport:
         if self.started_at is None:
             return 0.0
         return self.finished_at - self.started_at
-
-    @property
-    def n_jobs(self) -> int:
-        return len(self.jobs)
-
-    @property
-    def mean_wait_s(self) -> float:
-        if not self.jobs:
-            return 0.0
-        return sum(j.wait_s for j in self.jobs) / len(self.jobs)

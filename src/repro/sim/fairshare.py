@@ -104,9 +104,9 @@ class SharedResource:
                  "_last_change", "_comp", "_repeats")
 
     def __init__(self, name: str, capacity: float):
-        if capacity <= 0:
-            raise ResourceError(f"resource {name!r} needs capacity > 0, "
-                                f"got {capacity}")
+        if not 0 < capacity < math.inf:
+            raise ResourceError(f"resource {name!r} needs a finite "
+                                f"capacity > 0, got {capacity}")
         self.name = name
         self.capacity = float(capacity)
         #: Design capacity.  ``set_capacity`` (fault injection) moves only
@@ -413,9 +413,9 @@ class FairShareSystem:
         flushed at the old capacity; this instant's flush recomputes rates,
         so a degradation only affects units still to be moved.
         """
-        if capacity <= 0:
+        if not 0 < capacity < math.inf:
             raise ResourceError(
-                f"resource {resource.name!r} needs capacity > 0, "
+                f"resource {resource.name!r} needs a finite capacity > 0, "
                 f"got {capacity}")
         self._advance()
         resource._accrue(self.sim.now)

@@ -107,10 +107,6 @@ class Tracer:
                    {"span": span.span_id, "parent": span.parent_id, **attrs})
         return span
 
-    def select_spans(self, prefix: str = "") -> Iterator[Span]:
-        """Iterate recorded spans whose kind starts with ``prefix``."""
-        return (s for s in self.spans if s.kind.startswith(prefix))
-
     def subscribe(self, callback: Callable[[TraceEvent], None],
                   prefix: Optional[str] = None) -> None:
         """Call ``callback`` for every future event whose kind starts with
@@ -128,13 +124,3 @@ class Tracer:
 
     def count(self, prefix: str) -> int:
         return sum(1 for _ in self.select(prefix))
-
-    def last(self, prefix: str) -> Optional[TraceEvent]:
-        found = None
-        for event in self.select(prefix):
-            found = event
-        return found
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.spans.clear()

@@ -46,7 +46,6 @@ CLUSTER_WORKER_JOINED = "cluster.worker.joined"
 CLUSTER_WORKER_RETIRED = "cluster.worker.retired"
 
 VM_PLACE = "vm.place"
-VM_SHUTDOWN = "vm.shutdown"
 VM_FAILED = "vm.failed"
 
 MIGRATION_ROUND = "migration.round"
@@ -102,7 +101,7 @@ POINT_KINDS: frozenset[str] = frozenset({
     NET_TRANSFER_START, NET_TRANSFER_END,
     CLUSTER_PROVISIONED, CLUSTER_RECONFIGURE, CLUSTER_WORKER_FAILED,
     CLUSTER_WORKER_JOINED, CLUSTER_WORKER_RETIRED,
-    VM_PLACE, VM_SHUTDOWN, VM_FAILED, VM_RECOVERED,
+    VM_PLACE, VM_FAILED, VM_RECOVERED,
     MIGRATION_ROUND, VIRTLM_CLUSTER_END,
     JOB_SUBMIT, JOB_MAPS_DONE, JOB_DONE,
     TASK_MAP_DONE, TASK_REDUCE_DONE,

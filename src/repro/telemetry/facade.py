@@ -10,7 +10,7 @@ Everything observable about a running platform hangs off this object:
   lazily, owned by the facade);
 * ``telemetry.bottleneck()`` — the paper's platform diagnosis, folding in
   the shared fair-share resources (host NICs, netback, NFS);
-* ``telemetry.job_timeline()`` / ``critical_path()`` — span analysis;
+* ``telemetry.job_timeline()`` — span analysis (its ``critical_path()``);
 * ``telemetry.export_chrome_trace()`` / ``prometheus_text()`` / CSV.
 
 Go through this facade rather than constructing
@@ -23,9 +23,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import MonitorError
-from repro.sim.trace import Span, TraceEvent, Tracer
+from repro.sim.trace import Span, Tracer
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.timeline import CriticalPath, JobTimeline, build_timeline
+from repro.telemetry.timeline import JobTimeline, build_timeline
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.monitor.analyser import BottleneckReport, NmonAnalyser
@@ -182,17 +182,9 @@ class Telemetry:
     def spans(self) -> list[Span]:
         return self.tracer.spans
 
-    @property
-    def events(self) -> list[TraceEvent]:
-        return self.tracer.events
-
     def job_timeline(self, job_name: str) -> JobTimeline:
         """Reconstruct one job's span tree (latest run under that name)."""
         return build_timeline(job_name, self.tracer.spans)
-
-    def critical_path(self, job_name: str) -> CriticalPath:
-        """Critical path of one job's latest run."""
-        return self.job_timeline(job_name).critical_path()
 
     # -- exports ------------------------------------------------------------
     def chrome_trace(self) -> dict:

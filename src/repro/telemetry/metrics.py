@@ -228,33 +228,12 @@ class MetricsRegistry:
         return self._family(name, "histogram", help).child(_labelset(labels))
 
     # -- reading --------------------------------------------------------------
-    def get(self, name: str,
-            labels: Optional[Mapping[str, str]] = None):
-        """The child instrument, or None if never recorded."""
-        family = self.families.get(name)
-        if family is None:
-            return None
-        return family.children.get(_labelset(labels))
-
-    def value(self, name: str,
-              labels: Optional[Mapping[str, str]] = None) -> float:
-        """Scalar value of a counter (0.0 when absent)."""
-        child = self.get(name, labels)
-        return child.value if child is not None else 0.0
-
-    def sum(self, name: str, label: Optional[str] = None,
-            value: Optional[str] = None) -> float:
-        """Sum a counter family across children, optionally filtered
-        to children whose ``label`` equals ``value``."""
+    def sum(self, name: str) -> float:
+        """Sum a counter family across its children (0.0 when absent)."""
         family = self.families.get(name)
         if family is None:
             return 0.0
         total = 0.0
-        for labelset, child in family.children.items():
-            if label is not None and (label, value) not in labelset:
-                continue
+        for child in family.children.values():
             total += getattr(child, "value", 0.0)
         return total
-
-    def clear(self) -> None:
-        self.families.clear()

@@ -110,16 +110,6 @@ class CriticalPath:
     def span_segments(self) -> list[PathSegment]:
         return [s for s in self.segments if s.span is not None]
 
-    def describe(self) -> str:
-        """Human-readable rendering, one segment per line."""
-        lines = [f"critical path of {self.job}: {self.makespan:.2f} s "
-                 f"({self.coverage:.0%} in spans, "
-                 f"{len(self.span_segments())} spans)"]
-        for seg in self.segments:
-            lines.append(f"  {seg.start:9.2f} → {seg.end:9.2f}  "
-                         f"{seg.duration:8.2f} s  {seg.label}")
-        return "\n".join(lines)
-
 
 @dataclass
 class JobTimeline:

@@ -223,25 +223,10 @@ class TimeSeries:
             self._late += 1
 
     # -- read ------------------------------------------------------------
-    def _pick_tier(self, t0: float, now: float) -> int:
-        """Finest tier whose retention still covers ``t0``."""
-        for i, tier in enumerate(self.tiers):
-            if now - t0 <= tier.retention_s():
-                return i
-        return len(self.tiers) - 1
-
     def range(self, t0: float, t1: float,
-              tier: Optional[int] = None) -> list[tuple[float, Bucket]]:
-        """Buckets whose interval intersects ``[t0, t1)`` in time order.
-
-        ``tier=None`` auto-selects the finest tier that still retains
-        ``t0`` (judged against the newest sample seen).  Costs
-        O(buckets in range), whatever the capacity.
-        """
-        if tier is None:
-            newest = self.tiers[0].newest
-            now = newest.last_at if newest is not None else t1
-            tier = self._pick_tier(t0, now)
+              tier: int) -> list[tuple[float, Bucket]]:
+        """Buckets of ``tier`` whose interval intersects ``[t0, t1)`` in
+        time order.  Costs O(buckets in range), whatever the capacity."""
         chosen = self.tiers[tier]
         return [(bucket.index * chosen.width, bucket)
                 for bucket in chosen.buckets(t0, t1)]

@@ -27,6 +27,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.observatory.core import Observatory
     from repro.platform.cluster import HadoopVirtualCluster
 
+#: Mean VCPU utilisation above which a tracker loses a map slot.
+SATURATED_CPU = 0.9
+#: Mean VCPU utilisation below which a tracker gains a map slot.
+IDLE_CPU = 0.35
+#: Coefficient of variation of per-node CPU means that triggers a
+#: load-balancing migration.
+IMBALANCE = 0.6
+#: Fresh straggler alerts that trigger the speculation rule.
+MIN_STRAGGLER_ALERTS = 1
+#: Factor the speculation rule lowers ``speculative_slowdown`` by, per
+#: step, and the value it never goes below.
+SLOWDOWN_RATCHET = 0.75
+SLOWDOWN_FLOOR = 1.2
+
 
 @dataclass(frozen=True)
 class Recommendation:
@@ -57,20 +71,17 @@ class ReduceSlotsWhenSaturatedRule(TuningRule):
 
     name = "reduce-slots-when-cpu-saturated"
 
-    def __init__(self, cpu_threshold: float = 0.9):
-        self.cpu_threshold = cpu_threshold
-
     def evaluate(self, cluster, analyser, report):
         summaries = report.node_summaries
         if not summaries:
             return None
         mean_cpu = sum(s.cpu_mean for s in summaries) / len(summaries)
         slots = cluster.config.map_tasks_maximum
-        if mean_cpu > self.cpu_threshold and slots > 1:
+        if mean_cpu > SATURATED_CPU and slots > 1:
             return Recommendation(
                 rule=self.name, kind="reconfigure",
                 reason=f"mean VCPU utilization {mean_cpu:.2f} > "
-                       f"{self.cpu_threshold}: lowering map slots",
+                       f"{SATURATED_CPU}: lowering map slots",
                 config_changes={"map_tasks_maximum": slots - 1})
         return None
 
@@ -80,8 +91,7 @@ class IncreaseSlotsWhenCpuIdleRule(TuningRule):
 
     name = "increase-slots-when-cpu-idle"
 
-    def __init__(self, cpu_threshold: float = 0.35, max_slots: int = 4):
-        self.cpu_threshold = cpu_threshold
+    def __init__(self, max_slots: int = 4):
         self.max_slots = max_slots
 
     def evaluate(self, cluster, analyser, report):
@@ -90,11 +100,11 @@ class IncreaseSlotsWhenCpuIdleRule(TuningRule):
             return None
         mean_cpu = sum(s.cpu_mean for s in summaries) / len(summaries)
         slots = cluster.config.map_tasks_maximum
-        if mean_cpu < self.cpu_threshold and slots < self.max_slots:
+        if mean_cpu < IDLE_CPU and slots < self.max_slots:
             return Recommendation(
                 rule=self.name, kind="reconfigure",
                 reason=f"mean VCPU utilization {mean_cpu:.2f} < "
-                       f"{self.cpu_threshold}: raising map slots",
+                       f"{IDLE_CPU}: raising map slots",
                 config_changes={"map_tasks_maximum": slots + 1})
         return None
 
@@ -148,12 +158,9 @@ class RebalanceByMigrationRule(TuningRule):
 
     name = "rebalance-by-migration"
 
-    def __init__(self, imbalance_threshold: float = 0.6):
-        self.imbalance_threshold = imbalance_threshold
-
     def evaluate(self, cluster, analyser, report):
         imbalance = analyser.imbalance()
-        if imbalance < self.imbalance_threshold:
+        if imbalance < IMBALANCE:
             return None
         summaries = sorted(report.node_summaries, key=lambda s: -s.cpu_mean)
         hottest = summaries[0]
@@ -167,7 +174,7 @@ class RebalanceByMigrationRule(TuningRule):
         return Recommendation(
             rule=self.name, kind="migrate",
             reason=f"CPU imbalance {imbalance:.2f} >= "
-                   f"{self.imbalance_threshold}: migrating {vm.name}",
+                   f"{IMBALANCE}: migrating {vm.name}",
             migrations=((vm.name, index),))
 
 
@@ -178,25 +185,22 @@ class SpeculateOnStragglersRule(TuningRule):
     observatory fired since the previous one (a cursor, so a post-job
     tuner step still sees that run's stragglers).  The first response is
     to switch speculative execution on; once on, the slowdown threshold
-    is ratcheted down (×0.75 per step, floored) so speculation triggers
-    earlier on clusters that keep producing stragglers.
+    is ratcheted down (×:data:`SLOWDOWN_RATCHET` per step, floored at
+    :data:`SLOWDOWN_FLOOR`) so speculation triggers earlier on clusters
+    that keep producing stragglers.
     """
 
     name = "speculate-on-stragglers"
 
-    def __init__(self, observatory: "Observatory", min_alerts: int = 1,
-                 ratchet: float = 0.75, floor: float = 1.2):
+    def __init__(self, observatory: "Observatory"):
         self.observatory = observatory
-        self.min_alerts = min_alerts
-        self.ratchet = ratchet
-        self.floor = floor
         self._cursor = 0
 
     def evaluate(self, cluster, analyser, report):
         alerts = self.observatory.alerts("straggler-task")
         fresh = alerts[self._cursor:]
         self._cursor = len(alerts)
-        if len(fresh) < self.min_alerts:
+        if len(fresh) < MIN_STRAGGLER_ALERTS:
             return None
         tasks = sorted({a.target for a in fresh})
         if not cluster.config.speculative_execution:
@@ -207,7 +211,7 @@ class SpeculateOnStragglersRule(TuningRule):
                        f"execution",
                 config_changes={"speculative_execution": True})
         slowdown = cluster.config.speculative_slowdown
-        lowered = max(self.floor, slowdown * self.ratchet)
+        lowered = max(SLOWDOWN_FLOOR, slowdown * SLOWDOWN_RATCHET)
         if lowered >= slowdown:
             return None
         return Recommendation(

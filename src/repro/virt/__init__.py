@@ -5,8 +5,8 @@
   fair-sharing, and an activity level that couples running work to the
   dirty-page rate;
 * :mod:`repro.virt.memory` — writable-working-set dirty-page model;
-* :mod:`repro.virt.hypervisor` — per-host placement, boot (NFS image fetch),
-  shutdown;
+* :mod:`repro.virt.hypervisor` — per-host placement and boot (NFS image
+  fetch);
 * :mod:`repro.virt.migration` — Xen-style iterative pre-copy live migration;
 * :mod:`repro.virt.virtlm` — the Virt-LM benchmark extended from single-VM
   to whole-virtual-cluster (gang) migration, as in the paper;

@@ -1,4 +1,4 @@
-"""Per-host hypervisor: placement, boot, shutdown.
+"""Per-host hypervisor: placement and boot.
 
 Booting a VM streams its image header/working pages from the NFS image
 store through the host's NIC (the paper's images all live on one NFS
@@ -75,10 +75,3 @@ class Hypervisor:
                 "vm.boot.duration", "NFS image fetch + guest boot",
                 {"host": self.host.name}).observe(elapsed)
         return elapsed
-
-    def shutdown(self, vm: VirtualMachine) -> None:
-        if vm.host is not self.host:
-            raise VMStateError(f"{vm.name} is not on {self.host.name}")
-        vm.stop()
-        self.tracer.emit(self.sim.now, EV.VM_SHUTDOWN, vm.name,
-                         host=self.host.name)

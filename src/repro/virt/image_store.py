@@ -32,13 +32,6 @@ class NfsImageStore:
     def register_image(self, image: str, size: int) -> None:
         self.images[image] = int(size)
 
-    def fetch(self, image: str, to: NetNode) -> Event:
-        """Stream an image to a host's dom0; completion event value is the
-        elapsed seconds."""
-        size = self.images[image]
-        return self.fabric.transfer(self.node, to, size,
-                                    name=f"nfs:fetch:{image}")
-
     def read_through(self, to: NetNode, nbytes: float, name: str = "nfs:read"
                      ) -> Event:
         """Arbitrary NFS read traffic toward ``to`` (e.g. lazy image pages)."""

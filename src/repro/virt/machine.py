@@ -78,15 +78,6 @@ class PhysicalMachine:
         if self.vms.pop(vm.name, None) is not None:
             self.release_dram(vm.config.memory)
 
-    @property
-    def n_resident_vcpus(self) -> int:
-        return sum(vm.config.vcpus for vm in self.vms.values())
-
-    @property
-    def oversubscribed(self) -> bool:
-        """More resident VCPUs than physical cores."""
-        return self.n_resident_vcpus > self.config.cores
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<PhysicalMachine {self.name} vms={len(self.vms)} "
                 f"dram_free={self.dram_free // (1 << 20)}MiB>")

@@ -44,11 +44,26 @@ def make(n=8, seed=11, replication=2, **hadoop):
 ENGINES = ["solo", "scheduler"]
 
 
+def run_scheduled(platform, cluster, jobs, policy=None):
+    """Submit ``jobs`` (each a job or a ``(job, pool)`` pair) to one
+    JobScheduler, run the simulator until all finish, and return ``(job
+    reports in submission order, SchedulerReport)`` — the sequence the
+    ``schedule`` experiment runs."""
+    scheduler = JobScheduler(cluster, policy=policy,
+                             runner=platform.runner(cluster))
+    events = []
+    for item in jobs:
+        job, pool = item if isinstance(item, tuple) else (item, "default")
+        events.append(scheduler.submit(job, pool=pool))
+    platform.sim.run_until(platform.sim.all_of(events))
+    return [event.value for event in events], scheduler.finalize()
+
+
 def run_job(platform, cluster, job, engine="solo"):
     """Run ``job`` through the plain runner or a FIFO JobScheduler."""
     if engine == "solo":
         return platform.run_job(cluster, job)
-    (report,), _sched = platform.submit_jobs(cluster, [job])
+    (report,), _sched = run_scheduled(platform, cluster, [job])
     return report
 
 

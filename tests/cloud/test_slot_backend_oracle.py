@@ -22,8 +22,7 @@ class GeneratorWorkerBackend:
     worker process per slot, parked on an event while idle."""
 
     def __init__(self, sim, cost: CostModel, slots: int,
-                 elastic_min: Optional[int] = None, elastic_max: int = 512,
-                 boot_s: float = 45.0):
+                 elastic_max: int = 512, boot_s: float = 45.0):
         if slots < 1:
             raise ConfigError("slots must be >= 1")
         self.sim = sim
@@ -37,9 +36,8 @@ class GeneratorWorkerBackend:
         self._parked: deque = deque()
         self._retiring = 0
         self.busy = 0
-        self.pool = _SurrogatePool(
-            self, min_size=slots if elastic_min is None else elastic_min,
-            max_size=elastic_max, boot_s=boot_s)
+        self.pool = _SurrogatePool(self, min_size=slots,
+                                   max_size=elastic_max, boot_s=boot_s)
         for _ in range(slots):
             self.add_slot()
 
@@ -107,8 +105,9 @@ class GeneratorWorkerBackend:
 # which the counter model has deliberately lost.
 
 _CAPACITY_OP = st.one_of(
-    st.tuples(st.sampled_from(["add", "remove", "probe"]), st.just(0)),
-    st.tuples(st.sampled_from(["grow", "shrink"]), st.integers(1, 3)))
+    st.tuples(st.sampled_from(["add", "remove", "probe", "shrink"]),
+              st.just(0)),
+    st.tuples(st.just("grow"), st.integers(1, 3)))
 _SUBMIT = st.tuples(st.just("submit"), st.integers(0, 2))
 _BATCH = st.tuples(st.lists(_CAPACITY_OP, max_size=3),
                    st.lists(_SUBMIT, max_size=3)).map(lambda b: b[0] + b[1])
@@ -122,9 +121,11 @@ def _arrival(at, tenant, size_mb):
 
 def _drive(backend_cls, schedule, slots, boot_s):
     sim = Simulator()
+    # One starting slot is the pool's floor; the rest join on top of it.
     backend = backend_cls(sim, CostModel(base_s=1.0, per_mb_s=1.0),
-                          slots=slots, elastic_min=1, elastic_max=6,
-                          boot_s=boot_s)
+                          slots=1, elastic_max=6, boot_s=boot_s)
+    for _ in range(slots - 1):
+        backend.add_slot()
     completions, probes = [], []
     backend.on_done = lambda tenant, _at, wait_s, _ok: completions.append(
         (tenant, sim.now, wait_s))
@@ -145,7 +146,7 @@ def _drive(backend_cls, schedule, slots, boot_s):
             elif op == "grow":
                 probes.append(("grew", pool.grow(arg)))
             elif op == "shrink":
-                probes.append(("shrank", pool.shrink(arg)))
+                probes.append(("shrank", pool.shrink()))
             else:
                 probe("mid")
         if late is not None:
@@ -194,9 +195,10 @@ def test_a_finish_between_an_idle_retirement_and_its_hop_retires_once():
 
 def test_shrink_stops_at_min_size_before_retirements_have_landed():
     sim = Simulator()
-    backend = SlotModelBackend(sim, CostModel(), slots=5, elastic_min=4)
+    backend = SlotModelBackend(sim, CostModel(), slots=4)   # the floor
+    backend.add_slot()
     sim.run()
-    assert backend.pool.shrink(3) == 1
+    assert [backend.pool.shrink() for _ in range(3)] == [1, 0, 0]
     assert backend.pool.size == 5      # unchanged until the slot has left
     sim.run()
     assert (backend.slots, backend.pool.size) == (4, 4)
@@ -205,11 +207,13 @@ def test_shrink_stops_at_min_size_before_retirements_have_landed():
 def test_repeated_shrink_ticks_on_a_busy_pool_stop_at_min_size():
     sim = Simulator()
     backend = SlotModelBackend(sim, CostModel(base_s=100.0, per_mb_s=0.0),
-                               slots=4, elastic_min=2)
+                               slots=2)                     # the floor
+    backend.add_slot()
+    backend.add_slot()
     sim.run()
     for n in range(4):
         backend.submit(_arrival(0.0, f"t{n}", 1.0), None)
-    stopped = [backend.pool.shrink(1) for _tick in range(5)]
+    stopped = [backend.pool.shrink() for _tick in range(5)]
     assert stopped == [1, 1, 0, 0, 0]
     sim.run()
     assert backend.slots == backend.total_slots() == 2

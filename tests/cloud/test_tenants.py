@@ -58,8 +58,8 @@ def test_registry_accounting_roundtrip():
     stats.latency.observe(10.0)
     stats.latency.observe(20.0)
     assert fleet.stats(name) is stats  # one stats object per tenant
-    d = stats.as_dict()
-    assert d["submitted"] == 3 and d["completed"] == 2
+    assert (stats.submitted, stats.completed) == (3, 2)
+    assert stats.latency.count == 2
     assert name in fleet and len(fleet) == 5
 
 

@@ -9,7 +9,7 @@ from scipy import stats
 
 from repro.cloud import (ADVERSARY_KINDS, AdversarySpec, BurstTraffic,
                          DiurnalTraffic, PoissonTraffic, TenantRegistry,
-                         TraceReplay, make_adversary_traffic, trace_digest)
+                         make_adversary_traffic, trace_digest)
 from repro.cloud.traffic import BLOCK, JOB_CLASSES, mean_job_size_mb
 from repro.errors import ConfigError
 from repro.sim.rng import RngRegistry
@@ -196,26 +196,6 @@ def test_diurnal_peaks_and_troughs():
     peak = sum(1 for a in arrivals if a.at < 2000.0)
     trough = len(arrivals) - peak
     assert peak > 1.5 * trough
-
-
-def test_trace_replay_is_verbatim_and_digest_stable():
-    tenants = fleet()
-    original = PoissonTraffic("p", tenants, RngRegistry(5).stream("t"),
-                              3.0).materialize(300.0)
-    replay = TraceReplay("r", tenants, RngRegistry(99).stream("x"),
-                         original)
-    assert replay.materialize(300.0) == original
-    assert trace_digest(replay.materialize(300.0)) == \
-        trace_digest(original)
-    # Horizon truncates the replay.
-    assert all(a.at < 100.0 for a in replay.materialize(100.0))
-
-
-def test_trace_replay_rejects_unknown_tenants():
-    original = PoissonTraffic("p", fleet(n=10), RngRegistry(5).stream("t"),
-                              3.0).materialize(100.0)
-    with pytest.raises(ConfigError):
-        TraceReplay("r", fleet(n=1), RngRegistry(0).stream("x"), original)
 
 
 def test_mean_job_size_matches_the_mix():

@@ -10,9 +10,8 @@ from repro.datasets import (CONTROL_CLASSES, TeraRecord, generate_corpus,
                             generate_sample_data, generate_synthetic_control,
                             memo, teragen)
 from repro.datasets.sample_data import SAMPLE_COMPONENTS, sample_sizeof
-from repro.datasets.synthetic_control import control_chart_sizeof
 from repro.datasets.tera import records_for_bytes, tera_sizeof
-from repro.datasets.text import _make_vocabulary, corpus_sizeof
+from repro.datasets.text import _make_vocabulary
 
 
 # --- synthetic control --------------------------------------------------------
@@ -65,7 +64,6 @@ def test_control_validation():
         generate_synthetic_control(n_per_class=0)
     with pytest.raises(ValueError):
         generate_synthetic_control(length=1)
-    assert control_chart_sizeof(None) == 480
 
 
 # --- sample data ----------------------------------------------------------------
@@ -103,7 +101,6 @@ def test_corpus_reproducible_and_sizeof():
     lines = generate_corpus(10_000, rng=np.random.default_rng(3))
     assert _sha256("\n".join(lines).encode()) == (
         "78d93aa02e0876f69116e7fd48d83709dde0d4b28cf700e2bf879f03c3ccf69c")
-    assert corpus_sizeof("hello") == 6
 
 
 def test_corpus_validation():

@@ -23,13 +23,13 @@ OTHER_LINES = [f"x{i % 4} other x{i % 9}" for i in range(48)]
 N = 4
 
 
-def make(**hadoop):
+def make(lines=LINES, **hadoop):
     platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=11,
                                               trace=True))
     cluster = platform.provision_cluster(
         "rs", ClusterSpec.packed(8, hosts=2),
         hadoop_config=HadoopConfig(dfs_block_size=1 * C.MiB, **hadoop))
-    upload(platform, cluster, LINES)
+    upload(platform, cluster, lines)
     return platform, cluster
 
 
@@ -125,11 +125,13 @@ def test_reuploaded_input_is_recomputed():
     platform, cluster = make()
     template, calls = counting_job("/out")
     first = platform.run_job(cluster, template.resubmit_to("/out-0"))
-    cluster.namenode.delete_file("/in")
-    upload(platform, cluster, OTHER_LINES)
-    second = platform.run_job(cluster, template.resubmit_to("/out-1"))
+    # The same definition over a fresh upload of other lines to ``/in``.
+    other_platform, other_cluster = make(OTHER_LINES)
+    second = other_platform.run_job(other_cluster,
+                                    template.resubmit_to("/out-1"))
     assert sorted(platform.collect(cluster, first)) == expected()
-    assert sorted(platform.collect(cluster, second)) == expected(OTHER_LINES)
+    assert sorted(other_platform.collect(other_cluster, second)) == \
+        expected(OTHER_LINES)
     assert all(calls[task.task_id] == 2 for task in second.tasks)
 
 

@@ -257,8 +257,8 @@ def test_task_duration_count_equals_report_attempts():
 def test_partition_mib_in_range_one_observation_per_reduce_attempt():
     registry, reports = run_scaled_wordcounts()
     for report in reports:
-        child = registry.get("mapreduce.shuffle.partition_mib",
-                             {"job": report.job_name})
+        child = registry.histogram("mapreduce.shuffle.partition_mib",
+                                   labels={"job": report.job_name})
         reduces = [t for t in report.tasks if t.kind == "reduce"]
         assert child.count == len(reduces) == report.n_reduces
         assert child.counts[-1] == 0            # nothing in the overflow bin

@@ -12,6 +12,7 @@ from repro.ml import (CanopyDriver, ClusterExecutor, FuzzyKMeansDriver,
                       MinHashDriver, points_as_records)
 from repro.ml.base import stage_points
 from repro.platform import ClusterSpec, VHadoopPlatform
+from tests.ml.test_clustering import center_rows
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,7 @@ def local_executor(points):
 
 def assert_same_models(a, b):
     assert a.k == b.k
-    assert np.allclose(a.centers(), b.centers(), atol=1e-9)
+    assert np.allclose(center_rows(a), center_rows(b), atol=1e-9)
     assert [m.weight for m in a.models] == pytest.approx(
         [m.weight for m in b.models])
 

@@ -82,7 +82,8 @@ def test_consolidation_noop_on_normal_cluster():
     platform, cluster, monitor, analyser = make(layout="normal")
     monitor.sample_now(platform.sim.now)
     rule = ConsolidateCrossDomainRule()
-    report = analyser.bottleneck([], now=1.0)
+    report = analyser.bottleneck(cluster.telemetry.shared_resources(),
+                                 now=1.0)
     assert rule.evaluate(cluster, analyser, report) is None
 
 

@@ -126,5 +126,5 @@ def test_transfers_emit_trace(fabric):
     sim.run()
     start = next(fab.tracer.select("net.transfer.start"))
     assert start["cross_domain"] is True
-    end = fab.tracer.last("net.transfer.end")
+    end = list(fab.tracer.select("net.transfer.end"))[-1]
     assert end["bytes"] == 1000

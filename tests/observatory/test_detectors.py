@@ -48,13 +48,13 @@ class TestStraggler:
                           {"span": 99})
         det.on_event(slow)
         det.tick(60.0)
-        active = obs.active_alerts("straggler-task")
+        active = obs.book.active("straggler-task")
         assert [a.target for a in active] == ["m-00099"]
         assert active[0].attribution == "node"
         done = TraceEvent(61.0, f"{EV.TASK_MAP}.end", "m-00099",
                           {"span": 99})
         det.on_event(done)
-        assert obs.active_alerts("straggler-task") == []
+        assert obs.book.active("straggler-task") == []
 
     def test_needs_min_samples(self, obs):
         det = detector(obs, StragglerDetector)
@@ -92,7 +92,7 @@ class TestSkew:
             self.fetch(det, f"r{i}", 4 << 20)
         self.fetch(det, "r0", 16 << 20)
         det.tick(2.0)
-        (alert,) = obs.active_alerts("reducer-skew")
+        (alert,) = obs.book.active("reducer-skew")
         assert alert.target == "job1:r0" and alert.attribution == "data"
         assert alert.value == pytest.approx(5.0)
 
@@ -137,7 +137,7 @@ class TestSkew:
         self.fetch(det, "r0", 16 << 20, job="keep")
         det.on_event(TraceEvent(5.0, EV.JOB_SUBMIT, "other"))
         det.tick(6.0)
-        (alert,) = obs.active_alerts("reducer-skew")
+        (alert,) = obs.book.active("reducer-skew")
         assert alert.target == "keep:r0"
 
 
@@ -146,10 +146,10 @@ class TestNodeLiveness:
         det = detector(obs, NodeLivenessDetector)
         vm = obs.telemetry.vms[0].name
         det.on_event(TraceEvent(10.0, EV.VM_FAILED, vm))
-        (alert,) = obs.active_alerts("node-down")
+        (alert,) = obs.book.active("node-down")
         assert alert.target == vm and alert.attribution == "node"
         det.on_event(TraceEvent(20.0, EV.VM_RECOVERED, vm))
-        assert obs.active_alerts("node-down") == []
+        assert obs.book.active("node-down") == []
         assert obs.alerts("host-down") == []
 
     def test_correlated_wipeout_upgrades_to_host_down(self, obs):
@@ -159,7 +159,7 @@ class TestNodeLiveness:
         assert len(residents) >= 2
         for i, vm in enumerate(residents):
             det.on_event(TraceEvent(10.0 + i, EV.VM_FAILED, vm))
-        (alert,) = obs.active_alerts("host-down")
+        (alert,) = obs.book.active("host-down")
         assert alert.target == machine.name
 
     def test_slow_uncorrelated_failures_stay_node_level(self, obs):
@@ -170,7 +170,7 @@ class TestNodeLiveness:
         for i, vm in enumerate(residents):
             det.on_event(TraceEvent(10.0 + i * gap, EV.VM_FAILED, vm))
         assert obs.alerts("host-down") == []
-        assert len(obs.active_alerts("node-down")) == len(residents)
+        assert len(obs.book.active("node-down")) == len(residents)
 
 
 def test_readers_see_settled_rates_from_inside_a_burst(obs):

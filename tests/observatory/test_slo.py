@@ -43,7 +43,7 @@ def test_fire_deduplicates_and_keeps_worst_value():
     # A milder refresh neither lowers the value nor rewrites the detail.
     book.fire("hot", "vm1", 3.0, "cpu", detail="milder")
     assert first.value == 5.0 and first.detail == "worse"
-    assert book.count("hot") == 1
+    assert len(book.history("hot")) == 1
 
 
 def test_below_direction_keeps_lowest_value():
@@ -74,9 +74,9 @@ def test_active_and_history_filters():
     book.resolve("cold", "vm2")
     assert [a.slo for a in book.active()] == ["hot"]
     assert book.active("cold") == []
-    assert book.count() == 2 and book.count("cold") == 1
-    assert "ACTIVE" in book.describe() and "resolved" in book.describe()
-    assert AlertBook().describe() == "no alerts"
+    assert len(book.history()) == 2 and len(book.history("cold")) == 1
+    hot, cold = book.history()
+    assert "ACTIVE" in hot.describe() and "resolved" in cold.describe()
 
 
 def replay(moves):

@@ -2,6 +2,7 @@
 
 from repro.config import PlatformConfig
 from repro.platform import ClusterSpec, VHadoopPlatform
+from repro.tuner.rules import SLOWDOWN_FLOOR, SLOWDOWN_RATCHET
 from repro.tuner import (MapReduceTuner, MigrateOffHotHostRule,
                          SpeculateOnStragglersRule)
 
@@ -29,7 +30,7 @@ def test_straggler_alerts_enable_speculation():
 
 def test_straggler_rule_ratchets_then_floors():
     _platform, cluster, obs = make()
-    rule = SpeculateOnStragglersRule(obs, ratchet=0.5, floor=1.2)
+    rule = SpeculateOnStragglersRule(obs)
     tuner = MapReduceTuner(cluster, rules=[rule])
     obs.book.fire("straggler-task", "m-00001", 5.0, "node")
     tuner.step()                                   # speculation on
@@ -37,14 +38,15 @@ def test_straggler_rule_ratchets_then_floors():
     obs.book.fire("straggler-task", "m-00002", 5.0, "node")
     second = tuner.step()
     assert second.config_changes == {
-        "speculative_slowdown": max(1.2, slowdown * 0.5)}
+        "speculative_slowdown": max(SLOWDOWN_FLOOR,
+                                    slowdown * SLOWDOWN_RATCHET)}
     # Drive the ratchet to its floor; once there the rule abstains.
     for i in range(10):
         obs.book.fire("straggler-task", f"m-1{i:04d}", 5.0, "node")
         if tuner.recommend() is None:
             break
         tuner.step()
-    assert cluster.config.speculative_slowdown == 1.2
+    assert cluster.config.speculative_slowdown == SLOWDOWN_FLOOR
     obs.book.fire("straggler-task", "m-99999", 5.0, "node")
     assert tuner.recommend() is None
 

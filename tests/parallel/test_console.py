@@ -5,7 +5,14 @@ import json
 from repro.parallel.console import (CONSOLE_FORMAT, ConsoleTailer,
                                     ConsoleWriter, console_append,
                                     control_room_digest, control_room_html,
-                                    tail_console, write_control_room)
+                                    write_control_room)
+
+
+def read_stream(path):
+    """Read a whole stream once, as the campaign does after its run."""
+    tailer = ConsoleTailer(str(path))
+    tailer.poll()
+    return tailer
 
 
 def make_stream(path):
@@ -15,7 +22,7 @@ def make_stream(path):
     writer.event("spawn", wid=1)
     writer.event("done", wid=0, key="a", ok=True, rss_mb=40.0)
     writer.event("done", wid=1, key="b", ok=False, rss_mb=52.5)
-    writer.rss_sample({0: 41.0, 1: 53.0}, pending=2, min_interval_s=0.0)
+    writer.rss_sample({0: 41.0, 1: 53.0}, pending=2)  # the first always lands
     writer.event("kill", wid=1, reason="timeout")
     writer.event("end", ok=3, failed=1, wall_s=1.5)
     return writer
@@ -24,7 +31,7 @@ def make_stream(path):
 def test_writer_tailer_roundtrip(tmp_path):
     path = tmp_path / "c.jsonl"
     make_stream(path)
-    tailer = tail_console(str(path))
+    tailer = read_stream(path)
     assert tailer.header["format"] == CONSOLE_FORMAT
     assert tailer.total == 4
     assert tailer.done == 2 and tailer.failed == 1
@@ -55,7 +62,7 @@ def test_tailer_tolerates_torn_and_junk_lines(tmp_path):
     with open(path, "a") as fh:
         fh.write("not json at all\n")
         fh.write('{"kind": "done", "wid": 0, "ok": true')   # torn, no \n
-    tailer = tail_console(str(path))
+    tailer = read_stream(path)
     assert tailer.done == 1                     # junk skipped, tear buffered
     with open(path, "a") as fh:
         fh.write(', "t": 2.0}\n')               # the tear completes
@@ -67,7 +74,7 @@ def test_second_header_resets_aggregates(tmp_path):
     path = tmp_path / "c.jsonl"
     make_stream(path)
     ConsoleWriter(str(path), worker_ref="w", total=9, jobs=1)  # rerun appends
-    tailer = tail_console(str(path))
+    tailer = read_stream(path)
     assert tailer.total == 9
     assert tailer.done == 0 and not tailer.workers
     assert tailer.finished is None
@@ -82,7 +89,7 @@ def test_missing_file_polls_zero(tmp_path):
 def test_status_line_summarizes_fleet(tmp_path):
     path = tmp_path / "c.jsonl"
     make_stream(path)
-    line = tail_console(str(path)).status_line()
+    line = read_stream(path).status_line()
     assert "campaign 2/4" in line
     assert "ok=1 fail=1" in line
     assert "kills=1" in line
@@ -108,7 +115,7 @@ def test_control_room_digest_hashes_sim_content_only():
 def test_control_room_html_renders_sections(tmp_path):
     path = tmp_path / "c.jsonl"
     make_stream(path)
-    tailer = tail_console(str(path))
+    tailer = read_stream(path)
     html = control_room_html(
         tailer, title="t<&>t", digest="abcd",
         notes=["note one"],

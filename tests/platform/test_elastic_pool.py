@@ -13,12 +13,11 @@ from repro.workloads.wordcount import (lines_as_records, line_record_sizeof,
 LINES = ["rho sigma tau", "sigma tau", "tau"] * 6
 
 
-def make_pool(seed=29, max_size=4, **kw):
+def make_pool(seed=29, max_size=4):
     platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=seed))
     cluster = platform.provision_cluster("ep", ClusterSpec.spread(4, hosts=2))
     backend = SharedClusterBackend(platform, cluster)
-    pool = ElasticWorkerPool(cluster, backend.scheduler,
-                             max_size=max_size, **kw)
+    pool = ElasticWorkerPool(cluster, backend.scheduler, max_size=max_size)
     return platform, cluster, backend, pool
 
 
@@ -59,7 +58,7 @@ def test_shrink_drains_then_retires_and_returns_dram():
     platform.sim.run_until(platform.sim.timeout(120.0))
     free_before = sum(m.dram_free for m in platform.datacenter.machines)
     base_vms = len(cluster.vms)
-    assert pool.shrink(1) == 1
+    assert pool.shrink() == 1
     assert pool.size == 1              # draining drops out immediately
     platform.sim.run_until(platform.sim.timeout(60.0))
     assert pool.retired == 1 and len(pool.workers) == 1
@@ -80,7 +79,7 @@ def test_shrink_waits_for_running_work():
         sizeof=line_record_sizeof)
     event = backend.serve(request)
     # Retire while the job is in flight: the drain must outwait it.
-    pool.shrink(1)
+    pool.shrink()
     platform.sim.run_until(event)
     platform.sim.run_until(platform.sim.timeout(60.0))
     assert pool.retired == 1
@@ -89,9 +88,13 @@ def test_shrink_waits_for_running_work():
 
 
 def test_min_size_floor_and_validation():
-    platform, cluster, backend, pool = make_pool(min_size=1, max_size=3)
+    platform, cluster, backend, pool = make_pool(max_size=3)
+    base_vms = len(cluster.vms)
     pool.grow(2)
     platform.sim.run_until(platform.sim.timeout(120.0))
-    assert pool.shrink(5) == 1          # floor holds at min_size
+    # Only the pool's own workers retire: the floor is the provisioned base.
+    assert [pool.shrink() for _ in range(3)] == [1, 1, 0]
+    platform.sim.run_until(platform.sim.timeout(120.0))
+    assert pool.retired == 2 and len(cluster.vms) == base_vms
     with pytest.raises(ConfigError):
-        ElasticWorkerPool(cluster, backend.scheduler, min_size=2, max_size=1)
+        ElasticWorkerPool(cluster, backend.scheduler, max_size=-1)

@@ -12,7 +12,7 @@ from repro.scheduler import (CapacityScheduler, FairScheduler, FifoScheduler,
                              JobScheduler, PoolConfig, QueueConfig)
 from repro.workloads.wordcount import (lines_as_records, line_record_sizeof,
                                        wordcount_job)
-from tests.chaos.test_recovery import run_job
+from tests.chaos.test_recovery import run_job, run_scheduled
 
 LINES = ["alpha beta gamma delta", "beta gamma delta", "gamma delta",
          "delta epsilon"] * 8
@@ -46,8 +46,8 @@ def test_concurrent_jobs_interleave_with_identical_outputs():
     jobs = [wc("/out-a", "job-a"), wc("/out-b", "job-b")]
     jobs[0].force_num_maps = 8
     jobs[1].force_num_maps = 8
-    reports, sched = platform.submit_jobs(
-        cluster, [(jobs[0], "p1"), (jobs[1], "p2")], policy=policy)
+    reports, sched = run_scheduled(
+        platform, cluster, [(jobs[0], "p1"), (jobs[1], "p2")], policy=policy)
 
     # Functional outputs are bit-identical to a solo in-process run.
     for job, report in zip(jobs, reports):
@@ -62,7 +62,7 @@ def test_concurrent_jobs_interleave_with_identical_outputs():
     assert any(spans_overlap(ta, tb) for ta in a_tasks for tb in b_tasks)
 
     # Scheduler accounting is coherent.
-    assert sched.n_jobs == 2
+    assert len(sched.jobs) == 2
     assert sched.makespan > 0
     assert sched.busy_slot_seconds > 0
     assert sched.idle_while_pending_s == 0.0
@@ -74,8 +74,8 @@ def test_concurrent_jobs_interleave_with_identical_outputs():
 def test_fifo_runs_jobs_in_submission_order():
     platform, cluster = make_cluster(seed=9)
     jobs = [wc(f"/out-{i}", f"job-{i}") for i in range(3)]
-    reports, sched = platform.submit_jobs(cluster, jobs,
-                                          policy=FifoScheduler())
+    reports, sched = run_scheduled(platform, cluster, jobs,
+                                   policy=FifoScheduler())
     assert sched.policy == "fifo"
     firsts = [r.first_task_at for r in reports]
     finishes = [r.finished_at for r in reports]
@@ -89,7 +89,7 @@ def test_capacity_scheduler_end_to_end():
                                        QueueConfig("adhoc", 0.5)])
     jobs = [(wc("/out-a", "etl-job"), "etl"),
             (wc("/out-b", "adhoc-job"), "adhoc")]
-    reports, sched = platform.submit_jobs(cluster, jobs, policy=policy)
+    reports, sched = run_scheduled(platform, cluster, jobs, policy=policy)
     assert sched.policy == "capacity"
     for report in reports:
         assert dict(platform.collect(cluster, report)) == EXPECTED
@@ -98,7 +98,7 @@ def test_capacity_scheduler_end_to_end():
 
 def test_default_policy_is_fifo_and_plain_jobs_default_pool():
     platform, cluster = make_cluster(seed=3)
-    reports, sched = platform.submit_jobs(cluster, [wc("/out", "solo")])
+    reports, sched = run_scheduled(platform, cluster, [wc("/out", "solo")])
     assert sched.policy == "fifo"
     assert sched.jobs[0].pool == "default"
     assert dict(platform.collect(cluster, reports[0])) == EXPECTED
@@ -108,14 +108,14 @@ def test_map_only_job_through_scheduler():
     platform, cluster = make_cluster(seed=17)
     job = Job(name="identity", input_paths=["/in"], output_path="/id",
               mapper=Mapper, n_reduces=0)
-    reports, _sched = platform.submit_jobs(cluster, [job])
+    reports, _sched = run_scheduled(platform, cluster, [job])
     assert sorted(platform.collect(cluster, reports[0])) == sorted(RECORDS)
 
 
 def test_job_report_scheduler_fields():
     platform, cluster = make_cluster(seed=21)
-    reports, sched = platform.submit_jobs(
-        cluster, [(wc("/out", "measured"), "analytics")])
+    reports, sched = run_scheduled(
+        platform, cluster, [(wc("/out", "measured"), "analytics")])
     report = reports[0]
     assert report.pool == "analytics"
     assert report.first_task_at is not None
@@ -131,10 +131,11 @@ def test_job_report_scheduler_fields():
 def test_finalize_refuses_while_jobs_active():
     platform, cluster = make_cluster(seed=25)
     scheduler = JobScheduler(cluster, runner=platform.runner(cluster))
-    scheduler.submit(wc("/out", "inflight"))
+    done = scheduler.submit(wc("/out", "inflight"))
     with pytest.raises(SimulationError):
         scheduler.finalize()
-    scheduler.run_all()  # completes fine afterwards
+    platform.sim.run_until(done)
+    scheduler.finalize()  # completes fine afterwards
 
 
 def test_backlog_and_total_slots():
@@ -157,9 +158,8 @@ def test_backlog_and_total_slots():
 
 def test_scheduler_emits_trace_events():
     platform, cluster = make_cluster(seed=33)
-    platform.submit_jobs(cluster, [wc("/out", "traced")])
-    submit = platform.tracer.last("scheduler.submit")
-    assert submit is not None
+    run_scheduled(platform, cluster, [wc("/out", "traced")])
+    (submit,) = platform.tracer.select("scheduler.submit")
     assert submit["policy"] == "fifo"
     assert platform.tracer.count("task.map.done") >= 1
 

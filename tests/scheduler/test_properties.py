@@ -19,6 +19,7 @@ from repro.scheduler import (CapacityScheduler, FairScheduler, FifoScheduler,
                              PoolConfig, QueueConfig)
 from repro.workloads.wordcount import (lines_as_records, line_record_sizeof,
                                        wordcount_job)
+from tests.chaos.test_recovery import run_scheduled
 
 _SLOW = dict(deadline=None,
              suppress_health_check=[HealthCheck.too_slow,
@@ -64,14 +65,14 @@ def test_outputs_identical_to_local_runner_and_work_conserving(
         n_jobs, policy_name, seed):
     platform, cluster = make_platform(seed)
     jobs = make_jobs(n_jobs, pools=["p0", "p1"])
-    reports, sched = platform.submit_jobs(cluster, jobs,
-                                          policy=POLICIES[policy_name]())
+    reports, sched = run_scheduled(platform, cluster, jobs,
+                                   policy=POLICIES[policy_name]())
     for (job, _pool), report in zip(jobs, reports):
         assert platform.collect(cluster, report) == \
             LocalJobRunner().run(job, RECORDS)
     # A slot worker never sleeps while dispatchable tasks are pending.
     assert sched.idle_while_pending_s == 0.0
-    assert sched.n_jobs == n_jobs
+    assert len(sched.jobs) == n_jobs
 
 
 @settings(max_examples=8, **_SLOW)
@@ -79,8 +80,8 @@ def test_outputs_identical_to_local_runner_and_work_conserving(
 def test_fifo_preserves_submission_order(n_jobs, seed):
     platform, cluster = make_platform(seed)
     jobs = make_jobs(n_jobs, pools=["default"])
-    reports, _sched = platform.submit_jobs(cluster, jobs,
-                                           policy=FifoScheduler())
+    reports, _sched = run_scheduled(platform, cluster, jobs,
+                                    policy=FifoScheduler())
     firsts = [r.first_task_at for r in reports]
     finishes = [r.finished_at for r in reports]
     # FIFO guarantees dispatch order, not completion order: a later job's
@@ -111,7 +112,7 @@ def test_pool_at_min_share_is_never_preempted(min_share, timeout_s, seed):
     late.name = "late"
     late.map_cpu_per_record = 0.2
     jobs.append((late, "claimer"))
-    _reports, sched = platform.submit_jobs(cluster, jobs, policy=policy)
+    _reports, sched = run_scheduled(platform, cluster, jobs, policy=policy)
     kills = list(platform.tracer.select("scheduler.preempt"))
     by_sweep = collections.defaultdict(list)
     for k in kills:

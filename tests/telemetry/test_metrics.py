@@ -11,7 +11,7 @@ def test_counter_accumulates_and_rejects_negative():
     counter = registry.counter("jobs.done", "completed jobs")
     counter.inc()
     counter.inc(4.0)
-    assert registry.value("jobs.done") == 5.0
+    assert counter.value == registry.sum("jobs.done") == 5.0
     with pytest.raises(ConfigError):
         counter.inc(-1.0)
 
@@ -20,17 +20,17 @@ def test_labels_create_independent_children():
     registry = MetricsRegistry()
     registry.counter("bytes", labels={"vm": "a"}).inc(10)
     registry.counter("bytes", labels={"vm": "b"}).inc(32)
-    assert registry.value("bytes", {"vm": "a"}) == 10.0
-    assert registry.value("bytes", {"vm": "b"}) == 32.0
-    assert registry.value("bytes", {"vm": "c"}) == 0.0
+    children = {labels: child.value
+                for labels, child in registry.families["bytes"].items()}
+    assert children == {(("vm", "a"),): 10.0, (("vm", "b"),): 32.0}
     assert registry.sum("bytes") == 42.0
-    assert registry.sum("bytes", "vm", "b") == 32.0
 
 
 def test_label_order_is_irrelevant():
     registry = MetricsRegistry()
-    registry.counter("m", labels={"a": "1", "b": "2"}).inc()
-    assert registry.value("m", {"b": "2", "a": "1"}) == 1.0
+    counter = registry.counter("m", labels={"a": "1", "b": "2"})
+    assert registry.counter("m", labels={"b": "2", "a": "1"}) is counter
+    assert len(registry.families["m"].children) == 1
 
 
 def test_kind_mismatch_raises():
@@ -46,7 +46,8 @@ def test_registry_histogram_is_a_latency_histogram():
     assert isinstance(histogram, LatencyHistogram)
     for value in (0.5, 5.0, 50.0, 500.0):
         histogram.observe(value)
-    assert registry.get("task.duration", {"job": "wc"}) is histogram
+    assert registry.histogram("task.duration",
+                              labels={"job": "wc"}) is histogram
     assert histogram.count == 4 == sum(histogram.counts)
     assert histogram.total == pytest.approx(555.5)
     assert histogram.min_seen == 0.5
@@ -69,13 +70,13 @@ def test_registry_histogram_rejects_bad_values_untouched(bad):
             histogram.min_seen, histogram.max_seen) == before
 
 
-def test_registry_get_and_clear():
+def test_registry_sum_reads_without_creating():
+    """Reading a family that was never recorded creates nothing."""
     registry = MetricsRegistry()
     registry.counter("g").inc(7.0)
-    assert registry.get("g").value == 7.0
-    assert registry.get("missing") is None
-    registry.clear()
-    assert registry.get("g") is None
+    assert registry.sum("g") == 7.0
+    assert registry.sum("missing") == 0.0
+    assert list(registry.families) == ["g"]
 
 
 def test_counter_type():

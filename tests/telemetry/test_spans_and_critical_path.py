@@ -72,7 +72,7 @@ def test_all_emitted_kinds_are_registered(run):
 
 def test_critical_path_reproduces_makespan(run):
     _platform, cluster, job, report = run
-    path = cluster.telemetry.critical_path(job.name)
+    path = cluster.telemetry.job_timeline(job.name).critical_path()
     assert path.makespan == pytest.approx(report.elapsed, rel=0.01)
     assert path.work_s + path.wait_s == pytest.approx(path.makespan)
     assert 0.0 < path.coverage <= 1.0

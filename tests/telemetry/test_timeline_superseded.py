@@ -80,7 +80,7 @@ def test_chaos_killed_task_does_not_double_count():
     assert failed, "the chaos kill produced no failed attempt"
     assert _superseded_ids(spans) >= {s.span_id for s in failed}
 
-    path = cluster.telemetry.critical_path(job.name)
+    path = cluster.telemetry.job_timeline(job.name).critical_path()
     path_ids = {seg.span.span_id for seg in path.span_segments()}
     assert path_ids.isdisjoint({s.span_id for s in failed})
     # The path still tiles the (fault-lengthened) makespan exactly.
@@ -92,7 +92,7 @@ def _assert_superseded_and_off_path(platform, job_name, losers):
     assert losers
     superseded = _superseded_ids(platform.tracer.spans)
     on_path = {seg.span.span_id for seg in
-               platform.telemetry.critical_path(job_name).span_segments()}
+               platform.telemetry.job_timeline(job_name).critical_path().span_segments()}
     for span in losers:
         assert span.span_id in superseded, span
         assert span.span_id not in on_path, span

@@ -52,18 +52,6 @@ def test_coarse_tier_is_exact_merge_of_fine():
     assert len(hundred) == 1 and hundred[0].count == 40
 
 
-def test_range_auto_picks_finest_retaining_tier():
-    series = filled(n=200, step=1.0, capacity=10)
-    # t0=195 is within raw retention (10 s from newest at 199).
-    assert all(b.index >= 190
-               for _, b in series.range(195.0, 200.0))
-    # t0=120 fell off raw (10 s) but fits x10 (100 s).
-    starts = [start for start, _ in series.range(120.0, 200.0)]
-    assert starts and starts[0] % 10.0 == 0.0   # x10-width buckets
-    # t0=-1e9 only fits the coarsest tier.
-    assert series.range(-1e9, 200.0)
-
-
 def test_digest_stable_and_content_sensitive():
     a, b = filled(), filled()
     assert a.digest() == b.digest()
@@ -125,8 +113,8 @@ def test_store_record_and_query_roundtrip():
     store.record("q", 2.0, at=0.0)
     store.record("q", 4.0, at=5.0)
     store.record("q", 4.0, labels={"vm": "a"}, at=5.0)
-    assert [(start, b.last) for start, b in store.get("q").range(0.0, 10.0)] \
-        == [(0.0, 2.0), (5.0, 4.0)]
+    raw = store.get("q").range(0.0, 10.0, tier=0)
+    assert [(start, b.last) for start, b in raw] == [(0.0, 2.0), (5.0, 4.0)]
     assert store.get("q", {"vm": "a"}).latest(1)[0].last == 4.0
     assert len(store) == 2
     assert store.get("q") is store.series("q")
@@ -182,7 +170,8 @@ def test_late_sample_does_not_evict_a_newer_bucket():
     series.observe(100.0, 1.0)
     series.observe(0.0, 9.0)            # same raw slot as t=100 (20 % 4 == 0)
     assert series.latest(1)[0].last_at == 100.0
-    assert [(s, b.last) for s, b in series.range(95.0, 105.0)] == [(100.0, 1.0)]
+    assert [(s, b.last) for s, b in series.range(95.0, 105.0, tier=0)] \
+        == [(100.0, 1.0)]
     assert series.late_samples == 1
     # The x100 tier still retains t=0 and records the sample.
     assert series.tiers[2].buckets()[0].count == 2
@@ -215,12 +204,7 @@ def model(samples, step, capacity):
     return tiers
 
 
-def model_range(tiers, capacity, t0, t1, tier):
-    if tier is None:
-        raw = tiers[0][1]
-        now = raw[max(raw)][3] if raw else t1
-        tier = next((i for i, (width, _) in enumerate(tiers)
-                     if now - t0 <= width * capacity), len(tiers) - 1)
+def model_range(tiers, t0, t1, tier):
     width, live = tiers[tier]
     return [(i * width, live[i]) for i in sorted(live)
             if not (i * width + width <= t0 or i * width >= t1)]
@@ -235,13 +219,13 @@ def model_range(tiers, capacity, t0, t1, tier):
        windows=st.lists(st.tuples(
            st.sampled_from([-math.inf, -1e9, -3.5, 0.0, 1.0, 2.0, 7.25]),
            st.sampled_from([0.0, 0.5, 1.0, 3.0, 12.0, 250.0, math.inf]),
-           st.sampled_from([None, 0, 1, 2])), min_size=1, max_size=6))
+           st.sampled_from([0, 1, 2])), min_size=1, max_size=6))
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_queries_match_filter_and_sort_reference(step, capacity, moves,
                                                  windows):
     """Dense, sparse (gaps beyond retention) and late samples; windows
-    on bucket edges, infinite ends, every tier and ``tier=None``."""
+    on bucket edges, infinite ends, every tier."""
     series = TimeSeries("p", step=step, capacity=capacity)
     samples, at = [], 0.0
     for gap, value in moves:
@@ -257,7 +241,7 @@ def test_queries_match_filter_and_sort_reference(step, capacity, moves,
     for back, span, tier in windows:
         t0 = at + back * step
         t1 = t0 + span * step if back != -math.inf else span * step
-        want = model_range(tiers, capacity, t0, t1, tier)
+        want = model_range(tiers, t0, t1, tier)
         got = series.range(t0, t1, tier)
         assert [(s, [b.count, b.total, b.last, b.last_at])
                 for s, b in got] == want

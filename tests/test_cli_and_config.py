@@ -1,11 +1,17 @@
 """Tests for the CLI entry point and the configuration dataclasses."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro import constants as C
 from repro.cli import build_parser, main
-from repro.config import HadoopConfig, HostConfig, PlatformConfig, VMConfig
-from repro.errors import ConfigError
+from repro.cloud import CostModel
+from repro.config import (HadoopConfig, HostConfig, PlatformConfig,
+                          TopologySpec, VMConfig)
+from repro.errors import ConfigError, ResourceError
+from repro.sim import FairShareSystem, SharedResource, Simulator
 
 
 # --- CLI -------------------------------------------------------------------
@@ -85,10 +91,14 @@ def test_platform_config_validation():
 
 
 def test_vm_config_with_memory():
+    """Derived configs come from ``dataclasses.replace``, which re-runs
+    the validation."""
     vm = VMConfig()
-    bigger = vm.with_memory(2 * C.GiB)
+    bigger = dataclasses.replace(vm, memory=2 * C.GiB)
     assert bigger.memory == 2 * C.GiB
     assert vm.memory == C.DEFAULT_VM_MEMORY
+    with pytest.raises(ConfigError):
+        dataclasses.replace(vm, memory=32 * C.MiB)
 
 
 def test_host_config_guest_dram():
@@ -96,6 +106,37 @@ def test_host_config_guest_dram():
     assert host.guest_dram == host.dram - host.dom0_reserved
     with pytest.raises(ConfigError):
         HostConfig(netback_bandwidth=0.0)
+
+
+def _set_capacity(value):
+    resource = SharedResource("link", 100.0)
+    FairShareSystem(Simulator()).set_capacity(resource, value)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda v: VMConfig(image_size=v), "image_size"),
+    (lambda v: HostConfig(netback_bandwidth=v), "netback_bandwidth"),
+    (lambda v: HadoopConfig(heartbeat_s=v), "heartbeat_s"),
+    (lambda v: HadoopConfig(speculative_slowdown=v), "speculative_slowdown"),
+    (lambda v: HadoopConfig(dfs_block_size=v), "dfs_block_size"),
+    (lambda v: TopologySpec(tor_bandwidth=v), "tor_bandwidth"),
+    (lambda v: TopologySpec(nic_bandwidth=v), "nic_bandwidth"),
+    (lambda v: PlatformConfig(nfs_bandwidth=v), "nfs_bandwidth"),
+    (lambda v: CostModel(base_s=v), "base_s"),
+    (lambda v: CostModel(per_mb_s=v), "per_mb_s"),
+    (lambda v: SharedResource("x", v), "capacity"),
+    (_set_capacity, "capacity"),
+], ids=["vm-size", "host-bandwidth", "hadoop-seconds", "hadoop-ratio",
+        "hadoop-bytes", "topology-bandwidth", "topology-override",
+        "platform-bandwidth", "cost-base", "cost-slope", "resource",
+        "resource-set-capacity"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_rejected(build, field, value):
+    """Every range check is a ``<``/``<=`` comparison, which NaN passes:
+    a NaN heartbeat used to construct fine and crash a run mid-way."""
+    with pytest.raises((ConfigError, ResourceError), match=field):
+        build(value)
 
 
 def test_constants_sanity():

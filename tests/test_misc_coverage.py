@@ -1,10 +1,10 @@
-"""Coverage of remaining small surfaces: report objects, file/split
-helpers, model dataclasses, placement accessors."""
+"""Coverage of remaining small surfaces: report objects, file helpers,
+model dataclasses, placement accessors."""
 
 import pytest
 
 from repro.config import PlatformConfig
-from repro.hdfs import Block, DfsFile, FileSplit
+from repro.hdfs import Block, DfsFile
 from repro.mapreduce.runner import JobReport, TaskAttempt
 from repro.ml.base import ClusterModel, ClusteringResult
 from repro.platform import ClusterSpec, VHadoopPlatform
@@ -17,18 +17,6 @@ def test_dfsfile_aggregates():
     assert f.size == 150
     assert f.n_records == 5
     assert [b.block_id for b in f] == ["b1", "b2"]
-    split = FileSplit(path="/x", block=f.blocks[0], index=0)
-    assert split.size == 100
-
-
-def test_namenode_splits():
-    platform = VHadoopPlatform(PlatformConfig(n_hosts=2, seed=0))
-    cluster = platform.provision_cluster("s", ClusterSpec.single_host(3))
-    platform.upload(cluster, "/f", list(range(10)), timed=False)
-    splits = cluster.namenode.splits("/f")
-    assert len(splits) >= 1
-    assert splits[0].index == 0
-    assert splits[0].path == "/f"
 
 
 def test_job_report_properties():
@@ -46,14 +34,13 @@ def test_job_report_properties():
 
 
 def test_cluster_model_and_result_helpers():
-    model = ClusterModel(2, (1.0, 2.0), weight=5.0, radius=0.5)
-    assert model.as_tuple() == (2, (1.0, 2.0), 5.0, 0.5)
-    assert list(model.center_array()) == [1.0, 2.0]
+    model = ClusterModel(2, (1.0, 2.0), weight=5.0)
+    assert (model.cluster_id, model.center, model.radius) == (2, (1.0, 2.0),
+                                                              0.0)
     result = ClusteringResult(algorithm="x", models=[model])
     assert result.k == 1
-    assert result.centers().shape == (1, 2)
-    empty = ClusteringResult(algorithm="x", models=[])
-    assert empty.centers().size == 0
+    assert not result.converged and result.history == []
+    assert ClusteringResult(algorithm="x", models=[]).k == 0
 
 
 def test_migration_report_edge_cases():

@@ -94,7 +94,7 @@ def test_cancelled_transfer_counts_the_bytes_across(dc, phase):
     moved = flow.transferred if flow is not None else 0.0
     assert (flow is None) == (phase == "delay")
     assert a.node.tx_bytes == b.node.rx_bytes == moved
-    end = dc.tracer.last("net.transfer.end")
+    end = list(dc.tracer.select("net.transfer.end"))[-1]
     assert end["bytes"] == moved
     assert op.value == end["elapsed"] == when
 

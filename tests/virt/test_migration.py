@@ -165,7 +165,7 @@ def test_migration_emits_trace(dc):
     dc.run()
     assert dc.tracer.count("migration.start") == 1
     assert dc.tracer.count("migration.round") >= 1
-    assert dc.tracer.last("migration.end")["downtime"] > 0
+    assert list(dc.tracer.select("migration.end"))[-1]["downtime"] > 0
 
 
 # --- Virt-LM cluster migration --------------------------------------------------

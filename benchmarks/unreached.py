@@ -19,8 +19,14 @@ benchmark reps included), then prints two tables, one row per module:
 single-valued knob with its one value.
 
 A function is an ``ast`` ``def`` (nested ones count on their own) and its
-lines run from ``def`` to its last line.  Code only tests reach shows up
-here; error paths and code that runs only on a fuzz violation do too,
+lines run from ``def`` to its last line.  Functions are matched by module
+path and qualified name (``co_qualname``; ``<locals>`` for a def nested in
+a function), never by line, so an edit to ``src/`` while the runs go on
+moves nothing; the defs that share a qualified name in one module (a
+property and its setter) are reached together.  The ``fuzz --console-out``
+run's stderr is a pseudo-terminal, so the live status line, which the
+campaign draws only on a terminal, runs too.  Code only tests reach shows
+up here; error paths and code that runs only on a fuzz violation do too,
 and stay by design.  A single-valued knob is a candidate for deletion
 when grep shows that only tests set it.  It takes several minutes, so
 neither tier-1 nor CI runs it.
@@ -45,6 +51,7 @@ import argparse
 import ast
 import json
 import os
+import pty
 import subprocess
 import sys
 import tempfile
@@ -61,12 +68,12 @@ EXPERIMENTS = ("table1", "fig2", "fig3", "fig4", "fig5", "table2", "fig6",
                "observatory", "service", "scale")
 
 #: The hook's body; ``main`` prepends ``_OUT`` (the dump directory) and
-#: ``_KNOBS`` (the knob table: ``[path, first line, [parameter, ...]]``).
+#: ``_KNOBS`` (the knob table: ``[path, qualified name, [parameter, ...]]``).
 HOOK = '''\
 import atexit, json, opcode, os, sys, threading
 
 with open(_KNOBS, encoding="utf-8") as _fh:
-    _TABLE = {(path, line): names for path, line, names in json.load(_fh)}
+    _TABLE = {(path, name): names for path, name, names in json.load(_fh)}
 _RESUME = opcode.opmap["RESUME"]
 #: CO_GENERATOR | CO_COROUTINE | CO_ASYNC_GENERATOR
 _GENERATOR = 0x20 | 0x80 | 0x200
@@ -115,7 +122,7 @@ def _watch(frame, code):
     if "repro" not in code.co_filename:
         return None
     names = _TABLE.get((os.path.realpath(code.co_filename),
-                        code.co_firstlineno))
+                        code.co_qualname))
     if not names:
         return None
     defaults = _defaults(frame, code)
@@ -156,10 +163,10 @@ def _dump():
     sys.setprofile(None)
     repro = [code for code in _codes if "repro" in code.co_filename]
     dump = {
-        "calls": sorted({(code.co_filename, code.co_firstlineno,
-                          code.co_name) for code in repro}),
-        "knobs": [(code.co_filename, code.co_firstlineno, code.co_name,
-                   name, [[repr(key), shown] for key, shown in seen.items()])
+        "calls": sorted({(code.co_filename, code.co_qualname)
+                         for code in repro}),
+        "knobs": [(code.co_filename, code.co_qualname, name,
+                   [[repr(key), shown] for key, shown in seen.items()])
                   for (code, name), seen in _values.items()]}
     with open(os.path.join(_OUT, f"{os.getpid()}.json"), "w",
               encoding="utf-8") as fh:
@@ -188,19 +195,16 @@ def runs() -> list[list[str]]:
     return out
 
 
-def functions() -> dict[tuple[str, int], tuple[str, int, tuple[str, ...]]]:
-    """``(path, first line) -> (qualified name, lines, knobs)`` of every
-    ``def``; ``knobs`` are its parameters with a default.
-
-    The first line is the first decorator's, as in ``co_firstlineno``.
+def functions() -> dict[tuple[str, str], tuple[int, int, tuple[str, ...]]]:
+    """``(path, qualified name) -> (first line, lines, knobs)`` of every
+    ``def``, the name as in ``co_qualname``; ``knobs`` are its parameters
+    with a default.  Defs sharing a name add their lines and knobs up.
     """
     found = {}
 
     def visit(node, path: str, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [d.lineno for d in
-                                              child.decorator_list])
                 name = prefix + child.name
                 args = child.args
                 positional = args.posonlyargs + args.args
@@ -208,10 +212,13 @@ def functions() -> dict[tuple[str, int], tuple[str, int, tuple[str, ...]]]:
                 knobs += [arg for arg, default in zip(args.kwonlyargs,
                                                       args.kw_defaults)
                           if default is not None]
-                found[(path, first)] = (
-                    name, child.end_lineno - child.lineno + 1,
-                    tuple(arg.arg for arg in knobs))
-                visit(child, path, name + ".")
+                first, lines, known = found.get(
+                    (path, name), (child.lineno, 0, ()))
+                found[(path, name)] = (
+                    first, lines + child.end_lineno - child.lineno + 1,
+                    known + tuple(arg.arg for arg in knobs
+                                  if arg.arg not in known))
+                visit(child, path, name + ".<locals>.")
             elif isinstance(child, ast.ClassDef):
                 visit(child, path, prefix + child.name + ".")
             else:
@@ -223,6 +230,29 @@ def functions() -> dict[tuple[str, int], tuple[str, int, tuple[str, ...]]]:
     return found
 
 
+def run(argv: list[str], cwd: Path, env: dict, terminal: bool) -> None:
+    """Run ``argv`` to the end, stdout discarded; with ``terminal``, its
+    stderr (and its workers') is a pseudo-terminal drained here."""
+    if not terminal:
+        subprocess.run(argv, cwd=cwd, env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        return
+    master, slave = pty.openpty()
+    try:
+        proc = subprocess.Popen(argv, cwd=cwd, env=env,
+                                stdout=subprocess.DEVNULL, stderr=slave)
+    finally:
+        os.close(slave)
+    with os.fdopen(master, "rb", buffering=0) as screen:
+        try:
+            while screen.read(4096):
+                pass
+        except OSError:  # EIO: every writer has closed the terminal
+            pass
+    if proc.wait():
+        raise subprocess.CalledProcessError(proc.returncode, argv)
+
+
 def cli_set(path: str) -> bool:
     """True for the modules whose parameters the CLI flags set."""
     module = os.path.relpath(path, SRC)
@@ -231,16 +261,16 @@ def cli_set(path: str) -> bool:
 
 
 def collect(dump_dir: Path) -> tuple[set, dict]:
-    """Every run's dumps merged: the ``(real path, first line, name)`` of
-    each code object called, and ``(real path, first line, name,
-    parameter) -> {fingerprint: shown value}`` (at most two values)."""
+    """Every run's dumps merged: the ``(real path, qualified name)`` of
+    each code object called, and ``(real path, qualified name, parameter)
+    -> {fingerprint: shown value}`` (at most two values)."""
     seen, values = set(), defaultdict(dict)
     for dump_path in dump_dir.glob("*.json"):
         dump = json.loads(dump_path.read_text(encoding="utf-8"))
-        for path, line, name in dump["calls"]:
-            seen.add((os.path.realpath(path), line, name))
-        for path, line, name, param, pairs in dump["knobs"]:
-            merged = values[os.path.realpath(path), line, name, param]
+        for path, name in dump["calls"]:
+            seen.add((os.path.realpath(path), name))
+        for path, name, param, pairs in dump["knobs"]:
+            merged = values[os.path.realpath(path), name, param]
             for key, shown in pairs:
                 if len(merged) < 2:
                     merged.setdefault(key, shown)
@@ -255,8 +285,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     every = functions()
-    table = [[path, first, list(knobs)]
-             for (path, first), (_name, _lines, knobs) in every.items()
+    table = [[path, name, list(knobs)]
+             for (path, name), (_first, _lines, knobs) in every.items()
              if knobs and not cli_set(path)]
     with tempfile.TemporaryDirectory(prefix="unreached-") as tmp:
         tmp = Path(tmp)
@@ -279,26 +309,20 @@ def main(argv=None) -> int:
             label = " ".join(Path(a).name if os.sep in a else a
                              for a in argv_[1:])
             print(f"running {label}", file=sys.stderr, flush=True)
-            subprocess.run(argv_, cwd=cwd, env=env, check=True,
-                           stdout=subprocess.DEVNULL)
+            run(argv_, cwd, env, terminal="--console-out" in argv_)
         seen, values = collect(dumps)
 
-    def is_reached(path: str, first: int, name: str) -> bool:
-        return (path, first, name.rsplit(".", 1)[-1]) in seen
-
-    missed = {key: value for key, value in every.items()
-              if not is_reached(key[0], key[1], value[0])}
+    missed = {key: value for key, value in every.items() if key not in seen}
     total_lines = sum(value[1] for value in every.values())
     missed_lines = sum(value[1] for value in missed.values())
     print(f"unreached: {len(missed):,} of {len(every):,} functions, "
           f"{missed_lines:,} of {total_lines:,} function lines")
 
     knobs: dict[str, list] = defaultdict(list)   # module -> its knob rows
-    for path, first, params in table:
-        name = every[path, first][0]
+    for path, name, params in table:
+        first = every[path, name][0]
         for param in params:
-            shown = values.get((path, first, name.rsplit(".", 1)[-1],
-                                param), {})
+            shown = values.get((path, name, param), {})
             knobs[os.path.relpath(path, SRC)].append(
                 (first, name, param, list(shown.values())))
     every_knob = [row for rows in knobs.values() for row in rows]
@@ -309,7 +333,7 @@ def main(argv=None) -> int:
           f"reaches; repro/experiments/ and repro/cli.py left out)")
 
     by_module: dict[str, list] = defaultdict(list)
-    for (path, first), (name, lines, _knobs) in missed.items():
+    for (path, name), (first, lines, _knobs) in missed.items():
         by_module[os.path.relpath(path, SRC)].append((first, name, lines))
     rows = sorted(by_module.items(),
                   key=lambda kv: (-sum(r[2] for r in kv[1]), kv[0]))

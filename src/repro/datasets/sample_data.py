@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.datasets.memo import cached
+from repro.memo import cached
 
 SAMPLE_COMPONENTS = (
     ((1.0, 1.0), 3.0, 500),
@@ -29,7 +29,7 @@ def generate_sample_data(rng: Optional[np.random.Generator] = None,
                          components=SAMPLE_COMPONENTS
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(X, component_labels)`` with X of shape (N, 2) (memoized,
-    :mod:`repro.datasets.memo`)."""
+    :mod:`repro.memo`)."""
     return cached(_generate, rng or np.random.default_rng(0), components)
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.datasets.memo import cached
+from repro.memo import cached
 
 TERA_RECORD_BYTES = 100
 TERA_KEY_BYTES = 10
@@ -35,7 +35,7 @@ class TeraRecord:
 def teragen(n_records: int, rng: Optional[np.random.Generator] = None
             ) -> list[TeraRecord]:
     """Generate ``n_records`` records with uniformly random keys (memoized,
-    :mod:`repro.datasets.memo`)."""
+    :mod:`repro.memo`)."""
     if n_records < 0:
         raise ValueError("n_records must be >= 0")
     return cached(_teragen, rng or np.random.default_rng(0), n_records)

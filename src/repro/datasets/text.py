@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.datasets.memo import cached
+from repro.memo import cached
 
 _CONSONANTS = "bcdfghjklmnpqrstvwz"
 _VOWELS = "aeiou"
@@ -115,7 +115,7 @@ def generate_corpus(nbytes: int,
     newline per line, ending with the first line that reaches ``nbytes``.
 
     Returns a list of lines (the Wordcount input records).  Deterministic
-    given ``rng``; memoized (:mod:`repro.datasets.memo`).
+    given ``rng``; memoized (:mod:`repro.memo`).
     """
     if not (math.isfinite(nbytes) and nbytes > 0):
         raise ValueError("nbytes must be positive")

@@ -3,8 +3,10 @@
 A digest is sha256 over UTF-8 text, shown as its first :data:`WIDTH` hex
 characters.  Run reports, fault plans, scenarios, journals and stores all
 digest through here, so CI, the test pins and the fuzz repro files compare
-values made by the same rule.  (:mod:`repro.sim.rng` hashes stream names
-for seed entropy, which is not a digest, and keeps its own ``hashlib``.)
+values made by the same rule.  :func:`content` is the full-width sha256
+of a buffer's bytes, the stand-in for an array in a memo key
+(:mod:`repro.memo`).  (:mod:`repro.sim.rng` hashes stream names for seed
+entropy, which is not a digest, and keeps its own ``hashlib``.)
 """
 
 from __future__ import annotations
@@ -33,3 +35,8 @@ class Digest:
 def digest(text: str) -> str:
     """The digest of one string."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:WIDTH]
+
+
+def content(buffer) -> bytes:
+    """The full 32-byte sha256 of a C-contiguous buffer's bytes."""
+    return hashlib.sha256(buffer).digest()

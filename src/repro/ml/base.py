@@ -28,6 +28,7 @@ from repro.errors import ClusteringError
 from repro.mapreduce.api import Context, Mapper
 from repro.mapreduce.job import Job
 from repro.mapreduce.local import LocalJobRunner
+from repro.memo import Memo
 from repro.sim.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,6 +42,14 @@ def read_only(array: np.ndarray) -> np.ndarray:
     """``array``, marked read-only: its rows are emitted as records."""
     array.flags.writeable = False
     return array
+
+
+#: The canopy and mean-shift passes, memoized on their inputs' content
+#: (:mod:`repro.memo`): a scale sweep stages one dataset on every cluster
+#: size, so each size's jobs repeat the same passes, and identity keys
+#: cannot see that (every size builds its own records and measure).  The
+#: bound holds every distinct pass of one size's runs.
+KERNELS = Memo(32)
 
 
 def points_as_records(points: np.ndarray) -> list[tuple[int, np.ndarray]]:

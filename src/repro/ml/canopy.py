@@ -24,8 +24,8 @@ import numpy as np
 from repro.errors import ClusteringError
 from repro.mapreduce.api import Context, Reducer
 from repro.mapreduce.job import Job
-from repro.ml.base import (ClusterModel, ClusteringResult, Executor,
-                           SplitMapper, read_only)
+from repro.ml.base import (KERNELS, ClusterModel, ClusteringResult,
+                           Executor, SplitMapper, read_only)
 from repro.ml.kmeans import AssignMapper, _map_record_cost
 from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
 
@@ -43,9 +43,15 @@ def canopy_pass(points: np.ndarray, t1: float, t2: float,
     in point order: a sum starts from and a miss adds ``-0.0``, the exact
     additive identity (``np.add.reduce`` would start from ``+0.0``).
     The window doubles while no founder appears and restarts at one point
-    after one does: never more calls than points.
+    after one does: never more calls than points.  Memoized on the
+    points, the thresholds and the measure (``base.KERNELS``).
     """
-    points = np.asarray(points, dtype=float)
+    return _canopy_pass(np.asarray(points, dtype=float), t1, t2, measure)
+
+
+@KERNELS.pure
+def _canopy_pass(points: np.ndarray, t1: float, t2: float,
+                 measure: DistanceMeasure) -> list[tuple[np.ndarray, int]]:
     # Canopies 0..k-1 live in preallocated rows, so one to_centers call
     # measures a window against every founder.
     founders = Centers(points[:0], capacity=len(points))

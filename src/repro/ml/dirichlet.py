@@ -101,8 +101,9 @@ class DirichletDriver:
                  max_iterations: int = 10):
         if n_models < 1:
             raise ClusteringError("n_models must be >= 1")
-        if alpha0 <= 0:
-            raise ClusteringError("alpha0 must be > 0")
+        if not (math.isfinite(alpha0) and alpha0 > 0):
+            raise ClusteringError(f"DirichletDriver: alpha0 must be a finite "
+                                  f"concentration > 0, got {alpha0}")
         if max_iterations < 1:
             raise ClusteringError("max_iterations must be >= 1")
         self.n_models = n_models

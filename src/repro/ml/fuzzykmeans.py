@@ -15,6 +15,7 @@ Convergence as in k-Means: maximum center shift below the delta.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,8 +68,9 @@ class FuzzyKMeansDriver:
                  measure: Optional[DistanceMeasure] = None,
                  m: float = 2.0, convergence_delta: float = 0.5,
                  max_iterations: int = 10, n_reduces: int = 1):
-        if m <= 1.0:
-            raise ClusteringError(f"fuzziness m must be > 1, got {m}")
+        if not (math.isfinite(m) and m > 1.0):
+            raise ClusteringError(f"FuzzyKMeansDriver: fuzziness m must be "
+                                  f"a finite number > 1, got {m}")
         self.k = centers_k("FuzzyKMeansDriver", k, initial_centers)
         self.initial_centers = initial_centers
         self.measure = measure or EuclideanDistance()

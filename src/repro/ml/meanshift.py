@@ -25,8 +25,8 @@ import numpy as np
 from repro.errors import ClusteringError
 from repro.mapreduce.api import Context, Mapper, Reducer
 from repro.mapreduce.job import Job
-from repro.ml.base import (ClusterModel, ClusteringResult, Executor,
-                           checked_delta, read_only)
+from repro.ml.base import (KERNELS, ClusterModel, ClusteringResult,
+                           Executor, checked_delta, read_only)
 from repro.ml.vectors import Centers, DistanceMeasure, EuclideanDistance
 
 
@@ -53,11 +53,20 @@ def shift_and_merge(canopies: list[tuple[np.ndarray, float]], t1: float,
     prepared :class:`Centers` (see ``vectors``); each mean sums its
     neighbours' weighted rows by an ordered gather, in a boolean-mask sum's
     order.  The T2 merge stays sequential: each step moves or adds a row.
+    Memoized on the stacked centers and weights, the thresholds and the
+    measure (``base.KERNELS``).
     """
     if not canopies:
         return [], True
-    centers = np.vstack([c for c, _w in canopies])
-    weights = np.asarray([w for _c, w in canopies], dtype=float)
+    return _shift_and_merge(np.vstack([c for c, _w in canopies]),
+                            np.asarray([w for _c, w in canopies], dtype=float),
+                            t1, t2, measure, delta)
+
+
+@KERNELS.pure
+def _shift_and_merge(centers: np.ndarray, weights: np.ndarray, t1: float,
+                     t2: float, measure: DistanceMeasure, delta: float
+                     ) -> tuple[list[tuple[np.ndarray, float]], bool]:
     prepared = Centers(centers)
     weighted = centers * weights[:, None]
     means = np.empty_like(centers)
@@ -83,7 +92,8 @@ def shift_and_merge(canopies: list[tuple[np.ndarray, float]], t1: float,
         else:
             merged.append(point)
             merged_w.append(weight)
-    return list(zip(read_only(merged.rows), merged_w)), all_converged
+    # A copy, so that a held result does not keep the n-row buffer alive.
+    return list(zip(read_only(merged.rows.copy()), merged_w)), all_converged
 
 
 class MeanShiftMapper(Mapper):

@@ -6,9 +6,10 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
+from repro import memo
 from repro.datasets import (CONTROL_CLASSES, TeraRecord, generate_corpus,
                             generate_sample_data, generate_synthetic_control,
-                            memo, teragen)
+                            teragen)
 from repro.datasets.sample_data import SAMPLE_COMPONENTS, sample_sizeof
 from repro.datasets.tera import records_for_bytes, tera_sizeof
 from repro.datasets.text import _make_vocabulary
@@ -228,7 +229,7 @@ PINNED_ARRAYS = {
 def cold(monkeypatch):
     """An empty dataset memo for the test; the process-wide one comes back
     after it."""
-    monkeypatch.setattr(memo, "_entries", OrderedDict())
+    monkeypatch.setattr(memo.DATASETS, "_entries", OrderedDict())
 
 
 @pytest.mark.parametrize("seed, nbytes", sorted(PINNED_CORPORA))

@@ -271,6 +271,18 @@ def test_convergence_delta_must_be_a_finite_shift(driver):
     assert driver(0).convergence_delta == 0.0
 
 
+@pytest.mark.parametrize("driver, field", [
+    (lambda v: FuzzyKMeansDriver(k=3, m=v), "fuzziness m"),
+    (lambda v: DirichletDriver(alpha0=v), "alpha0"),
+], ids=["FuzzyKMeansDriver.m", "DirichletDriver.alpha0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_fuzziness_and_concentration_must_be_finite(driver, field, value):
+    # NaN passed `m <= 1` and `alpha0 <= 0`: fuzzy k-means returned NaN
+    # centers and Dirichlet collapsed to one model.
+    with pytest.raises(ClusteringError, match=f"{field} must be a finite"):
+        driver(value)
+
+
 # --- dirichlet -------------------------------------------------------------------
 
 def test_dirichlet_finds_significant_models(blobs):

@@ -322,7 +322,7 @@ class MapReduceRunner:
         fired — the only thing the solo runner and the scheduler differ in.
         """
         config = self.cluster.config
-        staff = staff or self._staff
+        staff = staff or self._run_phase
         if report is None:
             report = JobReport(job_name=job.name, submitted_at=self.sim.now,
                                n_reduces=job.n_reduces)
@@ -586,12 +586,6 @@ class MapReduceRunner:
         return specs
 
     # -- solo staffing: ephemeral per-phase workers --------------------------
-    def _staff(self, phase: _Phase):
-        # The phase runs as its own process (not inline in the job's) so a
-        # solo job's kernel event sequence is what baselines*.json pin.
-        yield self.sim.process(self._run_phase(phase),
-                               name=f"{phase.job.name}:{phase.kind}s")
-
     def _run_phase(self, phase: _Phase):
         def spawn(trackers):
             for tracker in trackers:

@@ -97,8 +97,7 @@ def _scenario_sizes(quick: bool) -> dict:
         return {
             "n_tenants": 48,
             "steady": dict(rate=1.2, horizon=2500.0),
-            "diurnal": dict(rate=1.2, amplitude=0.5, period=1250.0,
-                            horizon=2500.0),
+            "diurnal": dict(rate=1.2, period=1250.0, horizon=2500.0),
             "burst": dict(rate=0.8, factor=4.0, every=600.0,
                           duration=150.0, horizon=2500.0),
             "tick_s": 5.0,
@@ -106,8 +105,7 @@ def _scenario_sizes(quick: bool) -> dict:
     return {
         "n_tenants": 160,
         "steady": dict(rate=12.0, horizon=25000.0),
-        "diurnal": dict(rate=12.0, amplitude=0.5, period=12500.0,
-                        horizon=25000.0),
+        "diurnal": dict(rate=12.0, period=12500.0, horizon=25000.0),
         "burst": dict(rate=8.0, factor=4.0, every=5000.0,
                       duration=800.0, horizon=25000.0),
         "tick_s": 10.0,
@@ -129,7 +127,7 @@ def _mixes(sizes: dict) -> dict:
             "steady", tenants, rng, rate_per_s=st["rate"]), True),
         "diurnal": (di, lambda tenants, rng: DiurnalTraffic(
             "diurnal", tenants, rng, base_rate_per_s=di["rate"],
-            amplitude=di["amplitude"], period_s=di["period"]), True),
+            period_s=di["period"]), True),
         "burst-off": (bu, burst, False),
         "burst-on": (bu, burst, True),
     }

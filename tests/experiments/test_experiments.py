@@ -124,12 +124,12 @@ def test_table2_wordcount_overheads(migration_reports):
 
 def test_table2_seed0_migration_times_are_the_recorded_ones(
         migration_reports):
-    # Recorded with the flow-class fair-share engine; the resubmitted
-    # Wordcount (Job.resubmit_to) must not move a timestamp.
+    # Recorded with per-round frozen-load adds in the fair-share fill; the
+    # resubmitted Wordcount (Job.resubmit_to) must not move a timestamp.
     assert {cell: report.overall_migration_time_s
             for cell, report in migration_reports.items()} == {
         "idle.1024": 156.09047918577798, "idle.512": 85.19398466947244,
-        "wc.1024": 537.9453103701763, "wc.512": 328.999609632351}
+        "wc.1024": 537.9453103701763, "wc.512": 328.9996096323522}
 
 
 def test_fig5_all_vms_arrive(migration_reports):

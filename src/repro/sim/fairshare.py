@@ -4,10 +4,11 @@ The simulator's one contention mechanism.  A :class:`SharedResource` has a
 capacity in units per second (a NIC, a bridge, a disk, the NFS server, a
 CPU package, a VM's VCPUs); a :class:`FluidFlow` is a demand of *size*
 units along a *path* of resources, e.g. ``(vm NIC, host NIC, host NIC, vm
-NIC)`` or ``(vm.vcpu, host.cpu)``.  Every active flow gets its max-min fair
-rate with optional per-flow caps, by progressive filling: unfrozen flows
-share a level rising from 0 until a cap or a resource (frozen load plus
-its unfrozen flows at the level) binds; those freeze; repeat.
+NIC)`` or ``(vm.vcpu, host.cpu)``; a path crosses each resource once.
+Every active flow gets its max-min fair rate with optional per-flow caps,
+by progressive filling: unfrozen flows share a level rising from 0 until a
+cap or a resource (frozen load plus its unfrozen flows at the level)
+binds; those freeze; repeat.
 
 **Flow classes.**  Max-min fairness is symmetric, so live flows with the
 same ``(path, cap)`` get the same rate: they form one :class:`_FlowClass`
@@ -39,50 +40,49 @@ binding set ``B``, the only resources :func:`_fill` walks, and each class
 its path restricted to ``B``.  Every other resource holds a *slack
 certificate* (:func:`_slack`): with ``n`` live flows, capacity ``c`` and
 load ``l`` (the insertion-ordered sum the flush re-sums), ``c - l > n *
-(_EPS + k * 2**-52 * c)``.  Levels only rise and every class freezes at
-its round's level (*Caps*), so flows unfrozen at round ``i`` end at or
-above its level ``L``: the frozen load ``F`` and unfrozen count ``u <=
-n`` satisfy ``F + u * L <= l``, and the saturation level exceeds ``L`` by
+k * 2**-52 * c``.  Levels only rise and every class freezes at its
+round's level (*Caps*), so flows unfrozen at round ``i`` end at or above
+its level ``L``: the frozen load ``F`` and unfrozen count ``u <= n``
+satisfy ``F + u * L <= l``, and the saturation level exceeds ``L`` by
 ``(c - l) / u`` before rounding.  Each rounding costs at most half an ulp
 of ``c`` (no operand exceeds it): a product and a sum per round freezing
-flows on it in ``F``, per class in ``l`` (at most ``2n`` each), and three
-in the subtraction, division and ``level + _EPS`` — under ``7n``, so ``k
-= 4`` suffices and ``k = 16`` leaves headroom.  A certified resource
-therefore never comes within ``_EPS`` of a level: the restricted fill
-makes the full fill's decisions round for round.  A certificate holds
-until the resource's load, capacity or flow count moves, which only a
-seed or a changed class's path can do; the flush checks those on the
-tentative rates, binds any that fail and refills.  An accepted fill
-shrinks ``B`` to what saturated plus what still fails its certificate.
-Merges union ``B``, splits share it out, a resource joins its component
-bound (so a new component starts fully bound), and a class no bound
-resource could freeze (uncapped, with an empty restricted path) binds its
-path.  A resource one class crosses twice is never certified: ``l``
-counts that class once, the fill twice.
+flows on it in ``F``, per class in ``l`` (at most ``2n`` each), and two
+in the subtraction and division — at most ``4n + 2 <= 6n``, so ``k = 3``
+suffices and ``k = 16`` leaves headroom.  A certified resource's
+saturation level therefore stays above every round's level, so it never
+saturates: the restricted fill makes the full fill's decisions round for
+round.  A certificate holds until the resource's load, capacity or flow
+count moves, which only a seed or a changed class's path can do; the
+flush checks those on the tentative rates, binds any that fail and
+refills.  An accepted fill shrinks ``B`` to what saturated plus what
+still fails its certificate.  Merges union ``B``, splits share it out, a
+resource joins its component bound (so a new component starts fully
+bound), and a class no bound resource could freeze (uncapped, with an
+empty restricted path) binds its path.
 
 **Caps.**  A round's level is the larger of the previous one and the
-lowest saturation level or cap, and it freezes every cap up to ``level +
-_EPS``; a cap left unfrozen exceeds the level, so the next level is at
-most it.  Every class a round freezes gets the level, never above its cap.
+lowest saturation level or cap.  It freezes every cap up to the level and
+every resource at the lowest, so the one that set it always freezes; a
+cap left unfrozen exceeds the level, so the next level is at most it.
+Every class a round freezes gets the level, never above its cap.
 
 **Contract** (``tests/sim/test_fairshare_incremental.py``, against an
 exact progressive fill in rationals).  After every flush each rate is
-within ``β = 2 * _EPS + 3 * D`` of its exact max-min rate: for a flow the
-exact fill freezes at round ``j``, ``D`` is the largest
-``δ = (Φ + 2 * (m + 1) * 2**-52 * c) / u`` over rounds ``i <= j`` and
-resources unfrozen at ``i`` (capacity ``c``, ``m`` flows, ``u`` of them
-unfrozen at ``i``, ``Φ`` the ``β`` of the frozen ones summed per
-crossing).  By induction: with the flows so far frozen as in the exact
+within ``β = 3 * D`` of its exact max-min rate: for a flow the exact fill
+freezes at round ``j``, ``D`` is the largest ``δ = (Φ + 2 * (m + 1) *
+2**-52 * c) / u`` over rounds ``i <= j`` and resources unfrozen at ``i``
+(capacity ``c``, ``m`` flows, ``u`` of them unfrozen at ``i``, ``Φ`` the
+summed ``β`` of the frozen ones).  By induction: with the flows so far frozen as in the exact
 fill, each within its ``β``, a frozen load is off by ``Φ`` plus two
 half-ulps of ``c`` per add (at most ``m``), a saturation level by ``δ``
 after the subtraction and division (the factor 2 covers the bounds' own
-rounding), and the round's level by ``D`` — or, where rounding or a path
-crossing a resource twice dipped the lowest below the previous level, by
-as much as that level was; a cap round is exact.  A resource or cap
-within ``2 * D + _EPS`` of the round's exact level (a *near-tie*) may
-freeze with it, off by the gap plus ``D``, inside ``β``; elsewhere each
-round saturates exactly what the exact fill binds.  At capacities up to
-1e3 the tests see ``β`` of 2e-12 to 4e-8 and errors under 0.6% of it.
+rounding), and the round's level by ``D`` — or, where rounding dipped the
+lowest below the previous level, by as much as that level was; a cap
+round is exact.  A resource or cap within ``2 * D`` of the round's exact
+level (a *near-tie*) may freeze with it, off by the gap plus ``D``, inside
+``β``; elsewhere each round saturates exactly what the exact fill binds.
+At capacities up to 1e3 the tests see ``β`` of 3e-15 to 4e-10 and errors
+under 1.4% of it.
 The fill over the binding sets equals the fill over every resource bit
 for bit, in rates and visits.
 Completion times and ``transferred`` equal exact rational integration of
@@ -108,6 +108,8 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from repro.errors import ResourceError, SimulationError
 from repro.sim.kernel import Event, Simulator
 
+#: A size or rate at most this is zero; scaled by a member's size (at
+#: least 1), the distance from its target that counts as complete.
 _EPS = 1e-12
 #: The certificate's rounding allowance per flow, as a fraction of
 #: capacity: ``k = 16`` machine epsilons (derived in the module docstring).
@@ -122,7 +124,7 @@ class SharedResource:
 
     __slots__ = ("name", "capacity", "nominal", "_classes",
                  "current_load", "_busy_integral", "_moved_integral",
-                 "_last_change", "_comp", "_repeats")
+                 "_last_change", "_comp")
 
     def __init__(self, name: str, capacity: float):
         if not 0 < capacity < math.inf:
@@ -140,9 +142,6 @@ class SharedResource:
         #: Union-find component (None until a class crosses it, or after
         #: a lazy split found it isolated).
         self._comp: Optional["_Component"] = None
-        #: Live classes whose path crosses this resource more than once:
-        #: ``current_load`` undercounts their share, so no certificate.
-        self._repeats = 0
         self.current_load = 0.0
         self._busy_integral = 0.0
         self._moved_integral = 0.0
@@ -223,39 +222,25 @@ class FluidFlow:
         return cls.progress(cls.sim.now) - self._v0
 
     @property
-    def remaining(self) -> float:
-        return max(0.0, self.size - self.transferred)
-
-    @property
     def active(self) -> bool:
         return self.end_time is None
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"<FluidFlow {self.name} remaining={self.remaining:g} "
+        return (f"<FluidFlow {self.name} moved={self.transferred:g} "
                 f"rate={self.rate:g}>")
 
 
 class _FlowClass:
     """The live flows of one ``(path, cap)``: one rate, one clock."""
 
-    __slots__ = ("path", "upath", "bpath", "bupath", "repeats", "cap", "seq",
-                 "sim", "members", "heap", "rate", "v", "t", "undo", "due",
-                 "_comp")
+    __slots__ = ("path", "bpath", "cap", "seq", "sim", "members", "heap",
+                 "rate", "v", "t", "undo", "due", "_comp")
 
     def __init__(self, path: tuple, cap: float, seq: int, sim: Simulator):
         self.path = path
-        #: Deduplicated path (incidence counts); frozen loads still charge
-        #: a duplicated path entry twice.
-        if len(path) == 2:  # the hot compute/disk case
-            self.upath = path if path[0] is not path[1] else path[:1]
-        else:
-            self.upath = tuple(dict.fromkeys(path))
-        #: The resources the path crosses more than once.
-        self.repeats = () if len(self.upath) == len(path) else tuple(
-            r for r in self.upath if path.count(r) > 1)
-        #: ``path`` / ``upath`` restricted to the component's binding set:
-        #: what :func:`_fill` walks (see :meth:`restrict`).
-        self.bpath = self.bupath = ()
+        #: ``path`` restricted to the component's binding set: what
+        #: :func:`_fill` walks (see :meth:`restrict`).
+        self.bpath = ()
         self.cap = cap
         self.seq = seq
         self.sim = sim
@@ -299,11 +284,9 @@ class _FlowClass:
         self.rate = rate
 
     def restrict(self) -> None:
-        """Re-derive the paths restricted to the component's binding set."""
+        """Re-derive the path restricted to the component's binding set."""
         binding = self._comp.binding
-        self.bpath = bpath = tuple([r for r in self.path if r in binding])
-        self.bupath = (bpath if len(self.upath) == len(self.path)
-                       else tuple(dict.fromkeys(bpath)))
+        self.bpath = tuple([r for r in self.path if r in binding])
 
 
 class _Component:
@@ -321,8 +304,8 @@ class _Component:
         #: other resource holds a slack certificate (:func:`_slack`).
         self.binding: set[SharedResource] = set()
         self.peak = 0
-        #: Live *flow* count per resource over deduplicated paths (the
-        #: fill's unfrozen counters start from its binding-set entries).
+        #: Live *flow* count per resource (the fill's unfrozen counters
+        #: start from its binding-set entries).
         self.nlive: dict[SharedResource, int] = {}
         #: Live classes with a finite cap (the fill's cap heap).
         self.capped: set[_FlowClass] = set()
@@ -364,12 +347,14 @@ class FairShareSystem:
         """Start a flow; ``flow.done`` triggers with the flow on completion.
 
         ``size`` may be ``math.inf`` for an open-ended background load that
-        is ended with :meth:`close`.
+        is ended with :meth:`close`.  A path crosses each resource once.
         """
         if size < 0:
             raise ResourceError(f"flow size must be >= 0, got {size}")
         if not path:
             raise ResourceError("flow path must contain at least one resource")
+        if len(set(path)) != len(path):
+            raise ResourceError(f"flow {name!r} crosses a resource twice")
         if cap is not None and cap <= 0:
             raise ResourceError(f"flow cap must be > 0, got {cap}")
         now = self.sim.now
@@ -393,7 +378,7 @@ class FairShareSystem:
             self._attach_class(cls)
         else:
             nlive = cls._comp.nlive
-            for res in cls.upath:
+            for res in cls.path:
                 nlive[res] += 1
         cls._comp.nflows += 1
         cls.members.add(flow)
@@ -404,7 +389,7 @@ class FairShareSystem:
             heapq.heappush(heap, (v0 + flow.size, flow._seq, flow))
             if heap[0][2] is flow:
                 self._reschedule(cls)
-        self._touch(cls.upath)
+        self._touch(cls.path)
         return flow
 
     def close(self, flow: FluidFlow) -> float:
@@ -424,7 +409,7 @@ class FairShareSystem:
         if was_head and cls.members:
             self._reschedule(cls)
         flow.done.succeed(flow)
-        self._touch(cls.upath)
+        self._touch(cls.path)
         return flow._moved
 
     def set_capacity(self, resource: SharedResource, capacity: float) -> None:
@@ -489,7 +474,7 @@ class FairShareSystem:
         comp = cls._comp
         comp.nflows -= 1
         nlive = comp.nlive
-        for res in cls.upath:
+        for res in cls.path:
             n = nlive[res] - 1
             if n:
                 nlive[res] = n
@@ -503,9 +488,7 @@ class FairShareSystem:
             comp.classes.discard(cls)
             comp.capped.discard(cls)
             cls._comp = None
-            for res in cls.repeats:
-                res._repeats -= 1
-            for res in cls.upath:
+            for res in cls.path:
                 classes = res._classes
                 del classes[cls]
                 if not classes:
@@ -573,7 +556,7 @@ class FairShareSystem:
             self._detach(flow, completed=True)
             self.completed_count += 1
             flow.done.succeed(flow)
-            self._touch(cls.upath)
+            self._touch(cls.path)
         for cls in due:
             if cls.members:
                 self._reschedule(cls)
@@ -582,7 +565,7 @@ class FairShareSystem:
         """Union the components the new class's path bridges; merging the
         smaller into the larger bounds merge work at O(n log n) a run."""
         comp: Optional[_Component] = None
-        for res in cls.upath:
+        for res in cls.path:
             other = res._comp
             if other is None or other is comp:
                 continue
@@ -608,7 +591,7 @@ class FairShareSystem:
         comp.classes.add(cls)
         cls._comp = comp
         nlive = comp.nlive
-        for res in cls.upath:
+        for res in cls.path:
             res._classes[cls] = None
             if res._comp is not comp:  # a resource joins bound
                 res._comp = comp
@@ -618,12 +601,10 @@ class FairShareSystem:
         if cls.cap != _INF:
             comp.capped.add(cls)
         comp.peak = max(comp.peak, len(comp.classes))
-        for res in cls.repeats:
-            res._repeats += 1
         cls.restrict()
-        if not cls.bupath and cls.cap == _INF:
+        if not cls.bpath and cls.cap == _INF:
             # Nothing in the binding set could freeze it: bind its path.
-            self._rebind(cls.upath, True)
+            self._rebind(cls.path, True)
 
     def _split_component(self, comp: _Component) -> None:
         """Re-derive true components from a shrunken union: one walk over
@@ -641,7 +622,7 @@ class FairShareSystem:
             part.classes.add(first)
             stack = [first]
             while stack:
-                for res in stack.pop().upath:
+                for res in stack.pop().path:
                     if res._comp is part:
                         continue
                     res._comp = part
@@ -657,7 +638,7 @@ class FairShareSystem:
             nlive = part.nlive
             for c in part.classes:
                 part.nflows += len(c.members)
-                for r in c.upath:
+                for r in c.path:
                     nlive[r] = nlive.get(r, 0) + len(c.members)
                 if c.cap != _INF:
                     part.capped.add(c)
@@ -727,7 +708,7 @@ class FairShareSystem:
                            if rate != cls.rate]
                 reload = set(seeds)
                 for cls in changed:
-                    reload.update(cls.upath)
+                    reload.update(cls.path)
                 # Loads outside the binding sets, for their certificates.
                 loads = {res: sum([rates[c] * len(c.members)
                                    for c in res._classes])
@@ -846,10 +827,10 @@ class FlowOp(Event):
 
 def _slack(res: SharedResource, load: float, n: int) -> bool:
     """The slack certificate of a resource with ``n`` live flows carrying
-    ``load``: true when no fill round can bring it within ``_EPS`` of
-    the level (the module docstring derives the margin)."""
+    ``load``: true when no fill round can bring it down to the level (the
+    module docstring derives the margin)."""
     cap = res.capacity
-    return not res._repeats and cap - load > n * (_EPS + _ULPS * cap)
+    return cap - load > n * _ULPS * cap
 
 
 def _fill(classes: set[_FlowClass], counts: dict[SharedResource, int],
@@ -857,14 +838,14 @@ def _fill(classes: set[_FlowClass], counts: dict[SharedResource, int],
           ) -> tuple[dict[_FlowClass, float], int, set[SharedResource]]:
     """Progressive filling over the classes of one (union of) component(s),
     walking only the binding set: ``counts`` is its live-flow counts and
-    each class's ``bpath``/``bupath`` its path restricted to it.
+    each class's ``bpath`` its path restricted to it.
 
     Each round freezes every class it binds at the round's level (*Caps*
     in the module docstring), so a resource's frozen load grows by one
-    ``k * level``, ``k`` the integer count of flows frozen on it (no set
-    order in the sum), and only where flows stay unfrozen.  Unfrozen
-    counters start from ``counts``; the minimum cap comes from a
-    lazy-deletion heap of ``capped``.
+    ``k * level`` and its unfrozen count falls by ``k``, ``k`` the integer
+    count of flows frozen on it (no set order in the sum); the load only
+    where flows stay unfrozen.  Unfrozen counters start from ``counts``;
+    the minimum cap comes from a lazy-deletion heap of ``capped``.
 
     Returns ``(rates, visits, saturated)``: ``visits`` counts class
     inspections, ``saturated`` the resources that bound a round.
@@ -891,20 +872,17 @@ def _fill(classes: set[_FlowClass], counts: dict[SharedResource, int],
         if next_level > level:
             level = next_level
         newly_frozen: set[_FlowClass] = set()
-        if min_cap <= next_level + _EPS:
-            cap_bound = level + _EPS
-            while cap_heap and cap_heap[0][0] <= cap_bound:
-                cls = heapq.heappop(cap_heap)[2]
-                if cls not in rates:
-                    newly_frozen.add(cls)
-                    visits += 1
-        sat_bound = next_level + _EPS
-        for res in [r for r, sat in sat_levels.items() if sat <= sat_bound]:
+        while cap_heap and cap_heap[0][0] <= level:
+            cls = heapq.heappop(cap_heap)[2]
+            if cls not in rates:
+                newly_frozen.add(cls)
+                visits += 1
+        for res in [r for r, sat in sat_levels.items() if sat <= next_level]:
             visits += len(res._classes)  # this resource saturates here
             newly_frozen.update(res._classes)
             saturated.add(res)
-        if not newly_frozen:  # pragma: no cover - numerical safety net
-            newly_frozen = set(classes)
+        if not newly_frozen:  # pragma: no cover - defensive
+            raise ResourceError("a fair-share round froze no flow")
         adds: dict[SharedResource, int] = defaultdict(int)
         for cls in newly_frozen:
             if cls in rates:
@@ -914,10 +892,8 @@ def _fill(classes: set[_FlowClass], counts: dict[SharedResource, int],
             n = len(cls.members)
             for res in cls.bpath:
                 adds[res] += n
-            for res in cls.bupath:
-                n_unfrozen[res] -= n
         for res, k in adds.items():
-            n = n_unfrozen[res]
+            n = n_unfrozen[res] = n_unfrozen[res] - k
             if n:
                 load = frozen_load[res] = frozen_load[res] + k * level
                 sat_levels[res] = (res.capacity - load) / n

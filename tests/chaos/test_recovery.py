@@ -225,7 +225,8 @@ def test_aborted_shuffle_recovery_cancels_its_rerun():
         assert [f for f in fss.active_flows
                 if f.path[0] is vm.vcpu] == [rerun], engine
         # Crash the recovering VM a quarter of the way into the re-run.
-        sim.run(until=sim.now + rerun.remaining / rerun.rate / 4)
+        left = rerun.size - rerun.transferred
+        sim.run(until=sim.now + left / rerun.rate / 4)
         billed = vm.cpu_seconds
         crashed_at = sim.now
         crash_worker(cluster, vm)

@@ -16,9 +16,9 @@ Six invariants protect it:
   every op yields the same timestamps, transfers and integrals, from no
   fewer rebalances;
 * **maintained incidence is exact** — every class's membership and every
-  component's ``nlive`` (per-resource live-flow counts over deduped
-  paths) and ``capped`` set always equal a from-scratch recount, through
-  opens, closes, completions, merges and splits;
+  component's ``nlive`` (per-resource live-flow counts) and ``capped``
+  set always equal a from-scratch recount, through opens, closes,
+  completions, merges and splits;
 * **the binding set is sound** — after every flush each component's
   binding set lies within its resources, every resource outside it
   passes its slack certificate, each class's restricted path is its path
@@ -41,9 +41,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.errors import SimulationError
+from repro.errors import ResourceError, SimulationError
 from repro.sim import FairShareSystem, SharedResource, Simulator
-from repro.sim.fairshare import _EPS, _fill, _slack
+from repro.sim.fairshare import _fill, _slack
 
 _SLOW = dict(deadline=None,
              suppress_health_check=[HealthCheck.too_slow])
@@ -63,7 +63,6 @@ _ops = st.lists(
               st.floats(1.0, 1000.0), st.none() | st.floats(1.0, 300.0)),
     min_size=1, max_size=30)
 
-_EXACT_EPS = Fraction(_EPS)
 _ULP = Fraction(1, 2 ** 52)
 
 
@@ -72,25 +71,22 @@ def _exact_maxmin(flows):
     flow graph, reading nothing of the engine's state.  Each round finds
     the lowest saturation level ``(capacity - frozen load) / unfrozen
     flows`` or cap, raises the common level to it, and freezes there the
-    unfrozen flows of the caps and resources found.  A frozen load
-    charges each crossing of a path, the unfrozen count each flow once,
-    so a path crossing a resource twice can dip a saturation level below
-    the current one: the level never falls.
+    unfrozen flows of the caps and resources found.  Exact levels never
+    fall.
 
     Returns ``(rates, bounds, saturated, margin)``: each flow's exact
     rate, the contract's bound on its float rate (the
     ``repro.sim.fairshare`` docstring derives it), the resources that
     bound a round, and how far above its round's level the nearest
     resource or cap that round did not bind lay — the exact levels tie
-    inside the bound when the margin is within two bounds and ``_EPS``,
-    the one case where the fill may saturate other resources.
+    inside the bound when the margin is within two thirds of it, the one
+    case where the fill may saturate other resources.
     """
     unfrozen = set(flows)
     frozen_load, budget, through = {}, {}, {}
     for flow in unfrozen:
         for res in flow.path:
             frozen_load[res] = budget[res] = Fraction(0)
-        for res in dict.fromkeys(flow.path):
             through.setdefault(res, []).append(flow)
     rates, bounds, saturated = {}, {}, set()
     margin, level, bound = math.inf, Fraction(0), Fraction(0)
@@ -105,8 +101,9 @@ def _exact_maxmin(flows):
                                   * _ULP * capacity) / n)
         caps = {f: Fraction(f.cap) for f in unfrozen if f.cap != math.inf}
         next_level = min([*sat_levels.values(), *caps.values()])
-        level = max(level, next_level)
-        bound = max(bound, 2 * _EXACT_EPS + 3 * slop)
+        assert next_level >= level, "an exact level fell"
+        level = next_level
+        bound = max(bound, 3 * slop)
         newly_frozen = {f for f, cap in caps.items() if cap == next_level}
         for res, sat in sat_levels.items():
             if sat == next_level:
@@ -151,14 +148,14 @@ class _OracleCheckedSystem(FairShareSystem):
 def _full_path_fill(classes, nlive, capped):
     """:func:`_fill` with every resource in the binding set, as it must
     fill between flushes, when certificates may be stale."""
-    saved = [(c, c.bpath, c.bupath) for c in classes]
+    saved = [(c, c.bpath) for c in classes]
     for c in classes:
-        c.bpath, c.bupath = c.path, c.upath
+        c.bpath = c.path
     try:
         return _fill(classes, nlive, capped)
     finally:
-        for c, bpath, bupath in saved:
-            c.bpath, c.bupath = bpath, bupath
+        for c, bpath in saved:
+            c.bpath = bpath
 
 
 def _assert_binding_sound(fss):
@@ -170,7 +167,6 @@ def _assert_binding_sound(fss):
                 f"{res.name} left the binding set without slack"
         for c in comp.classes:
             assert c.bpath == tuple(r for r in c.path if r in binding)
-            assert c.bupath == tuple(dict.fromkeys(c.bpath))
 
 
 class _BindingCheckedSystem(FairShareSystem):
@@ -207,13 +203,12 @@ def _build(n_res, capacities, system=None):
     return sim, fss, resources
 
 
-def _apply(sim, fss, resources, ops, eager=False, repeats=False):
+def _apply(sim, fss, resources, ops, eager=False):
     """Interpret an op sequence, yielding every flow opened so far.
 
     ``eager`` settles after every op, i.e. one rebalance per op as before
     the engine coalesced; otherwise a same-instant burst is flushed by the
-    kernel when the next "advance" moves the clock.  ``repeats`` lets
-    some paths cross their first resource twice.
+    kernel when the next "advance" moves the clock.
     """
     flows = []
     n_res = len(resources)
@@ -227,8 +222,6 @@ def _apply(sim, fss, resources, ops, eager=False, repeats=False):
                 extra = resources[(first + 2) % n_res]
                 if extra not in path:
                     path.append(extra)
-            if repeats and b % 5 == 0:
-                path.append(path[0])
             flows.append(fss.open(path, size=math.inf if a % 4 == 3
                                   else amount, cap=cap,
                                   name=f"f{len(flows)}"))
@@ -320,7 +313,7 @@ def test_maintained_incidence_matches_recount(n_res, capacities, ops, eager):
         for comp in _components(fss):
             nlive = {}
             for c in comp.classes:
-                for res in c.upath:
+                for res in c.path:
                     nlive[res] = nlive.get(res, 0) + len(c.members)
             assert comp.nlive == nlive
             assert comp.capped == {c for c in comp.classes
@@ -343,7 +336,7 @@ def test_indexed_fill_matches_oracle(n_res, capacities, ops):
             flows = [f for c in comp.classes for f in c.members]
             _exact, bounds, exact_saturated, margin = _assert_within_bound(
                 {f: rates[f._cls] for f in flows}, flows)
-            if margin > 2 * max(bounds.values()) + _EXACT_EPS:
+            if margin > 2 * max(bounds.values()) / 3:
                 assert saturated == exact_saturated
 
 
@@ -353,8 +346,8 @@ def _edge_case_graph(sim, fss, x_capacity):
     * ``link`` (50) carries two flows capped at 25: exactly full, slack
       0.0, like a netback whose only flows are capped.
     * ``netback`` (4e7) carries three flows bound elsewhere at 1e7, 1e7
-      and one ulp below 2e7: never within ``_EPS`` of a round's level, so
-      it never saturates, yet its load rounds to exactly its capacity —
+      and one ulp below 2e7: always above a round's level, so it never
+      saturates, yet its load rounds to exactly its capacity —
       only the drop-time certificate keeps it in the binding set.
     * ``r`` (100) carries ``g1`` (frozen at 25 by ``a``, shared with
       ``h``) and ``g2`` (capped at 60): 85 of 100, so it leaves the
@@ -427,20 +420,16 @@ def test_certificate_edge_cases_match_full_path_fill(
     sim.run(until=sim.now + 120.0)
 
 
-def test_resource_crossed_twice_is_never_certified():
-    """The fill charges ``a`` twice on ``r`` (30 + 30 of 100), its load
-    counts it once: 75 of 100 would pass a certificate while ``r`` really
-    binds ``b`` at 40, not ``t``'s 45."""
+def test_path_crossing_a_resource_twice_is_rejected():
+    """``open`` refuses a path that names a resource twice before it
+    changes any state: no flow, class or component, and no flush booked."""
     sim = Simulator()
-    fss = _FullyCheckedSystem(sim)
-    r, s, t = (SharedResource(n, c) for n, c in
-               (("r", 100.0), ("s", 30.0), ("t", 45.0)))
-    fss.open([r, s, r], size=math.inf, name="a")
-    sim.run(until=1.0)
-    assert r in r._comp.binding and r._repeats == 1
-    b = fss.open([r, t], size=math.inf, name="b")
-    sim.run(until=2.0)
-    assert b.rate == 40.0
+    fss = FairShareSystem(sim)
+    r, s = SharedResource("r", 100.0), SharedResource("s", 100.0)
+    with pytest.raises(ResourceError, match="crosses a resource twice"):
+        fss.open([r, s, r], size=10.0)
+    assert fss._seeds is None and not fss._classes and fss._flow_seq == 0
+    assert r._comp is None and not r._classes
 
 
 def test_cross_component_ulp_tie_stays_within_bound():
@@ -462,16 +451,6 @@ def test_cross_component_ulp_tie_stays_within_bound():
     sim.run(until=2.0)
     assert [f.rate for f in flows] == ([low.capacity / 3] * 3
                                        + [high.capacity / 3] * 3)
-
-
-@_graphs
-@settings(max_examples=40, **_SLOW)
-def test_paths_crossing_a_resource_twice(n_res, capacities, ops):
-    """Any op sequence whose paths may cross a resource twice."""
-    sim, fss, resources = _build(n_res, capacities, _FullyCheckedSystem)
-    for _flows in _apply(sim, fss, resources, ops, repeats=True):
-        pass
-    sim.run(until=sim.now + 120.0)
 
 
 def test_binding_set_survives_merge_and_split():
@@ -597,7 +576,7 @@ def test_zero_size_open_completes_without_rebalance():
     rate = background.rate
     flow = fss.open([link], size=0.0)
     assert flow.done.triggered and flow.end_time == sim.now
-    assert flow.remaining == 0.0
+    assert flow.transferred == 0.0
     fss.settle()
     assert fss.rebalance_count == rebalances  # flow set never changed
     assert background.rate == rate == 100.0

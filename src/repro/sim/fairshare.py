@@ -52,13 +52,17 @@ suffices and ``k = 16`` leaves headroom.  A certified resource's
 saturation level therefore stays above every round's level, so it never
 saturates: the restricted fill makes the full fill's decisions round for
 round.  A certificate holds until the resource's load, capacity or flow
-count moves, which only a seed or a changed class's path can do; the
-flush checks those on the tentative rates, binds any that fail and
-refills.  An accepted fill shrinks ``B`` to what saturated plus what
-still fails its certificate.  Merges union ``B``, splits share it out, a
-resource joins its component bound (so a new component starts fully
-bound), and a class no bound resource could freeze (uncapped, with an
-empty restricted path) binds its path.
+count moves, which only a seed or a changed class's path can do.  A flush
+sums the loads of these *reloaded* resources once, on the tentative rates,
+binds the unbound ones that fail and refills; after write-back it drops
+the bound ones that neither saturated nor fail.  One outside the reload
+keeps the load it saturated (so failed: a certified resource never
+saturates) or failed with, so ``B`` ends as what saturated plus what still
+fails.  ``B`` maps each resource to its live-flow count, kept wherever
+``nlive`` is.  Merges union ``B``, splits share it out, a resource joins
+its component bound (so a new component starts fully bound), and a class
+no bound resource could freeze (uncapped, with an empty restricted path)
+binds its path.
 
 **Caps.**  A round's level is the larger of the previous one and the
 lowest saturation level or cap.  It freezes every cap up to the level and
@@ -102,7 +106,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.errors import ResourceError, SimulationError
@@ -233,8 +236,8 @@ class FluidFlow:
 class _FlowClass:
     """The live flows of one ``(path, cap)``: one rate, one clock."""
 
-    __slots__ = ("path", "bpath", "cap", "seq", "sim", "members", "heap",
-                 "rate", "v", "t", "undo", "due", "_comp")
+    __slots__ = ("path", "bpath", "cap", "seq", "sim", "members", "n",
+                 "heap", "rate", "v", "t", "undo", "due", "_comp")
 
     def __init__(self, path: tuple, cap: float, seq: int, sim: Simulator):
         self.path = path
@@ -245,6 +248,7 @@ class _FlowClass:
         self.seq = seq
         self.sim = sim
         self.members: set[FluidFlow] = set()
+        self.n = 0  # live members: what the class weighs in loads and fills
         #: (target, flow seq, flow) of finite members; entries of members
         #: that closed early are dropped when they surface.
         self.heap: list = []
@@ -300,12 +304,12 @@ class _Component:
     def __init__(self) -> None:
         self.classes: set[_FlowClass] = set()
         self.resources: set[SharedResource] = set()
-        #: The binding set: the resources :func:`_fill` runs over.  Every
-        #: other resource holds a slack certificate (:func:`_slack`).
-        self.binding: set[SharedResource] = set()
+        #: The binding set: the resources :func:`_fill` runs over, each
+        #: with its ``nlive`` count.  Every other resource holds a slack
+        #: certificate (:func:`_slack`).
+        self.binding: dict[SharedResource, int] = {}
         self.peak = 0
-        #: Live *flow* count per resource (the fill's unfrozen counters
-        #: start from its binding-set entries).
+        #: Live *flow* count per resource.
         self.nlive: dict[SharedResource, int] = {}
         #: Live classes with a finite cap (the fill's cap heap).
         self.capped: set[_FlowClass] = set()
@@ -377,10 +381,13 @@ class FairShareSystem:
                                                   self._class_seq, self.sim)
             self._attach_class(cls)
         else:
-            nlive = cls._comp.nlive
+            nlive, binding = cls._comp.nlive, cls._comp.binding
             for res in cls.path:
                 nlive[res] += 1
+            for res in cls.bpath:
+                binding[res] += 1
         cls._comp.nflows += 1
+        cls.n += 1
         cls.members.add(flow)
         flow._cls = cls
         flow._v0 = v0 = cls.v + cls.rate * (now - cls.t)
@@ -469,19 +476,19 @@ class FairShareSystem:
         flow._moved = flow.size if completed else cls.progress(now) - flow._v0
         flow._cls = None
         flow.end_time = now
-        members = cls.members
-        members.discard(flow)
+        cls.members.discard(flow)
+        cls.n -= 1
         comp = cls._comp
         comp.nflows -= 1
-        nlive = comp.nlive
-        for res in cls.path:
-            n = nlive[res] - 1
-            if n:
-                nlive[res] = n
-            else:  # idle: load 0 certifies it until a flow returns
-                del nlive[res]
-                comp.binding.discard(res)
-        if not members:  # the class dies
+        for counts, path in ((comp.nlive, cls.path),
+                             (comp.binding, cls.bpath)):
+            for res in path:
+                n = counts[res] - 1
+                if n:
+                    counts[res] = n
+                else:  # idle: load 0 certifies it until a flow returns
+                    del counts[res]
+        if not cls.n:  # the class dies
             del self._classes[(cls.path, cls.cap)]
             cls.due = _INF
             cls.heap = []
@@ -590,14 +597,16 @@ class FairShareSystem:
             comp = _Component()
         comp.classes.add(cls)
         cls._comp = comp
-        nlive = comp.nlive
+        nlive, binding = comp.nlive, comp.binding
         for res in cls.path:
             res._classes[cls] = None
             if res._comp is not comp:  # a resource joins bound
                 res._comp = comp
                 comp.resources.add(res)
-                comp.binding.add(res)
-            nlive[res] = nlive.get(res, 0) + 1
+                binding[res] = 0
+            n = nlive[res] = nlive.get(res, 0) + 1
+            if res in binding:
+                binding[res] = n
         if cls.cap != _INF:
             comp.capped.add(cls)
         comp.peak = max(comp.peak, len(comp.classes))
@@ -634,18 +643,19 @@ class FairShareSystem:
                             pending.discard(nxt)
                             stack.append(nxt)
             part.peak = len(part.classes)
-            part.binding = binding & part.resources
             nlive = part.nlive
             for c in part.classes:
-                part.nflows += len(c.members)
+                part.nflows += c.n
                 for r in c.path:
-                    nlive[r] = nlive.get(r, 0) + len(c.members)
+                    nlive[r] = nlive.get(r, 0) + c.n
                 if c.cap != _INF:
                     part.capped.add(c)
+            part.binding = {r: nlive[r] for r in binding.keys()
+                            & part.resources}
 
     def _scope(self, seeds: list[SharedResource]
                ) -> tuple[set[_FlowClass], dict[SharedResource, int],
-                          set[_FlowClass], set[SharedResource], int]:
+                          set[_FlowClass], dict[SharedResource, int], int]:
         """The touched components' classes, live-flow counts, capped
         classes, binding set and flow count, after splitting any that
         halved since their peak.  One component — the common case — is
@@ -666,11 +676,12 @@ class FairShareSystem:
             return (comp.classes, comp.nlive, comp.capped, comp.binding,
                     comp.nflows)
         nlive: dict[SharedResource, int] = {}
+        binding: dict[SharedResource, int] = {}
         for comp in comps:
             nlive.update(comp.nlive)
+            binding.update(comp.binding)
         return (set().union(*(c.classes for c in comps)), nlive,
-                set().union(*(c.capped for c in comps)),
-                set().union(*(c.binding for c in comps)),
+                set().union(*(c.capped for c in comps)), binding,
                 sum([c.nflows for c in comps]))
 
     @staticmethod
@@ -679,60 +690,61 @@ class FairShareSystem:
         and refresh the restricted paths of the classes crossing them."""
         crossing: dict[_FlowClass, None] = {}
         for res in resources:
+            comp = res._comp
             if bind:
-                res._comp.binding.add(res)
+                comp.binding[res] = comp.nlive[res]
             else:
-                res._comp.binding.discard(res)
+                del comp.binding[res]
             crossing.update(res._classes)
         for cls in crossing:
             cls.restrict()
 
     def _rebalance(self, seeds: list[SharedResource]) -> None:
-        """Fill the touched component(s) over their binding sets, check
-        the certificate of every resource outside them whose load,
-        capacity or flow count can have moved — the seeds and changed
-        classes' paths, the loads re-summed anyway — and refill with any
-        that fail.  Then write back the rates that changed (folding those
-        classes' clocks and rescheduling them), store the loads, shrink
-        the binding sets to what the fill saturated plus what still fails
-        its certificate, and re-arm the timer.  Rates outside the scope
-        would be reproduced."""
+        """Fill the touched component(s) over their binding sets, sum the
+        load of every resource whose load, capacity or flow count can have
+        moved — the seeds and changed classes' paths — once, check the
+        certificates of the unbound ones and refill with any that fail.
+        Then write back the rates that changed (folding those classes'
+        clocks and rescheduling them), store the loads, drop the bound
+        ones that neither saturated nor fail their certificates, and
+        re-arm the timer.  Rates outside the scope would be reproduced."""
         now = self.sim.now
         self.rebalance_count += 1
         classes, nlive, capped, binding, n_flows = self._scope(seeds)
         if classes:
             while True:
-                counts = {r: n for r, n in nlive.items() if r in binding}
-                rates, visits, saturated = _fill(classes, counts, capped)
+                rates, visits, saturated = _fill(classes, binding, capped)
                 changed = [cls for cls, rate in rates.items()
                            if rate != cls.rate]
                 reload = set(seeds)
                 for cls in changed:
                     reload.update(cls.path)
-                # Loads outside the binding sets, for their certificates.
-                loads = {res: sum([rates[c] * len(c.members)
-                                   for c in res._classes])
-                         for res in reload if res not in binding}
-                unsafe = [res for res, load in loads.items()
-                          if not _slack(res, load, nlive.get(res, 0))]
+                loads, unsafe = {}, []
+                for res in reload:
+                    load = 0  # in insertion order, as ``_slack`` assumes
+                    for c in res._classes:
+                        load += rates[c] * c.n
+                    loads[res] = load
+                    if res not in binding and not _slack(
+                            res, load, nlive.get(res, 0)):
+                        unsafe.append(res)
                 if not unsafe:
                     break
                 self.fill_reruns += 1
                 self._rebind(unsafe, True)
-                binding.update(unsafe)  # a no-op unless a union copy
+                for res in unsafe:  # a no-op unless a union copy
+                    binding[res] = nlive[res]
             self.flow_visits += visits
             for cls in changed:
                 cls.set_rate(rates[cls], now)
                 self._reschedule(cls)
             self.max_component_flows = max(self.max_component_flows, n_flows)
-            for res in reload:
-                load = loads.get(res)
-                res._set_load(sum([cls.rate * len(cls.members)
-                                   for cls in res._classes])
-                              if load is None else load, now)
-            dropped = [res for res, n in counts.items()
-                       if res not in saturated
-                       and _slack(res, res.current_load, n)]
+            for res, load in loads.items():
+                res._set_load(load, now)
+            # Only reloaded resources can drop (*Binding sets* above).
+            dropped = [res for res in binding if res in loads
+                       and res not in saturated
+                       and _slack(res, loads[res], binding[res])]
             if dropped:
                 self._rebind(dropped, False)
         self._schedule_next()
@@ -837,8 +849,8 @@ def _fill(classes: set[_FlowClass], counts: dict[SharedResource, int],
           capped: set[_FlowClass]
           ) -> tuple[dict[_FlowClass, float], int, set[SharedResource]]:
     """Progressive filling over the classes of one (union of) component(s),
-    walking only the binding set: ``counts`` is its live-flow counts and
-    each class's ``bpath`` its path restricted to it.
+    walking only the binding set: ``counts`` is its live-flow counts (read,
+    never written) and each class's ``bpath`` its path restricted to it.
 
     Each round freezes every class it binds at the round's level (*Caps*
     in the module docstring), so a resource's frozen load grows by one
@@ -855,47 +867,51 @@ def _fill(classes: set[_FlowClass], counts: dict[SharedResource, int],
     saturated: set[SharedResource] = set()
     left = len(classes)
     n_unfrozen = dict(counts)
-    frozen_load = dict.fromkeys(n_unfrozen, 0.0)
+    frozen_load: dict[SharedResource, float] = {}
     cap_heap = [(c.cap, c.seq, c) for c in capped]
-    heapq.heapify(cap_heap)
+    if cap_heap:
+        heapq.heapify(cap_heap)
     sat_levels: dict[SharedResource, float] = {
         res: res.capacity / n for res, n in n_unfrozen.items()}
     level = 0.0
     while left:
+        next_level = min(sat_levels.values(), default=_INF)
         while cap_heap and cap_heap[0][2] in rates:
             heapq.heappop(cap_heap)
-        res_level = min(sat_levels.values(), default=_INF)
-        min_cap = cap_heap[0][0] if cap_heap else _INF
-        next_level = res_level if res_level <= min_cap else min_cap
+        if cap_heap and cap_heap[0][0] < next_level:
+            next_level = cap_heap[0][0]
         if next_level == _INF:  # pragma: no cover - defensive
             raise ResourceError("unbounded fair-share level")
         if next_level > level:
             level = next_level
-        newly_frozen: set[_FlowClass] = set()
+        frozen: list[_FlowClass] = []
         while cap_heap and cap_heap[0][0] <= level:
             cls = heapq.heappop(cap_heap)[2]
             if cls not in rates:
-                newly_frozen.add(cls)
-                visits += 1
+                rates[cls] = level
+                frozen.append(cls)
+        visits += len(frozen)
         for res in [r for r, sat in sat_levels.items() if sat <= next_level]:
             visits += len(res._classes)  # this resource saturates here
-            newly_frozen.update(res._classes)
             saturated.add(res)
-        if not newly_frozen:  # pragma: no cover - defensive
+            for cls in res._classes:
+                if cls not in rates:
+                    rates[cls] = level
+                    frozen.append(cls)
+        if not frozen:  # pragma: no cover - defensive
             raise ResourceError("a fair-share round froze no flow")
-        adds: dict[SharedResource, int] = defaultdict(int)
-        for cls in newly_frozen:
-            if cls in rates:
-                continue
-            left -= 1
-            rates[cls] = level
-            n = len(cls.members)
+        left -= len(frozen)
+        if not left:  # nothing reads the last round's loads
+            break
+        adds: dict[SharedResource, int] = {}
+        for cls in frozen:
+            n = cls.n
             for res in cls.bpath:
-                adds[res] += n
+                adds[res] = adds.get(res, 0) + n
         for res, k in adds.items():
             n = n_unfrozen[res] = n_unfrozen[res] - k
             if n:
-                load = frozen_load[res] = frozen_load[res] + k * level
+                load = frozen_load[res] = frozen_load.get(res, 0.0) + k * level
                 sat_levels[res] = (res.capacity - load) / n
             else:
                 sat_levels.pop(res, None)

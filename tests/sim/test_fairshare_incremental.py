@@ -20,9 +20,11 @@ Six invariants protect it:
   set always equal a from-scratch recount, through opens, closes,
   completions, merges and splits;
 * **the binding set is sound** — after every flush each component's
-  binding set lies within its resources, every resource outside it
-  passes its slack certificate, each class's restricted path is its path
-  intersected with it, and the fill over it gives the rates *and*
+  binding set lies within its resources and carries their ``nlive``
+  counts, every resource outside it passes its slack certificate, every
+  resource in it saturated in the accepted fill or fails its certificate
+  (the flush dropped all it could), each class's restricted path is its
+  path intersected with it, and the fill over it gives the rates *and*
   ``flow_visits`` of a fill over every resource;
 * **class fills stay within the bound** — :func:`_fill` fed the
   maintained indices gives each class's every member a rate within the
@@ -43,6 +45,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.errors import ResourceError, SimulationError
 from repro.sim import FairShareSystem, SharedResource, Simulator
+from repro.sim import fairshare
 from repro.sim.fairshare import _fill, _slack
 
 _SLOW = dict(deadline=None,
@@ -161,8 +164,9 @@ def _full_path_fill(classes, nlive, capped):
 def _assert_binding_sound(fss):
     for comp in _components(fss):
         binding = comp.binding
-        assert binding <= comp.resources and binding <= comp.nlive.keys()
-        for res in comp.resources - binding:
+        assert binding.keys() <= comp.resources
+        assert binding == {r: comp.nlive[r] for r in binding}
+        for res in comp.resources - binding.keys():
             assert _slack(res, res.current_load, comp.nlive.get(res, 0)), \
                 f"{res.name} left the binding set without slack"
         for c in comp.classes:
@@ -176,10 +180,26 @@ class _BindingCheckedSystem(FairShareSystem):
 
     def _rebalance(self, seeds):
         visits = self.flow_visits
-        super()._rebalance(seeds)
+        fills = []
+
+        def recorded_fill(*args):
+            fills.append(_fill(*args))
+            return fills[-1]
+
+        fairshare._fill = recorded_fill
+        try:
+            super()._rebalance(seeds)
+        finally:
+            fairshare._fill = _fill
         comps = {id(r._comp): r._comp for r in seeds
                  if r._comp is not None}.values()
         classes = set().union(*(c.classes for c in comps))
+        saturated = fills[-1][2] if fills else set()
+        for comp in comps:  # what dropping over every bound resource leaves
+            for res, n in comp.binding.items():
+                assert res in saturated or not _slack(
+                    res, res.current_load, n), \
+                    f"{res.name} stayed bound with slack"
         if classes:
             nlive = {}
             for comp in comps:
@@ -471,14 +491,35 @@ def test_binding_set_survives_merge_and_split():
                       name=f"span{cap}") for cap in (None, 25.0, 60.0)]
     sim.run(until=2.0)
     comp = left._comp
-    assert comp is right._comp and {left, right} <= comp.binding
+    assert comp is right._comp and {left, right} <= comp.binding.keys()
     for span in spans:
         fss.close(span)
     sim.run(until=3.0)
     assert left._comp is not right._comp  # split: 2 of a peak of 5 classes
     for part in (left._comp, right._comp):
-        assert part.binding <= part.resources
+        assert part.binding.keys() <= part.resources
     _assert_binding_sound(fss)
+
+
+def test_one_component_flush_fills_its_binding_counts(monkeypatch):
+    """A one-component flush hands :func:`_fill` the component's own
+    binding dict, whose counts it reads and leaves as they were."""
+    sim = Simulator()
+    fss = FairShareSystem(sim)
+    a, b = SharedResource("a", 10.0), SharedResource("b", 20.0)
+    fss.open([a, b], size=math.inf)
+    fss.open([a], size=math.inf)
+    seen = []
+
+    def recorded_fill(classes, counts, capped):
+        seen.append(counts)
+        return _fill(classes, counts, capped)
+
+    monkeypatch.setattr(fairshare, "_fill", recorded_fill)
+    fss.settle()
+    comp = a._comp
+    assert seen and all(counts is comp.binding for counts in seen)
+    assert comp.binding == {a: 2}  # b carries 5 of 20: dropped
 
 
 class _HistorySystem(_OracleCheckedSystem):

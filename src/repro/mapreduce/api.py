@@ -12,15 +12,20 @@ are built from.  :class:`~repro.mapreduce.local.LocalJobRunner` moves plain
 pairs (:func:`group_by_key`); the cluster runner never builds a pair: a
 :class:`Context` collects two columns, :meth:`Context.drain_grouped` groups
 them by key once, :func:`partition_groups` leaves each reduce partition as
-a :class:`KeyRun` and :func:`merge_runs` merges the runs of all maps at the
-reduce (DESIGN.md §5 item 8 has the measurement behind this).
+a :class:`KeyRun`, :func:`partition_bytes` sizes the runs and
+:func:`merge_runs` merges the runs of all maps at the reduce.  A context
+whose every pair carries one value object (Wordcount's ``1``) keeps only its
+key column, :meth:`Context.drain_counted` counts it and the shuffle costs
+per distinct key, not per pair (DESIGN.md §5 item 8 has the measurements).
 """
 
 from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
+from collections import Counter
 from itertools import chain, repeat
+from operator import mul
 from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
@@ -42,7 +47,7 @@ def stable_hash(obj: Any) -> int:
     return zlib.crc32(data) & 0x7FFFFFFF
 
 
-def _group(pairs: Iterable[tuple[Any, Any]]) -> dict[Any, list]:
+def group_pairs(pairs: Iterable[tuple[Any, Any]]) -> dict[Any, list]:
     """``key -> [values]``: keys in first-seen order, values in input order."""
     groups: dict[Any, list] = {}
     get = groups.get
@@ -55,28 +60,46 @@ def _group(pairs: Iterable[tuple[Any, Any]]) -> dict[Any, list]:
     return groups
 
 
+#: The ``value`` of grouped output whose pairs carry more than one value
+#: object (:meth:`Context.drain_counted`).
+MIXED: Any = object()
+
+
 class Context:
     """Collects a task's emitted pairs and exposes counters/config.
 
     Emitted keys and values are kept in two parallel columns, not as one
     tuple per pair: a map task emits millions of pairs, and that many
     short-lived tuples cost more in allocation and cyclic-GC passes than
-    the user's map function itself.
+    the user's map function itself.  While every emission so far came from
+    :meth:`emit_many` with one and the same value object (``is``, so ``1``,
+    ``True`` and ``1.0`` differ), the value column is that one object; the
+    first other emission spells it out and carries on with two columns.
     """
 
-    __slots__ = ("_keys", "_values", "counters", "task_id", "config")
+    __slots__ = ("_keys", "_values", "_value", "counters", "task_id",
+                 "config")
 
     def __init__(self, task_id: str = "task", counters: Optional[Counters] = None,
                  config: Optional[dict] = None):
         self._keys: list = []
-        self._values: list = []
+        #: The value column, or None while every value is ``_value``.
+        self._values: Optional[list] = None
+        self._value: Any = None
         self.counters = counters if counters is not None else Counters()
         self.task_id = task_id
         self.config = config or {}
 
+    def _spell_out(self) -> list:
+        values = self._values = [self._value] * len(self._keys)
+        return values
+
     def emit(self, key: Any, value: Any) -> None:
+        values = self._values
+        if values is None:
+            values = self._spell_out()
         self._keys.append(key)
-        self._values.append(value)
+        values.append(value)
 
     # Hadoop spelling.
     write = emit
@@ -85,13 +108,25 @@ class Context:
         """Emit ``(key, value)`` for every key of ``keys``, in order — one
         call per record where a loop over :meth:`emit` makes one per pair."""
         n = len(keys)   # taken first: ``keys`` without a length skews nothing
+        values = self._values
+        if values is None:
+            if value is self._value or not self._keys:
+                self._value = value
+                self._keys.extend(keys)
+                return
+            values = self._spell_out()
         self._keys.extend(keys)
-        self._values.extend(repeat(value, n))
+        values.extend(repeat(value, n))
+
+    def _value_column(self) -> Iterable[Any]:
+        if self._values is None:
+            return repeat(self._value, len(self._keys))
+        return self._values
 
     def _take(self) -> Iterator[tuple[Any, Any]]:
-        keys, values = self._keys, self._values
-        self._keys, self._values = [], []
-        return zip(keys, values)
+        pairs = zip(self._keys, self._value_column())
+        self._keys, self._values, self._value = [], None, None
+        return pairs
 
     def drain(self) -> list[tuple[Any, Any]]:
         """Hand over (and forget) the emitted pairs, in emission order."""
@@ -100,11 +135,24 @@ class Context:
     def drain_grouped(self) -> dict[Any, list]:
         """Hand over (and forget) the emitted pairs as ``key -> [values]``:
         keys in first-emission order, a key's values in emission order."""
-        return _group(self._take())
+        return group_pairs(self._take())
+
+    def drain_counted(self) -> tuple[dict[Any, Any], Any]:
+        """Hand over (and forget) the emitted pairs grouped by key, as
+        ``(groups, value)`` for :func:`partition_groups`.  If every pair
+        carries one value object, ``groups`` maps each key to its number of
+        pairs (C-level counting, no list per key) and ``value`` is that
+        object; otherwise they are :meth:`drain_grouped` and :data:`MIXED`.
+        Keys are in first-emission order either way."""
+        if self._values is None:
+            counts, value = Counter(self._keys), self._value
+            self._keys, self._value = [], None
+            return counts, value
+        return self.drain_grouped(), MIXED
 
     @property
     def output(self) -> list[tuple[Any, Any]]:
-        return list(zip(self._keys, self._values))
+        return list(zip(self._keys, self._value_column()))
 
 
 class Mapper:
@@ -235,7 +283,7 @@ def sort_groups(groups: dict[Any, list]) -> list[tuple[Any, list]]:
 def group_by_key(pairs: Iterable[tuple[Any, Any]]) -> list[tuple[Any, list]]:
     """Sort-and-group, as the reduce-side merge does (:func:`sort_groups`
     order; a key's values keep the order of ``pairs``)."""
-    return sort_groups(_group(pairs))
+    return sort_groups(group_pairs(pairs))
 
 
 def run_reducer(reducer: Reducer, grouped: Iterable[tuple[Any, list]],
@@ -277,18 +325,50 @@ class KeyRun(NamedTuple):
                    self.values)
 
 
-def partition_groups(groups: dict[Any, list], partitioner: Partitioner,
-                     n_partitions: int) -> list[KeyRun]:
+def partition_groups(groups: dict[Any, Any], partitioner: Partitioner,
+                     n_partitions: int, value: Any = MIXED) -> list[KeyRun]:
     """Split one map task's grouped output into a run per reduce partition
-    (one partitioner call per distinct key)."""
+    (one partitioner call per distinct key).  ``groups`` maps a key to its
+    values; given a ``value`` it maps a key to its number of pairs, each
+    ``(key, value)`` (:meth:`Context.drain_counted`)."""
     runs = [KeyRun([], [], []) for _ in range(n_partitions)]
     partition = partitioner.partition
+    if value is not MIXED:
+        for key, count in groups.items():
+            keys, counts, _values = runs[partition(key, n_partitions)]
+            keys.append(key)
+            counts.append(count)
+        return [KeyRun(keys, counts, [value] * sum(counts))
+                for keys, counts, _values in runs]
     for key, bucket in groups.items():
         keys, counts, values = runs[partition(key, n_partitions)]
         keys.append(key)
         counts.append(len(bucket))
         values += bucket
     return runs
+
+
+def partition_bytes(runs: Sequence[KeyRun], sizeof: Callable[[Any], Any],
+                    value: Any = MIXED) -> dict[int, float]:
+    """``partition -> float(Σ sizeof(pair))`` over each run's pairs.
+
+    ``sizeof`` is a pure function of the pair (a job's
+    ``intermediate_sizeof``).  If every pair of ``runs`` carries ``value``,
+    all of one key's pairs are one pair, so a run sizes each key once and
+    sums ``count × size``.  That sum is exact when every size is an ``int``
+    (integer sums do not round, in any order); a run with any other size
+    (float, bool, NumPy) is summed per pair in pair order, as a mixed run
+    is, so no float bit moves.
+    """
+    out = {}
+    for p, run in enumerate(runs):
+        if value is not MIXED:
+            sizes = [sizeof((key, value)) for key in run.keys]
+            if all(type(size) is int for size in sizes):
+                out[p] = float(sum(map(mul, run.counts, sizes)))
+                continue
+        out[p] = float(sum(map(sizeof, run.pairs())))
+    return out
 
 
 def merge_runs(runs: Iterable[KeyRun]) -> Iterator[tuple[Any, list]]:

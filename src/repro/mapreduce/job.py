@@ -26,7 +26,12 @@ SizeOf = Callable[[Any], int]
 
 @dataclass
 class Job:
-    """One MapReduce job."""
+    """One MapReduce job.
+
+    ``intermediate_sizeof`` must be a pure function of the pair: the memo
+    of :meth:`resubmit_to` and the per-key sizing of a constant-value map
+    task (:func:`repro.mapreduce.api.partition_bytes`) both assume it.
+    """
 
     name: str
     input_paths: Sequence[str]

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.mapreduce.api import (Context, combine, group_by_key, run_mapper,
-                                 run_reducer)
+from repro.mapreduce.api import (Context, combine, group_pairs, run_mapper,
+                                 run_reducer, sort_groups)
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Job
 
@@ -37,17 +37,18 @@ class LocalJobRunner:
         if job.map_only:
             return pairs
 
-        partitions: dict[int, list[tuple[Any, Any]]] = {
-            p: [] for p in range(job.n_reduces)}
-        for key, value in pairs:
-            partitions[job.partitioner.partition(key, job.n_reduces)].append(
-                (key, value))
+        # One partitioner call per distinct key, as Hadoop's contract
+        # allows (a pure function of the key); a key's values keep pair order.
+        partitions: list[dict[Any, list]] = [{} for _ in range(job.n_reduces)]
+        partition = job.partitioner.partition
+        for key, values in group_pairs(pairs).items():
+            partitions[partition(key, job.n_reduces)][key] = values
 
         output: list[tuple[Any, Any]] = []
-        for p in range(job.n_reduces):
+        for p, groups in enumerate(partitions):
             reduce_ctx = Context(task_id=f"{job.name}-local-reduce-{p}",
                                  counters=self.counters, config=job.params)
-            grouped = group_by_key(partitions[p])
-            output.extend(run_reducer(job.reducer(), grouped, reduce_ctx))
+            output.extend(run_reducer(job.reducer(), sort_groups(groups),
+                                      reduce_ctx))
         self.counters.incr("job", "reduce_output_records", len(output))
         return output

@@ -57,8 +57,8 @@ from repro import constants as C
 from repro.errors import JobConfigError, TaskFailure, VMStateError
 from repro.hdfs.datanode import DataNode
 from repro.mapreduce.api import (Context, Reducer, combine, merge_runs,
-                                 partition_groups, run_mapper, run_reducer,
-                                 sort_groups)
+                                 partition_bytes, partition_groups,
+                                 run_mapper, run_reducer, sort_groups)
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Job
 from repro.sim import Resource
@@ -892,10 +892,14 @@ class MapReduceRunner:
         if hit is not None:
             return hit
         ctx = Context(task_id=spec.task_id, config=job.params)
+        if job.map_only:
+            drain = Context.drain
+        elif combiner is None:
+            drain = Context.drain_counted
+        else:
+            drain = Context.drain_grouped
         try:
-            mapped = run_mapper(
-                job.mapper(), spec.records, ctx,
-                Context.drain if job.map_only else Context.drain_grouped)
+            mapped = run_mapper(job.mapper(), spec.records, ctx, drain)
         except Exception as exc:
             raise TaskFailure(spec.task_id, exc) from exc
         sizeof = job.intermediate_sizeof
@@ -903,17 +907,22 @@ class MapReduceRunner:
             n_mapped = len(mapped)
             pairs = combine(combiner, mapped, ctx)
             partitions = [pairs]
-            partition_bytes = {0: float(sum(map(sizeof, pairs)))}
+            sizes = {0: float(sum(map(sizeof, pairs)))}
+        elif combiner is None:
+            counted, value = mapped
+            partitions = partition_groups(counted, job.partitioner,
+                                          job.n_reduces, value)
+            n_mapped = sum(len(run.values) for run in partitions)
+            sizes = partition_bytes(partitions, sizeof, value)
         else:
             n_mapped = sum(map(len, mapped.values()))
-            if combiner is not None and mapped:
+            if mapped:
                 mapped = run_reducer(combiner(), sort_groups(mapped), ctx,
                                      Context.drain_grouped)
             partitions = partition_groups(mapped, job.partitioner,
                                           job.n_reduces)
-            partition_bytes = {p: float(sum(map(sizeof, run.pairs())))
-                               for p, run in enumerate(partitions)}
-        return job._remember(key, (partitions, partition_bytes, n_mapped,
+            sizes = partition_bytes(partitions, sizeof)
+        return job._remember(key, (partitions, sizes, n_mapped,
                                    ctx.counters), spec.records)
 
     def _run_reduce_task(self, phase: _Phase, tracker: "TaskTracker",

@@ -327,8 +327,10 @@ class FairShareSystem:
         self._last_update = 0.0
         #: Lazy-deletion heap of (due, class seq, class).
         self._due_heap: list = []
-        #: The armed completion timer (a ``call_in`` handle), None once fired.
+        #: The armed completion timer (a ``call_in`` handle), None once
+        #: fired, and the instant it fires at.
         self._timer = None
+        self._timer_at = 0.0
         #: Resources touched since the last flush, or ``None`` when rates
         #: are settled; see :meth:`_touch` / :meth:`settle`.
         self._seeds: Optional[list[SharedResource]] = None
@@ -750,17 +752,23 @@ class FairShareSystem:
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        timer = self._timer
-        if timer is not None:  # armed and not yet fired: supersede it
-            self._timer = None
-            timer.cancel()
-            self.timer_cancellations += 1
         heap = self._due_heap
         while heap and heap[0][2].due != heap[0][0]:
             heapq.heappop(heap)
         if heap:
-            self._timer = self.sim.call_in(
-                max(heap[0][0] - self.sim.now, _MIN_DT), self._on_timer)
+            now = self.sim.now
+            delay = max(heap[0][0] - now, _MIN_DT)
+            at = now + delay  # the kernel's own sum: the instant it fires
+        timer = self._timer
+        if timer is not None:  # armed and not yet fired
+            if heap and at == self._timer_at:
+                return  # it already fires when the head is due: keep it
+            self._timer = None
+            timer.cancel()
+            self.timer_cancellations += 1
+        if heap:
+            self._timer = self.sim.call_in(delay, self._on_timer)
+            self._timer_at = at
 
     def _on_timer(self) -> None:
         self._timer = None

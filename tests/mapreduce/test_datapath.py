@@ -17,7 +17,8 @@ from repro.experiments.common import make_platform, sixteen_node_cluster
 from repro.mapreduce import (HashPartitioner, Job, LocalJobRunner, Mapper,
                              Reducer)
 from repro.mapreduce import runner as runner_module
-from repro.mapreduce.api import (Context, group_by_key, merge_runs,
+from repro.mapreduce.api import (MIXED, Context, group_by_key, group_pairs,
+                                 merge_runs, partition_bytes,
                                  partition_groups)
 from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.workloads.wordcount import (line_record_sizeof, lines_as_records,
@@ -141,6 +142,85 @@ def test_merge_of_partition_runs_equals_group_by_key(map_outputs, n):
         assert list(merge_runs(out[p] for out in runs)) == group_by_key(pairs)
 
 
+#: Value objects an emit script draws from: shared objects, and ones that
+#: are equal but not identical (``1``, ``True``, ``1.0``; two ``2.5``s).
+VALUES = [1, True, 1.0, 2.5, float("2.5"), "v", None]
+#: One emission: ``(batch?, keys, index into VALUES)``.
+EMITS = st.lists(st.tuples(st.booleans(), st.lists(KEYS, max_size=5),
+                           st.integers(0, len(VALUES) - 1)), max_size=12)
+SIZEOFS = [lambda pair: 3 * len(repr(pair[0])) + len(repr(pair[1])),
+           lambda pair: 0.1 * len(repr(pair)),
+           lambda pair: len(repr(pair[1])) > 3]
+
+
+def _strict(pairs):
+    """Pairs compared by key and by value *object* (1 == True == 1.0)."""
+    return [(key, type(key), id(value)) for key, value in pairs]
+
+
+def _strict_groups(groups):
+    return [(key, type(key), list(map(id, values)))
+            for key, values in groups.items()]
+
+
+def _strict_runs(runs):
+    return [(run.keys, run.counts, list(map(id, run.values)))
+            for run in runs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(EMITS, st.integers(1, 4), st.sampled_from(SIZEOFS))
+def test_constant_runs_equal_the_per_pair_path(script, n, sizeof):
+    """Whatever mix of emits, a context hands over what a plain pair list
+    gives, and its runs and bytes are today's ``group_pairs`` ->
+    ``partition_groups`` -> per-pair sum."""
+    def replay():
+        ctx = Context()
+        for batch, keys, v in script:
+            if batch:
+                ctx.emit_many(keys, VALUES[v])
+            else:
+                for key in keys:
+                    ctx.emit(key, VALUES[v])
+        return ctx
+
+    pairs = [(key, VALUES[v]) for _batch, keys, v in script for key in keys]
+    assert _strict(replay().output) == _strict(pairs)
+    assert _strict(replay().drain()) == _strict(pairs)
+    assert _strict_groups(replay().drain_grouped()) == _strict_groups(
+        group_pairs(pairs))
+
+    ctx = replay()
+    groups, value = ctx.drain_counted()
+    assert ctx.output == [] and ctx.drain_counted() == ({}, None)
+    expected_groups = group_pairs(pairs)
+    if value is MIXED:
+        assert _strict_groups(groups) == _strict_groups(expected_groups)
+    else:
+        assert all(v is value for _key, v in pairs)
+        assert list(groups.items()) == [
+            (key, len(values)) for key, values in expected_groups.items()]
+    partitioner = HashPartitioner()
+    runs = partition_groups(groups, partitioner, n, value)
+    expected = partition_groups(expected_groups, partitioner, n)
+    assert _strict_runs(runs) == _strict_runs(expected)
+    assert partition_bytes(runs, sizeof, value) == {
+        p: float(sum(map(sizeof, run.pairs())))
+        for p, run in enumerate(expected)}
+
+
+def test_a_constant_run_sums_float_sizes_per_pair_bit_for_bit():
+    ctx = Context()
+    ctx.emit_many(["k"] * 10, 1)
+    ctx.emit_many(["j"], 1)
+    groups, value = ctx.drain_counted()
+    runs = partition_groups(groups, HashPartitioner(), 1, value)
+    # Ten 0.1s summed are 0.9999999999999999; 10 * 0.1 would be 1.0.
+    assert partition_bytes(runs, lambda pair: 0.1, value) == {
+        0: 0.9999999999999999 + 0.1}
+    assert partition_bytes(runs, lambda pair: True, value) == {0: 11.0}
+
+
 # --- pins -------------------------------------------------------------------
 
 def test_reducer_sees_a_keys_values_in_map_then_emission_order():
@@ -202,27 +282,40 @@ def test_partition_bytes_is_the_per_partition_sum_of_per_pair_sizeof(
         key, value = pair
         return 3 * len(repr(key)) + abs(value) + 1
 
-    values = [(True, ["a", 1, "a", (0, "b")], 5), (False, ["b", "a"], -2),
-              (True, [1, 1, "b"], 7), (False, [(0, "b"), "a"], 0)]
-    job = Job(name="bytes", input_paths=["/in"], output_path="/out",
-              mapper=ScriptedMapper, reducer=CollectReducer, n_reduces=3,
-              force_num_maps=2, intermediate_sizeof=sizeof)
-    _out, report = run_on_cluster(job, list(enumerate(values)))
+    mixed = [(True, ["a", 1, "a", (0, "b")], 5), (False, ["b", "a"], -2),
+             (True, [1, 1, "b"], 7), (False, [(0, "b"), "a"], 0)]
+    # Every map task's pairs carry the one value object ``5``.
+    constant = [(True, keys, 5) for _batch, keys, _v in mixed]
+    for values in (mixed, constant):
+        outputs.clear()
+        sized.clear()
+        job = Job(name="bytes", input_paths=["/in"], output_path="/out",
+                  mapper=ScriptedMapper, reducer=CollectReducer, n_reduces=3,
+                  force_num_maps=2, intermediate_sizeof=sizeof)
+        _out, report = run_on_cluster(job, list(enumerate(values)))
+        calls = list(sized)
 
-    emitted = [(k, v) for _batch, keys, v in values for k in keys]
-    assert sorted(sized, key=repr) == sorted(emitted, key=repr)  # once each
-    assert len(outputs) == 2
-    part = job.partitioner.partition
-    for output in outputs:
-        pairs = [(k, v) for _i, (_batch, keys, v) in output.spec.records
-                 for k in keys]
-        assert output.partition_bytes == {
-            p: float(sum(sizeof(kv) for kv in pairs if part(kv[0], 3) == p))
-            for p in range(3)}
-        assert [len(run.values) for run in output.partitions] == [
-            sum(part(k, 3) == p for k, _v in pairs) for p in range(3)]
-    assert report.shuffle_bytes == sum(
-        sum(o.partition_bytes.values()) for o in outputs)
+        assert len(outputs) == 2
+        part = job.partitioner.partition
+        per_map = []
+        for output in outputs:
+            pairs = [(k, v) for _i, (_batch, keys, v) in output.spec.records
+                     for k in keys]
+            per_map.append(pairs)
+            assert output.partition_bytes == {
+                p: float(sum(sizeof(kv) for kv in pairs
+                             if part(kv[0], 3) == p))
+                for p in range(3)}
+            assert [len(run.values) for run in output.partitions] == [
+                sum(part(k, 3) == p for k, _v in pairs) for p in range(3)]
+        assert report.shuffle_bytes == sum(
+            sum(o.partition_bytes.values()) for o in outputs)
+        # Sized once per pair; a constant run once per distinct key of a
+        # map task (a key lies in one partition).
+        expected = [kv for pairs in per_map for kv in (
+            dict.fromkeys(pairs) if values is constant else pairs)]
+        assert sorted(calls, key=repr) == sorted(expected, key=repr)
+        assert (len(calls) < sum(map(len, per_map))) == (values is constant)
 
 
 # --- memory ------------------------------------------------------------------

@@ -656,6 +656,23 @@ def test_superseded_timers_are_cancelled_not_leaked():
     assert sim.max_heap_size <= 3
 
 
+def test_a_flush_that_keeps_the_due_head_keeps_its_timer():
+    """A flush whose earliest completion is the instant the armed timer
+    fires at leaves that timer alone: no cancel, no second queue entry."""
+    sim = Simulator()
+    fss = FairShareSystem(sim)
+    fss.open([SharedResource("a", 100.0)], size=1000.0)  # due at 10
+    fss.settle()
+    (timer,) = _live_timers(sim)
+    sim.run(until=1.0)
+    fss.open([SharedResource("b", 100.0)], size=5000.0)  # due at 51
+    fss.settle()
+    assert fss.rebalance_count == 2
+    assert _live_timers(sim) == [timer] and fss.timer_cancellations == 0
+    sim.run()
+    assert fss.completed_count == 2 and sim.cancelled_pruned == 0
+
+
 def test_time_passing_with_unsettled_rates_is_an_error():
     """Stale rates are impossible, not merely untested: if the clock moves
     without the kernel's end-of-instant hooks having run, the next

@@ -268,7 +268,6 @@ class ServiceReport:
         self.completed = 0
         self.failed = 0
         self.latency = LatencyHistogram()
-        self.queue_wait = LatencyHistogram()
         self.timeline: list[TimelinePoint] = []
         self.actions: list = []          # autoscaler ScalingActions
         self.trace_digest = ""
@@ -425,8 +424,7 @@ class ServiceController:
         lines.append(arrival.line())
         if len(lines) == TRACE_CHUNK:
             self._hash_trace()
-        spec = self.tenants.spec(arrival.tenant)
-        stats = self.tenants.stats(arrival.tenant)
+        spec, stats = self.tenants.lookup(arrival.tenant)
         stats.submitted += 1
         self.report.submitted += 1
         self._tick_submitted += 1
@@ -465,10 +463,7 @@ class ServiceController:
         if ok:
             stats.completed += 1
             self.report.completed += 1
-            stats.latency.observe(latency, self.report.latency,
-                                  self._tick_hist)
-            stats.queue_wait.observe(wait_s, self.report.queue_wait)
-            stats.busy_slot_seconds += latency - wait_s
+            self.report.latency.observe(latency, self._tick_hist)
         else:
             stats.failed += 1
             self.report.failed += 1

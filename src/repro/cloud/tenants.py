@@ -2,19 +2,19 @@
 
 A :class:`TenantSpec` declares who a tenant is (priority class, in-flight
 quota, latency target); the :class:`TenantRegistry` owns the fleet and can
-mint deterministic synthetic fleets for experiments.  Per-tenant outcomes
-accumulate in :class:`TenantStats`, whose latency percentiles come from a
-:class:`~repro.telemetry.metrics.LatencyHistogram`.
+mint deterministic synthetic fleets for experiments.  Per-tenant outcome
+counters accumulate in :class:`TenantStats`; latency percentiles are the
+service's, in :class:`~repro.cloud.controller.ServiceReport`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import ConfigError
-from repro.telemetry.metrics import LatencyHistogram
+from repro.telemetry.metrics import LatencyHistogram  # noqa: F401 re-export
 
 #: Priority classes, most important first.  Admission sheds load from the
 #: bottom of this ladder upward (batch first, interactive last).
@@ -59,9 +59,6 @@ class TenantStats:
     completed: int = 0
     failed: int = 0
     inflight: int = 0
-    busy_slot_seconds: float = 0.0
-    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-    queue_wait: LatencyHistogram = field(default_factory=LatencyHistogram)
 
     @property
     def rejected(self) -> int:
@@ -72,38 +69,39 @@ class TenantRegistry:
     """The fleet of tenants one service instance carries."""
 
     def __init__(self):
-        self._specs: dict[str, TenantSpec] = {}
-        self._stats: dict[str, TenantStats] = {}
+        self._tenants: dict[str, tuple[TenantSpec, TenantStats]] = {}
 
     def register(self, spec: TenantSpec) -> TenantSpec:
-        if spec.name in self._specs:
+        if spec.name in self._tenants:
             raise ConfigError(f"tenant {spec.name!r} already registered")
-        self._specs[spec.name] = spec
-        self._stats[spec.name] = TenantStats(tenant=spec.name)
+        self._tenants[spec.name] = (spec, TenantStats(tenant=spec.name))
         return spec
 
-    def spec(self, name: str) -> TenantSpec:
+    def lookup(self, name: str) -> tuple[TenantSpec, TenantStats]:
+        """``(spec, stats)`` of tenant ``name`` in one dict lookup."""
         try:
-            return self._specs[name]
+            return self._tenants[name]
         except KeyError:
             raise ConfigError(f"unknown tenant {name!r}") from None
 
+    def spec(self, name: str) -> TenantSpec:
+        return self.lookup(name)[0]
+
     def stats(self, name: str) -> TenantStats:
-        self.spec(name)
-        return self._stats[name]
+        return self.lookup(name)[1]
 
     def __len__(self) -> int:
-        return len(self._specs)
+        return len(self._tenants)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._specs
+        return name in self._tenants
 
     def __iter__(self) -> Iterator[TenantSpec]:
-        return iter(self._specs.values())
+        return (spec for spec, _stats in self._tenants.values())
 
     @property
     def names(self) -> list[str]:
-        return list(self._specs)
+        return list(self._tenants)
 
     # -- synthetic fleets --------------------------------------------------
     @classmethod

@@ -449,7 +449,9 @@ class MapReduceRunner:
         attempts = phase.attempts[index] = phase.attempts.get(index, 0) + 1
         if attempts > self.cluster.config.max_task_retries:
             if not phase.done.triggered:
-                phase.done.fail(TaskFailure(task_id, cause))
+                # A user-code failure already names its task: no rewrap.
+                phase.done.fail(cause if isinstance(cause, TaskFailure)
+                                else TaskFailure(task_id, cause))
             return
         delay = self._retry_backoff(attempts)
         job = phase.job
@@ -884,8 +886,10 @@ class MapReduceRunner:
     def _map_result(self, job: Job, spec: _MapSpec):
         """The functional half of a map attempt.  Intermediate pairs exist
         only as columns and key-grouped runs; a map-only job's pairs *are*
-        its output.  :meth:`Job.resubmit_to` copies run it once per split
-        payload object and combiner state; a failure is never memoised."""
+        its output.  A raise from the mapper, combiner, partitioner or
+        ``intermediate_sizeof`` is the attempt's :class:`TaskFailure`.
+        :meth:`Job.resubmit_to` copies run it once per split payload object
+        and combiner state; a failure is never memoised."""
         combiner = job.combiner if self.cluster.config.use_combiner else None
         key = (spec.index, combiner is not None)
         hit = job._recall(key, spec.records)
@@ -898,30 +902,30 @@ class MapReduceRunner:
             drain = Context.drain_counted
         else:
             drain = Context.drain_grouped
+        sizeof = job.intermediate_sizeof
         try:
             mapped = run_mapper(job.mapper(), spec.records, ctx, drain)
+            if job.map_only:
+                n_mapped = len(mapped)
+                pairs = combine(combiner, mapped, ctx)
+                partitions = [pairs]
+                sizes = {0: float(sum(map(sizeof, pairs)))}
+            elif combiner is None:
+                counted, value = mapped
+                partitions = partition_groups(counted, job.partitioner,
+                                              job.n_reduces, value)
+                n_mapped = sum(len(run.values) for run in partitions)
+                sizes = partition_bytes(partitions, sizeof, value)
+            else:
+                n_mapped = sum(map(len, mapped.values()))
+                if mapped:
+                    mapped = run_reducer(combiner(), sort_groups(mapped),
+                                         ctx, Context.drain_grouped)
+                partitions = partition_groups(mapped, job.partitioner,
+                                              job.n_reduces)
+                sizes = partition_bytes(partitions, sizeof)
         except Exception as exc:
             raise TaskFailure(spec.task_id, exc) from exc
-        sizeof = job.intermediate_sizeof
-        if job.map_only:
-            n_mapped = len(mapped)
-            pairs = combine(combiner, mapped, ctx)
-            partitions = [pairs]
-            sizes = {0: float(sum(map(sizeof, pairs)))}
-        elif combiner is None:
-            counted, value = mapped
-            partitions = partition_groups(counted, job.partitioner,
-                                          job.n_reduces, value)
-            n_mapped = sum(len(run.values) for run in partitions)
-            sizes = partition_bytes(partitions, sizeof, value)
-        else:
-            n_mapped = sum(map(len, mapped.values()))
-            if mapped:
-                mapped = run_reducer(combiner(), sort_groups(mapped), ctx,
-                                     Context.drain_grouped)
-            partitions = partition_groups(mapped, job.partitioner,
-                                          job.n_reduces)
-            sizes = partition_bytes(partitions, sizeof)
         return job._remember(key, (partitions, sizes, n_mapped,
                                    ctx.counters), spec.records)
 

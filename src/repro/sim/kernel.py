@@ -32,7 +32,7 @@ Example
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -409,9 +409,15 @@ class Simulator:
         """Call ``fn(*args)`` ``delay`` seconds from now: one queue entry,
         no :class:`Event`, no generator.  Use it for a timer or a callback
         chain nothing waits on; an exception in ``fn`` propagates out of
-        :meth:`step`."""
+        :meth:`step`.  Pushes its own entry, as :meth:`_enqueue` would."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay} s in the past")
         call = ScheduledCall(fn, args)
-        self._enqueue(call, delay)
+        self._seq += 1
+        heap = self._heap
+        heappush(heap, (self.now + delay, self._seq, call))
+        if len(heap) > self.max_heap_size:
+            self.max_heap_size = len(heap)
         return call
 
     def process(self, generator: ProcessGenerator,
@@ -443,14 +449,14 @@ class Simulator:
             raise SimulationError(f"cannot schedule {delay} s in the past")
         self._seq += 1
         heap = self._heap
-        heapq.heappush(heap, (self.now + delay, self._seq, event))
+        heappush(heap, (self.now + delay, self._seq, event))
         if len(heap) > self.max_heap_size:
             self.max_heap_size = len(heap)
 
     def _prune_cancelled(self) -> None:
         heap = self._heap
         while heap and heap[0][2]._cancelled:
-            heapq.heappop(heap)
+            heappop(heap)
             self.cancelled_pruned += 1
 
     def at_instant_end(self, callback: Callable[[], None]) -> None:
@@ -485,14 +491,14 @@ class Simulator:
         return heap[0][0] if heap else _INF
 
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one event.  Cancelled head entries are pruned
+        and pending end-of-instant callbacks run first (through
+        :meth:`peek`), so a caller needs no ``peek()`` of its own."""
         heap = self._heap
-        # :meth:`run` and :meth:`run_until` have just peeked; only a direct
-        # caller can arrive with cancelled entries or hooks outstanding.
         if ((not heap or heap[0][2]._cancelled or self._instant_hooks)
                 and self.peek() == _INF):
-            raise SimulationError("step() on an empty event queue")
-        time, _seq, event = heapq.heappop(heap)
+            raise SimulationError("step() on an empty event queue: drained")
+        time, _seq, event = heappop(heap)
         if time < self.now:  # pragma: no cover - defensive
             raise SimulationError("event queue went backwards")
         self.now = time
@@ -521,13 +527,12 @@ class Simulator:
         """Process events until ``event`` has been processed.
 
         Unlike :meth:`run`, this terminates even when perpetual background
-        processes (monitors, heartbeats) keep the queue non-empty.
+        processes (monitors, heartbeats) keep the queue non-empty.  One
+        :meth:`step` per event; a queue that drains first raises from it.
         """
+        step = self.step
         while not event._processed:
-            if self.peek() == _INF:
-                raise SimulationError(
-                    "event queue drained before the awaited event triggered")
-            self.step()
+            step()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock would pass ``until``.

@@ -23,7 +23,10 @@ Exporters live in :mod:`repro.telemetry.export` (Prometheus text, CSV).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add, sub
 from typing import Iterator, Mapping, Optional
 
 from repro.errors import ConfigError
@@ -39,6 +42,10 @@ HI = 1e5
 N_BINS = 256
 _LOG_LO = math.log(LO)
 _SCALE = (N_BINS - 1) / (math.log(HI) - _LOG_LO)
+#: Upper edge of every bin, increasing: the bin loops below run as
+#: C-level ``bisect``/``map``/``accumulate`` over it, with the same results.
+_EDGES = tuple(math.exp(_LOG_LO + (index + 1) / _SCALE)
+               for index in range(N_BINS))
 
 
 def _labelset(labels: Optional[Mapping[str, str]]) -> LabelSet:
@@ -84,7 +91,7 @@ class LatencyHistogram:
 
     def edge(self, index: int) -> float:
         """Upper edge of bin ``index``."""
-        return math.exp(_LOG_LO + (index + 1) / _SCALE)
+        return _EDGES[index]
 
     def observe(self, value: float, *also: "LatencyHistogram") -> None:
         """Record ``value`` here and in every histogram of ``also``: the
@@ -126,14 +133,10 @@ class LatencyHistogram:
         if self.count == 0:
             return 0.0
         rank = max(1, math.ceil(q * self.count))
-        seen = 0
-        for index, count in enumerate(self.counts):
-            seen += count
-            if seen >= rank:
-                if index == N_BINS - 1:
-                    return self.max_seen  # overflow bin: exact max
-                return min(self.edge(index), self.max_seen)
-        return self.max_seen
+        index = bisect_left(list(accumulate(self.counts)), rank)
+        if index >= N_BINS - 1:
+            return self.max_seen  # overflow bin: exact max
+        return min(_EDGES[index], self.max_seen)
 
     @property
     def p50(self) -> float:
@@ -153,15 +156,10 @@ class LatencyHistogram:
         """
         if self.count == 0:
             return 0.0
-        bad = 0
-        for index, count in enumerate(self.counts):
-            if count and self.edge(index) > threshold:
-                bad += count
-        return bad / self.count
+        return sum(self.counts[bisect_right(_EDGES, threshold):]) / self.count
 
     def merge(self, other: "LatencyHistogram") -> None:
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
+        self.counts = list(map(add, self.counts, other.counts))
         self.count += other.count
         self.total += other.total
         self.min_seen = min(self.min_seen, other.min_seen)
@@ -172,8 +170,7 @@ class LatencyHistogram:
         and ``total``).  ``min_seen`` and ``max_seen`` are left alone — an
         extreme cannot be un-merged; a caller that knows the remaining
         parts sets it."""
-        for index, count in enumerate(other.counts):
-            self.counts[index] -= count
+        self.counts = list(map(sub, self.counts, other.counts))
         self.count -= other.count
         self.total -= other.total
 

@@ -55,12 +55,18 @@ def test_registry_accounting_roundtrip():
     stats.submitted += 3
     stats.admitted += 2
     stats.completed += 2
-    stats.latency.observe(10.0)
-    stats.latency.observe(20.0)
     assert fleet.stats(name) is stats  # one stats object per tenant
     assert (stats.submitted, stats.completed) == (3, 2)
-    assert stats.latency.count == 2
     assert name in fleet and len(fleet) == 5
+
+
+def test_unknown_tenant_is_a_config_error():
+    fleet = TenantRegistry.synthetic(3, RngRegistry(3).stream("fleet"))
+    name = fleet.names[0]
+    assert fleet.lookup(name) == (fleet.spec(name), fleet.stats(name))
+    for method in (fleet.stats, fleet.spec, fleet.lookup):
+        with pytest.raises(ConfigError, match="unknown tenant 'nobody'"):
+            method("nobody")
 
 
 def nearest_rank(values, q):

@@ -8,7 +8,8 @@ import pytest
 from repro import constants as C
 from repro.config import HadoopConfig, PlatformConfig
 from repro.errors import JobConfigError, TaskFailure
-from repro.mapreduce import Job, LocalJobRunner, Mapper, Reducer
+from repro.mapreduce import (HashPartitioner, Job, LocalJobRunner, Mapper,
+                             Reducer)
 from repro.platform import ClusterSpec, VHadoopPlatform
 from repro.workloads.wordcount import (lines_as_records, line_record_sizeof,
                                        wordcount_job)
@@ -124,9 +125,48 @@ def test_task_failure_propagates():
     job = Job(name="bad", input_paths=["/wc/in"], output_path="/bad",
               mapper=Exploding, n_reduces=0)
     event = platform.runners[cluster.name].submit(job)
-    with pytest.raises(TaskFailure):
+    with pytest.raises(TaskFailure) as failure:
         platform.sim.run()
         _ = event.value
+    # One TaskFailure, naming its task once, caused by the user's error.
+    exc = failure.value
+    assert str(exc) == f"task {exc.task_id} failed: RuntimeError('boom')"
+    assert type(exc.cause) is RuntimeError
+
+
+class _RaisingPartitioner(HashPartitioner):
+    def partition(self, key, n_partitions):
+        raise ValueError("bad partitioner")
+
+
+class _RaisingCombiner(Reducer):
+    def reduce(self, key, values, context):
+        raise ValueError("bad combiner")
+
+
+def _raising_sizeof(pair):
+    raise ValueError("bad sizeof")
+
+
+@pytest.mark.parametrize("change", [
+    {"partitioner": _RaisingPartitioner()},
+    {"combiner": _RaisingCombiner},
+    {"intermediate_sizeof": _raising_sizeof},
+], ids=["partitioner", "combiner", "intermediate_sizeof"])
+def test_map_side_user_code_failure_is_a_retried_task_failure(change):
+    platform, cluster = make_cluster()
+    upload_corpus(platform, cluster)
+    job = dataclasses.replace(wordcount_job("/wc/in", "/wc/first",
+                                            n_reduces=2), **change)
+    job = job.resubmit_to("/wc/out")  # a copy that memoises what succeeds
+    with pytest.raises(TaskFailure) as failure:
+        platform.run_job(cluster, job)
+    exc = failure.value
+    assert type(exc.cause) is ValueError and str(exc.cause).startswith("bad")
+    assert str(exc).count(exc.task_id) == 1  # one TaskFailure, not two
+    retries = platform.telemetry.metrics.sum("recovery.task.retries")
+    assert retries >= cluster.config.max_task_retries
+    assert job._memo == {}  # a failure is never memoised
 
 
 def test_task_failure_on_a_lone_blacklisted_tracker_fails_the_job():

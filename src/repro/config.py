@@ -192,17 +192,19 @@ class TopologySpec:
     agg_bandwidth: float = C.AGG_UPLINK_BPS
 
     def __post_init__(self) -> None:
-        _require_finite(self, "racks", "hosts_per_rack", "vms_per_host",
-                        "tor_bandwidth", "agg_bandwidth")
-        for name in ("nic_bandwidth", "bridge_bandwidth"):
-            if getattr(self, name) is not None:
-                _require_finite(self, name)
+        for name in ("racks", "hosts_per_rack", "vms_per_host"):
+            if not isinstance(getattr(self, name), int):
+                raise ConfigError(f"{name} must be an int, got "
+                                  f"{getattr(self, name)!r}")
         if self.racks < 1 or self.hosts_per_rack < 1 or self.vms_per_host < 1:
             raise ConfigError("racks, hosts_per_rack and vms_per_host "
                               "must all be >= 1")
-        for name in ("tor_bandwidth", "agg_bandwidth"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for name in ("nic_bandwidth", "bridge_bandwidth", "tor_bandwidth",
+                     "agg_bandwidth"):
+            if getattr(self, name) is not None:
+                _require_finite(self, name)
+                if getattr(self, name) <= 0:
+                    raise ConfigError(f"{name} must be positive")
 
     @property
     def n_hosts(self) -> int:
@@ -233,11 +235,10 @@ class TopologySpec:
             raise ConfigError(
                 f"topology {text!r} must be RxHxV (racks x hosts-per-rack "
                 f"x vms-per-host), e.g. 2x8x4")
-        try:
-            racks, hosts, vms = (int(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"topology {text!r}: parts must be integers "
-                              "(RxHxV, e.g. 2x8x4)") from None
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise ConfigError(f"topology {text!r}: parts must be ASCII "
+                              "digits (RxHxV, e.g. 2x8x4)")
+        racks, hosts, vms = (int(p) for p in parts)
         return cls(racks=racks, hosts_per_rack=hosts, vms_per_host=vms,
                    **overrides)
 

@@ -27,11 +27,12 @@ restarts from 0 each time it comes back.
 **Components and flushes.**  Rates decompose over connected components,
 kept as a union-find partition (:class:`_Component`) that unions eagerly
 and splits lazily.  ``open``/``close``/``set_capacity``/completions act on
-the spot but only *record* the resources they touch; the kernel calls
-:meth:`FairShareSystem.settle` once per instant
-(:meth:`repro.sim.kernel.Simulator.at_instant_end`) to fill the touched
-components and re-arm the one timer.  Skipped intermediate rates would
-have held for zero seconds; in-instant readers of ``flow.rate`` or
+the spot but only *record* the resources they touch; an instant's first
+touch queues one :meth:`FairShareSystem.settle` as a kernel end-of-instant
+entry (:meth:`repro.sim.kernel.Simulator.at_instant_end`), one ``step()``
+after the instant's ordinary entries, to fill the touched components and
+re-arm the one timer.  Skipped intermediate rates would have held for
+zero seconds; in-instant readers of ``flow.rate`` or
 ``utilization`` call ``settle()`` first, and time cannot pass unsettled.
 
 **Binding sets.**  Few resources of a component ever saturate (about 8 of

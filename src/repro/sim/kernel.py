@@ -16,7 +16,9 @@ an acquire has none: it is simply no longer waited on.
 
 The kernel is deliberately small — just enough for the vHadoop models — but
 it enforces its invariants strictly: no scheduling in the past, no double
-trigger, deterministic FIFO ordering among simultaneous events.
+trigger, one deterministic order: entries pop by ``(time, band, seq)``, so
+an instant's ordinary entries run FIFO before its FIFO :data:`INSTANT_END`
+band (:meth:`Simulator.at_instant_end`).
 
 Example
 -------
@@ -38,6 +40,10 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from repro.errors import SimulationError
 
 _INF = float("inf")
+
+#: Offset of the end-of-instant band: ``(now, INSTANT_END + seq)`` pops
+#: after every ordinary entry due at ``now``, before any later time.
+INSTANT_END = 1 << 62
 
 #: Type of a simulation process body.
 ProcessGenerator = Generator["Event", Any, Any]
@@ -392,8 +398,6 @@ class Simulator:
         #: allocations it saved (perf-harness counter).
         self._wake_pool: list[_Wake] = []
         self.wake_events_reused = 0
-        #: One-shot end-of-instant callbacks (:meth:`at_instant_end`).
-        self._instant_hooks: list[Callable[[], None]] = []
 
     # -- factories -----------------------------------------------------------
     def event(self) -> Event:
@@ -453,50 +457,35 @@ class Simulator:
         if len(heap) > self.max_heap_size:
             self.max_heap_size = len(heap)
 
-    def _prune_cancelled(self) -> None:
+    def at_instant_end(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, after every ordinary entry due now
+        (also those enqueued later) and before the clock moves.  It is a
+        queue entry in the :data:`INSTANT_END` band: ``peek()`` reports
+        ``now`` while it is pending, running it is one processed event, and
+        callbacks run FIFO.  The fair-share flush batches an instant's
+        changes into one fill this way (``FairShareSystem.settle``)."""
+        self._seq += 1
+        heap = self._heap
+        heappush(heap, (self.now, INSTANT_END + self._seq,
+                        ScheduledCall(callback, ())))
+        if len(heap) > self.max_heap_size:
+            self.max_heap_size = len(heap)
+
+    def peek(self) -> float:
+        """Time of the next live entry (``now`` while an end-of-instant
+        callback is pending), or ``inf`` if the queue is empty."""
         heap = self._heap
         while heap and heap[0][2]._cancelled:
             heappop(heap)
             self.cancelled_pruned += 1
-
-    def at_instant_end(self, callback: Callable[[], None]) -> None:
-        """Call ``callback()`` once, when no further live event is due at
-        the current instant — after everything enqueued later in this
-        instant, before the clock moves (:meth:`step`, :meth:`peek`,
-        ``run(until=...)``).  If a callback enqueues work at ``now`` the
-        remaining callbacks wait until that work has run too.  This is how
-        a subsystem batches same-instant changes into one recomputation
-        (:meth:`repro.sim.fairshare.FairShareSystem.settle`).
-        """
-        self._instant_hooks.append(callback)
-
-    def _end_instant(self) -> None:
-        """Run pending end-of-instant callbacks while nothing live is due
-        at ``now``; expects (and leaves) a pruned heap.  A callback is
-        removed before it runs, so one that raises propagates to the
-        caller with the rest still pending."""
-        hooks = self._instant_hooks
-        heap = self._heap
-        while hooks and not (heap and heap[0][0] <= self.now):
-            hooks.pop(0)()
-            self._prune_cancelled()
-
-    def peek(self) -> float:
-        """Time of the next live event, or ``inf`` if the queue is empty."""
-        heap = self._heap
-        if heap and heap[0][2]._cancelled:
-            self._prune_cancelled()
-        if self._instant_hooks:
-            self._end_instant()
         return heap[0][0] if heap else _INF
 
     def step(self) -> None:
-        """Process exactly one event.  Cancelled head entries are pruned
-        and pending end-of-instant callbacks run first (through
-        :meth:`peek`), so a caller needs no ``peek()`` of its own."""
+        """Process exactly one queue entry: an event, a :meth:`call_in`
+        callback or an end-of-instant callback.  Cancelled head entries
+        are pruned first, so a caller needs no ``peek()`` of its own."""
         heap = self._heap
-        if ((not heap or heap[0][2]._cancelled or self._instant_hooks)
-                and self.peek() == _INF):
+        if (not heap or heap[0][2]._cancelled) and self.peek() == _INF:
             raise SimulationError("step() on an empty event queue: drained")
         time, _seq, event = heappop(heap)
         if time < self.now:  # pragma: no cover - defensive

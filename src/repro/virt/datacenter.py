@@ -45,13 +45,12 @@ class Datacenter:
         self.hypervisors: dict[str, Hypervisor] = {}
         topo = self.config.topology
         host_cfg = self.config.host
-        if topo is not None and (topo.nic_bandwidth is not None
-                                 or topo.bridge_bandwidth is not None):
-            host_cfg = dataclasses.replace(
-                host_cfg,
-                nic_bandwidth=topo.nic_bandwidth or host_cfg.nic_bandwidth,
-                bridge_bandwidth=(topo.bridge_bandwidth
-                                  or host_cfg.bridge_bandwidth))
+        overrides = {} if topo is None else {
+            name: getattr(topo, name)
+            for name in ("nic_bandwidth", "bridge_bandwidth")
+            if getattr(topo, name) is not None}
+        if overrides:
+            host_cfg = dataclasses.replace(host_cfg, **overrides)
         racks = []
         if topo is not None:
             # ToR/aggregation resources only exist on multi-rack

@@ -70,16 +70,16 @@ CASES = [
     pytest.param(
         partial(ladder_rung, "1x2x8", 256, 8, 128, 16),
         ([28.14701783979392, 30.688346325408713],
-         2642, 428, 7159, 23, 346, "8c796e032f692e8b"),
+         3070, 428, 7159, 23, 346, "8c796e032f692e8b"),
         id="ladder-1x2x8"),
     pytest.param(
         partial(ladder_rung, "5x5x4", 640, 16, 256, 32),
         ([80.3379841888345, 111.56917050206876],
-         11409, 1400, 77262, 65, 1431, "1799fd802d6bf8b8"),
+         12809, 1400, 77262, 65, 1431, "1799fd802d6bf8b8"),
         id="ladder-5x5x4"),
     pytest.param(
         chaos_quick,
-        (24.27680442040166, 629, 58, 195, 1, 63, "3e2aeb91bd3418a6"),
+        (24.27680442040166, 687, 58, 195, 1, 63, "3e2aeb91bd3418a6"),
         id="chaos-quick"),
 ]
 

@@ -47,6 +47,7 @@ from repro.errors import ResourceError, SimulationError
 from repro.sim import FairShareSystem, SharedResource, Simulator
 from repro.sim import fairshare
 from repro.sim.fairshare import _fill, _slack
+from repro.sim.kernel import INSTANT_END
 
 _SLOW = dict(deadline=None,
              suppress_health_check=[HealthCheck.too_slow])
@@ -626,7 +627,9 @@ def test_zero_size_open_completes_without_rebalance():
 
 
 def _live_timers(sim):
-    return [ev for _t, _seq, ev in sim._heap if not ev._cancelled]
+    """Live ordinary-band entries: the pending flush is not a timer."""
+    return [ev for _t, seq, ev in sim._heap
+            if seq < INSTANT_END and not ev._cancelled]
 
 
 def test_superseded_timers_are_cancelled_not_leaked():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import PeriodicCall, Simulator
+from repro.sim import FairShareSystem, PeriodicCall, SharedResource, Simulator
 
 
 def test_empty_run_leaves_clock_at_zero():
@@ -511,22 +511,27 @@ def test_instant_hook_runs_before_peek_reports_a_later_time():
     sim.timeout(3.0)
     # The hook may itself schedule the next event; peek() must see it.
     sim.at_instant_end(lambda: seen.append(sim.timeout(1.0)))
+    assert sim.peek() == 0.0 and seen == []  # a pending hook is an entry
+    sim.step()  # runs the hook without moving the clock
+    assert sim.now == 0.0 and len(seen) == 1 and sim.events_processed == 1
     assert sim.peek() == 1.0
-    assert len(seen) == 1
     assert sim.peek() == 1.0 and len(seen) == 1  # exactly once
 
 
 def test_instant_hook_waits_while_an_equal_time_event_is_pending():
     sim = Simulator()
     log = []
-    sim.timeout(0.0).callbacks.append(lambda _ev: log.append("event"))
     sim.at_instant_end(lambda: log.append("hook"))
+    # Armed after the hook, still at now: the ordinary band pops first.
+    sim.timeout(0.0).callbacks.append(lambda _ev: log.append("event"))
     assert sim.peek() == 0.0
-    assert log == []          # an event is still due at now: not yet
+    assert log == []          # peek() runs nothing
     sim.step()
     assert log == ["event"]   # step() ran the event, not the hook
+    assert sim.peek() == 0.0  # the hook is still due at now
+    sim.step()
+    assert log == ["event", "hook"] and sim.now == 0.0
     assert sim.peek() == float("inf")
-    assert log == ["event", "hook"]
 
 
 def test_instant_hook_that_enqueues_work_at_now_defers_the_rest():
@@ -556,8 +561,11 @@ def test_run_until_may_return_with_a_hook_pending():
     sim.timeout(5.0)
     sim.run_until(proc)
     assert log == [] and sim.now == 1.0
-    sim.step()  # honours the hook before moving the clock to t=5
-    assert log == [1.0] and sim.now == 5.0
+    assert sim.peek() == 1.0  # the hook is pending before t=5
+    sim.step()  # runs the hook without moving the clock
+    assert log == [1.0] and sim.now == 1.0
+    sim.step()
+    assert sim.now == 5.0
 
 
 def test_raising_instant_hook_propagates_and_keeps_the_rest():
@@ -575,6 +583,48 @@ def test_raising_instant_hook_propagates_and_keeps_the_rest():
     assert log == [] and sim.now == 0.0
     sim.run()  # the failed hook is gone, the other still owed
     assert log == ["next"] and sim.now == 1.0
+
+
+class _SteppingSimulator(Simulator):
+    """A class-level wrapper around ``step`` that marks the span inside
+    one, as a tracer hooked on ``step`` would see it."""
+
+    inside = False
+
+    def step(self):
+        self.inside = True
+        try:
+            super().step()
+        finally:
+            self.inside = False
+
+
+class _FlushLog(FairShareSystem):
+    """Records ``(now, inside a step)`` for every flush with work to do."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.flushes = []
+
+    def settle(self):
+        if self._seeds is not None:
+            self.flushes.append((self.sim.now, self.sim.inside))
+        super().settle()
+
+
+def test_a_flush_runs_inside_step_under_run_with_until():
+    sim = _SteppingSimulator()
+    fss = _FlushLog(sim)
+    link = SharedResource("link", 100.0)
+
+    def body():
+        yield sim.timeout(1.0)
+        yield fss.open([link], size=100.0).done
+
+    sim.process(body())
+    sim.run(until=5.0)
+    assert sim.now == 5.0 and fss.completed_count == 1
+    assert fss.flushes == [(1.0, True), (2.0, True)]
 
 
 # -- call_in: plain scheduled callbacks ---------------------------------------

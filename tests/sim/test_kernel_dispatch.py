@@ -1,15 +1,21 @@
-"""``run_until`` against a manual ``peek()``/``step()`` loop.
+"""The one-queue kernel against the side-list kernel it replaced.
 
-``Simulator.run_until`` dispatches each event with one ``step()`` call;
-``step`` prunes cancelled heads and runs pending end-of-instant callbacks
-itself, and ``call_in`` pushes its own heap entry.  The reference below is
-the kernel they used to be: ``run_until`` peeks first, raises when the
-queue has drained, then steps, and ``call_in`` goes through
-``_enqueue``.  Hypothesis draws
-schedules of ``call_in``/cancel, timeouts, process waits, instant-end
-hooks (some enqueueing at ``now``) and callbacks that schedule more work;
-both drivers must leave the same log, clock and kernel counters.
+``Simulator.at_instant_end`` pushes its callback as a queue entry in the
+``INSTANT_END`` band, so it pops after every ordinary entry of the instant
+and runs inside ``step()``; ``run_until`` is one ``step()`` per entry and
+``call_in`` pushes its own heap entry.  The reference below is the kernel
+they used to be: callbacks wait in a side list that ``peek()`` drains
+(``_end_instant``) once nothing live is due at ``now``, ``run_until``
+peeks first, raises when the queue has drained, then steps, and
+``call_in`` goes through ``_enqueue``.  Hypothesis draws schedules of
+``call_in``/cancel, timeouts, process waits, instant-end hooks (some
+enqueueing at ``now``) and callbacks that schedule more work, driven by
+``run_until`` or ``run(until=...)``; both kernels must leave the same log,
+clock and prune count, and the same event count once the callbacks, which
+the new kernel counts as events, are taken off.
 """
+
+from heapq import heappop
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.sim.kernel import ScheduledCall
+from repro.sim.kernel import _INF, ScheduledCall
 
 KINDS = ("call", "cancel", "timeout", "process", "wait", "hook", "hook_now")
 DELAYS = (0.0, 0.0, 0.5, 1.0, 2.5)
@@ -103,7 +109,44 @@ class _CountingSimulator(Simulator):
 
 
 class _ReferenceSimulator(Simulator):
-    """The old dispatch paths, kept here as the oracle."""
+    """The old dispatch paths and the end-of-instant side list, kept here
+    as the oracle."""
+
+    def __init__(self):
+        super().__init__()
+        self._instant_hooks = []
+
+    def at_instant_end(self, callback):
+        self._instant_hooks.append(callback)
+
+    def _prune_cancelled(self):
+        heap = self._heap
+        while heap and heap[0][2]._cancelled:
+            heappop(heap)
+            self.cancelled_pruned += 1
+
+    def _end_instant(self):
+        """Run pending callbacks while nothing live is due at ``now``."""
+        hooks = self._instant_hooks
+        heap = self._heap
+        while hooks and not (heap and heap[0][0] <= self.now):
+            hooks.pop(0)()
+            self._prune_cancelled()
+
+    def peek(self):
+        heap = self._heap
+        if heap and heap[0][2]._cancelled:
+            self._prune_cancelled()
+        if self._instant_hooks:
+            self._end_instant()
+        return heap[0][0] if heap else _INF
+
+    def step(self):
+        heap = self._heap
+        if ((not heap or heap[0][2]._cancelled or self._instant_hooks)
+                and self.peek() == _INF):
+            raise SimulationError("step() on an empty event queue: drained")
+        super().step()
 
     def call_in(self, delay, fn, *args):
         call = ScheduledCall(fn, args)
@@ -112,13 +155,15 @@ class _ReferenceSimulator(Simulator):
 
     def run_until(self, event):
         while not event._processed:
-            if self.peek() == float("inf"):
+            if self.peek() == _INF:
                 raise SimulationError(
                     "event queue drained before the awaited event triggered")
             self.step()
 
 
-def _play(sim, script, fan_out, n_initial, done_at, cancel_done):
+def _play(sim, script, fan_out, n_initial, done_at, cancel_done, until):
+    """Run one drawn script: ``run_until`` an awaited event when ``until``
+    is None, else ``run(until=until)``."""
     world = _World(sim, script, fan_out)
     done = sim.event()
     if done_at is not None:
@@ -128,29 +173,36 @@ def _play(sim, script, fan_out, n_initial, done_at, cancel_done):
     for _ in range(n_initial):
         world.act()
     try:
-        sim.run_until(done)
+        if until is None:
+            sim.run_until(done)
+        else:
+            sim.run(until=until)
         raised = None
     except SimulationError as exc:
         raised = "drained" in str(exc)
-    state = (world.log, sim.now, sim.events_processed, sim.cancelled_pruned,
-             sim.max_heap_size, sim.wake_events_reused, raised)
-    return state, world.hooks_inside
+    hooks_run = len(world.hooks_inside)
+    state = (world.log, sim.now, sim.cancelled_pruned,
+             sim.wake_events_reused, raised)
+    return state, sim.events_processed, hooks_run, world.hooks_inside
 
 
 @settings(max_examples=300, deadline=None)
 @given(script=_OPS, fan_out=st.integers(0, 2), n_initial=st.integers(1, 6),
        done_at=st.one_of(st.none(), st.sampled_from(DELAYS)),
-       cancel_done=st.booleans())
+       cancel_done=st.booleans(),
+       until=st.one_of(st.none(), st.sampled_from((0.0, 1.0, 2.5, 10.0))))
 def test_run_until_and_call_in_match_the_reference_kernel(
-        script, fan_out, n_initial, done_at, cancel_done):
-    args = (script, fan_out, n_initial, done_at, cancel_done)
-    reference, _ = _play(_ReferenceSimulator(), *args)
+        script, fan_out, n_initial, done_at, cancel_done, until):
+    args = (script, fan_out, n_initial, done_at, cancel_done, until)
+    reference, ref_events, ref_hooks, _ = _play(_ReferenceSimulator(), *args)
     sim = _CountingSimulator()
-    state, hooks_inside = _play(sim, *args)
-    assert state == reference
+    state, events, hooks_run, hooks_inside = _play(sim, *args)
+    assert state == reference and hooks_run == ref_hooks
+    # A callback is one processed event here and none in the reference.
+    assert events - hooks_run == ref_events
     raised = state[-1]
     assert raised in (None, True)  # a drained queue says so
-    # One step() per processed event (plus the one that found the queue
+    # One step() per processed entry (plus the one that found the queue
     # drained), and every instant-end hook ran inside a step.
     assert sim.steps == sim.events_processed + (raised is not None)
     assert all(hooks_inside)
@@ -169,7 +221,8 @@ def test_instant_end_callbacks_run_inside_step_under_run_until():
     sim.call_in(2.0, done.succeed)
     sim.run_until(done)
     assert seen == ["hop", (1.0, True)]
-    assert sim.steps == sim.events_processed == 4  # done.succeed: 2
+    # arm, hop, the callback, done.succeed and done itself
+    assert sim.steps == sim.events_processed == 5
 
 
 def test_run_until_on_a_drained_queue_raises_from_step():
@@ -177,4 +230,6 @@ def test_run_until_on_a_drained_queue_raises_from_step():
     sim.at_instant_end(lambda: None)
     with pytest.raises(SimulationError, match="drained"):
         sim.run_until(sim.event())
-    assert sim.steps == 1 and sim.events_processed == 0
+    # The callback is one step and one event; the next step finds the
+    # queue drained.
+    assert sim.steps == 2 and sim.events_processed == 1

@@ -12,6 +12,7 @@ from repro.config import (HadoopConfig, HostConfig, PlatformConfig,
                           TopologySpec, VMConfig)
 from repro.errors import ConfigError, ResourceError
 from repro.sim import FairShareSystem, SharedResource, Simulator
+from repro.virt.datacenter import Datacenter
 
 
 # --- CLI -------------------------------------------------------------------
@@ -121,6 +122,7 @@ def _set_capacity(value):
     (lambda v: HadoopConfig(dfs_block_size=v), "dfs_block_size"),
     (lambda v: TopologySpec(tor_bandwidth=v), "tor_bandwidth"),
     (lambda v: TopologySpec(nic_bandwidth=v), "nic_bandwidth"),
+    (lambda v: TopologySpec(bridge_bandwidth=v), "bridge_bandwidth"),
     (lambda v: PlatformConfig(nfs_bandwidth=v), "nfs_bandwidth"),
     (lambda v: CostModel(base_s=v), "base_s"),
     (lambda v: CostModel(per_mb_s=v), "per_mb_s"),
@@ -128,8 +130,8 @@ def _set_capacity(value):
     (_set_capacity, "capacity"),
 ], ids=["vm-size", "host-bandwidth", "hadoop-seconds", "hadoop-ratio",
         "hadoop-bytes", "topology-bandwidth", "topology-override",
-        "platform-bandwidth", "cost-base", "cost-slope", "resource",
-        "resource-set-capacity"])
+        "topology-bridge-override", "platform-bandwidth", "cost-base",
+        "cost-slope", "resource", "resource-set-capacity"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "-inf"])
 def test_non_finite_numbers_are_rejected(build, field, value):
@@ -137,6 +139,37 @@ def test_non_finite_numbers_are_rejected(build, field, value):
     a NaN heartbeat used to construct fine and crash a run mid-way."""
     with pytest.raises((ConfigError, ResourceError), match=field):
         build(value)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: TopologySpec(nic_bandwidth=0.0), "nic_bandwidth"),
+    (lambda: TopologySpec(bridge_bandwidth=0.0), "bridge_bandwidth"),
+    (lambda: TopologySpec(bridge_bandwidth=-1.0), "bridge_bandwidth"),
+    (lambda: TopologySpec(racks=1.5), "racks"),
+    (lambda: TopologySpec(vms_per_host="8"), "vms_per_host"),
+    (lambda: TopologySpec.parse("1_0x2x8"), "ASCII digits"),
+    (lambda: TopologySpec.parse("+1x2x8"), "ASCII digits"),
+    (lambda: TopologySpec.parse("1x2x 8"), "ASCII digits"),
+    (lambda: TopologySpec.parse("1x\u0662x8"), "ASCII digits"),
+    (lambda: TopologySpec.parse("1x2x8x1"), "RxHxV"),
+    (lambda: TopologySpec.parse("0x2x8"), ">= 1"),
+], ids=["nic-zero", "bridge-zero", "bridge-negative", "racks-float",
+        "vms-str", "parse-underscore", "parse-sign", "parse-space",
+        "parse-non-ascii-digit", "parse-four-parts", "parse-zero"])
+def test_topology_spec_rejects_bad_input_when_built(build, field):
+    """An override of 0 used to fall back to the HostConfig default, a
+    float count to fail mid-provisioning, and ``int()`` to read ``1_0``
+    as 10: each is refused where the spec is built."""
+    with pytest.raises(ConfigError, match=field):
+        build()
+
+
+def test_topology_bandwidth_overrides_reach_the_hosts():
+    topo = TopologySpec.parse("1x2x2", nic_bandwidth=5e7)
+    (host, _other) = Datacenter(PlatformConfig(topology=topo)).machines
+    assert host.config.nic_bandwidth == 5e7
+    assert host.config.bridge_bandwidth == HostConfig().bridge_bandwidth
+    assert TopologySpec.parse("10X2x08") == TopologySpec(10, 2, 8)
 
 
 def test_constants_sanity():

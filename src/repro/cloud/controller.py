@@ -19,11 +19,14 @@ chains over one arrival stream (the controller starts no sim process):
 
 The controller is the service's one front door.  A backend takes
 ``submit(arrival, spec)``, reports each job once through ``on_done(tenant,
-submitted_at, wait_s, ok)`` and exposes ``backlog()``, ``total_slots()``
-and ``utilization()``.  :class:`SlotModelBackend` is the job-granularity
-surrogate: counters, not processes, where a job's service time comes from
-a :class:`CostModel` fitted against real scheduler runs — two kernel
-events per job, which is what makes million-submission runs tractable.
+submitted_at, started_at, finished_at, ok)`` and exposes ``backlog()``,
+``total_slots()`` and ``utilization()``.  :class:`SlotModelBackend` is the
+job-granularity surrogate: counters, not processes, where a job's service
+time comes from a :class:`CostModel` fitted against real scheduler runs.
+A job's finish is known when it starts, so completions wait in a heap
+inside the backend rather than in the kernel: the only kernel event a
+submission costs is its arrival's offer-chain link, which is what makes
+million-submission runs tractable.
 The full-fidelity :class:`~repro.cloud.service.SharedClusterBackend` (one
 warm cluster) and :class:`~repro.cloud.service.PerJobClusterBackend` (a
 cluster per job) run every admitted arrival as a real MapReduce job.
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -148,8 +152,14 @@ class SlotModelBackend:
 
     Admitted jobs queue FIFO; a free slot takes the head, holds it for
     ``cost.service_time(size_mb)`` and reports completion.  A slot is a
-    count, not a process: the only kernel event a job costs here is the
-    ``call_in`` that finishes it.  No tasks, no shuffle, no HDFS — the
+    count, not a process, and a job costs no kernel event: its finish
+    time is known when it starts, so pending completions wait in a
+    ``(finish_at, seq, tenant, submitted_at, started_at)`` heap inside
+    the backend.  Every method and reader first runs :meth:`drain`,
+    which applies each completion due by now at its own instant — a job's
+    finish comes before every other entry of its instant.  One kernel
+    backstop timer, armed at the latest pending finish, lets ``run()``
+    alone finish every job.  No tasks, no shuffle, no HDFS — the
     :class:`CostModel` stands in for all of it, calibrated against the
     full simulation.  The elastic pool never shrinks below the ``slots``
     it started with.
@@ -161,28 +171,86 @@ class SlotModelBackend:
             raise ConfigError("slots must be >= 1")
         self.sim = sim
         self.cost = cost
-        self.slots = 0
-        #: Set by the controller: ``on_done(tenant, submitted_at, wait_s)``.
+        self._slots = 0
+        #: Set by the controller: ``on_done(tenant, submitted_at,
+        #: started_at, finished_at, ok)``.
         self.on_done: Optional[Callable] = None
-        self._queue: deque = deque()   # (tenant, size_mb, enqueued_at)
+        self._queue: deque = deque()   # (tenant, size_mb, submitted_at)
         self._idle = 0
         #: Idle slots leaving ``slots`` in a pending zero-delay hop, and
         #: busy slots that leave when their job finishes.  Two counts: a
         #: finish landing before the hop must not take the idle slot's exit.
         self._idle_retiring = 0
         self._busy_retiring = 0
-        self.busy = 0
+        self._busy = 0
+        #: Pending completions, the earliest one's time (``inf`` if none:
+        #: the one comparison a drain with nothing due costs), the latest
+        #: one's, and whether the backstop timer is armed.
+        self._pending: list = []
+        self._seq = 0
+        self._due = math.inf
+        self._latest = -math.inf
+        self._backstop_armed = False
         self.pool = _SurrogatePool(self, min_size=slots,
                                    max_size=elastic_max, boot_s=boot_s)
         for _ in range(slots):
             self.add_slot()
 
+    # -- lazy completions --------------------------------------------------
+    def drain(self) -> None:
+        """Apply every completion due by now, in ``(finish_at, seq)``
+        order, each at its own instant: a freed slot takes the queue
+        head at ``finish_at``, and that job's finish may be due too.
+        Callers guard it with ``_due <= now``: one comparison when
+        nothing is due."""
+        now = self.sim.now
+        pending = self._pending
+        while pending and pending[0][0] <= now:
+            finish_at, _seq, tenant, submitted_at, started_at = \
+                heappop(pending)
+            self._busy -= 1
+            if self.on_done is not None:
+                self.on_done(tenant, submitted_at, started_at, finish_at,
+                             True)
+            self._slot_free(finish_at)
+        self._due = pending[0][0] if pending else math.inf
+
+    def _backstop(self) -> None:
+        """The one kernel timer: drain, then re-arm at the latest pending
+        finish (which every completion pushed since is at most)."""
+        self.drain()
+        if self._pending:
+            self.sim.call_in(self._latest - self.sim.now, self._backstop)
+        else:
+            self._backstop_armed = False
+
     # -- capacity ----------------------------------------------------------
+    @property
+    def slots(self) -> int:
+        """Slots counted now, retiring ones included."""
+        if self._due <= self.sim.now:
+            self.drain()
+        return self._slots
+
+    @property
+    def busy(self) -> int:
+        """Slots holding a job now."""
+        if self._due <= self.sim.now:
+            self.drain()
+        return self._busy
+
     def add_slot(self) -> None:
         """Count one more slot now; it is free one zero-delay hop later, so
         a control tick at this very instant still sees it without a job."""
-        self.slots += 1
-        self.sim.call_in(0.0, self._slot_free)
+        if self._due <= self.sim.now:
+            self.drain()
+        self._slots += 1
+        self.sim.call_in(0.0, self._free_hop)
+
+    def _free_hop(self) -> None:
+        if self._due <= self.sim.now:
+            self.drain()
+        self._slot_free(self.sim.now)
 
     def remove_slot(self) -> bool:
         """Gracefully retire one slot (takes effect between jobs)."""
@@ -197,47 +265,64 @@ class SlotModelBackend:
         return True
 
     def _retire_idle(self) -> None:
+        if self._due <= self.sim.now:
+            self.drain()
         self._idle_retiring -= 1
-        self.slots -= 1
+        self._slots -= 1
 
     def total_slots(self) -> int:
-        return self.slots - self._idle_retiring - self._busy_retiring
+        if self._due <= self.sim.now:
+            self.drain()
+        return self._slots - self._idle_retiring - self._busy_retiring
 
     def backlog(self) -> int:
+        if self._due <= self.sim.now:
+            self.drain()
         return len(self._queue)
 
     def utilization(self) -> float:
         total = self.total_slots()
-        return self.busy / total if total > 0 else 1.0
+        return self._busy / total if total > 0 else 1.0
 
     # -- the service loop --------------------------------------------------
     def submit(self, arrival: Arrival, spec) -> None:
-        job = (arrival.tenant, arrival.size_mb, self.sim.now)
+        if self._due <= self.sim.now:
+            self.drain()
+        now = self.sim.now
         if self._idle:
             self._idle -= 1
-            self._start(*job)
+            self._start(arrival.tenant, arrival.size_mb, now, now)
         else:
-            self._queue.append(job)
+            self._queue.append((arrival.tenant, arrival.size_mb, now))
 
-    def _start(self, tenant: str, size_mb: float, enqueued_at: float) -> None:
-        self.busy += 1
-        self.sim.call_in(self.cost.service_time(size_mb), self._finish,
-                         tenant, enqueued_at, self.sim.now - enqueued_at)
+    def _start(self, tenant: str, size_mb: float, submitted_at: float,
+               at: float) -> None:
+        """Start a job at instant ``at`` and push its completion."""
+        self._busy += 1
+        service_s = self.cost.service_time(size_mb)
+        finish_at = at + service_s
+        self._seq += 1
+        heappush(self._pending,
+                 (finish_at, self._seq, tenant, submitted_at, at))
+        if finish_at < self._due:
+            self._due = finish_at
+        if finish_at > self._latest:
+            self._latest = finish_at
+        if not self._backstop_armed:
+            # Nothing pending before this push, so no drain is running
+            # and ``at`` is now: arm the backstop at this very finish.
+            self._backstop_armed = True
+            self.sim.call_in(service_s, self._backstop)
 
-    def _finish(self, tenant: str, enqueued_at: float, wait_s: float) -> None:
-        self.busy -= 1
-        if self.on_done is not None:
-            self.on_done(tenant, enqueued_at, wait_s, True)
-        self._slot_free()
-
-    def _slot_free(self) -> None:
-        """A slot has no job: retire it if a busy retirement is owed, else
-        give it the queue head, else it idles."""
+    def _slot_free(self, at: float) -> None:
+        """A slot has no job at instant ``at``: retire it if a busy
+        retirement is owed, else give it the queue head, else it idles."""
         if self._busy_retiring:
             self._busy_retiring -= 1
-            self.slots -= 1
+            self._slots -= 1
         elif self._queue:
-            self._start(*self._queue.popleft())
+            tenant, size_mb, submitted_at = self._queue.popleft()
+            self._start(tenant, size_mb, submitted_at, at)
         else:
             self._idle += 1
 
@@ -453,10 +538,11 @@ class ServiceController:
         self.inflight += 1
         self.backend.submit(arrival, spec)
 
-    def _on_done(self, tenant: str, submitted_at: float, wait_s: float,
-                 ok: bool) -> None:
-        now = self.sim.now
-        latency = now - submitted_at
+    def _on_done(self, tenant: str, submitted_at: float, started_at: float,
+                 finished_at: float, ok: bool) -> None:
+        # From the reported instant, not ``sim.now``: a slot-model
+        # completion is applied after its instant, at the next drain.
+        latency = finished_at - submitted_at
         stats = self.tenants.stats(tenant)
         stats.inflight -= 1
         self.inflight -= 1
@@ -468,8 +554,9 @@ class ServiceController:
             stats.failed += 1
             self.report.failed += 1
         if self.verbose_telemetry and self.tracer is not None:
-            self.tracer.emit(now, EV.SERVICE_REQUEST_DONE, tenant,
-                             latency=latency, wait=wait_s, ok=ok)
+            self.tracer.emit(finished_at, EV.SERVICE_REQUEST_DONE, tenant,
+                             latency=latency, wait=started_at - submitted_at,
+                             ok=ok)
 
     # -- control path ------------------------------------------------------
     def _control(self, done) -> None:

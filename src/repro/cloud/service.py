@@ -95,8 +95,8 @@ class _ClusterBackend:
         self.platform = platform
         self.sim = platform.sim
         self.request_factory: Callable = self._default_request
-        #: Set by the controller:
-        #: ``on_done(tenant, submitted_at, wait_s, ok)``.
+        #: Set by the controller: ``on_done(tenant, submitted_at,
+        #: started_at, finished_at, ok)``.
         self.on_done: Optional[Callable] = None
 
     def _default_request(self, arrival: Arrival) -> ServiceRequest:
@@ -118,13 +118,13 @@ class _ClusterBackend:
                                        self.sim.now))
 
     def _report(self, tenant: str, submitted_at: float, event: Event) -> None:
+        started_at = submitted_at
         if event.ok:
             outcome = event.value
-            wait_s = outcome.queue_wait_s + outcome.report.wait_s
-        else:
-            wait_s = 0.0
+            started_at += outcome.queue_wait_s + outcome.report.wait_s
         if self.on_done is not None:
-            self.on_done(tenant, submitted_at, wait_s, event.ok)
+            self.on_done(tenant, submitted_at, started_at, self.sim.now,
+                         event.ok)
 
 
 class SharedClusterBackend(_ClusterBackend):

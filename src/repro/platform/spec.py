@@ -34,6 +34,11 @@ from repro.platform.provisioning import Placement
 _LAYOUTS = ("single", "packed", "spread")
 
 
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ClusterSpec:
     """What cluster to build, declaratively.
@@ -62,8 +67,14 @@ class ClusterSpec:
     pin: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self) -> None:
+        for name in ("n_vms", "hosts", "host"):
+            value = getattr(self, name)
+            if not _is_int(value) and not (name == "hosts" and value is None):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.n_vms < 1:
             raise ConfigError("a ClusterSpec needs at least one VM")
+        if self.host < 0:
+            raise ConfigError(f"host must be >= 0, got {self.host}")
         if self.layout not in _LAYOUTS:
             raise ConfigError(f"unknown layout {self.layout!r}; "
                               f"expected one of {_LAYOUTS}")
@@ -72,7 +83,12 @@ class ClusterSpec:
         if isinstance(self.pin, Mapping):  # accept dicts for convenience
             object.__setattr__(self, "pin",
                                tuple(sorted(self.pin.items())))
-        for vm_index, host_index in self.pin:
+        for pair in self.pin:
+            if (not isinstance(pair, tuple) or len(pair) != 2
+                    or not all(map(_is_int, pair))):
+                raise ConfigError(f"a pin is a (vm_index, host_index) pair "
+                                  f"of ints, got {pair!r}")
+            vm_index, host_index = pair
             if vm_index < 0 or vm_index >= self.n_vms:
                 raise ConfigError(f"pin references VM {vm_index} but the "
                                   f"spec has {self.n_vms} VMs")
@@ -128,6 +144,13 @@ class ClusterSpec:
         if hosts > n_hosts:
             raise ConfigError(f"spec wants {hosts} hosts but the "
                               f"datacenter has only {n_hosts}")
+        used = [h for _vm, h in self.pin]
+        if self.layout == "single":
+            used.append(self.host)
+        for host_index in used:
+            if host_index >= hosts:
+                raise ConfigError(f"host index {host_index} out of range "
+                                  f"(spec resolves to {hosts} hosts)")
         if self.layout == "single":
             assignment = [self.host] * self.n_vms
         elif self.layout == "spread":

@@ -324,9 +324,9 @@ def test_one_front_door_contract(kind):
     reported = collections.Counter()
     on_done = backend.on_done
 
-    def counting(tenant, submitted_at, wait_s, ok):
+    def counting(tenant, submitted_at, started_at, finished_at, ok):
         reported[tenant] += 1
-        on_done(tenant, submitted_at, wait_s, ok)
+        on_done(tenant, submitted_at, started_at, finished_at, ok)
 
     backend.on_done = counting
     report = controller.run(horizon_s=600.0)

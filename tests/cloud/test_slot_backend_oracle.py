@@ -4,6 +4,7 @@ multi-histogram ``observe`` against N single ones, ``subtract`` against
 ``merge``."""
 
 from collections import deque
+from heapq import heappush
 from typing import Callable, Optional
 
 import pytest
@@ -14,7 +15,21 @@ from repro.cloud import CostModel, LatencyHistogram, SlotModelBackend
 from repro.cloud.controller import _SurrogatePool
 from repro.cloud.traffic import Arrival
 from repro.errors import ConfigError
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import INSTANT_END, Event, Simulator, Timeout
+
+
+class FinishFirst(Timeout):
+    """A job-finish timeout that pops before every other entry of its
+    instant (FIFO among its kind): the slot model's tie rule in kernel
+    terms, a band below the ordinary one as ``INSTANT_END`` is above."""
+
+    __slots__ = ()
+
+    def __init__(self, sim, delay):
+        Event.__init__(self, sim)
+        self.delay = delay
+        sim._seq += 1
+        heappush(sim._heap, (sim.now + delay, sim._seq - INSTANT_END, self))
 
 
 class GeneratorWorkerBackend:
@@ -28,7 +43,8 @@ class GeneratorWorkerBackend:
         self.sim = sim
         self.cost = cost
         self.slots = 0
-        #: Set by the controller: ``on_done(tenant, submitted_at, wait_s)``.
+        #: Set by the controller: ``on_done(tenant, submitted_at,
+        #: started_at, finished_at, ok)``.
         self.on_done: Optional[Callable] = None
         self._queue: deque = deque()   # (tenant, size_mb, enqueued_at)
         #: One park event per idle worker — a submission wakes exactly one
@@ -85,24 +101,25 @@ class GeneratorWorkerBackend:
                 yield park
                 continue
             tenant, size_mb, enqueued_at = self._queue.popleft()
-            wait_s = self.sim.now - enqueued_at
+            started_at = self.sim.now
             self.busy += 1
-            yield self.sim.timeout(self.cost.service_time(size_mb))
+            yield FinishFirst(self.sim, self.cost.service_time(size_mb))
             self.busy -= 1
             if self.on_done is not None:
-                self.on_done(tenant, enqueued_at, wait_s, True)
+                self.on_done(tenant, enqueued_at, started_at, self.sim.now,
+                             True)
 
 
 # -- the differential schedule ---------------------------------------------
 # Everything lives on one grid: op instants, service times (1, 2 or 3 s)
 # and the boot delay are whole seconds, so finishes, boot completions and
-# ops tie exactly.  Each instant applies an *early* batch, armed before the
-# run (smallest sequence numbers: it precedes the finishes due then), and a
-# *late* one armed by a zero-delay hop (it follows them) — the two places a
-# control tick can fall.  Within a batch submissions come last: the oracle
-# starts a job one wake-up hop after ``submit``, so a same-batch read or
-# ``remove_slot`` *behind* a submission sees that hop's in-between state,
-# which the counter model has deliberately lost.
+# ops tie exactly.  A job's finish comes before every other entry of its
+# instant (the oracle's ``FinishFirst``).  Each instant applies an *early*
+# batch, armed before the run, and a *late* one armed by a zero-delay hop
+# — the two places a control tick can fall.  Within a batch submissions
+# come last: the oracle starts a job one wake-up hop after ``submit``, so
+# a same-batch read or ``remove_slot`` *behind* a submission sees that
+# hop's in-between state, which the counter model has deliberately lost.
 
 _CAPACITY_OP = st.one_of(
     st.tuples(st.sampled_from(["add", "remove", "probe", "shrink"]),
@@ -127,8 +144,8 @@ def _drive(backend_cls, schedule, slots, boot_s):
     for _ in range(slots - 1):
         backend.add_slot()
     completions, probes = [], []
-    backend.on_done = lambda tenant, _at, wait_s, _ok: completions.append(
-        (tenant, sim.now, wait_s))
+    backend.on_done = lambda tenant, at, started_at, finished_at, _ok: \
+        completions.append((tenant, finished_at, started_at - at))
     pool = backend.pool
 
     def probe(tag):
@@ -189,6 +206,50 @@ def test_a_finish_between_an_idle_retirement_and_its_hop_retires_once():
     sim.run()
     assert seen == [(3, 2, 0)]      # left the idle pool, still in ``slots``
     assert (backend.slots, backend.total_slots()) == (2, 2)
+
+
+def test_a_finish_is_seen_by_an_arrival_armed_before_it_at_its_instant():
+    """The tie rule: the arrival at t=2 was armed before the job whose
+    finish ties it, and still finds that slot free."""
+    sim = Simulator()
+    backend = SlotModelBackend(sim, CostModel(base_s=2.0, per_mb_s=0.0),
+                               slots=1)
+    done, seen = [], []
+    backend.on_done = lambda tenant, *instants: done.append(
+        (tenant,) + instants)
+    sim.run()
+
+    def arrive():
+        seen.append((backend.busy, backend.backlog()))
+        backend.submit(_arrival(sim.now, "second", 0.0), None)
+        seen.append((backend.busy, backend.backlog()))
+
+    sim.call_in(2.0, arrive)
+    backend.submit(_arrival(0.0, "first", 0.0), None)
+    sim.run()
+    assert seen == [(0, 0), (1, 0)]
+    assert done == [("first", 0.0, 0.0, 2.0, True),
+                    ("second", 2.0, 2.0, 4.0, True)]
+
+
+def test_run_alone_finishes_every_job_at_its_own_instant():
+    """Nothing reads the backend while it runs: the backstop alone drives
+    every completion, each reported at its finish, and the clock stops at
+    the last one."""
+    sim = Simulator()
+    backend = SlotModelBackend(sim, CostModel(base_s=3.0, per_mb_s=1.0),
+                               slots=2)
+    done = []
+    backend.on_done = lambda tenant, _at, started, finished, _ok: \
+        done.append((tenant, started, finished))
+    for n, size_mb in enumerate([1.0, 2.0, 0.0, 4.0, 1.0]):
+        backend.submit(_arrival(0.0, f"t{n}", size_mb), None)
+    sim.run()
+    assert done == [("t0", 0.0, 4.0), ("t1", 0.0, 5.0), ("t2", 4.0, 7.0),
+                    ("t4", 7.0, 11.0), ("t3", 5.0, 12.0)]
+    assert sim.now == 12.0
+    assert (backend.busy, backend.backlog(), sim.peek()) == (0, 0,
+                                                             float("inf"))
 
 
 # -- satellite: shrink() honours min_size ----------------------------------

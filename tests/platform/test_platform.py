@@ -74,6 +74,32 @@ def test_spec_validation():
         ClusterSpec.packed(8, hosts=4).placement(2)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(n_vms=2, layout="single", host=-1),
+    dict(n_vms=True),
+    dict(n_vms=2.5),
+    dict(n_vms=4, hosts=2.0),
+    dict(n_vms=4, hosts=True),
+    dict(n_vms=2, layout="single", host=1.0),
+    dict(n_vms=4, pin={0: 1.5}),
+    dict(n_vms=4, pin={True: 1}),
+    dict(n_vms=4, pin=((0,),)),
+    dict(n_vms=4, pin=(1, 2)),
+], ids=lambda kwargs: ",".join(f"{k}={v!r}" for k, v in kwargs.items()))
+def test_spec_rejects_bad_input_when_built(kwargs):
+    with pytest.raises(ConfigError):
+        ClusterSpec(**kwargs)
+
+
+@pytest.mark.parametrize("spec", [
+    ClusterSpec(n_vms=2, layout="single", host=9),
+    ClusterSpec.packed(4, hosts=2, pin={0: 2}),
+], ids=["single-host", "pin"])
+def test_placement_rejects_a_host_outside_the_spec(spec):
+    with pytest.raises(ConfigError, match="out of range"):
+        spec.placement(2)
+
+
 def test_validate_placement_against_machines():
     platform = VHadoopPlatform(PlatformConfig(n_hosts=2))
     bad = ClusterSpec.single_host(4, host=7).placement(8)

@@ -1,7 +1,7 @@
 """Checked-in stdout of the seeded CLI commands CI's ``determinism`` job runs.
 
 ``tests/goldens/cli/<name>.txt`` holds the whole stdout of one command (the
-CI matrix lists all eight).  The four cheap ones are replayed here, in
+CI matrix lists all eight).  The five cheap ones are replayed here, in
 process; CI diffs all eight, each from two fresh interpreters with
 different string hashing.  A change that moves a simulated number
 therefore shows up as a reviewed diff of a golden file.  To re-pin one on
@@ -25,6 +25,7 @@ COMMANDS = {
     "fig6": "fig6 --quick --seed 7",
     "fig7": "fig7 --quick --seed 7",
     "scale": "scale --quick --seed 7 --topology 5x5x4",
+    "service": "service --quick --seed 7",
 }
 
 

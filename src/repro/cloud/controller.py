@@ -389,7 +389,7 @@ class ServiceReport:
         for key, value in sorted(self.counters().items()):
             h.update(f"{key}={value}\n")
         for name in sorted(self.tenants.names):
-            stats = self.tenants.stats(name)
+            stats = self.tenants.lookup(name)[1]
             h.update(f"{name}|{stats.submitted}|{stats.admitted}|"
                      f"{stats.rejected}|{stats.completed}\n")
         for action in self.actions:
@@ -543,7 +543,7 @@ class ServiceController:
         # From the reported instant, not ``sim.now``: a slot-model
         # completion is applied after its instant, at the next drain.
         latency = finished_at - submitted_at
-        stats = self.tenants.stats(tenant)
+        stats = self.tenants.lookup(tenant)[1]
         stats.inflight -= 1
         self.inflight -= 1
         if ok:

@@ -84,12 +84,6 @@ class TenantRegistry:
         except KeyError:
             raise ConfigError(f"unknown tenant {name!r}") from None
 
-    def spec(self, name: str) -> TenantSpec:
-        return self.lookup(name)[0]
-
-    def stats(self, name: str) -> TenantStats:
-        return self.lookup(name)[1]
-
     def __len__(self) -> int:
         return len(self._tenants)
 

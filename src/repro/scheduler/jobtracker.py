@@ -104,8 +104,8 @@ class JobScheduler:
         self._jobs: list[JobExecution] = []
         self._active: list[JobExecution] = []
         self._seq = 0
-        self._wake: dict[str, Event] = {"map": self.sim.event(),
-                                        "reduce": self.sim.event()}
+        self._work_signal: dict[str, Event] = {"map": self.sim.event(),
+                                               "reduce": self.sim.event()}
         self._parked = {"map": 0, "reduce": 0}
         self._running_maps: list[_RunningTask] = []
         self._workers_started = False
@@ -244,8 +244,8 @@ class JobScheduler:
                     name=f"sched:{kind}slot:{tracker.name}:{slot}")
 
     def _signal(self, kind: str) -> None:
-        wake = self._wake[kind]
-        self._wake[kind] = self.sim.event()
+        wake = self._work_signal[kind]
+        self._work_signal[kind] = self.sim.event()
         if not wake.triggered:
             wake.succeed(None)
 
@@ -274,7 +274,7 @@ class JobScheduler:
             if not pending and not spec_only:
                 self._accrue()
                 self._parked[kind] += 1
-                wake = self._wake[kind]
+                wake = self._work_signal[kind]
                 yield wake
                 self._accrue()
                 self._parked[kind] -= 1

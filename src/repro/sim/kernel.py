@@ -14,6 +14,11 @@ event, :class:`AllOf`/:class:`AnyOf` cancel their pending children, and
 a :class:`~repro.sim.fairshare.FlowOp` bills what moved.  A timeout or
 an acquire has none: it is simply no longer waited on.
 
+A process starts, and resumes on an already-processed event, through a
+:meth:`Simulator.call_in` entry at ``now``.  :class:`AnyOf`/:class:`AllOf`
+count the child successes they still need (one, or all); a processed
+child counts at once and a failing child fails the condition.
+
 The kernel is deliberately small — just enough for the vHadoop models — but
 it enforces its invariants strictly: no scheduling in the past, no double
 trigger, one deterministic order: entries pop by ``(time, band, seq)``, so
@@ -80,11 +85,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self._processed
-
-    @property
     def ok(self) -> bool:
         """True if the event succeeded (valid only once triggered)."""
         return self._ok
@@ -128,20 +128,6 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-class _Wake(Event):
-    """Kernel-internal immediate wake-up event.
-
-    These are the kernel's hottest allocation: every process bootstrap and
-    every resume-on-already-processed-target creates one, uses it for
-    exactly one step, and drops it.  They are never handed to user code
-    and nothing keeps a reference past that step — so
-    :meth:`Simulator.step` recycles them through a small free list (slab)
-    instead of letting each become garbage.
-    """
-
-    __slots__ = ()
-
-
 def cancel(event: Event) -> None:
     """Withdraw the work ``event`` stands for, if it has a ``cancel()``."""
     withdraw = getattr(event, "cancel", None)
@@ -152,12 +138,10 @@ def cancel(event: Event) -> None:
 class Timeout(Event):
     """An event that triggers ``delay`` seconds after its creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: float):
         super().__init__(sim)
-        self.delay = delay
-        self._value = value
         sim._enqueue(self, delay)
 
     def _pre_trigger(self) -> None:
@@ -177,10 +161,6 @@ class ScheduledCall:
         self.fn = fn
         self.args = args
         self._cancelled = False
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
 
     def cancel(self) -> None:
         """Withdraw the call; its queue entry is pruned, not fired."""
@@ -244,8 +224,8 @@ class Process(Event):
                                   f"{type(generator).__name__}")
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        # Bootstrap: resume the process at the current time.
-        self._waiting_on: Optional[Event] = sim._wake(self._resume)
+        self._waiting_on: Optional[Event] = None
+        sim.call_in(0.0, self._step, None, False)  # start at ``now``
 
     def cancel(self) -> None:
         """Succeed with ``None`` where the body waits: detach it, close it
@@ -263,14 +243,14 @@ class Process(Event):
 
     # -- internal ------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self._triggered:
-            # Cancelled after this wake-up was queued: cancel cannot reach
-            # an immediate re-resume or a list step() is already draining.
-            return
-        self._waiting_on = None  # a finished body keeps nothing alive
-        self._step(event._value, throw=not event._ok)
+        self._step(event._value, not event._ok)
 
     def _step(self, value: Any, throw: bool) -> None:
+        if self._triggered:
+            # Cancelled after this wake-up was queued: cancel cannot reach
+            # a queued start or re-resume, or a list step() is draining.
+            return
+        self._waiting_on = None  # a finished body keeps nothing alive
         try:
             if throw:
                 target = self._generator.throw(value)
@@ -283,51 +263,57 @@ class Process(Event):
             self.fail(exc)
             return
         if not isinstance(target, Event):
-            err = SimulationError(
-                f"process {self.name!r} yielded non-event {target!r}")
-            try:
-                self._generator.throw(err)
-            except StopIteration as stop:
-                self.succeed(stop.value)
-            except BaseException as exc:
-                self.fail(exc)
+            self._step(SimulationError(
+                f"process {self.name!r} yielded non-event {target!r}"), True)
             return
         if target.sim is not self.sim:
             self.fail(SimulationError("yielded event belongs to another simulator"))
             return
         self._waiting_on = target
         if target._processed:
-            # Already done: resume immediately at the current time.
-            self.sim._wake(lambda _ev: self._resume(target))
+            # Already done: resume at the current time.
+            self.sim.call_in(0.0, self._resume, target)
         else:
             target.callbacks.append(self._resume)
 
 
 class _Condition(Event):
-    """Base for AnyOf/AllOf composite events."""
+    """A composite event that counts the child successes it still needs.
 
-    __slots__ = ("events", "_pending")
+    A child that was already processed counts at once; the first failing
+    child fails the condition.  The value is ``{child: value}`` of the
+    children that have succeeded so far.
+    """
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
+    __slots__ = ("events", "_needed")
+
+    def __init__(self, sim: "Simulator", events: Iterable[Event],
+                 every: bool):
         super().__init__(sim)
         self.events = list(events)
         for ev in self.events:
             if ev.sim is not sim:
                 raise SimulationError("condition mixes simulators")
-        self._pending = 0
+        n = len(self.events)
+        self._needed = n if every else min(1, n)
+        if not self._needed:
+            self.succeed({})
         for ev in self.events:
             if ev._processed:
                 self._on_child(ev)
             else:
-                self._pending += 1
                 ev.callbacks.append(self._on_child)
-        self._check_initial()
-
-    def _check_initial(self) -> None:
-        raise NotImplementedError
 
     def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
+        if self._triggered:
+            return
+        if not event._ok:
+            self.fail(event._value)
+            return
+        self._needed -= 1
+        if not self._needed:
+            self.succeed({ev: ev._value for ev in self.events
+                          if ev._triggered and ev._ok})
 
     def cancel(self) -> None:
         """Cancel the children still pending."""
@@ -335,54 +321,27 @@ class _Condition(Event):
             if not ev._triggered:
                 cancel(ev)
 
-    def _values(self) -> dict[Event, Any]:
-        return {ev: ev._value for ev in self.events if ev._triggered and ev._ok}
-
 
 class AnyOf(_Condition):
-    """Triggers when any child event triggers (or immediately if none pend)."""
+    """Triggers when any child event succeeds (at once if there are none)."""
 
     __slots__ = ()
 
-    def _check_initial(self) -> None:
-        if not self.events and not self._triggered:
-            self.succeed({})
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-        else:
-            self.succeed(self._values())
+    def __init__(self, sim: "Simulator", events: Iterable[Event]):
+        super().__init__(sim, events, every=False)
 
 
 class AllOf(_Condition):
-    """Triggers when every child event has triggered."""
+    """Triggers when every child event has succeeded."""
 
     __slots__ = ()
 
-    def _check_initial(self) -> None:
-        if self._pending == 0 and not self._triggered:
-            self.succeed(self._values())
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self._pending -= 1
-        if self._pending <= 0:
-            self.succeed(self._values())
+    def __init__(self, sim: "Simulator", events: Iterable[Event]):
+        super().__init__(sim, events, every=True)
 
 
 class Simulator:
     """The event loop: virtual clock plus a time-ordered event queue."""
-
-    #: Free-list bound: enough to absorb bursts, small enough to stay hot
-    #: in cache.
-    _WAKE_POOL_MAX = 512
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -394,19 +353,15 @@ class Simulator:
         self.max_heap_size = 0
         #: Cancelled entries dropped without processing.
         self.cancelled_pruned = 0
-        #: Slab/free list of recycled kernel wake events, and how many
-        #: allocations it saved (perf-harness counter).
-        self._wake_pool: list[_Wake] = []
-        self.wake_events_reused = 0
 
     # -- factories -----------------------------------------------------------
     def event(self) -> Event:
         """Create a fresh untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create an event that triggers ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def call_in(self, delay: float, fn: Callable[..., None],
                 *args: Any) -> ScheduledCall:
@@ -428,18 +383,6 @@ class Simulator:
                 name: Optional[str] = None) -> Process:
         """Start a process from a generator; returns its completion event."""
         return Process(self, generator, name=name)
-
-    def _wake(self, callback: Callable[[Event], None]) -> Event:
-        """An immediately-triggered kernel wake event (recycled slab)."""
-        pool = self._wake_pool
-        if pool:
-            ev = pool.pop()
-            self.wake_events_reused += 1
-        else:
-            ev = _Wake(self)
-        ev.callbacks.append(callback)
-        ev.succeed(None)
-        return ev
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -503,14 +446,6 @@ class Simulator:
         # Unwaited failures must not pass silently.
         if not event._ok and not callbacks:
             raise event._value
-        if type(event) is _Wake and len(self._wake_pool) < self._WAKE_POOL_MAX:
-            # Wake events are single-use and kernel-private: by the time
-            # their callbacks have run, nothing references them any more,
-            # so they go back to the slab for reuse.
-            event._triggered = False
-            event._processed = False
-            event._value = None
-            self._wake_pool.append(event)
 
     def run_until(self, event: Event) -> None:
         """Process events until ``event`` has been processed.

@@ -28,14 +28,6 @@ class Resource:
         self.in_use = 0
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         """Return an event that triggers when one unit is granted."""
         event = self.sim.event()

@@ -95,7 +95,7 @@ def test_surrogate_run_conserves_requests():
     assert c["completed"] + c["failed"] == c["admitted"]  # fully drained
     assert report.latency.count == c["completed"]
     # Tenant stats roll up to the service totals.
-    per_tenant = sum(report.tenants.stats(n).submitted
+    per_tenant = sum(report.tenants.lookup(n)[1].submitted
                      for n in report.tenants.names)
     assert per_tenant == c["submitted"]
 
@@ -337,6 +337,6 @@ def test_one_front_door_contract(kind):
     assert c["submitted"] == (c["admitted"] + c["rejected_quota"]
                               + c["rejected_overload"])
     assert c["completed"] + c["failed"] == c["admitted"]
-    assert reported == {name: tenants.stats(name).admitted
-                        for name in tenants.names
-                        if tenants.stats(name).admitted}
+    admitted = {name: tenants.lookup(name)[1].admitted
+                for name in tenants.names}
+    assert reported == {name: n for name, n in admitted.items() if n}

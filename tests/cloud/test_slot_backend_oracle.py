@@ -27,7 +27,6 @@ class FinishFirst(Timeout):
 
     def __init__(self, sim, delay):
         Event.__init__(self, sim)
-        self.delay = delay
         sim._seq += 1
         heappush(sim._heap, (sim.now + delay, sim._seq - INSTANT_END, self))
 

@@ -28,9 +28,10 @@ def test_synthetic_fleet_is_deterministic():
     b = TenantRegistry.synthetic(40, RngRegistry(11).stream("fleet"))
     assert a.names == b.names
     for name in a.names:
-        assert a.spec(name) == b.spec(name)
+        assert a.lookup(name)[0] == b.lookup(name)[0]
     c = TenantRegistry.synthetic(40, RngRegistry(12).stream("fleet"))
-    assert any(a.spec(n).priority != c.spec(n).priority for n in a.names)
+    assert any(a.lookup(n)[0].priority != c.lookup(n)[0].priority
+               for n in a.names)
 
 
 def test_synthetic_fleet_shape():
@@ -51,22 +52,21 @@ def test_synthetic_fleet_shape():
 def test_registry_accounting_roundtrip():
     fleet = TenantRegistry.synthetic(5, RngRegistry(3).stream("fleet"))
     name = fleet.names[0]
-    stats = fleet.stats(name)
+    spec, stats = fleet.lookup(name)
+    assert spec.name == name
     stats.submitted += 3
     stats.admitted += 2
     stats.completed += 2
-    assert fleet.stats(name) is stats  # one stats object per tenant
+    assert fleet.lookup(name)[1] is stats  # one stats object per tenant
     assert (stats.submitted, stats.completed) == (3, 2)
     assert name in fleet and len(fleet) == 5
 
 
 def test_unknown_tenant_is_a_config_error():
     fleet = TenantRegistry.synthetic(3, RngRegistry(3).stream("fleet"))
-    name = fleet.names[0]
-    assert fleet.lookup(name) == (fleet.spec(name), fleet.stats(name))
-    for method in (fleet.stats, fleet.spec, fleet.lookup):
-        with pytest.raises(ConfigError, match="unknown tenant 'nobody'"):
-            method("nobody")
+    assert "nobody" not in fleet
+    with pytest.raises(ConfigError, match="unknown tenant 'nobody'"):
+        fleet.lookup("nobody")
 
 
 def nearest_rank(values, q):

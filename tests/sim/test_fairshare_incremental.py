@@ -623,7 +623,7 @@ def test_zero_size_open_completes_without_rebalance():
     assert fss.rebalance_count == rebalances  # flow set never changed
     assert background.rate == rate == 100.0
     sim.run(until=1.0)
-    assert flow.done.processed and flow.done.value is flow
+    assert flow.done.triggered and flow.done.value is flow
 
 
 def _live_timers(sim):

@@ -6,6 +6,13 @@ from repro.errors import SimulationError
 from repro.sim import FairShareSystem, PeriodicCall, SharedResource, Simulator
 
 
+def later(sim, delay, value):
+    """An event that succeeds with ``value`` ``delay`` seconds from now."""
+    ev = sim.event()
+    sim.call_in(delay, ev.succeed, value)
+    return ev
+
+
 def test_empty_run_leaves_clock_at_zero():
     sim = Simulator()
     sim.run()
@@ -60,9 +67,9 @@ def test_process_sequencing_and_values():
     seen = []
 
     def body(sim):
-        got = yield sim.timeout(1.0, value="a")
+        got = yield later(sim, 1.0, "a")
         seen.append((sim.now, got))
-        got = yield sim.timeout(2.0, value="b")
+        got = yield later(sim, 2.0, "b")
         seen.append((sim.now, got))
 
     sim.process(body(sim))
@@ -185,7 +192,7 @@ def test_process_failure_propagates_to_waiter():
 
 def test_yield_on_already_processed_event():
     sim = Simulator()
-    early = sim.timeout(1.0, value="early")
+    early = later(sim, 1.0, "early")
 
     def late(sim):
         yield sim.timeout(5.0)
@@ -213,6 +220,21 @@ def test_yield_non_event_raises_in_process():
     p = sim.process(outer(sim))
     sim.run()
     assert p.value == "typed"
+
+
+def test_a_process_that_catches_the_non_event_error_keeps_running():
+    sim = Simulator()
+
+    def forgiving(sim):
+        try:
+            yield "not an event"
+        except SimulationError:
+            yield sim.timeout(2.0)
+        return "recovered"
+
+    p = sim.process(forgiving(sim))
+    sim.run()
+    assert p.value == "recovered" and sim.now == 2.0
 
 
 def test_cancel_while_waiting_runs_finally_and_never_resumes():
@@ -283,8 +305,8 @@ def test_cancel_cascades_to_what_the_process_waits_on():
 
 def test_any_of_triggers_on_first():
     sim = Simulator()
-    a = sim.timeout(1.0, "a")
-    b = sim.timeout(5.0, "b")
+    a = later(sim, 1.0, "a")
+    b = later(sim, 5.0, "b")
 
     def body(sim):
         result = yield sim.any_of([a, b])
@@ -298,8 +320,8 @@ def test_any_of_triggers_on_first():
 
 def test_all_of_waits_for_all():
     sim = Simulator()
-    a = sim.timeout(1.0, "a")
-    b = sim.timeout(5.0, "b")
+    a = later(sim, 1.0, "a")
+    b = later(sim, 5.0, "b")
 
     def body(sim):
         result = yield sim.all_of([a, b])
@@ -316,6 +338,69 @@ def test_all_of_empty_triggers_immediately():
     cond = sim.all_of([])
     sim.run()
     assert cond.triggered and cond.value == {}
+
+
+def test_all_of_with_a_processed_child_waits_for_the_rest():
+    sim = Simulator()
+    done = later(sim, 0.0, "done")
+    sim.run()
+    late = sim.event()
+    cond = sim.all_of([done, late])
+    sim.run()
+    assert not cond.triggered  # ``done`` counts once; ``late`` still owed
+    late.succeed("late")
+    sim.run()
+    assert cond.value == {done: "done", late: "late"}
+
+
+def test_process_on_all_of_with_a_processed_child_resumes_at_the_last():
+    sim = Simulator()
+    done = later(sim, 0.0, "done")
+    sim.run()
+    t3, t6 = later(sim, 3.0, 3), later(sim, 6.0, 6)
+
+    def body(sim):
+        result = yield sim.all_of([t3, t6, done])
+        return sim.now, sorted(map(str, result.values()))
+
+    p = sim.process(body(sim))
+    sim.run()
+    assert p.value == (6.0, ["3", "6", "done"])
+
+
+def test_any_of_with_a_processed_child_triggers_at_once():
+    sim = Simulator()
+    done = later(sim, 0.0, "done")
+    sim.run()
+    late = later(sim, 4.0, "late")
+    cond = sim.any_of([late, done])
+    assert cond.triggered and cond.value == {done: "done"}
+    sim.run(until=1.0)
+    assert cond.value == {done: "done"}
+
+
+@pytest.mark.parametrize("compose", ["all_of", "any_of"])
+def test_a_failing_child_fails_the_condition(compose):
+    sim = Simulator()
+    done = later(sim, 0.0, "done")
+    sim.run()
+    boom = sim.event()
+    # all_of: the processed child must not end the wait; any_of: the
+    # failure comes before any success.
+    children = {"all_of": [done, boom],
+                "any_of": [boom, later(sim, 5.0, "late")]}[compose]
+    caught = []
+
+    def body(sim):
+        try:
+            yield getattr(sim, compose)(children)
+        except KeyError as exc:
+            caught.append((sim.now, exc.args))
+
+    sim.process(body(sim))
+    sim.call_in(2.0, boom.fail, KeyError("child"))
+    sim.run()
+    assert caught == [(2.0, ("child",))]
 
 
 def test_process_body_must_be_generator():
@@ -654,9 +739,7 @@ def test_cancelled_call_is_pruned_without_moving_the_clock():
     sim = Simulator()
     log = []
     call = sim.call_in(5.0, log.append, "never")
-    assert not call.cancelled
     call.cancel()
-    assert call.cancelled
     sim.run()
     assert log == [] and sim.now == 0.0
     assert sim.cancelled_pruned == 1 and sim.events_processed == 0

@@ -15,8 +15,9 @@ def test_resource_grants_up_to_capacity():
     b = res.acquire()
     c = res.acquire()
     assert a.triggered and b.triggered and not c.triggered
-    assert res.available == 0
-    assert res.queue_length == 1
+    assert res.in_use == 2
+    res.release()  # the first release hands its unit to ``c``
+    assert c.triggered and res.in_use == 2
 
 
 def test_resource_fifo_granting():
